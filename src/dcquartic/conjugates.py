@@ -50,44 +50,6 @@ class Membership(NamedTuple):
     margin: float
 
 
-@dataclass(frozen=True)
-class DualPoint:
-    """A dual pair (v*, v0*) with its membership margins.
-
-    ``c_star_margin`` is the smallest eigenvalue of M(v0*) and
-    ``b_star_margin`` the smallest eigenvalue of A + sum_j (v0*)_j B_j.
-    """
-
-    v_star: np.ndarray
-    v0_star: np.ndarray
-    c_star_margin: float
-    c_star_eps: float
-    b_star_margin: float
-    b_star_eps: float
-
-    @property
-    def in_c_star(self):
-        return self.c_star_margin > self.c_star_eps
-
-    @property
-    def in_b_star(self):
-        return self.b_star_margin > self.b_star_eps
-
-    @property
-    def in_a_star(self):
-        return self.in_c_star and self.in_b_star
-
-
-def make_dual_point(P, v_star, v0_star):
-    v_star = P.require_x(v_star)
-    v0_star = P.require_v0(v0_star)
-    cm, ce = linalg.pd_margin(P.mixed_matrix(v0_star))
-    bm, be = linalg.pd_margin(P.ab_matrix(v0_star))
-    return DualPoint(v_star=v_star, v0_star=v0_star,
-                     c_star_margin=cm, c_star_eps=ce,
-                     b_star_margin=bm, b_star_eps=be)
-
-
 def in_C_star(P, v0_star):
     """Is M(v0*) positive definite?  Returns (bool, smallest eigenvalue)."""
     v0_star = P.require_v0(v0_star)
@@ -102,11 +64,15 @@ def in_B_star(P, v0_star):
     return Membership(margin > eps, margin)
 
 
-def in_A_star(P, v0_star):
-    """A* = B* intersect C*; margin is the smaller of the two."""
-    c = in_C_star(P, v0_star)
-    b = in_B_star(P, v0_star)
+def a_star_membership(c, b):
+    """A* = B* intersect C*, from the C* and B* memberships; the margin
+    is the smaller of the two."""
     return Membership(c.inside and b.inside, min(c.margin, b.margin))
+
+
+def in_A_star(P, v0_star):
+    """Is v0* in A* = B* intersect C*?"""
+    return a_star_membership(in_C_star(P, v0_star), in_B_star(P, v0_star))
 
 
 def g1_star(P, v_star):
@@ -116,7 +82,13 @@ def g1_star(P, v_star):
     return float(0.5 * rhs @ linalg.solve_pd(P.K_minus_A, rhs))
 
 
-def _g2_star_checked(P, v_star, v0_star):
+def g2_star(P, v_star, v0_star):
+    """Conjugate of G2 at the dual pair (v*, v0*).
+
+    Raises OutsideCstarError when M(v0*) is not positive definite.
+    """
+    v_star = P.require_x(v_star)
+    v0_star = P.require_v0(v0_star)
     M = P.mixed_matrix(v0_star)
     margin, eps = linalg.pd_margin(M)
     if margin <= eps:
@@ -128,28 +100,9 @@ def _g2_star_checked(P, v_star, v0_star):
                  - np.sum(P.c * v0_star))
 
 
-def g2_star(P, d, v0_star=None):
-    """Conjugate of G2 at a dual point.
-
-    Accepts a DualPoint or a raw (v_star, v0_star) pair.  Raises
-    OutsideCstarError when M(v0*) is not positive definite.
-    """
-    if isinstance(d, DualPoint):
-        v_star, v0_star = d.v_star, d.v0_star
-    else:
-        v_star = P.require_x(d)
-        v0_star = P.require_v0(v0_star)
-    return _g2_star_checked(P, v_star, v0_star)
-
-
-def j_star(P, d, v0_star=None):
+def j_star(P, v_star, v0_star):
     """J*(v*, v0*) = G1*(v*) - G2*(v*, v0*)."""
-    if isinstance(d, DualPoint):
-        v_star, v0_star = d.v_star, d.v0_star
-    else:
-        v_star = P.require_x(d)
-        v0_star = P.require_v0(v0_star)
-    return g1_star(P, v_star) - _g2_star_checked(P, v_star, v0_star)
+    return g1_star(P, v_star) - g2_star(P, v_star, v0_star)
 
 
 def default_inner_init(P, v_star):

@@ -16,6 +16,7 @@ from typing import List
 import numpy as np
 
 from . import linalg
+from .conjugates import in_C_star
 from .errors import DualityError, OutsideCstarError
 from .problem import primal_gradient, primal_hessian, primal_value
 
@@ -24,6 +25,7 @@ NEWTON_MAX_ITER = 100
 NEWTON_MAX_BACKTRACKS = 40
 TIKHONOV_FACTOR = 1e-8
 DEDUP_DISTANCE = 1e-6
+CONVERGED_RESIDUAL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ class CriticalPair:
 
     @property
     def converged(self):
-        return self.primal_residual <= 1e-9
+        return self.primal_residual <= CONVERGED_RESIDUAL
 
 
 def _grad_inf(P, x):
@@ -176,7 +178,7 @@ def lift_to_dual(P, x0, newton_iterations=0):
 
     r_vstar = float("nan")
     r_v0 = float("nan")
-    if in_c_star(P, v0_hat):
+    if in_C_star(P, v0_hat).inside:
         r_vstar, r_v0 = _stationarity_residuals(P, x0, v_hat, v0_hat)
 
     if primal_residual <= 1e-8:
@@ -198,11 +200,6 @@ def lift_to_dual(P, x0, newton_iterations=0):
     )
 
 
-def in_c_star(P, v0):
-    margin, eps = linalg.pd_margin(P.mixed_matrix(v0))
-    return margin > eps
-
-
 def _stationarity_residuals(P, x0, v_hat, v0_hat):
     lhs = linalg.solve_pd(P.K_minus_A, v_hat + P.f)
     rhs = linalg.solve_pd(P.mixed_matrix(v0_hat), v_hat)
@@ -219,7 +216,7 @@ def recover_primal(P, v_star):
 
 def dual_stationarity_residual(P, pair):
     """Residuals of the two dual stationarity identities at a pair."""
-    if not in_c_star(P, pair.v0_hat):
+    if not in_C_star(P, pair.v0_hat).inside:
         raise OutsideCstarError("lifted multiplier is outside C*")
     return _stationarity_residuals(P, pair.x0, pair.v_hat, pair.v0_hat)
 

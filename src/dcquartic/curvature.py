@@ -19,10 +19,11 @@ produces the dual Hessian
 
 and satisfies d2Jt . D = H1 (d2J(x0) + (K - A) alpha1) H2 exactly.
 
-Two conventions exist for E in the source derivation; the one above is
-the implicit-function-theorem version and is the one validated by the
-finite-difference oracle on the inner argmax.  The alternative
-("statement") variant is kept behind a flag for comparison reports.
+E above is the implicit-function-theorem convention, the one that the
+finite-difference oracles on the inner argmax and the dual Hessian
+confirm.  The source derivation also states a second convention for E;
+the test suite rebuilds it from a bundle and shows that it fails the
+finite-difference check.
 """
 
 from dataclasses import dataclass
@@ -30,16 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .conjugates import j_tilde_star
+from .critical import CONVERGED_RESIDUAL
 from .errors import (
     DegenerateCriticalPointError,
-    DualityError,
     NotConvergedPairError,
     OutsideCstarError,
 )
 from .problem import primal_hessian
 
-CONVERGED_RESIDUAL = 1e-9
 E_COND_LIMIT = 1e12
 
 
@@ -59,21 +58,18 @@ class CurvatureBundle:
     H2: np.ndarray
     dual_hessian: np.ndarray
     dual_hessian_asymmetry: float
-    e_convention: str
 
 
-def build_bundle(P, pair, e_convention="derivation"):
+def build_bundle(P, pair):
     """Assemble every chain matrix at a converged pair.
 
     Raises NotConvergedPairError, OutsideCstarError, or
     DegenerateCriticalPointError (E condition number above 1e12).
     """
-    if not pair.primal_residual <= CONVERGED_RESIDUAL:
+    if not pair.converged:
         raise NotConvergedPairError(
             f"primal residual {pair.primal_residual:.3e} exceeds "
             f"{CONVERGED_RESIDUAL:.0e}")
-    if e_convention not in ("derivation", "statement"):
-        raise DualityError(f"unknown E convention {e_convention!r}")
 
     x0, v0_hat = pair.x0, pair.v0_hat
     M = P.mixed_matrix(v0_hat)
@@ -86,25 +82,15 @@ def build_bundle(P, pair, e_convention="derivation"):
     p1 = P.bx_columns(x0)                   # n x N
     p2 = p1.T @ M_inv                       # N x n
     core = p2 @ p1                          # x0^T B_l M^{-1} B_eta x0
-    if e_convention == "derivation":
-        E = linalg.symmetrize(core) + np.diag(1.0 / P.gamma)
-    else:
-        E = (P.gamma * np.diag(core))[:, None] * np.ones(P.N)[None, :] \
-            + np.eye(P.N)
+    E = linalg.symmetrize(core) + np.diag(1.0 / P.gamma)
 
-    if e_convention == "derivation":
-        w = np.linalg.eigvalsh(E)
-        lo, hi = float(np.min(np.abs(w))), float(np.max(np.abs(w)))
-    else:
-        s = np.linalg.svd(E, compute_uv=False)
-        lo, hi = float(s[-1]), float(s[0])
+    w = np.linalg.eigvalsh(E)
+    lo, hi = float(np.min(np.abs(w))), float(np.max(np.abs(w)))
     if lo <= 0.0 or hi / lo > E_COND_LIMIT:
         raise DegenerateCriticalPointError(
             f"inner curvature matrix condition number "
             f"{hi / lo if lo > 0 else np.inf:.3e} exceeds {E_COND_LIMIT:.0e}")
-    E_bar = np.linalg.inv(E)
-    if e_convention == "derivation":
-        E_bar = linalg.symmetrize(E_bar)
+    E_bar = linalg.symmetrize(np.linalg.inv(E))
 
     H3 = p1 @ E_bar @ p2
     B_hat = linalg.symmetrize((p1 * P.gamma) @ p1.T)
@@ -120,7 +106,6 @@ def build_bundle(P, pair, e_convention="derivation"):
         M=M, P1=p1, P2=p2, E=E, E_bar=E_bar, H3=H3, B_hat=B_hat, D=D,
         alpha=alpha, alpha1=alpha1, H1=H1, H2=H2,
         dual_hessian=dual_hessian, dual_hessian_asymmetry=asym,
-        e_convention=e_convention,
     )
 
 
@@ -128,44 +113,6 @@ def implicit_sensitivity(P, pair, bundle):
     """d(vhat0)/d(v*) at the pair: the implicit derivative of the inner
     argmax, equal to E^{-1} P2."""
     return bundle.E_bar @ bundle.P2
-
-
-def dual_hessian_fd(P, pair, h):
-    """Central-difference Hessian of v* -> Jt*(v*), symmetrized.
-
-    Every probe solves the inner sup warm-started at the lifted
-    multiplier; a probe that fails raises ProbeFailureError.
-    """
-    from .errors import NoConvergenceError, ProbeFailureError
-
-    v_hat, v0_hat = pair.v_hat, pair.v0_hat
-    n = P.n
-
-    def value(v):
-        try:
-            val, _ = j_tilde_star(P, v, init=v0_hat)
-        except (NoConvergenceError, OutsideCstarError) as exc:
-            raise ProbeFailureError(
-                f"inner sup failed at probe offset {v - v_hat}: {exc}") from exc
-        return val
-
-    H = np.zeros((n, n))
-    center = value(v_hat)
-    for k in range(n):
-        ek = np.zeros(n); ek[k] = h
-        fp = value(v_hat + ek)
-        fm = value(v_hat - ek)
-        H[k, k] = (fp - 2.0 * center + fm) / (h * h)
-    for j in range(n):
-        for k in range(j + 1, n):
-            ej = np.zeros(n); ej[j] = h
-            ek = np.zeros(n); ek[k] = h
-            fpp = value(v_hat + ej + ek)
-            fpm = value(v_hat + ej - ek)
-            fmp = value(v_hat - ej + ek)
-            fmm = value(v_hat - ej - ek)
-            H[j, k] = H[k, j] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
-    return linalg.symmetrize(H)
 
 
 def verify_chain_identity(P, pair, bundle):
@@ -176,16 +123,3 @@ def verify_chain_identity(P, pair, bundle):
     rhs = bundle.H1 @ shifted @ bundle.H2
     return float(np.linalg.norm(lhs - rhs, "fro")
                  / (1.0 + np.linalg.norm(rhs, "fro")))
-
-
-def argmax_sensitivity_fd(P, pair, h=1e-5):
-    """Finite-difference oracle for implicit_sensitivity: re-solve the
-    inner sup at v_hat +/- h e_k and difference the argmax."""
-    v_hat, v0_hat = pair.v_hat, pair.v0_hat
-    out = np.zeros((P.N, P.n))
-    for k in range(P.n):
-        ek = np.zeros(P.n); ek[k] = h
-        _, vp = j_tilde_star(P, v_hat + ek, init=v0_hat)
-        _, vm = j_tilde_star(P, v_hat - ek, init=v0_hat)
-        out[:, k] = (vp - vm) / (2.0 * h)
-    return out

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .conjugates import (
-    in_A_star,
+    a_star_membership,
     in_B_star,
     in_C_star,
     j2_star,
@@ -34,7 +34,6 @@ from .curvature import build_bundle, verify_chain_identity
 from .errors import (
     DualityError,
     NotCase2Error,
-    OutsideCstarError,
     ValidationError,
 )
 from .problem import primal_hessian, primal_value, validate_instance
@@ -67,14 +66,12 @@ def classify_case(P, pair, bundle):
     """Evaluate the three case predicates with eigenvalue margins."""
     d2j = primal_hessian(P, pair.x0)
     shifted = d2j + P.K_minus_A @ bundle.alpha1
-    d2j_min, d2j_eps = linalg.pd_margin(d2j)
-    d2j_max, _ = linalg.nd_margin(d2j)
-    sh_min, sh_eps = linalg.pd_margin(shifted)
-    sh_max, _ = linalg.nd_margin(shifted)
+    d2j_min, d2j_max, d2j_eps = linalg.spectrum_ends(d2j)
+    sh_min, sh_max, sh_eps = linalg.spectrum_ends(shifted)
 
     c = in_C_star(P, pair.v0_hat)
     b = in_B_star(P, pair.v0_hat)
-    a = in_A_star(P, pair.v0_hat)
+    a = a_star_membership(c, b)
 
     if a.inside:
         case_id = "case2"
@@ -97,9 +94,10 @@ def classify_case(P, pair, bundle):
 
 
 def verify_zero_gap(P, pair):
-    """J(x0) - J*(vhat, vhat0); zero at every critical pair in C*."""
-    if not in_C_star(P, pair.v0_hat).inside:
-        raise OutsideCstarError("lifted multiplier is outside C*")
+    """J(x0) - J*(vhat, vhat0); zero at every critical pair in C*.
+
+    Raises OutsideCstarError (from J*) when vhat0 is outside C*.
+    """
     return primal_value(P, pair.x0) - j_star(P, pair.v_hat, pair.v0_hat)
 
 
@@ -201,13 +199,14 @@ class GlobalCertificate:
     n_samples: int
 
 
-def global_min_certificate(P, pair, n_seeds=32, rng_seed=7):
+def global_min_certificate(P, pair, critical_points, rng_seed=7):
     """Certify the case-2 conclusion that x0 is the global minimum.
 
-    Checks: (i) J(x0) below every multistart critical point and a coarse
-    global sample; (ii) J2*(vhat) equals J(x0); (iii) midpoint convexity
-    of J2* on sampled direction pairs; (iv) weak duality
-    J2*(vhat) <= J(x) on every sample.
+    ``critical_points`` are the primal critical points already found
+    for P, such as the ``points`` of a multistart run.  Checks: (i) J(x0)
+    below every one of them and a coarse global sample; (ii) J2*(vhat)
+    equals J(x0); (iii) midpoint convexity of J2* on sampled direction
+    pairs; (iv) weak duality J2*(vhat) <= J(x) on every sample.
     """
     bundle = build_bundle(P, pair)
     report = classify_case(P, pair, bundle)
@@ -217,8 +216,7 @@ def global_min_certificate(P, pair, n_seeds=32, rng_seed=7):
     j0 = primal_value(P, pair.x0)
 
     # (i) every other critical point and a coarse global sample
-    ms = multistart(P, n_seeds, rng_seed)
-    ms_values = [primal_value(P, x) for x in ms.points]
+    ms_values = [primal_value(P, x) for x in critical_points]
     multistart_ok = all(j0 <= v + CERT_SAMPLE_TOL for v in ms_values)
 
     span = 5.0 * (1.0 + float(np.max(np.abs(pair.x0))))

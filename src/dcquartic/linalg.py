@@ -37,25 +37,27 @@ def eps_pd(eigenvalues):
     return EPS_PD_FACTOR * (1.0 + scale)
 
 
-def pd_margin(M):
-    """Return (smallest eigenvalue, eps) of the symmetrized matrix.
+def spectrum_ends(M):
+    """Return (smallest eigenvalue, largest eigenvalue, eps) of the
+    symmetrized matrix, from one eigvalsh.
 
-    The matrix counts as positive definite when margin > eps.
+    The matrix counts as positive definite when smallest > eps and as
+    negative definite when largest < -eps.
     """
     w = np.linalg.eigvalsh(symmetrize(M))
-    return float(w[0]), eps_pd(w)
+    return float(w[0]), float(w[-1]), eps_pd(w)
+
+
+def pd_margin(M):
+    """Return (smallest eigenvalue, eps); positive definite when
+    margin > eps."""
+    margin, _, eps = spectrum_ends(M)
+    return margin, eps
 
 
 def is_pd(M):
     margin, eps = pd_margin(M)
     return margin > eps
-
-
-def nd_margin(M):
-    """Return (largest eigenvalue, eps); negative definite when
-    largest < -eps."""
-    w = np.linalg.eigvalsh(symmetrize(M))
-    return float(w[-1]), eps_pd(w)
 
 
 def chol_feasible(M):

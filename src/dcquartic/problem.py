@@ -25,9 +25,6 @@ from .errors import DimensionMismatchError, ValidationError
 COERCIVITY_SAMPLES_PER_DIM = 1000
 _COERCIVITY_SEED = 1729  # fixed so validation is deterministic
 
-# central finite differences used by the consistency checks
-FD_STEP_FACTOR = 1e-5
-
 
 @dataclass(frozen=True)
 class ProblemInstance:
@@ -224,26 +221,3 @@ def g2_value(P, x, v):
     w = P.quartic_terms(x) + v
     return float(0.5 * P.gamma @ (w ** 2) + 0.5 * x @ P.K @ x)
 
-
-def fd_gradient(P, x, value_fn=primal_value):
-    """Componentwise central differences of a scalar function of x."""
-    x = P.require_x(x)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        h = FD_STEP_FACTOR * (1.0 + abs(x[i]))
-        xp = x.copy(); xp[i] += h
-        xm = x.copy(); xm[i] -= h
-        g[i] = (value_fn(P, xp) - value_fn(P, xm)) / (2.0 * h)
-    return g
-
-
-def fd_hessian(P, x):
-    """Central differences of the analytic gradient."""
-    x = P.require_x(x)
-    H = np.zeros((x.size, x.size))
-    for i in range(x.size):
-        h = FD_STEP_FACTOR * (1.0 + abs(x[i]))
-        xp = x.copy(); xp[i] += h
-        xm = x.copy(); xm[i] -= h
-        H[:, i] = (primal_gradient(P, xp) - primal_gradient(P, xm)) / (2.0 * h)
-    return H

@@ -86,7 +86,7 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
             if case.case_id == "case2":
                 try:
                     cert = global_min_certificate(
-                        P, pair, n_seeds=n_seeds, rng_seed=rng_seed)
+                        P, pair, ms.points, rng_seed=rng_seed)
                     case.j2_convexity_checks = cert.convexity_pass_count
                     record["certificate"] = {
                         "passed": cert.passed,

@@ -1,16 +1,25 @@
-"""Independent brute-force oracles used by the test suite.
+"""Independent oracles used by the test suite.
 
 Everything here is deliberately dumb: dense grids with zoom refinement,
-bisection on sign changes, batched function evaluation.  None of it
-reuses the closed forms under test beyond instance data and eigenvalue
-bounds needed to size search boxes.
+bisection on sign changes, batched function evaluation and central
+finite differences.  The grid and bisection oracles reuse none of the
+closed forms under test beyond instance data and eigenvalue bounds
+needed to size search boxes.  The finite-difference oracles difference
+a lower-order quantity: J for the gradient, the gradient for the
+Hessian, and the inner sup Jt* (and its argmax) for the dual Hessian
+and the implicit argmax sensitivity.
 """
 
 import numpy as np
 from scipy.optimize import brentq
 
-from dcquartic import primal_gradient
+from dcquartic import j_star, j_tilde_star, primal_gradient
+from dcquartic.errors import NoConvergenceError, OutsideCstarError, ProbeFailureError
+from dcquartic.linalg import symmetrize
 from dcquartic.problem import primal_value
+
+# central finite-difference step, relative to 1 + |x_i|
+FD_STEP_FACTOR = 1e-5
 
 
 def zoom_grid_max(batch_fn, center, half_width, points=11, levels=8):
@@ -87,8 +96,6 @@ def j_tilde_grid(P, v_star, center, half_width, points=41, levels=8):
     Grid points outside C* evaluate to -inf; the domain is convex and
     the objective concave, so zooming cannot get stuck.
     """
-    from dcquartic import j_star
-    from dcquartic.errors import OutsideCstarError
 
     def batch(v0s):
         out = np.full(v0s.shape[0], -np.inf)
@@ -128,3 +135,76 @@ def grid_min_1d(P, lo=-5.0, hi=5.0, points=100001):
     xs = np.linspace(lo, hi, points)
     vals = [primal_value(P, [x]) for x in xs]
     return float(np.min(vals))
+
+
+def fd_gradient(P, x, value_fn=primal_value):
+    """Componentwise central differences of a scalar function of x."""
+    x = P.require_x(x)
+    g = np.zeros_like(x)
+    for i in range(x.size):
+        h = FD_STEP_FACTOR * (1.0 + abs(x[i]))
+        xp = x.copy(); xp[i] += h
+        xm = x.copy(); xm[i] -= h
+        g[i] = (value_fn(P, xp) - value_fn(P, xm)) / (2.0 * h)
+    return g
+
+
+def fd_hessian(P, x):
+    """Central differences of the analytic gradient."""
+    x = P.require_x(x)
+    H = np.zeros((x.size, x.size))
+    for i in range(x.size):
+        h = FD_STEP_FACTOR * (1.0 + abs(x[i]))
+        xp = x.copy(); xp[i] += h
+        xm = x.copy(); xm[i] -= h
+        H[:, i] = (primal_gradient(P, xp) - primal_gradient(P, xm)) / (2.0 * h)
+    return H
+
+
+def dual_hessian_fd(P, pair, h):
+    """Central-difference Hessian of v* -> Jt*(v*), symmetrized.
+
+    Every probe solves the inner sup warm-started at the lifted
+    multiplier; a probe that fails raises ProbeFailureError.
+    """
+    v_hat, v0_hat = pair.v_hat, pair.v0_hat
+    n = P.n
+
+    def value(v):
+        try:
+            val, _ = j_tilde_star(P, v, init=v0_hat)
+        except (NoConvergenceError, OutsideCstarError) as exc:
+            raise ProbeFailureError(
+                f"inner sup failed at probe offset {v - v_hat}: {exc}") from exc
+        return val
+
+    H = np.zeros((n, n))
+    center = value(v_hat)
+    for k in range(n):
+        ek = np.zeros(n); ek[k] = h
+        fp = value(v_hat + ek)
+        fm = value(v_hat - ek)
+        H[k, k] = (fp - 2.0 * center + fm) / (h * h)
+    for j in range(n):
+        for k in range(j + 1, n):
+            ej = np.zeros(n); ej[j] = h
+            ek = np.zeros(n); ek[k] = h
+            fpp = value(v_hat + ej + ek)
+            fpm = value(v_hat + ej - ek)
+            fmp = value(v_hat - ej + ek)
+            fmm = value(v_hat - ej - ek)
+            H[j, k] = H[k, j] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
+    return symmetrize(H)
+
+
+def argmax_sensitivity_fd(P, pair, h=1e-5):
+    """Finite-difference oracle for implicit_sensitivity: re-solve the
+    inner sup at v_hat +/- h e_k and difference the argmax."""
+    v_hat, v0_hat = pair.v_hat, pair.v0_hat
+    out = np.zeros((P.N, P.n))
+    for k in range(P.n):
+        ek = np.zeros(P.n); ek[k] = h
+        _, vp = j_tilde_star(P, v_hat + ek, init=v0_hat)
+        _, vm = j_tilde_star(P, v_hat - ek, init=v0_hat)
+        out[:, k] = (vp - vm) / (2.0 * h)
+    return out

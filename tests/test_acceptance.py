@@ -12,12 +12,18 @@ import numpy as np
 import pytest
 
 import dcquartic as dc
-from dcquartic.curvature import build_bundle, dual_hessian_fd, verify_chain_identity
+from dcquartic.curvature import build_bundle, verify_chain_identity
 from dcquartic.ensembles import iter_ensemble
 from dcquartic.errors import DualityError, ProbeFailureError
 from dcquartic.gap import classify_case, local_extremality_probe, verify_zero_gap
 from dcquartic.report import build_run_report
-from oracles import g1_star_grid, g2_star_grid, gradient_roots_1d, grid_min_1d
+from oracles import (
+    dual_hessian_fd,
+    g1_star_grid,
+    g2_star_grid,
+    gradient_roots_1d,
+    grid_min_1d,
+)
 
 ENSEMBLE_COUNT = 200
 ENSEMBLE_SEED = 2024
@@ -198,7 +204,8 @@ def test_criterion_07_global_min_instance(p_min):
     bundle = build_bundle(p_min, pair)
     case = classify_case(p_min, pair, bundle)
     assert case.case_id == "case2"
-    cert = dc.global_min_certificate(p_min, pair)
+    cert = dc.global_min_certificate(p_min, pair,
+                                     dc.multistart(p_min, 32, 7).points)
     assert cert.passed
     grid_inf = grid_min_1d(p_min, -5.0, 5.0)
     assert abs(cert.inf_estimate - 0.5) <= 1e-8

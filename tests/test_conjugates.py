@@ -25,7 +25,6 @@ from dcquartic import (
     j_tilde_star,
     j_tilde_star_stack,
     local_extremality_probe,
-    make_dual_point,
     validate_instance,
 )
 from dcquartic import linalg
@@ -73,10 +72,6 @@ class TestMembership:
         assert not b.inside and b.margin == pytest.approx(0.0, abs=1e-14)
         a = in_A_star(p_min, [1.0])
         assert a.inside and a.margin == pytest.approx(2.0)
-
-    def test_dual_point_flags(self, p_min):
-        d = make_dual_point(p_min, [0.0], [1.0])
-        assert d.in_c_star and d.in_b_star and d.in_a_star
 
 
 class TestJStar:
@@ -277,6 +272,14 @@ class TestJTildeStarStack:
                                    rtol=1e-10, atol=1e-12)
         margin, eps = linalg.pd_margin_stack(Ms)
         assert list(zip(margin, eps)) == [linalg.pd_margin(M) for M in Ms]
+        # both ends of the spectrum from one eigvalsh, on Ms and -Ms so
+        # that each end decides definiteness somewhere
+        for M in np.concatenate([Ms, -Ms]):
+            lo, hi, eps = linalg.spectrum_ends(M)
+            assert (lo, eps) == linalg.pd_margin(M)
+            n_pos, n_neg, _ = linalg.inertia(M)
+            assert (lo > eps) == (n_pos == 3)
+            assert (hi < -eps) == (n_neg == 3)
 
 
 class TestJ2Star:

@@ -6,7 +6,6 @@ from dcquartic import (
     NotConvergedPairError,
     OutsideCstarError,
     build_bundle,
-    dual_hessian_fd,
     find_critical_pairs,
     generate_instance,
     implicit_sensitivity,
@@ -14,7 +13,7 @@ from dcquartic import (
     validate_instance,
     verify_chain_identity,
 )
-from dcquartic.curvature import argmax_sensitivity_fd
+from oracles import argmax_sensitivity_fd, dual_hessian_fd
 
 
 class TestBundleHandValues:
@@ -124,17 +123,22 @@ class TestDualHessian:
         assert tested >= 8
 
     def test_statement_convention_fails_fd(self, p_tri, sqrt2):
-        # the alternative inner-matrix convention disagrees with the
+        # the source derivation's alternative ("statement") convention
+        # E = {gamma_l x0^T B_l M^{-1} B_l x0} 1^T + I disagrees with the
         # finite-difference Hessian whenever gamma != 1 scaling matters;
         # here it flips H3 enough to shift the diagonal
         P = validate_instance([-1.0], [[1.0]], [2.0], [0.0], [0.0], 1.0)
         pairs = find_critical_pairs(P, 16, 3)
         pair = next(p for p in pairs if abs(p.x0[0]) > 0.5)
-        b_deriv = build_bundle(P, pair)
-        b_stmt = build_bundle(P, pair, e_convention="statement")
+        b = build_bundle(P, pair)
+        core = b.P2 @ b.P1
+        E_stmt = (P.gamma * np.diag(core))[:, None] * np.ones(P.N)[None, :] \
+            + np.eye(P.N)
+        H3_stmt = b.P1 @ np.linalg.inv(E_stmt) @ b.P2
+        stmt_hessian = -b.H2 + b.H1 + b.H2 @ H3_stmt
         fd = dual_hessian_fd(P, pair, 1e-4)
-        err_deriv = np.max(np.abs(b_deriv.dual_hessian - fd))
-        err_stmt = np.max(np.abs(b_stmt.dual_hessian - fd))
+        err_deriv = np.max(np.abs(b.dual_hessian - fd))
+        err_stmt = np.max(np.abs(stmt_hessian - fd))
         assert err_deriv <= 1e-5
         assert err_stmt > 1e-3
 

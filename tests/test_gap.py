@@ -3,6 +3,7 @@ import pytest
 
 from dcquartic import (
     NotCase2Error,
+    OutsideCstarError,
     build_bundle,
     classify_case,
     epsilon_sweep,
@@ -11,7 +12,9 @@ from dcquartic import (
     global_min_certificate,
     lift_to_dual,
     local_extremality_probe,
+    multistart,
     primal_value,
+    validate_instance,
     verify_zero_gap,
 )
 from oracles import grid_min_1d
@@ -43,6 +46,14 @@ class TestZeroGap:
         for P, x in ((p_tri, [sqrt2]), (p_min, [0.0]), (p_tri, [0.0])):
             pair = lift_to_dual(P, x)
             assert abs(verify_zero_gap(P, pair)) <= 1e-12
+
+    def test_outside_c_star_raises(self):
+        # the instance of test_curvature's outside-C* bundle test: c = -2
+        # puts the lifted multiplier past the C* boundary at x0 = 0
+        P = validate_instance([1.0], [[1.0]], [1.0], [-2.0], [0.0], 1.5)
+        pair = lift_to_dual(P, [0.0])
+        with pytest.raises(OutsideCstarError):
+            verify_zero_gap(P, pair)
 
     def test_random_ensemble(self):
         rng = np.random.default_rng(1)
@@ -119,7 +130,7 @@ class TestProbes:
 class TestGlobalCertificate:
     def test_p_min_certificate(self, p_min):
         pair = lift_to_dual(p_min, [0.0])
-        cert = global_min_certificate(p_min, pair)
+        cert = global_min_certificate(p_min, pair, multistart(p_min, 32, 7).points)
         assert cert.passed
         assert cert.inf_estimate == pytest.approx(0.5, abs=1e-12)
         # independent 1-d grid oracle over [-5, 5]
@@ -131,7 +142,7 @@ class TestGlobalCertificate:
     def test_not_case2(self, p_tri, sqrt2):
         pair = lift_to_dual(p_tri, [sqrt2])
         with pytest.raises(NotCase2Error):
-            global_min_certificate(p_tri, pair)
+            global_min_certificate(p_tri, pair, multistart(p_tri, 32, 7).points)
 
     def test_weak_duality_spot_value(self, p_min):
         # J2*(vhat) = 1/2 <= J(1) = 1.625
@@ -156,7 +167,7 @@ class TestGlobalCertificate:
                     continue
                 if classify_case(P, pair, bundle).case_id != "case2":
                     continue
-                cert = global_min_certificate(P, pair)
+                cert = global_min_certificate(P, pair, multistart(P, 32, 7).points)
                 assert cert.passed, (i, pair.x0, cert)
                 certified += 1
         assert certified >= 8

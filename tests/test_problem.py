@@ -13,7 +13,7 @@ from dcquartic import (
     primal_value,
     validate_instance,
 )
-from dcquartic.problem import fd_gradient, fd_hessian
+from oracles import fd_gradient, fd_hessian
 
 
 class TestValidation:
