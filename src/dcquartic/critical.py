@@ -66,17 +66,68 @@ def _grad_inf(P, x):
     return float(np.max(np.abs(primal_gradient(P, x))))
 
 
+def _gradient_stack(A, B, gamma, c, f, X):
+    """grad J for each row of an (S, n) stack, by primal_gradient's formula."""
+    S, n = X.shape
+    BX = (X @ B.reshape(-1, n).T).reshape(S, -1, n)   # the rows B_j x
+    w = 0.5 * np.einsum("sjk,sk->sj", BX, X) + c
+    return X @ A.T + np.einsum("sjk,sj->sk", BX, gamma * w) + f
+
+
+def _grad_inf_stack(P, X):
+    """max |grad J| for each row of an (S, n) stack, and a bound on its
+    distance from the row's single-point _grad_inf.
+
+    The stack and primal_gradient sum in different orders.  Barring
+    underflow, each is within gamma_K = K u / (1 - K u) of the exact
+    gradient relative to G, the same sums taken over absolute values,
+    where u is the unit roundoff and K = n^2 + n + N + 5 counts the
+    roundings along any product.  The returned bound, 4 K u max G, is
+    twice the largest distance between the two.
+    """
+    g = _gradient_stack(P.A, P.B, P.gamma, P.c, P.f, X)
+    G = _gradient_stack(np.abs(P.A), np.abs(P.B), P.gamma, np.abs(P.c),
+                        np.abs(P.f), np.abs(X))
+    roundings = P.n ** 2 + P.n + P.N + 5
+    return (np.max(np.abs(g), axis=1),
+            2.0 * roundings * np.finfo(float).eps * np.max(G, axis=1))
+
+
+# t0 * 2^-k is exact, so row k is the float that k halvings of t0 give
+_HALVINGS = np.ldexp(1.0, -np.arange(NEWTON_MAX_BACKTRACKS))
+
+
+def _backtrack(P, x, d, t0, g_norm):
+    """First x + t d, t = t0, t0/2, ..., whose gradient norm is below
+    g_norm, or None.
+
+    All trial steps are screened in one stacked call.  A row that the
+    rounding bound does not place clearly above or below g_norm, NaN
+    and inf rows among them, is re-decided by the single-point
+    _grad_inf, in row order, so the pick is the one-at-a-time halving
+    loop's.
+    """
+    cands = x + (t0 * _HALVINGS)[:, None] * d
+    norms, margin = _grad_inf_stack(P, cands)
+    for k in np.flatnonzero(~(norms >= g_norm + margin)):
+        if norms[k] < g_norm - margin[k] or _grad_inf(P, cands[k]) < g_norm:
+            return cands[k]
+    return None
+
+
 def solve_primal_critical(P, x_init):
     """Damped Newton on grad J with backtracking on the gradient norm.
 
     Singular Hessian steps fall back to a Tikhonov-shifted solve.  Never
     raises on non-convergence: the best iterate is returned with its
-    status so batch runs can keep going.
+    status so batch runs can keep going.  ``iterations`` counts the
+    Newton iterations run, including a last one whose line search failed.
     """
     x = P.require_x(x_init).copy()
     g = primal_gradient(P, x)
     g_norm = float(np.max(np.abs(g)))
     best = (x.copy(), g_norm)
+    iterations = NEWTON_MAX_ITER
     for it in range(NEWTON_MAX_ITER):
         tol = NEWTON_TOL_FACTOR * (1.0 + float(np.max(np.abs(x))))
         if g_norm <= tol:
@@ -92,38 +143,24 @@ def solve_primal_critical(P, x_init):
         if step is None:
             shift = TIKHONOV_FACTOR * (1.0 + linalg.spectral_norm_sym(H))
             step = np.linalg.solve(H + shift * np.eye(P.n), -g)
-        accepted = False
-        t = 1.0
-        for _ in range(NEWTON_MAX_BACKTRACKS):
-            cand = x + t * step
-            cand_norm = _grad_inf(P, cand)
-            if cand_norm < g_norm:
-                x, g_norm = cand, cand_norm
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
+        cand = _backtrack(P, x, step, 1.0, g_norm)
+        if cand is None:
             # try plain steepest descent on |g| once before giving up
             t = 1.0 / (1.0 + linalg.spectral_norm_sym(H))
-            for _ in range(NEWTON_MAX_BACKTRACKS):
-                cand = x - t * g
-                cand_norm = _grad_inf(P, cand)
-                if cand_norm < g_norm:
-                    x, g_norm = cand, cand_norm
-                    accepted = True
-                    break
-                t *= 0.5
-        if not accepted:
+            cand = _backtrack(P, x, -g, t, g_norm)
+        if cand is None:
+            iterations = it + 1
             break
+        x = cand
         g = primal_gradient(P, x)
         g_norm = float(np.max(np.abs(g)))
         if g_norm < best[1]:
             best = (x.copy(), g_norm)
     tol = NEWTON_TOL_FACTOR * (1.0 + float(np.max(np.abs(x))))
     if g_norm <= tol:
-        return SolveResult(x, True, NEWTON_MAX_ITER, g_norm)
+        return SolveResult(x, True, iterations, g_norm)
     x, g_norm = best if best[1] < g_norm else (x, g_norm)
-    return SolveResult(x, False, NEWTON_MAX_ITER, g_norm)
+    return SolveResult(x, False, iterations, g_norm)
 
 
 @dataclass(frozen=True)
@@ -134,6 +171,12 @@ class MultistartResult:
     n_merged: int
 
 
+def _starts(P, n_seeds, rng_seed):
+    rng = np.random.default_rng(rng_seed)
+    scale = 1.0 + float(np.linalg.norm(P.f)) / (1.0 + P.kma_min_eig)
+    return scale * rng.standard_normal((int(n_seeds), P.n))
+
+
 def multistart(P, n_seeds, rng_seed):
     """Deterministic multistart search for distinct critical points.
 
@@ -142,14 +185,11 @@ def multistart(P, n_seeds, rng_seed):
     sorted by J value (ties broken lexicographically), so two runs with
     the same seed agree exactly.
     """
-    rng = np.random.default_rng(rng_seed)
-    scale = 1.0 + float(np.linalg.norm(P.f)) / (1.0 + P.kma_min_eig)
-    starts = scale * rng.standard_normal((int(n_seeds), P.n))
     found = []
     iterations = []
     n_dropped = 0
     n_merged = 0
-    for s in starts:
+    for s in _starts(P, n_seeds, rng_seed):
         result = solve_primal_critical(P, s)
         if not result.converged:
             n_dropped += 1

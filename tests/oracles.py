@@ -14,9 +14,17 @@ import numpy as np
 from scipy.optimize import brentq
 
 from dcquartic import j_star, j_tilde_star, primal_gradient
+from dcquartic import linalg
+from dcquartic.critical import (
+    NEWTON_MAX_BACKTRACKS,
+    NEWTON_MAX_ITER,
+    NEWTON_TOL_FACTOR,
+    TIKHONOV_FACTOR,
+    SolveResult,
+)
 from dcquartic.errors import NoConvergenceError, OutsideCstarError, ProbeFailureError
 from dcquartic.linalg import symmetrize
-from dcquartic.problem import primal_value
+from dcquartic.problem import primal_hessian, primal_value
 
 # central finite-difference step, relative to 1 + |x_i|
 FD_STEP_FACTOR = 1e-5
@@ -208,3 +216,67 @@ def argmax_sensitivity_fd(P, pair, h=1e-5):
         _, vm = j_tilde_star(P, v_hat - ek, init=v0_hat)
         out[:, k] = (vp - vm) / (2.0 * h)
     return out
+
+
+def _grad_inf(P, x):
+    return float(np.max(np.abs(primal_gradient(P, x))))
+
+
+def solve_primal_critical_loop(P, x_init):
+    """solve_primal_critical with its line searches run one trial step at
+    a time: each halving of t is tried through the single-point gradient
+    before the next is formed.  The stacked line search must return the
+    same SolveResult bit for bit."""
+    x = P.require_x(x_init).copy()
+    g = primal_gradient(P, x)
+    g_norm = float(np.max(np.abs(g)))
+    best = (x.copy(), g_norm)
+    iterations = NEWTON_MAX_ITER
+    for it in range(NEWTON_MAX_ITER):
+        tol = NEWTON_TOL_FACTOR * (1.0 + float(np.max(np.abs(x))))
+        if g_norm <= tol:
+            return SolveResult(x, True, it, g_norm)
+        H = primal_hessian(P, x)
+        step = None
+        try:
+            step = np.linalg.solve(H, -g)
+            if not np.all(np.isfinite(step)):
+                step = None
+        except np.linalg.LinAlgError:
+            step = None
+        if step is None:
+            shift = TIKHONOV_FACTOR * (1.0 + linalg.spectral_norm_sym(H))
+            step = np.linalg.solve(H + shift * np.eye(P.n), -g)
+        accepted = False
+        t = 1.0
+        for _ in range(NEWTON_MAX_BACKTRACKS):
+            cand = x + t * step
+            cand_norm = _grad_inf(P, cand)
+            if cand_norm < g_norm:
+                x, g_norm = cand, cand_norm
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            # try plain steepest descent on |g| once before giving up
+            t = 1.0 / (1.0 + linalg.spectral_norm_sym(H))
+            for _ in range(NEWTON_MAX_BACKTRACKS):
+                cand = x - t * g
+                cand_norm = _grad_inf(P, cand)
+                if cand_norm < g_norm:
+                    x, g_norm = cand, cand_norm
+                    accepted = True
+                    break
+                t *= 0.5
+        if not accepted:
+            iterations = it + 1
+            break
+        g = primal_gradient(P, x)
+        g_norm = float(np.max(np.abs(g)))
+        if g_norm < best[1]:
+            best = (x.copy(), g_norm)
+    tol = NEWTON_TOL_FACTOR * (1.0 + float(np.max(np.abs(x))))
+    if g_norm <= tol:
+        return SolveResult(x, True, iterations, g_norm)
+    x, g_norm = best if best[1] < g_norm else (x, g_norm)
+    return SolveResult(x, False, iterations, g_norm)

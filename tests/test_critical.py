@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dcquartic import (
     OutsideCstarError,
+    critical,
     dual_stationarity_residual,
     find_critical_pairs,
     g1_star,
@@ -10,13 +13,24 @@ from dcquartic import (
     g2_star,
     g2_value,
     generate_instance,
+    iter_ensemble,
     lift_to_dual,
+    load_instance,
     multistart,
     recover_primal,
     solve_primal_critical,
     validate_instance,
 )
-from oracles import gradient_roots_1d
+from dcquartic.critical import (
+    NEWTON_MAX_ITER,
+    _backtrack,
+    _grad_inf,
+    _grad_inf_stack,
+    _starts,
+)
+from oracles import gradient_roots_1d, solve_primal_critical_loop
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
 
 
 class TestSolve:
@@ -163,3 +177,126 @@ class TestEnsembleInvariants:
                 continue
             rhs2 = float(v_hat @ x0) - g2_value(P, x0, np.zeros(P.N))
             assert abs(lhs2 - rhs2) <= 1e-9 * (1.0 + abs(lhs2))
+
+
+def _backtrack_loop(P, x, d, t0, g_norm):
+    """The one-at-a-time halving loop of solve_primal_critical_loop."""
+    t = t0
+    for _ in range(critical.NEWTON_MAX_BACKTRACKS):
+        cand = x + t * d
+        if _grad_inf(P, cand) < g_norm:
+            return cand
+        t *= 0.5
+    return None
+
+
+def _same_result(a, b):
+    return (a.x0.tobytes() == b.x0.tobytes() and a.converged == b.converged
+            and a.iterations == b.iterations
+            and np.float64(a.grad_norm).tobytes()
+            == np.float64(b.grad_norm).tobytes())
+
+
+class TestStackedLineSearch:
+
+    def test_same_results_as_loop(self):
+        problems = [load_instance(SAMPLES / "trifecta.json"),
+                    load_instance(SAMPLES / "global_min.json")]
+        problems += list(iter_ensemble(25, 2024))
+        n_starts = n_stalled = 0
+        for P in problems:
+            for s in _starts(P, 12, 7):
+                fast = solve_primal_critical(P, s)
+                slow = solve_primal_critical_loop(P, s)
+                assert _same_result(fast, slow)
+                n_starts += 1
+                n_stalled += not fast.converged
+        assert n_starts == 27 * 12
+        assert n_stalled > 0
+
+    def test_stack_kernel_within_its_bound(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 7):
+            for N in range(1, 5):
+                Q = generate_instance(n, N, [31, n, N])
+                # validation accepts A and B_j asymmetric up to 1e-12
+                # relative; skew them by half that
+                skew = 5e-13 * np.triu(np.ones((n, n)), 1)
+                P = validate_instance(Q.A + skew, Q.B + skew, Q.gamma, Q.c,
+                                      Q.f, Q.K)
+                # rows at random scales, rows next to critical points
+                # (where grad J is a sum of cancelling terms) and rows
+                # that overflow
+                roots = [pair.x0 for pair in find_critical_pairs(P, 4, 7)]
+                X = np.concatenate(
+                    [scale * rng.standard_normal((8, n))
+                     for scale in (1e-3, 0.3, 1.0, 3.0, 1e3)]
+                    + [x0 + 1e-9 * rng.standard_normal((4, n)) for x0 in roots]
+                    + [1e110 * rng.standard_normal((8, n))])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    stack, margin = _grad_inf_stack(P, X)
+                    single = np.array([_grad_inf(P, x) for x in X])
+                assert stack.shape == margin.shape == (len(X),)
+                finite = np.isfinite(single)
+                assert np.array_equal(np.isfinite(stack), finite)
+                assert not finite[-8:].any() and finite[:-8].all()
+                assert np.all(np.abs(stack[finite] - single[finite])
+                              <= margin[finite])
+
+    def test_overflowing_rows_never_accepted(self):
+        P = generate_instance(3, 2, [31, 3, 2])
+        x = np.array([0.5, -1.0, 2.0])
+        g_norm = _grad_inf(P, x)
+        d = np.array([1.0, -2.0, 0.5]) * 1e110
+        with np.errstate(over="ignore", invalid="ignore"):
+            # every trial step overflows
+            assert _backtrack(P, x, d, 1.0, g_norm) is None
+            assert _backtrack_loop(P, x, d, 1.0, g_norm) is None
+            # from an infinite norm any finite row is a decrease: both
+            # pick the first step short enough not to overflow
+            fast = _backtrack(P, x, d, 1.0, np.inf)
+            slow = _backtrack_loop(P, x, d, 1.0, np.inf)
+            assert fast is not None and np.array_equal(fast, slow)
+            t = critical._HALVINGS
+            k = int(np.flatnonzero((x + t[:, None] * d == fast).all(axis=1))[0])
+            assert 0 < k
+            before = x + t[:k, None] * d
+            assert not np.isfinite(_grad_inf_stack(P, before)[0]).any()
+            assert not any(np.isfinite(_grad_inf(P, c)) for c in before)
+
+    def test_near_tie_is_redecided(self):
+        P = generate_instance(4, 2, [31, 4, 2])
+        x = np.array([0.3, -0.8, 1.1, 0.2])
+        H = critical.primal_hessian(P, x)
+        d = np.linalg.solve(H, -critical.primal_gradient(P, x))
+        cands = x + critical._HALVINGS[:, None] * d
+        single = np.array([_grad_inf(P, c) for c in cands])
+        stack, margin = _grad_inf_stack(P, cands)
+        picked_later = 0
+        for k in range(len(cands)):
+            # row k is neither clearly above nor clearly below g_norm
+            g_norm = single[k]
+            assert abs(stack[k] - g_norm) <= margin[k]
+            fast = _backtrack(P, x, d, 1.0, g_norm)
+            slow = _backtrack_loop(P, x, d, 1.0, g_norm)
+            assert (fast is None) == (slow is None)
+            if fast is None:
+                continue
+            assert np.array_equal(fast, slow)
+            assert not np.array_equal(fast, cands[k])
+            picked_later += bool(np.flatnonzero(
+                (cands == fast).all(axis=1))[0] > k)
+        assert picked_later > 0
+
+    def test_iterations_count_an_early_stall(self, monkeypatch):
+        # member 7, start 7 fails its line searches in the 8th iteration
+        P = list(iter_ensemble(8, 2024))[7]
+        s = _starts(P, 12, 7)[7]
+        calls = []
+        hessian = critical.primal_hessian
+        monkeypatch.setattr(critical, "primal_hessian",
+                            lambda P, x: calls.append(1) or hessian(P, x))
+        res = solve_primal_critical(P, s)
+        assert not res.converged
+        assert res.iterations == len(calls) == 8 < NEWTON_MAX_ITER
+        assert _same_result(res, solve_primal_critical_loop(P, s))
