@@ -46,7 +46,6 @@ from .conjugates import (
     j2_star,
     j_star,
     j_tilde_star,
-    j_tilde_star_stack,
 )
 from .critical import (
     CriticalPair,

@@ -41,6 +41,11 @@ INNER_MAX_BACKTRACKS = 40
 INNER_EXTRA_INITS = 8  # multistart fallback budget for the inner sup
 STACK_ENTRIES = 1 << 21  # matrix entries per stacked solve; bounds memory
 
+# per-row outcome of the stacked inner sup; a single point that fails
+# raises _FAILURES[status]
+SOLVED, LEFT_C_STAR, NO_CONVERGENCE, OUTSIDE_C_STAR = range(4)
+_FAILURES = (None, LeftCstarError, NoConvergenceError, OutsideCstarError)
+
 BARRIER_WEIGHTS = (1e-2, 1e-4, 1e-6)
 BOUNDARY_MARGIN = 1e-6
 
@@ -132,10 +137,9 @@ def _inner_newton(P, v_star, v0):
     iterate cannot stay strictly inside C*, NoConvergenceError on
     iteration exhaustion.
     """
-    M = P.mixed_matrix(v0)
-    if not linalg.chol_feasible(M):
+    factor = linalg.pd_factor(P.mixed_matrix(v0))
+    if factor is None:
         raise LeftCstarError("inner start is not strictly inside C*")
-    factor = linalg.cho_factor(M)
     res, x_bar = _inner_residual(P, v_star, v0, factor)
     res_norm = float(np.max(np.abs(res)))
     for _ in range(INNER_MAX_ITER):
@@ -146,9 +150,8 @@ def _inner_newton(P, v_star, v0):
         t = 1.0
         for _ in range(INNER_MAX_BACKTRACKS):
             cand = v0 + t * step
-            M_cand = P.mixed_matrix(cand)
-            if linalg.chol_feasible(M_cand):
-                cand_factor = linalg.cho_factor(M_cand)
+            cand_factor = linalg.pd_factor(P.mixed_matrix(cand))
+            if cand_factor is not None:
                 cand_res, cand_x = _inner_residual(P, v_star, cand, cand_factor)
                 cand_norm = float(np.max(np.abs(cand_res)))
                 if cand_norm < res_norm:
@@ -162,45 +165,6 @@ def _inner_newton(P, v_star, v0):
                 "the supremum is not attained at an interior stationary point")
     raise NoConvergenceError(
         f"inner Newton residual {res_norm:.3e} after {INNER_MAX_ITER} iterations")
-
-
-def j_tilde_star(P, v_star, init=None):
-    """Evaluate Jt*(v*) = sup over C* of J*(v*, .).
-
-    Solves the interior fixed-point system (v0*)_j = gamma_j
-    (x_bar^T B_j x_bar / 2 + c_j) with x_bar = M(v0*)^{-1} v* by damped
-    Newton.  Returns (value, argmax).  The default start is the lift of
-    (K - A)^{-1}(v* + f); if it fails, a deterministic batch of
-    perturbed starts is tried and the best converged value wins.
-    """
-    v_star = P.require_x(v_star)
-    inits = [P.require_v0(init) if init is not None
-             else default_inner_init(P, v_star)]
-    first_error = None
-    try:
-        v0 = _inner_newton(P, v_star, inits[0])
-        return j_star(P, v_star, v0), v0
-    except (NoConvergenceError, OutsideCstarError) as exc:
-        first_error = exc
-
-    # fallback multistart around the default init; J*(v*, .) is concave
-    # on C*, so every converged start returns the same interior point
-    rng = np.random.default_rng(0)
-    base = inits[0]
-    scale = 1.0 + np.abs(base)
-    best = None
-    for _ in range(INNER_EXTRA_INITS):
-        trial = base + scale * rng.standard_normal(P.N)
-        try:
-            v0 = _inner_newton(P, v_star, trial)
-        except (NoConvergenceError, OutsideCstarError):
-            continue
-        value = j_star(P, v_star, v0)
-        if best is None or value > best[0]:
-            best = (value, v0)
-    if best is not None:
-        return best
-    raise first_error
 
 
 def _mixed_stack(P, v0):
@@ -228,22 +192,22 @@ def _inner_newton_stack(P, v_stars, v0):
     Row s starts at v0[s].  The C* test, tolerance, iteration budget,
     halving backtrack and strict-decrease test are those of the
     single-point solve, decided for each row alone.  Returns
-    (v0, L, converged): where converged[s], v0[s] is the solution and
-    L[s] the Cholesky factor of M(v0[s]).  A row that _inner_newton
-    would end with LeftCstarError or NoConvergenceError is not
-    converged.  np.linalg.solve raises for the whole stack on a singular
-    E, as _inner_newton raises for that row.
+    (v0, L, status): where status[s] is SOLVED, v0[s] is the solution and
+    L[s] the Cholesky factor of M(v0[s]).  Otherwise status[s] is
+    LEFT_C_STAR or NO_CONVERGENCE, where _inner_newton raises
+    LeftCstarError or NoConvergenceError.  np.linalg.solve raises for the
+    whole stack on a singular E, as _inner_newton raises for that row.
     """
     v0 = np.array(v0, dtype=float)
     L, feasible = linalg.cholesky_stack(_mixed_stack(P, v0))
-    converged = np.zeros(len(v0), dtype=bool)
+    status = np.where(feasible, NO_CONVERGENCE, LEFT_C_STAR)
     live = np.flatnonzero(feasible)
     res, x_bar = _inner_residual_stack(P, v_stars[live], v0[live], L[live])
     res_norm = np.max(np.abs(res), axis=1)
     for _ in range(INNER_MAX_ITER):
         done = res_norm <= INNER_TOL_FACTOR * (
             1.0 + np.max(np.abs(v0[live]), axis=1))
-        converged[live[done]] = True
+        status[live[done]] = SOLVED
         live, res, x_bar, res_norm = \
             live[~done], res[~done], x_bar[~done], res_norm[~done]
         if live.size == 0:
@@ -270,9 +234,10 @@ def _inner_newton_stack(P, v_stars, v0):
                 break
             t *= 0.5
         # a row with no feasible descent step has left C*
+        status[live[pending]] = LEFT_C_STAR
         live, res, x_bar, res_norm = \
             live[~pending], res[~pending], x_bar[~pending], res_norm[~pending]
-    return v0, L, converged
+    return v0, L, status
 
 
 def _j_star_stack(P, v_stars, v0, L):
@@ -288,63 +253,86 @@ def _j_star_stack(P, v_stars, v0, L):
     return np.where(margin > eps, g1 - g2, np.nan)
 
 
-def _j_tilde_star_chunk(P, v_stars, init):
-    """j_tilde_star_stack on one chunk of rows."""
-    S = len(v_stars)
-    v0, L, ok = _inner_newton_stack(P, v_stars, np.tile(init, (S, 1)))
-    values = np.full(S, np.nan)
+def _j_tilde_star_chunk(P, v_stars, inits):
+    """j_tilde_star on one chunk of rows, row s started at inits[s].
+    Returns (values, argmaxes, status)."""
+    v0, L, status = _inner_newton_stack(P, v_stars, inits)
+    ok = status == SOLVED
+    values = np.full(len(v_stars), np.nan)
     values[ok] = _j_star_stack(P, v_stars[ok], v0[ok], L[ok])
-    ok &= ~np.isnan(values)
+    status[ok & np.isnan(values)] = OUTSIDE_C_STAR
 
-    retry = np.flatnonzero(~ok)
+    retry = np.flatnonzero(status != SOLVED)
     if retry.size:
-        # j_tilde_star's fallback starts, which are the same for every row
+        # fallback multistart around each row's start; J*(v*, .) is
+        # concave on C*, so every converged start returns the same
+        # interior point
         k = INNER_EXTRA_INITS
-        rng = np.random.default_rng(0)
-        starts = init + (1.0 + np.abs(init)) * rng.standard_normal((k, P.N))
+        base = inits[retry][:, None, :]
+        noise = np.random.default_rng(0).standard_normal((k, P.N))
+        starts = (base + (1.0 + np.abs(base)) * noise).reshape(-1, P.N)
         vs = np.repeat(v_stars[retry], k, axis=0)
-        tv0, tL, tok = _inner_newton_stack(
-            P, vs, np.tile(starts, (retry.size, 1)))
+        tv0, tL, tstatus = _inner_newton_stack(P, vs, starts)
+        tok = tstatus == SOLVED
         tval = np.full(len(vs), np.nan)
         tval[tok] = _j_star_stack(P, vs[tok], tv0[tok], tL[tok])
         tok, tval = tok.reshape(-1, k), tval.reshape(-1, k)
-        # a converged start that fails the value check raises out of
-        # j_tilde_star; otherwise the first best converged start wins
-        rescued = tok.any(axis=1) & ~(tok & np.isnan(tval)).any(axis=1)
+        # a converged start that fails the value check fails the row with
+        # OUTSIDE_C_STAR; otherwise the first best converged start wins
+        outside = (tok & np.isnan(tval)).any(axis=1)
+        rescued = tok.any(axis=1) & ~outside
         best = np.argmax(np.where(tok, tval, -np.inf), axis=1)
         rows = retry[rescued]
         picks = rescued.nonzero()[0] * k + best[rescued]
-        values[rows], v0[rows], ok[rows] = tval.ravel()[picks], tv0[picks], True
-    v0[~ok] = np.nan
-    return values, v0, ok
+        values[rows], v0[rows], status[rows] = \
+            tval.ravel()[picks], tv0[picks], SOLVED
+        status[retry[outside]] = OUTSIDE_C_STAR
+    v0[status != SOLVED] = np.nan
+    return values, v0, status
 
 
-def j_tilde_star_stack(P, v_stars, init):
-    """Evaluate Jt* at each row of an (S, n) stack of dual points, every
-    solve started at ``init``.
+def j_tilde_star(P, v_star, init=None):
+    """Evaluate Jt*(v*) = sup over C* of J*(v*, .) at one dual point or
+    at each row of an (S, n) stack.
 
-    Row s gets the outcome of j_tilde_star(P, v_stars[s], init=init):
-    the same damped Newton and value check, then, if that first start
-    fails, the same deterministic fallback starts.  Returns
-    (values, argmaxes, ok); ok[s] is False, and the row nan, where
-    j_tilde_star would raise NoConvergenceError or OutsideCstarError.
-    One row failing leaves the others as they are.
+    Solves the interior fixed-point system (v0*)_j = gamma_j
+    (x_bar^T B_j x_bar / 2 + c_j) with x_bar = M(v0*)^{-1} v* by damped
+    Newton, all rows at once, each decided alone.  Every solve starts at
+    ``init``, or by default at the lift of (K - A)^{-1}(v* + f); where
+    that start fails, a deterministic batch of perturbed starts is tried
+    and the best converged value wins.
+
+    For one point returns (value, argmax) and raises the point's failure:
+    LeftCstarError, NoConvergenceError or OutsideCstarError.  For a stack
+    returns (values, argmaxes), with nan rows where the solve fails; one
+    row failing leaves the others as they are.
     """
-    v_stars = np.asarray(v_stars, dtype=float)
-    if v_stars.ndim != 2 or v_stars.shape[1] != P.n:
+    single = np.ndim(v_star) < 2
+    v_stars = np.asarray(v_star, dtype=float)
+    if single:
+        v_stars = P.require_x(v_stars)[None]
+    elif v_stars.ndim != 2 or v_stars.shape[1] != P.n:
         raise DimensionMismatchError(
-            f"expected an (S, {P.n}) stack of dual points, "
-            f"got shape {v_stars.shape}")
-    init = P.require_v0(init)
+            f"expected a dual point of length {P.n} or an (S, {P.n}) "
+            f"stack, got shape {v_stars.shape}")
     S = len(v_stars)
+    if init is None:
+        inits = np.array([default_inner_init(P, v) for v in v_stars])
+    else:
+        inits = np.tile(P.require_v0(init), (S, 1))
     values, argmaxes = np.full(S, np.nan), np.full((S, P.N), np.nan)
-    ok = np.zeros(S, dtype=bool)
+    status = np.full(S, SOLVED)
     rows = max(1, STACK_ENTRIES // (P.n * P.n))
     for lo in range(0, S, rows):
         chunk = slice(lo, lo + rows)
-        values[chunk], argmaxes[chunk], ok[chunk] = _j_tilde_star_chunk(
-            P, v_stars[chunk], init)
-    return values, argmaxes, ok
+        values[chunk], argmaxes[chunk], status[chunk] = _j_tilde_star_chunk(
+            P, v_stars[chunk], inits[chunk])
+    if not single:
+        return values, argmaxes
+    if status[0] != SOLVED:
+        raise _FAILURES[status[0]](
+            f"no start solves the inner sup at v* = {v_stars[0]}")
+    return float(values[0]), argmaxes[0]
 
 
 @dataclass(frozen=True)
@@ -399,12 +387,12 @@ def _feasible_a_star_point(P, v0, max_iter=200):
 def _barrier_ascent(P, v_star, v0, mu, max_iter=INNER_MAX_ITER):
     """Maximize J*(v*, .) + mu logdet(A + sum v B) inside A*."""
     def eval_point(v):
-        S = P.ab_matrix(v)
-        M = P.mixed_matrix(v)
-        if not (linalg.chol_feasible(S) and linalg.chol_feasible(M)):
+        S_factor = linalg.pd_factor(P.ab_matrix(v))
+        if S_factor is None:
             return None
-        S_factor = linalg.cho_factor(S)
-        M_factor = linalg.cho_factor(M)
+        M_factor = linalg.pd_factor(P.mixed_matrix(v))
+        if M_factor is None:
+            return None
         logdet = 2.0 * float(np.sum(np.log(np.diag(S_factor[0]))))
         value = j_star(P, v_star, v) + mu * logdet
         return value, S_factor, M_factor

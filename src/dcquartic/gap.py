@@ -27,7 +27,7 @@ from .conjugates import (
     in_C_star,
     j2_star,
     j_star,
-    j_tilde_star_stack,
+    j_tilde_star,
 )
 from .critical import lift_to_dual, multistart
 from .curvature import build_bundle, verify_chain_identity
@@ -58,8 +58,6 @@ class CaseReport:
     b_star_margin: float
     a_star: bool
     a_star_margin: float
-    probe_evidence: Optional["ProbeEvidence"] = None
-    j2_convexity_checks: Optional[int] = None
 
 
 def classify_case(P, pair, bundle):
@@ -131,9 +129,9 @@ def local_extremality_probe(P, pair, n_samples, rng_seed,
 
     The primal radius is 0.1 (1 + |x0|) / sqrt(1 + |d2J(x0)|) and the
     dual radius follows the same scaling with the dual Hessian.  The
-    dual samples are solved as one stack (j_tilde_star_stack, warm-started
-    at the lifted multiplier); a sample is excluded, and counted, exactly
-    where j_tilde_star would fail on it alone.
+    dual samples are solved as one stack by j_tilde_star, warm-started at
+    the lifted multiplier; a sample whose solve fails (a nan row) is
+    excluded and counted.
     """
     if bundle is None:
         bundle = build_bundle(P, pair)
@@ -159,7 +157,8 @@ def local_extremality_probe(P, pair, n_samples, rng_seed,
 
     dual_rng = np.random.default_rng([rng_seed, 1])
     vs = linalg.ball_samples(dual_rng, v_hat, r1, n_samples)
-    jtvals, _, solved = j_tilde_star_stack(P, vs, v0_hat)
+    jtvals, _ = j_tilde_star(P, vs, init=v0_hat)
+    solved = ~np.isnan(jtvals)
     jtvals = jtvals[solved]
     below = jtvals < jt0 - PROBE_TOL
     above = jtvals > jt0 + PROBE_TOL
@@ -199,19 +198,19 @@ class GlobalCertificate:
     n_samples: int
 
 
-def global_min_certificate(P, pair, critical_points, rng_seed=7):
+def global_min_certificate(P, pair, case, critical_points, rng_seed=7):
     """Certify the case-2 conclusion that x0 is the global minimum.
 
-    ``critical_points`` are the primal critical points already found
-    for P, such as the ``points`` of a multistart run.  Checks: (i) J(x0)
-    below every one of them and a coarse global sample; (ii) J2*(vhat)
-    equals J(x0); (iii) midpoint convexity of J2* on sampled direction
-    pairs; (iv) weak duality J2*(vhat) <= J(x) on every sample.
+    ``case`` is the pair's CaseReport from classify_case; any case other
+    than case2 raises NotCase2Error.  ``critical_points`` are the primal
+    critical points already found for P, such as the ``points`` of a
+    multistart run.  Checks: (i) J(x0) below every one of them and a
+    coarse global sample; (ii) J2*(vhat) equals J(x0); (iii) midpoint
+    convexity of J2* on sampled direction pairs; (iv) weak duality
+    J2*(vhat) <= J(x) on every sample.
     """
-    bundle = build_bundle(P, pair)
-    report = classify_case(P, pair, bundle)
-    if report.case_id != "case2":
-        raise NotCase2Error(f"pair classified as {report.case_id}")
+    if case.case_id != "case2":
+        raise NotCase2Error(f"pair classified as {case.case_id}")
 
     j0 = primal_value(P, pair.x0)
 

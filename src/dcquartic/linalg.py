@@ -1,9 +1,11 @@
 """Small dense symmetric linear-algebra helpers.
 
-All checks are eigenvalue based: positive definiteness is decided by the
-smallest eigenvalue against a scale-aware margin.  Cholesky is used only
-as a fast feasibility probe inside iteration loops; reported margins
-always come from ``eigvalsh``.
+Reported checks are eigenvalue based: positive definiteness is decided
+by the smallest eigenvalue against a scale-aware margin, and reported
+margins always come from ``eigvalsh``.  Inside iteration loops Cholesky
+is the feasibility probe: one factorization either comes back, and is
+then used for the solves, or fails on a pivot that is not positive
+(``pd_factor``, and ``cholesky_stack`` per matrix of a stack).
 """
 
 import numpy as np
@@ -60,15 +62,6 @@ def is_pd(M):
     return margin > eps
 
 
-def chol_feasible(M):
-    """Cheap strict-PD probe used inside iteration loops."""
-    try:
-        np.linalg.cholesky(M)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
 def pd_margin_stack(Ms):
     """pd_margin of each matrix of an (S, n, n) stack, as two arrays."""
     w = np.linalg.eigvalsh(0.5 * (Ms + np.swapaxes(Ms, 1, 2)))
@@ -78,7 +71,7 @@ def pd_margin_stack(Ms):
 def cholesky_stack(Ms):
     """Lower Cholesky factors of an (S, n, n) stack, decided per matrix.
 
-    Returns (L, ok).  ok[s] is the strict-PD test of chol_feasible (every
+    Returns (L, ok).  ok[s] is the strict-PD test of pd_factor (every
     pivot positive) for Ms[s], and L[s] is its factor only where ok[s].
     A stacked np.linalg.cholesky raises for the whole stack when one
     matrix fails; here that matrix fails alone.
@@ -113,6 +106,15 @@ def cho_solve_stack(L, b):
 
 def cho_factor(M):
     return scipy.linalg.cho_factor(M, lower=True, check_finite=False)
+
+
+def pd_factor(M):
+    """cho_factor of M, or None where M is not strictly positive definite
+    (a pivot is not positive): the one-matrix feasibility probe."""
+    try:
+        return cho_factor(M)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def cho_solve(factor, b):

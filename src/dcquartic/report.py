@@ -11,14 +11,32 @@ from . import __version__
 from .baseline import correspondence_report
 from .critical import lift_to_dual, multistart
 from .curvature import build_bundle, verify_chain_identity
-from .errors import DualityError, NotCase2Error
+from .errors import DualityError
 from .gap import classify_case, global_min_certificate, local_extremality_probe
 from .instancefile import instance_digest, instance_to_doc
 from .problem import primal_value
 
 
+# the report keys copied from CaseReport, ProbeEvidence and
+# GlobalCertificate, in report order
+MEMBERSHIP_KEYS = ("c_star", "c_star_margin", "b_star", "b_star_margin",
+                   "a_star", "a_star_margin", "primal_hessian_margin",
+                   "shifted_hessian_margin")
+PROBE_KEYS = ("r", "r1", "n_samples", "primal_min_violations",
+              "primal_max_violations", "dual_min_violations",
+              "dual_max_violations", "dual_excluded")
+CERTIFICATE_KEYS = ("passed", "inf_estimate", "j2_value", "j2_gap",
+                    "multistart_ok", "sample_ok", "j2_matches_primal",
+                    "convexity_pass_count", "convexity_fail_count",
+                    "convexity_excluded", "weak_duality_ok")
+
+
 def _vec(x):
     return [float(v) for v in np.asarray(x).ravel()]
+
+
+def _fields(obj, keys):
+    return {key: getattr(obj, key) for key in keys}
 
 
 def analyze_instance(P, n_seeds, rng_seed, n_samples):
@@ -61,47 +79,19 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
             record["chain_residual"] = verify_chain_identity(P, pair, bundle)
             record["dual_hessian_asymmetry"] = bundle.dual_hessian_asymmetry
             record["alpha1_norm"] = float(np.linalg.norm(bundle.alpha1, "fro"))
-            record["membership"] = {
-                "c_star": case.c_star, "c_star_margin": case.c_star_margin,
-                "b_star": case.b_star, "b_star_margin": case.b_star_margin,
-                "a_star": case.a_star, "a_star_margin": case.a_star_margin,
-                "primal_hessian_margin": case.primal_hessian_margin,
-                "shifted_hessian_margin": case.shifted_hessian_margin,
-            }
+            record["membership"] = _fields(case, MEMBERSHIP_KEYS)
             if n_samples > 0:
                 probe = local_extremality_probe(
                     P, pair, n_samples, rng_seed,
                     case_id=case.case_id, bundle=bundle)
-                case.probe_evidence = probe
-                record["probe"] = {
-                    "r": probe.r, "r1": probe.r1,
-                    "n_samples": probe.n_samples,
-                    "primal_min_violations": probe.primal_min_violations,
-                    "primal_max_violations": probe.primal_max_violations,
-                    "dual_min_violations": probe.dual_min_violations,
-                    "dual_max_violations": probe.dual_max_violations,
-                    "dual_excluded": probe.dual_excluded,
-                    "violations": probe.violations(),
-                }
+                record["probe"] = {**_fields(probe, PROBE_KEYS),
+                                   "violations": probe.violations()}
             if case.case_id == "case2":
                 try:
                     cert = global_min_certificate(
-                        P, pair, ms.points, rng_seed=rng_seed)
-                    case.j2_convexity_checks = cert.convexity_pass_count
-                    record["certificate"] = {
-                        "passed": cert.passed,
-                        "inf_estimate": cert.inf_estimate,
-                        "j2_value": cert.j2_value,
-                        "j2_gap": cert.j2_gap,
-                        "multistart_ok": cert.multistart_ok,
-                        "sample_ok": cert.sample_ok,
-                        "j2_matches_primal": cert.j2_matches_primal,
-                        "convexity_pass_count": cert.convexity_pass_count,
-                        "convexity_fail_count": cert.convexity_fail_count,
-                        "convexity_excluded": cert.convexity_excluded,
-                        "weak_duality_ok": cert.weak_duality_ok,
-                    }
-                except (NotCase2Error, DualityError) as exc:
+                        P, pair, case, ms.points, rng_seed=rng_seed)
+                    record["certificate"] = _fields(cert, CERTIFICATE_KEYS)
+                except DualityError as exc:
                     record["errors"]["certificate"] = str(exc)
         try:
             base = correspondence_report(P, pair)

@@ -15,6 +15,7 @@ from scipy.optimize import brentq
 
 from dcquartic import j_star, j_tilde_star, primal_gradient
 from dcquartic import linalg
+from dcquartic.conjugates import INNER_EXTRA_INITS, _inner_newton, default_inner_init
 from dcquartic.critical import (
     NEWTON_MAX_BACKTRACKS,
     NEWTON_MAX_ITER,
@@ -216,6 +217,46 @@ def argmax_sensitivity_fd(P, pair, h=1e-5):
         _, vm = j_tilde_star(P, v_hat - ek, init=v0_hat)
         out[:, k] = (vp - vm) / (2.0 * h)
     return out
+
+
+def j_tilde_star_loop(P, v_star, init=None):
+    """The one-point Jt* evaluator that j_tilde_star replaced, one start
+    at a time: Jt*(v*) = sup over C* of J*(v*, .).
+
+    Solves the interior fixed-point system (v0*)_j = gamma_j
+    (x_bar^T B_j x_bar / 2 + c_j) with x_bar = M(v0*)^{-1} v* by damped
+    Newton.  Returns (value, argmax).  The default start is the lift of
+    (K - A)^{-1}(v* + f); if it fails, a deterministic batch of
+    perturbed starts is tried and the best converged value wins.
+    """
+    v_star = P.require_x(v_star)
+    inits = [P.require_v0(init) if init is not None
+             else default_inner_init(P, v_star)]
+    first_error = None
+    try:
+        v0 = _inner_newton(P, v_star, inits[0])
+        return j_star(P, v_star, v0), v0
+    except (NoConvergenceError, OutsideCstarError) as exc:
+        first_error = exc
+
+    # fallback multistart around the default init; J*(v*, .) is concave
+    # on C*, so every converged start returns the same interior point
+    rng = np.random.default_rng(0)
+    base = inits[0]
+    scale = 1.0 + np.abs(base)
+    best = None
+    for _ in range(INNER_EXTRA_INITS):
+        trial = base + scale * rng.standard_normal(P.N)
+        try:
+            v0 = _inner_newton(P, v_star, trial)
+        except (NoConvergenceError, OutsideCstarError):
+            continue
+        value = j_star(P, v_star, v0)
+        if best is None or value > best[0]:
+            best = (value, v0)
+    if best is not None:
+        return best
+    raise first_error
 
 
 def _grad_inf(P, x):

@@ -204,7 +204,7 @@ def test_criterion_07_global_min_instance(p_min):
     bundle = build_bundle(p_min, pair)
     case = classify_case(p_min, pair, bundle)
     assert case.case_id == "case2"
-    cert = dc.global_min_certificate(p_min, pair,
+    cert = dc.global_min_certificate(p_min, pair, case,
                                      dc.multistart(p_min, 32, 7).points)
     assert cert.passed
     grid_inf = grid_min_1d(p_min, -5.0, 5.0)

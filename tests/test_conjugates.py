@@ -23,14 +23,19 @@ from dcquartic import (
     j2_star,
     j_star,
     j_tilde_star,
-    j_tilde_star_stack,
     local_extremality_probe,
     validate_instance,
 )
-from dcquartic import linalg
-from dcquartic.conjugates import _inner_newton, _inner_newton_stack, _j_star_stack
+from dcquartic import conjugates, linalg
+from dcquartic.conjugates import (
+    _FAILURES,
+    SOLVED,
+    _inner_newton,
+    _inner_newton_stack,
+    _j_star_stack,
+)
 from dcquartic.gap import PROBE_TOL
-from oracles import g1_star_grid, g2_star_grid, j_tilde_grid
+from oracles import g1_star_grid, g2_star_grid, j_tilde_grid, j_tilde_star_loop
 
 
 class TestG1Star:
@@ -127,26 +132,28 @@ class TestJTildeStar:
 
 
 def _one_at_a_time(P, v_stars, init):
-    """j_tilde_star on each row alone: values and argmaxes, nan where it
-    raises."""
+    """j_tilde_star_loop on each row alone: values and argmaxes, nan where
+    it raises, and the class it raises (None where it returns)."""
     values = np.full(len(v_stars), np.nan)
     argmaxes = np.full((len(v_stars), P.N), np.nan)
+    raised = [None] * len(v_stars)
     for s, v in enumerate(v_stars):
         try:
-            values[s], argmaxes[s] = j_tilde_star(P, v, init=init)
-        except (NoConvergenceError, OutsideCstarError):
-            pass
-    return values, argmaxes
+            values[s], argmaxes[s] = j_tilde_star_loop(P, v, init=init)
+        except (NoConvergenceError, OutsideCstarError) as exc:
+            raised[s] = type(exc)
+    return values, argmaxes, raised
 
 
 def _assert_stack_matches(P, v_stars, init):
     """The stacked solve gives each row its one-at-a-time outcome: the
     same exclusions, values within 1e-12 relative to 1 + |value|.
     Returns the stacked ok mask and the one-at-a-time values."""
-    values, argmaxes, ok = j_tilde_star_stack(P, v_stars, init)
-    expected, expected_arg = _one_at_a_time(P, v_stars, init)
+    values, argmaxes = j_tilde_star(P, v_stars, init=init)
+    ok = ~np.isnan(values)
+    expected, expected_arg, _ = _one_at_a_time(P, v_stars, init)
     np.testing.assert_array_equal(ok, ~np.isnan(expected))
-    assert np.all(np.isnan(values[~ok])) and np.all(np.isnan(argmaxes[~ok]))
+    assert np.all(np.isnan(argmaxes[~ok]))
     assert np.all(np.abs(values[ok] - expected[ok])
                   <= 1e-12 * (1.0 + np.abs(expected[ok])))
     assert np.all(np.abs(argmaxes[ok] - expected_arg[ok])
@@ -202,8 +209,9 @@ class TestJTildeStarStack:
                     expected.dual_worst, rel=0.0, abs=1e-12 * (1.0 + abs(jt0)))
                 assert evidence == dataclasses.replace(
                     expected, dual_worst=evidence.dual_worst)
-                _, _, first_ok = _inner_newton_stack(
+                _, _, first_status = _inner_newton_stack(
                     P, vs, np.tile(pair.v0_hat, (n_samples, 1)))
+                first_ok = first_status == SOLVED
                 pairs += 1
                 checked += int(np.sum(ok))
                 excluded += int(np.sum(~ok))
@@ -226,19 +234,95 @@ class TestJTildeStarStack:
         # single-point Newton row by row
         v_stars = np.array([[2.0], [0.3], [-1.0], [2.0], [0.0], [-2.5]])
         starts = np.array([[1.0], [-2.0], [0.5], [-1.0], [3.0], [-1.5]])
-        v0, _, converged = _inner_newton_stack(p_tri, v_stars, starts)
-        for v, start, got, conv in zip(v_stars, starts, v0, converged):
+        v0, _, status = _inner_newton_stack(p_tri, v_stars, starts)
+        for v, start, got, row_status in zip(v_stars, starts, v0, status):
             try:
                 want = _inner_newton(p_tri, v, start)
-            except NoConvergenceError:
-                assert not conv
+            except NoConvergenceError as exc:
+                assert _FAILURES[row_status] is type(exc)
                 continue
-            assert conv
+            assert row_status == SOLVED
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-        assert converged.any() and not converged.all()
+        assert (status == SOLVED).any() and not (status == SOLVED).all()
 
         with pytest.raises(DimensionMismatchError):
-            j_tilde_star_stack(p_tri, [0.5, 1.0], [0.0])
+            j_tilde_star(p_tri, [[0.5, 1.0]], [0.0])
+        with pytest.raises(DimensionMismatchError):
+            j_tilde_star(p_tri, [0.5, 1.0], [0.0])
+
+    @staticmethod
+    def _mixed_outcomes(p_tri, p_min):
+        """(P, stack, init) cases whose rows solve or fail with each of
+        LeftCstarError and OutsideCstarError."""
+        # C* = {v0 < 1}; at v* = 0 stationarity wants v0 = 4, outside C*
+        left = validate_instance([0.0], [[-1.0]], [4.0], [1.0], [0.0], 1.0)
+        # at v* = 0 the stationary v0 = 1 - 1e-11 has M(v0) = 1e-11:
+        # Cholesky passes, the eigvalsh margin of j_star does not.  From
+        # init 2.0, outside C*, only fallback starts reach that point.
+        edge = validate_instance([0.0], [[-1.0]], [1.0], [1.0 - 1e-11],
+                                 [0.0], 1.0)
+        one_d = np.array([[0.0], [3.0], [-1.5], [6.0]])
+        cases = [(left, one_d, [0.5]), (left, one_d, None),
+                 (edge, one_d, [0.5]), (edge, one_d, [2.0]),
+                 (p_tri, one_d, None), (p_min, one_d, [1.0])]
+        # acceptance-ensemble member 0: 3 of its first 200 probe samples
+        # around this pair fail every start
+        P = next(iter_ensemble(1, 2024))
+        pair = next(p for p in find_critical_pairs(P, 12, 7)
+                    if p.converged and in_C_star(P, p.v0_hat).inside)
+        r1 = local_extremality_probe(P, pair, 1, 7).r1
+        vs = linalg.ball_samples(np.random.default_rng([7, 1]), pair.v_hat,
+                                 r1, 1000)[:200]
+        cases.append((P, vs, pair.v0_hat))
+        return cases
+
+    def test_single_point_is_row_zero_of_one_row_stack(self, p_tri, p_min):
+        solved = 0
+        for P, v_stars, init in self._mixed_outcomes(p_tri, p_min):
+            for v in v_stars:
+                values, argmaxes = j_tilde_star(P, v[None], init=init)
+                try:
+                    value, argmax = j_tilde_star(P, v, init=init)
+                except DualityError:
+                    assert np.isnan(values[0])
+                    continue
+                assert type(value) is float
+                assert value == values[0]
+                np.testing.assert_array_equal(argmax, argmaxes[0])
+                solved += 1
+        assert solved >= 200
+
+    def test_stack_row_nan_exactly_where_point_raises(self, p_tri, p_min,
+                                                      monkeypatch):
+        raised = set()
+        cases = self._mixed_outcomes(p_tri, p_min)
+        for P, v_stars, init in cases:
+            values, argmaxes = j_tilde_star(P, v_stars, init=init)
+            _, _, loop_raised = _one_at_a_time(P, v_stars, init)
+            for s, v in enumerate(v_stars):
+                try:
+                    j_tilde_star(P, v, init=init)
+                except DualityError as exc:
+                    # the class the one-at-a-time loop raises for the row
+                    assert type(exc) is loop_raised[s]
+                    assert np.isnan(values[s]) and np.isnan(argmaxes[s]).all()
+                    raised.add(type(exc))
+                    continue
+                assert loop_raised[s] is None
+                assert not np.isnan(values[s])
+        assert raised == {LeftCstarError, OutsideCstarError}
+
+        # with a 2-iteration budget most rows run out of iterations
+        monkeypatch.setattr(conjugates, "INNER_MAX_ITER", 2)
+        P, v_stars, init = cases[-1]
+        values, _ = j_tilde_star(P, v_stars[:20], init=init)
+        for value, v in zip(values, v_stars[:20]):
+            if np.isnan(value):
+                with pytest.raises(NoConvergenceError):
+                    j_tilde_star(P, v, init=init)
+                with pytest.raises(NoConvergenceError):
+                    j_tilde_star_loop(P, v, init=init)
+        assert np.isnan(values).sum() >= 10
 
     def test_value_check_per_row(self, p_tri):
         # M(v0) = 1 + v0: at v0 = -1 + 1e-12 Cholesky succeeds but the
@@ -262,7 +346,7 @@ class TestJTildeStarStack:
         Ms[1] = [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]  # singular
         Ms[3] = np.diag([1.0, -1e-3, 2.0])                           # indefinite
         L, ok = linalg.cholesky_stack(Ms)
-        assert list(ok) == [linalg.chol_feasible(M) for M in Ms]
+        assert list(ok) == [linalg.pd_factor(M) is not None for M in Ms]
         assert list(ok) == [True, False, True, False, True, True]
         np.testing.assert_allclose(L[ok], np.linalg.cholesky(Ms[ok]),
                                    rtol=1e-12, atol=1e-12)

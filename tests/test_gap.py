@@ -130,7 +130,9 @@ class TestProbes:
 class TestGlobalCertificate:
     def test_p_min_certificate(self, p_min):
         pair = lift_to_dual(p_min, [0.0])
-        cert = global_min_certificate(p_min, pair, multistart(p_min, 32, 7).points)
+        case = classify_case(p_min, pair, build_bundle(p_min, pair))
+        cert = global_min_certificate(p_min, pair, case,
+                                      multistart(p_min, 32, 7).points)
         assert cert.passed
         assert cert.inf_estimate == pytest.approx(0.5, abs=1e-12)
         # independent 1-d grid oracle over [-5, 5]
@@ -141,8 +143,10 @@ class TestGlobalCertificate:
 
     def test_not_case2(self, p_tri, sqrt2):
         pair = lift_to_dual(p_tri, [sqrt2])
+        case = classify_case(p_tri, pair, build_bundle(p_tri, pair))
         with pytest.raises(NotCase2Error):
-            global_min_certificate(p_tri, pair, multistart(p_tri, 32, 7).points)
+            global_min_certificate(p_tri, pair, case,
+                                   multistart(p_tri, 32, 7).points)
 
     def test_weak_duality_spot_value(self, p_min):
         # J2*(vhat) = 1/2 <= J(1) = 1.625
@@ -165,9 +169,11 @@ class TestGlobalCertificate:
                     bundle = build_bundle(P, pair)
                 except Exception:
                     continue
-                if classify_case(P, pair, bundle).case_id != "case2":
+                case = classify_case(P, pair, bundle)
+                if case.case_id != "case2":
                     continue
-                cert = global_min_certificate(P, pair, multistart(P, 32, 7).points)
+                cert = global_min_certificate(P, pair, case,
+                                              multistart(P, 32, 7).points)
                 assert cert.passed, (i, pair.x0, cert)
                 certified += 1
         assert certified >= 8
