@@ -33,6 +33,7 @@ from .errors import (
     LeftCstarError,
     NoConvergenceError,
     OutsideCstarError,
+    SingularMatrixError,
 )
 
 INNER_TOL_FACTOR = 1e-12
@@ -412,7 +413,12 @@ def _barrier_ascent(P, v_star, v0, mu, max_iter=INNER_MAX_ITER):
         E = _inner_matrix(P, x_bar, M_factor)
         X = np.einsum("kl,jlm->jkm", Sinv, P.B)
         T = linalg.symmetrize(np.einsum("jkm,imk->ji", X, X))
-        step = np.linalg.solve(E + mu * T, grad)
+        try:
+            step = np.linalg.solve(E + mu * T, grad)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(
+                f"barrier Newton matrix E + mu T is singular at mu = {mu:g}"
+            ) from exc
         t = 1.0
         improved = False
         for _ in range(INNER_MAX_BACKTRACKS):
@@ -434,6 +440,9 @@ def j2_star(P, v_star, init=None):
     Interior stationary solve with a log-det barrier continuation on
     A + sum_j (v0*)_j B_j.  When the maximizer sits on the A* boundary
     the barrier-path limit value is returned tagged boundary_attained.
+    Raises AStarEmptyError when no strictly feasible A* start is found
+    near ``init``, and SingularMatrixError when a barrier Newton matrix
+    is singular.
     """
     v_star = P.require_x(v_star)
     v0 = P.require_v0(init) if init is not None else default_inner_init(P, v_star)

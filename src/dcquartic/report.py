@@ -25,10 +25,9 @@ MEMBERSHIP_KEYS = ("c_star", "c_star_margin", "b_star", "b_star_margin",
 PROBE_KEYS = ("r", "r1", "n_samples", "primal_min_violations",
               "primal_max_violations", "dual_min_violations",
               "dual_max_violations", "dual_excluded")
-CERTIFICATE_KEYS = ("passed", "inf_estimate", "j2_value", "j2_gap",
-                    "multistart_ok", "sample_ok", "j2_matches_primal",
-                    "convexity_pass_count", "convexity_fail_count",
-                    "convexity_excluded", "weak_duality_ok")
+CERTIFICATE_KEYS = ("passed", "inf_estimate", "lagrangian_value", "drop",
+                    "rounding_bound", "bound_ok", "multistart_ok",
+                    "j2_value", "j2_gap", "j2_matches_primal")
 
 
 def _vec(x):
@@ -88,8 +87,7 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
                                    "violations": probe.violations()}
             if case.case_id == "case2":
                 try:
-                    cert = global_min_certificate(
-                        P, pair, case, ms.points, rng_seed=rng_seed)
+                    cert = global_min_certificate(P, pair, case, ms.points)
                     record["certificate"] = _fields(cert, CERTIFICATE_KEYS)
                 except DualityError as exc:
                     record["errors"]["certificate"] = str(exc)

@@ -7,13 +7,18 @@ closed forms under test beyond instance data and eigenvalue bounds
 needed to size search boxes.  The finite-difference oracles difference
 a lower-order quantity: J for the gradient, the gradient for the
 Hessian, and the inner sup Jt* (and its argmax) for the dual Hessian
-and the implicit argmax sensitivity.
+and the implicit argmax sensitivity.  sampled_global_certificate is the
+sampled case-2 certificate (a dense primal sample, J2* midpoint
+convexity and weak duality) that the exact Lagrangian bound of
+global_min_certificate replaced.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from dcquartic import j_star, j_tilde_star, primal_gradient
+from dcquartic import j2_star, j_star, j_tilde_star, primal_gradient
 from dcquartic import linalg
 from dcquartic.conjugates import INNER_EXTRA_INITS, _inner_newton, default_inner_init
 from dcquartic.critical import (
@@ -23,12 +28,22 @@ from dcquartic.critical import (
     TIKHONOV_FACTOR,
     SolveResult,
 )
-from dcquartic.errors import NoConvergenceError, OutsideCstarError, ProbeFailureError
+from dcquartic.errors import (
+    DualityError,
+    NoConvergenceError,
+    NotCase2Error,
+    OutsideCstarError,
+    ProbeFailureError,
+)
+from dcquartic.gap import CERT_GAP_TOL, CERT_SAMPLE_TOL
 from dcquartic.linalg import symmetrize
 from dcquartic.problem import primal_hessian, primal_value
 
 # central finite-difference step, relative to 1 + |x_i|
 FD_STEP_FACTOR = 1e-5
+# j2 values at boundary-attained points carry O(mu log mu) barrier
+# truncation, so the midpoint convexity test gets a looser band
+J2_CONVEXITY_TOL = 5e-5
 
 
 def zoom_grid_max(batch_fn, center, half_width, points=11, levels=8):
@@ -170,53 +185,54 @@ def fd_hessian(P, x):
     return H
 
 
+def _probe_stack(P, pair, offsets):
+    """Jt* and its argmax at vhat + each offset, as one j_tilde_star
+    stack warm-started at the lifted multiplier; a probe that fails
+    raises ProbeFailureError."""
+    values, argmaxes = j_tilde_star(P, pair.v_hat + offsets, init=pair.v0_hat)
+    failed = np.flatnonzero(np.isnan(values))
+    if failed.size:
+        raise ProbeFailureError(
+            f"inner sup failed at probe offset {offsets[failed[0]]}")
+    return values, argmaxes
+
+
 def dual_hessian_fd(P, pair, h):
     """Central-difference Hessian of v* -> Jt*(v*), symmetrized.
 
     Every probe solves the inner sup warm-started at the lifted
-    multiplier; a probe that fails raises ProbeFailureError.
+    multiplier, all probes of the pair in one stack; a probe that fails
+    raises ProbeFailureError.
     """
-    v_hat, v0_hat = pair.v_hat, pair.v0_hat
     n = P.n
-
-    def value(v):
-        try:
-            val, _ = j_tilde_star(P, v, init=v0_hat)
-        except (NoConvergenceError, OutsideCstarError) as exc:
-            raise ProbeFailureError(
-                f"inner sup failed at probe offset {v - v_hat}: {exc}") from exc
-        return val
+    steps = h * np.eye(n)
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    offsets = [np.zeros(n)]
+    for k in range(n):
+        offsets += [steps[k], -steps[k]]
+    for j, k in pairs:
+        ej, ek = steps[j], steps[k]
+        offsets += [ej + ek, ej - ek, -ej + ek, -ej - ek]
+    f, _ = _probe_stack(P, pair, np.array(offsets))
 
     H = np.zeros((n, n))
-    center = value(v_hat)
+    center = f[0]
     for k in range(n):
-        ek = np.zeros(n); ek[k] = h
-        fp = value(v_hat + ek)
-        fm = value(v_hat - ek)
+        fp, fm = f[1 + 2 * k], f[2 + 2 * k]
         H[k, k] = (fp - 2.0 * center + fm) / (h * h)
-    for j in range(n):
-        for k in range(j + 1, n):
-            ej = np.zeros(n); ej[j] = h
-            ek = np.zeros(n); ek[k] = h
-            fpp = value(v_hat + ej + ek)
-            fpm = value(v_hat + ej - ek)
-            fmp = value(v_hat - ej + ek)
-            fmm = value(v_hat - ej - ek)
-            H[j, k] = H[k, j] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
+    for i, (j, k) in enumerate(pairs):
+        fpp, fpm, fmp, fmm = f[1 + 2 * n + 4 * i:5 + 2 * n + 4 * i]
+        H[j, k] = H[k, j] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
     return symmetrize(H)
 
 
 def argmax_sensitivity_fd(P, pair, h=1e-5):
     """Finite-difference oracle for implicit_sensitivity: re-solve the
-    inner sup at v_hat +/- h e_k and difference the argmax."""
-    v_hat, v0_hat = pair.v_hat, pair.v0_hat
-    out = np.zeros((P.N, P.n))
-    for k in range(P.n):
-        ek = np.zeros(P.n); ek[k] = h
-        _, vp = j_tilde_star(P, v_hat + ek, init=v0_hat)
-        _, vm = j_tilde_star(P, v_hat - ek, init=v0_hat)
-        out[:, k] = (vp - vm) / (2.0 * h)
-    return out
+    inner sup at v_hat +/- h e_k, all in one stack, and difference the
+    argmax."""
+    steps = h * np.eye(P.n)
+    _, v = _probe_stack(P, pair, np.concatenate([steps, -steps]))
+    return ((v[:P.n] - v[P.n:]) / (2.0 * h)).T
 
 
 def j_tilde_star_loop(P, v_star, init=None):
@@ -321,3 +337,103 @@ def solve_primal_critical_loop(P, x_init):
         return SolveResult(x, True, iterations, g_norm)
     x, g_norm = best if best[1] < g_norm else (x, g_norm)
     return SolveResult(x, False, iterations, g_norm)
+
+
+@dataclass
+class SampledCertificate:
+    passed: bool
+    inf_estimate: float
+    j2_value: float
+    j2_gap: float
+    multistart_ok: bool
+    sample_ok: bool
+    j2_matches_primal: bool
+    convexity_pass_count: int
+    convexity_fail_count: int
+    convexity_excluded: int
+    weak_duality_ok: bool
+    n_samples: int
+
+
+def sampled_global_certificate(P, pair, case, critical_points, rng_seed=7):
+    """The sampled case-2 certificate that the exact Lagrangian bound of
+    global_min_certificate replaced.
+
+    ``case`` is the pair's CaseReport from classify_case; any case other
+    than case2 raises NotCase2Error.  ``critical_points`` are the primal
+    critical points already found for P, such as the ``points`` of a
+    multistart run.  Checks: (i) J(x0) below every one of them and a
+    coarse global sample; (ii) J2*(vhat) equals J(x0); (iii) midpoint
+    convexity of J2* on sampled direction pairs; (iv) weak duality
+    J2*(vhat) <= J(x) on every sample.
+    """
+    if case.case_id != "case2":
+        raise NotCase2Error(f"pair classified as {case.case_id}")
+
+    j0 = primal_value(P, pair.x0)
+
+    # (i) every other critical point and a coarse global sample
+    ms_values = [primal_value(P, x) for x in critical_points]
+    multistart_ok = all(j0 <= v + CERT_SAMPLE_TOL for v in ms_values)
+
+    span = 5.0 * (1.0 + float(np.max(np.abs(pair.x0))))
+    if P.n <= 3:
+        per_axis = {1: 100001, 2: 317, 3: 47}[P.n]
+        axes = [np.linspace(-span, span, per_axis)] * P.n
+        mesh = np.meshgrid(*axes, indexing="ij")
+        samples = np.stack([m.ravel() for m in mesh], axis=1)
+    else:
+        rng = np.random.default_rng([rng_seed, 2])
+        samples = rng.uniform(-span, span, size=(100000, P.n))
+    sample_values = _batch_primal(P, samples)
+    sample_ok = bool(np.all(j0 <= sample_values + CERT_SAMPLE_TOL))
+    inf_estimate = float(min(np.min(sample_values), j0))
+
+    # (ii) dual value agreement
+    j2 = j2_star(P, pair.v_hat, init=pair.v0_hat)
+    j2_gap = abs(j2.value - j0)
+    j2_matches = j2_gap <= CERT_GAP_TOL * (1.0 + abs(j0))
+
+    # (iii) midpoint convexity of J2*
+    rng = np.random.default_rng([rng_seed, 3])
+    scale = 0.5 * (1.0 + float(np.max(np.abs(pair.v_hat))))
+    pass_count = fail_count = excluded = 0
+    for _ in range(100):
+        u = pair.v_hat + scale * rng.standard_normal(P.n)
+        w = pair.v_hat + scale * rng.standard_normal(P.n)
+        try:
+            ju = j2_star(P, u, init=pair.v0_hat).value
+            jw = j2_star(P, w, init=pair.v0_hat).value
+            jm = j2_star(P, 0.5 * (u + w), init=pair.v0_hat).value
+        except DualityError:
+            excluded += 1
+            continue
+        tol = J2_CONVEXITY_TOL * (1.0 + max(abs(ju), abs(jw), abs(jm)))
+        if jm <= 0.5 * (ju + jw) + tol:
+            pass_count += 1
+        else:
+            fail_count += 1
+
+    # (iv) weak duality against every sampled point
+    weak_ok = bool(np.all(j2.value <= sample_values + CERT_SAMPLE_TOL)) \
+        and all(j2.value <= v + CERT_SAMPLE_TOL for v in ms_values)
+
+    passed = (multistart_ok and sample_ok and j2_matches
+              and fail_count == 0 and pass_count >= 50 and weak_ok)
+    return SampledCertificate(
+        passed=passed, inf_estimate=inf_estimate,
+        j2_value=j2.value, j2_gap=float(j2_gap),
+        multistart_ok=multistart_ok, sample_ok=sample_ok,
+        j2_matches_primal=j2_matches,
+        convexity_pass_count=pass_count,
+        convexity_fail_count=fail_count,
+        convexity_excluded=excluded,
+        weak_duality_ok=weak_ok,
+        n_samples=int(samples.shape[0]),
+    )
+
+
+def _batch_primal(P, xs):
+    w = 0.5 * np.einsum("jkl,sk,sl->sj", P.B, xs, xs) + P.c
+    return (0.5 * np.einsum("sk,kl,sl->s", xs, P.A, xs)
+            + 0.5 * (w ** 2) @ P.gamma + xs @ P.f)

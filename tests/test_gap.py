@@ -4,12 +4,16 @@ import pytest
 from dcquartic import (
     NotCase2Error,
     OutsideCstarError,
+    SingularMatrixError,
     build_bundle,
     classify_case,
     epsilon_sweep,
     find_critical_pairs,
     generate_instance,
     global_min_certificate,
+    in_B_star,
+    iter_ensemble,
+    j2_star,
     lift_to_dual,
     local_extremality_probe,
     multistart,
@@ -17,7 +21,8 @@ from dcquartic import (
     validate_instance,
     verify_zero_gap,
 )
-from oracles import grid_min_1d
+from dcquartic.gap import lagrangian_bound
+from oracles import grid_min_1d, sampled_global_certificate
 
 
 class TestClassification:
@@ -131,15 +136,28 @@ class TestGlobalCertificate:
     def test_p_min_certificate(self, p_min):
         pair = lift_to_dual(p_min, [0.0])
         case = classify_case(p_min, pair, build_bundle(p_min, pair))
-        cert = global_min_certificate(p_min, pair, case,
-                                      multistart(p_min, 32, 7).points)
+        points = multistart(p_min, 32, 7).points
+        cert = global_min_certificate(p_min, pair, case, points)
         assert cert.passed
         assert cert.inf_estimate == pytest.approx(0.5, abs=1e-12)
         # independent 1-d grid oracle over [-5, 5]
         assert abs(grid_min_1d(p_min) - primal_value(p_min, pair.x0)) <= 1e-8
         assert cert.j2_gap <= 1e-10
-        assert cert.convexity_fail_count == 0
-        assert cert.weak_duality_ok
+        sampled = sampled_global_certificate(p_min, pair, case, points)
+        assert sampled.convexity_fail_count == 0
+        assert sampled.weak_duality_ok
+
+    def test_bound_below_grid_at_noncritical_point(self, p_min):
+        # at x0 = 0.3 the gradient is not zero: the bound drops below
+        # L(x0, vhat0) = J(x0) and stays below the grid minimum
+        pair = lift_to_dual(p_min, [0.3])
+        margin = in_B_star(p_min, pair.v0_hat).margin
+        bound, lagrangian, drop, rounding = lagrangian_bound(
+            p_min, pair.x0, pair.v0_hat, margin)
+        assert drop > 0.0
+        assert rounding > 0.0
+        assert lagrangian == pytest.approx(primal_value(p_min, pair.x0))
+        assert bound <= grid_min_1d(p_min)
 
     def test_not_case2(self, p_tri, sqrt2):
         pair = lift_to_dual(p_tri, [sqrt2])
@@ -153,7 +171,8 @@ class TestGlobalCertificate:
         assert primal_value(p_min, [1.0]) == pytest.approx(1.625)
 
     def test_ensemble_case2_certificates(self):
-        # every case2 pair in a small random ensemble certifies globally
+        # every case2 pair in a small random ensemble certifies globally,
+        # and the sampled oracle agrees and never goes below the bound
         rng = np.random.default_rng(2)
         certified = 0
         for i in range(30):
@@ -172,11 +191,35 @@ class TestGlobalCertificate:
                 case = classify_case(P, pair, bundle)
                 if case.case_id != "case2":
                     continue
-                cert = global_min_certificate(P, pair, case,
-                                              multistart(P, 32, 7).points)
+                points = multistart(P, 32, 7).points
+                cert = global_min_certificate(P, pair, case, points)
                 assert cert.passed, (i, pair.x0, cert)
+                sampled = sampled_global_certificate(P, pair, case, points)
+                assert sampled.passed, (i, pair.x0, sampled)
+                assert sampled.inf_estimate >= cert.inf_estimate - 1e-9
                 certified += 1
         assert certified >= 8
+
+    def test_singular_barrier_matrix_is_named(self):
+        # acceptance-ensemble member 8: the sampled certificate's twelfth
+        # convexity draw around its case-2 pair meets a singular barrier
+        # Newton matrix E + mu T
+        P = list(iter_ensemble(9, 2024))[8]
+        ms = multistart(P, 12, 7)
+        pair = lift_to_dual(P, ms.points[0], newton_iterations=ms.iterations[0])
+        case = classify_case(P, pair, build_bundle(P, pair))
+        assert case.case_id == "case2"
+        rng = np.random.default_rng([7, 3])
+        scale = 0.5 * (1.0 + float(np.max(np.abs(pair.v_hat))))
+        for _ in range(12):
+            u = pair.v_hat + scale * rng.standard_normal(P.n)
+            w = pair.v_hat + scale * rng.standard_normal(P.n)
+        j2_star(P, u, init=pair.v0_hat)
+        with pytest.raises(SingularMatrixError):
+            j2_star(P, w, init=pair.v0_hat)
+        sampled = sampled_global_certificate(P, pair, case, ms.points)
+        assert sampled.convexity_excluded >= 1
+        assert global_min_certificate(P, pair, case, ms.points).passed
 
 
 class TestEpsilonSweep:
