@@ -78,9 +78,7 @@ from .gap import (
 from .baseline import (
     BaselineReport,
     correspondence_report,
-    j1_star_gradient,
-    j1_star_hessian,
-    j1_star_value,
+    j1_star,
     search_correspondence_counterexample,
 )
 from .ensembles import generate_instance, iter_ensemble

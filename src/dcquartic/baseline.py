@@ -23,6 +23,7 @@ from typing import Tuple
 import numpy as np
 
 from . import linalg
+from .conjugates import in_B_star
 from .critical import find_critical_pairs
 from .errors import DualityError, SingularMatrixError
 from .problem import primal_hessian
@@ -41,7 +42,18 @@ class BaselineReport:
     x0_sign_convention: str = "displayed-inverse"
 
 
-def _solve_invertible(P, v0_star, rhs):
+def j1_star(P, v0_star):
+    """(value, gradient, Hessian) of -J1* at v0*, from one spectrum of
+    S = sum_p (v0*)_p B_p + A and the two solves with it.
+
+    With x0 = S^{-1} f, the gradient has components
+    -x0^T B_j x0 / 2 + (v0*)_j/gamma_j - c_j and the Hessian is
+    {x0^T B_j S^{-1} B_k x0 + delta_jk / gamma_j}, symmetric by
+    construction.  Requires only invertibility of S: raises
+    SingularMatrixError when its smallest |eigenvalue| is at most
+    1e-12 (1 + its largest).
+    """
+    v0_star = P.require_v0(v0_star)
     S = linalg.symmetrize(P.ab_matrix(v0_star))
     w = np.linalg.eigvalsh(S)
     scale = float(np.max(np.abs(w))) if w.size else 0.0
@@ -49,35 +61,15 @@ def _solve_invertible(P, v0_star, rhs):
         raise SingularMatrixError(
             f"sum_p (v0*)_p B_p + A is singular (|eig|min = "
             f"{float(np.min(np.abs(w))):.3e})")
-    return np.linalg.solve(S, rhs), S
-
-
-def j1_star_value(P, v0_star):
-    """-J1*(v0*) as displayed; requires only invertibility of S."""
-    v0_star = P.require_v0(v0_star)
-    sf, _ = _solve_invertible(P, v0_star, P.f)
-    return float(0.5 * P.f @ sf
-                 + 0.5 * np.sum(v0_star ** 2 / P.gamma)
-                 - np.sum(P.c * v0_star))
-
-
-def j1_star_gradient(P, v0_star):
-    """Gradient of -J1*: components -x0^T B_j x0 / 2 + (v0*)_j/gamma_j - c_j
-    with x0 = S^{-1} f."""
-    v0_star = P.require_v0(v0_star)
-    x0, _ = _solve_invertible(P, v0_star, P.f)
+    x0 = np.linalg.solve(S, P.f)
+    value = float(0.5 * P.f @ x0 + 0.5 * np.sum(v0_star ** 2 / P.gamma)
+                  - np.sum(P.c * v0_star))
     q = 0.5 * np.einsum("jkl,k,l->j", P.B, x0, x0)
-    return -q + v0_star / P.gamma - P.c
-
-
-def j1_star_hessian(P, v0_star):
-    """Hessian of -J1*: {x0^T B_j S^{-1} B_k x0 + delta_jk / gamma_j},
-    symmetric by construction."""
-    v0_star = P.require_v0(v0_star)
-    x0, S = _solve_invertible(P, v0_star, P.f)
+    gradient = -q + v0_star / P.gamma - P.c
     W = np.einsum("jkl,l->jk", P.B, x0)      # rows B_j x0
     core = W @ np.linalg.solve(S, W.T)
-    return linalg.symmetrize(core) + np.diag(1.0 / P.gamma)
+    hessian = linalg.symmetrize(core) + np.diag(1.0 / P.gamma)
+    return value, gradient, hessian
 
 
 def correspondence_report(P, pair):
@@ -88,9 +80,7 @@ def correspondence_report(P, pair):
     recorded as data.
     """
     v0 = pair.v0_hat
-    value = j1_star_value(P, v0)
-    grad = j1_star_gradient(P, v0)
-    hess = j1_star_hessian(P, v0)
+    value, grad, hess = j1_star(P, v0)
     d2j = primal_hessian(P, pair.x0)
 
     primal_inertia = linalg.inertia(d2j)
@@ -108,7 +98,7 @@ def correspondence_report(P, pair):
     b_sign = _definite(baseline_inertia, P.N)
     correspondence = (p_sign == b_sign == 1) or (p_sign == b_sign == -1)
 
-    ab_pd = linalg.is_pd(P.ab_matrix(v0))
+    ab_pd = in_B_star(P, v0).inside
     if P.n == 1 and P.N == 1 and ab_pd and not correspondence:
         raise DualityError(
             "n = N = 1 with a positive definite multiplier matrix must "

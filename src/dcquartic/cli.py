@@ -7,9 +7,8 @@ Exit codes are stable for scripting: 0 success, 1 internal failure,
 """
 
 import argparse
+import dataclasses
 import sys
-
-import numpy as np
 
 from .baseline import correspondence_report
 from .critical import find_critical_pairs
@@ -124,7 +123,7 @@ def cmd_sweep(args):
                             "critical_points": records})
         else:
             sweep = epsilon_sweep(P, eps_list, args.rng, n_seeds=args.seeds)
-            results.append({"index": i, "sweep": _sweep_doc(sweep)})
+            results.append({"index": i, "sweep": dataclasses.asdict(sweep)})
 
     doc = {"settings": {"n": args.n, "N": args.big_n, "count": args.count,
                         "rng": args.rng, "seeds": args.seeds,
@@ -138,19 +137,6 @@ def cmd_sweep(args):
     if args.json:
         _write_json(args.json, doc)
     return 0
-
-
-def _sweep_doc(sweep):
-    return {
-        "eps_list": sweep.eps_list,
-        "points": [{
-            "eps": p.eps, "ok": p.ok, "error": p.error,
-            "h1_norm": p.h1_norm,
-            "pairs": [{k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                       for k, v in rec.items()} for rec in p.pairs],
-        } for p in sweep.points],
-        "slopes": sweep.slopes,
-    }
 
 
 def _print_plain_sweep(results):

@@ -19,6 +19,10 @@ concave in v0* on C*, and
     J2*(v*) = sup_{v0* in A*} J*(v*, v0*)      (A* = B* intersect C*,
                                                 log-det barrier
                                                 continuation)
+
+B* is where S(v0*) = A + sum_j (v0*)_j B_j is positive definite.  Since
+M(v0*) = S(v0*) + (K - A) and validate_instance requires K - A positive
+definite, B* lies inside C* and A* = B* (see in_A_star).
 """
 
 from dataclasses import dataclass
@@ -49,36 +53,38 @@ _FAILURES = (None, LeftCstarError, NoConvergenceError, OutsideCstarError)
 
 BARRIER_WEIGHTS = (1e-2, 1e-4, 1e-6)
 BOUNDARY_MARGIN = 1e-6
+A_STAR_ASCENT_MAX_ITER = 200
 
 
 class Membership(NamedTuple):
+    """A positive-definiteness decision: inside when margin, the smallest
+    eigenvalue, exceeds eps, the scale-aware threshold."""
     inside: bool
     margin: float
+    eps: float
+
+
+def _membership(M):
+    margin, eps = linalg.pd_margin(M)
+    return Membership(margin > eps, margin, eps)
 
 
 def in_C_star(P, v0_star):
-    """Is M(v0*) positive definite?  Returns (bool, smallest eigenvalue)."""
-    v0_star = P.require_v0(v0_star)
-    margin, eps = linalg.pd_margin(P.mixed_matrix(v0_star))
-    return Membership(margin > eps, margin)
+    """Is M(v0*) positive definite?"""
+    return _membership(P.mixed_matrix(P.require_v0(v0_star)))
 
 
 def in_B_star(P, v0_star):
     """Is A + sum_j (v0*)_j B_j positive definite?"""
-    v0_star = P.require_v0(v0_star)
-    margin, eps = linalg.pd_margin(P.ab_matrix(v0_star))
-    return Membership(margin > eps, margin)
-
-
-def a_star_membership(c, b):
-    """A* = B* intersect C*, from the C* and B* memberships; the margin
-    is the smaller of the two."""
-    return Membership(c.inside and b.inside, min(c.margin, b.margin))
+    return _membership(P.ab_matrix(P.require_v0(v0_star)))
 
 
 def in_A_star(P, v0_star):
-    """Is v0* in A* = B* intersect C*?"""
-    return a_star_membership(in_C_star(P, v0_star), in_B_star(P, v0_star))
+    """Is v0* in A* = B* intersect C*?  This is in_B_star: with K - A
+    positive definite, lmin(M(v0*)) >= lmin(S(v0*)) + lmin(K - A) by
+    Weyl's inequality, so B* lies inside C* and the B* margin is the
+    smaller of the two."""
+    return in_B_star(P, v0_star)
 
 
 def g1_star(P, v_star):
@@ -95,13 +101,20 @@ def g2_star(P, v_star, v0_star):
     """
     v_star = P.require_x(v_star)
     v0_star = P.require_v0(v0_star)
-    M = P.mixed_matrix(v0_star)
-    margin, eps = linalg.pd_margin(M)
-    if margin <= eps:
+    # in_C_star's test, not its traced name: bench/spans.py times every
+    # in_C_star call, and each barrier step of j2_star calls g2_star
+    c_star = _membership(P.mixed_matrix(v0_star))
+    return _g2_star(P, v_star, v0_star, c_star)
+
+
+def _g2_star(P, v_star, v0_star, c_star):
+    """g2_star given the C* membership of v0*, such as a lifted pair's
+    c_star."""
+    if not c_star.inside:
         raise OutsideCstarError(
-            f"M(v0*) has smallest eigenvalue {margin:.3e}; the closed form "
-            "for G2* is not the supremum there")
-    quad = 0.5 * v_star @ linalg.solve_pd(M, v_star)
+            f"M(v0*) has smallest eigenvalue {c_star.margin:.3e}; the "
+            "closed form for G2* is not the supremum there")
+    quad = 0.5 * v_star @ linalg.solve_pd(P.mixed_matrix(v0_star), v_star)
     return float(quad + 0.5 * np.sum(v0_star ** 2 / P.gamma)
                  - np.sum(P.c * v0_star))
 
@@ -109,6 +122,13 @@ def g2_star(P, v_star, v0_star):
 def j_star(P, v_star, v0_star):
     """J*(v*, v0*) = G1*(v*) - G2*(v*, v0*)."""
     return g1_star(P, v_star) - g2_star(P, v_star, v0_star)
+
+
+def pair_j_star(P, pair):
+    """J*(vhat, vhat0) at a lifted pair, on the C* decision the lift
+    already made (pair.c_star); raises OutsideCstarError outside C*."""
+    return g1_star(P, pair.v_hat) - _g2_star(
+        P, pair.v_hat, pair.v0_hat, pair.c_star)
 
 
 def default_inner_init(P, v_star):
@@ -344,33 +364,28 @@ class J2Result:
     a_star_margin: float
 
 
-def _feasible_a_star_point(P, v0, max_iter=200):
+def _feasible_a_star_point(P, v0):
     """Push v0 toward strict A* feasibility by margin ascent.
 
-    The objective min(lmin(A + sum v B), lmin(M(v))) is concave; we
-    follow eigenvector subgradients with a halving line search.
+    The objective lmin(A + sum v B) is concave, and its margin is the A*
+    margin (A* = B*, see in_A_star); we follow eigenvector subgradients
+    with a halving line search.
     """
-    def margins(v):
-        wa, ua = np.linalg.eigh(linalg.symmetrize(P.ab_matrix(v)))
-        wm, um = np.linalg.eigh(linalg.symmetrize(P.mixed_matrix(v)))
-        if wa[0] <= wm[0]:
-            u = ua[:, 0]
-        else:
-            u = um[:, 0]
-        grad = np.einsum("jkl,k,l->j", P.B, u, u)
-        return min(wa[0], wm[0]), grad
+    def margin(v):
+        w, u = np.linalg.eigh(linalg.symmetrize(P.ab_matrix(v)))
+        return w[0], np.einsum("jkl,k,l->j", P.B, u[:, 0], u[:, 0])
 
     target = max(10.0 * BOUNDARY_MARGIN, 1e-5)
-    value, grad = margins(v0)
+    value, grad = margin(v0)
     if value > target:
         return v0
     step = 1.0
-    for _ in range(max_iter):
+    for _ in range(A_STAR_ASCENT_MAX_ITER):
         gnorm = float(np.linalg.norm(grad))
         if gnorm == 0.0:
             break
         cand = v0 + step * grad / gnorm
-        cand_value, cand_grad = margins(cand)
+        cand_value, cand_grad = margin(cand)
         if cand_value > value:
             v0, value, grad = cand, cand_value, cand_grad
             step *= 1.5
@@ -385,7 +400,7 @@ def _feasible_a_star_point(P, v0, max_iter=200):
         f"(best margin {value:.3e})")
 
 
-def _barrier_ascent(P, v_star, v0, mu, max_iter=INNER_MAX_ITER):
+def _barrier_ascent(P, v_star, v0, mu):
     """Maximize J*(v*, .) + mu logdet(A + sum v B) inside A*."""
     def eval_point(v):
         S_factor = linalg.pd_factor(P.ab_matrix(v))
@@ -402,7 +417,7 @@ def _barrier_ascent(P, v_star, v0, mu, max_iter=INNER_MAX_ITER):
     if state is None:
         raise AStarEmptyError("barrier start left A*")
     value, S_factor, M_factor = state
-    for _ in range(max_iter):
+    for _ in range(INNER_MAX_ITER):
         res, x_bar = _inner_residual(P, v_star, v0, M_factor)
         Sinv = linalg.symmetrize(
             linalg.cho_solve(S_factor, np.eye(P.n)))
@@ -458,7 +473,7 @@ def j2_star(P, v_star, init=None):
     except (NoConvergenceError, OutsideCstarError):
         polished = None
     if polished is not None:
-        margin, _ = linalg.pd_margin(P.ab_matrix(polished))
+        margin = in_B_star(P, polished).margin
         if margin >= BOUNDARY_MARGIN:
             return J2Result(j_star(P, v_star, polished), polished,
                             False, margin)
@@ -467,6 +482,6 @@ def j2_star(P, v_star, init=None):
             # exact barrier-path limit
             return J2Result(j_star(P, v_star, polished), polished,
                             True, margin)
-    margin, _ = linalg.pd_margin(P.ab_matrix(v0))
+    margin = in_B_star(P, v0).margin
     return J2Result(j_star(P, v_star, v0), v0,
                     margin < BOUNDARY_MARGIN, margin)

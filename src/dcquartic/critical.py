@@ -16,7 +16,7 @@ from typing import List
 import numpy as np
 
 from . import linalg
-from .conjugates import in_C_star
+from .conjugates import Membership, in_C_star
 from .errors import DualityError, OutsideCstarError
 from .problem import primal_gradient, primal_hessian, primal_value
 
@@ -44,6 +44,7 @@ class SolveResult:
 class CriticalPair:
     """A primal point with its lifted dual point and residuals.
 
+    ``c_star`` is the C* membership of vhat0, decided once at the lift.
     ``dual_residual_vstar`` and ``dual_residual_v0`` are NaN when the
     lifted multiplier is outside C* (the dual stationarity system needs
     M(vhat0)^{-1} there).
@@ -52,6 +53,7 @@ class CriticalPair:
     x0: np.ndarray
     v_hat: np.ndarray
     v0_hat: np.ndarray
+    c_star: Membership
     primal_residual: float
     dual_residual_vstar: float
     dual_residual_v0: float
@@ -216,9 +218,10 @@ def lift_to_dual(P, x0, newton_iterations=0):
     v_hat = P.bx_columns(x0) @ v0_hat + P.K @ x0
     primal_residual = _grad_inf(P, x0)
 
+    c_star = in_C_star(P, v0_hat)
     r_vstar = float("nan")
     r_v0 = float("nan")
-    if in_C_star(P, v0_hat).inside:
+    if c_star.inside:
         r_vstar, r_v0 = _stationarity_residuals(P, x0, v_hat, v0_hat)
 
     if primal_residual <= 1e-8:
@@ -232,7 +235,7 @@ def lift_to_dual(P, x0, newton_iterations=0):
                 f"lift identity violated by {drift:.3e} at a converged point")
 
     return CriticalPair(
-        x0=x0, v_hat=v_hat, v0_hat=v0_hat,
+        x0=x0, v_hat=v_hat, v0_hat=v0_hat, c_star=c_star,
         primal_residual=primal_residual,
         dual_residual_vstar=r_vstar,
         dual_residual_v0=r_v0,
@@ -256,7 +259,7 @@ def recover_primal(P, v_star):
 
 def dual_stationarity_residual(P, pair):
     """Residuals of the two dual stationarity identities at a pair."""
-    if not in_C_star(P, pair.v0_hat).inside:
+    if not pair.c_star.inside:
         raise OutsideCstarError("lifted multiplier is outside C*")
     return _stationarity_residuals(P, pair.x0, pair.v_hat, pair.v0_hat)
 

@@ -63,21 +63,22 @@ class CurvatureBundle:
 def build_bundle(P, pair):
     """Assemble every chain matrix at a converged pair.
 
-    Raises NotConvergedPairError, OutsideCstarError, or
-    DegenerateCriticalPointError (E condition number above 1e12).
+    Raises NotConvergedPairError, OutsideCstarError (on the lift's C*
+    decision, pair.c_star), or DegenerateCriticalPointError (E condition
+    number above 1e12).
     """
     if not pair.converged:
         raise NotConvergedPairError(
             f"primal residual {pair.primal_residual:.3e} exceeds "
             f"{CONVERGED_RESIDUAL:.0e}")
 
-    x0, v0_hat = pair.x0, pair.v0_hat
-    M = P.mixed_matrix(v0_hat)
-    margin, eps = linalg.pd_margin(M)
-    if margin <= eps:
+    if not pair.c_star.inside:
         raise OutsideCstarError(
-            f"M(vhat0) smallest eigenvalue {margin:.3e} (margin {eps:.3e})")
+            f"M(vhat0) smallest eigenvalue {pair.c_star.margin:.3e} "
+            f"(margin {pair.c_star.eps:.3e})")
 
+    x0 = pair.x0
+    M = P.mixed_matrix(pair.v0_hat)
     M_inv = linalg.inv_pd(M)
     p1 = P.bx_columns(x0)                   # n x N
     p2 = p1.T @ M_inv                       # N x n

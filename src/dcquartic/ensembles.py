@@ -8,6 +8,8 @@ from .problem import validate_instance
 GAMMA_RANGE = (0.5, 2.0)
 C_RANGE = (-1.0, 1.0)
 MAX_GENERATION_ATTEMPTS = 20
+DIMENSION_RANGE = (1, 6)     # iter_ensemble's n, inclusive
+MULTIPLIER_RANGE = (1, 4)    # iter_ensemble's N, inclusive
 
 
 def _unit_spectral_symmetric(rng, n):
@@ -49,11 +51,11 @@ def generate_instance(n, N, rng_seed, k_margin=1.0, f_scale=1.0,
         f"(n={n}, N={N}, seed={rng_seed})")
 
 
-def iter_ensemble(count, rng_seed, n_range=(1, 6), N_range=(1, 4)):
-    """Yield ``count`` random instances with dimensions drawn uniformly
-    from the given inclusive ranges; deterministic in ``rng_seed``."""
+def iter_ensemble(count, rng_seed):
+    """Yield ``count`` random instances with n and N drawn uniformly from
+    DIMENSION_RANGE and MULTIPLIER_RANGE; deterministic in ``rng_seed``."""
     dim_rng = np.random.default_rng([rng_seed, 0xD1])
     for i in range(count):
-        n = int(dim_rng.integers(n_range[0], n_range[1] + 1))
-        N = int(dim_rng.integers(N_range[0], N_range[1] + 1))
+        n = int(dim_rng.integers(*DIMENSION_RANGE, endpoint=True))
+        N = int(dim_rng.integers(*MULTIPLIER_RANGE, endpoint=True))
         yield generate_instance(n, N, [rng_seed, 1 + i])

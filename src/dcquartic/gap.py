@@ -21,14 +21,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import linalg
-from .conjugates import (
-    a_star_membership,
-    in_B_star,
-    in_C_star,
-    j2_star,
-    j_star,
-    j_tilde_star,
-)
+from .conjugates import in_B_star, j2_star, j_tilde_star, pair_j_star
 from .critical import lift_to_dual, multistart
 from .curvature import build_bundle, verify_chain_identity
 from .errors import (
@@ -58,17 +51,20 @@ class CaseReport:
 
 
 def classify_case(P, pair, bundle):
-    """Evaluate the three case predicates with eigenvalue margins."""
+    """Evaluate the three case predicates with eigenvalue margins.
+
+    C* membership is the lift's (pair.c_star).  A* membership is the B*
+    one: A* = B* because K - A is positive definite (see in_A_star).
+    """
     d2j = primal_hessian(P, pair.x0)
     shifted = d2j + P.K_minus_A @ bundle.alpha1
     d2j_min, d2j_max, d2j_eps = linalg.spectrum_ends(d2j)
     sh_min, sh_max, sh_eps = linalg.spectrum_ends(shifted)
 
-    c = in_C_star(P, pair.v0_hat)
+    c = pair.c_star
     b = in_B_star(P, pair.v0_hat)
-    a = a_star_membership(c, b)
 
-    if a.inside:
+    if b.inside:
         case_id = "case2"
     elif c.inside and d2j_min > d2j_eps and sh_min > sh_eps:
         case_id = "case1"
@@ -84,16 +80,16 @@ def classify_case(P, pair, bundle):
         shifted_hessian_margin=sh_min,
         c_star=c.inside, c_star_margin=c.margin,
         b_star=b.inside, b_star_margin=b.margin,
-        a_star=a.inside, a_star_margin=a.margin,
+        a_star=b.inside, a_star_margin=b.margin,
     )
 
 
 def verify_zero_gap(P, pair):
     """J(x0) - J*(vhat, vhat0); zero at every critical pair in C*.
 
-    Raises OutsideCstarError (from J*) when vhat0 is outside C*.
+    Raises OutsideCstarError when the lift put vhat0 outside C*.
     """
-    return primal_value(P, pair.x0) - j_star(P, pair.v_hat, pair.v0_hat)
+    return primal_value(P, pair.x0) - pair_j_star(P, pair)
 
 
 @dataclass
@@ -144,7 +140,7 @@ def local_extremality_probe(P, pair, n_samples, rng_seed,
             linalg.symmetrize(bundle.dual_hessian)))
 
     j0 = primal_value(P, x0)
-    jt0 = j_star(P, v_hat, v0_hat)
+    jt0 = pair_j_star(P, pair)
 
     primal_rng = np.random.default_rng([rng_seed, 0])
     xs = linalg.ball_samples(primal_rng, x0, r, n_samples)
@@ -345,7 +341,7 @@ def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
                 if float(np.max(np.abs(bp - x0))) <= 1e-6:
                     record["base_point"] = i
                     break
-            if in_C_star(P_eps, pair.v0_hat).inside:
+            if pair.c_star.inside:
                 record["in_c_star"] = True
                 record["gap"] = verify_zero_gap(P_eps, pair)
                 try:

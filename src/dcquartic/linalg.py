@@ -21,10 +21,10 @@ def sym_deviation(M):
     return float(np.max(np.abs(M - M.T))) if M.size else 0.0
 
 
-def is_symmetric(M, tol_factor=SYM_TOL_FACTOR):
+def is_symmetric(M):
     M = np.asarray(M, dtype=float)
     scale = float(np.max(np.abs(M))) if M.size else 0.0
-    return sym_deviation(M) <= tol_factor * (1.0 + scale)
+    return sym_deviation(M) <= SYM_TOL_FACTOR * (1.0 + scale)
 
 
 def symmetrize(M):
@@ -55,11 +55,6 @@ def pd_margin(M):
     margin > eps."""
     margin, _, eps = spectrum_ends(M)
     return margin, eps
-
-
-def is_pd(M):
-    margin, eps = pd_margin(M)
-    return margin > eps
 
 
 def pd_margin_stack(Ms):
@@ -137,15 +132,14 @@ def spectral_norm_sym(M):
     return float(np.max(np.abs(w))) if w.size else 0.0
 
 
-def inertia(M, eps=None):
+def inertia(M):
     """(n_pos, n_neg, n_zero) eigenvalue counts of a symmetric matrix.
 
-    Eigenvalues within ``eps`` of zero count as zero; ``eps`` defaults to
-    the scale-aware PD margin of the spectrum.
+    Eigenvalues within the scale-aware PD margin of the spectrum
+    (eps_pd) of zero count as zero.
     """
     w = np.linalg.eigvalsh(symmetrize(M))
-    if eps is None:
-        eps = eps_pd(w)
+    eps = eps_pd(w)
     n_pos = int(np.sum(w > eps))
     n_neg = int(np.sum(w < -eps))
     return n_pos, n_neg, int(w.size - n_pos - n_neg)

@@ -105,6 +105,30 @@ def test_criterion_01_zero_duality_gap(ensemble):
           f"{ensemble.gap_phase_seconds:.1f}s)")
 
 
+def test_a_star_is_b_star(ensemble):
+    # M(v0) = S(v0) + (K - A) with K - A positive definite, so B* lies
+    # inside C* with room lmin(K - A), and A* = B*
+    room = np.inf
+    classified = 0
+    for rec in ensemble.records:
+        P, v0 = rec.P, rec.pair.v0_hat
+        b = dc.in_B_star(P, v0)
+        assert rec.pair.c_star == dc.in_C_star(P, v0)
+        assert dc.in_A_star(P, v0) == b
+        excess = rec.pair.c_star.margin - b.margin - P.kma_min_eig
+        assert excess >= -1e-12
+        room = min(room, excess)
+        if rec.bundle is not None:
+            case = classify_case(P, rec.pair, rec.bundle)
+            assert case.a_star == case.b_star
+            assert case.a_star_margin == case.b_star_margin
+            classified += 1
+    assert classified >= 300
+    print(f"\n[A* = B*] PASS ({len(ensemble.records)} pairs, "
+          f"{classified} classified, min C* - B* margin excess over "
+          f"lmin(K - A) {room:.2e})")
+
+
 def test_criterion_02_dual_stationarity(ensemble):
     checked = 0
     worst = 0.0

@@ -5,9 +5,7 @@ from dcquartic import (
     SingularMatrixError,
     correspondence_report,
     generate_instance,
-    j1_star_gradient,
-    j1_star_hessian,
-    j1_star_value,
+    j1_star,
     lift_to_dual,
     search_correspondence_counterexample,
     validate_instance,
@@ -16,20 +14,20 @@ from dcquartic import (
 
 class TestValues:
     def test_hand_values(self, p_tri, p_min):
-        assert j1_star_value(p_min, [1.0]) == pytest.approx(-0.5)
-        assert j1_star_value(p_tri, [2.0]) == pytest.approx(2.0)
+        assert j1_star(p_min, [1.0])[0] == pytest.approx(-0.5)
+        assert j1_star(p_tri, [2.0])[0] == pytest.approx(2.0)
 
     def test_singular_matrix(self, p_tri):
         # A + v0 B = -1 + 1 = 0
         with pytest.raises(SingularMatrixError):
-            j1_star_value(p_tri, [1.0])
+            j1_star(p_tri, [1.0])[0]
 
 
 class TestGradient:
     def test_hand_values(self, p_tri, p_min):
-        assert j1_star_gradient(p_min, [1.0]) == pytest.approx([0.0])
-        assert j1_star_gradient(p_tri, [2.0]) == pytest.approx([2.0])
-        assert j1_star_gradient(p_min, [0.0]) == pytest.approx([-1.0])
+        assert j1_star(p_min, [1.0])[1] == pytest.approx([0.0])
+        assert j1_star(p_tri, [2.0])[1] == pytest.approx([2.0])
+        assert j1_star(p_min, [0.0])[1] == pytest.approx([-1.0])
 
     def test_matches_fd(self):
         rng = np.random.default_rng(3)
@@ -40,7 +38,7 @@ class TestGradient:
             P = generate_instance(n, N, [50_000, i])
             v0 = rng.normal(scale=0.8, size=N)
             try:
-                g = j1_star_gradient(P, v0)
+                g = j1_star(P, v0)[1]
             except SingularMatrixError:
                 continue
             fd = np.zeros(N)
@@ -50,7 +48,7 @@ class TestGradient:
                 vp = v0.copy(); vp[j] += h
                 vm = v0.copy(); vm[j] -= h
                 try:
-                    fd[j] = (j1_star_value(P, vp) - j1_star_value(P, vm)) / (2 * h)
+                    fd[j] = (j1_star(P, vp)[0] - j1_star(P, vm)[0]) / (2 * h)
                 except SingularMatrixError:
                     bad = True
             if bad:
@@ -62,13 +60,13 @@ class TestGradient:
 
 class TestHessian:
     def test_hand_values(self, p_tri, p_min):
-        assert j1_star_hessian(p_min, [1.0])[0, 0] == pytest.approx(1.0)
-        assert j1_star_hessian(p_tri, [2.0])[0, 0] == pytest.approx(1.0)
+        assert j1_star(p_min, [1.0])[2][0, 0] == pytest.approx(1.0)
+        assert j1_star(p_tri, [2.0])[2][0, 0] == pytest.approx(1.0)
 
     def test_f_zero_gives_diag(self):
         P = validate_instance(np.eye(2), [np.eye(2), np.diag([1.0, -1.0])],
                               [2.0, 4.0], [0.1, 0.2], np.zeros(2), 3.0)
-        H = j1_star_hessian(P, [0.3, 0.1])
+        H = j1_star(P, [0.3, 0.1])[2]
         assert np.array_equal(H, np.diag([0.5, 0.25]))
 
     def test_matches_fd(self):
@@ -80,7 +78,7 @@ class TestHessian:
             P = generate_instance(n, N, [51_000, i])
             v0 = rng.normal(scale=0.8, size=N)
             try:
-                H = j1_star_hessian(P, v0)
+                H = j1_star(P, v0)[2]
             except SingularMatrixError:
                 continue
             fd = np.zeros((N, N))
@@ -90,8 +88,8 @@ class TestHessian:
                 vp = v0.copy(); vp[j] += h
                 vm = v0.copy(); vm[j] -= h
                 try:
-                    fd[:, j] = (j1_star_gradient(P, vp)
-                                - j1_star_gradient(P, vm)) / (2 * h)
+                    fd[:, j] = (j1_star(P, vp)[1]
+                                - j1_star(P, vm)[1]) / (2 * h)
                 except SingularMatrixError:
                     bad = True
             if bad:
@@ -104,7 +102,7 @@ class TestHessian:
 
     def test_symmetric(self):
         P = generate_instance(3, 3, [52_000, 0])
-        H = j1_star_hessian(P, [0.2, -0.1, 0.3])
+        H = j1_star(P, [0.2, -0.1, 0.3])[2]
         assert np.array_equal(H, H.T)
 
 

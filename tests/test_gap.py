@@ -4,6 +4,7 @@ import pytest
 from dcquartic import (
     NotCase2Error,
     OutsideCstarError,
+    ProblemInstance,
     SingularMatrixError,
     build_bundle,
     classify_case,
@@ -15,6 +16,7 @@ from dcquartic import (
     iter_ensemble,
     j2_star,
     lift_to_dual,
+    linalg,
     local_extremality_probe,
     multistart,
     primal_value,
@@ -44,6 +46,43 @@ class TestClassification:
         rep = classify_case(p_tri, pair, build_bundle(p_tri, pair))
         assert rep.case_id == "case3"
         assert rep.primal_hessian_margin == pytest.approx(-1.0)
+
+    def test_c_star_decided_once(self, p_tri, sqrt2, monkeypatch):
+        # count the eigvalsh calls on M(vhat0) or its symmetrized copy,
+        # tracked by identity: on p_tri, E and d2J(x0) can equal M in value
+        handed_out, calls = [], []
+        mixed_matrix = ProblemInstance.mixed_matrix
+        symmetrize = linalg.symmetrize
+        eigvalsh = np.linalg.eigvalsh
+
+        def is_m(M):
+            return any(M is m for m in handed_out)
+
+        def tracked_mixed_matrix(self, v0):
+            handed_out.append(mixed_matrix(self, v0))
+            return handed_out[-1]
+
+        def tracked_symmetrize(M):
+            out = symmetrize(M)
+            if is_m(M):
+                handed_out.append(out)
+            return out
+
+        def counted_eigvalsh(M):
+            calls.append(is_m(M))
+            return eigvalsh(M)
+
+        monkeypatch.setattr(ProblemInstance, "mixed_matrix",
+                            tracked_mixed_matrix)
+        monkeypatch.setattr(linalg, "symmetrize", tracked_symmetrize)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        for x in ([-sqrt2], [0.0], [sqrt2]):
+            calls.clear()
+            pair = lift_to_dual(p_tri, x)
+            case = classify_case(p_tri, pair, build_bundle(p_tri, pair))
+            assert case.c_star and case.gap == pytest.approx(0.0, abs=1e-12)
+            assert sum(calls) == 1
+            assert len(calls) > 1   # the Hessians and S are still decided
 
 
 class TestZeroGap:
