@@ -23,7 +23,6 @@ from typing import Tuple
 import numpy as np
 
 from . import linalg
-from .conjugates import in_B_star
 from .critical import find_critical_pairs
 from .errors import DualityError, SingularMatrixError
 from .problem import primal_hessian
@@ -47,7 +46,8 @@ def j1_star(P, v0_star):
     S = sum_p (v0*)_p B_p + A and the two solves with it.
 
     With x0 = S^{-1} f, the gradient has components
-    -x0^T B_j x0 / 2 + (v0*)_j/gamma_j - c_j and the Hessian is
+    (v0*)_j/gamma_j - w_j(x0) = (v0*)_j/gamma_j - x0^T B_j x0 / 2 - c_j
+    and the Hessian is
     {x0^T B_j S^{-1} B_k x0 + delta_jk / gamma_j}, symmetric by
     construction.  Requires only invertibility of S: raises
     SingularMatrixError when its smallest |eigenvalue| is at most
@@ -64,9 +64,8 @@ def j1_star(P, v0_star):
     x0 = np.linalg.solve(S, P.f)
     value = float(0.5 * P.f @ x0 + 0.5 * np.sum(v0_star ** 2 / P.gamma)
                   - np.sum(P.c * v0_star))
-    q = 0.5 * np.einsum("jkl,k,l->j", P.B, x0, x0)
-    gradient = -q + v0_star / P.gamma - P.c
-    W = np.einsum("jkl,l->jk", P.B, x0)      # rows B_j x0
+    gradient = v0_star / P.gamma - P.quartic_terms(x0)
+    W = P.bx_columns(x0).T                  # rows B_j x0
     core = W @ np.linalg.solve(S, W.T)
     hessian = linalg.symmetrize(core) + np.diag(1.0 / P.gamma)
     return value, gradient, hessian
@@ -98,7 +97,7 @@ def correspondence_report(P, pair):
     b_sign = _definite(baseline_inertia, P.N)
     correspondence = (p_sign == b_sign == 1) or (p_sign == b_sign == -1)
 
-    ab_pd = in_B_star(P, v0).inside
+    ab_pd = pair.b_star.inside
     if P.n == 1 and P.N == 1 and ab_pd and not correspondence:
         raise DualityError(
             "n = N = 1 with a positive definite multiplier matrix must "

@@ -66,7 +66,7 @@ class Membership(NamedTuple):
 
 def _membership(M):
     margin, eps = linalg.pd_margin(M)
-    return Membership(margin > eps, margin, eps)
+    return Membership(bool(margin > eps), float(margin), float(eps))
 
 
 def in_C_star(P, v0_star):
@@ -188,23 +188,17 @@ def _inner_newton(P, v_star, v0):
         f"inner Newton residual {res_norm:.3e} after {INNER_MAX_ITER} iterations")
 
 
-def _mixed_stack(P, v0):
-    """M(v0*) for each row of an (S, N) stack."""
-    return P.K + np.einsum("sj,jkl->skl", v0, P.B)
-
-
 def _inner_residual_stack(P, v_stars, v0, L):
     """_inner_residual for each row, given the Cholesky factors of M."""
     x_bar = linalg.cho_solve_stack(L, v_stars)
-    w = 0.5 * np.einsum("jkl,sk,sl->sj", P.B, x_bar, x_bar) + P.c
-    return w - v0 / P.gamma, x_bar
+    return P.quartic_terms(x_bar) - v0 / P.gamma, x_bar
 
 
 def _inner_matrix_stack(P, x_bar, L):
     """_inner_matrix for each row, given the Cholesky factors of M."""
-    p1 = np.einsum("jkl,sl->skj", P.B, x_bar)
+    p1 = P.bx_columns(x_bar)
     E = np.swapaxes(linalg.cho_solve_stack(L, p1), 1, 2) @ p1
-    return 0.5 * (E + np.swapaxes(E, 1, 2)) + np.diag(1.0 / P.gamma)
+    return linalg.symmetrize(E) + np.diag(1.0 / P.gamma)
 
 
 def _inner_newton_stack(P, v_stars, v0):
@@ -220,7 +214,7 @@ def _inner_newton_stack(P, v_stars, v0):
     whole stack on a singular E, as _inner_newton raises for that row.
     """
     v0 = np.array(v0, dtype=float)
-    L, feasible = linalg.cholesky_stack(_mixed_stack(P, v0))
+    L, feasible = linalg.cholesky_stack(P.mixed_matrix(v0))
     status = np.where(feasible, NO_CONVERGENCE, LEFT_C_STAR)
     live = np.flatnonzero(feasible)
     res, x_bar = _inner_residual_stack(P, v_stars[live], v0[live], L[live])
@@ -240,7 +234,7 @@ def _inner_newton_stack(P, v_stars, v0):
         for _ in range(INNER_MAX_BACKTRACKS):
             rows = np.flatnonzero(pending)
             cand = v0[live[rows]] + t * step[rows]
-            cand_L, feasible = linalg.cholesky_stack(_mixed_stack(P, cand))
+            cand_L, feasible = linalg.cholesky_stack(P.mixed_matrix(cand))
             rows, cand, cand_L = rows[feasible], cand[feasible], cand_L[feasible]
             cand_res, cand_x = _inner_residual_stack(
                 P, v_stars[live[rows]], cand, cand_L)
@@ -264,7 +258,7 @@ def _inner_newton_stack(P, v_stars, v0):
 def _j_star_stack(P, v_stars, v0, L):
     """J* at each row, given the Cholesky factors of M(v0*); nan where
     the eigvalsh-margin C* check of j_star fails."""
-    margin, eps = linalg.pd_margin_stack(_mixed_stack(P, v0))
+    margin, eps = linalg.pd_margin(P.mixed_matrix(v0))
     rhs = v_stars + P.f
     g1 = 0.5 * np.einsum("si,is->s", rhs, linalg.solve_pd(P.K_minus_A, rhs.T))
     quad = 0.5 * np.einsum("si,si->s", v_stars,

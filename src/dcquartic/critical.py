@@ -16,7 +16,7 @@ from typing import List
 import numpy as np
 
 from . import linalg
-from .conjugates import Membership, in_C_star
+from .conjugates import Membership, in_B_star, in_C_star
 from .errors import DualityError, OutsideCstarError
 from .problem import primal_gradient, primal_hessian, primal_value
 
@@ -44,7 +44,8 @@ class SolveResult:
 class CriticalPair:
     """A primal point with its lifted dual point and residuals.
 
-    ``c_star`` is the C* membership of vhat0, decided once at the lift.
+    ``c_star`` and ``b_star`` are the C* and B* memberships of vhat0
+    (M(vhat0) and S(vhat0) positive definite), decided once at the lift.
     ``dual_residual_vstar`` and ``dual_residual_v0`` are NaN when the
     lifted multiplier is outside C* (the dual stationarity system needs
     M(vhat0)^{-1} there).
@@ -54,6 +55,7 @@ class CriticalPair:
     v_hat: np.ndarray
     v0_hat: np.ndarray
     c_star: Membership
+    b_star: Membership
     primal_residual: float
     dual_residual_vstar: float
     dual_residual_v0: float
@@ -236,6 +238,7 @@ def lift_to_dual(P, x0, newton_iterations=0):
 
     return CriticalPair(
         x0=x0, v_hat=v_hat, v0_hat=v0_hat, c_star=c_star,
+        b_star=in_B_star(P, v0_hat),
         primal_residual=primal_residual,
         dual_residual_vstar=r_vstar,
         dual_residual_v0=r_v0,

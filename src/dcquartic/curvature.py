@@ -58,6 +58,8 @@ class CurvatureBundle:
     H2: np.ndarray
     dual_hessian: np.ndarray
     dual_hessian_asymmetry: float
+    d2j: np.ndarray        # d2J(x0)
+    shifted: np.ndarray    # d2J(x0) + (K - A) alpha1
 
 
 def build_bundle(P, pair):
@@ -102,11 +104,13 @@ def build_bundle(P, pair):
     H2 = M_inv
     dual_hessian = -H2 + H1 + H2 @ H3   # kept unsymmetrized on purpose
     asym = linalg.sym_deviation(dual_hessian)
+    d2j = primal_hessian(P, x0)
 
     return CurvatureBundle(
         M=M, P1=p1, P2=p2, E=E, E_bar=E_bar, H3=H3, B_hat=B_hat, D=D,
         alpha=alpha, alpha1=alpha1, H1=H1, H2=H2,
         dual_hessian=dual_hessian, dual_hessian_asymmetry=asym,
+        d2j=d2j, shifted=d2j + P.K_minus_A @ alpha1,
     )
 
 
@@ -120,7 +124,6 @@ def verify_chain_identity(P, pair, bundle):
     """Relative Frobenius residual of the product identity between the
     dual Hessian and the shifted primal Hessian."""
     lhs = bundle.dual_hessian @ bundle.D
-    shifted = primal_hessian(P, pair.x0) + P.K_minus_A @ bundle.alpha1
-    rhs = bundle.H1 @ shifted @ bundle.H2
+    rhs = bundle.H1 @ bundle.shifted @ bundle.H2
     return float(np.linalg.norm(lhs - rhs, "fro")
                  / (1.0 + np.linalg.norm(rhs, "fro")))

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from . import linalg
 from .errors import ValidationError
 from .problem import validate_instance
 
@@ -13,9 +14,8 @@ MULTIPLIER_RANGE = (1, 4)    # iter_ensemble's N, inclusive
 
 
 def _unit_spectral_symmetric(rng, n):
-    G = rng.standard_normal((n, n))
-    S = 0.5 * (G + G.T)
-    radius = float(np.max(np.abs(np.linalg.eigvalsh(S))))
+    S = linalg.symmetrize(rng.standard_normal((n, n)))
+    radius = linalg.spectral_norm_sym(S)
     if radius > 0.0:
         S = S / radius
     return S

@@ -21,15 +21,15 @@ from typing import List, Optional
 import numpy as np
 
 from . import linalg
-from .conjugates import in_B_star, j2_star, j_tilde_star, pair_j_star
-from .critical import lift_to_dual, multistart
+from .conjugates import j2_star, j_tilde_star, pair_j_star
+from .critical import DEDUP_DISTANCE, lift_to_dual, multistart
 from .curvature import build_bundle, verify_chain_identity
 from .errors import (
     DualityError,
     NotCase2Error,
     ValidationError,
 )
-from .problem import primal_hessian, primal_value, validate_instance
+from .problem import primal_value, validate_instance
 
 PROBE_TOL = 1e-9
 CERT_GAP_TOL = 1e-8
@@ -53,22 +53,20 @@ class CaseReport:
 def classify_case(P, pair, bundle):
     """Evaluate the three case predicates with eigenvalue margins.
 
-    C* membership is the lift's (pair.c_star).  A* membership is the B*
-    one: A* = B* because K - A is positive definite (see in_A_star).
+    The C* and B* memberships are the lift's (pair.c_star,
+    pair.b_star).  A* membership is the B* one: A* = B* because K - A
+    is positive definite (see in_A_star).  The two Hessians are the
+    bundle's.
     """
-    d2j = primal_hessian(P, pair.x0)
-    shifted = d2j + P.K_minus_A @ bundle.alpha1
-    d2j_min, d2j_max, d2j_eps = linalg.spectrum_ends(d2j)
-    sh_min, sh_max, sh_eps = linalg.spectrum_ends(shifted)
-
-    c = pair.c_star
-    b = in_B_star(P, pair.v0_hat)
+    d2j, d2j_eps = linalg.spectrum(bundle.d2j)
+    sh, sh_eps = linalg.spectrum(bundle.shifted)
+    c, b = pair.c_star, pair.b_star
 
     if b.inside:
         case_id = "case2"
-    elif c.inside and d2j_min > d2j_eps and sh_min > sh_eps:
+    elif c.inside and d2j[0] > d2j_eps and sh[0] > sh_eps:
         case_id = "case1"
-    elif c.inside and d2j_max < -d2j_eps and sh_max < -sh_eps:
+    elif c.inside and d2j[-1] < -d2j_eps and sh[-1] < -sh_eps:
         case_id = "case3"
     else:
         case_id = "unclassified"
@@ -76,8 +74,8 @@ def classify_case(P, pair, bundle):
     gap = verify_zero_gap(P, pair) if c.inside else float("nan")
     return CaseReport(
         case_id=case_id, gap=gap,
-        primal_hessian_margin=d2j_min,
-        shifted_hessian_margin=sh_min,
+        primal_hessian_margin=float(d2j[0]),
+        shifted_hessian_margin=float(sh[0]),
         c_star=c.inside, c_star_margin=c.margin,
         b_star=b.inside, b_star_margin=b.margin,
         a_star=b.inside, a_star_margin=b.margin,
@@ -132,9 +130,8 @@ def local_extremality_probe(P, pair, n_samples, rng_seed,
         case_id = classify_case(P, pair, bundle).case_id
 
     x0, v_hat, v0_hat = pair.x0, pair.v_hat, pair.v0_hat
-    d2j = primal_hessian(P, x0)
     r = 0.1 * (1.0 + float(np.linalg.norm(x0))) \
-        / np.sqrt(1.0 + linalg.spectral_norm_sym(d2j))
+        / np.sqrt(1.0 + linalg.spectral_norm_sym(bundle.d2j))
     r1 = 0.1 * (1.0 + float(np.linalg.norm(v_hat))) \
         / np.sqrt(1.0 + linalg.spectral_norm_sym(
             linalg.symmetrize(bundle.dual_hessian)))
@@ -338,7 +335,7 @@ def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
                 "base_point": None,
             }
             for i, bp in enumerate(base_points):
-                if float(np.max(np.abs(bp - x0))) <= 1e-6:
+                if float(np.max(np.abs(bp - x0))) <= DEDUP_DISTANCE:
                     record["base_point"] = i
                     break
             if pair.c_star.inside:

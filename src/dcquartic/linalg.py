@@ -2,7 +2,9 @@
 
 Reported checks are eigenvalue based: positive definiteness is decided
 by the smallest eigenvalue against a scale-aware margin, and reported
-margins always come from ``eigvalsh``.  Inside iteration loops Cholesky
+margins always come from ``spectrum``.  ``symmetrize``, ``spectrum`` and
+``pd_margin`` take a matrix or an (S, n, n) stack, and each matrix of a
+stack gets the result it would get alone.  Inside iteration loops Cholesky
 is the feasibility probe: one factorization either comes back, and is
 then used for the solves, or fails on a pivot that is not positive
 (``pd_factor``, and ``cholesky_stack`` per matrix of a stack).
@@ -28,39 +30,28 @@ def is_symmetric(M):
 
 
 def symmetrize(M):
+    """(M + M^T) / 2 of a matrix, or of each matrix of a stack."""
     M = np.asarray(M, dtype=float)
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
-def eps_pd(eigenvalues):
-    """Scale-aware positive-definiteness margin for a symmetric spectrum."""
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
-    scale = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
-    return EPS_PD_FACTOR * (1.0 + scale)
+def spectrum(M):
+    """Return (w, eps): the ascending eigenvalues of the symmetrized
+    matrix, or of each matrix of a stack, and the scale-aware
+    definiteness threshold EPS_PD_FACTOR (1 + max |w|) of each.
 
-
-def spectrum_ends(M):
-    """Return (smallest eigenvalue, largest eigenvalue, eps) of the
-    symmetrized matrix, from one eigvalsh.
-
-    The matrix counts as positive definite when smallest > eps and as
-    negative definite when largest < -eps.
+    The matrix counts as positive definite when w[0] > eps and as
+    negative definite when w[-1] < -eps.
     """
     w = np.linalg.eigvalsh(symmetrize(M))
-    return float(w[0]), float(w[-1]), eps_pd(w)
+    return w, EPS_PD_FACTOR * (1.0 + np.max(np.abs(w), axis=-1))
 
 
 def pd_margin(M):
-    """Return (smallest eigenvalue, eps); positive definite when
-    margin > eps."""
-    margin, _, eps = spectrum_ends(M)
-    return margin, eps
-
-
-def pd_margin_stack(Ms):
-    """pd_margin of each matrix of an (S, n, n) stack, as two arrays."""
-    w = np.linalg.eigvalsh(0.5 * (Ms + np.swapaxes(Ms, 1, 2)))
-    return w[:, 0], EPS_PD_FACTOR * (1.0 + np.max(np.abs(w), axis=1))
+    """Return (smallest eigenvalue, eps) of a matrix, or two arrays for
+    a stack; positive definite when margin > eps."""
+    w, eps = spectrum(M)
+    return w[..., 0], eps
 
 
 def cholesky_stack(Ms):
@@ -128,18 +119,16 @@ def inv_pd(M):
 
 
 def spectral_norm_sym(M):
-    w = np.linalg.eigvalsh(symmetrize(M))
-    return float(np.max(np.abs(w))) if w.size else 0.0
+    return float(np.max(np.abs(spectrum(M)[0])))
 
 
 def inertia(M):
     """(n_pos, n_neg, n_zero) eigenvalue counts of a symmetric matrix.
 
     Eigenvalues within the scale-aware PD margin of the spectrum
-    (eps_pd) of zero count as zero.
+    (spectrum's eps) of zero count as zero.
     """
-    w = np.linalg.eigvalsh(symmetrize(M))
-    eps = eps_pd(w)
+    w, eps = spectrum(M)
     n_pos = int(np.sum(w > eps))
     n_neg = int(np.sum(w < -eps))
     return n_pos, n_neg, int(w.size - n_pos - n_neg)

@@ -33,6 +33,10 @@ class ProblemInstance:
     ``coercivity_margin`` is the smallest sampled value of
     sum_j gamma_j (u^T B_j u / 2)^2 over unit directions u; the
     growth-at-infinity heuristic passed iff it is strictly positive.
+
+    The four kernels take a point or an (S, ...) stack, one result per
+    row, bit for bit the point's; quartic_terms rows agree only to
+    rounding at n = 2, N = 1, where einsum sums a stack in another order.
     """
 
     n: int
@@ -65,19 +69,20 @@ class ProblemInstance:
 
     def quartic_terms(self, x):
         """w_j(x) = x^T B_j x / 2 + c_j for all j."""
-        return 0.5 * np.einsum("jkl,k,l->j", self.B, x, x) + self.c
+        return 0.5 * np.einsum("jkl,...k,...l->...j", self.B, x, x) + self.c
 
     def bx_columns(self, x):
-        """The n x N matrix whose columns are B_j x."""
-        return np.einsum("jkl,l->kj", self.B, x)
+        """The n x N matrix whose columns are B_j x (S x n x N for a
+        stack)."""
+        return np.einsum("jkl,...l->...kj", self.B, x)
 
     def mixed_matrix(self, v0):
         """M(v0) = sum_j v0_j B_j + K."""
-        return self.K + np.einsum("j,jkl->kl", v0, self.B)
+        return self.K + np.einsum("...j,jkl->...kl", v0, self.B)
 
     def ab_matrix(self, v0):
-        """A + sum_j v0_j B_j."""
-        return self.A + np.einsum("j,jkl->kl", v0, self.B)
+        """S(v0) = A + sum_j v0_j B_j."""
+        return self.A + np.einsum("...j,jkl->...kl", v0, self.B)
 
 
 def _as_square(M, n, name):
@@ -175,7 +180,7 @@ def validate_instance(A, B, gamma, c, f, K, coercivity_override=False):
         coercivity_margin=coercivity_margin,
         coercivity_override=bool(coercivity_override),
         K_minus_A=K_minus_A,
-        kma_min_eig=margin,
+        kma_min_eig=float(margin),
     )
 
 
@@ -202,10 +207,7 @@ def primal_hessian(P, x):
     x = P.require_x(x)
     w = P.quartic_terms(x)
     bx = P.bx_columns(x)
-    H = (P.A
-         + np.einsum("j,jkl->kl", P.gamma * w, P.B)
-         + (bx * P.gamma) @ bx.T)
-    return linalg.symmetrize(H)
+    return linalg.symmetrize(P.ab_matrix(P.gamma * w) + (bx * P.gamma) @ bx.T)
 
 
 def g1_value(P, x):

@@ -354,12 +354,13 @@ class TestJTildeStarStack:
         np.testing.assert_allclose(linalg.cho_solve_stack(L[ok], b),
                                    np.linalg.solve(Ms[ok], b[:, :, None])[:, :, 0],
                                    rtol=1e-10, atol=1e-12)
-        margin, eps = linalg.pd_margin_stack(Ms)
+        margin, eps = linalg.pd_margin(Ms)
         assert list(zip(margin, eps)) == [linalg.pd_margin(M) for M in Ms]
         # both ends of the spectrum from one eigvalsh, on Ms and -Ms so
         # that each end decides definiteness somewhere
         for M in np.concatenate([Ms, -Ms]):
-            lo, hi, eps = linalg.spectrum_ends(M)
+            w, eps = linalg.spectrum(M)
+            lo, hi = w[0], w[-1]
             assert (lo, eps) == linalg.pd_margin(M)
             n_pos, n_neg, _ = linalg.inertia(M)
             assert (lo > eps) == (n_pos == 3)

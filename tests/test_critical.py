@@ -110,6 +110,7 @@ class TestLift:
         bumped = pair.__class__(
             x0=pair.x0, v_hat=pair.v_hat + 0.1, v0_hat=pair.v0_hat,
             c_star=pair.c_star,
+            b_star=pair.b_star,
             primal_residual=pair.primal_residual,
             dual_residual_vstar=pair.dual_residual_vstar,
             dual_residual_v0=pair.dual_residual_v0,

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from dcquartic import (
     SingularMatrixError,
     build_bundle,
     classify_case,
+    correspondence_report,
     epsilon_sweep,
     find_critical_pairs,
     generate_instance,
@@ -21,6 +24,7 @@ from dcquartic import (
     multistart,
     primal_value,
     validate_instance,
+    verify_chain_identity,
     verify_zero_gap,
 )
 from dcquartic.gap import lagrangian_bound
@@ -83,6 +87,71 @@ class TestClassification:
             assert case.c_star and case.gap == pytest.approx(0.0, abs=1e-12)
             assert sum(calls) == 1
             assert len(calls) > 1   # the Hessians and S are still decided
+
+    def test_b_star_and_hessians_decided_once(self, p_tri, p_min, sqrt2,
+                                              monkeypatch):
+        # S(vhat0) is decomposed once by the lift, and once more by
+        # j1_star; d2J(x0) is built once, by build_bundle
+        handed_out, s_calls, hessians = [], [], []
+        ab_matrix = ProblemInstance.ab_matrix
+        symmetrize = linalg.symmetrize
+        eigvalsh = np.linalg.eigvalsh
+
+        def is_s(M):
+            return any(M is m for m in handed_out)
+
+        def tracked_ab_matrix(self, v0):
+            handed_out.append(ab_matrix(self, v0))
+            return handed_out[-1]
+
+        def tracked_symmetrize(M):
+            out = symmetrize(M)
+            if is_s(M):
+                handed_out.append(out)
+            return out
+
+        def counted_eigvalsh(M):
+            s_calls.append(is_s(M))
+            return eigvalsh(M)
+
+        def counted(hessian):
+            def primal_hessian(P, x):
+                hessians.append(x)
+                return hessian(P, x)
+            return primal_hessian
+
+        monkeypatch.setattr(ProblemInstance, "ab_matrix", tracked_ab_matrix)
+        monkeypatch.setattr(linalg, "symmetrize", tracked_symmetrize)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        # every module that imported primal_hessian by name
+        for name, module in list(sys.modules.items()):
+            if name.startswith("dcquartic") \
+                    and hasattr(module, "primal_hessian"):
+                monkeypatch.setattr(module, "primal_hessian",
+                                    counted(module.primal_hessian))
+        for P, x, case_id in ((p_tri, [-sqrt2], "case1"),
+                              (p_tri, [0.0], "case3"),
+                              (p_min, [0.0], "case2")):
+            s_calls.clear()
+            pair = lift_to_dual(P, x)
+            hessians.clear()
+            bundle = build_bundle(P, pair)
+            assert len(hessians) == 1
+            case = classify_case(P, pair, bundle)
+            assert case.case_id == case_id
+            assert case.b_star == pair.b_star.inside
+            assert case.b_star_margin == pair.b_star.margin
+            verify_chain_identity(P, pair, bundle)
+            local_extremality_probe(P, pair, 8, 0, case_id=case.case_id,
+                                    bundle=bundle)
+            assert len(hessians) == 1
+            assert sum(s_calls) == 1
+            try:
+                report = correspondence_report(P, pair)
+                assert report.ab_matrix_pd == pair.b_star.inside
+            except SingularMatrixError:
+                assert case_id == "case1"   # S(vhat0) = 0 at +-sqrt(2)
+            assert sum(s_calls) == 2
 
 
 class TestZeroGap:

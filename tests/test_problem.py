@@ -8,6 +8,8 @@ from dcquartic import (
     g1_value,
     g2_value,
     generate_instance,
+    iter_ensemble,
+    linalg,
     primal_gradient,
     primal_hessian,
     primal_value,
@@ -166,3 +168,38 @@ def test_decomposition_identity_scalar(x, a, b, gamma, c, f):
     j = primal_value(P, [x])
     split = -g1_value(P, [x]) + g2_value(P, [x], [0.0])
     assert abs(j - split) <= 1e-10 * (1.0 + abs(j))
+
+
+def test_kernels_take_a_point_or_a_stack():
+    # every row of a stacked kernel call is, bit for bit, the call on
+    # that row alone, except quartic_terms: at n = 2, N = 1 einsum sums
+    # a stack's x^T B_j x in another order, so its rows agree within the
+    # rounding bound of either sum
+    rng = np.random.default_rng(8)
+    unit = np.finfo(float).eps
+    for P in iter_ensemble(40, 2024):
+        for size in (1, 5, 64):
+            xs = rng.standard_normal((size, P.n))
+            v0s = rng.standard_normal((size, P.N))
+            for kernel, rows in ((P.bx_columns, xs), (P.mixed_matrix, v0s),
+                                 (P.ab_matrix, v0s)):
+                stacked = kernel(rows)
+                assert stacked.shape == (size,) + kernel(rows[0]).shape
+                for row, out in zip(rows, stacked):
+                    assert out.tobytes() == kernel(row).tobytes()
+            w = P.quartic_terms(xs)
+            assert w.shape == (size, P.N)
+            for x, out in zip(xs, w):
+                scale = 0.5 * np.einsum("jkl,k,l->j", np.abs(P.B),
+                                        np.abs(x), np.abs(x)) + np.abs(P.c)
+                bound = 4 * (P.n ** 2 + 2) * unit * scale
+                assert np.all(np.abs(out - P.quartic_terms(x)) <= bound)
+            Ms = P.ab_matrix(v0s)
+            stacked = (linalg.symmetrize(Ms),) + linalg.spectrum(Ms) \
+                + linalg.pd_margin(Ms)
+            for s, M in enumerate(Ms):
+                alone = (linalg.symmetrize(M),) + linalg.spectrum(M) \
+                    + linalg.pd_margin(M)
+                for out, ref in zip(stacked, alone):
+                    assert np.asarray(out[s]).tobytes() \
+                        == np.asarray(ref).tobytes()
