@@ -46,6 +46,7 @@ from .conjugates import (
     j2_star,
     j_star,
     j_tilde_star,
+    recover_primal,
 )
 from .critical import (
     CriticalPair,
@@ -55,7 +56,6 @@ from .critical import (
     find_critical_pairs,
     lift_to_dual,
     multistart,
-    recover_primal,
     solve_primal_critical,
 )
 from .curvature import (

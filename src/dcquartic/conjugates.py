@@ -33,14 +33,12 @@ import numpy as np
 from . import linalg
 from .errors import (
     AStarEmptyError,
-    DimensionMismatchError,
     LeftCstarError,
     NoConvergenceError,
     OutsideCstarError,
     SingularMatrixError,
 )
 
-INNER_TOL_FACTOR = 1e-12
 INNER_MAX_ITER = 100
 INNER_MAX_BACKTRACKS = 40
 INNER_EXTRA_INITS = 8  # multistart fallback budget for the inner sup
@@ -87,11 +85,19 @@ def in_A_star(P, v0_star):
     return in_B_star(P, v0_star)
 
 
+def recover_primal(P, v_star):
+    """x_bar = (K - A)^{-1}(v* + f), the primal point behind a dual
+    point, or behind each row of an (S, n) stack."""
+    v_star = P.require_points(v_star)
+    return linalg.solve_pd(P.K_minus_A, (v_star + P.f).T).T
+
+
 def g1_star(P, v_star):
-    """Conjugate of G1, attained at x = (K - A)^{-1}(v* + f)."""
-    v_star = P.require_x(v_star)
-    rhs = v_star + P.f
-    return float(0.5 * rhs @ linalg.solve_pd(P.K_minus_A, rhs))
+    """Conjugate of G1, (v* + f)^T x_bar / 2 with x_bar = recover_primal,
+    at a point (a float) or at each row of an (S, n) stack."""
+    v_star = P.require_points(v_star)
+    g1 = np.vecdot(0.5 * (v_star + P.f), recover_primal(P, v_star))
+    return float(g1) if v_star.ndim == 1 else g1
 
 
 def g2_star(P, v_star, v0_star):
@@ -132,9 +138,9 @@ def pair_j_star(P, pair):
 
 
 def default_inner_init(P, v_star):
-    """Lift of x0 = (K - A)^{-1}(v* + f) into the multiplier space."""
-    x_bar = linalg.solve_pd(P.K_minus_A, v_star + P.f)
-    return P.gamma * P.quartic_terms(x_bar)
+    """Lift of x_bar = recover_primal(v*) into the multiplier space, for
+    a point or each row of an (S, n) stack."""
+    return P.gamma * P.quartic_terms(recover_primal(P, v_star))
 
 
 def _inner_residual(P, v_star, v0, M_factor):
@@ -164,7 +170,7 @@ def _inner_newton(P, v_star, v0):
     res, x_bar = _inner_residual(P, v_star, v0, factor)
     res_norm = float(np.max(np.abs(res)))
     for _ in range(INNER_MAX_ITER):
-        if res_norm <= INNER_TOL_FACTOR * (1.0 + float(np.max(np.abs(v0)))):
+        if res_norm <= linalg.TOL_FACTOR * (1.0 + float(np.max(np.abs(v0)))):
             return v0
         E = _inner_matrix(P, x_bar, factor)
         step = np.linalg.solve(E, res)
@@ -220,7 +226,7 @@ def _inner_newton_stack(P, v_stars, v0):
     res, x_bar = _inner_residual_stack(P, v_stars[live], v0[live], L[live])
     res_norm = np.max(np.abs(res), axis=1)
     for _ in range(INNER_MAX_ITER):
-        done = res_norm <= INNER_TOL_FACTOR * (
+        done = res_norm <= linalg.TOL_FACTOR * (
             1.0 + np.max(np.abs(v0[live]), axis=1))
         status[live[done]] = SOLVED
         live, res, x_bar, res_norm = \
@@ -259,13 +265,11 @@ def _j_star_stack(P, v_stars, v0, L):
     """J* at each row, given the Cholesky factors of M(v0*); nan where
     the eigvalsh-margin C* check of j_star fails."""
     margin, eps = linalg.pd_margin(P.mixed_matrix(v0))
-    rhs = v_stars + P.f
-    g1 = 0.5 * np.einsum("si,is->s", rhs, linalg.solve_pd(P.K_minus_A, rhs.T))
     quad = 0.5 * np.einsum("si,si->s", v_stars,
                            linalg.cho_solve_stack(L, v_stars))
     g2 = (quad + 0.5 * np.sum(v0 ** 2 / P.gamma, axis=1)
           - np.sum(P.c * v0, axis=1))
-    return np.where(margin > eps, g1 - g2, np.nan)
+    return np.where(margin > eps, g1_star(P, v_stars) - g2, np.nan)
 
 
 def _j_tilde_star_chunk(P, v_stars, inits):
@@ -322,19 +326,13 @@ def j_tilde_star(P, v_star, init=None):
     returns (values, argmaxes), with nan rows where the solve fails; one
     row failing leaves the others as they are.
     """
-    single = np.ndim(v_star) < 2
-    v_stars = np.asarray(v_star, dtype=float)
-    if single:
-        v_stars = P.require_x(v_stars)[None]
-    elif v_stars.ndim != 2 or v_stars.shape[1] != P.n:
-        raise DimensionMismatchError(
-            f"expected a dual point of length {P.n} or an (S, {P.n}) "
-            f"stack, got shape {v_stars.shape}")
+    v_stars = P.require_points(v_star)
+    single = v_stars.ndim == 1
+    inits = default_inner_init(P, v_stars) if init is None \
+        else P.require_v0(init)
+    v_stars = v_stars.reshape(-1, P.n)
     S = len(v_stars)
-    if init is None:
-        inits = np.array([default_inner_init(P, v) for v in v_stars])
-    else:
-        inits = np.tile(P.require_v0(init), (S, 1))
+    inits = np.broadcast_to(inits, (S, P.N))
     values, argmaxes = np.full(S, np.nan), np.full((S, P.N), np.nan)
     status = np.full(S, SOLVED)
     rows = max(1, STACK_ENTRIES // (P.n * P.n))

@@ -16,11 +16,10 @@ from typing import List
 import numpy as np
 
 from . import linalg
-from .conjugates import Membership, in_B_star, in_C_star
+from .conjugates import Membership, in_B_star, in_C_star, recover_primal
 from .errors import DualityError, OutsideCstarError
 from .problem import primal_gradient, primal_hessian, primal_value
 
-NEWTON_TOL_FACTOR = 1e-12
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_BACKTRACKS = 40
 TIKHONOV_FACTOR = 1e-8
@@ -34,10 +33,6 @@ class SolveResult:
     converged: bool
     iterations: int
     grad_norm: float
-
-    @property
-    def status(self):
-        return "converged" if self.converged else "no-convergence"
 
 
 @dataclass(frozen=True)
@@ -123,17 +118,16 @@ def solve_primal_critical(P, x_init):
     """Damped Newton on grad J with backtracking on the gradient norm.
 
     Singular Hessian steps fall back to a Tikhonov-shifted solve.  Never
-    raises on non-convergence: the best iterate is returned with its
-    status so batch runs can keep going.  ``iterations`` counts the
-    Newton iterations run, including a last one whose line search failed.
+    raises: an unconverged start returns its last iterate, the best one
+    since each accepted step lowers max |grad J|.  ``iterations`` counts
+    the Newton iterations run, including a last one whose line search failed.
     """
     x = P.require_x(x_init).copy()
     g = primal_gradient(P, x)
     g_norm = float(np.max(np.abs(g)))
-    best = (x.copy(), g_norm)
     iterations = NEWTON_MAX_ITER
     for it in range(NEWTON_MAX_ITER):
-        tol = NEWTON_TOL_FACTOR * (1.0 + float(np.max(np.abs(x))))
+        tol = linalg.TOL_FACTOR * (1.0 + float(np.max(np.abs(x))))
         if g_norm <= tol:
             return SolveResult(x, True, it, g_norm)
         H = primal_hessian(P, x)
@@ -158,13 +152,8 @@ def solve_primal_critical(P, x_init):
         x = cand
         g = primal_gradient(P, x)
         g_norm = float(np.max(np.abs(g)))
-        if g_norm < best[1]:
-            best = (x.copy(), g_norm)
-    tol = NEWTON_TOL_FACTOR * (1.0 + float(np.max(np.abs(x))))
-    if g_norm <= tol:
-        return SolveResult(x, True, iterations, g_norm)
-    x, g_norm = best if best[1] < g_norm else (x, g_norm)
-    return SolveResult(x, False, iterations, g_norm)
+    tol = linalg.TOL_FACTOR * (1.0 + float(np.max(np.abs(x))))
+    return SolveResult(x, g_norm <= tol, iterations, g_norm)
 
 
 @dataclass(frozen=True)
@@ -247,17 +236,11 @@ def lift_to_dual(P, x0, newton_iterations=0):
 
 
 def _stationarity_residuals(P, x0, v_hat, v0_hat):
-    lhs = linalg.solve_pd(P.K_minus_A, v_hat + P.f)
+    lhs = recover_primal(P, v_hat)
     rhs = linalg.solve_pd(P.mixed_matrix(v0_hat), v_hat)
     r_vstar = float(np.max(np.abs(lhs - rhs)))
     r_v0 = float(np.max(np.abs(P.quartic_terms(x0) - v0_hat / P.gamma)))
     return r_vstar, r_v0
-
-
-def recover_primal(P, v_star):
-    """x = (K - A)^{-1}(v* + f), the primal point behind a dual point."""
-    v_star = P.require_x(v_star)
-    return linalg.solve_pd(P.K_minus_A, v_star + P.f)
 
 
 def dual_stationarity_residual(P, pair):

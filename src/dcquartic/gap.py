@@ -119,10 +119,10 @@ def local_extremality_probe(P, pair, n_samples, rng_seed,
     """Sample balls around x0 and vhat and count extremality violations.
 
     The primal radius is 0.1 (1 + |x0|) / sqrt(1 + |d2J(x0)|) and the
-    dual radius follows the same scaling with the dual Hessian.  The
-    dual samples are solved as one stack by j_tilde_star, warm-started at
-    the lifted multiplier; a sample whose solve fails (a nan row) is
-    excluded and counted.
+    dual radius follows the same scaling with the dual Hessian.  Each
+    ball is evaluated as one stack: J by primal_value, and Jt* by
+    j_tilde_star, warm-started at the lifted multiplier; a dual sample
+    whose solve fails (a nan row) is excluded and counted.
     """
     if bundle is None:
         bundle = build_bundle(P, pair)
@@ -141,7 +141,7 @@ def local_extremality_probe(P, pair, n_samples, rng_seed,
 
     primal_rng = np.random.default_rng([rng_seed, 0])
     xs = linalg.ball_samples(primal_rng, x0, r, n_samples)
-    jvals = np.array([primal_value(P, x) for x in xs])
+    jvals = primal_value(P, xs)
     p_min = int(np.sum(jvals < j0 - PROBE_TOL))
     p_max = int(np.sum(jvals > j0 + PROBE_TOL))
 

@@ -15,6 +15,7 @@ import scipy.linalg
 
 SYM_TOL_FACTOR = 1e-12
 EPS_PD_FACTOR = 1e-10
+TOL_FACTOR = 1e-12  # Newton: residual <= TOL_FACTOR (1 + max |iterate|)
 
 
 def sym_deviation(M):

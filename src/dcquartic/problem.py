@@ -34,9 +34,11 @@ class ProblemInstance:
     sum_j gamma_j (u^T B_j u / 2)^2 over unit directions u; the
     growth-at-infinity heuristic passed iff it is strictly positive.
 
-    The four kernels take a point or an (S, ...) stack, one result per
-    row, bit for bit the point's; quartic_terms rows agree only to
-    rounding at n = 2, N = 1, where einsum sums a stack in another order.
+    The four kernels, J, x_bar, G1* and the inner-sup start take a point
+    or an (S, ...) stack (require_points), one result per row, bit for
+    bit the point's; rows of quartic_terms, J and the inner-sup start
+    agree only to rounding at n = 2, N = 1, where einsum sums a stack in
+    another order.
     """
 
     n: int
@@ -58,6 +60,18 @@ class ProblemInstance:
         if x.shape != (self.n,):
             raise DimensionMismatchError(
                 f"expected x of length {self.n}, got shape {np.shape(x)}")
+        return x
+
+    def require_points(self, x):
+        """A point (0-D or 1-D input, checked by require_x) or an (S, n)
+        stack (2-D input), as floats; DimensionMismatchError otherwise."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim < 2:
+            return self.require_x(x)
+        if x.ndim != 2 or x.shape[1] != self.n:
+            raise DimensionMismatchError(
+                f"expected a point of length {self.n} or an (S, {self.n}) "
+                f"stack, got shape {x.shape}")
         return x
 
     def require_v0(self, v0):
@@ -185,10 +199,13 @@ def validate_instance(A, B, gamma, c, f, K, coercivity_override=False):
 
 
 def primal_value(P, x):
-    """J(x)."""
-    x = P.require_x(x)
+    """J(x) at a point (a float) or at each row of an (S, n) stack; per
+    row, (0.5 x) A is one gemv and each vecdot one dot, as for a point."""
+    x = P.require_points(x)
     w = P.quartic_terms(x)
-    return float(0.5 * x @ P.A @ x + 0.5 * P.gamma @ (w ** 2) + P.f @ x)
+    xa = ((0.5 * x)[..., None, :] @ P.A)[..., 0, :]
+    J = np.vecdot(xa, x) + np.vecdot(0.5 * P.gamma, w ** 2) + np.vecdot(P.f, x)
+    return float(J) if x.ndim == 1 else J
 
 
 def primal_gradient(P, x):

@@ -24,7 +24,6 @@ from dcquartic.conjugates import INNER_EXTRA_INITS, _inner_newton, default_inner
 from dcquartic.critical import (
     NEWTON_MAX_BACKTRACKS,
     NEWTON_MAX_ITER,
-    NEWTON_TOL_FACTOR,
     TIKHONOV_FACTOR,
     SolveResult,
 )
@@ -36,7 +35,7 @@ from dcquartic.errors import (
     ProbeFailureError,
 )
 from dcquartic.gap import CERT_GAP_TOL, CERT_SAMPLE_TOL
-from dcquartic.linalg import symmetrize
+from dcquartic.linalg import TOL_FACTOR, symmetrize
 from dcquartic.problem import primal_hessian, primal_value
 
 # central finite-difference step, relative to 1 + |x_i|
@@ -290,7 +289,7 @@ def solve_primal_critical_loop(P, x_init):
     best = (x.copy(), g_norm)
     iterations = NEWTON_MAX_ITER
     for it in range(NEWTON_MAX_ITER):
-        tol = NEWTON_TOL_FACTOR * (1.0 + float(np.max(np.abs(x))))
+        tol = TOL_FACTOR * (1.0 + float(np.max(np.abs(x))))
         if g_norm <= tol:
             return SolveResult(x, True, it, g_norm)
         H = primal_hessian(P, x)
@@ -332,7 +331,7 @@ def solve_primal_critical_loop(P, x_init):
         g_norm = float(np.max(np.abs(g)))
         if g_norm < best[1]:
             best = (x.copy(), g_norm)
-    tol = NEWTON_TOL_FACTOR * (1.0 + float(np.max(np.abs(x))))
+    tol = TOL_FACTOR * (1.0 + float(np.max(np.abs(x))))
     if g_norm <= tol:
         return SolveResult(x, True, iterations, g_norm)
     x, g_norm = best if best[1] < g_norm else (x, g_norm)

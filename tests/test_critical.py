@@ -51,6 +51,29 @@ class TestSolve:
         roots = gradient_roots_1d(p_min)
         assert len(roots) == 1 and roots[0] == pytest.approx(0.0, abs=1e-10)
 
+    def test_singular_hessian_takes_the_shifted_step(self, monkeypatch):
+        # d2J(0) = 1 + (0 - 1) + 0 = 0 exactly, so the Newton solve at the
+        # start raises and the Tikhonov-shifted solve takes the step
+        P = validate_instance([1.0], [[1.0]], [1.0], [-1.0], [0.5], 2.0)
+        assert critical.primal_hessian(P, [0.0]).tolist() == [[0.0]]
+        failed = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                failed.append(np.array(a))
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        res = solve_primal_critical(P, [0.0])
+        monkeypatch.undo()
+        assert len(failed) == 1 and failed[0].tolist() == [[0.0]]
+        assert res.converged and res.iterations == 6
+        assert res.x0[0] == pytest.approx(-1.0, abs=1e-12)
+        assert _same_result(res, solve_primal_critical_loop(P, [0.0]))
+
 
 class TestMultistart:
     def test_p_tri_all_roots(self, p_tri, sqrt2):

@@ -209,6 +209,22 @@ class TestProbes:
         b = local_extremality_probe(p_tri, pair, 200, 11)
         assert a == b
 
+    def test_primal_ball_is_one_stack(self, p_tri, sqrt2, monkeypatch):
+        # J at x0 and at the whole primal ball: two primal_value calls,
+        # where one per sample would make 51
+        from dcquartic import gap
+        shapes = []
+        value = gap.primal_value
+        monkeypatch.setattr(gap, "primal_value", lambda P, x: shapes.append(
+            np.shape(x)) or value(P, x))
+        for x0 in (sqrt2, 0.0):
+            pair = lift_to_dual(p_tri, [x0])
+            bundle = build_bundle(p_tri, pair)
+            case_id = classify_case(p_tri, pair, bundle).case_id
+            shapes.clear()
+            local_extremality_probe(p_tri, pair, 50, 7, case_id, bundle)
+            assert shapes == [(1,), (50, 1)]
+
     def test_unclassified_saddle_reports_violations(self):
         # find a saddle-adjacent pair: indefinite Hessian keeps it
         # unclassified, and the probe reports violations on both sides

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from dcquartic import (
     DimensionMismatchError,
     ValidationError,
+    g1_star,
     g1_value,
     g2_value,
     generate_instance,
@@ -13,9 +14,11 @@ from dcquartic import (
     primal_gradient,
     primal_hessian,
     primal_value,
+    recover_primal,
     validate_instance,
 )
-from oracles import fd_gradient, fd_hessian
+from dcquartic.conjugates import default_inner_init
+from oracles import _batch_primal, fd_gradient, fd_hessian
 
 
 class TestValidation:
@@ -170,16 +173,24 @@ def test_decomposition_identity_scalar(x, a, b, gamma, c, f):
     assert abs(j - split) <= 1e-10 * (1.0 + abs(j))
 
 
+def _quartic_scale(P, x):
+    """w_j(x) = x^T B_j x / 2 + c_j summed over absolute values."""
+    return 0.5 * np.einsum("jkl,k,l->j", np.abs(P.B), np.abs(x),
+                           np.abs(x)) + np.abs(P.c)
+
+
 def test_kernels_take_a_point_or_a_stack():
     # every row of a stacked kernel call is, bit for bit, the call on
     # that row alone, except quartic_terms: at n = 2, N = 1 einsum sums
     # a stack's x^T B_j x in another order, so its rows agree within the
-    # rounding bound of either sum
+    # rounding bound of either sum, and J and the inner-sup start, which
+    # read w, within that bound carried through gamma w^2 / 2 and gamma w
     rng = np.random.default_rng(8)
     unit = np.finfo(float).eps
     for P in iter_ensemble(40, 2024):
         for size in (1, 5, 64):
             xs = rng.standard_normal((size, P.n))
+            vs = 3.0 * rng.standard_normal((size, P.n))
             v0s = rng.standard_normal((size, P.N))
             for kernel, rows in ((P.bx_columns, xs), (P.mixed_matrix, v0s),
                                  (P.ab_matrix, v0s)):
@@ -190,10 +201,34 @@ def test_kernels_take_a_point_or_a_stack():
             w = P.quartic_terms(xs)
             assert w.shape == (size, P.N)
             for x, out in zip(xs, w):
-                scale = 0.5 * np.einsum("jkl,k,l->j", np.abs(P.B),
-                                        np.abs(x), np.abs(x)) + np.abs(P.c)
-                bound = 4 * (P.n ** 2 + 2) * unit * scale
+                bound = 4 * (P.n ** 2 + 2) * unit * _quartic_scale(P, x)
                 assert np.all(np.abs(out - P.quartic_terms(x)) <= bound)
+
+            exact = not (P.n == 2 and P.N == 1)
+            J, G1 = primal_value(P, xs), g1_star(P, vs)
+            X, V0 = recover_primal(P, vs), default_inner_init(P, vs)
+            assert J.shape == G1.shape == (size,)
+            assert X.shape == (size, P.n) and V0.shape == (size, P.N)
+            np.testing.assert_allclose(J, _batch_primal(P, xs),
+                                       rtol=1e-12, atol=0.0)
+            for x, j in zip(xs, J):
+                alone = primal_value(P, x)
+                assert type(alone) is float
+                scale = 0.5 * np.abs(x) @ np.abs(P.A) @ np.abs(x) \
+                    + 0.5 * P.gamma @ _quartic_scale(P, x) ** 2 \
+                    + np.abs(P.f) @ np.abs(x)
+                assert j == alone if exact else \
+                    abs(j - alone) <= 8 * (P.n ** 2 + 3) * unit * scale
+            for v, g1, x, v0 in zip(vs, G1, X, V0):
+                alone = g1_star(P, v), recover_primal(P, v)
+                assert type(alone[0]) is float and alone[1].shape == (P.n,)
+                assert g1 == alone[0] and x.tobytes() == alone[1].tobytes()
+                start = default_inner_init(P, v)
+                assert start.shape == (P.N,)
+                bound = 4 * (P.n ** 2 + 3) * unit * P.gamma \
+                    * _quartic_scale(P, alone[1])
+                assert v0.tobytes() == start.tobytes() if exact else \
+                    np.all(np.abs(v0 - start) <= bound)
             Ms = P.ab_matrix(v0s)
             stacked = (linalg.symmetrize(Ms),) + linalg.spectrum(Ms) \
                 + linalg.pd_margin(Ms)
@@ -203,3 +238,19 @@ def test_kernels_take_a_point_or_a_stack():
                 for out, ref in zip(stacked, alone):
                     assert np.asarray(out[s]).tobytes() \
                         == np.asarray(ref).tobytes()
+
+
+def test_require_points():
+    P = next(iter_ensemble(1, 2024))
+    x = np.arange(P.n, dtype=float)
+    assert P.require_points(x).shape == (P.n,)
+    assert P.require_points(x.tolist()).dtype == float
+    assert P.require_points([x, x]).shape == (2, P.n)
+    assert P.require_points(np.empty((0, P.n))).shape == (0, P.n)
+    for bad in (np.zeros(P.n + 1), np.zeros((3, P.n + 1)),
+                np.zeros((2, 3, P.n))):
+        with pytest.raises(DimensionMismatchError):
+            P.require_points(bad)
+    for fn in (primal_value, recover_primal, g1_star, default_inner_init):
+        with pytest.raises(DimensionMismatchError):
+            fn(P, np.zeros((3, P.n + 1)))
