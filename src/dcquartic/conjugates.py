@@ -126,8 +126,8 @@ def _g2_star(P, v_star, v0_star, c_star):
 
 
 def j_star(P, v_star, v0_star):
-    """J*(v*, v0*) = G1*(v*) - G2*(v*, v0*)."""
-    return g1_star(P, v_star) - g2_star(P, v_star, v0_star)
+    """J*(v*, v0*) = G1*(v*) - G2*(v*, v0*) at one dual pair."""
+    return g1_star(P, P.require_x(v_star)) - g2_star(P, v_star, v0_star)
 
 
 def pair_j_star(P, pair):
@@ -324,7 +324,8 @@ def j_tilde_star(P, v_star, init=None):
     For one point returns (value, argmax) and raises the point's failure:
     LeftCstarError, NoConvergenceError or OutsideCstarError.  For a stack
     returns (values, argmaxes), with nan rows where the solve fails; one
-    row failing leaves the others as they are.
+    row failing leaves the others as they are.  At n = 2, N = 1 a stack
+    row's default start is the point's only to rounding.
     """
     v_stars = P.require_points(v_star)
     single = v_stars.ndim == 1

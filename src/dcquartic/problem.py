@@ -36,9 +36,9 @@ class ProblemInstance:
 
     The four kernels, J, x_bar, G1* and the inner-sup start take a point
     or an (S, ...) stack (require_points), one result per row, bit for
-    bit the point's; rows of quartic_terms, J and the inner-sup start
-    agree only to rounding at n = 2, N = 1, where einsum sums a stack in
-    another order.
+    bit the point's except at n = 2, N = 1, where quartic_terms, J and
+    the start agree only to rounding (einsum sums a stack in another
+    order); for x_bar and G1* that is measured on one BLAS, not proved.
     """
 
     n: int
@@ -64,7 +64,7 @@ class ProblemInstance:
 
     def require_points(self, x):
         """A point (0-D or 1-D input, checked by require_x) or an (S, n)
-        stack (2-D input), as floats; DimensionMismatchError otherwise."""
+        stack (2-D, also (1, n)); DimensionMismatchError otherwise."""
         x = np.asarray(x, dtype=float)
         if x.ndim < 2:
             return self.require_x(x)

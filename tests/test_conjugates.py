@@ -85,6 +85,10 @@ class TestJStar:
         assert j_star(p_tri, [0.0], [0.0]) == 0.0
         assert j_star(p_min, [0.0], [1.0]) == pytest.approx(0.5)
 
+    def test_takes_one_point(self, p_min):
+        # a (1, n) v* is the point, as for g2_star, not a one-row stack
+        assert type(j_star(p_min, [[0.0]], [1.0])) is float
+
 
 class TestJTildeStar:
     def test_hand_values(self, p_tri, p_min, sqrt2):
@@ -323,6 +327,24 @@ class TestJTildeStarStack:
                 with pytest.raises(NoConvergenceError):
                     j_tilde_star_loop(P, v, init=init)
         assert np.isnan(values).sum() >= 10
+
+    def test_default_start_rows_at_n2_N1(self):
+        # at n = 2, N = 1 a stack's default starts match the point's only
+        # to rounding (quartic_terms sums a stack in another order), so
+        # rows solve where the point solves, to the same value up to
+        # rounding; members 19, 20 and 32 of the acceptance ensemble
+        members = [P for P in iter_ensemble(33, 2024)
+                   if P.n == 2 and P.N == 1]
+        assert len(members) == 3
+        for P in members:
+            pair = next(p for p in find_critical_pairs(P, 12, 7)
+                        if p.converged and p.c_star.inside)
+            vs = linalg.ball_samples(np.random.default_rng([7, 1]),
+                                     pair.v_hat, 0.1, 64)
+            values, _ = j_tilde_star(P, vs)
+            for v, value in zip(vs, values):
+                alone = j_tilde_star(P, v)[0]
+                assert abs(value - alone) <= 1e-13 * (1.0 + abs(alone))
 
     def test_value_check_per_row(self, p_tri):
         # M(v0) = 1 + v0: at v0 = -1 + 1e-12 Cholesky succeeds but the

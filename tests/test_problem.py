@@ -184,7 +184,11 @@ def test_kernels_take_a_point_or_a_stack():
     # that row alone, except quartic_terms: at n = 2, N = 1 einsum sums
     # a stack's x^T B_j x in another order, so its rows agree within the
     # rounding bound of either sum, and J and the inner-sup start, which
-    # read w, within that bound carried through gamma w^2 / 2 and gamma w
+    # read w, within that bound carried through gamma w^2 / 2 and gamma w.
+    # x_bar and G1* solve a stack as one triangular solve with S
+    # right-hand sides (trsm, not one trsv per row), so their bitwise
+    # rows are a measured property of the BLAS build named in
+    # test_golden.py, as its pins are, not one the code guarantees
     rng = np.random.default_rng(8)
     unit = np.finfo(float).eps
     for P in iter_ensemble(40, 2024):
