@@ -233,6 +233,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("seeds", "rng", "samples"):
+            if getattr(args, flag, 0) < 0:
+                raise ParseError(f"--{flag} must be >= 0")
         return args.func(args)
     except (ParseError, ValidationError) as exc:
         reason = getattr(exc, "reason", "parse-error")

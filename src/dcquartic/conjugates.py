@@ -89,7 +89,7 @@ def recover_primal(P, v_star):
     """x_bar = (K - A)^{-1}(v* + f), the primal point behind a dual
     point, or behind each row of an (S, n) stack."""
     v_star = P.require_points(v_star)
-    return linalg.solve_pd(P.K_minus_A, (v_star + P.f).T).T
+    return linalg.cho_solve(P.kma_factor, (v_star + P.f).T).T
 
 
 def g1_star(P, v_star):
@@ -108,7 +108,7 @@ def g2_star(P, v_star, v0_star):
     v_star = P.require_x(v_star)
     v0_star = P.require_v0(v0_star)
     # in_C_star's test, not its traced name: bench/spans.py times every
-    # in_C_star call, and each barrier step of j2_star calls g2_star
+    # in_C_star call, and j2_star calls g2_star
     c_star = _membership(P.mixed_matrix(v0_star))
     return _g2_star(P, v_star, v0_star, c_star)
 
@@ -120,9 +120,17 @@ def _g2_star(P, v_star, v0_star, c_star):
         raise OutsideCstarError(
             f"M(v0*) has smallest eigenvalue {c_star.margin:.3e}; the "
             "closed form for G2* is not the supremum there")
-    quad = 0.5 * v_star @ linalg.solve_pd(P.mixed_matrix(v0_star), v_star)
-    return float(quad + 0.5 * np.sum(v0_star ** 2 / P.gamma)
-                 - np.sum(P.c * v0_star))
+    # a margin above eps is far above where a Cholesky pivot can fail
+    L, _ = linalg.cho_factor(P.mixed_matrix(v0_star))
+    return float(_g2_star_factored(P, v_star, v0_star, L))
+
+
+def _g2_star_factored(P, v_star, v0_star, L):
+    """The G2* formula at a dual pair, or at each row of a stack, given
+    the Cholesky factor L of M(v0*); no membership check."""
+    quad = 0.5 * np.vecdot(v_star, linalg.cho_solve(L, v_star))
+    return (quad + 0.5 * np.sum(v0_star ** 2 / P.gamma, axis=-1)
+            - np.sum(P.c * v0_star, axis=-1))
 
 
 def j_star(P, v_star, v0_star):
@@ -143,87 +151,38 @@ def default_inner_init(P, v_star):
     return P.gamma * P.quartic_terms(recover_primal(P, v_star))
 
 
-def _inner_residual(P, v_star, v0, M_factor):
-    """Stationarity residual of the inner sup and the matching x_bar."""
-    x_bar = linalg.cho_solve(M_factor, v_star)
-    w = P.quartic_terms(x_bar)
-    return w - v0 / P.gamma, x_bar
-
-
-def _inner_matrix(P, x_bar, M_factor):
-    """E(x_bar) = P2 P1 + diag(1/gamma), the negated v0*-Hessian of J*."""
-    p1 = P.bx_columns(x_bar)
-    p2 = linalg.cho_solve(M_factor, p1).T
-    return linalg.symmetrize(p2 @ p1) + np.diag(1.0 / P.gamma)
-
-
-def _inner_newton(P, v_star, v0):
-    """Damped Newton on the inner stationarity system.
-
-    Returns the converged multiplier.  Raises LeftCstarError if the
-    iterate cannot stay strictly inside C*, NoConvergenceError on
-    iteration exhaustion.
-    """
-    factor = linalg.pd_factor(P.mixed_matrix(v0))
-    if factor is None:
-        raise LeftCstarError("inner start is not strictly inside C*")
-    res, x_bar = _inner_residual(P, v_star, v0, factor)
-    res_norm = float(np.max(np.abs(res)))
-    for _ in range(INNER_MAX_ITER):
-        if res_norm <= linalg.TOL_FACTOR * (1.0 + float(np.max(np.abs(v0)))):
-            return v0
-        E = _inner_matrix(P, x_bar, factor)
-        step = np.linalg.solve(E, res)
-        t = 1.0
-        for _ in range(INNER_MAX_BACKTRACKS):
-            cand = v0 + t * step
-            cand_factor = linalg.pd_factor(P.mixed_matrix(cand))
-            if cand_factor is not None:
-                cand_res, cand_x = _inner_residual(P, v_star, cand, cand_factor)
-                cand_norm = float(np.max(np.abs(cand_res)))
-                if cand_norm < res_norm:
-                    v0, factor, res, x_bar = cand, cand_factor, cand_res, cand_x
-                    res_norm = cand_norm
-                    break
-            t *= 0.5
-        else:
-            raise LeftCstarError(
-                "inner Newton could not find a feasible descent step; "
-                "the supremum is not attained at an interior stationary point")
-    raise NoConvergenceError(
-        f"inner Newton residual {res_norm:.3e} after {INNER_MAX_ITER} iterations")
-
-
-def _inner_residual_stack(P, v_stars, v0, L):
-    """_inner_residual for each row, given the Cholesky factors of M."""
-    x_bar = linalg.cho_solve_stack(L, v_stars)
+def _inner_residual(P, v_star, v0, L):
+    """Stationarity residual of the inner sup and the matching x_bar, at a
+    point or each row of a stack, given the Cholesky factor L of M(v0)."""
+    x_bar = linalg.cho_solve(L, v_star)
     return P.quartic_terms(x_bar) - v0 / P.gamma, x_bar
 
 
-def _inner_matrix_stack(P, x_bar, L):
-    """_inner_matrix for each row, given the Cholesky factors of M."""
+def _inner_matrix(P, x_bar, L):
+    """E(x_bar) = P2 P1 + diag(1/gamma), the negated v0*-Hessian of J*, at
+    a point or each row of a stack, given the Cholesky factor L of M."""
     p1 = P.bx_columns(x_bar)
-    E = np.swapaxes(linalg.cho_solve_stack(L, p1), 1, 2) @ p1
+    E = np.swapaxes(linalg.cho_solve(L, p1), -1, -2) @ p1
     return linalg.symmetrize(E) + np.diag(1.0 / P.gamma)
 
 
 def _inner_newton_stack(P, v_stars, v0):
-    """_inner_newton on every row of a stack at once.
+    """Damped Newton on the inner stationarity system, on every row of an
+    (S, n) stack at once; a single point is a one-row stack.
 
-    Row s starts at v0[s].  The C* test, tolerance, iteration budget,
-    halving backtrack and strict-decrease test are those of the
-    single-point solve, decided for each row alone.  Returns
-    (v0, L, status): where status[s] is SOLVED, v0[s] is the solution and
-    L[s] the Cholesky factor of M(v0[s]).  Otherwise status[s] is
-    LEFT_C_STAR or NO_CONVERGENCE, where _inner_newton raises
-    LeftCstarError or NoConvergenceError.  np.linalg.solve raises for the
-    whole stack on a singular E, as _inner_newton raises for that row.
+    Row s starts at v0[s].  The C* test (a Cholesky factor of M),
+    tolerance, iteration budget, halving backtrack and strict-decrease
+    test are decided for each row alone.  Returns (v0, L, status): where
+    status[s] is SOLVED, v0[s] is the solution and L[s] the Cholesky
+    factor of M(v0[s]).  Otherwise status[s] is LEFT_C_STAR (the start,
+    or every backtracked step, leaves C*) or NO_CONVERGENCE (the budget
+    ran out).  np.linalg.solve raises for the whole stack on a singular E.
     """
     v0 = np.array(v0, dtype=float)
-    L, feasible = linalg.cholesky_stack(P.mixed_matrix(v0))
+    L, feasible = linalg.cho_factor(P.mixed_matrix(v0))
     status = np.where(feasible, NO_CONVERGENCE, LEFT_C_STAR)
     live = np.flatnonzero(feasible)
-    res, x_bar = _inner_residual_stack(P, v_stars[live], v0[live], L[live])
+    res, x_bar = _inner_residual(P, v_stars[live], v0[live], L[live])
     res_norm = np.max(np.abs(res), axis=1)
     for _ in range(INNER_MAX_ITER):
         done = res_norm <= linalg.TOL_FACTOR * (
@@ -233,16 +192,16 @@ def _inner_newton_stack(P, v_stars, v0):
             live[~done], res[~done], x_bar[~done], res_norm[~done]
         if live.size == 0:
             break
-        E = _inner_matrix_stack(P, x_bar, L[live])
+        E = _inner_matrix(P, x_bar, L[live])
         step = np.linalg.solve(E, res[:, :, None])[:, :, 0]
         pending = np.ones(live.size, dtype=bool)
         t = 1.0
         for _ in range(INNER_MAX_BACKTRACKS):
             rows = np.flatnonzero(pending)
             cand = v0[live[rows]] + t * step[rows]
-            cand_L, feasible = linalg.cholesky_stack(P.mixed_matrix(cand))
+            cand_L, feasible = linalg.cho_factor(P.mixed_matrix(cand))
             rows, cand, cand_L = rows[feasible], cand[feasible], cand_L[feasible]
-            cand_res, cand_x = _inner_residual_stack(
+            cand_res, cand_x = _inner_residual(
                 P, v_stars[live[rows]], cand, cand_L)
             cand_norm = np.max(np.abs(cand_res), axis=1)
             better = cand_norm < res_norm[rows]
@@ -265,10 +224,7 @@ def _j_star_stack(P, v_stars, v0, L):
     """J* at each row, given the Cholesky factors of M(v0*); nan where
     the eigvalsh-margin C* check of j_star fails."""
     margin, eps = linalg.pd_margin(P.mixed_matrix(v0))
-    quad = 0.5 * np.einsum("si,si->s", v_stars,
-                           linalg.cho_solve_stack(L, v_stars))
-    g2 = (quad + 0.5 * np.sum(v0 ** 2 / P.gamma, axis=1)
-          - np.sum(P.c * v0, axis=1))
+    g2 = _g2_star_factored(P, v_stars, v0, L)
     return np.where(margin > eps, g1_star(P, v_stars) - g2, np.nan)
 
 
@@ -393,32 +349,32 @@ def _feasible_a_star_point(P, v0):
         f"(best margin {value:.3e})")
 
 
-def _barrier_ascent(P, v_star, v0, mu):
-    """Maximize J*(v*, .) + mu logdet(A + sum v B) inside A*."""
+def _barrier_ascent(P, v_star, g1, v0, mu):
+    """Maximize J*(v*, .) + mu logdet(A + sum v B) inside A*, given
+    g1 = G1*(v*)."""
     def eval_point(v):
-        S_factor = linalg.pd_factor(P.ab_matrix(v))
-        if S_factor is None:
+        S_L, inside = linalg.cho_factor(P.ab_matrix(v))
+        if not inside:
             return None
-        M_factor = linalg.pd_factor(P.mixed_matrix(v))
-        if M_factor is None:
+        M_L, inside = linalg.cho_factor(P.mixed_matrix(v))
+        if not inside:
             return None
-        logdet = 2.0 * float(np.sum(np.log(np.diag(S_factor[0]))))
-        value = j_star(P, v_star, v) + mu * logdet
-        return value, S_factor, M_factor
+        logdet = 2.0 * float(np.sum(np.log(np.diag(S_L))))
+        value = g1 - float(_g2_star_factored(P, v_star, v, M_L)) + mu * logdet
+        return value, S_L, M_L
 
     state = eval_point(v0)
     if state is None:
         raise AStarEmptyError("barrier start left A*")
-    value, S_factor, M_factor = state
+    value, S_L, M_L = state
     for _ in range(INNER_MAX_ITER):
-        res, x_bar = _inner_residual(P, v_star, v0, M_factor)
-        Sinv = linalg.symmetrize(
-            linalg.cho_solve(S_factor, np.eye(P.n)))
+        res, x_bar = _inner_residual(P, v_star, v0, M_L)
+        Sinv = linalg.symmetrize(linalg.cho_solve(S_L, np.eye(P.n)))
         barrier_grad = mu * np.einsum("kl,jlk->j", Sinv, P.B)
         grad = res + barrier_grad
         if float(np.max(np.abs(grad))) <= 1e-10 * (1.0 + float(np.max(np.abs(v0)))):
             break
-        E = _inner_matrix(P, x_bar, M_factor)
+        E = _inner_matrix(P, x_bar, M_L)
         X = np.einsum("kl,jlm->jkm", Sinv, P.B)
         T = linalg.symmetrize(np.einsum("jkm,imk->ji", X, X))
         try:
@@ -433,7 +389,7 @@ def _barrier_ascent(P, v_star, v0, mu):
             cand = v0 + t * step
             cand_state = eval_point(cand)
             if cand_state is not None and cand_state[0] > value:
-                v0, (value, S_factor, M_factor) = cand, cand_state
+                v0, (value, S_L, M_L) = cand, cand_state
                 improved = True
                 break
             t *= 0.5
@@ -453,28 +409,26 @@ def j2_star(P, v_star, init=None):
     is singular.
     """
     v_star = P.require_x(v_star)
+    g1 = g1_star(P, v_star)
     v0 = P.require_v0(init) if init is not None else default_inner_init(P, v_star)
     v0 = _feasible_a_star_point(P, v0)
     for mu in BARRIER_WEIGHTS:
-        v0 = _barrier_ascent(P, v_star, v0, mu)
+        v0 = _barrier_ascent(P, v_star, g1, v0, mu)
 
     # try to polish to the unconstrained interior stationary point; if it
     # lands on or beyond the A* boundary the sup is a boundary limit
-    polished = None
-    try:
-        polished = _inner_newton(P, v_star, v0)
-    except (NoConvergenceError, OutsideCstarError):
-        polished = None
-    if polished is not None:
+    rows, _, status = _inner_newton_stack(P, v_star[None], v0[None])
+    if status[0] == SOLVED:
+        polished = rows[0]
         margin = in_B_star(P, polished).margin
         if margin >= BOUNDARY_MARGIN:
-            return J2Result(j_star(P, v_star, polished), polished,
+            return J2Result(g1 - g2_star(P, v_star, polished), polished,
                             False, margin)
         if margin >= -BOUNDARY_MARGIN:
             # stationary point sits on the boundary; its value is the
             # exact barrier-path limit
-            return J2Result(j_star(P, v_star, polished), polished,
+            return J2Result(g1 - g2_star(P, v_star, polished), polished,
                             True, margin)
     margin = in_B_star(P, v0).margin
-    return J2Result(j_star(P, v_star, v0), v0,
+    return J2Result(g1 - g2_star(P, v_star, v0), v0,
                     margin < BOUNDARY_MARGIN, margin)

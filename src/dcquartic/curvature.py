@@ -100,7 +100,7 @@ def build_bundle(P, pair):
     D = B_hat @ M_inv + np.eye(P.n)
     alpha = (np.eye(P.n) - H3) @ D - np.eye(P.n)
     alpha1 = -M_inv @ alpha @ M
-    H1 = linalg.inv_pd(P.K_minus_A)
+    H1 = linalg.symmetrize(linalg.cho_solve(P.kma_factor, np.eye(P.n)))
     H2 = M_inv
     dual_hessian = -H2 + H1 + H2 @ H3   # kept unsymmetrized on purpose
     asym = linalg.sym_deviation(dual_hessian)

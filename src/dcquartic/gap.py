@@ -224,8 +224,8 @@ def lagrangian_bound(P, x0, v0, margin):
     lagrangian = float(0.5 * x0 @ P.A @ x0 + v0 @ w
                        - 0.5 * np.sum(v0 ** 2 / P.gamma) + P.f @ x0)
     S = P.ab_matrix(v0)
-    factor = linalg.pd_factor(S)
-    if factor is None:
+    factor, ok = linalg.cho_factor(S)
+    if not ok:
         return (float("nan"),) * 4
     g = S @ x0 + P.f
     drop = float(0.5 * g @ linalg.cho_solve(factor, g))

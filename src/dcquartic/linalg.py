@@ -2,16 +2,17 @@
 
 Reported checks are eigenvalue based: positive definiteness is decided
 by the smallest eigenvalue against a scale-aware margin, and reported
-margins always come from ``spectrum``.  ``symmetrize``, ``spectrum`` and
-``pd_margin`` take a matrix or an (S, n, n) stack, and each matrix of a
-stack gets the result it would get alone.  Inside iteration loops Cholesky
-is the feasibility probe: one factorization either comes back, and is
-then used for the solves, or fails on a pivot that is not positive
-(``pd_factor``, and ``cholesky_stack`` per matrix of a stack).
+margins always come from ``spectrum``.  ``symmetrize``, ``spectrum``,
+``pd_margin``, ``cho_factor`` and ``cho_solve`` take a matrix or an
+(S, n, n) stack, and each matrix of a stack gets the result it would get
+alone.  Inside iteration loops Cholesky is the feasibility probe: one
+factorization either comes back, and is then used for the solves, or
+fails on a pivot that is not positive.  The Cholesky pair is written in
+numpy, one dot per entry, so a matrix or a right-hand side column is
+computed the same way alone or in a stack.
 """
 
 import numpy as np
-import scipy.linalg
 
 SYM_TOL_FACTOR = 1e-12
 EPS_PD_FACTOR = 1e-10
@@ -55,68 +56,60 @@ def pd_margin(M):
     return w[..., 0], eps
 
 
-def cholesky_stack(Ms):
-    """Lower Cholesky factors of an (S, n, n) stack, decided per matrix.
+def cho_factor(M):
+    """Lower Cholesky factor of a matrix, or of each matrix of a stack,
+    decided per matrix.
 
-    Returns (L, ok).  ok[s] is the strict-PD test of pd_factor (every
-    pivot positive) for Ms[s], and L[s] is its factor only where ok[s].
-    A stacked np.linalg.cholesky raises for the whole stack when one
-    matrix fails; here that matrix fails alone.
+    Returns (L, ok).  ok is True where every pivot is positive (strictly
+    positive definite), a 0-D array for one matrix, and L is the factor
+    only where ok.  A stacked np.linalg.cholesky raises for the whole
+    stack when one matrix fails; here that matrix fails alone.
     """
-    L = np.zeros_like(Ms)
-    ok = np.ones(len(Ms), dtype=bool)
-    for k in range(Ms.shape[1]):
-        row = L[:, k, :k]
-        pivot = Ms[:, k, k] - np.einsum("si,si->s", row, row)
+    M = np.asarray(M, dtype=float)
+    L = np.zeros_like(M)
+    ok = np.ones(M.shape[:-2], dtype=bool)
+    for k in range(M.shape[-1]):
+        row = L[..., k, :k]
+        pivot = M[..., k, k] - np.vecdot(row, row)
         ok &= pivot > 0.0
-        L[:, k, k] = np.sqrt(np.where(ok, pivot, 1.0))
-        L[:, k + 1:, k] = (Ms[:, k + 1:, k]
-                           - np.einsum("sij,sj->si", L[:, k + 1:, :k], row)
-                           ) / L[:, k, k, None]
+        L[..., k, k] = np.sqrt(np.where(ok, pivot, 1.0))
+        L[..., k + 1:, k] = (M[..., k + 1:, k]
+                             - np.vecdot(L[..., k + 1:, :k], row[..., None, :])
+                             ) / L[..., k, k, None]
     return L, ok
 
 
-def cho_solve_stack(L, b):
-    """Solve L L^T x = b for each entry of a stack of Cholesky factors;
-    b is (S, n) or (S, n, m)."""
-    vector = b.ndim == 2
-    x = np.array(b[:, :, None] if vector else b, dtype=float)
-    diag = np.diagonal(L, axis1=1, axis2=2)[:, :, None]
-    for i in range(L.shape[1]):
-        x[:, i] -= np.einsum("sj,sjm->sm", L[:, i, :i], x[:, :i])
-        x[:, i] /= diag[:, i]
-    for i in reversed(range(L.shape[1])):
-        x[:, i] -= np.einsum("sj,sjm->sm", L[:, i + 1:, i], x[:, i + 1:])
-        x[:, i] /= diag[:, i]
-    return x[:, :, 0] if vector else x
-
-
-def cho_factor(M):
-    return scipy.linalg.cho_factor(M, lower=True, check_finite=False)
-
-
-def pd_factor(M):
-    """cho_factor of M, or None where M is not strictly positive definite
-    (a pivot is not positive): the one-matrix feasibility probe."""
-    try:
-        return cho_factor(M)
-    except np.linalg.LinAlgError:
-        return None
-
-
-def cho_solve(factor, b):
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+def cho_solve(L, b):
+    """Solve L L^T x = b for a Cholesky factor or each factor of a stack;
+    b is (..., n) or (..., n, m).  Each column of b is solved as a row of
+    its own, so its result does not depend on the other columns."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim == L.ndim:
+        columns = np.swapaxes(b, -1, -2)
+        return np.swapaxes(cho_solve(L[..., None, :, :], columns), -1, -2)
+    x = b.copy()
+    diag = np.diagonal(L, axis1=-2, axis2=-1)
+    for i in range(L.shape[-1]):
+        x[..., i] = (x[..., i] - np.vecdot(L[..., i, :i], x[..., :i])
+                     ) / diag[..., i]
+    for i in reversed(range(L.shape[-1])):
+        x[..., i] = (x[..., i] - np.vecdot(L[..., i + 1:, i], x[..., i + 1:])
+                     ) / diag[..., i]
+    return x
 
 
 def solve_pd(M, b):
-    """Solve M x = b for symmetric positive definite M via Cholesky."""
-    return cho_solve(cho_factor(M), b)
+    """Solve M x = b for symmetric positive definite M via Cholesky;
+    raises LinAlgError where a pivot is not positive."""
+    L, ok = cho_factor(M)
+    if not np.all(ok):
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+    return cho_solve(L, b)
 
 
 def inv_pd(M):
     """Symmetrized inverse of a symmetric positive definite matrix."""
-    n = M.shape[0]
-    return symmetrize(solve_pd(M, np.eye(n)))
+    return symmetrize(solve_pd(M, np.eye(M.shape[-1])))
 
 
 def spectral_norm_sym(M):

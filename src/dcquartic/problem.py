@@ -54,6 +54,7 @@ class ProblemInstance:
     # cached derived quantities, filled by validate_instance
     K_minus_A: np.ndarray = field(repr=False, default=None)
     kma_min_eig: float = field(repr=False, default=0.0)
+    kma_factor: np.ndarray = field(repr=False, default=None)  # Cholesky L
 
     def require_x(self, x):
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -186,7 +187,8 @@ def validate_instance(A, B, gamma, c, f, K, coercivity_override=False):
             "sampled unit directions give min sum_j gamma_j (u^T B_j u/2)^2 = "
             f"{coercivity_margin:.3e}; pass coercivity_override=True to accept")
 
-    for arr in (A, B, gamma, c, f, K, K_minus_A):
+    kma_factor, _ = linalg.cho_factor(K_minus_A)  # margin > eps: pivots > 0
+    for arr in (A, B, gamma, c, f, K, K_minus_A, kma_factor):
         arr.setflags(write=False)
 
     return ProblemInstance(
@@ -195,6 +197,7 @@ def validate_instance(A, B, gamma, c, f, K, coercivity_override=False):
         coercivity_override=bool(coercivity_override),
         K_minus_A=K_minus_A,
         kma_min_eig=float(margin),
+        kma_factor=kma_factor,
     )
 
 

@@ -16,11 +16,12 @@ global_min_certificate replaced.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import brentq
 
 from dcquartic import j2_star, j_star, j_tilde_star, primal_gradient
-from dcquartic import linalg
-from dcquartic.conjugates import INNER_EXTRA_INITS, _inner_newton, default_inner_init
+from dcquartic import conjugates, linalg
+from dcquartic.conjugates import INNER_EXTRA_INITS, default_inner_init
 from dcquartic.critical import (
     NEWTON_MAX_BACKTRACKS,
     NEWTON_MAX_ITER,
@@ -29,6 +30,7 @@ from dcquartic.critical import (
 )
 from dcquartic.errors import (
     DualityError,
+    LeftCstarError,
     NoConvergenceError,
     NotCase2Error,
     OutsideCstarError,
@@ -234,6 +236,61 @@ def argmax_sensitivity_fd(P, pair, h=1e-5):
     return ((v[:P.n] - v[P.n:]) / (2.0 * h)).T
 
 
+def _lapack_factor(M):
+    """LAPACK Cholesky of M, or None where a pivot is not positive."""
+    try:
+        return scipy.linalg.cho_factor(M, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _inner_residual_point(P, v_star, v0, factor):
+    x_bar = scipy.linalg.cho_solve(factor, v_star, check_finite=False)
+    return P.quartic_terms(x_bar) - v0 / P.gamma, x_bar
+
+
+def inner_newton_point(P, v_star, v0):
+    """The single-point damped Newton on the inner stationarity system,
+    on LAPACK's Cholesky: the reference for the stacked solve.
+
+    Returns the converged multiplier.  Raises LeftCstarError if the
+    iterate cannot stay strictly inside C*, NoConvergenceError on
+    iteration exhaustion.  Reads the solve's budgets from conjugates when
+    it runs, so a test that changes them changes both solves.
+    """
+    factor = _lapack_factor(P.mixed_matrix(v0))
+    if factor is None:
+        raise LeftCstarError("inner start is not strictly inside C*")
+    res, x_bar = _inner_residual_point(P, v_star, v0, factor)
+    res_norm = float(np.max(np.abs(res)))
+    for _ in range(conjugates.INNER_MAX_ITER):
+        if res_norm <= TOL_FACTOR * (1.0 + float(np.max(np.abs(v0)))):
+            return v0
+        p1 = P.bx_columns(x_bar)
+        p2 = scipy.linalg.cho_solve(factor, p1, check_finite=False).T
+        E = symmetrize(p2 @ p1) + np.diag(1.0 / P.gamma)
+        step = np.linalg.solve(E, res)
+        t = 1.0
+        for _ in range(conjugates.INNER_MAX_BACKTRACKS):
+            cand = v0 + t * step
+            cand_factor = _lapack_factor(P.mixed_matrix(cand))
+            if cand_factor is not None:
+                cand_res, cand_x = _inner_residual_point(P, v_star, cand,
+                                                         cand_factor)
+                cand_norm = float(np.max(np.abs(cand_res)))
+                if cand_norm < res_norm:
+                    v0, factor, res, x_bar = cand, cand_factor, cand_res, cand_x
+                    res_norm = cand_norm
+                    break
+            t *= 0.5
+        else:
+            raise LeftCstarError(
+                "inner Newton could not find a feasible descent step")
+    raise NoConvergenceError(
+        f"inner Newton residual {res_norm:.3e} after "
+        f"{conjugates.INNER_MAX_ITER} iterations")
+
+
 def j_tilde_star_loop(P, v_star, init=None):
     """The one-point Jt* evaluator that j_tilde_star replaced, one start
     at a time: Jt*(v*) = sup over C* of J*(v*, .).
@@ -249,7 +306,7 @@ def j_tilde_star_loop(P, v_star, init=None):
              else default_inner_init(P, v_star)]
     first_error = None
     try:
-        v0 = _inner_newton(P, v_star, inits[0])
+        v0 = inner_newton_point(P, v_star, inits[0])
         return j_star(P, v_star, v0), v0
     except (NoConvergenceError, OutsideCstarError) as exc:
         first_error = exc
@@ -263,7 +320,7 @@ def j_tilde_star_loop(P, v_star, init=None):
     for _ in range(INNER_EXTRA_INITS):
         trial = base + scale * rng.standard_normal(P.N)
         try:
-            v0 = _inner_newton(P, v_star, trial)
+            v0 = inner_newton_point(P, v_star, trial)
         except (NoConvergenceError, OutsideCstarError):
             continue
         value = j_star(P, v_star, v0)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +143,15 @@ class TestVerifyCommand:
         assert point["certificate"]["passed"] is True
         assert "certificate: PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "trifecta.json", "--seeds", "-1"],
+        ["verify", "trifecta.json", "--samples", "-3"],
+        ["baseline", "trifecta.json", "--rng", "-1"],
+    ])
+    def test_negative_count_is_a_parse_error(self, argv, capsys):
+        assert main([argv[0], str(SAMPLES / argv[1])] + argv[2:]) == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
     def test_zero_seeds(self, capsys):
         code = main(["verify", str(SAMPLES / "trifecta.json"),
                      "--seeds", "0", "--samples", "0"])
@@ -220,3 +232,23 @@ class TestSweepCommand:
         for inst in doc["instances"]:
             for point in inst["sweep"]["points"]:
                 assert point["ok"]
+
+
+def test_runs_without_scipy():
+    # numpy is the only runtime dependency: with scipy blocked from
+    # import, the package imports and builds both sample reports
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from dcquartic import load_instance\n"
+        "from dcquartic.report import build_run_report\n"
+        "for path in sys.argv[1:]:\n"
+        "    build_run_report(load_instance(path), 32, 7, 200)\n")
+    src = str(SAMPLES.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(SAMPLES / "trifecta.json"),
+         str(SAMPLES / "global_min.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

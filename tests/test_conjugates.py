@@ -30,12 +30,17 @@ from dcquartic import conjugates, linalg
 from dcquartic.conjugates import (
     _FAILURES,
     SOLVED,
-    _inner_newton,
     _inner_newton_stack,
     _j_star_stack,
 )
 from dcquartic.gap import PROBE_TOL
-from oracles import g1_star_grid, g2_star_grid, j_tilde_grid, j_tilde_star_loop
+from oracles import (
+    g1_star_grid,
+    g2_star_grid,
+    inner_newton_point,
+    j_tilde_grid,
+    j_tilde_star_loop,
+)
 
 
 class TestG1Star:
@@ -241,7 +246,7 @@ class TestJTildeStarStack:
         v0, _, status = _inner_newton_stack(p_tri, v_stars, starts)
         for v, start, got, row_status in zip(v_stars, starts, v0, status):
             try:
-                want = _inner_newton(p_tri, v, start)
+                want = inner_newton_point(p_tri, v, start)
             except NoConvergenceError as exc:
                 assert _FAILURES[row_status] is type(exc)
                 continue
@@ -351,7 +356,7 @@ class TestJTildeStarStack:
         # eigvalsh margin check of j_star fails
         v_stars = np.array([[0.5], [0.5], [1.0]])
         v0 = np.array([[0.0], [-1.0 + 1e-12], [2.0]])
-        L, feasible = linalg.cholesky_stack(p_tri.K + v0[:, :, None] * p_tri.B[0])
+        L, feasible = linalg.cho_factor(p_tri.K + v0[:, :, None] * p_tri.B[0])
         assert feasible.all()
         values = _j_star_stack(p_tri, v_stars, v0, L)
         with pytest.raises(OutsideCstarError):
@@ -367,15 +372,34 @@ class TestJTildeStarStack:
         Ms = G @ np.swapaxes(G, 1, 2) + 0.1 * np.eye(3)
         Ms[1] = [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]  # singular
         Ms[3] = np.diag([1.0, -1e-3, 2.0])                           # indefinite
-        L, ok = linalg.cholesky_stack(Ms)
-        assert list(ok) == [linalg.pd_factor(M) is not None for M in Ms]
+        L, ok = linalg.cho_factor(Ms)
+        assert list(ok) == [_cholesky_succeeds(M) for M in Ms]
         assert list(ok) == [True, False, True, False, True, True]
         np.testing.assert_allclose(L[ok], np.linalg.cholesky(Ms[ok]),
                                    rtol=1e-12, atol=1e-12)
+        # one matrix is row 0 of its one-row stack, bit for bit
+        for M in Ms:
+            alone, alone_ok = linalg.cho_factor(M)
+            row, row_ok = linalg.cho_factor(M[None])
+            assert alone.shape == (3, 3) and alone_ok.shape == ()
+            assert alone.tobytes() == row[0].tobytes()
+            assert bool(alone_ok) == bool(row_ok[0])
         b = rng.standard_normal((4, 3))
-        np.testing.assert_allclose(linalg.cho_solve_stack(L[ok], b),
+        np.testing.assert_allclose(linalg.cho_solve(L[ok], b),
                                    np.linalg.solve(Ms[ok], b[:, :, None])[:, :, 0],
                                    rtol=1e-10, atol=1e-12)
+        # one factor, a vector and an (n, m) right-hand side
+        B = rng.standard_normal((3, 5))
+        for rhs in (B[:, 0], B):
+            np.testing.assert_allclose(linalg.cho_solve(L[0], rhs),
+                                       np.linalg.solve(Ms[0], rhs),
+                                       rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(linalg.solve_pd(Ms[0], B),
+                                   np.linalg.solve(Ms[0], B),
+                                   rtol=1e-10, atol=1e-12)
+        for bad in (Ms[1], Ms[3]):
+            with pytest.raises(np.linalg.LinAlgError):
+                linalg.solve_pd(bad, B)
         margin, eps = linalg.pd_margin(Ms)
         assert list(zip(margin, eps)) == [linalg.pd_margin(M) for M in Ms]
         # both ends of the spectrum from one eigvalsh, on Ms and -Ms so
@@ -387,6 +411,14 @@ class TestJTildeStarStack:
             n_pos, n_neg, _ = linalg.inertia(M)
             assert (lo > eps) == (n_pos == 3)
             assert (hi < -eps) == (n_neg == 3)
+
+
+def _cholesky_succeeds(M):
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 class TestJ2Star:

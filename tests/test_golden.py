@@ -9,8 +9,8 @@ they are.  These digests pin them: sha256 of the canonical JSON of
 probe samples per pair; and of ten ``epsilon_sweep`` reports, whose gaps
 read G1*.
 
-The digests were recorded with numpy 2.4.6, scipy 1.17.1 and OpenBLAS
-0.3.31 (scipy-openblas, x86-64), with one BLAS thread or the default.
+The digests were recorded with numpy 2.4.6 and OpenBLAS 0.3.31
+(scipy-openblas, x86-64), with one BLAS thread or the default.
 Another build of these libraries may round differently and fail here
 with no fault in the code.  Re-pin a digest only for a change that is
 meant to move report bytes, with the reason recorded in CHANGES.md.
@@ -31,16 +31,16 @@ SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
 
 RUN_REPORT_SHA256 = {
     "trifecta.json":
-        "3a63b405d5e552342c5f36a5dd8c1971611438349844d4ab95e3c85d7ef9e8e0",
+        "6dab23f9f230ecb2df5c08f04157e7fef99094f2ee42a4c895479dbc72fd8160",
     "global_min.json":
-        "b0e5a0e4a05e309df3ac168bfd229313718c01a6f84bcf339c3f6b8176292ab2",
+        "4a3232145c860f4767fc036a63fd4e0cbcc43619eb72e46a218f5de875d20d50",
 }
 MEMBERS_SHA256 = \
-    "36c3cf8853e4ea90e43d163e9ffe17e47ccd0ca90d0edc6d4ee46ac8665d3c58"
+    "45f1042706784af4fd1cb72ddc74dd988e857ab1145d5fca7f61c8bdd3ab5c57"
 PROBED_MEMBERS_SHA256 = \
-    "ed6d25c01def2b7a7c5382ff2b194c8f4b392a6672b8b009e841a2af4f7dee74"
+    "09ac759efd2d8e79b26e401bdaada2d96b9ebe60995875c49565644c815f9474"
 SWEEPS_SHA256 = \
-    "4f379435859e3a7e3508ecd9a74f5a792aa272e7969aec0360061e6581252a97"
+    "ce5a4bf8a6107559fb490eb6991148fa09ed585ea60c56bdc48b950d96a903d0"
 
 
 @pytest.mark.parametrize("name", sorted(RUN_REPORT_SHA256))
