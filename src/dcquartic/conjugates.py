@@ -280,8 +280,7 @@ def j_tilde_star(P, v_star, init=None):
     For one point returns (value, argmax) and raises the point's failure:
     LeftCstarError, NoConvergenceError or OutsideCstarError.  For a stack
     returns (values, argmaxes), with nan rows where the solve fails; one
-    row failing leaves the others as they are.  At n = 2, N = 1 a stack
-    row's default start is the point's only to rounding.
+    row failing leaves the others as they are.
     """
     v_stars = P.require_points(v_star)
     single = v_stars.ndim == 1

@@ -65,53 +65,22 @@ def _grad_inf(P, x):
     return float(np.max(np.abs(primal_gradient(P, x))))
 
 
-def _gradient_stack(A, B, gamma, c, f, X):
-    """grad J for each row of an (S, n) stack, by primal_gradient's formula."""
-    S, n = X.shape
-    BX = (X @ B.reshape(-1, n).T).reshape(S, -1, n)   # the rows B_j x
-    w = 0.5 * np.einsum("sjk,sk->sj", BX, X) + c
-    return X @ A.T + np.einsum("sjk,sj->sk", BX, gamma * w) + f
-
-
-def _grad_inf_stack(P, X):
-    """max |grad J| for each row of an (S, n) stack, and a bound on its
-    distance from the row's single-point _grad_inf.
-
-    The stack and primal_gradient sum in different orders.  Barring
-    underflow, each is within gamma_K = K u / (1 - K u) of the exact
-    gradient relative to G, the same sums taken over absolute values,
-    where u is the unit roundoff and K = n^2 + n + N + 5 counts the
-    roundings along any product.  The returned bound, 4 K u max G, is
-    twice the largest distance between the two.
-    """
-    g = _gradient_stack(P.A, P.B, P.gamma, P.c, P.f, X)
-    G = _gradient_stack(np.abs(P.A), np.abs(P.B), P.gamma, np.abs(P.c),
-                        np.abs(P.f), np.abs(X))
-    roundings = P.n ** 2 + P.n + P.N + 5
-    return (np.max(np.abs(g), axis=1),
-            2.0 * roundings * np.finfo(float).eps * np.max(G, axis=1))
-
-
 # t0 * 2^-k is exact, so row k is the float that k halvings of t0 give
 _HALVINGS = np.ldexp(1.0, -np.arange(NEWTON_MAX_BACKTRACKS))
 
 
 def _backtrack(P, x, d, t0, g_norm):
-    """First x + t d, t = t0, t0/2, ..., whose gradient norm is below
-    g_norm, or None.
+    """First x + t d, t = t0, t0/2, ..., whose max |grad J| is below
+    g_norm, with its gradient; None if there is none.
 
-    All trial steps are screened in one stacked call.  A row that the
-    rounding bound does not place clearly above or below g_norm, NaN
-    and inf rows among them, is re-decided by the single-point
-    _grad_inf, in row order, so the pick is the one-at-a-time halving
-    loop's.
+    All trial steps go through one stacked primal_gradient call.  Its
+    rows are the single-point gradients bit for bit, so the pick is the
+    one-at-a-time halving loop's.
     """
     cands = x + (t0 * _HALVINGS)[:, None] * d
-    norms, margin = _grad_inf_stack(P, cands)
-    for k in np.flatnonzero(~(norms >= g_norm + margin)):
-        if norms[k] < g_norm - margin[k] or _grad_inf(P, cands[k]) < g_norm:
-            return cands[k]
-    return None
+    g = primal_gradient(P, cands)
+    below = np.flatnonzero(np.max(np.abs(g), axis=1) < g_norm)
+    return (cands[below[0]], g[below[0]]) if below.size else None
 
 
 def solve_primal_critical(P, x_init):
@@ -141,16 +110,15 @@ def solve_primal_critical(P, x_init):
         if step is None:
             shift = TIKHONOV_FACTOR * (1.0 + linalg.spectral_norm_sym(H))
             step = np.linalg.solve(H + shift * np.eye(P.n), -g)
-        cand = _backtrack(P, x, step, 1.0, g_norm)
-        if cand is None:
+        found = _backtrack(P, x, step, 1.0, g_norm)
+        if found is None:
             # try plain steepest descent on |g| once before giving up
             t = 1.0 / (1.0 + linalg.spectral_norm_sym(H))
-            cand = _backtrack(P, x, -g, t, g_norm)
-        if cand is None:
+            found = _backtrack(P, x, -g, t, g_norm)
+        if found is None:
             iterations = it + 1
             break
-        x = cand
-        g = primal_gradient(P, x)
+        x, g = found
         g_norm = float(np.max(np.abs(g)))
     tol = linalg.TOL_FACTOR * (1.0 + float(np.max(np.abs(x))))
     return SolveResult(x, g_norm <= tol, iterations, g_norm)

@@ -98,9 +98,13 @@ def parse_instance_text(text):
         raise ParseError(
             f"unsupported schema_version {doc['schema_version']!r}")
 
+    for key in ("n", "N"):
+        if type(doc[key]) is not int:
+            raise ParseError(f"{key} must be a JSON integer, got {doc[key]!r}")
+    n, N, K = doc["n"], doc["N"], doc["K"]
+    if type(K) not in (int, float, list):
+        raise ParseError(f"K must be a number or a list, got {K!r}")
     try:
-        n = int(doc["n"])
-        N = int(doc["N"])
         A = np.asarray(doc["A"], dtype=float)
         B_raw = doc["B"]
         if not isinstance(B_raw, list) or len(B_raw) != N:
@@ -109,9 +113,8 @@ def parse_instance_text(text):
         gamma = np.asarray(doc["gamma"], dtype=float)
         c = np.asarray(doc["c"], dtype=float)
         f = np.asarray(doc["f"], dtype=float)
-        K = doc["K"]
-        K = float(K) if np.isscalar(K) else np.asarray(K, dtype=float)
-    except (TypeError, ValueError) as exc:
+        K = np.asarray(K, dtype=float) if type(K) is list else float(K)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed numeric field: {exc}") from exc
 
     if f.size != n or gamma.size != N:

@@ -34,11 +34,10 @@ class ProblemInstance:
     sum_j gamma_j (u^T B_j u / 2)^2 over unit directions u; the
     growth-at-infinity heuristic passed iff it is strictly positive.
 
-    The four kernels, J, x_bar, G1* and the inner-sup start take a point
-    or an (S, ...) stack (require_points), one result per row, bit for
-    bit the point's except at n = 2, N = 1, where quartic_terms, J and
-    the start agree only to rounding (einsum sums a stack in another
-    order); for x_bar and G1* that is measured on one BLAS, not proved.
+    The four kernels, J, grad J, x_bar, G1* and the inner-sup start take
+    a point or an (S, ...) stack (require_points), one result per row,
+    bit for bit the point's: each sum over x is one dot per entry, taken
+    the same way for a point and for a row of a C-contiguous stack.
     """
 
     n: int
@@ -57,7 +56,7 @@ class ProblemInstance:
     kma_factor: np.ndarray = field(repr=False, default=None)  # Cholesky L
 
     def require_x(self, x):
-        x = np.asarray(x, dtype=float).reshape(-1)
+        x = np.ascontiguousarray(x, dtype=float).reshape(-1)
         if x.shape != (self.n,):
             raise DimensionMismatchError(
                 f"expected x of length {self.n}, got shape {np.shape(x)}")
@@ -65,8 +64,9 @@ class ProblemInstance:
 
     def require_points(self, x):
         """A point (0-D or 1-D input, checked by require_x) or an (S, n)
-        stack (2-D, also (1, n)); DimensionMismatchError otherwise."""
-        x = np.asarray(x, dtype=float)
+        stack (2-D, also (1, n)), C-contiguous; DimensionMismatchError
+        otherwise."""
+        x = np.ascontiguousarray(x, dtype=float)
         if x.ndim < 2:
             return self.require_x(x)
         if x.ndim != 2 or x.shape[1] != self.n:
@@ -84,12 +84,16 @@ class ProblemInstance:
 
     def quartic_terms(self, x):
         """w_j(x) = x^T B_j x / 2 + c_j for all j."""
-        return 0.5 * np.einsum("jkl,...k,...l->...j", self.B, x, x) + self.c
+        return 0.5 * np.vecdot(self._bx_rows(x), x[..., None, :]) + self.c
 
     def bx_columns(self, x):
         """The n x N matrix whose columns are B_j x (S x n x N for a
         stack)."""
-        return np.einsum("jkl,...l->...kj", self.B, x)
+        return np.swapaxes(self._bx_rows(x), -1, -2)
+
+    def _bx_rows(self, x):
+        """The N x n matrix whose rows are B_j x, one dot per entry."""
+        return np.vecdot(self.B, x[..., None, None, :])
 
     def mixed_matrix(self, v0):
         """M(v0) = sum_j v0_j B_j + K."""
@@ -212,11 +216,12 @@ def primal_value(P, x):
 
 
 def primal_gradient(P, x):
-    """grad J(x) = A x + sum_j gamma_j w_j(x) B_j x + f."""
-    x = P.require_x(x)
-    w = P.quartic_terms(x)
-    bx = P.bx_columns(x)
-    return P.A @ x + bx @ (P.gamma * w) + P.f
+    """grad J(x) = A x + sum_j gamma_j w_j(x) B_j x + f at a point, or
+    at each row of an (S, n) stack, one dot per sum, as for a point."""
+    x = P.require_points(x)
+    gw = P.gamma * P.quartic_terms(x)
+    return (np.vecdot(P.A, x[..., None, :])
+            + np.vecdot(P.bx_columns(x), gw[..., None, :]) + P.f)
 
 
 def primal_hessian(P, x):

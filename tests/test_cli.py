@@ -65,6 +65,15 @@ class TestInstanceFile:
         with pytest.raises(ParseError):
             parse_instance_text(json.dumps(dict(TRI_DOC, schema_version="2")))
 
+    @pytest.mark.parametrize("key, value", [
+        ("n", "1e400"), ("n", "1.7"), ("n", "true"), ("N", "1.0"),
+        ("K", '"2"'), ("K", "true"),
+        pytest.param("K", "1" + "0" * 400, id="K-1e400-as-int")])
+    def test_malformed_size_or_k_rejected(self, key, value):
+        text = json.dumps(dict(TRI_DOC, **{key: "@"})).replace('"@"', value)
+        with pytest.raises(ParseError):
+            parse_instance_text(text)
+
     def test_round_trip_exact(self):
         # parse -> serialize -> parse keeps every double bit-identical
         P = generate_instance(3, 2, [70_000, 0])
@@ -106,6 +115,12 @@ class TestValidateCommand:
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         assert main(["validate", str(path)]) == 2
+
+    def test_overflowing_n(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(dict(TRI_DOC, n="@")).replace('"@"', "1e400"))
+        assert main(["validate", str(path)]) == 2
+        assert "n must be a JSON integer" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/x.json"]) == 2

@@ -17,6 +17,7 @@ from dcquartic import (
     lift_to_dual,
     load_instance,
     multistart,
+    primal_gradient,
     recover_primal,
     solve_primal_critical,
     validate_instance,
@@ -25,7 +26,6 @@ from dcquartic.critical import (
     NEWTON_MAX_ITER,
     _backtrack,
     _grad_inf,
-    _grad_inf_stack,
     _starts,
 )
 from oracles import gradient_roots_1d, solve_primal_critical_loop
@@ -239,8 +239,9 @@ class TestStackedLineSearch:
         assert n_starts == 27 * 12
         assert n_stalled > 0
 
-    def test_stack_kernel_within_its_bound(self):
+    def test_stack_gradient_rows_are_points(self):
         rng = np.random.default_rng(11)
+        unit = np.finfo(float).eps
         for n in range(1, 7):
             for N in range(1, 5):
                 Q = generate_instance(n, N, [31, n, N])
@@ -259,14 +260,30 @@ class TestStackedLineSearch:
                     + [x0 + 1e-9 * rng.standard_normal((4, n)) for x0 in roots]
                     + [1e110 * rng.standard_normal((8, n))])
                 with np.errstate(over="ignore", invalid="ignore"):
-                    stack, margin = _grad_inf_stack(P, X)
-                    single = np.array([_grad_inf(P, x) for x in X])
-                assert stack.shape == margin.shape == (len(X),)
-                finite = np.isfinite(single)
-                assert np.array_equal(np.isfinite(stack), finite)
+                    stack = primal_gradient(P, X)
+                    assert stack.shape == X.shape
+                    for x, g in zip(X, stack):
+                        assert g.tobytes() == primal_gradient(P, x).tobytes()
+                finite = np.isfinite(stack).all(axis=1)
                 assert not finite[-8:].any() and finite[:-8].all()
-                assert np.all(np.abs(stack[finite] - single[finite])
-                              <= margin[finite])
+                # against A x + sum_j gamma_j w_j B_j x + f summed in
+                # another order, which tells A x from A^T x on the skew:
+                # each sum is within K u / (1 - K u) of the exact value
+                # relative to the same sum over absolute values, with
+                # K = n^2 + n + N + 5 roundings along any product
+                X = X[finite]
+                BX = np.einsum("jkl,sl->sjk", P.B, X)
+                w = 0.5 * np.einsum("sjk,sk->sj", BX, X) + P.c
+                other = X @ P.A.T + np.einsum("sjk,sj->sk", BX,
+                                              P.gamma * w) + P.f
+                aBX = np.einsum("jkl,sl->sjk", np.abs(P.B), np.abs(X))
+                aw = 0.5 * np.einsum("sjk,sk->sj", aBX, np.abs(X)) \
+                    + np.abs(P.c)
+                scale = np.abs(X) @ np.abs(P.A).T + np.einsum(
+                    "sjk,sj->sk", aBX, P.gamma * aw) + np.abs(P.f)
+                roundings = n ** 2 + n + N + 5
+                assert np.all(np.abs(stack[finite] - other)
+                              <= 4 * roundings * unit * scale)
 
     def test_overflowing_rows_never_accepted(self):
         P = generate_instance(3, 2, [31, 3, 2])
@@ -279,35 +296,36 @@ class TestStackedLineSearch:
             assert _backtrack_loop(P, x, d, 1.0, g_norm) is None
             # from an infinite norm any finite row is a decrease: both
             # pick the first step short enough not to overflow
-            fast = _backtrack(P, x, d, 1.0, np.inf)
+            fast, g = _backtrack(P, x, d, 1.0, np.inf)
             slow = _backtrack_loop(P, x, d, 1.0, np.inf)
-            assert fast is not None and np.array_equal(fast, slow)
+            assert np.array_equal(fast, slow)
+            assert g.tobytes() == primal_gradient(P, slow).tobytes()
             t = critical._HALVINGS
             k = int(np.flatnonzero((x + t[:, None] * d == fast).all(axis=1))[0])
             assert 0 < k
             before = x + t[:k, None] * d
-            assert not np.isfinite(_grad_inf_stack(P, before)[0]).any()
+            assert not np.isfinite(primal_gradient(P, before)).all(axis=1).any()
             assert not any(np.isfinite(_grad_inf(P, c)) for c in before)
 
-    def test_near_tie_is_redecided(self):
+    def test_near_tie_picks_as_the_loop(self):
         P = generate_instance(4, 2, [31, 4, 2])
         x = np.array([0.3, -0.8, 1.1, 0.2])
         H = critical.primal_hessian(P, x)
         d = np.linalg.solve(H, -critical.primal_gradient(P, x))
         cands = x + critical._HALVINGS[:, None] * d
         single = np.array([_grad_inf(P, c) for c in cands])
-        stack, margin = _grad_inf_stack(P, cands)
         picked_later = 0
         for k in range(len(cands)):
-            # row k is neither clearly above nor clearly below g_norm
+            # row k's norm is g_norm exactly: not a decrease
             g_norm = single[k]
-            assert abs(stack[k] - g_norm) <= margin[k]
-            fast = _backtrack(P, x, d, 1.0, g_norm)
+            found = _backtrack(P, x, d, 1.0, g_norm)
             slow = _backtrack_loop(P, x, d, 1.0, g_norm)
-            assert (fast is None) == (slow is None)
-            if fast is None:
+            assert (found is None) == (slow is None)
+            if found is None:
                 continue
+            fast, g = found
             assert np.array_equal(fast, slow)
+            assert g.tobytes() == primal_gradient(P, slow).tobytes()
             assert not np.array_equal(fast, cands[k])
             picked_later += bool(np.flatnonzero(
                 (cands == fast).all(axis=1))[0] > k)

@@ -36,11 +36,11 @@ RUN_REPORT_SHA256 = {
         "4a3232145c860f4767fc036a63fd4e0cbcc43619eb72e46a218f5de875d20d50",
 }
 MEMBERS_SHA256 = \
-    "45f1042706784af4fd1cb72ddc74dd988e857ab1145d5fca7f61c8bdd3ab5c57"
+    "0ee823e7fa3f0873305f2371a73a701bfe383bd2630f6cb0adebb33777c17bf5"
 PROBED_MEMBERS_SHA256 = \
-    "09ac759efd2d8e79b26e401bdaada2d96b9ebe60995875c49565644c815f9474"
+    "603275b0b94cf3fdab858637672bd9fac4195974e3a5efcdd73493c6c2e4e575"
 SWEEPS_SHA256 = \
-    "ce5a4bf8a6107559fb490eb6991148fa09ed585ea60c56bdc48b950d96a903d0"
+    "e23002ac6d563a7b9a771846a54c2e92cda00ae64da41e22a94d67f961037cb2"
 
 
 @pytest.mark.parametrize("name", sorted(RUN_REPORT_SHA256))
