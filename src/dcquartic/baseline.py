@@ -71,16 +71,17 @@ def j1_star(P, v0_star):
     return value, gradient, hessian
 
 
-def correspondence_report(P, pair):
+def correspondence_report(P, pair, bundle=None):
     """Compare the inertia of d2J(x0) with the baseline dual Hessian.
 
-    For n = N = 1 with S(vhat0) positive definite, sign agreement is a
-    theorem and a disagreement raises; in every other regime the flag is
-    recorded as data.
+    d2J(x0) is read from ``bundle`` (the pair's CurvatureBundle) when
+    one is given.  For n = N = 1 with S(vhat0) positive definite, sign
+    agreement is a theorem and a disagreement raises; in every other
+    regime the flag is recorded as data.
     """
     v0 = pair.v0_hat
     value, grad, hess = j1_star(P, v0)
-    d2j = primal_hessian(P, pair.x0)
+    d2j = primal_hessian(P, pair.x0) if bundle is None else bundle.d2j
 
     primal_inertia = linalg.inertia(d2j)
     baseline_inertia = linalg.inertia(hess)

@@ -70,58 +70,94 @@ _HALVINGS = np.ldexp(1.0, -np.arange(NEWTON_MAX_BACKTRACKS))
 
 
 def _backtrack(P, x, d, t0, g_norm):
-    """First x + t d, t = t0, t0/2, ..., whose max |grad J| is below
-    g_norm, with its gradient; None if there is none.
+    """For each row of the (R, n) stack x: the first x + t d,
+    t = t0, t0/2, ..., whose max |grad J| is below that row's g_norm.
 
-    All trial steps go through one stacked primal_gradient call.  Its
-    rows are the single-point gradients bit for bit, so the pick is the
-    one-at-a-time halving loop's.
+    Returns (found, x_new, g_new): per row, whether there is such a
+    step, and the step with its gradient (meaningless where not found).
+    All R x 40 trial steps go through one stacked primal_gradient call.
+    Its rows are the single-point gradients bit for bit, so each pick is
+    the one-at-a-time halving loop's.
     """
-    cands = x + (t0 * _HALVINGS)[:, None] * d
-    g = primal_gradient(P, cands)
-    below = np.flatnonzero(np.max(np.abs(g), axis=1) < g_norm)
-    return (cands[below[0]], g[below[0]]) if below.size else None
+    cands = x[:, None, :] + (t0[:, None] * _HALVINGS)[..., None] * d[:, None, :]
+    g = primal_gradient(P, cands.reshape(-1, P.n)).reshape(cands.shape)
+    below = np.max(np.abs(g), axis=2) < g_norm[:, None]
+    rows, first = np.arange(len(x)), np.argmax(below, axis=1)
+    return below.any(axis=1), cands[rows, first], g[rows, first]
+
+
+def _newton_steps(H, g):
+    """Solve H d = -g for each row; a row whose solve raises gets NaN.
+
+    np.linalg.solve raises for the whole stack when one matrix is
+    singular, so then each row is solved as a one-row stack.
+    """
+    try:
+        return np.linalg.solve(H, -g[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(H) == 1:
+            return np.full_like(g, np.nan)
+        return np.concatenate([_newton_steps(H[i:i + 1], g[i:i + 1])
+                               for i in range(len(H))])
+
+
+def _solve_stack(P, X):
+    """Damped Newton on grad J from each row of the (S, n) stack X, in
+    lockstep, with backtracking on the gradient norm; one SolveResult
+    per row.
+
+    Each iteration takes one stacked Hessian, solve and line search over
+    the rows still running.  A row leaves when it converges or its line
+    search fails; its result is the one it would get alone.  Steps that
+    are not finite (a singular Hessian) are replaced by a
+    Tikhonov-shifted solve, and a failed Newton line search is retried
+    once along steepest descent on |g|.  Never raises for a singular
+    Hessian: an unconverged row returns its last iterate, the best one
+    since each accepted step lowers max |grad J|.  ``iterations`` counts
+    the Newton iterations run, including a last one whose line search
+    failed.
+    """
+    X = np.array(X, dtype=float)
+    G = primal_gradient(P, X)
+    g_norm = np.max(np.abs(G), axis=1)
+    iterations = np.full(len(X), NEWTON_MAX_ITER)
+    active = np.arange(len(X))
+    for it in range(NEWTON_MAX_ITER):
+        tol = linalg.TOL_FACTOR * (1.0 + np.max(np.abs(X[active]), axis=1))
+        done = g_norm[active] <= tol
+        iterations[active[done]] = it
+        active = active[~done]
+        if not active.size:
+            break
+        x, g, gn = X[active], G[active], g_norm[active]
+        H = primal_hessian(P, x)
+        step = _newton_steps(H, g)
+        bad = np.flatnonzero(~np.isfinite(step).all(axis=1))
+        if bad.size:
+            shift = TIKHONOV_FACTOR * (1.0 + linalg.spectral_norm_sym(H[bad]))
+            step[bad] = np.linalg.solve(
+                H[bad] + shift[:, None, None] * np.eye(P.n),
+                -g[bad][..., None])[..., 0]
+        found, x_new, g_new = _backtrack(P, x, step, np.ones(len(x)), gn)
+        retry = np.flatnonzero(~found)
+        if retry.size:
+            # try plain steepest descent on |g| once before giving up
+            t = 1.0 / (1.0 + linalg.spectral_norm_sym(H[retry]))
+            found[retry], x_new[retry], g_new[retry] = _backtrack(
+                P, x[retry], -g[retry], t, gn[retry])
+        iterations[active[~found]] = it + 1
+        active = active[found]
+        X[active], G[active] = x_new[found], g_new[found]
+        g_norm[active] = np.max(np.abs(G[active]), axis=1)
+    tol = linalg.TOL_FACTOR * (1.0 + np.max(np.abs(X), axis=1))
+    return [SolveResult(x, bool(gn <= t), int(its), float(gn))
+            for x, gn, t, its in zip(X, g_norm, tol, iterations)]
 
 
 def solve_primal_critical(P, x_init):
-    """Damped Newton on grad J with backtracking on the gradient norm.
-
-    Singular Hessian steps fall back to a Tikhonov-shifted solve.  Never
-    raises: an unconverged start returns its last iterate, the best one
-    since each accepted step lowers max |grad J|.  ``iterations`` counts
-    the Newton iterations run, including a last one whose line search failed.
-    """
-    x = P.require_x(x_init).copy()
-    g = primal_gradient(P, x)
-    g_norm = float(np.max(np.abs(g)))
-    iterations = NEWTON_MAX_ITER
-    for it in range(NEWTON_MAX_ITER):
-        tol = linalg.TOL_FACTOR * (1.0 + float(np.max(np.abs(x))))
-        if g_norm <= tol:
-            return SolveResult(x, True, it, g_norm)
-        H = primal_hessian(P, x)
-        step = None
-        try:
-            step = np.linalg.solve(H, -g)
-            if not np.all(np.isfinite(step)):
-                step = None
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None:
-            shift = TIKHONOV_FACTOR * (1.0 + linalg.spectral_norm_sym(H))
-            step = np.linalg.solve(H + shift * np.eye(P.n), -g)
-        found = _backtrack(P, x, step, 1.0, g_norm)
-        if found is None:
-            # try plain steepest descent on |g| once before giving up
-            t = 1.0 / (1.0 + linalg.spectral_norm_sym(H))
-            found = _backtrack(P, x, -g, t, g_norm)
-        if found is None:
-            iterations = it + 1
-            break
-        x, g = found
-        g_norm = float(np.max(np.abs(g)))
-    tol = linalg.TOL_FACTOR * (1.0 + float(np.max(np.abs(x))))
-    return SolveResult(x, g_norm <= tol, iterations, g_norm)
+    """Damped Newton on grad J from one start: row 0 of a one-row
+    _solve_stack."""
+    return _solve_stack(P, P.require_x(x_init)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -150,8 +186,7 @@ def multistart(P, n_seeds, rng_seed):
     iterations = []
     n_dropped = 0
     n_merged = 0
-    for s in _starts(P, n_seeds, rng_seed):
-        result = solve_primal_critical(P, s)
+    for result in _solve_stack(P, _starts(P, n_seeds, rng_seed)):
         if not result.converged:
             n_dropped += 1
             continue

@@ -94,9 +94,10 @@ def parse_instance_text(text):
     missing = [k for k in _REQUIRED_KEYS if k not in doc]
     if missing:
         raise ParseError(f"missing fields {missing}")
-    if str(doc["schema_version"]) != SCHEMA_VERSION:
-        raise ParseError(
-            f"unsupported schema_version {doc['schema_version']!r}")
+    if type(doc["schema_version"]) is not str \
+            or doc["schema_version"] != SCHEMA_VERSION:
+        raise ParseError(f"unsupported schema_version {doc['schema_version']!r}"
+                         f" (must be the JSON string {SCHEMA_VERSION!r})")
 
     for key in ("n", "N"):
         if type(doc[key]) is not int:
@@ -121,7 +122,10 @@ def parse_instance_text(text):
         raise ParseError(
             f"declared sizes n={n}, N={N} disagree with f ({f.size}) "
             f"or gamma ({gamma.size})")
-    override = bool(doc.get("coercivity_override", False))
+    override = doc.get("coercivity_override", False)
+    if type(override) is not bool:
+        raise ParseError(
+            f"coercivity_override must be a JSON bool, got {override!r}")
     return validate_instance(A, B, gamma, c, f, K,
                              coercivity_override=override)
 

@@ -3,13 +3,13 @@
 Reported checks are eigenvalue based: positive definiteness is decided
 by the smallest eigenvalue against a scale-aware margin, and reported
 margins always come from ``spectrum``.  ``symmetrize``, ``spectrum``,
-``pd_margin``, ``cho_factor`` and ``cho_solve`` take a matrix or an
-(S, n, n) stack, and each matrix of a stack gets the result it would get
-alone.  Inside iteration loops Cholesky is the feasibility probe: one
-factorization either comes back, and is then used for the solves, or
-fails on a pivot that is not positive.  The Cholesky pair is written in
-numpy, one dot per entry, so a matrix or a right-hand side column is
-computed the same way alone or in a stack.
+``pd_margin``, ``spectral_norm_sym``, ``cho_factor`` and ``cho_solve``
+take a matrix or an (S, n, n) stack, and each matrix of a stack gets the
+result it would get alone.  Inside iteration loops Cholesky is the
+feasibility probe: one factorization either comes back, and is then
+used for the solves, or fails on a pivot that is not positive.  The
+Cholesky pair is written in numpy, one dot per entry, so a matrix or a
+right-hand side column is computed the same way alone or in a stack.
 """
 
 import numpy as np
@@ -113,7 +113,9 @@ def inv_pd(M):
 
 
 def spectral_norm_sym(M):
-    return float(np.max(np.abs(spectrum(M)[0])))
+    """max |eigenvalue| of a symmetric matrix, or of each matrix of a
+    stack."""
+    return np.max(np.abs(spectrum(M)[0]), axis=-1)
 
 
 def inertia(M):

@@ -38,6 +38,7 @@ class ProblemInstance:
     a point or an (S, ...) stack (require_points), one result per row,
     bit for bit the point's: each sum over x is one dot per entry, taken
     the same way for a point and for a row of a C-contiguous stack.
+    primal_hessian takes a point or a stack too (see there).
     """
 
     n: int
@@ -225,14 +226,18 @@ def primal_gradient(P, x):
 
 
 def primal_hessian(P, x):
-    """Hessian of J: A + sum_j gamma_j w_j B_j + sum_j gamma_j (B_j x)(B_j x)^T.
+    """Hessian of J: A + sum_j gamma_j w_j B_j + sum_j gamma_j (B_j x)(B_j x)^T
+    at a point, or at each row of an (S, n) stack.
 
-    The returned matrix is exactly symmetric.
+    The returned matrix is exactly symmetric.  A stack row is the point's
+    matrix: the einsum sums over j in the same order, and the matmul
+    makes the same BLAS call per matrix, for a point or a stack.
     """
-    x = P.require_x(x)
+    x = P.require_points(x)
     w = P.quartic_terms(x)
     bx = P.bx_columns(x)
-    return linalg.symmetrize(P.ab_matrix(P.gamma * w) + (bx * P.gamma) @ bx.T)
+    return linalg.symmetrize(P.ab_matrix(P.gamma * w)
+                             + (bx * P.gamma) @ np.swapaxes(bx, -1, -2))
 
 
 def g1_value(P, x):

@@ -92,7 +92,7 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
                 except DualityError as exc:
                     record["errors"]["certificate"] = str(exc)
         try:
-            base = correspondence_report(P, pair)
+            base = correspondence_report(P, pair, bundle=bundle)
             record["baseline"] = {
                 "minus_j1_value": base.minus_j1_value,
                 "primal_inertia": list(base.primal_hessian_inertia),

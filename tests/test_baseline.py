@@ -2,14 +2,21 @@ import numpy as np
 import pytest
 
 from dcquartic import (
+    DualityError,
     SingularMatrixError,
+    baseline,
+    build_bundle,
     correspondence_report,
+    find_critical_pairs,
     generate_instance,
+    iter_ensemble,
     j1_star,
     lift_to_dual,
+    primal_hessian,
     search_correspondence_counterexample,
     validate_instance,
 )
+from dcquartic.report import analyze_instance
 
 
 class TestValues:
@@ -124,6 +131,41 @@ class TestCorrespondence:
         assert not rep.ab_matrix_pd
         assert rep.primal_hessian_inertia == (0, 1, 0)
         assert rep.baseline_hessian_inertia == (1, 0, 0)
+
+    def test_bundle_hessian_is_reused(self, monkeypatch):
+        # with the pair's bundle, d2J(x0) is the bundle's matrix: the same
+        # report, and no Hessian is built
+        reports = []
+        for P in iter_ensemble(12, 2024):
+            for pair in find_critical_pairs(P, 12, 7):
+                try:
+                    bundle = build_bundle(P, pair)
+                    reports.append((correspondence_report(P, pair),
+                                    P, pair, bundle))
+                except DualityError:
+                    continue
+        assert len(reports) >= 20
+
+        def no_hessian(P, x):
+            raise AssertionError("d2J(x0) rebuilt")
+
+        monkeypatch.setattr(baseline, "primal_hessian", no_hessian)
+        for alone, P, pair, bundle in reports:
+            reused = correspondence_report(P, pair, bundle=bundle)
+            for name in ("primal_hessian_inertia", "baseline_hessian_inertia",
+                         "correspondence", "ab_matrix_pd", "minus_j1_value"):
+                assert getattr(reused, name) == getattr(alone, name)
+        # analyze_instance hands its bundles over: d2J(x0) is built here
+        # only at points without a bundle
+        calls = []
+        monkeypatch.setattr(baseline, "primal_hessian",
+                            lambda P, x: calls.append(1) or primal_hessian(P, x))
+        with_bundle = without = 0
+        for P in iter_ensemble(12, 2024):
+            records, _ = analyze_instance(P, 12, 7, 0)
+            with_bundle += sum(r["case"] is not None for r in records)
+            without += sum(r["case"] is None for r in records)
+        assert with_bundle >= 20 and len(calls) == without
 
     def test_scalar_pd_caveat_always_agrees(self):
         # every converged n = N = 1 pair with A + v0 B > 0 must agree

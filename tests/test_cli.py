@@ -10,6 +10,7 @@ import pytest
 
 from dcquartic import (
     ParseError,
+    ValidationError,
     generate_instance,
     instance_digest,
     load_instance,
@@ -64,6 +65,27 @@ class TestInstanceFile:
     def test_bad_schema_version(self):
         with pytest.raises(ParseError):
             parse_instance_text(json.dumps(dict(TRI_DOC, schema_version="2")))
+
+    @pytest.mark.parametrize("value", [1, 1.0, None, ["1"]])
+    def test_schema_version_must_be_a_string(self, value):
+        with pytest.raises(ParseError, match="schema_version"):
+            parse_instance_text(json.dumps(dict(TRI_DOC, schema_version=value)))
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+    def test_coercivity_override_must_be_a_bool(self, value):
+        with pytest.raises(ParseError, match="coercivity_override"):
+            parse_instance_text(
+                json.dumps(dict(TRI_DOC, coercivity_override=value)))
+
+    def test_coercivity_override_bool(self):
+        # B = 0 fails the coercivity heuristic unless overridden
+        doc = dict(TRI_DOC, B=[[0.0]])
+        assert parse_instance_text(
+            json.dumps(dict(doc, coercivity_override=True))).coercivity_override
+        for flag in ({}, {"coercivity_override": False}):
+            with pytest.raises(ValidationError) as err:
+                parse_instance_text(json.dumps(dict(doc, **flag)))
+            assert err.value.reason == "coercivity-heuristic-failed"
 
     @pytest.mark.parametrize("key, value", [
         ("n", "1e400"), ("n", "1.7"), ("n", "true"), ("N", "1.0"),
@@ -121,6 +143,18 @@ class TestValidateCommand:
         path.write_text(json.dumps(dict(TRI_DOC, n="@")).replace('"@"', "1e400"))
         assert main(["validate", str(path)]) == 2
         assert "n must be a JSON integer" in capsys.readouterr().err
+
+    def test_string_coercivity_override(self, tmp_path, capsys):
+        # "false" must not waive the coercivity check of B = 0
+        doc = dict(TRI_DOC, B=[[0.0]], coercivity_override="false")
+        assert main(["validate", write_instance(tmp_path, doc)]) == 2
+        assert "coercivity_override must be a JSON bool" \
+            in capsys.readouterr().err
+
+    def test_numeric_schema_version(self, tmp_path, capsys):
+        doc = dict(TRI_DOC, schema_version=1)
+        assert main(["validate", write_instance(tmp_path, doc)]) == 2
+        assert "unsupported schema_version 1" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/x.json"]) == 2

@@ -1,3 +1,4 @@
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from dcquartic.critical import (
     NEWTON_MAX_ITER,
     _backtrack,
     _grad_inf,
+    _solve_stack,
     _starts,
 )
 from oracles import gradient_roots_1d, solve_primal_critical_loop
@@ -69,7 +71,8 @@ class TestSolve:
         monkeypatch.setattr(np.linalg, "solve", spy)
         res = solve_primal_critical(P, [0.0])
         monkeypatch.undo()
-        assert len(failed) == 1 and failed[0].tolist() == [[0.0]]
+        # the one-row stack's solve raises once
+        assert len(failed) == 1 and failed[0].tolist() == [[[0.0]]]
         assert res.converged and res.iterations == 6
         assert res.x0[0] == pytest.approx(-1.0, abs=1e-12)
         assert _same_result(res, solve_primal_critical_loop(P, [0.0]))
@@ -90,9 +93,11 @@ class TestMultistart:
         assert ms.points[0][0] == pytest.approx(0.0, abs=1e-10)
 
     def test_zero_seeds(self, p_tri):
+        # the empty stack
+        assert _solve_stack(p_tri, np.empty((0, 1))) == []
         ms = multistart(p_tri, 0, 7)
-        assert ms.points == []
-        assert ms.n_dropped == 0
+        assert ms.points == [] and ms.iterations == []
+        assert ms.n_dropped == 0 and ms.n_merged == 0
 
     def test_deterministic(self, p_tri):
         a = multistart(p_tri, 16, 3)
@@ -291,12 +296,15 @@ class TestStackedLineSearch:
         g_norm = _grad_inf(P, x)
         d = np.array([1.0, -2.0, 0.5]) * 1e110
         with np.errstate(over="ignore", invalid="ignore"):
-            # every trial step overflows
-            assert _backtrack(P, x, d, 1.0, g_norm) is None
-            assert _backtrack_loop(P, x, d, 1.0, g_norm) is None
-            # from an infinite norm any finite row is a decrease: both
+            # one stack, two rows: from g_norm every trial step overflows;
+            # from an infinite norm any finite row is a decrease, and both
             # pick the first step short enough not to overflow
-            fast, g = _backtrack(P, x, d, 1.0, np.inf)
+            found, fast, g = _backtrack(P, np.array([x, x]), np.array([d, d]),
+                                        np.ones(2), np.array([g_norm, np.inf]))
+            assert not found[0]
+            assert _backtrack_loop(P, x, d, 1.0, g_norm) is None
+            assert found[1]
+            fast, g = fast[1], g[1]
             slow = _backtrack_loop(P, x, d, 1.0, np.inf)
             assert np.array_equal(fast, slow)
             assert g.tobytes() == primal_gradient(P, slow).tobytes()
@@ -314,21 +322,23 @@ class TestStackedLineSearch:
         d = np.linalg.solve(H, -critical.primal_gradient(P, x))
         cands = x + critical._HALVINGS[:, None] * d
         single = np.array([_grad_inf(P, c) for c in cands])
+        # row k's norm is g_norm exactly: not a decrease; all rows in one
+        # stack
+        rows = len(cands)
+        found, fast, g = _backtrack(P, np.tile(x, (rows, 1)),
+                                    np.tile(d, (rows, 1)), np.ones(rows),
+                                    single)
         picked_later = 0
-        for k in range(len(cands)):
-            # row k's norm is g_norm exactly: not a decrease
-            g_norm = single[k]
-            found = _backtrack(P, x, d, 1.0, g_norm)
-            slow = _backtrack_loop(P, x, d, 1.0, g_norm)
-            assert (found is None) == (slow is None)
-            if found is None:
+        for k in range(rows):
+            slow = _backtrack_loop(P, x, d, 1.0, single[k])
+            assert (not found[k]) == (slow is None)
+            if not found[k]:
                 continue
-            fast, g = found
-            assert np.array_equal(fast, slow)
-            assert g.tobytes() == primal_gradient(P, slow).tobytes()
-            assert not np.array_equal(fast, cands[k])
+            assert np.array_equal(fast[k], slow)
+            assert g[k].tobytes() == primal_gradient(P, slow).tobytes()
+            assert not np.array_equal(fast[k], cands[k])
             picked_later += bool(np.flatnonzero(
-                (cands == fast).all(axis=1))[0] > k)
+                (cands == fast[k]).all(axis=1))[0] > k)
         assert picked_later > 0
 
     def test_iterations_count_an_early_stall(self, monkeypatch):
@@ -343,3 +353,47 @@ class TestStackedLineSearch:
         assert not res.converged
         assert res.iterations == len(calls) == 8 < NEWTON_MAX_ITER
         assert _same_result(res, solve_primal_critical_loop(P, s))
+
+
+class TestStackedNewton:
+    """multistart solves its starts as one lockstep stack; each row must
+    be what the start gets alone, from the per-start loop oracle."""
+
+    def test_stack_rows_are_the_loop(self):
+        n_rows = n_stalled = 0
+        for P in islice(iter_ensemble(200, 2024), 40):
+            starts = _starts(P, 12, 7)
+            results = _solve_stack(P, starts)
+            assert len(results) == 12
+            for s, res in zip(starts, results):
+                assert _same_result(res, solve_primal_critical_loop(P, s))
+                n_rows += 1
+                n_stalled += not res.converged
+        assert n_rows == 480
+        assert 0 < n_stalled < n_rows
+
+    def test_singular_row_beside_regular_rows(self, monkeypatch):
+        # d2J(0) = 0 exactly: the stacked solve raises for the whole
+        # stack, each row is solved alone, and only the two rows at
+        # x = 0 raise again
+        P = validate_instance([1.0], [[1.0]], [1.0], [-1.0], [0.5], 2.0)
+        starts = np.array([[0.0], [1.0], [-3.0], [0.7], [0.0]])
+        failed = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                failed.append(np.array(a))
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        results = _solve_stack(P, starts)
+        monkeypatch.undo()
+        assert [f.shape for f in failed] == [(5, 1, 1), (1, 1, 1), (1, 1, 1)]
+        assert failed[1].tolist() == failed[2].tolist() == [[[0.0]]]
+        for s, res in zip(starts, results):
+            assert _same_result(res, solve_primal_critical_loop(P, s))
+        assert results[0].converged and results[0].iterations == 6
+        assert _same_result(results[0], results[4])

@@ -185,6 +185,7 @@ def test_kernels_take_a_point_or_a_stack():
             for kernel, rows in ((P.quartic_terms, xs), (P.bx_columns, xs),
                                  (P.mixed_matrix, v0s), (P.ab_matrix, v0s),
                                  (lambda x: primal_gradient(P, x), xs),
+                                 (lambda x: primal_hessian(P, x), xs),
                                  (lambda v: recover_primal(P, v), vs),
                                  (lambda v: default_inner_init(P, v), vs)):
                 stacked = kernel(rows)
