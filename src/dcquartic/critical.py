@@ -10,6 +10,7 @@ Nothing in the lift requires the solver: lift_to_dual accepts any x0
 and reports residuals in both spaces.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import List
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import linalg
 from .conjugates import Membership, in_B_star, in_C_star, recover_primal
 from .errors import DualityError, OutsideCstarError
-from .problem import primal_gradient, primal_hessian, primal_value
+from .problem import gradient_from, hessian_from, primal_gradient, primal_value
 
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_BACKTRACKS = 40
@@ -73,17 +74,21 @@ def _backtrack(P, x, d, t0, g_norm):
     """For each row of the (R, n) stack x: the first x + t d,
     t = t0, t0/2, ..., whose max |grad J| is below that row's g_norm.
 
-    Returns (found, x_new, g_new): per row, whether there is such a
-    step, and the step with its gradient (meaningless where not found).
-    All R x 40 trial steps go through one stacked primal_gradient call.
-    Its rows are the single-point gradients bit for bit, so each pick is
-    the one-at-a-time halving loop's.
+    Returns (found, x_new, g_new, bx_new, w_new): per row, whether there
+    is such a step, and the step with its gradient and its (B_j x rows,
+    w) for the next Hessian (meaningless where not found).  All R x 40
+    trial steps go through one stacked P._bx_and_w and gradient.  Their
+    rows are the single point's bits, so each pick is the one-at-a-time
+    halving loop's.
     """
     cands = x[:, None, :] + (t0[:, None] * _HALVINGS)[..., None] * d[:, None, :]
-    g = primal_gradient(P, cands.reshape(-1, P.n)).reshape(cands.shape)
+    flat = cands.reshape(-1, P.n)
+    bx, w = P._bx_and_w(flat)
+    g = gradient_from(P, flat, bx, w).reshape(cands.shape)
     below = np.max(np.abs(g), axis=2) < g_norm[:, None]
     rows, first = np.arange(len(x)), np.argmax(below, axis=1)
-    return below.any(axis=1), cands[rows, first], g[rows, first]
+    pick = rows * NEWTON_MAX_BACKTRACKS + first
+    return below.any(axis=1), flat[pick], g[rows, first], bx[pick], w[pick]
 
 
 def _newton_steps(H, g):
@@ -107,30 +112,38 @@ def _solve_stack(P, X):
     per row.
 
     Each iteration takes one stacked Hessian, solve and line search over
-    the rows still running.  A row leaves when it converges or its line
-    search fails; its result is the one it would get alone.  Steps that
-    are not finite (a singular Hessian) are replaced by a
-    Tikhonov-shifted solve, and a failed Newton line search is retried
-    once along steepest descent on |g|.  Never raises for a singular
-    Hessian: an unconverged row returns its last iterate, the best one
-    since each accepted step lowers max |grad J|.  ``iterations`` counts
-    the Newton iterations run, including a last one whose line search
-    failed.
+    the running rows, and forms B_j x once: the Hessian is built from
+    the (B_j x rows, w) that the last line search computed at its
+    accepted rows.  Only the running rows are carried, as compact
+    arrays, and a row's result is written once, when it leaves.  A row
+    leaves when it converges or its line search fails; its result is
+    the one it would get alone.  Steps that are not finite (a singular
+    Hessian) are replaced by a Tikhonov-shifted solve, and a failed
+    Newton line search is retried once along steepest descent on |g|.
+    Never raises for a singular Hessian: an unconverged row returns its
+    last iterate, the best one since each accepted step lowers
+    max |grad J|.  ``iterations`` counts the Newton iterations run,
+    including a last one whose line search failed.
     """
-    X = np.array(X, dtype=float)
-    G = primal_gradient(P, X)
-    g_norm = np.max(np.abs(G), axis=1)
-    iterations = np.full(len(X), NEWTON_MAX_ITER)
-    active = np.arange(len(X))
-    for it in range(NEWTON_MAX_ITER):
-        tol = linalg.TOL_FACTOR * (1.0 + np.max(np.abs(X[active]), axis=1))
-        done = g_norm[active] <= tol
-        iterations[active[done]] = it
-        active = active[~done]
-        if not active.size:
+    x = np.array(X, dtype=float)
+    x0, grad_norm = np.empty_like(x), np.empty(len(x))
+    iterations = np.empty(len(x), dtype=int)
+    converged = np.zeros(len(x), dtype=bool)
+    rows = np.arange(len(x))
+    bx, w = P._bx_and_w(x)
+    g = gradient_from(P, x, bx, w)
+    for it in range(NEWTON_MAX_ITER + 1):
+        gn = np.max(np.abs(g), axis=1)
+        done = gn <= linalg.TOL_FACTOR * (1.0 + np.max(np.abs(x), axis=1))
+        leave = done | (it == NEWTON_MAX_ITER)
+        if leave.any():
+            out = rows[leave]
+            x0[out], grad_norm[out], iterations[out] = x[leave], gn[leave], it
+            converged[out] = done[leave]
+            rows, x, g, gn, bx, w = (a[~leave] for a in (rows, x, g, gn, bx, w))
+        if not rows.size:
             break
-        x, g, gn = X[active], G[active], g_norm[active]
-        H = primal_hessian(P, x)
+        H = hessian_from(P, bx, w)
         step = _newton_steps(H, g)
         bad = np.flatnonzero(~np.isfinite(step).all(axis=1))
         if bad.size:
@@ -138,20 +151,23 @@ def _solve_stack(P, X):
             step[bad] = np.linalg.solve(
                 H[bad] + shift[:, None, None] * np.eye(P.n),
                 -g[bad][..., None])[..., 0]
-        found, x_new, g_new = _backtrack(P, x, step, np.ones(len(x)), gn)
+        found, *new = _backtrack(P, x, step, np.ones(len(x)), gn)
         retry = np.flatnonzero(~found)
         if retry.size:
             # try plain steepest descent on |g| once before giving up
             t = 1.0 / (1.0 + linalg.spectral_norm_sym(H[retry]))
-            found[retry], x_new[retry], g_new[retry] = _backtrack(
-                P, x[retry], -g[retry], t, gn[retry])
-        iterations[active[~found]] = it + 1
-        active = active[found]
-        X[active], G[active] = x_new[found], g_new[found]
-        g_norm[active] = np.max(np.abs(G[active]), axis=1)
-    tol = linalg.TOL_FACTOR * (1.0 + np.max(np.abs(X), axis=1))
-    return [SolveResult(x, bool(gn <= t), int(its), float(gn))
-            for x, gn, t, its in zip(X, g_norm, tol, iterations)]
+            found[retry], *redo = _backtrack(P, x[retry], -g[retry], t,
+                                             gn[retry])
+            for a, b in zip(new, redo):
+                a[retry] = b
+            out = rows[~found]
+            x0[out], grad_norm[out], iterations[out] = (
+                x[~found], gn[~found], it + 1)
+            rows, (x, g, bx, w) = rows[found], (a[found] for a in new)
+        else:
+            x, g, bx, w = new
+    return [SolveResult(x, bool(c), int(its), float(gn)) for x, c, its, gn
+            in zip(x0, converged, iterations, grad_norm)]
 
 
 def solve_primal_critical(P, x_init):
@@ -169,6 +185,9 @@ class MultistartResult:
 
 
 def _starts(P, n_seeds, rng_seed):
+    if not isinstance(n_seeds, numbers.Integral) or n_seeds < 0:
+        raise ValueError(
+            f"n_seeds must be a non-negative integer, got {n_seeds!r}")
     rng = np.random.default_rng(rng_seed)
     scale = 1.0 + float(np.linalg.norm(P.f)) / (1.0 + P.kma_min_eig)
     return scale * rng.standard_normal((int(n_seeds), P.n))
@@ -180,7 +199,8 @@ def multistart(P, n_seeds, rng_seed):
     Starts are centered Gaussians with scale 1 + |f| / (1 + lmin(K - A)).
     Converged points within inf-distance 1e-6 are merged; the result is
     sorted by J value (ties broken lexicographically), so two runs with
-    the same seed agree exactly.
+    the same seed agree exactly.  n_seeds must be a non-negative
+    integer (ValueError otherwise).
     """
     found = []
     iterations = []

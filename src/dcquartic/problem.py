@@ -38,7 +38,10 @@ class ProblemInstance:
     a point or an (S, ...) stack (require_points), one result per row,
     bit for bit the point's: each sum over x is one dot per entry, taken
     the same way for a point and for a row of a C-contiguous stack.
-    primal_hessian takes a point or a stack too (see there).
+    primal_hessian takes a point or a stack too (see there).  Both are
+    _bx_and_w, one B_j x per row, followed by gradient_from or
+    hessian_from, so a solver that holds (B_j x rows, w) at a point
+    builds grad J or d2J there without forming B_j x again.
     """
 
     n: int
@@ -85,7 +88,7 @@ class ProblemInstance:
 
     def quartic_terms(self, x):
         """w_j(x) = x^T B_j x / 2 + c_j for all j."""
-        return 0.5 * np.vecdot(self._bx_rows(x), x[..., None, :]) + self.c
+        return self._bx_and_w(x)[1]
 
     def bx_columns(self, x):
         """The n x N matrix whose columns are B_j x (S x n x N for a
@@ -95,6 +98,12 @@ class ProblemInstance:
     def _bx_rows(self, x):
         """The N x n matrix whose rows are B_j x, one dot per entry."""
         return np.vecdot(self.B, x[..., None, None, :])
+
+    def _bx_and_w(self, x):
+        """(B_j x rows, w) at a point or each row of a stack, from one
+        _bx_rows call: what grad J and d2J are built from."""
+        bx = self._bx_rows(x)
+        return bx, 0.5 * np.vecdot(bx, x[..., None, :]) + self.c
 
     def mixed_matrix(self, v0):
         """M(v0) = sum_j v0_j B_j + K."""
@@ -220,9 +229,14 @@ def primal_gradient(P, x):
     """grad J(x) = A x + sum_j gamma_j w_j(x) B_j x + f at a point, or
     at each row of an (S, n) stack, one dot per sum, as for a point."""
     x = P.require_points(x)
-    gw = P.gamma * P.quartic_terms(x)
+    return gradient_from(P, x, *P._bx_and_w(x))
+
+
+def gradient_from(P, x, bx, w):
+    """grad J at x from its (B_j x rows, w) = P._bx_and_w(x)."""
     return (np.vecdot(P.A, x[..., None, :])
-            + np.vecdot(P.bx_columns(x), gw[..., None, :]) + P.f)
+            + np.vecdot(np.swapaxes(bx, -1, -2), (P.gamma * w)[..., None, :])
+            + P.f)
 
 
 def primal_hessian(P, x):
@@ -234,10 +248,13 @@ def primal_hessian(P, x):
     makes the same BLAS call per matrix, for a point or a stack.
     """
     x = P.require_points(x)
-    w = P.quartic_terms(x)
-    bx = P.bx_columns(x)
+    return hessian_from(P, *P._bx_and_w(x))
+
+
+def hessian_from(P, bx, w):
+    """d2J at x from its (B_j x rows, w) = P._bx_and_w(x)."""
     return linalg.symmetrize(P.ab_matrix(P.gamma * w)
-                             + (bx * P.gamma) @ np.swapaxes(bx, -1, -2))
+                             + (np.swapaxes(bx, -1, -2) * P.gamma) @ bx)
 
 
 def g1_value(P, x):

@@ -1,3 +1,4 @@
+import sys
 from itertools import islice
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from dcquartic import (
     load_instance,
     multistart,
     primal_gradient,
+    primal_hessian,
     recover_primal,
     solve_primal_critical,
     validate_instance,
@@ -30,6 +32,7 @@ from dcquartic.critical import (
     _solve_stack,
     _starts,
 )
+from dcquartic.problem import ProblemInstance
 from oracles import gradient_roots_1d, solve_primal_critical_loop
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
@@ -57,7 +60,7 @@ class TestSolve:
         # d2J(0) = 1 + (0 - 1) + 0 = 0 exactly, so the Newton solve at the
         # start raises and the Tikhonov-shifted solve takes the step
         P = validate_instance([1.0], [[1.0]], [1.0], [-1.0], [0.5], 2.0)
-        assert critical.primal_hessian(P, [0.0]).tolist() == [[0.0]]
+        assert primal_hessian(P, [0.0]).tolist() == [[0.0]]
         failed = []
         solve = np.linalg.solve
 
@@ -91,6 +94,20 @@ class TestMultistart:
         ms = multistart(p_min, 32, 7)
         assert len(ms.points) == 1
         assert ms.points[0][0] == pytest.approx(0.0, abs=1e-10)
+
+    def test_seed_count_must_be_a_nonnegative_integer(self):
+        P = load_instance(SAMPLES / "trifecta.json")
+        for bad in (2.5, 2.0, -1, "3", None):
+            with pytest.raises(ValueError, match="n_seeds"):
+                multistart(P, bad, 7)
+        three = multistart(P, 3, 7)
+        assert len(three.points) + three.n_dropped + three.n_merged == 3
+        for count in (np.int64(3), np.uint8(3)):
+            ms = multistart(P, count, 7)
+            assert [x.tobytes() for x in ms.points] \
+                == [x.tobytes() for x in three.points]
+            assert (ms.iterations, ms.n_dropped, ms.n_merged) \
+                == (three.iterations, three.n_dropped, three.n_merged)
 
     def test_zero_seeds(self, p_tri):
         # the empty stack
@@ -220,6 +237,10 @@ def _backtrack_loop(P, x, d, t0, g_norm):
     return None
 
 
+def _same_terms(a, b):
+    return all(p.tobytes() == q.tobytes() for p, q in zip(a, b))
+
+
 def _same_result(a, b):
     return (a.x0.tobytes() == b.x0.tobytes() and a.converged == b.converged
             and a.iterations == b.iterations
@@ -299,8 +320,9 @@ class TestStackedLineSearch:
             # one stack, two rows: from g_norm every trial step overflows;
             # from an infinite norm any finite row is a decrease, and both
             # pick the first step short enough not to overflow
-            found, fast, g = _backtrack(P, np.array([x, x]), np.array([d, d]),
-                                        np.ones(2), np.array([g_norm, np.inf]))
+            found, fast, g, bx, w = _backtrack(
+                P, np.array([x, x]), np.array([d, d]), np.ones(2),
+                np.array([g_norm, np.inf]))
             assert not found[0]
             assert _backtrack_loop(P, x, d, 1.0, g_norm) is None
             assert found[1]
@@ -308,6 +330,7 @@ class TestStackedLineSearch:
             slow = _backtrack_loop(P, x, d, 1.0, np.inf)
             assert np.array_equal(fast, slow)
             assert g.tobytes() == primal_gradient(P, slow).tobytes()
+            assert _same_terms((bx[1], w[1]), P._bx_and_w(slow))
             t = critical._HALVINGS
             k = int(np.flatnonzero((x + t[:, None] * d == fast).all(axis=1))[0])
             assert 0 < k
@@ -318,16 +341,16 @@ class TestStackedLineSearch:
     def test_near_tie_picks_as_the_loop(self):
         P = generate_instance(4, 2, [31, 4, 2])
         x = np.array([0.3, -0.8, 1.1, 0.2])
-        H = critical.primal_hessian(P, x)
-        d = np.linalg.solve(H, -critical.primal_gradient(P, x))
+        H = primal_hessian(P, x)
+        d = np.linalg.solve(H, -primal_gradient(P, x))
         cands = x + critical._HALVINGS[:, None] * d
         single = np.array([_grad_inf(P, c) for c in cands])
         # row k's norm is g_norm exactly: not a decrease; all rows in one
         # stack
         rows = len(cands)
-        found, fast, g = _backtrack(P, np.tile(x, (rows, 1)),
-                                    np.tile(d, (rows, 1)), np.ones(rows),
-                                    single)
+        found, fast, g, bx, w = _backtrack(P, np.tile(x, (rows, 1)),
+                                           np.tile(d, (rows, 1)),
+                                           np.ones(rows), single)
         picked_later = 0
         for k in range(rows):
             slow = _backtrack_loop(P, x, d, 1.0, single[k])
@@ -336,6 +359,7 @@ class TestStackedLineSearch:
                 continue
             assert np.array_equal(fast[k], slow)
             assert g[k].tobytes() == primal_gradient(P, slow).tobytes()
+            assert _same_terms((bx[k], w[k]), P._bx_and_w(slow))
             assert not np.array_equal(fast[k], cands[k])
             picked_later += bool(np.flatnonzero(
                 (cands == fast[k]).all(axis=1))[0] > k)
@@ -346,9 +370,10 @@ class TestStackedLineSearch:
         P = list(iter_ensemble(8, 2024))[7]
         s = _starts(P, 12, 7)[7]
         calls = []
-        hessian = critical.primal_hessian
-        monkeypatch.setattr(critical, "primal_hessian",
-                            lambda P, x: calls.append(1) or hessian(P, x))
+        hessian = critical.hessian_from
+        monkeypatch.setattr(critical, "hessian_from",
+                            lambda P, bx, w: calls.append(1)
+                            or hessian(P, bx, w))
         res = solve_primal_critical(P, s)
         assert not res.converged
         assert res.iterations == len(calls) == 8 < NEWTON_MAX_ITER
@@ -397,3 +422,32 @@ class TestStackedNewton:
             assert _same_result(res, solve_primal_critical_loop(P, s))
         assert results[0].converged and results[0].iterations == 6
         assert _same_result(results[0], results[4])
+
+    def test_one_bx_per_iteration(self, monkeypatch):
+        # B_j x is formed once for the starts and once per line search:
+        # the next Hessian is built from the accepted trial rows, and no
+        # point or stacked gradient or Hessian call is made
+        P = list(iter_ensemble(8, 2024))[7]
+        starts = _starts(P, 12, 7)
+        expected = _solve_stack(P, starts)
+        bx_calls, searches, forbidden = [], [], []
+        bx_rows, backtrack = ProblemInstance._bx_rows, critical._backtrack
+        monkeypatch.setattr(ProblemInstance, "_bx_rows",
+                            lambda self, x: bx_calls.append(1)
+                            or bx_rows(self, x))
+        monkeypatch.setattr(critical, "_backtrack",
+                            lambda *args: searches.append(1)
+                            or backtrack(*args))
+        for name, module in list(sys.modules.items()):
+            for fn in ("primal_gradient", "primal_hessian"):
+                if name.startswith("dcquartic") and hasattr(module, fn):
+                    monkeypatch.setattr(
+                        module, fn, lambda *args, fn=fn, f=getattr(module, fn):
+                        forbidden.append(fn) or f(*args))
+        results = _solve_stack(P, starts)
+        monkeypatch.undo()
+        assert len(searches) > NEWTON_MAX_ITER // 2
+        assert len(bx_calls) == 1 + len(searches)
+        assert forbidden == []
+        for a, b in zip(results, expected):
+            assert _same_result(a, b)

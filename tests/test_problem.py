@@ -18,6 +18,7 @@ from dcquartic import (
     validate_instance,
 )
 from dcquartic.conjugates import default_inner_init
+from dcquartic.problem import gradient_from, hessian_from
 from oracles import _batch_primal, fd_gradient, fd_hessian
 
 
@@ -192,6 +193,14 @@ def test_kernels_take_a_point_or_a_stack():
                 assert stacked.shape == (size,) + kernel(rows[0]).shape
                 for row, out in zip(rows, stacked):
                     assert out.tobytes() == kernel(row).tobytes()
+            # grad J and d2J from row i of the stacked (B_j x rows, w)
+            bx, w = P._bx_and_w(xs)
+            assert bx.shape == (size, P.N, P.n) and w.shape == (size, P.N)
+            for x, b, v in zip(xs, bx, w):
+                assert gradient_from(P, x, b, v).tobytes() \
+                    == primal_gradient(P, x).tobytes()
+                assert hessian_from(P, b, v).tobytes() \
+                    == primal_hessian(P, x).tobytes()
 
             assert recover_primal(P, vs[0]).shape == (P.n,)
             assert default_inner_init(P, vs[0]).shape == (P.N,)
