@@ -74,21 +74,24 @@ def _backtrack(P, x, d, t0, g_norm):
     """For each row of the (R, n) stack x: the first x + t d,
     t = t0, t0/2, ..., whose max |grad J| is below that row's g_norm.
 
-    Returns (found, x_new, g_new, bx_new, w_new): per row, whether there
-    is such a step, and the step with its gradient and its (B_j x rows,
-    w) for the next Hessian (meaningless where not found).  All R x 40
-    trial steps go through one stacked P._bx_and_w and gradient.  Their
-    rows are the single point's bits, so each pick is the one-at-a-time
-    halving loop's.
+    Returns (found, x_new, g_new, gn_new, bx_new, w_new): per row,
+    whether there is such a step, and the step with its gradient, that
+    gradient's max |.| and its (B_j x and A x rows, w) for the next
+    Hessian (meaningless where not found).  All R x 40 trial steps go
+    through one stacked P._bx_and_w, one gemv per row, and one gradient.
+    Their rows are the single point's bits, so each pick is the
+    one-at-a-time halving loop's.
     """
     cands = x[:, None, :] + (t0[:, None] * _HALVINGS)[..., None] * d[:, None, :]
     flat = cands.reshape(-1, P.n)
     bx, w = P._bx_and_w(flat)
-    g = gradient_from(P, flat, bx, w).reshape(cands.shape)
-    below = np.max(np.abs(g), axis=2) < g_norm[:, None]
-    rows, first = np.arange(len(x)), np.argmax(below, axis=1)
+    g = gradient_from(P, bx, w).reshape(cands.shape)
+    gn = np.abs(g).max(axis=2)
+    below = gn < g_norm[:, None]
+    rows, first = np.arange(len(x)), below.argmax(axis=1)
     pick = rows * NEWTON_MAX_BACKTRACKS + first
-    return below.any(axis=1), flat[pick], g[rows, first], bx[pick], w[pick]
+    return (below.any(axis=1), flat[pick], g[rows, first], gn[rows, first],
+            bx[pick], w[pick])
 
 
 def _newton_steps(H, g):
@@ -112,18 +115,19 @@ def _solve_stack(P, X):
     per row.
 
     Each iteration takes one stacked Hessian, solve and line search over
-    the running rows, and forms B_j x once: the Hessian is built from
-    the (B_j x rows, w) that the last line search computed at its
-    accepted rows.  Only the running rows are carried, as compact
-    arrays, and a row's result is written once, when it leaves.  A row
-    leaves when it converges or its line search fails; its result is
-    the one it would get alone.  Steps that are not finite (a singular
-    Hessian) are replaced by a Tikhonov-shifted solve, and a failed
-    Newton line search is retried once along steepest descent on |g|.
-    Never raises for a singular Hessian: an unconverged row returns its
-    last iterate, the best one since each accepted step lowers
-    max |grad J|.  ``iterations`` counts the Newton iterations run,
-    including a last one whose line search failed.
+    the running rows, and forms B_j x and A x once, one gemv per row:
+    the Hessian is built from the (B_j x and A x rows, w) that the last
+    line search computed at its accepted rows, with their gradients and
+    max |grad J|.  Only the running rows are carried, as compact arrays,
+    and a row's result is written once, when it leaves.  A row leaves
+    when it converges or its line search fails; its result is the one it
+    would get alone.  Steps that are not finite (a singular Hessian) are
+    replaced by a Tikhonov-shifted solve, and a failed Newton line
+    search is retried once along steepest descent on |g|.  Never raises
+    for a singular Hessian: an unconverged row returns its last iterate,
+    the best one since each accepted step lowers max |grad J|.
+    ``iterations`` counts the Newton iterations run, including a last
+    one whose line search failed.
     """
     x = np.array(X, dtype=float)
     x0, grad_norm = np.empty_like(x), np.empty(len(x))
@@ -131,10 +135,10 @@ def _solve_stack(P, X):
     converged = np.zeros(len(x), dtype=bool)
     rows = np.arange(len(x))
     bx, w = P._bx_and_w(x)
-    g = gradient_from(P, x, bx, w)
+    g = gradient_from(P, bx, w)
+    gn = np.abs(g).max(axis=1)
     for it in range(NEWTON_MAX_ITER + 1):
-        gn = np.max(np.abs(g), axis=1)
-        done = gn <= linalg.TOL_FACTOR * (1.0 + np.max(np.abs(x), axis=1))
+        done = gn <= linalg.TOL_FACTOR * (1.0 + np.abs(x).max(axis=1))
         leave = done | (it == NEWTON_MAX_ITER)
         if leave.any():
             out = rows[leave]
@@ -145,27 +149,26 @@ def _solve_stack(P, X):
             break
         H = hessian_from(P, bx, w)
         step = _newton_steps(H, g)
-        bad = np.flatnonzero(~np.isfinite(step).all(axis=1))
-        if bad.size:
+        if not np.isfinite(step).all():
+            bad = ~np.isfinite(step).all(axis=1)
             shift = TIKHONOV_FACTOR * (1.0 + linalg.spectral_norm_sym(H[bad]))
             step[bad] = np.linalg.solve(
                 H[bad] + shift[:, None, None] * np.eye(P.n),
                 -g[bad][..., None])[..., 0]
         found, *new = _backtrack(P, x, step, np.ones(len(x)), gn)
-        retry = np.flatnonzero(~found)
-        if retry.size:
-            # try plain steepest descent on |g| once before giving up
-            t = 1.0 / (1.0 + linalg.spectral_norm_sym(H[retry]))
-            found[retry], *redo = _backtrack(P, x[retry], -g[retry], t,
-                                             gn[retry])
-            for a, b in zip(new, redo):
-                a[retry] = b
-            out = rows[~found]
-            x0[out], grad_norm[out], iterations[out] = (
-                x[~found], gn[~found], it + 1)
-            rows, (x, g, bx, w) = rows[found], (a[found] for a in new)
-        else:
-            x, g, bx, w = new
+        if found.all():
+            x, g, gn, bx, w = new
+            continue
+        # try plain steepest descent on |g| once before giving up
+        retry = ~found
+        t = 1.0 / (1.0 + linalg.spectral_norm_sym(H[retry]))
+        found[retry], *redo = _backtrack(P, x[retry], -g[retry], t, gn[retry])
+        for a, b in zip(new, redo):
+            a[retry] = b
+        out = rows[~found]
+        x0[out], grad_norm[out] = x[~found], gn[~found]
+        iterations[out] = it + 1
+        rows, (x, g, gn, bx, w) = rows[found], (a[found] for a in new)
     return [SolveResult(x, bool(c), int(its), float(gn)) for x, c, its, gn
             in zip(x0, converged, iterations, grad_norm)]
 

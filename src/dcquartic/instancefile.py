@@ -79,6 +79,19 @@ def dumps_canonical(obj, indent=0):
     raise ParseError(f"cannot serialize object of type {type(obj)!r}")
 
 
+def _require_numbers(key, value):
+    """ParseError naming ``key`` unless every entry of the (nested) list
+    ``value``, or ``value`` itself, is a JSON number (not a bool)."""
+    todo = [value]
+    while todo:
+        entry = todo.pop()
+        if isinstance(entry, list):
+            todo.extend(entry)
+        elif type(entry) not in (int, float):
+            raise ParseError(
+                f"{key} entries must be JSON numbers, got {entry!r}")
+
+
 def parse_instance_text(text):
     """Parse and validate the strict schema; returns a ProblemInstance."""
     try:
@@ -105,12 +118,13 @@ def parse_instance_text(text):
     n, N, K = doc["n"], doc["N"], doc["K"]
     if type(K) not in (int, float, list):
         raise ParseError(f"K must be a number or a list, got {K!r}")
+    if not isinstance(doc["B"], list) or len(doc["B"]) != N:
+        raise ParseError(f"B must be a list of {N} row-major matrices")
+    for key in ("A", "B", "gamma", "c", "f", "K"):
+        _require_numbers(key, doc[key])
     try:
         A = np.asarray(doc["A"], dtype=float)
-        B_raw = doc["B"]
-        if not isinstance(B_raw, list) or len(B_raw) != N:
-            raise ParseError(f"B must be a list of {N} row-major matrices")
-        B = np.asarray(B_raw, dtype=float)
+        B = np.asarray(doc["B"], dtype=float)
         gamma = np.asarray(doc["gamma"], dtype=float)
         c = np.asarray(doc["c"], dtype=float)
         f = np.asarray(doc["f"], dtype=float)

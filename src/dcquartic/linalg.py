@@ -34,7 +34,7 @@ def is_symmetric(M):
 def symmetrize(M):
     """(M + M^T) / 2 of a matrix, or of each matrix of a stack."""
     M = np.asarray(M, dtype=float)
-    return 0.5 * (M + np.swapaxes(M, -1, -2))
+    return 0.5 * (M + M.mT)
 
 
 def spectrum(M):

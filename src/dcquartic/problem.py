@@ -36,12 +36,15 @@ class ProblemInstance:
 
     The four kernels, J, grad J, x_bar, G1* and the inner-sup start take
     a point or an (S, ...) stack (require_points), one result per row,
-    bit for bit the point's: each sum over x is one dot per entry, taken
-    the same way for a point and for a row of a C-contiguous stack.
-    primal_hessian takes a point or a stack too (see there).  Both are
-    _bx_and_w, one B_j x per row, followed by gradient_from or
-    hessian_from, so a solver that holds (B_j x rows, w) at a point
-    builds grad J or d2J there without forming B_j x again.
+    bit for bit the point's: B_j x for every j and A x are one gemv per
+    point or row, x @ BA with BA = [B_1 ... B_N A] laid out as n x (N+1) n
+    (entry [k, j n + i] = B_j[i, k], the transpose of the B_j and A
+    stacked by rows), and each other sum over x is one dot per entry,
+    taken the same way for a point and for a row of a C-contiguous
+    stack.  primal_hessian takes a point or a stack too
+    (see there).  Both are _bx_and_w followed by gradient_from or
+    hessian_from, so a solver that holds (B_j x and A x rows, w) at a
+    point builds grad J or d2J there without forming them again.
     """
 
     n: int
@@ -58,6 +61,7 @@ class ProblemInstance:
     K_minus_A: np.ndarray = field(repr=False, default=None)
     kma_min_eig: float = field(repr=False, default=0.0)
     kma_factor: np.ndarray = field(repr=False, default=None)  # Cholesky L
+    BA: np.ndarray = field(repr=False, default=None)  # [B_1 ... B_N A], above
 
     def require_x(self, x):
         x = np.ascontiguousarray(x, dtype=float).reshape(-1)
@@ -93,17 +97,19 @@ class ProblemInstance:
     def bx_columns(self, x):
         """The n x N matrix whose columns are B_j x (S x n x N for a
         stack)."""
-        return np.swapaxes(self._bx_rows(x), -1, -2)
+        return self._bx_rows(x)[..., :-1, :].mT
 
     def _bx_rows(self, x):
-        """The N x n matrix whose rows are B_j x, one dot per entry."""
-        return np.vecdot(self.B, x[..., None, None, :])
+        """The (N+1) x n matrix whose rows are B_1 x, ..., B_N x and A x
+        (S x (N+1) x n for a stack), one gemv per point or row."""
+        return (x[..., None, :] @ self.BA).reshape(
+            x.shape[:-1] + (self.N + 1, self.n))
 
     def _bx_and_w(self, x):
-        """(B_j x rows, w) at a point or each row of a stack, from one
-        _bx_rows call: what grad J and d2J are built from."""
+        """(B_j x and A x rows, w) at a point or each row of a stack,
+        from one _bx_rows call: what grad J and d2J are built from."""
         bx = self._bx_rows(x)
-        return bx, 0.5 * np.vecdot(bx, x[..., None, :]) + self.c
+        return bx, 0.5 * np.vecdot(bx[..., :-1, :], x[..., None, :]) + self.c
 
     def mixed_matrix(self, v0):
         """M(v0) = sum_j v0_j B_j + K."""
@@ -202,7 +208,8 @@ def validate_instance(A, B, gamma, c, f, K, coercivity_override=False):
             f"{coercivity_margin:.3e}; pass coercivity_override=True to accept")
 
     kma_factor, _ = linalg.cho_factor(K_minus_A)  # margin > eps: pivots > 0
-    for arr in (A, B, gamma, c, f, K, K_minus_A, kma_factor):
+    BA = np.concatenate([B, A[None]]).reshape(-1, n).T
+    for arr in (A, B, gamma, c, f, K, K_minus_A, kma_factor, BA):
         arr.setflags(write=False)
 
     return ProblemInstance(
@@ -212,6 +219,7 @@ def validate_instance(A, B, gamma, c, f, K, coercivity_override=False):
         K_minus_A=K_minus_A,
         kma_min_eig=float(margin),
         kma_factor=kma_factor,
+        BA=BA,
     )
 
 
@@ -227,15 +235,15 @@ def primal_value(P, x):
 
 def primal_gradient(P, x):
     """grad J(x) = A x + sum_j gamma_j w_j(x) B_j x + f at a point, or
-    at each row of an (S, n) stack, one dot per sum, as for a point."""
+    at each row of an (S, n) stack, computed the same way per row."""
     x = P.require_points(x)
-    return gradient_from(P, x, *P._bx_and_w(x))
+    return gradient_from(P, *P._bx_and_w(x))
 
 
-def gradient_from(P, x, bx, w):
-    """grad J at x from its (B_j x rows, w) = P._bx_and_w(x)."""
-    return (np.vecdot(P.A, x[..., None, :])
-            + np.vecdot(np.swapaxes(bx, -1, -2), (P.gamma * w)[..., None, :])
+def gradient_from(P, bx, w):
+    """grad J at x from its (B_j x and A x rows, w) = P._bx_and_w(x)."""
+    return (bx[..., -1, :]
+            + np.vecdot(bx[..., :-1, :].mT, (P.gamma * w)[..., None, :])
             + P.f)
 
 
@@ -252,9 +260,10 @@ def primal_hessian(P, x):
 
 
 def hessian_from(P, bx, w):
-    """d2J at x from its (B_j x rows, w) = P._bx_and_w(x)."""
-    return linalg.symmetrize(P.ab_matrix(P.gamma * w)
-                             + (np.swapaxes(bx, -1, -2) * P.gamma) @ bx)
+    """d2J at x from its (B_j x and A x rows, w) = P._bx_and_w(x)."""
+    bx = bx[..., :-1, :]
+    H = P.ab_matrix(P.gamma * w) + (bx.mT * P.gamma) @ bx
+    return 0.5 * (H + H.mT)
 
 
 def g1_value(P, x):

@@ -96,6 +96,19 @@ class TestInstanceFile:
         with pytest.raises(ParseError):
             parse_instance_text(text)
 
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", ["2"]), ("c", [" -1 "]), ("f", [True]), ("A", [False]),
+        ("A", "-1"), ("B", [["1"]]), ("B", [[None]]), ("f", [[1.0, "x"]]),
+        ("K", ["1"])])
+    def test_numeric_entries_must_be_json_numbers(self, key, value):
+        with pytest.raises(ParseError, match=f"^{key} entries must be JSON"):
+            parse_instance_text(json.dumps(dict(TRI_DOC, **{key: value})))
+
+    def test_int_entries_are_numbers(self):
+        doc = dict(TRI_DOC, A=[-1], B=[[1]], gamma=[1], c=[0], f=[0], K=[1])
+        P = parse_instance_text(json.dumps(doc))
+        assert P.A.tolist() == [[-1.0]] and P.K.tolist() == [[1.0]]
+
     def test_round_trip_exact(self):
         # parse -> serialize -> parse keeps every double bit-identical
         P = generate_instance(3, 2, [70_000, 0])
@@ -150,6 +163,13 @@ class TestValidateCommand:
         assert main(["validate", write_instance(tmp_path, doc)]) == 2
         assert "coercivity_override must be a JSON bool" \
             in capsys.readouterr().err
+
+    def test_string_or_bool_entries(self, tmp_path, capsys):
+        for key, value in (("gamma", ["2"]), ("f", [True])):
+            path = write_instance(tmp_path, dict(TRI_DOC, **{key: value}))
+            assert main(["validate", path]) == 2
+            assert f"{key} entries must be JSON numbers" \
+                in capsys.readouterr().err
 
     def test_numeric_schema_version(self, tmp_path, capsys):
         doc = dict(TRI_DOC, schema_version=1)

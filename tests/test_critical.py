@@ -320,7 +320,7 @@ class TestStackedLineSearch:
             # one stack, two rows: from g_norm every trial step overflows;
             # from an infinite norm any finite row is a decrease, and both
             # pick the first step short enough not to overflow
-            found, fast, g, bx, w = _backtrack(
+            found, fast, g, gn, bx, w = _backtrack(
                 P, np.array([x, x]), np.array([d, d]), np.ones(2),
                 np.array([g_norm, np.inf]))
             assert not found[0]
@@ -330,6 +330,7 @@ class TestStackedLineSearch:
             slow = _backtrack_loop(P, x, d, 1.0, np.inf)
             assert np.array_equal(fast, slow)
             assert g.tobytes() == primal_gradient(P, slow).tobytes()
+            assert gn[1] == _grad_inf(P, slow)
             assert _same_terms((bx[1], w[1]), P._bx_and_w(slow))
             t = critical._HALVINGS
             k = int(np.flatnonzero((x + t[:, None] * d == fast).all(axis=1))[0])
@@ -348,9 +349,11 @@ class TestStackedLineSearch:
         # row k's norm is g_norm exactly: not a decrease; all rows in one
         # stack
         rows = len(cands)
-        found, fast, g, bx, w = _backtrack(P, np.tile(x, (rows, 1)),
-                                           np.tile(d, (rows, 1)),
-                                           np.ones(rows), single)
+        found, fast, g, gn, bx, w = _backtrack(P, np.tile(x, (rows, 1)),
+                                               np.tile(d, (rows, 1)),
+                                               np.ones(rows), single)
+        # the accepted rows' max |grad J|, handed to the next iteration
+        assert np.abs(g[found]).max(axis=1).tobytes() == gn[found].tobytes()
         picked_later = 0
         for k in range(rows):
             slow = _backtrack_loop(P, x, d, 1.0, single[k])
@@ -359,6 +362,7 @@ class TestStackedLineSearch:
                 continue
             assert np.array_equal(fast[k], slow)
             assert g[k].tobytes() == primal_gradient(P, slow).tobytes()
+            assert gn[k] == _grad_inf(P, slow)
             assert _same_terms((bx[k], w[k]), P._bx_and_w(slow))
             assert not np.array_equal(fast[k], cands[k])
             picked_later += bool(np.flatnonzero(
@@ -385,17 +389,20 @@ class TestStackedNewton:
     be what the start gets alone, from the per-start loop oracle."""
 
     def test_stack_rows_are_the_loop(self):
-        n_rows = n_stalled = 0
-        for P in islice(iter_ensemble(200, 2024), 40):
-            starts = _starts(P, 12, 7)
-            results = _solve_stack(P, starts)
-            assert len(results) == 12
-            for s, res in zip(starts, results):
-                assert _same_result(res, solve_primal_critical_loop(P, s))
-                n_rows += 1
-                n_stalled += not res.converged
-        assert n_rows == 480
-        assert 0 < n_stalled < n_rows
+        # members 0-39 at rng 7, and members 0-19 at rng 11 so that the
+        # check does not rest on one set of starts
+        for rng, members in ((7, 40), (11, 20)):
+            n_rows = n_stalled = 0
+            for P in islice(iter_ensemble(200, 2024), members):
+                starts = _starts(P, 12, rng)
+                results = _solve_stack(P, starts)
+                assert len(results) == 12
+                for s, res in zip(starts, results):
+                    assert _same_result(res, solve_primal_critical_loop(P, s))
+                    n_rows += 1
+                    n_stalled += not res.converged
+            assert n_rows == 12 * members
+            assert 0 < n_stalled < n_rows
 
     def test_singular_row_beside_regular_rows(self, monkeypatch):
         # d2J(0) = 0 exactly: the stacked solve raises for the whole

@@ -36,11 +36,11 @@ RUN_REPORT_SHA256 = {
         "4a3232145c860f4767fc036a63fd4e0cbcc43619eb72e46a218f5de875d20d50",
 }
 MEMBERS_SHA256 = \
-    "0ee823e7fa3f0873305f2371a73a701bfe383bd2630f6cb0adebb33777c17bf5"
+    "8ad36bd00412bcc70e8d5f98a992a87945fcf72a1d69a5a53238cfa9bba28d23"
 PROBED_MEMBERS_SHA256 = \
-    "603275b0b94cf3fdab858637672bd9fac4195974e3a5efcdd73493c6c2e4e575"
+    "88a386706faf1d35858f19b82d4232517a8f9c6307581ce7b19bbb49e78d5206"
 SWEEPS_SHA256 = \
-    "e23002ac6d563a7b9a771846a54c2e92cda00ae64da41e22a94d67f961037cb2"
+    "372f59229848c963e2129412f55e532e935f1f5f221fba8e4aab0435be47eea8"
 
 
 @pytest.mark.parametrize("name", sorted(RUN_REPORT_SHA256))

@@ -61,8 +61,14 @@ class TestValidation:
         assert P.coercivity_margin == 0.0
 
     def test_instance_is_immutable(self, p_tri):
-        with pytest.raises(ValueError):
-            p_tri.A[0, 0] = 5.0
+        for name in ("A", "B", "gamma", "c", "f", "K", "K_minus_A",
+                     "kma_factor", "BA"):
+            arr = getattr(p_tri, name)
+            assert isinstance(arr, np.ndarray)
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 5.0
+            with pytest.raises(ValueError):
+                arr += 1.0
 
 
 class TestPrimalOps:
@@ -176,10 +182,17 @@ def test_decomposition_identity_scalar(x, a, b, gamma, c, f):
 
 def test_kernels_take_a_point_or_a_stack():
     # every row of a stacked kernel call is, bit for bit, the call on
-    # that row alone, at every (n, N)
-    rng = np.random.default_rng(8)
-    for P in iter_ensemble(40, 2024):
-        for size in (1, 5, 64):
+    # that row alone, at every (n, N) of the ensemble and at n = 12 and
+    # 40, where the gemv may take other code paths; 480 rows is one
+    # line-search stack of 12 starts x 40 halvings.  Sizes 0 and 480
+    # draw from a stream of their own, so that sizes 1, 5 and 64 keep
+    # their draws and their oracle check on J
+    narrow, wide = np.random.default_rng(8), np.random.default_rng(9)
+    problems = list(iter_ensemble(40, 2024)) + [
+        generate_instance(12, 3, [8, 12]), generate_instance(40, 2, [8, 40])]
+    for P in problems:
+        for size in (1, 5, 64, 0, 480):
+            rng = wide if size in (0, 480) else narrow
             xs = rng.standard_normal((size, P.n))
             vs = 3.0 * rng.standard_normal((size, P.n))
             v0s = rng.standard_normal((size, P.N))
@@ -190,24 +203,32 @@ def test_kernels_take_a_point_or_a_stack():
                                  (lambda v: recover_primal(P, v), vs),
                                  (lambda v: default_inner_init(P, v), vs)):
                 stacked = kernel(rows)
-                assert stacked.shape == (size,) + kernel(rows[0]).shape
+                point = kernel(rows[0] if size else np.ones(rows.shape[1]))
+                assert stacked.shape == (size,) + point.shape
                 for row, out in zip(rows, stacked):
                     assert out.tobytes() == kernel(row).tobytes()
-            # grad J and d2J from row i of the stacked (B_j x rows, w)
+            # grad J and d2J from row i of the stacked (B_j x and A x
+            # rows, w)
             bx, w = P._bx_and_w(xs)
-            assert bx.shape == (size, P.N, P.n) and w.shape == (size, P.N)
+            assert bx.shape == (size, P.N + 1, P.n) and w.shape == (size, P.N)
+            np.testing.assert_allclose(
+                bx, np.einsum("jkl,sl->sjk", np.concatenate([P.B, P.A[None]]),
+                              xs), rtol=1e-12, atol=1e-12)
             for x, b, v in zip(xs, bx, w):
-                assert gradient_from(P, x, b, v).tobytes() \
+                assert _same_bytes((b, v), P._bx_and_w(x))
+                assert gradient_from(P, b, v).tobytes() \
                     == primal_gradient(P, x).tobytes()
                 assert hessian_from(P, b, v).tobytes() \
                     == primal_hessian(P, x).tobytes()
 
-            assert recover_primal(P, vs[0]).shape == (P.n,)
-            assert default_inner_init(P, vs[0]).shape == (P.N,)
+            if size:
+                assert recover_primal(P, vs[0]).shape == (P.n,)
+                assert default_inner_init(P, vs[0]).shape == (P.N,)
             J, G1 = primal_value(P, xs), g1_star(P, vs)
             assert J.shape == G1.shape == (size,)
-            np.testing.assert_allclose(J, _batch_primal(P, xs),
-                                       rtol=1e-12, atol=0.0)
+            if rng is narrow:
+                np.testing.assert_allclose(J, _batch_primal(P, xs),
+                                           rtol=1e-12, atol=0.0)
             for x, j, v, g1 in zip(xs, J, vs, G1):
                 alone = primal_value(P, x), g1_star(P, v)
                 assert type(alone[0]) is float and type(alone[1]) is float
@@ -221,6 +242,10 @@ def test_kernels_take_a_point_or_a_stack():
                 for out, ref in zip(stacked, alone):
                     assert np.asarray(out[s]).tobytes() \
                         == np.asarray(ref).tobytes()
+
+
+def _same_bytes(a, b):
+    return all(p.tobytes() == q.tobytes() for p, q in zip(a, b))
 
 
 def test_require_points():
