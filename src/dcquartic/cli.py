@@ -8,6 +8,7 @@ Exit codes are stable for scripting: 0 success, 1 internal failure,
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from .baseline import correspondence_report
@@ -94,10 +95,17 @@ def cmd_baseline(args):
 
 
 def _parse_eps_list(text):
+    """The eps values of --eps-list: at least one, each finite.  An eps
+    <= 0 is kept; the sweep records it as a failed point."""
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        eps_list = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ParseError(f"bad --eps-list: {exc}") from exc
+    if not eps_list:
+        raise ParseError("bad --eps-list: no values")
+    if not all(math.isfinite(e) for e in eps_list):
+        raise ParseError(f"bad --eps-list: {eps_list} has a non-finite value")
+    return eps_list
 
 
 def cmd_sweep(args):
@@ -107,7 +115,8 @@ def cmd_sweep(args):
         raise ParseError(f"--N must be in [1, {MAX_SWEEP_BIG_N}]")
     if not (0 <= args.count <= MAX_SWEEP_COUNT):
         raise ParseError(f"--count must be in [0, {MAX_SWEEP_COUNT}]")
-    eps_list = _parse_eps_list(args.eps_list) if args.eps_list else None
+    eps_list = None if args.eps_list is None \
+        else _parse_eps_list(args.eps_list)
 
     instances = []
     results = []

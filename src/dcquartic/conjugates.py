@@ -16,8 +16,11 @@ concave in v0* on C*, and
     Jt*(v*) = sup_{v0* in C*} J*(v*, v0*)      (evaluated via its
                                                 interior stationarity
                                                 system)
-    J2*(v*) = sup_{v0* in A*} J*(v*, v0*)      (A* = B* intersect C*,
-                                                log-det barrier
+    J2*(v*) = sup_{v0* in A*} J*(v*, v0*)      (A* = B* intersect C*:
+                                                the interior stationary
+                                                point when it lies
+                                                strictly inside A*,
+                                                else log-det barrier
                                                 continuation)
 
 B* is where S(v0*) = A + sum_j (v0*)_j B_j is positive definite.  Since
@@ -397,12 +400,34 @@ def _barrier_ascent(P, v_star, g1, v0, mu):
     return v0
 
 
+def _polish(P, v_star, g1, v0, floor):
+    """Newton from v0 to the interior stationary point of J*(v*, .).
+    Returns its J2Result when the solve converges and the point's A*
+    margin is at least floor, else None.  A margin below BOUNDARY_MARGIN
+    puts the point on the A* boundary, where its value is the exact
+    barrier-path limit."""
+    rows, _, status = _inner_newton_stack(P, v_star[None], v0[None])
+    if status[0] != SOLVED:
+        return None
+    point = rows[0]
+    margin = in_B_star(P, point).margin
+    if margin < floor:
+        return None
+    return J2Result(g1 - g2_star(P, v_star, point), point,
+                    margin < BOUNDARY_MARGIN, margin)
+
+
 def j2_star(P, v_star, init=None):
     """Evaluate J2*(v*) = sup over A* of J*(v*, .).
 
-    Interior stationary solve with a log-det barrier continuation on
-    A + sum_j (v0*)_j B_j.  When the maximizer sits on the A* boundary
-    the barrier-path limit value is returned tagged boundary_attained.
+    J*(v*, .) is concave on C* and A* is a convex subset of C*, so its
+    interior stationary point is the sup wherever it lies strictly inside
+    A*; it is solved for first, from ``init`` or by default from the lift
+    of (K - A)^{-1}(v* + f).  Only where that solve fails or its point
+    is within BOUNDARY_MARGIN of A*'s boundary, or outside A*, does a
+    log-det barrier continuation on A + sum_j (v0*)_j B_j run, followed
+    by the same polish.  When the maximizer sits on the A* boundary the
+    barrier-path limit value is returned tagged boundary_attained.
     Raises AStarEmptyError when no strictly feasible A* start is found
     near ``init``, and SingularMatrixError when a barrier Newton matrix
     is singular.
@@ -410,24 +435,18 @@ def j2_star(P, v_star, init=None):
     v_star = P.require_x(v_star)
     g1 = g1_star(P, v_star)
     v0 = P.require_v0(init) if init is not None else default_inner_init(P, v_star)
+    interior = _polish(P, v_star, g1, v0, BOUNDARY_MARGIN)
+    if interior is not None:
+        return interior
     v0 = _feasible_a_star_point(P, v0)
     for mu in BARRIER_WEIGHTS:
         v0 = _barrier_ascent(P, v_star, g1, v0, mu)
 
-    # try to polish to the unconstrained interior stationary point; if it
-    # lands on or beyond the A* boundary the sup is a boundary limit
-    rows, _, status = _inner_newton_stack(P, v_star[None], v0[None])
-    if status[0] == SOLVED:
-        polished = rows[0]
-        margin = in_B_star(P, polished).margin
-        if margin >= BOUNDARY_MARGIN:
-            return J2Result(g1 - g2_star(P, v_star, polished), polished,
-                            False, margin)
-        if margin >= -BOUNDARY_MARGIN:
-            # stationary point sits on the boundary; its value is the
-            # exact barrier-path limit
-            return J2Result(g1 - g2_star(P, v_star, polished), polished,
-                            True, margin)
+    # polish the barrier path's end point; if the stationary point lies
+    # beyond the A* boundary, the end point is the sup's boundary limit
+    polished = _polish(P, v_star, g1, v0, -BOUNDARY_MARGIN)
+    if polished is not None:
+        return polished
     margin = in_B_star(P, v0).margin
     return J2Result(g1 - g2_star(P, v_star, v0), v0,
                     margin < BOUNDARY_MARGIN, margin)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcquartic import validate_instance
+from dcquartic import conjugates, validate_instance
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +21,16 @@ def p_min():
 @pytest.fixture(scope="session")
 def sqrt2():
     return float(np.sqrt(2.0))
+
+
+@pytest.fixture
+def barrier_calls(monkeypatch):
+    """The J2* barrier-path steps called while the test runs, in order:
+    "_feasible_a_star_point" for phase 1 and "_barrier_ascent" for each
+    barrier weight."""
+    calls = []
+    for name in ("_feasible_a_star_point", "_barrier_ascent"):
+        monkeypatch.setattr(
+            conjugates, name, lambda *args, name=name,
+            fn=getattr(conjugates, name): calls.append(name) or fn(*args))
+    return calls

@@ -10,7 +10,10 @@ Hessian, and the inner sup Jt* (and its argmax) for the dual Hessian
 and the implicit argmax sensitivity.  sampled_global_certificate is the
 sampled case-2 certificate (a dense primal sample, J2* midpoint
 convexity and weak duality) that the exact Lagrangian bound of
-global_min_certificate replaced.
+global_min_certificate replaced.  j2_star_barrier_path is the J2*
+evaluator that runs the barrier continuation on every call; j2_star
+runs it only where the interior stationary point is not strictly
+inside A*.
 """
 
 from dataclasses import dataclass
@@ -329,6 +332,32 @@ def j_tilde_star_loop(P, v_star, init=None):
     if best is not None:
         return best
     raise first_error
+
+
+def j2_star_barrier_path(P, v_star, init=None):
+    """The J2* evaluator that j2_star's interior-first solve shortcuts:
+    J2*(v*) = sup over A* of J*(v*, .) by a strictly feasible A* start,
+    the three log-det barrier ascents, then a polish to the interior
+    stationary point, on every call.  Built from the library's pieces;
+    returns a J2Result."""
+    v_star = P.require_x(v_star)
+    g1 = conjugates.g1_star(P, v_star)
+    v0 = P.require_v0(init) if init is not None \
+        else default_inner_init(P, v_star)
+    v0 = conjugates._feasible_a_star_point(P, v0)
+    for mu in conjugates.BARRIER_WEIGHTS:
+        v0 = conjugates._barrier_ascent(P, v_star, g1, v0, mu)
+    rows, _, status = conjugates._inner_newton_stack(P, v_star[None],
+                                                     v0[None])
+    if status[0] == conjugates.SOLVED:
+        margin = conjugates.in_B_star(P, rows[0]).margin
+        if margin >= -conjugates.BOUNDARY_MARGIN:
+            return conjugates.J2Result(
+                g1 - conjugates.g2_star(P, v_star, rows[0]), rows[0],
+                margin < conjugates.BOUNDARY_MARGIN, margin)
+    margin = conjugates.in_B_star(P, v0).margin
+    return conjugates.J2Result(g1 - conjugates.g2_star(P, v_star, v0), v0,
+                               margin < conjugates.BOUNDARY_MARGIN, margin)
 
 
 def _grad_inf(P, x):

@@ -302,6 +302,28 @@ class TestSweepCommand:
             for point in inst["sweep"]["points"]:
                 assert point["ok"]
 
+    @pytest.mark.parametrize("eps_list", ["nan,0.1", "0.1,inf", "-inf",
+                                          "0.1,NaN", ",,", "", " "])
+    def test_eps_list_non_finite_or_empty(self, eps_list, tmp_path, capsys):
+        # a non-finite eps has no K = A + eps I to solve with, and an empty
+        # list is no sweep: both are parse errors, and no report is written
+        out = tmp_path / "eps.json"
+        code = main(["sweep", "--n", "1", "--N", "1", "--count", "1",
+                     f"--eps-list={eps_list}", "--json", str(out)])
+        assert code == 2
+        assert "error (parse-error): bad --eps-list" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eps_list_non_positive_is_a_failed_point(self, tmp_path):
+        out = tmp_path / "eps.json"
+        code = main(["sweep", "--n", "1", "--N", "1", "--count", "1",
+                     "--rng", "3", "--seeds", "6",
+                     "--eps-list", "0,-0.5,0.1", "--json", str(out)])
+        assert code == 0
+        points = json.loads(out.read_text())["instances"][0]["sweep"]["points"]
+        assert [p["ok"] for p in points] == [False, False, True]
+        assert all("K-minus-A-not-PD" in p["error"] for p in points[:2])
+
 
 def test_runs_without_scipy():
     # numpy is the only runtime dependency: with scipy blocked from

@@ -420,18 +420,24 @@ def _cholesky_succeeds(M):
 
 
 class TestJ2Star:
-    def test_interior(self, p_min):
+    def test_interior(self, p_min, barrier_calls):
+        # the stationary point v0 = 1 is strictly inside A* = {v0 > -1}:
+        # no barrier continuation
         res = j2_star(p_min, [0.0])
         assert res.value == pytest.approx(0.5, abs=1e-10)
         assert not res.boundary_attained
         assert res.v0_star == pytest.approx([1.0], abs=1e-8)
+        assert barrier_calls == []
 
-    def test_boundary_attained(self, p_tri, sqrt2):
-        # A* = {v0 > 1}; the stationary point v0 = 1 sits on the boundary
+    def test_boundary_attained(self, p_tri, sqrt2, barrier_calls):
+        # A* = {v0 > 1}; the stationary point v0 = 1 sits on the boundary,
+        # so phase 1 and the three barrier ascents run
         res = j2_star(p_tri, [2 * sqrt2])
         assert res.boundary_attained
         assert res.value == pytest.approx(-0.5, abs=1e-6)
         assert res.v0_star == pytest.approx([1.0], abs=1e-3)
+        assert barrier_calls == ["_feasible_a_star_point"] + \
+            ["_barrier_ascent"] * len(conjugates.BARRIER_WEIGHTS)
 
     def test_sup_dominates_members(self, p_min):
         res = j2_star(p_min, [1.0])

@@ -1,9 +1,11 @@
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dcquartic import (
+    DualityError,
     NotCase2Error,
     OutsideCstarError,
     ProblemInstance,
@@ -20,6 +22,7 @@ from dcquartic import (
     j2_star,
     lift_to_dual,
     linalg,
+    load_instance,
     local_extremality_probe,
     multistart,
     primal_value,
@@ -27,8 +30,30 @@ from dcquartic import (
     verify_chain_identity,
     verify_zero_gap,
 )
+from dcquartic import gap
 from dcquartic.gap import lagrangian_bound
-from oracles import grid_min_1d, sampled_global_certificate
+from oracles import grid_min_1d, j2_star_barrier_path, sampled_global_certificate
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
+
+
+@pytest.fixture(scope="module")
+def case2_pairs():
+    """(P, pair, case, points) for every case-2 pair of global_min.json
+    and of acceptance-ensemble members 0-24, at multistart(P, 12, 7)."""
+    found = []
+    for P in [load_instance(SAMPLES / "global_min.json"),
+              *iter_ensemble(25, 2024)]:
+        ms = multistart(P, 12, 7)
+        for x0, its in zip(ms.points, ms.iterations):
+            pair = lift_to_dual(P, x0, newton_iterations=its)
+            try:
+                case = classify_case(P, pair, build_bundle(P, pair))
+            except DualityError:
+                continue
+            if case.case_id == "case2":
+                found.append((P, pair, case, ms.points))
+    return found
 
 
 class TestClassification:
@@ -324,7 +349,59 @@ class TestGlobalCertificate:
                 certified += 1
         assert certified >= 8
 
-    def test_singular_barrier_matrix_is_named(self):
+    def test_case2_certificates_skip_the_barrier(self, case2_pairs,
+                                                 barrier_calls, monkeypatch):
+        # at a case-2 pair the lifted multiplier is already J*(vhat, .)'s
+        # interior stationary point, strictly inside A*: one j2_star call
+        # per certificate, and no phase 1 or barrier ascent
+        j2_calls = []
+        monkeypatch.setattr(gap, "j2_star", lambda *args, **kwargs:
+                            j2_calls.append(1) or j2_star(*args, **kwargs))
+        for P, pair, case, points in case2_pairs:
+            assert global_min_certificate(P, pair, case, points).passed
+        assert len(case2_pairs) == 8
+        assert len(j2_calls) == len(case2_pairs)
+        assert barrier_calls == []
+
+    def test_j2_star_matches_the_barrier_path(self, case2_pairs,
+                                              barrier_calls):
+        # j2_star against the oracle that always runs the barrier path,
+        # at each case-2 pair and at four draws of v* around it: within
+        # 1e-14 (1 + |J2*|) with the same boundary tag where the interior
+        # solve answers, and bit for bit (or the same failure) where
+        # j2_star falls back to the barrier path
+        rng = np.random.default_rng([7, 4])
+        paths = {"interior": 0, "barrier": 0}
+        for P, pair, _, _ in case2_pairs:
+            scale = 0.5 * (1.0 + float(np.max(np.abs(pair.v_hat))))
+            draws = pair.v_hat + scale * rng.standard_normal((4, P.n))
+            for k, v_star in enumerate([pair.v_hat, *draws]):
+                barrier_calls.clear()
+                try:
+                    res = j2_star(P, v_star, init=pair.v0_hat)
+                except DualityError as exc:
+                    res = type(exc)
+                interior = barrier_calls == []
+                assert interior or k > 0
+                paths["interior" if interior else "barrier"] += 1
+                try:
+                    ref = j2_star_barrier_path(P, v_star, init=pair.v0_hat)
+                except DualityError as exc:
+                    ref = type(exc)
+                if interior:
+                    assert abs(res.value - ref.value) <= \
+                        1e-14 * (1.0 + abs(ref.value))
+                    assert res.boundary_attained == ref.boundary_attained
+                elif isinstance(ref, type):
+                    assert res is ref
+                else:
+                    assert res.value == ref.value
+                    assert np.array_equal(res.v0_star, ref.v0_star)
+                    assert res.boundary_attained == ref.boundary_attained
+                    assert res.a_star_margin == ref.a_star_margin
+        assert min(paths.values()) >= 5, paths
+
+    def test_singular_barrier_matrix_is_named(self, barrier_calls):
         # acceptance-ensemble member 8: the sampled certificate's twelfth
         # convexity draw around its case-2 pair meets a singular barrier
         # Newton matrix E + mu T
@@ -339,8 +416,12 @@ class TestGlobalCertificate:
             u = pair.v_hat + scale * rng.standard_normal(P.n)
             w = pair.v_hat + scale * rng.standard_normal(P.n)
         j2_star(P, u, init=pair.v0_hat)
+        barrier_calls.clear()
         with pytest.raises(SingularMatrixError):
             j2_star(P, w, init=pair.v0_hat)
+        # the interior solve does not answer at w, so the barrier runs
+        assert barrier_calls[0] == "_feasible_a_star_point"
+        assert barrier_calls[-1] == "_barrier_ascent"
         sampled = sampled_global_certificate(P, pair, case, ms.points)
         assert sampled.convexity_excluded >= 1
         assert global_min_certificate(P, pair, case, ms.points).passed

@@ -36,9 +36,9 @@ RUN_REPORT_SHA256 = {
         "4a3232145c860f4767fc036a63fd4e0cbcc43619eb72e46a218f5de875d20d50",
 }
 MEMBERS_SHA256 = \
-    "8ad36bd00412bcc70e8d5f98a992a87945fcf72a1d69a5a53238cfa9bba28d23"
+    "5e65dba8d7805a25383bdc4fb9c1630c8adc3d508d9186a49a1dfc5b1b95c41f"
 PROBED_MEMBERS_SHA256 = \
-    "88a386706faf1d35858f19b82d4232517a8f9c6307581ce7b19bbb49e78d5206"
+    "db35fd53161616b8f5fc7f71291549b36fe24967848af1e71015ce79560e8715"
 SWEEPS_SHA256 = \
     "372f59229848c963e2129412f55e532e935f1f5f221fba8e4aab0435be47eea8"
 
