@@ -73,6 +73,7 @@ from .gap import (
     epsilon_sweep,
     global_min_certificate,
     local_extremality_probe,
+    local_extremality_probes,
     verify_zero_gap,
 )
 from .baseline import (

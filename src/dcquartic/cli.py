@@ -218,7 +218,9 @@ def build_parser():
     p.add_argument("--samples", type=int, default=0,
                    help="probe samples per point (default 0: skip probes)")
     p.add_argument("--eps-list",
-                   help="comma separated; drives K = A + eps I per instance")
+                   help="comma separated; drives K = A + eps I per "
+                        "instance; write --eps-list=-0.5,0.1 when the "
+                        "first value is negative")
     p.add_argument("--json", help="write the machine report here")
     p.set_defaults(func=cmd_sweep)
 

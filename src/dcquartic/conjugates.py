@@ -36,6 +36,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     AStarEmptyError,
+    DimensionMismatchError,
     LeftCstarError,
     NoConvergenceError,
     OutsideCstarError,
@@ -276,21 +277,29 @@ def j_tilde_star(P, v_star, init=None):
     Solves the interior fixed-point system (v0*)_j = gamma_j
     (x_bar^T B_j x_bar / 2 + c_j) with x_bar = M(v0*)^{-1} v* by damped
     Newton, all rows at once, each decided alone.  Every solve starts at
-    ``init``, or by default at the lift of (K - A)^{-1}(v* + f); where
-    that start fails, a deterministic batch of perturbed starts is tried
-    and the best converged value wins.
+    ``init``, one multiplier for all rows or an (S, N) stack of starts,
+    one per row; by default it starts at the lift of (K - A)^{-1}(v* + f).
+    Where that start fails, a deterministic batch of perturbed starts
+    around it is tried and the best converged value wins.
 
     For one point returns (value, argmax) and raises the point's failure:
     LeftCstarError, NoConvergenceError or OutsideCstarError.  For a stack
     returns (values, argmaxes), with nan rows where the solve fails; one
-    row failing leaves the others as they are.
+    row failing leaves the others as they are.  An init of any other
+    shape raises DimensionMismatchError.
     """
     v_stars = P.require_points(v_star)
     single = v_stars.ndim == 1
     inits = default_inner_init(P, v_stars) if init is None \
-        else P.require_v0(init)
+        else np.asarray(init, dtype=float)
+    if inits.ndim < 2:
+        inits = P.require_v0(inits)
     v_stars = v_stars.reshape(-1, P.n)
     S = len(v_stars)
+    if inits.ndim > 1 and inits.shape != (S, P.N):
+        raise DimensionMismatchError(
+            f"expected a multiplier of length {P.N} or an ({S}, {P.N}) "
+            f"stack of starts, got shape {inits.shape}")
     inits = np.broadcast_to(inits, (S, P.N))
     values, argmaxes = np.full(S, np.nan), np.full((S, P.N), np.nan)
     status = np.full(S, SOLVED)

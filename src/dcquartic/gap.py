@@ -13,8 +13,14 @@ Hessians, stay unclassified.
 The shifted matrix d2J(x0) + (K - A) alpha1 is not symmetric in
 general; its definiteness is read in the quadratic-form sense, i.e.
 from the spectrum of the symmetric part.
+
+The extremality probes test the local conclusions by sampling a ball
+around x0 and one around vhat at each pair.  The samples of all the
+pairs of one report are solved as one stack, each dual sample started
+on the inner argmax's tangent (local_extremality_probes).
 """
 
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -23,7 +29,11 @@ import numpy as np
 from . import linalg
 from .conjugates import j2_star, j_tilde_star, pair_j_star
 from .critical import DEDUP_DISTANCE, lift_to_dual, multistart
-from .curvature import build_bundle, verify_chain_identity
+from .curvature import (
+    build_bundle,
+    implicit_sensitivity,
+    verify_chain_identity,
+)
 from .errors import (
     DualityError,
     NotCase2Error,
@@ -116,44 +126,86 @@ class ProbeEvidence:
 
 def local_extremality_probe(P, pair, n_samples, rng_seed,
                             case_id=None, bundle=None):
-    """Sample balls around x0 and vhat and count extremality violations.
+    """local_extremality_probes at one pair: its ProbeEvidence."""
+    return local_extremality_probes(
+        P, [pair], n_samples, rng_seed,
+        case_ids=None if case_id is None else [case_id],
+        bundles=None if bundle is None else [bundle])[0]
 
-    The primal radius is 0.1 (1 + |x0|) / sqrt(1 + |d2J(x0)|) and the
-    dual radius follows the same scaling with the dual Hessian.  Each
-    ball is evaluated as one stack: J by primal_value, and Jt* by
-    j_tilde_star, warm-started at the lifted multiplier; a dual sample
-    whose solve fails (a nan row) is excluded and counted.
+
+def local_extremality_probes(P, pairs, n_samples, rng_seed,
+                             case_ids=None, bundles=None):
+    """Sample balls around each pair's x0 and vhat and count extremality
+    violations; one ProbeEvidence per pair.
+
+    A pair's primal radius is 0.1 (1 + |x0|) / sqrt(1 + |d2J(x0)|) and
+    its dual radius follows the same scaling with the dual Hessian; each
+    pair draws its balls from its own default_rng([rng_seed, 0]) and
+    default_rng([rng_seed, 1]), so its evidence does not depend on the
+    other pairs.  All pairs' samples are evaluated as one stack: J by
+    primal_value, and Jt* by j_tilde_star, each dual sample v started on
+    the inner argmax's tangent, vhat0 + (v - vhat) (d vhat0 / d v*)'
+    (curvature.implicit_sensitivity).  The samples whose solve fails
+    (nan rows) are solved again, as one stack, from their pair's vhat0;
+    a sample that fails both is excluded and counted.  n_samples must be
+    a non-negative integer.
     """
-    if bundle is None:
-        bundle = build_bundle(P, pair)
-    if case_id is None:
-        case_id = classify_case(P, pair, bundle).case_id
+    if not isinstance(n_samples, numbers.Integral) or n_samples < 0:
+        raise ValueError(
+            f"n_samples must be a non-negative integer, got {n_samples!r}")
+    n_samples = int(n_samples)
+    if not pairs:
+        return []
+    if bundles is None:
+        bundles = [build_bundle(P, pair) for pair in pairs]
+    if case_ids is None:
+        case_ids = [classify_case(P, pair, bundle).case_id
+                    for pair, bundle in zip(pairs, bundles)]
 
-    x0, v_hat, v0_hat = pair.x0, pair.v_hat, pair.v0_hat
-    r = 0.1 * (1.0 + float(np.linalg.norm(x0))) \
-        / np.sqrt(1.0 + linalg.spectral_norm_sym(bundle.d2j))
-    r1 = 0.1 * (1.0 + float(np.linalg.norm(v_hat))) \
-        / np.sqrt(1.0 + linalg.spectral_norm_sym(
-            linalg.symmetrize(bundle.dual_hessian)))
+    refs, xs, vs, starts = [], [], [], []
+    for pair, bundle in zip(pairs, bundles):
+        r = 0.1 * (1.0 + float(np.linalg.norm(pair.x0))) \
+            / np.sqrt(1.0 + linalg.spectral_norm_sym(bundle.d2j))
+        r1 = 0.1 * (1.0 + float(np.linalg.norm(pair.v_hat))) \
+            / np.sqrt(1.0 + linalg.spectral_norm_sym(
+                linalg.symmetrize(bundle.dual_hessian)))
+        refs.append((float(r), float(r1), primal_value(P, pair.x0),
+                     pair_j_star(P, pair)))
+        xs.append(linalg.ball_samples(np.random.default_rng([rng_seed, 0]),
+                                      pair.x0, r, n_samples))
+        v = linalg.ball_samples(np.random.default_rng([rng_seed, 1]),
+                                pair.v_hat, r1, n_samples)
+        vs.append(v)
+        starts.append(pair.v0_hat + (v - pair.v_hat)
+                      @ implicit_sensitivity(P, pair, bundle).T)
 
-    j0 = primal_value(P, x0)
-    jt0 = pair_j_star(P, pair)
+    shape = (len(pairs), n_samples)
+    jvals = primal_value(P, np.concatenate(xs)).reshape(shape)
+    vs = np.concatenate(vs)
+    jtvals, _ = j_tilde_star(P, vs, init=np.concatenate(starts))
+    failed = np.flatnonzero(np.isnan(jtvals))
+    if failed.size:
+        v0_hats = np.array([pair.v0_hat for pair in pairs])
+        jtvals[failed], _ = j_tilde_star(
+            P, vs[failed], init=v0_hats[failed // n_samples])
+    jtvals = jtvals.reshape(shape)
 
-    primal_rng = np.random.default_rng([rng_seed, 0])
-    xs = linalg.ball_samples(primal_rng, x0, r, n_samples)
-    jvals = primal_value(P, xs)
+    return [_probe_evidence(case_id, *ref, j, jt)
+            for case_id, ref, j, jt in zip(case_ids, refs, jvals, jtvals)]
+
+
+def _probe_evidence(case_id, r, r1, j0, jt0, jvals, jtvals):
+    """One pair's ProbeEvidence from its radii, J(x0), Jt*(vhat) and its
+    sampled J and Jt* values (nan where the dual solve failed)."""
     p_min = int(np.sum(jvals < j0 - PROBE_TOL))
     p_max = int(np.sum(jvals > j0 + PROBE_TOL))
 
-    dual_rng = np.random.default_rng([rng_seed, 1])
-    vs = linalg.ball_samples(dual_rng, v_hat, r1, n_samples)
-    jtvals, _ = j_tilde_star(P, vs, init=v0_hat)
     solved = ~np.isnan(jtvals)
+    excluded = int(jtvals.size - np.sum(solved))
     jtvals = jtvals[solved]
     below = jtvals < jt0 - PROBE_TOL
     above = jtvals > jt0 + PROBE_TOL
     d_min, d_max = int(np.sum(below)), int(np.sum(above))
-    excluded = int(n_samples - np.sum(solved))
     dual_worst = float(np.max(np.abs(jtvals - jt0)[below | above],
                               initial=0.0))
 
@@ -164,7 +216,7 @@ def local_extremality_probe(P, pair, n_samples, rng_seed,
         primal_worst = float(np.max(jvals) - j0)
 
     return ProbeEvidence(
-        case_id=case_id, r=float(r), r1=float(r1), n_samples=int(n_samples),
+        case_id=case_id, r=r, r1=r1, n_samples=jvals.size,
         primal_min_violations=p_min, primal_max_violations=p_max,
         dual_min_violations=d_min, dual_max_violations=d_max,
         dual_excluded=excluded,

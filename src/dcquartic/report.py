@@ -12,7 +12,11 @@ from .baseline import correspondence_report
 from .critical import lift_to_dual, multistart
 from .curvature import build_bundle, verify_chain_identity
 from .errors import DualityError
-from .gap import classify_case, global_min_certificate, local_extremality_probe
+from .gap import (
+    classify_case,
+    global_min_certificate,
+    local_extremality_probes,
+)
 from .instancefile import instance_digest, instance_to_doc
 from .problem import primal_value
 
@@ -39,10 +43,11 @@ def _fields(obj, keys):
 
 
 def analyze_instance(P, n_seeds, rng_seed, n_samples):
-    """multistart -> lift -> bundle -> classify -> gap -> probes ->
-    baseline, with per-stage failures recorded per critical point."""
+    """multistart -> lift -> bundle -> classify -> gap -> certificate ->
+    baseline per critical point, with per-stage failures recorded per
+    point; then the probes of every point with a bundle, as one stack."""
     ms = multistart(P, n_seeds, rng_seed)
-    records = []
+    records, probed = [], []
     for idx, (x0, its) in enumerate(zip(ms.points, ms.iterations)):
         pair = lift_to_dual(P, x0, newton_iterations=its)
         record = {
@@ -79,12 +84,7 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
             record["dual_hessian_asymmetry"] = bundle.dual_hessian_asymmetry
             record["alpha1_norm"] = float(np.linalg.norm(bundle.alpha1, "fro"))
             record["membership"] = _fields(case, MEMBERSHIP_KEYS)
-            if n_samples > 0:
-                probe = local_extremality_probe(
-                    P, pair, n_samples, rng_seed,
-                    case_id=case.case_id, bundle=bundle)
-                record["probe"] = {**_fields(probe, PROBE_KEYS),
-                                   "violations": probe.violations()}
+            probed.append((record, pair, case.case_id, bundle))
             if case.case_id == "case2":
                 try:
                     cert = global_min_certificate(P, pair, case, ms.points)
@@ -103,6 +103,13 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
         except DualityError as exc:
             record["errors"]["baseline"] = str(exc)
         records.append(record)
+    if n_samples > 0 and probed:
+        held, pairs, case_ids, bundles = zip(*probed)
+        probes = local_extremality_probes(P, pairs, n_samples, rng_seed,
+                                          case_ids, bundles)
+        for record, probe in zip(held, probes):
+            record["probe"] = {**_fields(probe, PROBE_KEYS),
+                               "violations": probe.violations()}
     return records, ms
 
 

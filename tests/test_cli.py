@@ -324,6 +324,25 @@ class TestSweepCommand:
         assert [p["ok"] for p in points] == [False, False, True]
         assert all("K-minus-A-not-PD" in p["error"] for p in points[:2])
 
+    def test_eps_list_negative_first_value(self, tmp_path, capsys,
+                                           monkeypatch):
+        # argparse reads "-0.5,0.1" after a space as an option; the
+        # --eps-list=... form that --help documents passes it as the value
+        monkeypatch.setenv("COLUMNS", "200")  # no line break inside the form
+        with pytest.raises(SystemExit) as done:
+            main(["sweep", "--help"])
+        assert done.value.code == 0
+        assert "--eps-list=-0.5,0.1" in capsys.readouterr().out
+        out = tmp_path / "eps.json"
+        code = main(["sweep", "--n", "1", "--N", "1", "--count", "1",
+                     "--rng", "3", "--seeds", "6",
+                     "--eps-list=-0.5,0.1", "--json", str(out)])
+        assert code == 0
+        points = json.loads(out.read_text())["instances"][0]["sweep"]["points"]
+        assert [(p["eps"], p["ok"]) for p in points] == [(-0.5, False),
+                                                          (0.1, True)]
+        assert "K-minus-A-not-PD" in points[0]["error"]
+
 
 def test_runs_without_scipy():
     # numpy is the only runtime dependency: with scipy blocked from

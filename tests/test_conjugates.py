@@ -16,6 +16,7 @@ from dcquartic import (
     g2_star,
     g2_value,
     generate_instance,
+    implicit_sensitivity,
     in_A_star,
     in_B_star,
     in_C_star,
@@ -32,6 +33,7 @@ from dcquartic.conjugates import (
     SOLVED,
     _inner_newton_stack,
     _j_star_stack,
+    default_inner_init,
 )
 from dcquartic.gap import PROBE_TOL
 from oracles import (
@@ -141,14 +143,16 @@ class TestJTildeStar:
 
 
 def _one_at_a_time(P, v_stars, init):
-    """j_tilde_star_loop on each row alone: values and argmaxes, nan where
-    it raises, and the class it raises (None where it returns)."""
+    """j_tilde_star_loop on each row alone, from init or, for an (S, N)
+    init, from the row's start: values and argmaxes, nan where it raises,
+    and the class it raises (None where it returns)."""
     values = np.full(len(v_stars), np.nan)
     argmaxes = np.full((len(v_stars), P.N), np.nan)
     raised = [None] * len(v_stars)
     for s, v in enumerate(v_stars):
+        start = init[s] if np.ndim(init) == 2 else init
         try:
-            values[s], argmaxes[s] = j_tilde_star_loop(P, v, init=init)
+            values[s], argmaxes[s] = j_tilde_star_loop(P, v, init=start)
         except (NoConvergenceError, OutsideCstarError) as exc:
             raised[s] = type(exc)
     return values, argmaxes, raised
@@ -191,8 +195,8 @@ def _dual_evidence_by_loop(evidence, jt0, values):
 class TestJTildeStarStack:
     def test_probe_samples_match_one_at_a_time(self, p_tri, p_min):
         # acceptance-ensemble members 0 and 7 hold probe samples whose
-        # first start fails: on member 0 the fallback fails too, on member
-        # 7 it rescues some
+        # first start fails: on member 0 every start fails for some, on
+        # member 7 a later start rescues some
         members = list(iter_ensemble(8, 2024))
         seed, n_samples = 7, 1000
         pairs = checked = excluded = rescued = 0
@@ -206,10 +210,17 @@ class TestJTildeStarStack:
                     continue
                 evidence = local_extremality_probe(P, pair, n_samples, seed,
                                                    bundle=bundle)
-                # the probe's own dual-ball samples
+                # the probe's own dual-ball samples, each started on the
+                # inner argmax's tangent, and solved again from vhat0
+                # where that raises
                 vs = linalg.ball_samples(np.random.default_rng([seed, 1]),
                                          pair.v_hat, evidence.r1, n_samples)
-                ok, values = _assert_stack_matches(P, vs, pair.v0_hat)
+                starts = pair.v0_hat + (vs - pair.v_hat) \
+                    @ implicit_sensitivity(P, pair, bundle).T
+                ok, values = _assert_stack_matches(P, vs, starts)
+                retry = np.flatnonzero(~ok)
+                ok[retry], values[retry] = _assert_stack_matches(
+                    P, vs[retry], pair.v0_hat)
                 jt0 = j_star(P, pair.v_hat, pair.v0_hat)
                 expected = _dual_evidence_by_loop(evidence, jt0, values)
                 # dual_worst = |Jt*(v) - Jt*(vhat)| carries the values'
@@ -218,8 +229,7 @@ class TestJTildeStarStack:
                     expected.dual_worst, rel=0.0, abs=1e-12 * (1.0 + abs(jt0)))
                 assert evidence == dataclasses.replace(
                     expected, dual_worst=evidence.dual_worst)
-                _, _, first_status = _inner_newton_stack(
-                    P, vs, np.tile(pair.v0_hat, (n_samples, 1)))
+                _, _, first_status = _inner_newton_stack(P, vs, starts)
                 first_ok = first_status == SOLVED
                 pairs += 1
                 checked += int(np.sum(ok))
@@ -300,6 +310,35 @@ class TestJTildeStarStack:
                 np.testing.assert_array_equal(argmax, argmaxes[0])
                 solved += 1
         assert solved >= 200
+
+    def test_row_starts_are_one_row_calls(self, p_tri, p_min):
+        # an (S, N) init starts row s at init[s]: each row is its one-row
+        # call from that start, bit for bit, nan rows included
+        rng = np.random.default_rng(16)
+        solved = failed = 0
+        for P, v_stars, init in self._mixed_outcomes(p_tri, p_min):
+            S = len(v_stars)
+            base = default_inner_init(P, v_stars) if init is None \
+                else np.tile(P.require_v0(init), (S, 1))
+            starts = base + 0.1 * (1.0 + np.abs(base)) \
+                * rng.standard_normal(base.shape)
+            values, argmaxes = j_tilde_star(P, v_stars, init=starts)
+            for s in range(S):
+                value, argmax = j_tilde_star(P, v_stars[s:s + 1],
+                                             init=starts[s])
+                assert value.tobytes() == values[s:s + 1].tobytes()
+                assert argmax.tobytes() == argmaxes[s:s + 1].tobytes()
+                solved += int(~np.isnan(value[0]))
+                failed += int(np.isnan(value[0]))
+            # the default starts, passed as a stack, are the default
+            for got, want in zip(j_tilde_star(P, v_stars, init=base),
+                                 j_tilde_star(P, v_stars, init=init)):
+                assert got.tobytes() == want.tobytes()
+            for bad in (np.zeros((S + 1, P.N)), np.zeros((S, P.N + 1)),
+                        starts[None]):
+                with pytest.raises(DimensionMismatchError):
+                    j_tilde_star(P, v_stars, init=bad)
+        assert solved >= 200 and failed > 0
 
     def test_stack_row_nan_exactly_where_point_raises(self, p_tri, p_min,
                                                       monkeypatch):

@@ -17,21 +17,25 @@ from dcquartic import (
     find_critical_pairs,
     generate_instance,
     global_min_certificate,
+    implicit_sensitivity,
     in_B_star,
     iter_ensemble,
     j2_star,
+    j_tilde_star,
     lift_to_dual,
     linalg,
     load_instance,
     local_extremality_probe,
+    local_extremality_probes,
     multistart,
     primal_value,
     validate_instance,
     verify_chain_identity,
     verify_zero_gap,
 )
-from dcquartic import gap
+from dcquartic import conjugates, gap
 from dcquartic.gap import lagrangian_bound
+from dcquartic.report import analyze_instance
 from oracles import grid_min_1d, j2_star_barrier_path, sampled_global_certificate
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
@@ -249,6 +253,80 @@ class TestProbes:
             shapes.clear()
             local_extremality_probe(p_tri, pair, 50, 7, case_id, bundle)
             assert shapes == [(1,), (50, 1)]
+
+    def test_stack_is_the_one_pair_probes(self):
+        # every probe-able pair of both samples and of members 0-24, probed
+        # together, gets its one-pair evidence exactly, dual_worst included
+        checked = 0
+        for P in [load_instance(SAMPLES / "trifecta.json"),
+                  load_instance(SAMPLES / "global_min.json"),
+                  *iter_ensemble(25, 2024)]:
+            ms = multistart(P, 12, 7)
+            pairs, case_ids, bundles = [], [], []
+            for x0, its in zip(ms.points, ms.iterations):
+                pair = lift_to_dual(P, x0, newton_iterations=its)
+                try:
+                    bundle = build_bundle(P, pair)
+                except DualityError:
+                    continue
+                pairs.append(pair)
+                bundles.append(bundle)
+                case_ids.append(classify_case(P, pair, bundle).case_id)
+            stacked = local_extremality_probes(P, pairs, 1000, 7, case_ids,
+                                               bundles)
+            assert stacked == [
+                local_extremality_probe(P, pair, 1000, 7, case_id, bundle)
+                for pair, case_id, bundle in zip(pairs, case_ids, bundles)]
+            if not checked:
+                # the bundles and cases default to build_bundle and
+                # classify_case
+                assert local_extremality_probes(P, pairs, 1000, 7) == stacked
+            checked += len(pairs)
+        assert checked >= 40
+
+    def test_report_makes_one_j_tilde_star_call(self, monkeypatch):
+        # trifecta's three pairs: one 3000-row stack, and no v0-hat retry;
+        # started on the tangent, it takes two inner Newton iterations
+        # (from vhat0, the +-sqrt(2) balls take four)
+        P = load_instance(SAMPLES / "trifecta.json")
+        rows, iterations = [], []
+        solve, matrix = gap.j_tilde_star, conjugates._inner_matrix
+        monkeypatch.setattr(gap, "j_tilde_star", lambda P, v, init=None:
+                            rows.append(len(v)) or solve(P, v, init))
+        monkeypatch.setattr(conjugates, "_inner_matrix", lambda *args:
+                            iterations.append(1) or matrix(*args))
+        records, _ = analyze_instance(P, 32, 7, 1000)
+        assert rows == [3000]
+        assert len(iterations) == 2
+        assert sum(r["probe"] is not None for r in records) == 3
+
+    def test_failed_rows_are_solved_again_from_v0_hat(self):
+        # acceptance-ensemble member 47: around its first point, some dual
+        # samples solve only from the tangent start and some only from
+        # vhat0; a sample is excluded only when both fail
+        P = list(iter_ensemble(48, 2024))[47]
+        ms = multistart(P, 12, 7)
+        pair = lift_to_dual(P, ms.points[0],
+                            newton_iterations=ms.iterations[0])
+        bundle = build_bundle(P, pair)
+        evidence = local_extremality_probe(P, pair, 1000, 7, bundle=bundle)
+        vs = linalg.ball_samples(np.random.default_rng([7, 1]), pair.v_hat,
+                                 evidence.r1, 1000)
+        starts = pair.v0_hat + (vs - pair.v_hat) \
+            @ implicit_sensitivity(P, pair, bundle).T
+        tangent = np.isnan(j_tilde_star(P, vs, init=starts)[0])
+        v0_hat = np.isnan(j_tilde_star(P, vs, init=pair.v0_hat)[0])
+        assert np.sum(tangent & ~v0_hat) > 0 and np.sum(v0_hat & ~tangent) > 0
+        assert evidence.dual_excluded == np.sum(tangent & v0_hat)
+
+    @pytest.mark.parametrize("n_samples", [2.5, -1])
+    def test_n_samples_is_a_non_negative_integer(self, p_tri, sqrt2,
+                                                 n_samples):
+        pair = lift_to_dual(p_tri, [sqrt2])
+        with pytest.raises(ValueError, match="n_samples"):
+            local_extremality_probe(p_tri, pair, n_samples, 7)
+        with pytest.raises(ValueError, match="n_samples"):
+            local_extremality_probes(p_tri, [pair], n_samples, 7)
 
     def test_unclassified_saddle_reports_violations(self):
         # find a saddle-adjacent pair: indefinite Hessian keeps it
