@@ -21,7 +21,8 @@ concave in v0* on C*, and
                                                 point when it lies
                                                 strictly inside A*,
                                                 else log-det barrier
-                                                continuation)
+                                                continuation on the
+                                                Jt* Newton solver)
 
 B* is where S(v0*) = A + sum_j (v0*)_j B_j is positive definite.  Since
 M(v0*) = S(v0*) + (K - A) and validate_instance requires K - A positive
@@ -53,7 +54,7 @@ STACK_ENTRIES = 1 << 21  # matrix entries per stacked solve; bounds memory
 SOLVED, LEFT_C_STAR, NO_CONVERGENCE, OUTSIDE_C_STAR = range(4)
 _FAILURES = (None, LeftCstarError, NoConvergenceError, OutsideCstarError)
 
-BARRIER_WEIGHTS = (1e-2, 1e-4, 1e-6)
+BARRIER_WEIGHTS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 BOUNDARY_MARGIN = 1e-6
 A_STAR_ASCENT_MAX_ITER = 200
 
@@ -155,24 +156,49 @@ def default_inner_init(P, v_star):
     return P.gamma * P.quartic_terms(recover_primal(P, v_star))
 
 
-def _inner_residual(P, v_star, v0, L):
+def _inner_factor(P, v0, mu):
+    """(L, Sinv, ok) at each row of a stack: L the Cholesky factor of
+    M(v0), ok where it exists and, for mu > 0, where S(v0) factors too;
+    Sinv is S(v0)^{-1} on those rows for mu > 0, else an empty stack."""
+    L, ok = linalg.cho_factor(P.mixed_matrix(v0))
+    Sinv = np.empty((len(v0), 0, 0))
+    if mu:
+        S = P.ab_matrix(v0)
+        ok &= linalg.cho_factor(S)[1]
+        Sinv = np.zeros_like(S)
+        Sinv[ok] = linalg.symmetrize(np.linalg.inv(S[ok]))
+    return L, Sinv, ok
+
+
+def _inner_residual(P, v_star, v0, L, mu, Sinv):
     """Stationarity residual of the inner sup and the matching x_bar, at a
-    point or each row of a stack, given the Cholesky factor L of M(v0)."""
+    point or each row of a stack, given the Cholesky factor L of M(v0);
+    mu > 0 adds the barrier's mu tr(S^{-1} B_j), given Sinv = S^{-1}."""
     x_bar = linalg.cho_solve(L, v_star)
-    return P.quartic_terms(x_bar) - v0 / P.gamma, x_bar
+    res = P.quartic_terms(x_bar) - v0 / P.gamma
+    if mu:
+        res += mu * np.einsum("...kl,jlk->...j", Sinv, P.B)
+    return res, x_bar
 
 
-def _inner_matrix(P, x_bar, L):
+def _inner_matrix(P, x_bar, L, mu, Sinv):
     """E(x_bar) = P2 P1 + diag(1/gamma), the negated v0*-Hessian of J*, at
-    a point or each row of a stack, given the Cholesky factor L of M."""
+    a point or each row of a stack, given the Cholesky factor L of M;
+    mu > 0 adds mu T, T_ji = tr(S^{-1} B_j S^{-1} B_i), given Sinv."""
     p1 = P.bx_columns(x_bar)
     E = np.swapaxes(linalg.cho_solve(L, p1), -1, -2) @ p1
-    return linalg.symmetrize(E) + np.diag(1.0 / P.gamma)
+    E = linalg.symmetrize(E) + np.diag(1.0 / P.gamma)
+    if mu:
+        X = np.einsum("...kl,jlm->...jkm", Sinv, P.B)
+        E += mu * linalg.symmetrize(np.einsum("...jkm,...imk->...ji", X, X))
+    return E
 
 
-def _inner_newton_stack(P, v_stars, v0):
+def _inner_newton_stack(P, v_stars, v0, mu=0.0):
     """Damped Newton on the inner stationarity system, on every row of an
-    (S, n) stack at once; a single point is a one-row stack.
+    (S, n) stack at once; a single point is a one-row stack.  mu > 0
+    solves for the maximizer of J*(v*, .) + mu logdet S instead, inside
+    A* (where S factors), to a residual of 1e-10 (1 + max |v0|).
 
     Row s starts at v0[s].  The C* test (a Cholesky factor of M),
     tolerance, iteration budget, halving backtrack and strict-decrease
@@ -180,41 +206,59 @@ def _inner_newton_stack(P, v_stars, v0):
     status[s] is SOLVED, v0[s] is the solution and L[s] the Cholesky
     factor of M(v0[s]).  Otherwise status[s] is LEFT_C_STAR (the start,
     or every backtracked step, leaves C*) or NO_CONVERGENCE (the budget
-    ran out).  np.linalg.solve raises for the whole stack on a singular E.
+    ran out), and v0[s] is the last accepted iterate.  A singular E
+    raises for the whole stack, SingularMatrixError when mu > 0.
     """
     v0 = np.array(v0, dtype=float)
-    L, feasible = linalg.cho_factor(P.mixed_matrix(v0))
+    L, Sinv, feasible = _inner_factor(P, v0, mu)
     status = np.where(feasible, NO_CONVERGENCE, LEFT_C_STAR)
     live = np.flatnonzero(feasible)
-    res, x_bar = _inner_residual(P, v_stars[live], v0[live], L[live])
+    res, x_bar = _inner_residual(
+        P, v_stars[live], v0[live], L[live], mu, Sinv[live])
     res_norm = np.max(np.abs(res), axis=1)
+    tol = 1e-10 if mu else linalg.TOL_FACTOR
     for _ in range(INNER_MAX_ITER):
-        done = res_norm <= linalg.TOL_FACTOR * (
-            1.0 + np.max(np.abs(v0[live]), axis=1))
+        done = res_norm <= tol * (1.0 + np.max(np.abs(v0[live]), axis=1))
         status[live[done]] = SOLVED
         live, res, x_bar, res_norm = \
             live[~done], res[~done], x_bar[~done], res_norm[~done]
         if live.size == 0:
             break
-        E = _inner_matrix(P, x_bar, L[live])
-        step = np.linalg.solve(E, res[:, :, None])[:, :, 0]
+        E = _inner_matrix(P, x_bar, L[live], mu, Sinv[live])
+        try:
+            step = np.linalg.solve(E, res[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError as exc:
+            if not mu:
+                raise
+            raise SingularMatrixError(
+                f"barrier Newton matrix E + mu T is singular at mu = {mu:g}"
+            ) from exc
         pending = np.ones(live.size, dtype=bool)
+        searching = pending.copy()
         t = 1.0
         for _ in range(INNER_MAX_BACKTRACKS):
-            rows = np.flatnonzero(pending)
+            rows = np.flatnonzero(searching)
             cand = v0[live[rows]] + t * step[rows]
-            cand_L, feasible = linalg.cho_factor(P.mixed_matrix(cand))
-            rows, cand, cand_L = rows[feasible], cand[feasible], cand_L[feasible]
+            if mu:
+                # a barrier row whose step rounds to its iterate (where a
+                # stage stalls above its tolerance) cannot decrease the
+                # residual, at this t or any shorter one
+                searching[rows] = (cand != v0[live[rows]]).any(axis=1)
+            cand_L, cand_Sinv, feasible = _inner_factor(P, cand, mu)
+            rows, cand, cand_L, cand_Sinv = (
+                rows[feasible], cand[feasible], cand_L[feasible],
+                cand_Sinv[feasible])
             cand_res, cand_x = _inner_residual(
-                P, v_stars[live[rows]], cand, cand_L)
+                P, v_stars[live[rows]], cand, cand_L, mu, cand_Sinv)
             cand_norm = np.max(np.abs(cand_res), axis=1)
             better = cand_norm < res_norm[rows]
             rows = rows[better]
-            v0[live[rows]], L[live[rows]] = cand[better], cand_L[better]
+            v0[live[rows]], L[live[rows]], Sinv[live[rows]] = \
+                cand[better], cand_L[better], cand_Sinv[better]
             res[rows], x_bar[rows], res_norm[rows] = \
                 cand_res[better], cand_x[better], cand_norm[better]
-            pending[rows] = False
-            if not pending.any():
+            pending[rows] = searching[rows] = False
+            if not searching.any():
                 break
             t *= 0.5
         # a row with no feasible descent step has left C*
@@ -360,55 +404,6 @@ def _feasible_a_star_point(P, v0):
         f"(best margin {value:.3e})")
 
 
-def _barrier_ascent(P, v_star, g1, v0, mu):
-    """Maximize J*(v*, .) + mu logdet(A + sum v B) inside A*, given
-    g1 = G1*(v*)."""
-    def eval_point(v):
-        S_L, inside = linalg.cho_factor(P.ab_matrix(v))
-        if not inside:
-            return None
-        M_L, inside = linalg.cho_factor(P.mixed_matrix(v))
-        if not inside:
-            return None
-        logdet = 2.0 * float(np.sum(np.log(np.diag(S_L))))
-        value = g1 - float(_g2_star_factored(P, v_star, v, M_L)) + mu * logdet
-        return value, S_L, M_L
-
-    state = eval_point(v0)
-    if state is None:
-        raise AStarEmptyError("barrier start left A*")
-    value, S_L, M_L = state
-    for _ in range(INNER_MAX_ITER):
-        res, x_bar = _inner_residual(P, v_star, v0, M_L)
-        Sinv = linalg.symmetrize(linalg.cho_solve(S_L, np.eye(P.n)))
-        barrier_grad = mu * np.einsum("kl,jlk->j", Sinv, P.B)
-        grad = res + barrier_grad
-        if float(np.max(np.abs(grad))) <= 1e-10 * (1.0 + float(np.max(np.abs(v0)))):
-            break
-        E = _inner_matrix(P, x_bar, M_L)
-        X = np.einsum("kl,jlm->jkm", Sinv, P.B)
-        T = linalg.symmetrize(np.einsum("jkm,imk->ji", X, X))
-        try:
-            step = np.linalg.solve(E + mu * T, grad)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
-                f"barrier Newton matrix E + mu T is singular at mu = {mu:g}"
-            ) from exc
-        t = 1.0
-        improved = False
-        for _ in range(INNER_MAX_BACKTRACKS):
-            cand = v0 + t * step
-            cand_state = eval_point(cand)
-            if cand_state is not None and cand_state[0] > value:
-                v0, (value, S_L, M_L) = cand, cand_state
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    return v0
-
-
 def _polish(P, v_star, g1, v0, floor):
     """Newton from v0 to the interior stationary point of J*(v*, .).
     Returns its J2Result when the solve converges and the point's A*
@@ -434,8 +429,9 @@ def j2_star(P, v_star, init=None):
     A*; it is solved for first, from ``init`` or by default from the lift
     of (K - A)^{-1}(v* + f).  Only where that solve fails or its point
     is within BOUNDARY_MARGIN of A*'s boundary, or outside A*, does a
-    log-det barrier continuation on A + sum_j (v0*)_j B_j run, followed
-    by the same polish.  When the maximizer sits on the A* boundary the
+    log-det barrier continuation run: from a strictly feasible A* point,
+    one _inner_newton_stack solve per weight in BARRIER_WEIGHTS, then
+    the same polish.  When the maximizer sits on the A* boundary the
     barrier-path limit value is returned tagged boundary_attained.
     Raises AStarEmptyError when no strictly feasible A* start is found
     near ``init``, and SingularMatrixError when a barrier Newton matrix
@@ -449,7 +445,8 @@ def j2_star(P, v_star, init=None):
         return interior
     v0 = _feasible_a_star_point(P, v0)
     for mu in BARRIER_WEIGHTS:
-        v0 = _barrier_ascent(P, v_star, g1, v0, mu)
+        # each stage starts where the last one stopped, whatever its status
+        v0 = _inner_newton_stack(P, v_star[None], v0[None], mu)[0][0]
 
     # polish the barrier path's end point; if the stationary point lies
     # beyond the A* boundary, the end point is the sup's boundary limit

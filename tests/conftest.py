@@ -25,12 +25,20 @@ def sqrt2():
 
 @pytest.fixture
 def barrier_calls(monkeypatch):
-    """The J2* barrier-path steps called while the test runs, in order:
-    "_feasible_a_star_point" for phase 1 and "_barrier_ascent" for each
-    barrier weight."""
+    """The J2* barrier-path stages run while the test runs, in order:
+    "_feasible_a_star_point" for phase 1, then the weight mu of each
+    barrier stage (an _inner_newton_stack call with mu > 0)."""
     calls = []
-    for name in ("_feasible_a_star_point", "_barrier_ascent"):
-        monkeypatch.setattr(
-            conjugates, name, lambda *args, name=name,
-            fn=getattr(conjugates, name): calls.append(name) or fn(*args))
+    phase1, newton = conjugates._feasible_a_star_point, \
+        conjugates._inner_newton_stack
+
+    def spy_newton(P, v_stars, v0, mu=0.0):
+        if mu:
+            calls.append(mu)
+        return newton(P, v_stars, v0, mu)
+
+    monkeypatch.setattr(
+        conjugates, "_feasible_a_star_point",
+        lambda *args: calls.append("_feasible_a_star_point") or phase1(*args))
+    monkeypatch.setattr(conjugates, "_inner_newton_stack", spy_newton)
     return calls

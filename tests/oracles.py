@@ -13,7 +13,8 @@ convexity and weak duality) that the exact Lagrangian bound of
 global_min_certificate replaced.  j2_star_barrier_path is the J2*
 evaluator that runs the barrier continuation on every call; j2_star
 runs it only where the interior stationary point is not strictly
-inside A*.
+inside A*.  j2_star_grid is J2* with none of the library's solvers: a
+zooming grid over the multipliers where S and M are positive definite.
 """
 
 from dataclasses import dataclass
@@ -45,8 +46,9 @@ from dcquartic.problem import primal_hessian, primal_value
 
 # central finite-difference step, relative to 1 + |x_i|
 FD_STEP_FACTOR = 1e-5
-# j2 values at boundary-attained points carry O(mu log mu) barrier
-# truncation, so the midpoint convexity test gets a looser band
+# j2 values at boundary-attained points are the end of the barrier path
+# at mu = 1e-6, short of the sup by at most n mu, so the midpoint
+# convexity test gets a looser band
 J2_CONVEXITY_TOL = 5e-5
 
 
@@ -137,6 +139,33 @@ def j_tilde_grid(P, v_star, center, half_width, points=41, levels=8):
     val, arg = zoom_grid_max(batch, center, half_width,
                              points=points, levels=levels)
     return val, arg
+
+
+def j2_star_grid(P, v_star, center, half_width, points=11, levels=8):
+    """Numeric sup over v0* in A* of J*(v*, v0*), from its closed form
+    with dense solves.
+
+    Grid points where S(v0*) or M(v0*) is not positive definite evaluate
+    to -inf; A* is convex and the objective concave on it, so zooming
+    cannot get stuck, and every grid value is a lower bound of J2*(v*).
+    """
+    v_star = np.asarray(v_star, dtype=float)
+    g1 = 0.5 * (v_star + P.f) @ np.linalg.solve(P.K_minus_A, v_star + P.f)
+
+    def batch(v0s):
+        S = P.A + np.einsum("sj,jkl->skl", v0s, P.B)
+        M = P.K + np.einsum("sj,jkl->skl", v0s, P.B)
+        inside = (np.linalg.eigvalsh(S)[:, 0] > 0.0) \
+            & (np.linalg.eigvalsh(M)[:, 0] > 0.0)
+        out = np.full(v0s.shape[0], -np.inf)
+        v0 = v0s[inside]
+        x = np.linalg.solve(M[inside], v_star[:, None])[..., 0]
+        out[inside] = (g1 - 0.5 * x @ v_star + v0 @ P.c
+                       - 0.5 * (v0 ** 2) @ (1.0 / P.gamma))
+        return out
+
+    return zoom_grid_max(batch, center, half_width,
+                         points=points, levels=levels)
 
 
 def gradient_roots_1d(P, lo=-6.0, hi=6.0, scans=20001):
@@ -337,7 +366,7 @@ def j_tilde_star_loop(P, v_star, init=None):
 def j2_star_barrier_path(P, v_star, init=None):
     """The J2* evaluator that j2_star's interior-first solve shortcuts:
     J2*(v*) = sup over A* of J*(v*, .) by a strictly feasible A* start,
-    the three log-det barrier ascents, then a polish to the interior
+    one log-det barrier stage per weight, then a polish to the interior
     stationary point, on every call.  Built from the library's pieces;
     returns a J2Result."""
     v_star = P.require_x(v_star)
@@ -346,7 +375,8 @@ def j2_star_barrier_path(P, v_star, init=None):
         else default_inner_init(P, v_star)
     v0 = conjugates._feasible_a_star_point(P, v0)
     for mu in conjugates.BARRIER_WEIGHTS:
-        v0 = conjugates._barrier_ascent(P, v_star, g1, v0, mu)
+        v0 = conjugates._inner_newton_stack(P, v_star[None], v0[None],
+                                            mu)[0][0]
     rows, _, status = conjugates._inner_newton_stack(P, v_star[None],
                                                      v0[None])
     if status[0] == conjugates.SOLVED:

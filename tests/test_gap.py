@@ -21,6 +21,7 @@ from dcquartic import (
     in_B_star,
     iter_ensemble,
     j2_star,
+    j_star,
     j_tilde_star,
     lift_to_dual,
     linalg,
@@ -36,7 +37,12 @@ from dcquartic import (
 from dcquartic import conjugates, gap
 from dcquartic.gap import lagrangian_bound
 from dcquartic.report import analyze_instance
-from oracles import grid_min_1d, j2_star_barrier_path, sampled_global_certificate
+from oracles import (
+    grid_min_1d,
+    j2_star_barrier_path,
+    j2_star_grid,
+    sampled_global_certificate,
+)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
 
@@ -423,6 +429,8 @@ class TestGlobalCertificate:
                 assert cert.passed, (i, pair.x0, cert)
                 sampled = sampled_global_certificate(P, pair, case, points)
                 assert sampled.passed, (i, pair.x0, sampled)
+                assert sampled.convexity_fail_count == 0
+                assert sampled.convexity_excluded == 0
                 assert sampled.inf_estimate >= cert.inf_estimate - 1e-9
                 certified += 1
         assert certified >= 8
@@ -479,30 +487,79 @@ class TestGlobalCertificate:
                     assert res.a_star_margin == ref.a_star_margin
         assert min(paths.values()) >= 5, paths
 
-    def test_singular_barrier_matrix_is_named(self, barrier_calls):
-        # acceptance-ensemble member 8: the sampled certificate's twelfth
-        # convexity draw around its case-2 pair meets a singular barrier
-        # Newton matrix E + mu T
-        P = list(iter_ensemble(9, 2024))[8]
-        ms = multistart(P, 12, 7)
-        pair = lift_to_dual(P, ms.points[0], newton_iterations=ms.iterations[0])
-        case = classify_case(P, pair, build_bundle(P, pair))
-        assert case.case_id == "case2"
-        rng = np.random.default_rng([7, 3])
-        scale = 0.5 * (1.0 + float(np.max(np.abs(pair.v_hat))))
-        for _ in range(12):
-            u = pair.v_hat + scale * rng.standard_normal(P.n)
-            w = pair.v_hat + scale * rng.standard_normal(P.n)
-        j2_star(P, u, init=pair.v0_hat)
+    def test_singular_barrier_matrix_is_named(self, barrier_calls,
+                                              monkeypatch):
+        # acceptance-ensemble member 8: every one of the sampled
+        # certificate's 100 convexity draws around its case-2 pair solves
+        P, pair, case, points = _ensemble_case2_pair(8)
+        sampled = sampled_global_certificate(P, pair, case, points)
+        assert sampled.convexity_excluded == 0
+        assert sampled.convexity_pass_count == 100
+        assert global_min_certificate(P, pair, case, points).passed
+        # the twelfth draw's w runs the barrier continuation; a singular
+        # barrier Newton matrix E + mu T there is named
+        w = _convexity_draws(pair, 12)[11][1]
         barrier_calls.clear()
-        with pytest.raises(SingularMatrixError):
+        j2_star(P, w, init=pair.v0_hat)
+        assert barrier_calls == ["_feasible_a_star_point",
+                                 *conjugates.BARRIER_WEIGHTS]
+        barrier_calls.clear()
+        inner_matrix = conjugates._inner_matrix
+
+        def singular(P, x_bar, L, mu, Sinv):
+            E = inner_matrix(P, x_bar, L, mu, Sinv)
+            return np.zeros_like(E) if mu else E
+
+        monkeypatch.setattr(conjugates, "_inner_matrix", singular)
+        with pytest.raises(SingularMatrixError, match="mu = 0.1"):
             j2_star(P, w, init=pair.v0_hat)
-        # the interior solve does not answer at w, so the barrier runs
-        assert barrier_calls[0] == "_feasible_a_star_point"
-        assert barrier_calls[-1] == "_barrier_ascent"
-        sampled = sampled_global_certificate(P, pair, case, ms.points)
-        assert sampled.convexity_excluded >= 1
-        assert global_min_certificate(P, pair, case, ms.points).passed
+        assert barrier_calls == ["_feasible_a_star_point",
+                                 conjugates.BARRIER_WEIGHTS[0]]
+
+    @pytest.mark.parametrize("member, draws", [(77, (40, 84)), (92, (81,))])
+    def test_j2_star_at_the_a_star_boundary(self, member, draws):
+        # sampled-certificate convexity draws (u, w) where the sup of
+        # J*(v*, .) over A* sits on A*'s boundary: at u, w and their
+        # midpoint, J2* is no lower than a grid maximum over A*, and it
+        # is J*(v*, .) at a point of A*'s closure
+        P, pair, _, _ = _ensemble_case2_pair(member)
+        all_draws = _convexity_draws(pair, max(draws) + 1)
+        half_width = 2.0 * (1.0 + float(np.max(np.abs(pair.v0_hat))))
+        boundary = 0
+        for k in draws:
+            u, w = all_draws[k]
+            for v_star in (u, w, 0.5 * (u + w)):
+                res = j2_star(P, v_star, init=pair.v0_hat)
+                grid, _ = j2_star_grid(P, v_star, pair.v0_hat, half_width)
+                assert res.value >= grid - 1e-6 * (1.0 + abs(res.value))
+                margin = in_B_star(P, res.v0_star).margin
+                assert margin >= -conjugates.BOUNDARY_MARGIN
+                assert res.value == j_star(P, v_star, res.v0_star)
+                boundary += res.boundary_attained
+        assert boundary >= 1
+
+
+def _ensemble_case2_pair(member):
+    """(P, pair, case, points) for the case-2 pair of acceptance-ensemble
+    member ``member``, at multistart(P, 12, 7)."""
+    P = list(iter_ensemble(member + 1, 2024))[member]
+    ms = multistart(P, 12, 7)
+    for x0, its in zip(ms.points, ms.iterations):
+        pair = lift_to_dual(P, x0, newton_iterations=its)
+        case = classify_case(P, pair, build_bundle(P, pair))
+        if case.case_id == "case2":
+            return P, pair, case, ms.points
+    raise AssertionError(f"member {member} has no case-2 pair")
+
+
+def _convexity_draws(pair, count):
+    """The first ``count`` (u, w) midpoint-convexity draws of
+    sampled_global_certificate around the pair, at its default seed."""
+    rng = np.random.default_rng([7, 3])
+    scale = 0.5 * (1.0 + float(np.max(np.abs(pair.v_hat))))
+    shape = (2, pair.v_hat.size)
+    return [tuple(pair.v_hat + scale * rng.standard_normal(shape))
+            for _ in range(count)]
 
 
 class TestEpsilonSweep:
