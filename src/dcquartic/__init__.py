@@ -54,6 +54,7 @@ from .critical import (
     SolveResult,
     dual_stationarity_residual,
     find_critical_pairs,
+    find_critical_points,
     lift_to_dual,
     multistart,
     solve_primal_critical,

@@ -29,6 +29,8 @@ from .report import (
 MAX_SWEEP_N = 16
 MAX_SWEEP_BIG_N = 8
 MAX_SWEEP_COUNT = 10_000
+SEEDS_HELP = ("multistart starts per instance at N >= 2; N = 1 is solved "
+              "from one eigenproblem without random starts; 0 finds no point")
 
 
 def _write_json(path, doc):
@@ -201,7 +203,7 @@ def build_parser():
     p = sub.add_parser("verify", help="full verification of one instance")
     p.add_argument("path")
     p.add_argument("--seeds", type=int, default=32,
-                   help="multistart seed count (default 32)")
+                   help=SEEDS_HELP + " (default 32)")
     p.add_argument("--rng", type=int, default=7,
                    help="random seed (default 7)")
     p.add_argument("--samples", type=int, default=1000,
@@ -214,7 +216,8 @@ def build_parser():
     p.add_argument("--N", dest="big_n", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--rng", type=int, default=3)
-    p.add_argument("--seeds", type=int, default=12)
+    p.add_argument("--seeds", type=int, default=12,
+                   help=SEEDS_HELP + " (default 12)")
     p.add_argument("--samples", type=int, default=0,
                    help="probe samples per point (default 0: skip probes)")
     p.add_argument("--eps-list",
@@ -227,14 +230,16 @@ def build_parser():
     p = sub.add_parser("baseline",
                        help="literature-dual correspondence per pair")
     p.add_argument("path")
-    p.add_argument("--seeds", type=int, default=32)
+    p.add_argument("--seeds", type=int, default=32,
+                   help=SEEDS_HELP + " (default 32)")
     p.add_argument("--rng", type=int, default=7)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("chain",
                        help="curvature bundle and chain residual per pair")
     p.add_argument("path")
-    p.add_argument("--seeds", type=int, default=32)
+    p.add_argument("--seeds", type=int, default=32,
+                   help=SEEDS_HELP + " (default 32)")
     p.add_argument("--rng", type=int, default=7)
     p.set_defaults(func=cmd_chain)
     return parser

@@ -404,21 +404,13 @@ def _feasible_a_star_point(P, v0):
         f"(best margin {value:.3e})")
 
 
-def _polish(P, v_star, g1, v0, floor):
-    """Newton from v0 to the interior stationary point of J*(v*, .).
-    Returns its J2Result when the solve converges and the point's A*
-    margin is at least floor, else None.  A margin below BOUNDARY_MARGIN
-    puts the point on the A* boundary, where its value is the exact
-    barrier-path limit."""
+def _polish(P, v_star, v0):
+    """Newton from v0 to the interior stationary point of J*(v*, .):
+    (point, its A* margin), or None when the solve does not converge."""
     rows, _, status = _inner_newton_stack(P, v_star[None], v0[None])
     if status[0] != SOLVED:
         return None
-    point = rows[0]
-    margin = in_B_star(P, point).margin
-    if margin < floor:
-        return None
-    return J2Result(g1 - g2_star(P, v_star, point), point,
-                    margin < BOUNDARY_MARGIN, margin)
+    return rows[0], in_B_star(P, rows[0]).margin
 
 
 def j2_star(P, v_star, init=None):
@@ -432,7 +424,8 @@ def j2_star(P, v_star, init=None):
     log-det barrier continuation run: from a strictly feasible A* point,
     one _inner_newton_stack solve per weight in BARRIER_WEIGHTS, then
     the same polish.  When the maximizer sits on the A* boundary the
-    barrier-path limit value is returned tagged boundary_attained.
+    barrier-path limit value is returned tagged boundary_attained; so is
+    the barrier end point whenever the polish converges beyond A*.
     Raises AStarEmptyError when no strictly feasible A* start is found
     near ``init``, and SingularMatrixError when a barrier Newton matrix
     is singular.
@@ -440,19 +433,23 @@ def j2_star(P, v_star, init=None):
     v_star = P.require_x(v_star)
     g1 = g1_star(P, v_star)
     v0 = P.require_v0(init) if init is not None else default_inner_init(P, v_star)
-    interior = _polish(P, v_star, g1, v0, BOUNDARY_MARGIN)
-    if interior is not None:
-        return interior
-    v0 = _feasible_a_star_point(P, v0)
-    for mu in BARRIER_WEIGHTS:
-        # each stage starts where the last one stopped, whatever its status
-        v0 = _inner_newton_stack(P, v_star[None], v0[None], mu)[0][0]
-
-    # polish the barrier path's end point; if the stationary point lies
-    # beyond the A* boundary, the end point is the sup's boundary limit
-    polished = _polish(P, v_star, g1, v0, -BOUNDARY_MARGIN)
-    if polished is not None:
-        return polished
-    margin = in_B_star(P, v0).margin
-    return J2Result(g1 - g2_star(P, v_star, v0), v0,
-                    margin < BOUNDARY_MARGIN, margin)
+    polished = _polish(P, v_star, v0)
+    beyond = False
+    if polished is None or polished[1] < BOUNDARY_MARGIN:
+        v0 = _feasible_a_star_point(P, v0)
+        for mu in BARRIER_WEIGHTS:
+            # each stage starts where the last one stopped, whatever its
+            # status
+            v0 = _inner_newton_stack(P, v_star[None], v0[None], mu)[0][0]
+        # polish the barrier path's end point; a margin below
+        # BOUNDARY_MARGIN puts the stationary point on the A* boundary,
+        # where its value is the exact barrier-path limit
+        polished = _polish(P, v_star, v0)
+        if polished is None or polished[1] < -BOUNDARY_MARGIN:
+            # a stationary point beyond A* puts the sup on A*'s boundary,
+            # whatever the end point's own margin
+            beyond = polished is not None
+            polished = v0, in_B_star(P, v0).margin
+    point, margin = polished
+    return J2Result(g1 - g2_star(P, v_star, point), point,
+                    beyond or margin < BOUNDARY_MARGIN, margin)

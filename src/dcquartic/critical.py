@@ -26,6 +26,11 @@ NEWTON_MAX_BACKTRACKS = 40
 TIKHONOV_FACTOR = 1e-8
 DEDUP_DISTANCE = 1e-6
 CONVERGED_RESIDUAL = 1e-9
+# the N = 1 route's shifts, tried in order; far from round numbers, so
+# that hand-made instances rarely make M0 + sigma M1 or S(sigma) singular
+PENCIL_SHIFTS = (0.5772, -1.2021, 2.6855, -3.3599)
+PENCIL_MAX_COND = 1e10
+PENCIL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -187,13 +192,18 @@ class MultistartResult:
     n_merged: int
 
 
-def _starts(P, n_seeds, rng_seed):
+def _seed_count(n_seeds):
     if not isinstance(n_seeds, numbers.Integral) or n_seeds < 0:
         raise ValueError(
             f"n_seeds must be a non-negative integer, got {n_seeds!r}")
+    return int(n_seeds)
+
+
+def _starts(P, n_seeds, rng_seed):
+    count = _seed_count(n_seeds)
     rng = np.random.default_rng(rng_seed)
     scale = 1.0 + float(np.linalg.norm(P.f)) / (1.0 + P.kma_min_eig)
-    return scale * rng.standard_normal((int(n_seeds), P.n))
+    return scale * rng.standard_normal((count, P.n))
 
 
 def multistart(P, n_seeds, rng_seed):
@@ -225,6 +235,92 @@ def multistart(P, n_seeds, rng_seed):
     return MultistartResult(points=[found[i] for i in order],
                             iterations=[iterations[i] for i in order],
                             n_dropped=n_dropped, n_merged=n_merged)
+
+
+def _real_shifted(M, M1, sigma):
+    """The real eigenvalues v of the pencil M + (v - sigma) M1, from
+    mu = eig(-M^{-1} M1) as v = sigma + 1/mu over the real mu != 0, with
+    their eigenvectors as rows."""
+    mu, vecs = np.linalg.eig(-np.linalg.solve(M, M1))
+    real = (np.abs(mu.imag) <= PENCIL_TOL * np.abs(mu)) & (mu != 0)
+    return sigma + 1.0 / mu[real].real, vecs.T[real].real
+
+
+def _pencil_seeds(P):
+    """Starts at every critical point of an N = 1 instance, or None when
+    no shift in PENCIL_SHIFTS is well conditioned.
+
+    grad J(x) = 0 holds iff S(v) x = -f with v = gamma (x'Bx/2 + c).
+    Where S(v) is invertible, these v are the real eigenvalues of the
+    (2n+1) pencil M0 + v M1, M0 = [[-B, A, 0], [A, 0, -f], [0, f', 2c]],
+    M1 = [[0, B, 0], [B, 0, 0], [0, 0, -2/gamma]]; x = -S(v)^{-1} f is
+    kept where v = gamma (x'Bx/2 + c) holds.  Where S(v) is singular and
+    f is orthogonal to a null vector z (the hard case), x = x_p + alpha z
+    with x_p = -S(v)^+ f the least-norm solution, for each real root
+    alpha of v = gamma (x'Bx/2 + c).  The condition numbers are 1-norm
+    ones and S(v)^+ comes from eigh: an SVD would load LAPACK code that
+    nothing else here uses and add to the resident size.
+    """
+    n, A, B, f = P.n, P.A, P.B[0], P.f
+    c, gamma = float(P.c[0]), float(P.gamma[0])
+    M0 = np.zeros((2 * n + 1, 2 * n + 1))
+    M1 = np.zeros_like(M0)
+    M0[:n, :n], M0[:n, n:-1], M0[n:-1, :n] = -B, A, A
+    M0[n:-1, -1], M0[-1, n:-1], M0[-1, -1] = -f, f, 2.0 * c
+    M1[:n, n:-1], M1[n:-1, :n], M1[-1, -1] = B, B, -2.0 / gamma
+    for sigma in PENCIL_SHIFTS:
+        M, S = M0 + sigma * M1, P.ab_matrix([sigma])
+        if max(np.linalg.cond(M, 1), np.linalg.cond(S, 1)) < PENCIL_MAX_COND:
+            break
+    else:
+        return None
+    v, _ = _real_shifted(M, M1, sigma)
+    # x = -S(v)^{-1} f per row, NaN (so not kept) where S(v) is singular
+    x = _newton_steps(P.ab_matrix(v[:, None]), np.tile(f, (len(v), 1)))
+    w = 0.5 * np.vecdot(x @ B, x) + c
+    seeds = [x[np.abs(v - gamma * w) <= PENCIL_TOL * (1.0 + np.abs(v))]]
+    scale = PENCIL_TOL * (1.0 + np.abs(f).max())
+    for v_hard, z in zip(*_real_shifted(S, B, sigma)):
+        z = z / np.linalg.norm(z)
+        if abs(z @ f) > scale:
+            continue
+        xp = -np.linalg.pinv(P.ab_matrix([v_hard]), rtol=PENCIL_TOL,
+                             hermitian=True) @ f
+        alpha = np.roots([0.5 * z @ B @ z, xp @ B @ z,
+                          0.5 * xp @ B @ xp + c - v_hard / gamma])
+        alpha = alpha[np.abs(alpha.imag) <= PENCIL_TOL * (1.0 + np.abs(alpha))]
+        seeds.append(xp + alpha.real[:, None] * z)
+    # + 0.0 turns the -0 that -S^{-1} f gives at f = 0 into +0
+    return np.concatenate(seeds) + 0.0
+
+
+def find_critical_points(P, n_seeds, rng_seed):
+    """Distinct critical points, merged and sorted as multistart does.
+
+    At N = 1 every critical point comes from one (2n+1) eigenproblem
+    (_pencil_seeds), polished as one _solve_stack; n_seeds must still be
+    a non-negative integer, and 0 asks for no point, as in multistart.
+    At N >= 2, or at N = 1 when no shift is well conditioned (as when A
+    and B share a null vector), this is multistart(P, n_seeds, rng_seed).
+    """
+    seeds = _pencil_seeds(P) if P.N == 1 and _seed_count(n_seeds) else None
+    if seeds is None:
+        return multistart(P, n_seeds, rng_seed)
+    found, iterations, n_dropped, n_merged = [], [], 0, 0
+    for result in _solve_stack(P, seeds):
+        if not result.converged:
+            n_dropped += 1
+        elif any(np.max(np.abs(x - result.x0)) <= DEDUP_DISTANCE
+                 for x in found):
+            n_merged += 1
+        else:
+            found.append(result.x0)
+            iterations.append(result.iterations)
+    order = sorted(range(len(found)),
+                   key=lambda i: (primal_value(P, found[i]), tuple(found[i])))
+    return MultistartResult([found[i] for i in order],
+                            [iterations[i] for i in order],
+                            n_dropped, n_merged)
 
 
 def lift_to_dual(P, x0, newton_iterations=0):
@@ -277,7 +373,9 @@ def dual_stationarity_residual(P, pair):
 
 
 def find_critical_pairs(P, n_seeds, rng_seed):
-    """Multistart followed by the dual lift, one pair per distinct point."""
-    result = multistart(P, n_seeds, rng_seed)
+    """find_critical_points followed by the dual lift, one pair per
+    distinct point: at N = 1 from the (2n+1) eigenproblem, else from
+    multistart."""
+    result = find_critical_points(P, n_seeds, rng_seed)
     return [lift_to_dual(P, x0, newton_iterations=it)
             for x0, it in zip(result.points, result.iterations)]

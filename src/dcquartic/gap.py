@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .conjugates import j2_star, j_tilde_star, pair_j_star
-from .critical import DEDUP_DISTANCE, lift_to_dual, multistart
+from .critical import DEDUP_DISTANCE, find_critical_points, lift_to_dual
 from .curvature import (
     build_bundle,
     implicit_sensitivity,
@@ -302,8 +302,8 @@ def global_min_certificate(P, pair, case, critical_points):
 
     ``case`` is the pair's CaseReport from classify_case; any case other
     than case2 raises NotCase2Error.  ``critical_points`` are the primal
-    critical points already found for P, such as the ``points`` of a
-    multistart run.  inf_estimate is lagrangian_bound at the computed
+    critical points already found for P, such as the ``points`` of
+    find_critical_points.  inf_estimate is lagrangian_bound at the computed
     (x0, vhat0).  The bound holds for any multiplier v at which
     A + sum_j v_j B_j is positive definite, so drift in the lifted
     multiplier cannot weaken it.  Passes when that matrix
@@ -352,13 +352,15 @@ class SweepReport:
 def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
     """Re-solve the instance with K = A + eps I across a list of eps.
 
-    The primal functional does not involve K, so critical points match
-    across the sweep; matched pairs give per-point records of
+    Each solve is find_critical_points(P, n_seeds, rng_seed): from the
+    (2n+1) eigenproblem at N = 1, else from multistart.  The primal
+    functional does not involve K, so critical points match across the
+    sweep; matched pairs give per-point records of
     |(K - A) alpha1| = eps |alpha1| and a fitted log-log slope of that
     norm against eps (only over pairs present, with multiplier in C*, at
     every sweep value).
     """
-    base_points = multistart(P_base, n_seeds, rng_seed).points
+    base_points = find_critical_points(P_base, n_seeds, rng_seed).points
     points = []
     matched = {i: {} for i in range(len(base_points))}
     for eps in eps_list:
@@ -374,7 +376,7 @@ def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
             continue
         sp = SweepPoint(eps=float(eps), ok=True, error=None,
                         h1_norm=1.0 / eps)
-        ms = multistart(P_eps, n_seeds, rng_seed)
+        ms = find_critical_points(P_eps, n_seeds, rng_seed)
         for x0, its in zip(ms.points, ms.iterations):
             pair = lift_to_dual(P_eps, x0, newton_iterations=its)
             record = {

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import __version__
 from .baseline import correspondence_report
-from .critical import lift_to_dual, multistart
+from .critical import find_critical_points, lift_to_dual
 from .curvature import build_bundle, verify_chain_identity
 from .errors import DualityError
 from .gap import (
@@ -43,10 +43,12 @@ def _fields(obj, keys):
 
 
 def analyze_instance(P, n_seeds, rng_seed, n_samples):
-    """multistart -> lift -> bundle -> classify -> gap -> certificate ->
-    baseline per critical point, with per-stage failures recorded per
-    point; then the probes of every point with a bundle, as one stack."""
-    ms = multistart(P, n_seeds, rng_seed)
+    """find_critical_points -> lift -> bundle -> classify -> gap ->
+    certificate -> baseline per critical point, with per-stage failures
+    recorded per point; then the probes of every point with a bundle, as
+    one stack.  The points come from the (2n+1) eigenproblem at N = 1
+    and from multistart(P, n_seeds, rng_seed) otherwise."""
+    ms = find_critical_points(P, n_seeds, rng_seed)
     records, probed = [], []
     for idx, (x0, its) in enumerate(zip(ms.points, ms.iterations)):
         pair = lift_to_dual(P, x0, newton_iterations=its)

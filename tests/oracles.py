@@ -385,9 +385,11 @@ def j2_star_barrier_path(P, v_star, init=None):
             return conjugates.J2Result(
                 g1 - conjugates.g2_star(P, v_star, rows[0]), rows[0],
                 margin < conjugates.BOUNDARY_MARGIN, margin)
+    # the polish converged beyond A*: the sup is on A*'s boundary
     margin = conjugates.in_B_star(P, v0).margin
     return conjugates.J2Result(g1 - conjugates.g2_star(P, v_star, v0), v0,
-                               margin < conjugates.BOUNDARY_MARGIN, margin)
+                               status[0] == conjugates.SOLVED
+                               or margin < conjugates.BOUNDARY_MARGIN, margin)
 
 
 def _grad_inf(P, x):

@@ -10,6 +10,7 @@ from dcquartic import (
     critical,
     dual_stationarity_residual,
     find_critical_pairs,
+    find_critical_points,
     g1_star,
     g1_value,
     g2_star,
@@ -26,6 +27,7 @@ from dcquartic import (
     validate_instance,
 )
 from dcquartic.critical import (
+    DEDUP_DISTANCE,
     NEWTON_MAX_ITER,
     _backtrack,
     _grad_inf,
@@ -128,6 +130,119 @@ class TestMultistart:
         ms = multistart(p_tri, 32, 7)
         values = [primal_value(p_tri, x) for x in ms.points]
         assert values == sorted(values)
+
+
+def _rotated(diagonal, angle=0.7):
+    """(Q diag Q', Q) for the plane rotation Q by ``angle``."""
+    Q = np.array([[np.cos(angle), -np.sin(angle)],
+                  [np.sin(angle), np.cos(angle)]])
+    return Q @ np.diag(diagonal) @ Q.T, Q
+
+
+def _near(x, points, tol):
+    return min(float(np.max(np.abs(x - p))) for p in points) <= tol
+
+
+class TestPencilRoute:
+    def test_recalls_every_random_start(self):
+        # on every N = 1 acceptance-ensemble member, each converged random
+        # start at rng 7 and 11 lands on a point of the route; at n = 1
+        # the route's points are the gradient's roots
+        members = route_count = multistart_count = 0
+        for P in iter_ensemble(200, 2024):
+            if P.N != 1:
+                continue
+            members += 1
+            ms = find_critical_points(P, 12, 7)
+            assert ms.n_dropped == 0 and max(ms.iterations) <= 2
+            route_count += len(ms.points)
+            multistart_count += len(multistart(P, 12, 7).points)
+            for rng in (7, 11):
+                for res in _solve_stack(P, _starts(P, 12, rng)):
+                    if res.converged:
+                        assert _near(res.x0, ms.points, DEDUP_DISTANCE)
+            if P.n == 1:
+                assert sorted(x[0] for x in ms.points) == pytest.approx(
+                    gradient_roots_1d(P), abs=1e-9)
+        assert members == 39
+        assert route_count > multistart_count
+        print(f"\n[N = 1 recall] PASS ({members} members, route "
+              f"{route_count} points, multistart(12, 7) {multistart_count}; "
+              f"every converged start at rng 7 and 11 recalled)")
+
+    def test_hard_case_with_nonzero_f(self):
+        # S(1) = Q diag(0, 3/2) Q' is singular and f = Q (0, 1/2) is
+        # orthogonal to its null vector Q e1, so two of the three
+        # critical points are hard-case points, Q (+-sqrt(35/18), -1/3)
+        A, Q = _rotated([-1.0, 1.0])
+        B, _ = _rotated([1.0, 0.5])
+        P = validate_instance(A, B, [1.0], [0.0], Q @ [0.0, 0.5], 2.0)
+        ms = find_critical_points(P, 12, 7)
+        oracle = multistart(P, 200, 0).points
+        # the two hard-case points tie in J, so compare as sets
+        assert len(ms.points) == len(oracle) == 3 and ms.n_dropped == 0
+        assert all(_near(x, oracle, 1e-9) for x in ms.points)
+        for sign in (1.0, -1.0):
+            assert _near(Q @ [sign * np.sqrt(35 / 18), -1 / 3], ms.points,
+                         1e-12)
+
+    def test_singular_b(self):
+        # B = Q diag(1, 0) Q': in the rotated frame y2 = 2/10 and
+        # y1 = -3/10 / t for each root t = v - 1 of t^3 + 4/5 t^2 - 9/200,
+        # which are -3/10 and (-1/2 +- sqrt(17/20)) / 2
+        A, Q = _rotated([-1.0, 2.0])
+        B, _ = _rotated([1.0, 0.0])
+        P = validate_instance(A, B, [1.0], [0.2], Q @ [0.3, -0.4], 3.0,
+                              coercivity_override=True)
+        ms = find_critical_points(P, 12, 7)
+        oracle = multistart(P, 200, 0).points
+        assert len(ms.points) == len(oracle) == 3
+        assert all(_near(x, oracle, 1e-9) for x in ms.points)
+        for t in (-0.3, (-0.5 + np.sqrt(0.85)) / 2, (-0.5 - np.sqrt(0.85)) / 2):
+            assert _near(Q @ [-0.3 / t, 0.2], ms.points, 1e-12)
+
+    def test_ill_conditioned_shift_is_skipped(self, monkeypatch):
+        # a critical multiplier v makes M0 + v M1 singular: with v put
+        # first, the route moves on to the next shift and gets the same
+        # points
+        P = next(P for P in iter_ensemble(200, 2024) if P.N == 1 and P.n >= 3)
+        expected = find_critical_points(P, 12, 7)
+        v = float(P.gamma[0] * P.quartic_terms(expected.points[0])[0])
+        shifts = []
+        real_shifted = critical._real_shifted
+        monkeypatch.setattr(critical, "_real_shifted",
+                            lambda M, M1, sigma: shifts.append(sigma)
+                            or real_shifted(M, M1, sigma))
+        monkeypatch.setattr(critical, "PENCIL_SHIFTS",
+                            (v, *critical.PENCIL_SHIFTS))
+        ms = find_critical_points(P, 12, 7)
+        assert shifts == [critical.PENCIL_SHIFTS[1]] * 2
+        assert [x.tobytes() for x in ms.points] \
+            == [x.tobytes() for x in expected.points]
+
+    def test_singular_pencil_falls_back_to_multistart(self):
+        # A and B share the null vector e2 and f'e2 = 0, so J does not
+        # depend on x2: S(sigma) is singular at every shift, and the
+        # search is multistart's
+        A = B = np.diag([1.0, 0.0])
+        P = validate_instance(A, B, [1.0], [-1.0], [0.5, 0.0], 2.0,
+                              coercivity_override=True)
+        ms, ref = find_critical_points(P, 12, 7), multistart(P, 12, 7)
+        assert len(ms.points) > 1
+        assert [x.tobytes() for x in ms.points] \
+            == [x.tobytes() for x in ref.points]
+        assert (ms.n_dropped, ms.n_merged) == (ref.n_dropped, ref.n_merged)
+
+    def test_seed_count_is_checked(self, p_tri):
+        for bad in (2.5, 2.0, -1, "3", None):
+            with pytest.raises(ValueError, match="n_seeds"):
+                find_critical_points(p_tri, bad, 7)
+        assert find_critical_points(p_tri, 0, 7).points == []
+        # any positive count gives the same points, whatever the rng
+        one, many = find_critical_points(p_tri, 1, 7), \
+            find_critical_points(p_tri, np.int64(32), 3)
+        assert [x.tobytes() for x in one.points] \
+            == [x.tobytes() for x in many.points]
 
 
 class TestLift:

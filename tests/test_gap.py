@@ -538,6 +538,30 @@ class TestGlobalCertificate:
                 boundary += res.boundary_attained
         assert boundary >= 1
 
+    def test_stationary_point_beyond_a_star_tags_the_boundary(self):
+        # acceptance-ensemble member 8, first ten convexity draws: where
+        # Newton from the returned barrier end point converges to a
+        # stationary point outside A*, the sup sits on A*'s boundary, and
+        # the end point is tagged boundary_attained whatever its own A*
+        # margin (15 of these 25 margins are at least BOUNDARY_MARGIN);
+        # the always-barrier oracle returns the same value and tag
+        P, pair, _, _ = _ensemble_case2_pair(8)
+        beyond = wide = 0
+        for u, w in _convexity_draws(pair, 10):
+            for v_star in (u, w, 0.5 * (u + w)):
+                res = j2_star(P, v_star, init=pair.v0_hat)
+                rows, _, status = conjugates._inner_newton_stack(
+                    P, v_star[None], res.v0_star[None])
+                if status[0] != conjugates.SOLVED or in_B_star(
+                        P, rows[0]).margin >= -conjugates.BOUNDARY_MARGIN:
+                    continue
+                beyond += 1
+                wide += res.a_star_margin >= conjugates.BOUNDARY_MARGIN
+                assert res.boundary_attained
+                ref = j2_star_barrier_path(P, v_star, init=pair.v0_hat)
+                assert ref.boundary_attained and ref.value == res.value
+        assert (beyond, wide) == (25, 15)
+
 
 def _ensemble_case2_pair(member):
     """(P, pair, case, points) for the case-2 pair of acceptance-ensemble

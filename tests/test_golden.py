@@ -17,7 +17,9 @@ meant to move report bytes, with the reason recorded in CHANGES.md.
 """
 
 import dataclasses
+import functools
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -31,23 +33,34 @@ SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
 
 RUN_REPORT_SHA256 = {
     "trifecta.json":
-        "6dab23f9f230ecb2df5c08f04157e7fef99094f2ee42a4c895479dbc72fd8160",
+        "f8eddc3faf68a51cd3624d302ee7fe2e83e7189f71d14b39ea51512d29730ea1",
     "global_min.json":
-        "4a3232145c860f4767fc036a63fd4e0cbcc43619eb72e46a218f5de875d20d50",
+        "0bc4bcd4e4957104f796e0f2a1c3a3d353dc649cf5d96b4cb27f81d16fddaeb3",
 }
 MEMBERS_SHA256 = \
-    "5e65dba8d7805a25383bdc4fb9c1630c8adc3d508d9186a49a1dfc5b1b95c41f"
+    "304693badfc63684ad8784c09d79c91c922f1cfa08de7269a493e9e2a9f79252"
 PROBED_MEMBERS_SHA256 = \
-    "db35fd53161616b8f5fc7f71291549b36fe24967848af1e71015ce79560e8715"
+    "650163b1fe5b1f92fb5771c4b6957cc45c74eb109cd26cd09486db940bc86c2e"
 SWEEPS_SHA256 = \
     "372f59229848c963e2129412f55e532e935f1f5f221fba8e4aab0435be47eea8"
 
 
+@functools.cache
+def _sample_report_text(name):
+    P = load_instance(SAMPLES / name)
+    return dumps_canonical(build_run_report(P, 32, 7, 1000))
+
+
 @pytest.mark.parametrize("name", sorted(RUN_REPORT_SHA256))
 def test_sample_run_report_bytes(name):
-    P = load_instance(SAMPLES / name)
-    text = dumps_canonical(build_run_report(P, 32, 7, 1000))
+    text = _sample_report_text(name)
     assert hashlib.sha256(text.encode()).hexdigest() == RUN_REPORT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(RUN_REPORT_SHA256))
+def test_sample_reports_have_no_negative_zero(name):
+    # f = 0 in both files, so -S(v)^{-1} f is a signed zero
+    assert re.search(r"-0(?![.\d])", _sample_report_text(name)) is None
 
 
 def _members_digest(probe_samples):
