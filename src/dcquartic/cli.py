@@ -120,11 +120,9 @@ def cmd_sweep(args):
     eps_list = None if args.eps_list is None \
         else _parse_eps_list(args.eps_list)
 
-    instances = []
     results = []
     for i in range(args.count):
         P = generate_instance(args.n, args.big_n, [args.rng, 1 + i])
-        instances.append(P)
         if eps_list is None:
             records, ms = analyze_instance(P, args.seeds, args.rng,
                                            args.samples)

@@ -239,11 +239,10 @@ def _inner_newton_stack(P, v_stars, v0, mu=0.0):
         for _ in range(INNER_MAX_BACKTRACKS):
             rows = np.flatnonzero(searching)
             cand = v0[live[rows]] + t * step[rows]
-            if mu:
-                # a barrier row whose step rounds to its iterate (where a
-                # stage stalls above its tolerance) cannot decrease the
-                # residual, at this t or any shorter one
-                searching[rows] = (cand != v0[live[rows]]).any(axis=1)
+            # a row whose step rounds to its iterate (where a stage stalls
+            # above its tolerance) cannot decrease the residual, at this t
+            # or any shorter one
+            searching[rows] = (cand != v0[live[rows]]).any(axis=1)
             cand_L, cand_Sinv, feasible = _inner_factor(P, cand, mu)
             rows, cand, cand_L, cand_Sinv = (
                 rows[feasible], cand[feasible], cand_L[feasible],

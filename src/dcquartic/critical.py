@@ -206,35 +206,37 @@ def _starts(P, n_seeds, rng_seed):
     return scale * rng.standard_normal((count, P.n))
 
 
-def multistart(P, n_seeds, rng_seed):
-    """Deterministic multistart search for distinct critical points.
-
-    Starts are centered Gaussians with scale 1 + |f| / (1 + lmin(K - A)).
-    Converged points within inf-distance 1e-6 are merged; the result is
-    sorted by J value (ties broken lexicographically), so two runs with
-    the same seed agree exactly.  n_seeds must be a non-negative
-    integer (ValueError otherwise).
-    """
-    found = []
-    iterations = []
-    n_dropped = 0
-    n_merged = 0
-    for result in _solve_stack(P, _starts(P, n_seeds, rng_seed)):
+def _distinct(P, X):
+    """Polish the rows of X as one _solve_stack; drop the unconverged
+    rows, merge a converged point within inf-distance DEDUP_DISTANCE of
+    an earlier one, and sort by (J, x) so that equal inputs agree
+    exactly."""
+    found, iterations, n_dropped, n_merged = [], [], 0, 0
+    for result in _solve_stack(P, X):
         if not result.converged:
             n_dropped += 1
-            continue
-        for existing in found:
-            if float(np.max(np.abs(existing - result.x0))) <= DEDUP_DISTANCE:
-                n_merged += 1
-                break
+        elif any(np.max(np.abs(x - result.x0)) <= DEDUP_DISTANCE
+                 for x in found):
+            n_merged += 1
         else:
             found.append(result.x0)
             iterations.append(result.iterations)
     order = sorted(range(len(found)),
                    key=lambda i: (primal_value(P, found[i]), tuple(found[i])))
-    return MultistartResult(points=[found[i] for i in order],
-                            iterations=[iterations[i] for i in order],
-                            n_dropped=n_dropped, n_merged=n_merged)
+    return MultistartResult([found[i] for i in order],
+                            [iterations[i] for i in order],
+                            n_dropped, n_merged)
+
+
+def multistart(P, n_seeds, rng_seed):
+    """Deterministic multistart search for distinct critical points.
+
+    Starts are centered Gaussians with scale 1 + |f| / (1 + lmin(K - A)),
+    polished, merged and sorted by _distinct, so two runs with the same
+    seed agree exactly.  n_seeds must be a non-negative integer
+    (ValueError otherwise).
+    """
+    return _distinct(P, _starts(P, n_seeds, rng_seed))
 
 
 def _real_shifted(M, M1, sigma):
@@ -295,10 +297,10 @@ def _pencil_seeds(P):
 
 
 def find_critical_points(P, n_seeds, rng_seed):
-    """Distinct critical points, merged and sorted as multistart does.
+    """Distinct critical points, polished, merged and sorted by _distinct.
 
     At N = 1 every critical point comes from one (2n+1) eigenproblem
-    (_pencil_seeds), polished as one _solve_stack; n_seeds must still be
+    (_pencil_seeds), whose seeds go to _distinct; n_seeds must still be
     a non-negative integer, and 0 asks for no point, as in multistart.
     At N >= 2, or at N = 1 when no shift is well conditioned (as when A
     and B share a null vector), this is multistart(P, n_seeds, rng_seed).
@@ -306,21 +308,7 @@ def find_critical_points(P, n_seeds, rng_seed):
     seeds = _pencil_seeds(P) if P.N == 1 and _seed_count(n_seeds) else None
     if seeds is None:
         return multistart(P, n_seeds, rng_seed)
-    found, iterations, n_dropped, n_merged = [], [], 0, 0
-    for result in _solve_stack(P, seeds):
-        if not result.converged:
-            n_dropped += 1
-        elif any(np.max(np.abs(x - result.x0)) <= DEDUP_DISTANCE
-                 for x in found):
-            n_merged += 1
-        else:
-            found.append(result.x0)
-            iterations.append(result.iterations)
-    order = sorted(range(len(found)),
-                   key=lambda i: (primal_value(P, found[i]), tuple(found[i])))
-    return MultistartResult([found[i] for i in order],
-                            [iterations[i] for i in order],
-                            n_dropped, n_merged)
+    return _distinct(P, seeds)
 
 
 def lift_to_dual(P, x0, newton_iterations=0):

@@ -167,8 +167,7 @@ def local_extremality_probes(P, pairs, n_samples, rng_seed,
         r = 0.1 * (1.0 + float(np.linalg.norm(pair.x0))) \
             / np.sqrt(1.0 + linalg.spectral_norm_sym(bundle.d2j))
         r1 = 0.1 * (1.0 + float(np.linalg.norm(pair.v_hat))) \
-            / np.sqrt(1.0 + linalg.spectral_norm_sym(
-                linalg.symmetrize(bundle.dual_hessian)))
+            / np.sqrt(1.0 + linalg.spectral_norm_sym(bundle.dual_hessian))
         refs.append((float(r), float(r1), primal_value(P, pair.x0),
                      pair_j_star(P, pair)))
         xs.append(linalg.ball_samples(np.random.default_rng([rng_seed, 0]),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dcquartic import (
+    AStarEmptyError,
     DimensionMismatchError,
     DualityError,
     LeftCstarError,
@@ -477,6 +478,15 @@ class TestJ2Star:
         assert res.v0_star == pytest.approx([1.0], abs=1e-3)
         assert barrier_calls == ["_feasible_a_star_point",
                                  *conjugates.BARRIER_WEIGHTS]
+
+    def test_empty_a_star_raises(self, barrier_calls):
+        # S(v) = diag(v - 1, -v - 1) is never positive definite, so phase 1
+        # finds no A* start and no barrier stage runs
+        P = validate_instance(-np.eye(2), np.diag([1.0, -1.0]), [1.0], [0.0],
+                              [0.3, -0.2], 1.0)
+        with pytest.raises(AStarEmptyError):
+            j2_star(P, [1.0, 1.0])
+        assert barrier_calls == ["_feasible_a_star_point"]
 
     def test_sup_dominates_members(self, p_min):
         res = j2_star(p_min, [1.0])
