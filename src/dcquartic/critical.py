@@ -193,7 +193,8 @@ class MultistartResult:
 
 
 def _seed_count(n_seeds):
-    if not isinstance(n_seeds, numbers.Integral) or n_seeds < 0:
+    if (not isinstance(n_seeds, numbers.Integral) or isinstance(n_seeds, bool)
+            or n_seeds < 0):
         raise ValueError(
             f"n_seeds must be a non-negative integer, got {n_seeds!r}")
     return int(n_seeds)

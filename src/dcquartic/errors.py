@@ -14,8 +14,8 @@ class ValidationError(DualityError):
     """A candidate problem instance violates a hypothesis.
 
     ``reason`` is one of: ``dimension-mismatch``, ``asymmetric-matrix``,
-    ``nonpositive-gamma``, ``K-minus-A-not-PD``,
-    ``coercivity-heuristic-failed``, ``non-finite``.
+    ``nonpositive-gamma``, ``K-minus-A-not-PD``, ``non-finite`` or
+    ``coercivity-heuristic-failed`` (decided exactly: every B_j is zero).
     """
 
     def __init__(self, reason, message):

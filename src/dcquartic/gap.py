@@ -150,7 +150,8 @@ def local_extremality_probes(P, pairs, n_samples, rng_seed,
     a sample that fails both is excluded and counted.  n_samples must be
     a non-negative integer.
     """
-    if not isinstance(n_samples, numbers.Integral) or n_samples < 0:
+    if (not isinstance(n_samples, numbers.Integral)
+            or isinstance(n_samples, bool) or n_samples < 0):
         raise ValueError(
             f"n_samples must be a non-negative integer, got {n_samples!r}")
     n_samples = int(n_samples)

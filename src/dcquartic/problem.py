@@ -22,17 +22,13 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatchError, ValidationError
 
-COERCIVITY_SAMPLES_PER_DIM = 1000
-_COERCIVITY_SEED = 1729  # fixed so validation is deterministic
-
 
 @dataclass(frozen=True)
 class ProblemInstance:
     """Validated, immutable problem data.
 
-    ``coercivity_margin`` is the smallest sampled value of
-    sum_j gamma_j (u^T B_j u / 2)^2 over unit directions u; the
-    growth-at-infinity heuristic passed iff it is strictly positive.
+    ``coercivity_override`` records that the caller waived the
+    all-zero-B check of validate_instance.
 
     The four kernels, J, grad J, x_bar, G1* and the inner-sup start take
     a point or an (S, ...) stack (require_points), one result per row,
@@ -55,7 +51,6 @@ class ProblemInstance:
     c: np.ndarray
     f: np.ndarray
     K: np.ndarray
-    coercivity_margin: float
     coercivity_override: bool
     # cached derived quantities, filled by validate_instance
     K_minus_A: np.ndarray = field(repr=False, default=None)
@@ -130,22 +125,16 @@ def _as_square(M, n, name):
         f"{name} must be {n}x{n}, got shape {M.shape}")
 
 
-def _coercivity_margin(B, gamma, n):
-    rng = np.random.default_rng(_COERCIVITY_SEED)
-    count = max(COERCIVITY_SAMPLES_PER_DIM * n, COERCIVITY_SAMPLES_PER_DIM)
-    u = rng.standard_normal((count, n))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    quad = 0.5 * np.einsum("jkl,sk,sl->sj", B, u, u)
-    values = (quad ** 2) @ gamma
-    return float(np.min(values))
-
-
 def validate_instance(A, B, gamma, c, f, K, coercivity_override=False):
     """Check the standing hypotheses and build a ProblemInstance.
 
     Raises ValidationError with reasons ``dimension-mismatch``,
     ``asymmetric-matrix``, ``nonpositive-gamma``, ``K-minus-A-not-PD``,
     ``coercivity-heuristic-failed`` or ``non-finite``.
+
+    ``coercivity-heuristic-failed`` means every B_j is zero (J has no
+    quartic term) and coercivity_override is False; no random numbers
+    are drawn.  Passing does not prove J bounded below.
     """
     f = np.asarray(f, dtype=float).reshape(-1)
     gamma = np.asarray(gamma, dtype=float).reshape(-1)
@@ -200,12 +189,11 @@ def validate_instance(A, B, gamma, c, f, K, coercivity_override=False):
             "K-minus-A-not-PD",
             f"smallest eigenvalue of K - A is {margin:.3e} (margin {eps:.3e})")
 
-    coercivity_margin = _coercivity_margin(B, gamma, n)
-    if coercivity_margin <= 0.0 and not coercivity_override:
+    if not np.any(B) and not coercivity_override:
         raise ValidationError(
             "coercivity-heuristic-failed",
-            "sampled unit directions give min sum_j gamma_j (u^T B_j u/2)^2 = "
-            f"{coercivity_margin:.3e}; pass coercivity_override=True to accept")
+            "every B_j is zero, so J has no quartic term; "
+            "pass coercivity_override=True to accept")
 
     kma_factor, _ = linalg.cho_factor(K_minus_A)  # margin > eps: pivots > 0
     BA = np.concatenate([B, A[None]]).reshape(-1, n).T
@@ -214,7 +202,6 @@ def validate_instance(A, B, gamma, c, f, K, coercivity_override=False):
 
     return ProblemInstance(
         n=n, N=N, A=A, B=B, gamma=gamma, c=c, f=f, K=K,
-        coercivity_margin=coercivity_margin,
         coercivity_override=bool(coercivity_override),
         K_minus_A=K_minus_A,
         kma_min_eig=float(margin),

@@ -26,9 +26,10 @@ from dcquartic import (
     j_star,
     j_tilde_star,
     local_extremality_probe,
+    local_extremality_probes,
     validate_instance,
 )
-from dcquartic import conjugates, linalg
+from dcquartic import conjugates, gap, linalg
 from dcquartic.conjugates import (
     _FAILURES,
     SOLVED,
@@ -238,6 +239,30 @@ class TestJTildeStarStack:
                 rescued += int(np.sum(ok & ~first_ok))
         assert pairs >= 10 and checked >= 9000
         assert excluded > 0 and rescued > 0
+
+    def test_chunks_match_one_stack(self, monkeypatch):
+        # acceptance-ensemble member 11 (n = 3, N = 1): its 50-sample
+        # probe stack has 150 rows, and 4 first starts fail there (a
+        # fallback start rescues 1, 3 come back nan).  Solved 7 rows per
+        # chunk, every row keeps the one-chunk bits.
+        P = list(iter_ensemble(12, 2024))[11]
+        pairs = [pair for pair in find_critical_pairs(P, 12, 7)
+                 if pair.converged and in_C_star(P, pair.v0_hat).inside]
+        stacks = []
+        monkeypatch.setattr(
+            gap, "j_tilde_star", lambda P, vs, init: stacks.append(
+                (vs, init)) or j_tilde_star(P, vs, init=init))
+        local_extremality_probes(P, pairs, 50, 7)
+        vs, starts = stacks[0]
+        values, argmaxes = j_tilde_star(P, vs, init=starts)
+        _, _, first_status = _inner_newton_stack(P, vs, starts)
+        assert vs.shape == (150, 3)
+        assert np.sum(first_status != SOLVED) == 4
+        assert np.sum(np.isnan(values)) == 3
+        monkeypatch.setattr(conjugates, "STACK_ENTRIES", 7 * P.n * P.n)
+        chunked_values, chunked_argmaxes = j_tilde_star(P, vs, init=starts)
+        assert np.array_equal(chunked_values, values, equal_nan=True)
+        assert np.array_equal(chunked_argmaxes, argmaxes, equal_nan=True)
 
     def test_failures_stay_in_their_rows(self, p_tri):
         # C* = {v0 < 1}; at v* = 0 stationarity wants v0 = 4, outside C*,

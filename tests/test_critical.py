@@ -99,7 +99,7 @@ class TestMultistart:
 
     def test_seed_count_must_be_a_nonnegative_integer(self):
         P = load_instance(SAMPLES / "trifecta.json")
-        for bad in (2.5, 2.0, -1, "3", None):
+        for bad in (2.5, 2.0, -1, "3", None, True, False):
             with pytest.raises(ValueError, match="n_seeds"):
                 multistart(P, bad, 7)
         three = multistart(P, 3, 7)
@@ -234,7 +234,7 @@ class TestPencilRoute:
         assert (ms.n_dropped, ms.n_merged) == (ref.n_dropped, ref.n_merged)
 
     def test_seed_count_is_checked(self, p_tri):
-        for bad in (2.5, 2.0, -1, "3", None):
+        for bad in (2.5, 2.0, -1, "3", None, True, False):
             with pytest.raises(ValueError, match="n_seeds"):
                 find_critical_points(p_tri, bad, 7)
         assert find_critical_points(p_tri, 0, 7).points == []

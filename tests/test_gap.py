@@ -325,7 +325,7 @@ class TestProbes:
         assert np.sum(tangent & ~v0_hat) > 0 and np.sum(v0_hat & ~tangent) > 0
         assert evidence.dual_excluded == np.sum(tangent & v0_hat)
 
-    @pytest.mark.parametrize("n_samples", [2.5, -1])
+    @pytest.mark.parametrize("n_samples", [2.5, -1, True, False])
     def test_n_samples_is_a_non_negative_integer(self, p_tri, sqrt2,
                                                  n_samples):
         pair = lift_to_dual(p_tri, [sqrt2])

@@ -26,7 +26,6 @@ class TestValidation:
     def test_hand_instance_valid(self, p_tri):
         assert p_tri.n == 1 and p_tri.N == 1
         assert p_tri.kma_min_eig == pytest.approx(2.0)
-        assert p_tri.coercivity_margin > 0.0
 
     def test_k_minus_a_not_pd(self):
         with pytest.raises(ValidationError) as err:
@@ -51,14 +50,25 @@ class TestValidation:
                               [0.0], [0.0], 2.0)
 
     def test_coercivity_heuristic(self):
-        # B = 0 kills every quartic direction, so the heuristic fails
+        # B = 0 leaves J no quartic term, so the check fails
         with pytest.raises(ValidationError) as err:
             validate_instance([1.0], [[0.0]], [1.0], [0.0], [0.0], 2.0)
         assert err.value.reason == "coercivity-heuristic-failed"
         P = validate_instance([1.0], [[0.0]], [1.0], [0.0], [0.0], 2.0,
                               coercivity_override=True)
         assert P.coercivity_override
-        assert P.coercivity_margin == 0.0
+        # N = 2: one nonzero B_j, even indefinite, is enough
+        zero, indefinite = np.zeros((2, 2)), np.diag([1.0, -1.0])
+        rest = ([1.0, 1.0], [0.0, 0.0], [0.0, 0.0], 2.0)  # gamma, c, f, K
+        validate_instance(np.eye(2), [zero, indefinite], *rest)
+        with pytest.raises(ValidationError) as err:
+            validate_instance(np.eye(2), [zero, zero], *rest)
+        assert err.value.reason == "coercivity-heuristic-failed"
+        P = validate_instance(np.eye(2), [zero, zero], *rest,
+                              coercivity_override=True)
+        assert P.coercivity_override
+        # the decision is exact: (u'Bu/2)^2 underflows here, B != 0 passes
+        validate_instance([1.0], [[1e-200]], [1.0], [0.0], [0.0], 2.0)
 
     def test_instance_is_immutable(self, p_tri):
         for name in ("A", "B", "gamma", "c", "f", "K", "K_minus_A",
