@@ -2,6 +2,10 @@
 
 Subcommands: validate | verify | sweep | baseline | chain.
 
+verify, chain, baseline and a plain sweep all print from
+report.analyze_instance: chain and baseline print columns of the records
+that verify reports, and sweep totals them with summarize_records.
+
 Exit codes are stable for scripting: 0 success, 1 internal failure,
 2 validation or parse failure.
 """
@@ -11,14 +15,10 @@ import dataclasses
 import math
 import sys
 
-from .baseline import correspondence_report
-from .critical import find_critical_pairs
-from .curvature import build_bundle, verify_chain_identity
 from .ensembles import generate_instance
 from .errors import DualityError, ParseError, ValidationError
 from .gap import epsilon_sweep
 from .instancefile import dumps_canonical, load_instance
-from .problem import primal_value
 from .report import (
     analyze_instance,
     build_run_report,
@@ -63,35 +63,32 @@ def cmd_verify(args):
 
 
 def cmd_chain(args):
-    P = load_instance(args.path)
-    pairs = find_critical_pairs(P, args.seeds, args.rng)
+    records, _ = analyze_instance(load_instance(args.path), args.seeds,
+                                  args.rng, 0)
     print(f"{'pt':>3} {'J(x0)':>12} {'chain residual':>15} {'asym':>11}")
-    for i, pair in enumerate(pairs):
-        try:
-            bundle = build_bundle(P, pair)
-            residual = verify_chain_identity(P, pair, bundle)
-            print(f"{i:>3} {primal_value(P, pair.x0):>12.5e} "
-                  f"{residual:>15.3e} {bundle.dual_hessian_asymmetry:>11.3e}")
-        except DualityError as exc:
-            print(f"{i:>3} {primal_value(P, pair.x0):>12.5e} error: {exc}")
+    for r in records:
+        tail = (f"error: {r['errors']['bundle']}" if "bundle" in r["errors"]
+                else f"{r['chain_residual']:>15.3e} "
+                     f"{r['dual_hessian_asymmetry']:>11.3e}")
+        print(f"{r['index']:>3} {r['J']:>12.5e} {tail}")
     return 0
 
 
 def cmd_baseline(args):
-    P = load_instance(args.path)
-    pairs = find_critical_pairs(P, args.seeds, args.rng)
+    records, _ = analyze_instance(load_instance(args.path), args.seeds,
+                                  args.rng, 0)
     print(f"{'pt':>3} {'-J1*':>12} {'primal inertia':>15} "
           f"{'dual inertia':>13} {'corr':>5} {'S pd':>5}")
-    for i, pair in enumerate(pairs):
-        try:
-            rep = correspondence_report(P, pair)
-            print(f"{i:>3} {rep.minus_j1_value:>12.5e} "
-                  f"{str(rep.primal_hessian_inertia):>15} "
-                  f"{str(rep.baseline_hessian_inertia):>13} "
-                  f"{'yes' if rep.correspondence else 'no':>5} "
-                  f"{'yes' if rep.ab_matrix_pd else 'no':>5}")
-        except DualityError as exc:
-            print(f"{i:>3} error: {exc}")
+    for r in records:
+        base = r["baseline"]
+        if base is None:
+            print(f"{r['index']:>3} error: {r['errors']['baseline']}")
+            continue
+        print(f"{r['index']:>3} {base['minus_j1_value']:>12.5e} "
+              f"{str(tuple(base['primal_inertia'])):>15} "
+              f"{str(tuple(base['baseline_inertia'])):>13} "
+              f"{'yes' if base['correspondence'] else 'no':>5} "
+              f"{'yes' if base['ab_matrix_pd'] else 'no':>5}")
     return 0
 
 
@@ -148,41 +145,25 @@ def cmd_sweep(args):
 
 
 def _print_plain_sweep(results):
-    total_points = 0
-    max_gap = 0.0
-    max_chain = 0.0
-    max_alpha1 = 0.0
-    corr_false = 0
-    for r in results:
-        s = r["summary"]
-        total_points += s["n_points"]
-        max_gap = max(max_gap, s["max_relative_gap"])
-        max_chain = max(max_chain, s["max_chain_residual"])
-        corr_false += s["correspondence_false"]
-        for rec in r["critical_points"]:
-            if rec["alpha1_norm"] is not None:
-                max_alpha1 = max(max_alpha1, rec["alpha1_norm"])
+    records = [rec for r in results for rec in r["critical_points"]]
+    totals = summarize_records(records)
+    max_alpha1 = max([0.0] + [rec["alpha1_norm"] for rec in records
+                              if rec["alpha1_norm"] is not None])
     print(f"instances           {len(results)}")
-    print(f"critical points     {total_points}")
-    print(f"max relative gap    {max_gap:.3e}")
-    print(f"max chain residual  {max_chain:.3e}")
+    print(f"critical points     {totals['n_points']}")
+    print(f"max relative gap    {totals['max_relative_gap']:.3e}")
+    print(f"max chain residual  {totals['max_chain_residual']:.3e}")
     print(f"max |alpha1|        {max_alpha1:.3e}")
-    print(f"correspondence-false pairs {corr_false}")
+    print(f"correspondence-false pairs {totals['correspondence_false']}")
 
 
 def _print_eps_sweep(results):
-    n_slopes = 0
-    min_slope = None
-    for r in results:
-        for entry in r["sweep"]["slopes"]:
-            if entry["slope"] is not None:
-                n_slopes += 1
-                min_slope = (entry["slope"] if min_slope is None
-                             else min(min_slope, entry["slope"]))
+    slopes = [entry["slope"] for r in results for entry in r["sweep"]["slopes"]
+              if entry["slope"] is not None]
     print(f"instances      {len(results)}")
-    print(f"fitted slopes  {n_slopes}")
-    if min_slope is not None:
-        print(f"min slope      {min_slope:.4f}")
+    print(f"fitted slopes  {len(slopes)}")
+    if slopes:
+        print(f"min slope      {min(slopes):.4f}")
 
 
 def build_parser():
@@ -197,12 +178,16 @@ def build_parser():
     p.add_argument("path")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("verify", help="full verification of one instance")
-    p.add_argument("path")
-    p.add_argument("--seeds", type=int, default=32,
-                   help=SEEDS_HELP + " (default 32)")
-    p.add_argument("--rng", type=int, default=7,
-                   help="random seed (default 7)")
+    # the instance and search options of verify, chain and baseline
+    one = argparse.ArgumentParser(add_help=False)
+    one.add_argument("path")
+    one.add_argument("--seeds", type=int, default=32,
+                     help=SEEDS_HELP + " (default 32)")
+    one.add_argument("--rng", type=int, default=7,
+                     help="random seed (default 7)")
+
+    p = sub.add_parser("verify", parents=[one],
+                       help="full verification of one instance")
     p.add_argument("--samples", type=int, default=1000,
                    help="extremality probe samples per point (default 1000)")
     p.add_argument("--json", help="write the machine report here")
@@ -224,20 +209,12 @@ def build_parser():
     p.add_argument("--json", help="write the machine report here")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("baseline",
+    p = sub.add_parser("baseline", parents=[one],
                        help="literature-dual correspondence per pair")
-    p.add_argument("path")
-    p.add_argument("--seeds", type=int, default=32,
-                   help=SEEDS_HELP + " (default 32)")
-    p.add_argument("--rng", type=int, default=7)
     p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("chain",
+    p = sub.add_parser("chain", parents=[one],
                        help="curvature bundle and chain residual per pair")
-    p.add_argument("path")
-    p.add_argument("--seeds", type=int, default=32,
-                   help=SEEDS_HELP + " (default 32)")
-    p.add_argument("--rng", type=int, default=7)
     p.set_defaults(func=cmd_chain)
     return parser
 

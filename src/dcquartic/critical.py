@@ -67,10 +67,6 @@ class CriticalPair:
         return self.primal_residual <= CONVERGED_RESIDUAL
 
 
-def _grad_inf(P, x):
-    return float(np.max(np.abs(primal_gradient(P, x))))
-
-
 # t0 * 2^-k is exact, so row k is the float that k halvings of t0 give
 _HALVINGS = np.ldexp(1.0, -np.arange(NEWTON_MAX_BACKTRACKS))
 
@@ -318,7 +314,8 @@ def lift_to_dual(P, x0, newton_iterations=0):
     w = P.quartic_terms(x0)
     v0_hat = P.gamma * w
     v_hat = P.bx_columns(x0) @ v0_hat + P.K @ x0
-    primal_residual = _grad_inf(P, x0)
+    g = primal_gradient(P, x0)
+    primal_residual = float(np.max(np.abs(g)))
 
     c_star = in_C_star(P, v0_hat)
     r_vstar = float("nan")
@@ -327,11 +324,11 @@ def lift_to_dual(P, x0, newton_iterations=0):
         r_vstar, r_v0 = _stationarity_residuals(P, x0, v_hat, v0_hat)
 
     if primal_residual <= 1e-8:
-        # recomputing vhat from the other side of the stationarity
-        # identity must agree; a disagreement means lift and gradient
-        # code have diverged
+        # vhat = (K - A) x0 - f + grad J(x0) holds at any x0; recomputing
+        # vhat from that side must agree, and a disagreement means lift
+        # and gradient code have diverged
         other = -P.A @ x0 + P.K @ x0 - P.f
-        drift = float(np.max(np.abs(other - v_hat)))
+        drift = float(np.max(np.abs(v_hat - other - g)))
         if drift > 1e-9 * (1.0 + float(np.max(np.abs(v_hat)))):
             raise DualityError(
                 f"lift identity violated by {drift:.3e} at a converged point")

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .conjugates import j2_star, j_tilde_star, pair_j_star
-from .critical import DEDUP_DISTANCE, find_critical_points, lift_to_dual
+from .critical import DEDUP_DISTANCE, find_critical_pairs, find_critical_points
 from .curvature import (
     build_bundle,
     implicit_sensitivity,
@@ -352,7 +352,7 @@ class SweepReport:
 def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
     """Re-solve the instance with K = A + eps I across a list of eps.
 
-    Each solve is find_critical_points(P, n_seeds, rng_seed): from the
+    Each solve is find_critical_pairs(P, n_seeds, rng_seed): from the
     (2n+1) eigenproblem at N = 1, else from multistart.  The primal
     functional does not involve K, so critical points match across the
     sweep; matched pairs give per-point records of
@@ -376,11 +376,9 @@ def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
             continue
         sp = SweepPoint(eps=float(eps), ok=True, error=None,
                         h1_norm=1.0 / eps)
-        ms = find_critical_points(P_eps, n_seeds, rng_seed)
-        for x0, its in zip(ms.points, ms.iterations):
-            pair = lift_to_dual(P_eps, x0, newton_iterations=its)
+        for pair in find_critical_pairs(P_eps, n_seeds, rng_seed):
             record = {
-                "x0": x0,
+                "x0": pair.x0,
                 "gap": float("nan"),
                 "chain_residual": float("nan"),
                 "alpha1_norm": float("nan"),
@@ -389,7 +387,7 @@ def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
                 "base_point": None,
             }
             for i, bp in enumerate(base_points):
-                if float(np.max(np.abs(bp - x0))) <= DEDUP_DISTANCE:
+                if float(np.max(np.abs(bp - pair.x0))) <= DEDUP_DISTANCE:
                     record["base_point"] = i
                     break
             if pair.c_star.inside:

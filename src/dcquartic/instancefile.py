@@ -13,10 +13,11 @@ The on-disk format is a single JSON object:
       "coercivity_override": false    # optional, default false
     }
 
-Unknown keys are rejected.  Numbers are emitted with 17 significant
-digits so a parse/serialize round trip is value-identical at double
-precision, and the writer is fully deterministic (fixed key order,
-fixed separators) so reports can be compared byte for byte.
+The file is UTF-8.  Unknown and repeated keys are rejected.  Numbers
+are emitted with 17 significant digits so a parse/serialize round trip
+is value-identical at double precision, and the writer is fully
+deterministic (fixed key order, fixed separators) so reports can be
+compared byte for byte.
 """
 
 import hashlib
@@ -92,11 +93,21 @@ def _require_numbers(key, value):
                 f"{key} entries must be JSON numbers, got {entry!r}")
 
 
+def _unique_fields(pairs):
+    """json.loads object hook: a repeated key is a ParseError."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"repeated field {key!r}")
+        doc[key] = value
+    return doc
+
+
 def parse_instance_text(text):
     """Parse and validate the strict schema; returns a ProblemInstance."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, object_pairs_hook=_unique_fields)
+    except (ValueError, RecursionError) as exc:  # incl. JSONDecodeError
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("instance file must hold a JSON object")
@@ -145,8 +156,14 @@ def parse_instance_text(text):
 
 
 def load_instance(path):
+    """Read a UTF-8 instance file and parse_instance_text it; bytes that
+    do not decode are a ParseError."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_instance_text(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"instance file is not UTF-8: {exc}") from exc
+    return parse_instance_text(text)
 
 
 def instance_to_doc(P):

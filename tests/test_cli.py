@@ -62,6 +62,20 @@ class TestInstanceFile:
         with pytest.raises(ParseError):
             parse_instance_text(json.dumps(doc))
 
+    def test_repeated_key_rejected(self):
+        # a dict keeps the last "K"; the schema names the conflict instead
+        text = json.dumps(dict(TRI_DOC, K=0.5))[:-1] + ', "K": 1.0}'
+        with pytest.raises(ParseError, match="repeated field 'K'"):
+            parse_instance_text(text)
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,                   # nested past the recursion limit
+        '{"n": ' + "9" * 5000 + "}",     # past int's 4300-digit limit
+    ])
+    def test_json_beyond_decoder_limits(self, text):
+        with pytest.raises(ParseError, match="invalid JSON"):
+            parse_instance_text(text)
+
     def test_bad_schema_version(self):
         with pytest.raises(ParseError):
             parse_instance_text(json.dumps(dict(TRI_DOC, schema_version="2")))
@@ -175,6 +189,12 @@ class TestValidateCommand:
         doc = dict(TRI_DOC, schema_version=1)
         assert main(["validate", write_instance(tmp_path, doc)]) == 2
         assert "unsupported schema_version 1" in capsys.readouterr().err
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(TRI_DOC).encode("utf-16-le"))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error (parse-error)")
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/x.json"]) == 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dcquartic import (
+    DualityError,
     OutsideCstarError,
     critical,
     dual_stationarity_residual,
@@ -30,12 +31,11 @@ from dcquartic.critical import (
     DEDUP_DISTANCE,
     NEWTON_MAX_ITER,
     _backtrack,
-    _grad_inf,
     _solve_stack,
     _starts,
 )
 from dcquartic.problem import ProblemInstance
-from oracles import gradient_roots_1d, solve_primal_critical_loop
+from oracles import _grad_inf, gradient_roots_1d, solve_primal_critical_loop
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
 
@@ -277,6 +277,19 @@ class TestLift:
             newton_iterations=pair.newton_iterations)
         r_vstar, _ = dual_stationarity_residual(p_tri, bumped)
         assert r_vstar > 1e-3
+
+    def test_near_converged_point_lifts(self, p_tri, sqrt2):
+        # grad J = 5e-9 here: inside the drift gate's 1e-8, above the
+        # 1e-9 (1 + |vhat|) that the gradient itself would be held to
+        pair = lift_to_dual(p_tri, [sqrt2 + 2.5e-9])
+        assert 1e-9 * (1.0 + abs(pair.v_hat[0])) < pair.primal_residual <= 1e-8
+
+    def test_gradient_drift_raises(self, p_tri, sqrt2, monkeypatch):
+        # a gradient off by 1e-6 reads ~0 at J'(x) = 2 (x - sqrt 2) = -1e-6
+        monkeypatch.setattr(critical, "primal_gradient",
+                            lambda P, x: primal_gradient(P, x) + 1e-6)
+        with pytest.raises(DualityError, match="lift identity violated"):
+            lift_to_dual(p_tri, [sqrt2 - 5e-7])
 
 
 class TestRecover:
