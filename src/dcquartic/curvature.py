@@ -70,9 +70,10 @@ def build_bundle(P, pair):
     number above 1e12).
     """
     if not pair.converged:
+        bound = CONVERGED_RESIDUAL * (1.0 + float(np.max(np.abs(pair.x0))))
         raise NotConvergedPairError(
             f"primal residual {pair.primal_residual:.3e} exceeds "
-            f"{CONVERGED_RESIDUAL:.0e}")
+            f"{CONVERGED_RESIDUAL:.0e} (1 + max|x0|) = {bound:.3e}")
 
     if not pair.c_star.inside:
         raise OutsideCstarError(

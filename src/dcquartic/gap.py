@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .conjugates import j2_star, j_tilde_star, pair_j_star
-from .critical import DEDUP_DISTANCE, find_critical_pairs, find_critical_points
+from .critical import find_critical_points, lift_to_dual
 from .curvature import (
     build_bundle,
     implicit_sensitivity,
@@ -350,19 +350,17 @@ class SweepReport:
 
 
 def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
-    """Re-solve the instance with K = A + eps I across a list of eps.
+    """Lift the instance's critical points into K = A + eps I per eps.
 
-    Each solve is find_critical_pairs(P, n_seeds, rng_seed): from the
-    (2n+1) eigenproblem at N = 1, else from multistart.  The primal
-    functional does not involve K, so critical points match across the
-    sweep; matched pairs give per-point records of
-    |(K - A) alpha1| = eps |alpha1| and a fitted log-log slope of that
-    norm against eps (only over pairs present, with multiplier in C*, at
-    every sweep value).
+    J does not involve K, so find_critical_points(P_base, n_seeds,
+    rng_seed) runs once and lift_to_dual lifts each point into every
+    valid K, its records carrying its index as ``base_point``.  They give
+    per-point |(K - A) alpha1| = eps |alpha1| and a fitted log-log slope
+    of that norm against eps (only over points with multiplier in C* and
+    a bundle at every sweep value).
     """
     base_points = find_critical_points(P_base, n_seeds, rng_seed).points
     points = []
-    matched = {i: {} for i in range(len(base_points))}
     for eps in eps_list:
         try:
             P_eps = validate_instance(
@@ -376,7 +374,8 @@ def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
             continue
         sp = SweepPoint(eps=float(eps), ok=True, error=None,
                         h1_norm=1.0 / eps)
-        for pair in find_critical_pairs(P_eps, n_seeds, rng_seed):
+        for i, x0 in enumerate(base_points):
+            pair = lift_to_dual(P_eps, x0)
             record = {
                 "x0": pair.x0,
                 "gap": float("nan"),
@@ -384,12 +383,8 @@ def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
                 "alpha1_norm": float("nan"),
                 "ka_alpha1_norm": float("nan"),
                 "in_c_star": False,
-                "base_point": None,
+                "base_point": i,
             }
-            for i, bp in enumerate(base_points):
-                if float(np.max(np.abs(bp - pair.x0))) <= DEDUP_DISTANCE:
-                    record["base_point"] = i
-                    break
             if pair.c_star.inside:
                 record["in_c_star"] = True
                 record["gap"] = verify_zero_gap(P_eps, pair)
@@ -404,18 +399,16 @@ def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
                         np.linalg.norm(bundle.alpha1, "fro"))
                     record["ka_alpha1_norm"] = float(
                         np.linalg.norm(P_eps.K_minus_A @ bundle.alpha1, "fro"))
-                    if record["base_point"] is not None:
-                        matched[record["base_point"]][float(eps)] = \
-                            record["ka_alpha1_norm"]
             sp.pairs.append(record)
         points.append(sp)
 
-    valid_eps = [p.eps for p in points if p.ok]
+    valid = [p for p in points if p.ok]
+    valid_eps = [p.eps for p in valid]
     slopes = []
-    for i, series in matched.items():
-        if len(valid_eps) < 2 or any(e not in series for e in valid_eps):
+    for i in range(len(base_points)):
+        norms = np.array([p.pairs[i]["ka_alpha1_norm"] for p in valid])
+        if len(valid) < 2 or np.isnan(norms).any():
             continue
-        norms = np.array([series[e] for e in valid_eps])
         entry = {"base_point": i,
                  "eps": list(valid_eps),
                  "norms": [float(v) for v in norms],

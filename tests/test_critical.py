@@ -131,6 +131,22 @@ class TestMultistart:
         values = [primal_value(p_tri, x) for x in ms.points]
         assert values == sorted(values)
 
+    def test_small_scale_points_stay_apart(self):
+        # critical points 0 and +-sqrt(2) 1e-7, closer than DEDUP_DISTANCE;
+        # the N = 2 analogue has its four minima at (+-, +-) sqrt(2) 1e-7
+        P = validate_instance([-1.0], [[1e7]], [1.0], [0.0], [0.0], 1.0)
+        found = sorted(x[0] for x in find_critical_points(P, 32, 7).points)
+        assert found == pytest.approx([-np.sqrt(2) * 1e-7, 0.0,
+                                       np.sqrt(2) * 1e-7], rel=1e-8, abs=0)
+        B = np.zeros((2, 2, 2))
+        B[0, 0, 0] = B[1, 1, 1] = 1e7
+        P = validate_instance(-np.eye(2), B, [1.0, 1.0], [0.0, 0.0],
+                              [0.0, 0.0], 1.0)
+        minima = np.array(find_critical_points(P, 32, 7).points)
+        assert sorted(np.sign(minima).tolist()) == [[-1, -1], [-1, 1],
+                                                    [1, -1], [1, 1]]
+        assert np.abs(minima) == pytest.approx(np.sqrt(2) * 1e-7, rel=1e-5)
+
 
 def _rotated(diagonal, angle=0.7):
     """(Q diag Q', Q) for the plane rotation Q by ``angle``."""

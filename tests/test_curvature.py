@@ -13,6 +13,7 @@ from dcquartic import (
     validate_instance,
     verify_chain_identity,
 )
+from dcquartic.report import analyze_instance
 from oracles import argmax_sensitivity_fd, dual_hessian_fd
 
 
@@ -41,6 +42,20 @@ class TestBundleHandValues:
         pair = lift_to_dual(p_tri, [1.0])  # not a critical point
         with pytest.raises(NotConvergedPairError):
             build_bundle(p_tri, pair)
+
+    def test_large_minima_are_converged(self):
+        # at x0 = +-sqrt(2) 1e8 the solver stops at max |grad J| <= 1e-12
+        # (1 + |x0|) = 1.4e-4; an absolute bound of 1e-9 rejected both
+        P = validate_instance([-1.0], [[1e-8]], [1.0], [0.0], [0.0], 1.0)
+        records, _ = analyze_instance(P, 32, 7, 0)
+        minima = [r for r in records if abs(r["x0"][0]) > 1.0]
+        assert len(minima) == 2
+        for r in minima:
+            assert r["case"] == "case1" and "bundle" not in r["errors"]
+        pair = lift_to_dual(P, np.array(minima[0]["x0"]) * (1.0 + 1e-6))
+        with pytest.raises(NotConvergedPairError,
+                           match=r"1e-09 \(1 \+ max\|x0\|\) = 1\.414e-01"):
+            build_bundle(P, pair)
 
     def test_outside_c_star(self):
         # c = -2 puts the lifted multiplier past the C* boundary at x0=0

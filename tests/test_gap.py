@@ -607,6 +607,24 @@ class TestEpsilonSweep:
         assert rep.points[0].h1_norm == pytest.approx(10.0)
         assert rep.points[1].h1_norm == pytest.approx(1000.0)
 
+    def test_lifts_the_base_points_once(self, monkeypatch):
+        # a golden sweep base with three points, one in C*; eps = 0 is
+        # not a valid K
+        P = generate_instance(2, 2, [3, 4])
+        calls, find = [], gap.find_critical_points
+        monkeypatch.setattr(gap, "find_critical_points", lambda *args:
+                            calls.append(args) or find(*args))
+        rep = epsilon_sweep(P, [0.1, 0.0, 0.001], 3, n_seeds=12)
+        assert len(calls) == 1
+        base = find(P, 12, 3).points
+        assert len(base) == 3
+        assert [point.ok for point in rep.points] == [True, False, True]
+        for point in rep.points:
+            assert [r["x0"].tobytes() for r in point.pairs] \
+                == ([x.tobytes() for x in base] if point.ok else [])
+            assert [r["base_point"] for r in point.pairs] \
+                == list(range(len(point.pairs)))
+
     def test_gap_and_chain_stable_across_sweep(self):
         P = generate_instance(2, 2, [41_000, 0], f_scale=0.2,
                               c_range=(0.1, 0.5))

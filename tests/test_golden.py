@@ -42,7 +42,7 @@ MEMBERS_SHA256 = \
 PROBED_MEMBERS_SHA256 = \
     "650163b1fe5b1f92fb5771c4b6957cc45c74eb109cd26cd09486db940bc86c2e"
 SWEEPS_SHA256 = \
-    "372f59229848c963e2129412f55e532e935f1f5f221fba8e4aab0435be47eea8"
+    "54048b927593b2fedbcc73ecd23954f953b6d9ad598b9acf0529af8287bee963"
 
 
 @functools.cache
