@@ -67,9 +67,14 @@ class Membership(NamedTuple):
     eps: float
 
 
+def _memberships(Ms):
+    """One Membership per matrix of an (S, n, n) stack."""
+    return [Membership(bool(m > e), float(m), float(e))
+            for m, e in zip(*linalg.pd_margin(Ms))]
+
+
 def _membership(M):
-    margin, eps = linalg.pd_margin(M)
-    return Membership(bool(margin > eps), float(margin), float(eps))
+    return _memberships(M[None])[0]
 
 
 def in_C_star(P, v0_star):

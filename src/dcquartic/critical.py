@@ -17,7 +17,7 @@ from typing import List
 import numpy as np
 
 from . import linalg
-from .conjugates import Membership, in_B_star, in_C_star, recover_primal
+from .conjugates import Membership, _memberships, recover_primal
 from .errors import DualityError, OutsideCstarError
 from .problem import gradient_from, hessian_from, primal_gradient, primal_value
 
@@ -75,7 +75,8 @@ _HALVINGS = np.ldexp(1.0, -np.arange(NEWTON_MAX_BACKTRACKS))
 
 def _backtrack(P, x, d, t0, g_norm):
     """For each row of the (R, n) stack x: the first x + t d,
-    t = t0, t0/2, ..., whose max |grad J| is below that row's g_norm.
+    t = t0, t0/2, ..., whose max |grad J| is below that row's g_norm
+    (t0 a float, or one per row).
 
     Returns (found, x_new, g_new, gn_new, bx_new, w_new): per row,
     whether there is such a step, and the step with its gradient, that
@@ -86,16 +87,17 @@ def _backtrack(P, x, d, t0, g_norm):
     one-at-a-time halving loop's.  Past the full step (about 1 in 6), the
     accepted depths spread almost evenly, so trying t0 first is slower.
     """
-    cands = x[:, None, :] + (t0[:, None] * _HALVINGS)[..., None] * d[:, None, :]
-    flat = cands.reshape(-1, P.n)
+    t = np.multiply.outer(t0, _HALVINGS)[..., None]
+    flat = (x[:, None, :] + t * d[:, None, :]).reshape(-1, P.n)
     bx, w = P._bx_and_w(flat)
-    g = gradient_from(P, bx, w).reshape(cands.shape)
-    gn = np.abs(g).max(axis=2)
-    below = gn < g_norm[:, None]
-    rows, first = np.arange(len(x)), below.argmax(axis=1)
-    pick = rows * NEWTON_MAX_BACKTRACKS + first
-    return (below.any(axis=1), flat[pick], g[rows, first], gn[rows, first],
-            bx[pick], w[pick])
+    g = gradient_from(P, bx, w)
+    gn = np.maximum.reduce(np.abs(g), axis=1)
+    below = gn.reshape(len(x), -1) < g_norm[:, None]
+    # each row's first trial below g_norm, else its first trial, which
+    # then is not below: one flat index into the R x 40 trials
+    pick = np.arange(0, gn.size, NEWTON_MAX_BACKTRACKS) + below.argmax(axis=1)
+    gn = gn[pick]
+    return gn < g_norm, flat[pick], g[pick], gn, bx[pick], w[pick]
 
 
 def _newton_steps(H, g):
@@ -141,27 +143,29 @@ def _solve_stack(P, X):
     rows = np.arange(len(x))
     bx, w = P._bx_and_w(x)
     g = gradient_from(P, bx, w)
-    gn = np.abs(g).max(axis=1)
+    gn = np.maximum.reduce(np.abs(g), axis=1)
     for it in range(NEWTON_MAX_ITER + 1):
-        done = gn <= linalg.TOL_FACTOR * (1.0 + np.abs(x).max(axis=1))
+        done = gn <= linalg.TOL_FACTOR * (
+            1.0 + np.maximum.reduce(np.abs(x), axis=1))
         leave = done | (it == NEWTON_MAX_ITER)
-        if leave.any():
-            out = rows[leave]
+        if np.logical_or.reduce(leave):
+            out, stay = rows[leave], ~leave
             x0[out], grad_norm[out], iterations[out] = x[leave], gn[leave], it
             converged[out] = done[leave]
-            rows, x, g, gn, bx, w = (a[~leave] for a in (rows, x, g, gn, bx, w))
+            rows, x, g, gn, bx, w = (a[stay] for a in (rows, x, g, gn, bx, w))
         if not rows.size:
             break
         H = hessian_from(P, bx, w)
         step = _newton_steps(H, g)
-        if not np.isfinite(step).all():
-            bad = ~np.isfinite(step).all(axis=1)
+        finite = np.isfinite(step)
+        if not np.logical_and.reduce(finite, axis=None):
+            bad = ~np.logical_and.reduce(finite, axis=1)
             shift = TIKHONOV_FACTOR * (1.0 + linalg.spectral_norm_sym(H[bad]))
             step[bad] = np.linalg.solve(
                 H[bad] + shift[:, None, None] * np.eye(P.n),
                 -g[bad][..., None])[..., 0]
-        found, *new = _backtrack(P, x, step, np.ones(len(x)), gn)
-        if found.all():
+        found, *new = _backtrack(P, x, step, 1.0, gn)
+        if np.logical_and.reduce(found):
             x, g, gn, bx, w = new
             continue
         # try steepest descent on J once before giving up
@@ -314,60 +318,65 @@ def find_critical_points(P, n_seeds, rng_seed):
     return _distinct(P, seeds)
 
 
-def lift_to_dual(P, x0, newton_iterations=0):
-    """Lift a primal point to its dual pair and account for residuals."""
-    x0 = P.require_x(x0)
-    w = P.quartic_terms(x0)
+def _lift_stack(P, X, iterations):
+    """Lift each row of the (S, n) stack X, with its Newton iteration
+    count, to its CriticalPair: each kernel runs once on the stack (the
+    residuals on the rows inside C*), and each row gets the bits it gets
+    alone.  Raises DualityError at the first row that fails the lift."""
+    X = P.require_points(X)
+    bx, w = P._bx_and_w(X)
     v0_hat = P.gamma * w
-    v_hat = P.bx_columns(x0) @ v0_hat + P.K @ x0
-    g = primal_gradient(P, x0)
-    primal_residual = float(np.max(np.abs(g)))
+    kx = (P.K @ X[..., None])[..., 0]
+    v_hat = (bx[:, :-1].mT @ v0_hat[..., None])[..., 0] + kx
+    g = primal_gradient(P, X)
+    primal_residual = np.max(np.abs(g), axis=-1)
+    c_star = _memberships(P.mixed_matrix(v0_hat))
+    b_star = _memberships(P.ab_matrix(v0_hat))
+    inside = np.array([m.inside for m in c_star], dtype=bool)
+    r_vstar, r_v0 = np.full((2, len(X)), np.nan)
+    if inside.any():
+        r_vstar[inside], r_v0[inside] = _stationarity_residuals(
+            P, X[inside], v_hat[inside], v0_hat[inside])
 
-    c_star = in_C_star(P, v0_hat)
-    r_vstar = float("nan")
-    r_v0 = float("nan")
-    if c_star.inside:
-        r_vstar, r_v0 = _stationarity_residuals(P, x0, v_hat, v0_hat)
+    # vhat = (K - A) x0 - f + grad J(x0) holds at any x0; at a converged
+    # row a disagreement means lift and gradient code have diverged
+    drift = np.max(np.abs(v_hat - ((-P.A @ X[..., None])[..., 0] + kx - P.f)
+                          - g), axis=-1)
+    broken = (primal_residual <= 1e-8) & (
+        drift > 1e-9 * (1.0 + np.max(np.abs(v_hat), axis=-1)))
+    if broken.any():
+        raise DualityError(f"lift identity violated by "
+                           f"{drift[broken][0]:.3e} at a converged point")
+    return [CriticalPair(*row) for row in zip(
+        X, v_hat, v0_hat, c_star, b_star, primal_residual.tolist(),
+        r_vstar.tolist(), r_v0.tolist(), map(int, iterations))]
 
-    if primal_residual <= 1e-8:
-        # vhat = (K - A) x0 - f + grad J(x0) holds at any x0; recomputing
-        # vhat from that side must agree, and a disagreement means lift
-        # and gradient code have diverged
-        other = -P.A @ x0 + P.K @ x0 - P.f
-        drift = float(np.max(np.abs(v_hat - other - g)))
-        if drift > 1e-9 * (1.0 + float(np.max(np.abs(v_hat)))):
-            raise DualityError(
-                f"lift identity violated by {drift:.3e} at a converged point")
 
-    return CriticalPair(
-        x0=x0, v_hat=v_hat, v0_hat=v0_hat, c_star=c_star,
-        b_star=in_B_star(P, v0_hat),
-        primal_residual=primal_residual,
-        dual_residual_vstar=r_vstar,
-        dual_residual_v0=r_v0,
-        newton_iterations=int(newton_iterations),
-    )
+def lift_to_dual(P, x0, newton_iterations=0):
+    """Lift a primal point to its dual pair: a one-row _lift_stack."""
+    return _lift_stack(P, P.require_x(x0)[None], [newton_iterations])[0]
 
 
 def _stationarity_residuals(P, x0, v_hat, v0_hat):
+    """The two dual stationarity residuals at a pair, or per stack row."""
     lhs = recover_primal(P, v_hat)
     rhs = linalg.solve_pd(P.mixed_matrix(v0_hat), v_hat)
-    r_vstar = float(np.max(np.abs(lhs - rhs)))
-    r_v0 = float(np.max(np.abs(P.quartic_terms(x0) - v0_hat / P.gamma)))
-    return r_vstar, r_v0
+    return [np.max(np.abs(r), axis=-1)
+            for r in (lhs - rhs, P.quartic_terms(x0) - v0_hat / P.gamma)]
 
 
 def dual_stationarity_residual(P, pair):
     """Residuals of the two dual stationarity identities at a pair."""
     if not pair.c_star.inside:
         raise OutsideCstarError("lifted multiplier is outside C*")
-    return _stationarity_residuals(P, pair.x0, pair.v_hat, pair.v0_hat)
+    return tuple(map(float, _stationarity_residuals(
+        P, pair.x0, pair.v_hat, pair.v0_hat)))
 
 
 def find_critical_pairs(P, n_seeds, rng_seed):
-    """find_critical_points followed by the dual lift, one pair per
-    distinct point: at N = 1 from the (2n+1) eigenproblem, else from
+    """find_critical_points followed by one stacked dual lift, one pair
+    per distinct point: at N = 1 from the (2n+1) eigenproblem, else from
     multistart."""
     result = find_critical_points(P, n_seeds, rng_seed)
-    return [lift_to_dual(P, x0, newton_iterations=it)
-            for x0, it in zip(result.points, result.iterations)]
+    return _lift_stack(P, np.reshape(result.points, (-1, P.n)),
+                       result.iterations)

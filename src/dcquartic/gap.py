@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .conjugates import j2_star, j_tilde_star, pair_j_star
-from .critical import find_critical_points, lift_to_dual
+from .critical import _lift_stack, find_critical_points
 from .curvature import (
     build_bundle,
     implicit_sensitivity,
@@ -353,13 +353,14 @@ def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
     """Lift the instance's critical points into K = A + eps I per eps.
 
     J does not involve K, so find_critical_points(P_base, n_seeds,
-    rng_seed) runs once and lift_to_dual lifts each point into every
+    rng_seed) runs once and one _lift_stack lifts every point into each
     valid K, its records carrying its index as ``base_point``.  They give
     per-point |(K - A) alpha1| = eps |alpha1| and a fitted log-log slope
     of that norm against eps (only over points with multiplier in C* and
     a bundle at every sweep value).
     """
-    base_points = find_critical_points(P_base, n_seeds, rng_seed).points
+    base = find_critical_points(P_base, n_seeds, rng_seed)
+    X = np.reshape(base.points, (-1, P_base.n))
     points = []
     for eps in eps_list:
         try:
@@ -374,8 +375,7 @@ def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
             continue
         sp = SweepPoint(eps=float(eps), ok=True, error=None,
                         h1_norm=1.0 / eps)
-        for i, x0 in enumerate(base_points):
-            pair = lift_to_dual(P_eps, x0)
+        for i, pair in enumerate(_lift_stack(P_eps, X, base.iterations)):
             record = {
                 "x0": pair.x0,
                 "gap": float("nan"),
@@ -405,7 +405,7 @@ def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
     valid = [p for p in points if p.ok]
     valid_eps = [p.eps for p in valid]
     slopes = []
-    for i in range(len(base_points)):
+    for i in range(len(base.points)):
         norms = np.array([p.pairs[i]["ka_alpha1_norm"] for p in valid])
         if len(valid) < 2 or np.isnan(norms).any():
             continue

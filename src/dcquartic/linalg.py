@@ -115,7 +115,8 @@ def inv_pd(M):
 def spectral_norm_sym(M):
     """max |eigenvalue| of a symmetric matrix, or of each matrix of a
     stack."""
-    return np.max(np.abs(spectrum(M)[0]), axis=-1)
+    return np.maximum.reduce(np.abs(np.linalg.eigvalsh(symmetrize(M))),
+                             axis=-1)
 
 
 def inertia(M):

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import __version__
 from .baseline import correspondence_report
-from .critical import find_critical_points, lift_to_dual
+from .critical import _lift_stack, find_critical_points
 from .curvature import build_bundle, verify_chain_identity
 from .errors import DualityError
 from .gap import (
@@ -50,8 +50,8 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
     and from multistart(P, n_seeds, rng_seed) otherwise."""
     ms = find_critical_points(P, n_seeds, rng_seed)
     records, probed = [], []
-    for idx, (x0, its) in enumerate(zip(ms.points, ms.iterations)):
-        pair = lift_to_dual(P, x0, newton_iterations=its)
+    pairs = _lift_stack(P, np.reshape(ms.points, (-1, P.n)), ms.iterations)
+    for idx, pair in enumerate(pairs):
         record = {
             "index": idx,
             "x0": _vec(pair.x0),

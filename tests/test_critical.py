@@ -31,6 +31,7 @@ from dcquartic.critical import (
     DEDUP_DISTANCE,
     NEWTON_MAX_ITER,
     _backtrack,
+    _lift_stack,
     _solve_stack,
     _starts,
 )
@@ -306,6 +307,37 @@ class TestLift:
                             lambda P, x: primal_gradient(P, x) + 1e-6)
         with pytest.raises(DualityError, match="lift identity violated"):
             lift_to_dual(p_tri, [sqrt2 - 5e-7])
+        # in a stack, the gate is decided per row: row 0 is far from
+        # converged, so only row 1 is held to the identity
+        lift_to_dual(p_tri, [1.0])
+        with pytest.raises(DualityError, match="lift identity violated"):
+            _lift_stack(p_tri, [[1.0], [sqrt2 - 5e-7]], [0, 0])
+
+    def test_stack_rows_are_points(self):
+        rng = np.random.default_rng(5)
+        outside = inside = 0
+        for P in iter_ensemble(40, 2024):
+            assert _lift_stack(P, np.empty((0, P.n)), []) == []
+            ms = find_critical_points(P, 12, 7)
+            # the critical points and rows far from any, with their C*
+            # residuals or the NaN ones outside C*
+            X = np.concatenate([np.reshape(ms.points, (-1, P.n)),
+                                3.0 * rng.standard_normal((4, P.n))])
+            its = ms.iterations + [0, 1, 2, 3]
+            for row, x, it in zip(_lift_stack(P, X, its), X, its):
+                pair = lift_to_dual(P, x, newton_iterations=it)
+                for a, b in ((row.x0, pair.x0), (row.v_hat, pair.v_hat),
+                             (row.v0_hat, pair.v0_hat)):
+                    assert a.tobytes() == b.tobytes()
+                assert row.c_star == pair.c_star and row.b_star == pair.b_star
+                assert np.array([row.primal_residual, row.dual_residual_vstar,
+                                 row.dual_residual_v0]).tobytes() \
+                    == np.array([pair.primal_residual, pair.dual_residual_vstar,
+                                 pair.dual_residual_v0]).tobytes()
+                assert row.newton_iterations == pair.newton_iterations == it
+                outside += np.isnan(row.dual_residual_vstar)
+                inside += row.c_star.inside
+        assert outside > 0 and inside > 0
 
 
 class TestRecover:
@@ -464,9 +496,12 @@ class TestStackedLineSearch:
             # one stack, two rows: from g_norm every trial step overflows;
             # from an infinite norm any finite row is a decrease, and both
             # pick the first step short enough not to overflow
-            found, fast, g, gn, bx, w = _backtrack(
-                P, np.array([x, x]), np.array([d, d]), np.ones(2),
-                np.array([g_norm, np.inf]))
+            args = (P, np.array([x, x]), np.array([d, d]))
+            norms = np.array([g_norm, np.inf])
+            found, fast, g, gn, bx, w = picked = _backtrack(
+                *args, np.ones(2), norms)
+            # the Newton line search's float step scale picks the same
+            assert _same_terms(_backtrack(*args, 1.0, norms), picked)
             assert not found[0]
             assert _backtrack_loop(P, x, d, 1.0, g_norm) is None
             assert found[1]
@@ -493,9 +528,11 @@ class TestStackedLineSearch:
         # row k's norm is g_norm exactly: not a decrease; all rows in one
         # stack
         rows = len(cands)
-        found, fast, g, gn, bx, w = _backtrack(P, np.tile(x, (rows, 1)),
-                                               np.tile(d, (rows, 1)),
-                                               np.ones(rows), single)
+        args = (P, np.tile(x, (rows, 1)), np.tile(d, (rows, 1)))
+        found, fast, g, gn, bx, w = picked = _backtrack(
+            *args, np.ones(rows), single)
+        # the Newton line search's float step scale picks the same
+        assert _same_terms(_backtrack(*args, 1.0, single), picked)
         # the accepted rows' max |grad J|, handed to the next iteration
         assert np.abs(g[found]).max(axis=1).tobytes() == gn[found].tobytes()
         picked_later = 0
