@@ -23,7 +23,6 @@ from .problem import gradient_from, hessian_from, primal_gradient, primal_value
 
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_BACKTRACKS = 40
-TIKHONOV_FACTOR = 1e-8
 DEDUP_DISTANCE = 1e-6
 CONVERGED_RESIDUAL = 1e-9
 # the N = 1 route's shifts, tried in order; far from round numbers, so
@@ -127,12 +126,12 @@ def _solve_stack(P, X):
     max |grad J|.  Only the running rows are carried, as compact arrays,
     and a row's result is written once, when it leaves.  A row leaves
     when it converges or its line search fails; its result is the one it
-    would get alone.  Steps that are not finite (a singular Hessian) are
-    replaced by a Tikhonov-shifted solve, and a failed Newton line
-    search is retried once along -grad J, scaled by 1 / (1 + |H|_2) and
-    kept only where max |grad J| falls.  Never raises
-    for a singular Hessian: an unconverged row returns its last iterate,
-    the best one since each accepted step lowers max |grad J|.
+    would get alone.  A failed Newton line search (as at a singular
+    Hessian's NaN step: no NaN trial is below max |grad J|) is retried
+    once along -grad J, scaled by 1 / (1 + |H|_2) and kept only where
+    max |grad J| falls.  Never raises for a singular Hessian: an
+    unconverged row returns its last iterate, the best one since each
+    accepted step lowers max |grad J|.
     ``iterations`` counts the Newton iterations run, including a last
     one whose line search failed.
     """
@@ -156,15 +155,7 @@ def _solve_stack(P, X):
         if not rows.size:
             break
         H = hessian_from(P, bx, w)
-        step = _newton_steps(H, g)
-        finite = np.isfinite(step)
-        if not np.logical_and.reduce(finite, axis=None):
-            bad = ~np.logical_and.reduce(finite, axis=1)
-            shift = TIKHONOV_FACTOR * (1.0 + linalg.spectral_norm_sym(H[bad]))
-            step[bad] = np.linalg.solve(
-                H[bad] + shift[:, None, None] * np.eye(P.n),
-                -g[bad][..., None])[..., 0]
-        found, *new = _backtrack(P, x, step, 1.0, gn)
+        found, *new = _backtrack(P, x, _newton_steps(H, g), 1.0, gn)
         if np.logical_and.reduce(found):
             x, g, gn, bx, w = new
             continue

@@ -29,7 +29,6 @@ from dcquartic.conjugates import INNER_EXTRA_INITS, default_inner_init
 from dcquartic.critical import (
     NEWTON_MAX_BACKTRACKS,
     NEWTON_MAX_ITER,
-    TIKHONOV_FACTOR,
     SolveResult,
 )
 from dcquartic.errors import (
@@ -404,23 +403,17 @@ def solve_primal_critical_loop(P, x_init):
     x = P.require_x(x_init).copy()
     g = primal_gradient(P, x)
     g_norm = float(np.max(np.abs(g)))
-    best = (x.copy(), g_norm)
     iterations = NEWTON_MAX_ITER
     for it in range(NEWTON_MAX_ITER):
         tol = TOL_FACTOR * (1.0 + float(np.max(np.abs(x))))
         if g_norm <= tol:
             return SolveResult(x, True, it, g_norm)
         H = primal_hessian(P, x)
-        step = None
         try:
             step = np.linalg.solve(H, -g)
-            if not np.all(np.isfinite(step)):
-                step = None
         except np.linalg.LinAlgError:
-            step = None
-        if step is None:
-            shift = TIKHONOV_FACTOR * (1.0 + linalg.spectral_norm_sym(H))
-            step = np.linalg.solve(H + shift * np.eye(P.n), -g)
+            # as _newton_steps: no trial along a NaN step is accepted
+            step = np.full_like(g, np.nan)
         accepted = False
         t = 1.0
         for _ in range(NEWTON_MAX_BACKTRACKS):
@@ -447,13 +440,9 @@ def solve_primal_critical_loop(P, x_init):
             break
         g = primal_gradient(P, x)
         g_norm = float(np.max(np.abs(g)))
-        if g_norm < best[1]:
-            best = (x.copy(), g_norm)
+    # each accepted step lowers g_norm, so the last iterate is the best
     tol = TOL_FACTOR * (1.0 + float(np.max(np.abs(x))))
-    if g_norm <= tol:
-        return SolveResult(x, True, iterations, g_norm)
-    x, g_norm = best if best[1] < g_norm else (x, g_norm)
-    return SolveResult(x, False, iterations, g_norm)
+    return SolveResult(x, g_norm <= tol, iterations, g_norm)
 
 
 @dataclass

@@ -59,13 +59,14 @@ class TestSolve:
         roots = gradient_roots_1d(p_min)
         assert len(roots) == 1 and roots[0] == pytest.approx(0.0, abs=1e-10)
 
-    def test_singular_hessian_takes_the_shifted_step(self, monkeypatch):
+    def test_singular_hessian_takes_the_retry(self, monkeypatch):
         # d2J(0) = 1 + (0 - 1) + 0 = 0 exactly, so the Newton solve at the
-        # start raises and the Tikhonov-shifted solve takes the step
+        # start raises, its NaN step finds no trial, and the retry along
+        # -grad J takes the step
         P = validate_instance([1.0], [[1.0]], [1.0], [-1.0], [0.5], 2.0)
         assert primal_hessian(P, [0.0]).tolist() == [[0.0]]
-        failed = []
-        solve = np.linalg.solve
+        failed, searches = [], []
+        solve, backtrack = np.linalg.solve, critical._backtrack
 
         def spy(a, b):
             try:
@@ -74,11 +75,19 @@ class TestSolve:
                 failed.append(np.array(a))
                 raise
 
+        def search_spy(P, x, d, t0, g_norm):
+            searches.append((x.tolist(), d.tolist(), np.asarray(t0).tolist()))
+            return backtrack(P, x, d, t0, g_norm)
+
         monkeypatch.setattr(np.linalg, "solve", spy)
+        monkeypatch.setattr(critical, "_backtrack", search_spy)
         res = solve_primal_critical(P, [0.0])
         monkeypatch.undo()
         # the one-row stack's solve raises once
         assert len(failed) == 1 and failed[0].tolist() == [[[0.0]]]
+        # iteration 1's second search: along -grad J(0) = -0.5, scaled by
+        # 1 / (1 + |d2J(0)|_2) = 1
+        assert searches[1] == ([[0.0]], [[-0.5]], [1.0])
         assert res.converged and res.iterations == 6
         assert res.x0[0] == pytest.approx(-1.0, abs=1e-12)
         assert _same_result(res, solve_primal_critical_loop(P, [0.0]))
