@@ -119,19 +119,14 @@ def g2_star(P, v_star, v0_star):
     v0_star = P.require_v0(v0_star)
     # in_C_star's test, not its traced name: bench/spans.py times every
     # in_C_star call, and j2_star calls g2_star
-    c_star = _membership(P.mixed_matrix(v0_star))
-    return _g2_star(P, v_star, v0_star, c_star)
-
-
-def _g2_star(P, v_star, v0_star, c_star):
-    """g2_star given the C* membership of v0*, such as a lifted pair's
-    c_star."""
+    M = P.mixed_matrix(v0_star)
+    c_star = _membership(M)
     if not c_star.inside:
         raise OutsideCstarError(
             f"M(v0*) has smallest eigenvalue {c_star.margin:.3e}; the "
             "closed form for G2* is not the supremum there")
     # a margin above eps is far above where a Cholesky pivot can fail
-    L, _ = linalg.cho_factor(P.mixed_matrix(v0_star))
+    L, _ = linalg.cho_factor(M)
     return float(_g2_star_factored(P, v_star, v0_star, L))
 
 
@@ -146,13 +141,6 @@ def _g2_star_factored(P, v_star, v0_star, L):
 def j_star(P, v_star, v0_star):
     """J*(v*, v0*) = G1*(v*) - G2*(v*, v0*) at one dual pair."""
     return g1_star(P, P.require_x(v_star)) - g2_star(P, v_star, v0_star)
-
-
-def pair_j_star(P, pair):
-    """J*(vhat, vhat0) at a lifted pair, on the C* decision the lift
-    already made (pair.c_star); raises OutsideCstarError outside C*."""
-    return g1_star(P, pair.v_hat) - _g2_star(
-        P, pair.v_hat, pair.v0_hat, pair.c_star)
 
 
 def default_inner_init(P, v_star):

@@ -17,7 +17,13 @@ from typing import List
 import numpy as np
 
 from . import linalg
-from .conjugates import Membership, _memberships, recover_primal
+from .conjugates import (
+    Membership,
+    _g2_star_factored,
+    _memberships,
+    g1_star,
+    recover_primal,
+)
 from .errors import DualityError, OutsideCstarError
 from .problem import gradient_from, hessian_from, primal_gradient, primal_value
 
@@ -45,10 +51,11 @@ class CriticalPair:
     """A primal point with its lifted dual point and residuals.
 
     ``c_star`` and ``b_star`` are the C* and B* memberships of vhat0
-    (M(vhat0) and S(vhat0) positive definite), decided once at the lift.
+    (M(vhat0) and S(vhat0) positive definite), decided once at the lift,
+    as are ``J`` = J(x0), ``J_star`` = J*(vhat, vhat0) and ``m_factor``,
+    the lower Cholesky factor of M(vhat0).  ``J_star``, ``m_factor``,
     ``dual_residual_vstar`` and ``dual_residual_v0`` are NaN when the
-    lifted multiplier is outside C* (the dual stationarity system needs
-    M(vhat0)^{-1} there).
+    lifted multiplier is outside C* (they need M(vhat0)^{-1}).
     """
 
     x0: np.ndarray
@@ -60,6 +67,9 @@ class CriticalPair:
     dual_residual_vstar: float
     dual_residual_v0: float
     newton_iterations: int
+    J: float
+    J_star: float
+    m_factor: np.ndarray
 
     @property
     def converged(self):
@@ -187,16 +197,18 @@ class MultistartResult:
     n_merged: int
 
 
-def _seed_count(n_seeds):
-    if (not isinstance(n_seeds, numbers.Integral) or isinstance(n_seeds, bool)
-            or n_seeds < 0):
+def _count(value, name):
+    """value as an int; ValueError unless it is a non-negative integer
+    (a bool is not)."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < 0):
         raise ValueError(
-            f"n_seeds must be a non-negative integer, got {n_seeds!r}")
-    return int(n_seeds)
+            f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def _starts(P, n_seeds, rng_seed):
-    count = _seed_count(n_seeds)
+    count = _count(n_seeds, "n_seeds")
     rng = np.random.default_rng(rng_seed)
     scale = 1.0 + float(np.linalg.norm(P.f)) / (1.0 + P.kma_min_eig)
     return scale * rng.standard_normal((count, P.n))
@@ -219,8 +231,9 @@ def _distinct(P, X):
         else:
             found.append(y)
             iterations.append(result.iterations)
+    values = primal_value(P, np.reshape(found, (-1, P.n)))
     order = sorted(range(len(found)),
-                   key=lambda i: (primal_value(P, found[i]), tuple(found[i])))
+                   key=lambda i: (values[i], tuple(found[i])))
     return MultistartResult([found[i] for i in order],
                             [iterations[i] for i in order],
                             n_dropped, n_merged)
@@ -303,7 +316,8 @@ def find_critical_points(P, n_seeds, rng_seed):
     At N >= 2, or at N = 1 when no shift is well conditioned (as when A
     and B share a null vector), this is multistart(P, n_seeds, rng_seed).
     """
-    seeds = _pencil_seeds(P) if P.N == 1 and _seed_count(n_seeds) else None
+    count = _count(n_seeds, "n_seeds")
+    seeds = _pencil_seeds(P) if P.N == 1 and count else None
     if seeds is None:
         return multistart(P, n_seeds, rng_seed)
     return _distinct(P, seeds)
@@ -312,8 +326,10 @@ def find_critical_points(P, n_seeds, rng_seed):
 def _lift_stack(P, X, iterations):
     """Lift each row of the (S, n) stack X, with its Newton iteration
     count, to its CriticalPair: each kernel runs once on the stack (the
-    residuals on the rows inside C*), and each row gets the bits it gets
-    alone.  Raises DualityError at the first row that fails the lift."""
+    M(vhat0) factor, J* and the residuals on the rows inside C*), and
+    each row gets the bits it gets alone.  Raises DualityError at the
+    first row that fails the lift, and LinAlgError where M(vhat0) does
+    not factor at a row inside C*."""
     X = P.require_points(X)
     bx, w = P._bx_and_w(X)
     v0_hat = P.gamma * w
@@ -321,13 +337,21 @@ def _lift_stack(P, X, iterations):
     v_hat = (bx[:, :-1].mT @ v0_hat[..., None])[..., 0] + kx
     g = primal_gradient(P, X)
     primal_residual = np.max(np.abs(g), axis=-1)
-    c_star = _memberships(P.mixed_matrix(v0_hat))
+    M = P.mixed_matrix(v0_hat)
+    c_star = _memberships(M)
     b_star = _memberships(P.ab_matrix(v0_hat))
     inside = np.array([m.inside for m in c_star], dtype=bool)
-    r_vstar, r_v0 = np.full((2, len(X)), np.nan)
-    if inside.any():
-        r_vstar[inside], r_v0[inside] = _stationarity_residuals(
-            P, X[inside], v_hat[inside], v0_hat[inside])
+    # a margin above eps is far above where a Cholesky pivot can fail
+    L, ok = linalg.cho_factor(M[inside])
+    if not ok.all():
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+    m_factor = np.full_like(M, np.nan)
+    m_factor[inside] = L
+    j_star, r_vstar, r_v0 = np.full((3, len(X)), np.nan)
+    v, v0 = v_hat[inside], v0_hat[inside]
+    j_star[inside] = g1_star(P, v) - _g2_star_factored(P, v, v0, L)
+    r_vstar[inside], r_v0[inside] = _stationarity_residuals(
+        P, X[inside], v, v0, L)
 
     # vhat = (K - A) x0 - f + grad J(x0) holds at any x0; at a converged
     # row a disagreement means lift and gradient code have diverged
@@ -340,7 +364,8 @@ def _lift_stack(P, X, iterations):
                            f"{drift[broken][0]:.3e} at a converged point")
     return [CriticalPair(*row) for row in zip(
         X, v_hat, v0_hat, c_star, b_star, primal_residual.tolist(),
-        r_vstar.tolist(), r_v0.tolist(), map(int, iterations))]
+        r_vstar.tolist(), r_v0.tolist(), map(int, iterations),
+        primal_value(P, X).tolist(), j_star.tolist(), m_factor)]
 
 
 def lift_to_dual(P, x0, newton_iterations=0):
@@ -348,10 +373,11 @@ def lift_to_dual(P, x0, newton_iterations=0):
     return _lift_stack(P, P.require_x(x0)[None], [newton_iterations])[0]
 
 
-def _stationarity_residuals(P, x0, v_hat, v0_hat):
-    """The two dual stationarity residuals at a pair, or per stack row."""
+def _stationarity_residuals(P, x0, v_hat, v0_hat, L):
+    """The two dual stationarity residuals at a pair, or per stack row,
+    given the Cholesky factor L of M(v0_hat)."""
     lhs = recover_primal(P, v_hat)
-    rhs = linalg.solve_pd(P.mixed_matrix(v0_hat), v_hat)
+    rhs = linalg.cho_solve(L, v_hat)
     return [np.max(np.abs(r), axis=-1)
             for r in (lhs - rhs, P.quartic_terms(x0) - v0_hat / P.gamma)]
 
@@ -361,7 +387,7 @@ def dual_stationarity_residual(P, pair):
     if not pair.c_star.inside:
         raise OutsideCstarError("lifted multiplier is outside C*")
     return tuple(map(float, _stationarity_residuals(
-        P, pair.x0, pair.v_hat, pair.v0_hat)))
+        P, pair.x0, pair.v_hat, pair.v0_hat, pair.m_factor)))
 
 
 def find_critical_pairs(P, n_seeds, rng_seed):

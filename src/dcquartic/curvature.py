@@ -82,7 +82,7 @@ def build_bundle(P, pair):
 
     x0 = pair.x0
     M = P.mixed_matrix(pair.v0_hat)
-    M_inv = linalg.inv_pd(M)
+    M_inv = linalg.symmetrize(linalg.cho_solve(pair.m_factor, np.eye(P.n)))
     p1 = P.bx_columns(x0)                   # n x N
     p2 = p1.T @ M_inv                       # N x n
     core = p2 @ p1                          # x0^T B_l M^{-1} B_eta x0

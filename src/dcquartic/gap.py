@@ -20,15 +20,14 @@ pairs of one report are solved as one stack, each dual sample started
 on the inner argmax's tangent (local_extremality_probes).
 """
 
-import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
 from . import linalg
-from .conjugates import j2_star, j_tilde_star, pair_j_star
-from .critical import _lift_stack, find_critical_points
+from .conjugates import j2_star, j_tilde_star
+from .critical import _count, _lift_stack, find_critical_points
 from .curvature import (
     build_bundle,
     implicit_sensitivity,
@@ -37,6 +36,7 @@ from .curvature import (
 from .errors import (
     DualityError,
     NotCase2Error,
+    OutsideCstarError,
     ValidationError,
 )
 from .problem import primal_value, validate_instance
@@ -93,11 +93,14 @@ def classify_case(P, pair, bundle):
 
 
 def verify_zero_gap(P, pair):
-    """J(x0) - J*(vhat, vhat0); zero at every critical pair in C*.
+    """J(x0) - J*(vhat, vhat0), both from the lift; zero at every
+    critical pair in C*.
 
     Raises OutsideCstarError when the lift put vhat0 outside C*.
     """
-    return primal_value(P, pair.x0) - pair_j_star(P, pair)
+    if not pair.c_star.inside:
+        raise OutsideCstarError("lifted multiplier is outside C*")
+    return pair.J - pair.J_star
 
 
 @dataclass
@@ -150,11 +153,7 @@ def local_extremality_probes(P, pairs, n_samples, rng_seed,
     a sample that fails both is excluded and counted.  n_samples must be
     a non-negative integer.
     """
-    if (not isinstance(n_samples, numbers.Integral)
-            or isinstance(n_samples, bool) or n_samples < 0):
-        raise ValueError(
-            f"n_samples must be a non-negative integer, got {n_samples!r}")
-    n_samples = int(n_samples)
+    n_samples = _count(n_samples, "n_samples")
     if not pairs:
         return []
     if bundles is None:
@@ -169,8 +168,7 @@ def local_extremality_probes(P, pairs, n_samples, rng_seed,
             / np.sqrt(1.0 + linalg.spectral_norm_sym(bundle.d2j))
         r1 = 0.1 * (1.0 + float(np.linalg.norm(pair.v_hat))) \
             / np.sqrt(1.0 + linalg.spectral_norm_sym(bundle.dual_hessian))
-        refs.append((float(r), float(r1), primal_value(P, pair.x0),
-                     pair_j_star(P, pair)))
+        refs.append((float(r), float(r1), pair.J, pair.J_star))
         xs.append(linalg.ball_samples(np.random.default_rng([rng_seed, 0]),
                                       pair.x0, r, n_samples))
         v = linalg.ball_samples(np.random.default_rng([rng_seed, 1]),
@@ -314,13 +312,13 @@ def global_min_certificate(P, pair, case, critical_points):
     if case.case_id != "case2":
         raise NotCase2Error(f"pair classified as {case.case_id}")
 
-    j0 = primal_value(P, pair.x0)
+    j0 = pair.J
     tol = CERT_GAP_TOL * (1.0 + abs(j0))
     bound, lagrangian, drop, rounding = lagrangian_bound(
         P, pair.x0, pair.v0_hat, case.b_star_margin)
     bound_ok = bool(j0 - bound <= tol)
-    multistart_ok = all(j0 <= primal_value(P, x) + CERT_SAMPLE_TOL
-                        for x in critical_points)
+    multistart_ok = bool(np.all(j0 <= primal_value(
+        P, np.reshape(critical_points, (-1, P.n))) + CERT_SAMPLE_TOL))
     j2 = j2_star(P, pair.v_hat, init=pair.v0_hat)
     j2_gap = abs(j2.value - j0)
     j2_matches = bool(j2_gap <= tol)

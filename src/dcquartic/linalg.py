@@ -98,20 +98,6 @@ def cho_solve(L, b):
     return x
 
 
-def solve_pd(M, b):
-    """Solve M x = b for symmetric positive definite M via Cholesky;
-    raises LinAlgError where a pivot is not positive."""
-    L, ok = cho_factor(M)
-    if not np.all(ok):
-        raise np.linalg.LinAlgError("matrix is not positive definite")
-    return cho_solve(L, b)
-
-
-def inv_pd(M):
-    """Symmetrized inverse of a symmetric positive definite matrix."""
-    return symmetrize(solve_pd(M, np.eye(M.shape[-1])))
-
-
 def spectral_norm_sym(M):
     """max |eigenvalue| of a symmetric matrix, or of each matrix of a
     stack."""

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import __version__
 from .baseline import correspondence_report
-from .critical import _lift_stack, find_critical_points
+from .critical import _count, _lift_stack, find_critical_points
 from .curvature import build_bundle, verify_chain_identity
 from .errors import DualityError
 from .gap import (
@@ -18,7 +18,6 @@ from .gap import (
     local_extremality_probes,
 )
 from .instancefile import instance_digest, instance_to_doc
-from .problem import primal_value
 
 
 # the report keys copied from CaseReport, ProbeEvidence and
@@ -47,7 +46,9 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
     certificate -> baseline per critical point, with per-stage failures
     recorded per point; then the probes of every point with a bundle, as
     one stack.  The points come from the (2n+1) eigenproblem at N = 1
-    and from multistart(P, n_seeds, rng_seed) otherwise."""
+    and from multistart(P, n_seeds, rng_seed) otherwise.  n_seeds and
+    n_samples must be non-negative integers (ValueError otherwise)."""
+    n_samples = _count(n_samples, "n_samples")
     ms = find_critical_points(P, n_seeds, rng_seed)
     records, probed = [], []
     pairs = _lift_stack(P, np.reshape(ms.points, (-1, P.n)), ms.iterations)
@@ -55,7 +56,7 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
         record = {
             "index": idx,
             "x0": _vec(pair.x0),
-            "J": primal_value(P, pair.x0),
+            "J": pair.J,
             "primal_residual": pair.primal_residual,
             "newton_iterations": pair.newton_iterations,
             "v_hat": _vec(pair.v_hat),

@@ -457,12 +457,6 @@ class TestJTildeStarStack:
             np.testing.assert_allclose(linalg.cho_solve(L[0], rhs),
                                        np.linalg.solve(Ms[0], rhs),
                                        rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(linalg.solve_pd(Ms[0], B),
-                                   np.linalg.solve(Ms[0], B),
-                                   rtol=1e-10, atol=1e-12)
-        for bad in (Ms[1], Ms[3]):
-            with pytest.raises(np.linalg.LinAlgError):
-                linalg.solve_pd(bad, B)
         margin, eps = linalg.pd_margin(Ms)
         assert list(zip(margin, eps)) == [linalg.pd_margin(M) for M in Ms]
         # both ends of the spectrum from one eigvalsh, on Ms and -Ms so

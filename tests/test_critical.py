@@ -18,11 +18,14 @@ from dcquartic import (
     g2_value,
     generate_instance,
     iter_ensemble,
+    j_star,
     lift_to_dual,
+    linalg,
     load_instance,
     multistart,
     primal_gradient,
     primal_hessian,
+    primal_value,
     recover_primal,
     solve_primal_critical,
     validate_instance,
@@ -300,7 +303,8 @@ class TestLift:
             primal_residual=pair.primal_residual,
             dual_residual_vstar=pair.dual_residual_vstar,
             dual_residual_v0=pair.dual_residual_v0,
-            newton_iterations=pair.newton_iterations)
+            newton_iterations=pair.newton_iterations,
+            J=pair.J, J_star=pair.J_star, m_factor=pair.m_factor)
         r_vstar, _ = dual_stationarity_residual(p_tri, bumped)
         assert r_vstar > 1e-3
 
@@ -344,6 +348,16 @@ class TestLift:
                     == np.array([pair.primal_residual, pair.dual_residual_vstar,
                                  pair.dual_residual_v0]).tobytes()
                 assert row.newton_iterations == pair.newton_iterations == it
+                # J, J* and the M(vhat0) factor are the one-point
+                # kernels' bits, with NaN outside C*
+                L = np.full((P.n, P.n), np.nan)
+                jstar = np.nan
+                if row.c_star.inside:
+                    L = linalg.cho_factor(P.mixed_matrix(row.v0_hat))[0]
+                    jstar = j_star(P, row.v_hat, row.v0_hat)
+                assert np.array([row.J, row.J_star]).tobytes() \
+                    == np.array([primal_value(P, x), jstar]).tobytes()
+                assert row.m_factor.tobytes() == L.tobytes()
                 outside += np.isnan(row.dual_residual_vstar)
                 inside += row.c_star.inside
         assert outside > 0 and inside > 0

@@ -36,7 +36,7 @@ from dcquartic import (
 )
 from dcquartic import conjugates, gap
 from dcquartic.gap import lagrangian_bound
-from dcquartic.report import analyze_instance
+from dcquartic.report import analyze_instance, build_run_report
 from oracles import (
     grid_min_1d,
     j2_star_barrier_path,
@@ -188,6 +188,41 @@ class TestClassification:
                 assert case_id == "case1"   # S(vhat0) = 0 at +-sqrt(2)
             assert sum(s_calls) == 2
 
+    def test_m_factored_once_per_report(self, monkeypatch):
+        # one report factors each inside pair's M(vhat0) once, at the
+        # lift; the inner sups of the certificate's J2* and of the
+        # probes' Jt* samples, which may start at vhat0, are not counted
+        factored, solving = [], []
+        cho_factor = linalg.cho_factor
+
+        def spy_cho_factor(M):
+            if not solving:
+                factored.append(np.reshape(M, (-1,) + np.shape(M)[-2:]))
+            return cho_factor(M)
+
+        def not_counted(solve):
+            def wrapper(*args, **kwargs):
+                solving.append(True)
+                try:
+                    return solve(*args, **kwargs)
+                finally:
+                    solving.pop()
+            return wrapper
+
+        monkeypatch.setattr(linalg, "cho_factor", spy_cho_factor)
+        for name in ("j2_star", "j_tilde_star"):
+            monkeypatch.setattr(gap, name, not_counted(getattr(gap, name)))
+        for name in ("trifecta.json", "global_min.json"):
+            P = load_instance(SAMPLES / name)
+            factored.clear()
+            records = build_run_report(P, 32, 7, 40)["critical_points"]
+            inside = [r for r in records if r["membership"]["c_star"]]
+            assert inside
+            for r in inside:
+                M = P.mixed_matrix(r["v0_hat"])
+                assert sum(np.any(np.all(Ms == M, axis=(1, 2)))
+                           for Ms in factored) == 1
+
 
 class TestZeroGap:
     def test_hand_pairs(self, p_tri, p_min, sqrt2):
@@ -245,8 +280,8 @@ class TestProbes:
         assert a == b
 
     def test_primal_ball_is_one_stack(self, p_tri, sqrt2, monkeypatch):
-        # J at x0 and at the whole primal ball: two primal_value calls,
-        # where one per sample would make 51
+        # J at the whole primal ball is one primal_value call, where one
+        # per sample would make 50; J(x0) is the lift's
         from dcquartic import gap
         shapes = []
         value = gap.primal_value
@@ -258,7 +293,7 @@ class TestProbes:
             case_id = classify_case(p_tri, pair, bundle).case_id
             shapes.clear()
             local_extremality_probe(p_tri, pair, 50, 7, case_id, bundle)
-            assert shapes == [(1,), (50, 1)]
+            assert shapes == [(50, 1)]
 
     def test_stack_is_the_one_pair_probes(self):
         # every probe-able pair of both samples and of members 0-24, probed
@@ -333,6 +368,14 @@ class TestProbes:
             local_extremality_probe(p_tri, pair, n_samples, 7)
         with pytest.raises(ValueError, match="n_samples"):
             local_extremality_probes(p_tri, [pair], n_samples, 7)
+
+    @pytest.mark.parametrize("n_samples", [2.5, -3, True, False])
+    @pytest.mark.parametrize("n_seeds", [0, 32])
+    def test_report_checks_n_samples(self, n_seeds, n_samples):
+        # also where no pair reaches the probes (no point at n_seeds 0)
+        P = load_instance(SAMPLES / "trifecta.json")
+        with pytest.raises(ValueError, match="n_samples"):
+            build_run_report(P, n_seeds, 7, n_samples)
 
     def test_unclassified_saddle_reports_violations(self):
         # find a saddle-adjacent pair: indefinite Hessian keeps it
