@@ -158,12 +158,12 @@ def _print_plain_sweep(results):
 
 
 def _print_eps_sweep(results):
-    slopes = [entry["slope"] for r in results for entry in r["sweep"]["slopes"]
-              if entry["slope"] is not None]
-    print(f"instances      {len(results)}")
-    print(f"fitted slopes  {len(slopes)}")
-    if slopes:
-        print(f"min slope      {min(slopes):.4f}")
+    max_ka_alpha1 = max([0.0] + [
+        rec["ka_alpha1_norm"] for r in results
+        for point in r["sweep"]["points"] for rec in point["pairs"]
+        if math.isfinite(rec["ka_alpha1_norm"])])
+    print(f"instances           {len(results)}")
+    print(f"max |(K-A)alpha1|   {max_ka_alpha1:.3e}")
 
 
 def build_parser():

@@ -115,18 +115,23 @@ def g2_star(P, v_star, v0_star):
 
     Raises OutsideCstarError when M(v0*) is not positive definite.
     """
-    v_star = P.require_x(v_star)
-    v0_star = P.require_v0(v0_star)
+    return _g2_star_checked(P, P.require_x(v_star), P.require_v0(v0_star))
+
+
+def _g2_star_checked(P, v_star, v0_star, L=None):
+    """g2_star at one dual pair; L, the Cholesky factor of M(v0*), is
+    formed here unless the caller already holds it."""
     # in_C_star's test, not its traced name: bench/spans.py times every
-    # in_C_star call, and j2_star calls g2_star
+    # in_C_star call, and j2_star makes this test on its answer
     M = P.mixed_matrix(v0_star)
     c_star = _membership(M)
     if not c_star.inside:
         raise OutsideCstarError(
             f"M(v0*) has smallest eigenvalue {c_star.margin:.3e}; the "
             "closed form for G2* is not the supremum there")
-    # a margin above eps is far above where a Cholesky pivot can fail
-    L, _ = linalg.cho_factor(M)
+    if L is None:
+        # a margin above eps is far above where a Cholesky pivot can fail
+        L, _ = linalg.cho_factor(M)
     return float(_g2_star_factored(P, v_star, v0_star, L))
 
 
@@ -398,11 +403,12 @@ def _feasible_a_star_point(P, v0):
 
 def _polish(P, v_star, v0):
     """Newton from v0 to the interior stationary point of J*(v*, .):
-    (point, its A* margin), or None when the solve does not converge."""
-    rows, _, status = _inner_newton_stack(P, v_star[None], v0[None])
+    (point, the Cholesky factor of M there, its A* margin), or None when
+    the solve does not converge."""
+    rows, L, status = _inner_newton_stack(P, v_star[None], v0[None])
     if status[0] != SOLVED:
         return None
-    return rows[0], in_B_star(P, rows[0]).margin
+    return rows[0], L[0], in_B_star(P, rows[0]).margin
 
 
 def j2_star(P, v_star, init=None):
@@ -427,21 +433,22 @@ def j2_star(P, v_star, init=None):
     v0 = P.require_v0(init) if init is not None else default_inner_init(P, v_star)
     polished = _polish(P, v_star, v0)
     beyond = False
-    if polished is None or polished[1] < BOUNDARY_MARGIN:
+    if polished is None or polished[2] < BOUNDARY_MARGIN:
         v0 = _feasible_a_star_point(P, v0)
         for mu in BARRIER_WEIGHTS:
             # each stage starts where the last one stopped, whatever its
-            # status
-            v0 = _inner_newton_stack(P, v_star[None], v0[None], mu)[0][0]
+            # status; L is the Cholesky factor of M there
+            v0, L, _ = _inner_newton_stack(P, v_star[None], v0[None], mu)
+            v0, L = v0[0], L[0]
         # polish the barrier path's end point; a margin below
         # BOUNDARY_MARGIN puts the stationary point on the A* boundary,
         # where its value is the exact barrier-path limit
         polished = _polish(P, v_star, v0)
-        if polished is None or polished[1] < -BOUNDARY_MARGIN:
+        if polished is None or polished[2] < -BOUNDARY_MARGIN:
             # a stationary point beyond A* puts the sup on A*'s boundary,
             # whatever the end point's own margin
             beyond = polished is not None
-            polished = v0, in_B_star(P, v0).margin
-    point, margin = polished
-    return J2Result(g1 - g2_star(P, v_star, point), point,
+            polished = v0, L, in_B_star(P, v0).margin
+    point, L, margin = polished
+    return J2Result(g1 - _g2_star_checked(P, v_star, point, L), point,
                     beyond or margin < BOUNDARY_MARGIN, margin)

@@ -18,6 +18,9 @@ produces the dual Hessian
     d2Jt = -M^{-1} + (K - A)^{-1} + M^{-1} H3
 
 and satisfies d2Jt . D = H1 (d2J(x0) + (K - A) alpha1) H2 exactly.
+Since D = I + P1 diag(gamma) P2 and E = P2 P1 + diag(1/gamma), the
+Woodbury identity gives (I - H3) D = I: alpha and alpha1 carry rounding
+only, at every n and N.
 
 E above is the implicit-function-theorem convention, the one that the
 finite-difference oracles on the inner argmax and the dual Hessian

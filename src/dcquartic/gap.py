@@ -344,7 +344,6 @@ class SweepPoint:
 class SweepReport:
     eps_list: List[float]
     points: List[SweepPoint]
-    slopes: List[dict] = field(default_factory=list)
 
 
 def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
@@ -352,10 +351,11 @@ def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
 
     J does not involve K, so find_critical_points(P_base, n_seeds,
     rng_seed) runs once and one _lift_stack lifts every point into each
-    valid K, its records carrying its index as ``base_point``.  They give
-    per-point |(K - A) alpha1| = eps |alpha1| and a fitted log-log slope
-    of that norm against eps (only over points with multiplier in C* and
-    a bundle at every sweep value).
+    valid K, its records carrying its index as ``base_point``.  Each
+    record inside C* holds the gap and, where a bundle forms, the chain
+    residual, |alpha1| and |(K - A) alpha1| = eps |alpha1|.  The
+    Woodbury identity gives (I - H3) D = I, so alpha and alpha1 carry
+    rounding only and the last two norms stay at roundoff for every eps.
     """
     base = find_critical_points(P_base, n_seeds, rng_seed)
     X = np.reshape(base.points, (-1, P_base.n))
@@ -400,21 +400,4 @@ def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
             sp.pairs.append(record)
         points.append(sp)
 
-    valid = [p for p in points if p.ok]
-    valid_eps = [p.eps for p in valid]
-    slopes = []
-    for i in range(len(base.points)):
-        norms = np.array([p.pairs[i]["ka_alpha1_norm"] for p in valid])
-        if len(valid) < 2 or np.isnan(norms).any():
-            continue
-        entry = {"base_point": i,
-                 "eps": list(valid_eps),
-                 "norms": [float(v) for v in norms],
-                 "slope": None}
-        # norms at roundoff scale mean alpha1 = 0; no slope to fit there
-        if np.all(norms > 1e-12):
-            slope = np.polyfit(np.log(valid_eps), np.log(norms), 1)[0]
-            entry["slope"] = float(slope)
-        slopes.append(entry)
-    return SweepReport(eps_list=[float(e) for e in eps_list],
-                       points=points, slopes=slopes)
+    return SweepReport(eps_list=[float(e) for e in eps_list], points=points)

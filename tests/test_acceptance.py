@@ -198,6 +198,26 @@ def test_criterion_05_alpha1_vanishes_scalar():
           f"({checked} pairs, max |alpha1| {worst:.2e})")
 
 
+def test_woodbury_identity_on_ensemble(ensemble):
+    # Woodbury: (I - P1 E^{-1} P2)(I + P1 diag(gamma) P2) = I, so
+    # alpha = (I - H3) D - I and alpha1 carry rounding only, at every n
+    # and N
+    checked = 0
+    worst = 0.0
+    for rec in ensemble.bundled():
+        H3, D = rec.bundle.H3, rec.bundle.D
+        eye = np.eye(rec.P.n)
+        rel = (np.linalg.norm((eye - H3) @ D - eye, "fro")
+               / (1.0 + np.linalg.norm(D, "fro")
+                  * (1.0 + np.linalg.norm(H3, "fro"))))
+        worst = max(worst, rel)
+        assert rel <= 1e-12
+        checked += 1
+    assert checked >= 300
+    print(f"\n[(I - H3) D = I] PASS "
+          f"({checked} pairs, max relative residual {worst:.2e})")
+
+
 def test_criterion_06_trifecta_instance(p_tri):
     t0 = time.perf_counter()
     report = build_run_report(p_tri, 32, RNG_SEED, 1000)
@@ -259,14 +279,14 @@ def test_criterion_08_extremality_probes(ensemble):
 
 
 def test_criterion_09_epsilon_sweep(p_tri):
-    """The sweep verifies |(K - A) alpha1| -> 0 and would check a
-    log-log slope >= 0.9 on any pair with alpha1 != 0.  Under the
-    FD-validated inner-matrix convention alpha1 vanishes identically (a
-    provable consequence: (I - H3) D = I), so the slope set is empty and
-    the decay claim holds at roundoff scale; both facts are asserted.
+    """The sweep verifies |(K - A) alpha1| -> 0 along K = A + eps I.
+    Under the FD-validated inner-matrix convention alpha1 vanishes
+    identically (a provable consequence: (I - H3) D = I, see
+    test_woodbury_identity_on_ensemble), so the decay holds at roundoff
+    scale at every eps.  A series is a base point whose norm is finite
+    at every valid eps.
     """
     eps_list = [1e-1, 1e-2, 1e-3]
-    fitted = []
     matched_series = 0
     worst_norm = 0.0
     bases = [p_tri]
@@ -276,18 +296,16 @@ def test_criterion_09_epsilon_sweep(p_tri):
     for P in bases:
         rep = dc.epsilon_sweep(P, eps_list, RNG_SEED)
         assert all(point.ok for point in rep.points)
-        for entry in rep.slopes:
-            matched_series += 1
-            worst_norm = max(worst_norm, max(entry["norms"]))
-            if entry["slope"] is not None and max(entry["norms"]) > 1e-10:
-                fitted.append(entry["slope"])
-    for slope in fitted:
-        assert slope >= 0.9
+        for series in zip(*(point.pairs for point in rep.points)):
+            norms = [rec["ka_alpha1_norm"] for rec in series]
+            if np.all(np.isfinite(norms)):
+                matched_series += 1
+                worst_norm = max(worst_norm, max(norms))
     assert matched_series >= 3
     assert worst_norm <= 1e-10
     print(f"\n[criterion 9] epsilon sweep: PASS "
-          f"({matched_series} matched series, {len(fitted)} fitted slopes "
-          f"(alpha1 = 0 identically), max |(K-A)alpha1| {worst_norm:.2e})")
+          f"({matched_series} matched series, "
+          f"max |(K-A)alpha1| {worst_norm:.2e})")
 
 
 def test_criterion_10_baseline_correspondence(ensemble, p_tri):

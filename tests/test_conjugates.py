@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dcquartic import (
     NoConvergenceError,
     OutsideCstarError,
     build_bundle,
+    classify_case,
     find_critical_pairs,
     g1_star,
     g1_value,
@@ -25,6 +27,7 @@ from dcquartic import (
     j2_star,
     j_star,
     j_tilde_star,
+    load_instance,
     local_extremality_probe,
     local_extremality_probes,
     validate_instance,
@@ -45,6 +48,8 @@ from oracles import (
     j_tilde_grid,
     j_tilde_star_loop,
 )
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
 
 
 class TestG1Star:
@@ -510,6 +515,20 @@ class TestJ2Star:
     def test_sup_dominates_members(self, p_min):
         res = j2_star(p_min, [1.0])
         assert res.value >= j_star(p_min, [1.0], [1.0]) - 1e-9
+
+    def test_factors_m_once(self, monkeypatch):
+        # the value is formed on the Cholesky factor of M that the inner
+        # Newton solve holds at its answer; M is not factored again
+        P = load_instance(SAMPLES / "global_min.json")
+        pair, = [p for p in find_critical_pairs(P, 32, 7)
+                 if classify_case(P, p, build_bundle(P, p)).case_id
+                 == "case2"]
+        calls, cho_factor = [], linalg.cho_factor
+        monkeypatch.setattr(linalg, "cho_factor",
+                            lambda M: calls.append(M) or cho_factor(M))
+        res = j2_star(P, pair.v_hat, init=pair.v0_hat)
+        assert len(calls) == 1
+        assert res.value == j_star(P, pair.v_hat, res.v0_star)
 
 
 class TestFenchelYoung:

@@ -637,8 +637,6 @@ class TestEpsilonSweep:
             for rec in point.pairs:
                 if rec["in_c_star"]:
                     assert rec["ka_alpha1_norm"] <= 1e-12
-        # n = N = 1 means alpha1 = 0: no slope is fitted
-        assert all(e["slope"] is None for e in rep.slopes)
 
     def test_eps_zero_rejected(self, p_tri):
         rep = epsilon_sweep(p_tri, [0.0], 7)

@@ -42,7 +42,7 @@ MEMBERS_SHA256 = \
 PROBED_MEMBERS_SHA256 = \
     "650163b1fe5b1f92fb5771c4b6957cc45c74eb109cd26cd09486db940bc86c2e"
 SWEEPS_SHA256 = \
-    "54048b927593b2fedbcc73ecd23954f953b6d9ad598b9acf0529af8287bee963"
+    "e9750b4fee70324a3ab76be93f9f4cff188cb4b64fe295049866ba48ad96e225"
 
 
 @functools.cache
