@@ -13,8 +13,7 @@ x0 = S^{-1} f, and the sign correspondence with the primal Hessian
 d2J(x0) = A + Bhat + sum_p (vhat0)_p B_p is guaranteed only for
 n = N = 1 with S positive definite.  Note the displayed x0 = S^{-1} f
 differs in sign from the primal stationarity solution -(S^{-1} f); the
-quadratic forms compared here are unaffected, and reports carry the
-convention flag.
+quadratic forms compared here are unaffected by the sign.
 """
 
 from dataclasses import dataclass
@@ -30,15 +29,11 @@ from .problem import primal_hessian
 
 @dataclass(frozen=True)
 class BaselineReport:
-    v0_star: np.ndarray
     minus_j1_value: float
-    minus_j1_gradient: np.ndarray
-    minus_j1_hessian: np.ndarray
     primal_hessian_inertia: Tuple[int, int, int]
     baseline_hessian_inertia: Tuple[int, int, int]
     correspondence: bool
     ab_matrix_pd: bool
-    x0_sign_convention: str = "displayed-inverse"
 
 
 def j1_star(P, v0_star):
@@ -79,8 +74,7 @@ def correspondence_report(P, pair, bundle=None):
     agreement is a theorem and a disagreement raises; in every other
     regime the flag is recorded as data.
     """
-    v0 = pair.v0_hat
-    value, grad, hess = j1_star(P, v0)
+    value, _, hess = j1_star(P, pair.v0_hat)
     d2j = primal_hessian(P, pair.x0) if bundle is None else bundle.d2j
 
     primal_inertia = linalg.inertia(d2j)
@@ -106,10 +100,7 @@ def correspondence_report(P, pair, bundle=None):
             f"{baseline_inertia}")
 
     return BaselineReport(
-        v0_star=v0,
         minus_j1_value=value,
-        minus_j1_gradient=grad,
-        minus_j1_hessian=hess,
         primal_hessian_inertia=primal_inertia,
         baseline_hessian_inertia=baseline_inertia,
         correspondence=correspondence,
@@ -123,11 +114,9 @@ class Counterexample:
     instance_index: int
     pair_index: int
     report: BaselineReport
-    ab_matrix_pd: bool
 
 
-def search_correspondence_counterexample(n, N, count, rng_seed,
-                                         n_seeds=12):
+def search_correspondence_counterexample(n, N, count, rng_seed):
     """Scan seeded random instances for a pair where the baseline and
     primal Hessians disagree in sign; returns the first hit with its
     seed, or None."""
@@ -136,18 +125,15 @@ def search_correspondence_counterexample(n, N, count, rng_seed,
     for i in range(count):
         P = generate_instance(n, N, [rng_seed, i])
         try:
-            pairs = find_critical_pairs(P, n_seeds, rng_seed)
+            pairs = find_critical_pairs(P, 12, rng_seed)
         except DualityError:
             continue
         for k, pair in enumerate(pairs):
-            if not pair.converged:
-                continue
             try:
                 report = correspondence_report(P, pair)
             except DualityError:
                 continue
             if not report.correspondence:
                 return Counterexample(seed=rng_seed, instance_index=i,
-                                      pair_index=k, report=report,
-                                      ab_matrix_pd=report.ab_matrix_pd)
+                                      pair_index=k, report=report)
     return None

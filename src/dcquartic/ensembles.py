@@ -20,11 +20,11 @@ def _unit_spectral_symmetric(rng, n):
 
 
 def generate_instance(n, N, rng_seed, k_margin=1.0, f_scale=1.0,
-                      c_range=C_RANGE, gamma_range=GAMMA_RANGE):
+                      c_range=C_RANGE):
     """Draw one validated random instance.
 
     A and each B_j come from symmetric Gaussian ensembles scaled to unit
-    spectral radius, gamma_j from ``gamma_range``, c_j from ``c_range``,
+    spectral radius, gamma_j from GAMMA_RANGE, c_j from ``c_range``,
     f Gaussian, and scalar K = lmax(A) + k_margin (so K I - A has
     eigenvalue margin at least k_margin).  One draw per seed, never
     redrawn: a symmetrized Gaussian B_j is never all zero, so the draw
@@ -33,7 +33,7 @@ def generate_instance(n, N, rng_seed, k_margin=1.0, f_scale=1.0,
     rng = np.random.default_rng(rng_seed)
     A = _unit_spectral_symmetric(rng, n)
     B = np.stack([_unit_spectral_symmetric(rng, n) for _ in range(N)])
-    gamma = rng.uniform(*gamma_range, size=N)
+    gamma = rng.uniform(*GAMMA_RANGE, size=N)
     c = rng.uniform(*c_range, size=N)
     f = f_scale * rng.standard_normal(n)
     K = float(np.max(np.linalg.eigvalsh(A))) + k_margin

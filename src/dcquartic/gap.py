@@ -114,7 +114,6 @@ class ProbeEvidence:
     dual_min_violations: int
     dual_max_violations: int
     dual_excluded: int
-    primal_worst: float
     dual_worst: float
 
     def violations(self):
@@ -207,18 +206,11 @@ def _probe_evidence(case_id, r, r1, j0, jt0, jvals, jtvals):
     dual_worst = float(np.max(np.abs(jtvals - jt0)[below | above],
                               initial=0.0))
 
-    primal_worst = 0.0
-    if case_id in ("case1", "case2") and p_min:
-        primal_worst = float(j0 - np.min(jvals))
-    elif case_id == "case3" and p_max:
-        primal_worst = float(np.max(jvals) - j0)
-
     return ProbeEvidence(
         case_id=case_id, r=r, r1=r1, n_samples=jvals.size,
         primal_min_violations=p_min, primal_max_violations=p_max,
         dual_min_violations=d_min, dual_max_violations=d_max,
-        dual_excluded=excluded,
-        primal_worst=primal_worst, dual_worst=dual_worst,
+        dual_excluded=excluded, dual_worst=dual_worst,
     )
 
 

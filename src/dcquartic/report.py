@@ -163,21 +163,15 @@ def build_run_report(P, n_seeds, rng_seed, n_samples):
     }
 
 
-def _fmt(value, width=11):
+def _fmt(value):
     if value is None:
-        return " " * (width - 1) + "-"
-    if isinstance(value, bool):
-        return f"{'yes' if value else 'no':>{width}}"
-    if isinstance(value, (int, np.integer)):
-        return f"{value:>{width}d}"
-    if not np.isfinite(value):
-        return f"{'nan':>{width}}"
-    return f"{value:>{width}.3e}"
+        return f"{'-':>11}"
+    return f"{value:>11.3e}"
 
 
-def _fmt_x(xs, limit=4):
-    parts = [f"{v:.6g}" for v in xs[:limit]]
-    if len(xs) > limit:
+def _fmt_x(xs):
+    parts = [f"{v:.6g}" for v in xs[:4]]
+    if len(xs) > 4:
         parts.append("...")
     return "[" + ", ".join(parts) + "]"
 

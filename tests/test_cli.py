@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dcquartic import (
+    DualityError,
     ParseError,
     ValidationError,
     generate_instance,
@@ -76,6 +77,11 @@ class TestInstanceFile:
         with pytest.raises(ParseError, match="invalid JSON"):
             parse_instance_text(text)
 
+    @pytest.mark.parametrize("text", ["[]", "1", '"x"', "null"])
+    def test_top_level_must_be_an_object(self, text):
+        with pytest.raises(ParseError, match="must hold a JSON object"):
+            parse_instance_text(text)
+
     def test_bad_schema_version(self):
         with pytest.raises(ParseError):
             parse_instance_text(json.dumps(dict(TRI_DOC, schema_version="2")))
@@ -104,7 +110,8 @@ class TestInstanceFile:
     @pytest.mark.parametrize("key, value", [
         ("n", "1e400"), ("n", "1.7"), ("n", "true"), ("N", "1.0"),
         ("K", '"2"'), ("K", "true"),
-        pytest.param("K", "1" + "0" * 400, id="K-1e400-as-int")])
+        pytest.param("K", "1" + "0" * 400, id="K-1e400-as-int"),
+        ("n", "2"), ("B", "[]"), ("B", "[[1.0], [1.0]]")])
     def test_malformed_size_or_k_rejected(self, key, value):
         text = json.dumps(dict(TRI_DOC, **{key: "@"})).replace('"@"', value)
         with pytest.raises(ParseError):
@@ -241,6 +248,13 @@ class TestVerifyCommand:
         assert main([argv[0], str(SAMPLES / argv[1])] + argv[2:]) == 2
         assert "must be >= 0" in capsys.readouterr().err
 
+    def test_internal_failure_exits_1(self, capsys, monkeypatch):
+        def fail(*args):
+            raise DualityError("stub failure")
+        monkeypatch.setattr("dcquartic.cli.build_run_report", fail)
+        assert main(["verify", str(SAMPLES / "trifecta.json")]) == 1
+        assert capsys.readouterr().err == "internal failure: stub failure\n"
+
     def test_zero_seeds(self, capsys):
         code = main(["verify", str(SAMPLES / "trifecta.json"),
                      "--seeds", "0", "--samples", "0"])
@@ -310,6 +324,15 @@ class TestSweepCommand:
     def test_out_of_range(self, capsys):
         assert main(["sweep", "--n", "99", "--N", "1", "--count", "1"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--N", "0"), ("--N", "9"), ("--count", "-1"), ("--count", "10001")])
+    def test_size_out_of_range(self, flag, value, capsys):
+        # argparse keeps the last value of a repeated option
+        assert main(["sweep", "--n", "1", "--N", "1", "--count", "1",
+                     flag, value]) == 2
+        assert f"error (parse-error): {flag} must be in" \
+            in capsys.readouterr().err
+
     def test_eps_sweep(self, tmp_path):
         out = tmp_path / "eps.json"
         code = main(["sweep", "--n", "1", "--N", "1", "--count", "3",
@@ -323,10 +346,12 @@ class TestSweepCommand:
                 assert point["ok"]
 
     @pytest.mark.parametrize("eps_list", ["nan,0.1", "0.1,inf", "-inf",
-                                          "0.1,NaN", ",,", "", " "])
+                                          "0.1,NaN", ",,", "", " ",
+                                          "0.1,abc"])
     def test_eps_list_non_finite_or_empty(self, eps_list, tmp_path, capsys):
-        # a non-finite eps has no K = A + eps I to solve with, and an empty
-        # list is no sweep: both are parse errors, and no report is written
+        # a non-numeric or non-finite eps has no K = A + eps I to solve
+        # with, and an empty list is no sweep: all are parse errors, and no
+        # report is written
         out = tmp_path / "eps.json"
         code = main(["sweep", "--n", "1", "--N", "1", "--count", "1",
                      f"--eps-list={eps_list}", "--json", str(out)])

@@ -36,7 +36,11 @@ from dcquartic import (
 )
 from dcquartic import conjugates, gap
 from dcquartic.gap import lagrangian_bound
-from dcquartic.report import analyze_instance, build_run_report
+from dcquartic.report import (
+    analyze_instance,
+    build_run_report,
+    format_point_table,
+)
 from oracles import (
     grid_min_1d,
     j2_star_barrier_path,
@@ -435,6 +439,14 @@ class TestGlobalCertificate:
         assert lagrangian == pytest.approx(primal_value(p_min, pair.x0))
         assert bound <= grid_min_1d(p_min)
 
+    def test_bound_is_nan_where_s_does_not_factor(self, p_tri):
+        # at x0 = 0 the lift gives vhat0 = 0, where S = A = -1
+        pair = lift_to_dual(p_tri, [0.0])
+        margin = in_B_star(p_tri, pair.v0_hat).margin
+        assert margin < 0.0
+        assert np.all(np.isnan(
+            lagrangian_bound(p_tri, pair.x0, pair.v0_hat, margin)))
+
     def test_not_case2(self, p_tri, sqrt2):
         pair = lift_to_dual(p_tri, [sqrt2])
         case = classify_case(p_tri, pair, build_bundle(p_tri, pair))
@@ -638,6 +650,18 @@ class TestEpsilonSweep:
                 if rec["in_c_star"]:
                     assert rec["ka_alpha1_norm"] <= 1e-12
 
+    def test_bundle_failure_keeps_the_gap(self, p_tri, monkeypatch):
+        def fail(*args):
+            raise DualityError("stub failure")
+        monkeypatch.setattr(gap, "build_bundle", fail)
+        rep = epsilon_sweep(p_tri, [0.1], 7)
+        inside = [rec for rec in rep.points[0].pairs if rec["in_c_star"]]
+        assert inside
+        for rec in inside:
+            assert abs(rec["gap"]) <= 1e-10
+            for key in ("chain_residual", "alpha1_norm", "ka_alpha1_norm"):
+                assert np.isnan(rec[key])
+
     def test_eps_zero_rejected(self, p_tri):
         rep = epsilon_sweep(p_tri, [0.0], 7)
         assert not rep.points[0].ok
@@ -680,3 +704,26 @@ class TestEpsilonSweep:
                         assert rec["chain_residual"] <= 1e-8
                     seen += 1
         assert seen >= 3
+
+
+class TestStageFailures:
+    @pytest.mark.parametrize("stage, name", [
+        ("bundle", "build_bundle"),
+        ("certificate", "global_min_certificate")])
+    def test_recorded_and_printed(self, stage, name, monkeypatch):
+        # the sample's one point is a case-2 pair, so both stages run
+        def fail(*args):
+            raise DualityError("stub failure")
+        monkeypatch.setattr(f"dcquartic.report.{name}", fail)
+        P = load_instance(SAMPLES / "global_min.json")
+        records, _ = analyze_instance(P, 8, 7, 0)
+        (rec,) = records
+        assert rec["errors"] == {stage: "stub failure"}
+        assert rec["certificate"] is None and rec["baseline"] is not None
+        table = format_point_table(records).splitlines()
+        assert table[3:] == [f"    [{stage}] stub failure"]
+        if stage == "bundle":
+            assert rec["case"] is rec["gap"] is rec["chain_residual"] is None
+            assert table[2].split()[2:5] == ["error", "-", "-"]
+        else:
+            assert rec["case"] == "case2"

@@ -49,6 +49,23 @@ class TestValidation:
             validate_instance([[1.0, 0.0], [0.0, 1.0]], [[1.0]], [1.0],
                               [0.0], [0.0], 2.0)
 
+    @pytest.mark.parametrize("field, value, reason, message", [
+        ("f", [], "dimension-mismatch", "need n >= 1"),
+        ("gamma", [], "dimension-mismatch", "need n >= 1"),
+        ("c", [0.0, 0.0], "dimension-mismatch", "c must have length 1"),
+        ("B", np.eye(3), "dimension-mismatch", "B must hold 1 matrices"),
+        ("A", [[np.nan, 0.0], [0.0, 1.0]], "non-finite", "A has non-finite"),
+        ("f", [0.0, np.inf], "non-finite", "f has non-finite"),
+        ("B", [[[1.0, 1.0], [0.0, 1.0]]], "asymmetric-matrix",
+         "B\\[0\\] asymmetric"),
+    ])
+    def test_rejects_malformed_input(self, field, value, reason, message):
+        args = {"A": np.eye(2), "B": [np.eye(2)], "gamma": [1.0],
+                "c": [0.0], "f": [0.0, 0.0], "K": 2.0, field: value}
+        with pytest.raises(ValidationError, match=message) as err:
+            validate_instance(**args)
+        assert err.value.reason == reason
+
     def test_coercivity_heuristic(self):
         # B = 0 leaves J no quartic term, so the check fails
         with pytest.raises(ValidationError) as err:
