@@ -273,6 +273,39 @@ def _j_star_stack(P, v_stars, v0, L):
     return np.where(margin > eps, g1_star(P, v_stars) - g2, np.nan)
 
 
+def _j_tilde_star_bracket(P, v_stars, starts):
+    """(lower, upper): bounds on Jt* at each row of an (S, n) stack from
+    one evaluation at the row's start s, with no Newton step.
+
+    On C*, -d2J*/dv0*^2 = E >= D = diag(1/gamma) (see _inner_matrix), so
+    J*(v*, y) <= J*(v*, s) + r'(y - s) - |y - s|_D^2 / 2, r the inner
+    residual at s.  Every maximizer lies in |y - s|_D <= 2 |r|_{D^-1},
+    where ||M(y) - M(s)||_2 <= rho = 2 |r|_{D^-1} sqrt(sum_j gamma_j
+    ||B_j||_2^2).  Where lmin(M(s)) - rho passes the C* threshold (taken
+    at the spectrum's largest possible scale there), that ball lies in
+    C*, the sup is its interior stationary point, and lower = J*(v*, s)
+    <= Jt*(v*) <= lower + sum_j gamma_j r_j^2 / 2 = upper.  Both are nan
+    on the other rows, among them every start that fails _j_star_stack's
+    C* margin test.
+    """
+    lower, upper = np.full((2, len(v_stars)), np.nan)
+    M = P.mixed_matrix(starts)
+    margin, eps = linalg.pd_margin(M)
+    L, ok = linalg.cho_factor(M)
+    rows = np.flatnonzero(ok & (margin > eps))
+    v, s, L = v_stars[rows], starts[rows], L[rows]
+    res, _ = _inner_residual(P, v, s, L, 0.0, None)
+    r_sq = np.sum(P.gamma * res ** 2, axis=1)
+    b_sq = np.sum(P.gamma * linalg.spectral_norm_sym(P.B) ** 2)
+    rho = 2.0 * np.sqrt(r_sq * b_sq)
+    inside = margin[rows] - rho > eps[rows] + linalg.EPS_PD_FACTOR * rho
+    rows, v, s, L, r_sq = (rows[inside], v[inside], s[inside], L[inside],
+                           r_sq[inside])
+    lower[rows] = g1_star(P, v) - _g2_star_factored(P, v, s, L)
+    upper[rows] = lower[rows] + 0.5 * r_sq
+    return lower, upper
+
+
 def _j_tilde_star_chunk(P, v_stars, inits):
     """j_tilde_star on one chunk of rows, row s started at inits[s].
     Returns (values, argmaxes, status)."""

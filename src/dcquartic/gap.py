@@ -16,8 +16,10 @@ from the spectrum of the symmetric part.
 
 The extremality probes test the local conclusions by sampling a ball
 around x0 and one around vhat at each pair.  The samples of all the
-pairs of one report are solved as one stack, each dual sample started
-on the inner argmax's tangent (local_extremality_probes).
+pairs of one report are evaluated as one stack.  Each dual sample is
+first bounded from one evaluation at its start on the inner argmax's
+tangent, and only the samples whose bounds straddle an edge of the
+band Jt*(vhat) -+ PROBE_TOL are solved (local_extremality_probes).
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +28,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import linalg
-from .conjugates import j2_star, j_tilde_star
+from .conjugates import _j_tilde_star_bracket, j2_star, j_tilde_star
 from .critical import _count, _lift_stack, find_critical_points
 from .curvature import (
     build_bundle,
@@ -114,7 +116,6 @@ class ProbeEvidence:
     dual_min_violations: int
     dual_max_violations: int
     dual_excluded: int
-    dual_worst: float
 
     def violations(self):
         """Violation count relevant to the recorded case."""
@@ -145,12 +146,17 @@ def local_extremality_probes(P, pairs, n_samples, rng_seed,
     pair draws its balls from its own default_rng([rng_seed, 0]) and
     default_rng([rng_seed, 1]), so its evidence does not depend on the
     other pairs.  All pairs' samples are evaluated as one stack: J by
-    primal_value, and Jt* by j_tilde_star, each dual sample v started on
-    the inner argmax's tangent, vhat0 + (v - vhat) (d vhat0 / d v*)'
-    (curvature.implicit_sensitivity).  The samples whose solve fails
-    (nan rows) are solved again, as one stack, from their pair's vhat0;
-    a sample that fails both is excluded and counted.  n_samples must be
-    a non-negative integer.
+    primal_value, and Jt* from each dual sample v's start on the inner
+    argmax's tangent, vhat0 + (v - vhat) (d vhat0 / d v*)'
+    (curvature.implicit_sensitivity).  There conjugates'
+    _j_tilde_star_bracket bounds Jt*(v) from both sides with no Newton
+    step.  A sample whose bounds clear both edges Jt*(vhat) -+ PROBE_TOL
+    by a rounding margin, 1e-12 (1 + |Jt*(vhat)|), is decided and counts
+    with its lower bound; the others go to one j_tilde_star call from
+    the same starts (an empty stack when the bounds decide every
+    sample).  The samples whose solve fails (nan rows) are solved again,
+    as one stack, from their pair's vhat0; a sample that fails both is
+    excluded and counted.  n_samples must be a non-negative integer.
     """
     n_samples = _count(n_samples, "n_samples")
     if not pairs:
@@ -178,9 +184,17 @@ def local_extremality_probes(P, pairs, n_samples, rng_seed,
 
     shape = (len(pairs), n_samples)
     jvals = primal_value(P, np.concatenate(xs)).reshape(shape)
-    vs = np.concatenate(vs)
-    jtvals, _ = j_tilde_star(P, vs, init=np.concatenate(starts))
-    failed = np.flatnonzero(np.isnan(jtvals))
+    vs, starts = np.concatenate(vs), np.concatenate(starts)
+    jt0 = np.repeat([pair.J_star for pair in pairs], n_samples)
+    lower, upper = _j_tilde_star_bracket(P, vs, starts)
+    margin = 1e-12 * (1.0 + np.abs(jt0))
+    decided = np.ones(len(vs), dtype=bool)
+    for edge in (jt0 - PROBE_TOL, jt0 + PROBE_TOL):
+        decided &= (upper < edge - margin) | (lower > edge + margin)
+    jtvals, undecided = lower, np.flatnonzero(~decided)
+    jtvals[undecided], _ = j_tilde_star(P, vs[undecided],
+                                        init=starts[undecided])
+    failed = undecided[np.isnan(jtvals[undecided])]
     if failed.size:
         v0_hats = np.array([pair.v0_hat for pair in pairs])
         jtvals[failed], _ = j_tilde_star(
@@ -200,17 +214,14 @@ def _probe_evidence(case_id, r, r1, j0, jt0, jvals, jtvals):
     solved = ~np.isnan(jtvals)
     excluded = int(jtvals.size - np.sum(solved))
     jtvals = jtvals[solved]
-    below = jtvals < jt0 - PROBE_TOL
-    above = jtvals > jt0 + PROBE_TOL
-    d_min, d_max = int(np.sum(below)), int(np.sum(above))
-    dual_worst = float(np.max(np.abs(jtvals - jt0)[below | above],
-                              initial=0.0))
+    d_min = int(np.sum(jtvals < jt0 - PROBE_TOL))
+    d_max = int(np.sum(jtvals > jt0 + PROBE_TOL))
 
     return ProbeEvidence(
         case_id=case_id, r=r, r1=r1, n_samples=jvals.size,
         primal_min_violations=p_min, primal_max_violations=p_max,
         dual_min_violations=d_min, dual_max_violations=d_max,
-        dual_excluded=excluded, dual_worst=dual_worst,
+        dual_excluded=excluded,
     )
 
 

@@ -195,7 +195,9 @@ class TestClassification:
     def test_m_factored_once_per_report(self, monkeypatch):
         # one report factors each inside pair's M(vhat0) once, at the
         # lift; the inner sups of the certificate's J2* and of the
-        # probes' Jt* samples, which may start at vhat0, are not counted
+        # probes' Jt* samples, and the probes' Jt* brackets, which may
+        # start at vhat0 (all of trifecta's x0 = 0 samples do), are not
+        # counted
         factored, solving = [], []
         cho_factor = linalg.cho_factor
 
@@ -214,7 +216,7 @@ class TestClassification:
             return wrapper
 
         monkeypatch.setattr(linalg, "cho_factor", spy_cho_factor)
-        for name in ("j2_star", "j_tilde_star"):
+        for name in ("j2_star", "j_tilde_star", "_j_tilde_star_bracket"):
             monkeypatch.setattr(gap, name, not_counted(getattr(gap, name)))
         for name in ("trifecta.json", "global_min.json"):
             P = load_instance(SAMPLES / name)
@@ -301,7 +303,7 @@ class TestProbes:
 
     def test_stack_is_the_one_pair_probes(self):
         # every probe-able pair of both samples and of members 0-24, probed
-        # together, gets its one-pair evidence exactly, dual_worst included
+        # together, gets its one-pair evidence exactly
         checked = 0
         for P in [load_instance(SAMPLES / "trifecta.json"),
                   load_instance(SAMPLES / "global_min.json"),
@@ -329,10 +331,47 @@ class TestProbes:
             checked += len(pairs)
         assert checked >= 40
 
+    def test_bracket_decides_as_the_solve(self, monkeypatch):
+        # with a bracket that decides nothing every sample is solved, as
+        # before the bracket; the evidence is the same on both samples at
+        # 1000 samples and on members 0-24 at 50, where the bracket
+        # leaves some samples to the solve
+        rows = []
+        solve = gap.j_tilde_star
+        monkeypatch.setattr(gap, "j_tilde_star", lambda P, v, init=None:
+                            rows.append(len(v)) or solve(P, v, init))
+        bracket = gap._j_tilde_star_bracket
+        checked = solved = 0
+        for P, n_samples in [(load_instance(SAMPLES / "trifecta.json"), 1000),
+                             (load_instance(SAMPLES / "global_min.json"), 1000),
+                             *((P, 50) for P in iter_ensemble(25, 2024))]:
+            ms = multistart(P, 12, 7)
+            pairs, case_ids, bundles = [], [], []
+            for x0, its in zip(ms.points, ms.iterations):
+                pair = lift_to_dual(P, x0, newton_iterations=its)
+                try:
+                    bundle = build_bundle(P, pair)
+                except DualityError:
+                    continue
+                pairs.append(pair)
+                bundles.append(bundle)
+                case_ids.append(classify_case(P, pair, bundle).case_id)
+            monkeypatch.setattr(gap, "_j_tilde_star_bracket", bracket)
+            rows.clear()
+            bracketed = local_extremality_probes(P, pairs, n_samples, 7,
+                                                 case_ids, bundles)
+            solved += sum(rows)
+            monkeypatch.setattr(gap, "_j_tilde_star_bracket", lambda P, v, s:
+                                np.full((2, len(v)), np.nan))
+            assert local_extremality_probes(P, pairs, n_samples, 7, case_ids,
+                                            bundles) == bracketed
+            checked += len(pairs) * n_samples
+        assert checked >= 6000 and 0 < solved < checked / 2
+
     def test_report_makes_one_j_tilde_star_call(self, monkeypatch):
-        # trifecta's three pairs: one 3000-row stack, and no v0-hat retry;
-        # started on the tangent, it takes two inner Newton iterations
-        # (from vhat0, the +-sqrt(2) balls take four)
+        # trifecta's three pairs: the bracket at the tangent start decides
+        # all 3000 samples, so the one j_tilde_star call gets an empty
+        # stack, makes no inner Newton iteration and needs no v0-hat retry
         P = load_instance(SAMPLES / "trifecta.json")
         rows, iterations = [], []
         solve, matrix = gap.j_tilde_star, conjugates._inner_matrix
@@ -341,8 +380,8 @@ class TestProbes:
         monkeypatch.setattr(conjugates, "_inner_matrix", lambda *args:
                             iterations.append(1) or matrix(*args))
         records, _ = analyze_instance(P, 32, 7, 1000)
-        assert rows == [3000]
-        assert len(iterations) == 2
+        assert rows == [0]
+        assert len(iterations) == 0
         assert sum(r["probe"] is not None for r in records) == 3
 
     def test_failed_rows_are_solved_again_from_v0_hat(self):
