@@ -38,7 +38,8 @@ class BaselineReport:
 
 def j1_star(P, v0_star):
     """(value, gradient, Hessian) of -J1* at v0*, from one spectrum of
-    S = sum_p (v0*)_p B_p + A and the two solves with it.
+    S = sum_p (v0*)_p B_p + A and the two solves with it: a one-row
+    _j1_star_stack.
 
     With x0 = S^{-1} f, the gradient has components
     (v0*)_j/gamma_j - w_j(x0) = (v0*)_j/gamma_j - x0^T B_j x0 / 2 - c_j
@@ -48,64 +49,103 @@ def j1_star(P, v0_star):
     SingularMatrixError when its smallest |eigenvalue| is at most
     1e-12 (1 + its largest).
     """
-    v0_star = P.require_v0(v0_star)
-    S = linalg.symmetrize(P.ab_matrix(v0_star))
-    w = np.linalg.eigvalsh(S)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if float(np.min(np.abs(w))) <= 1e-12 * (1.0 + scale):
-        raise SingularMatrixError(
-            f"sum_p (v0*)_p B_p + A is singular (|eig|min = "
-            f"{float(np.min(np.abs(w))):.3e})")
+    value, gradient, hessian, singular = _j1_star_stack(
+        P, P.require_v0(v0_star)[None])
+    if singular[0] is not None:
+        raise singular[0]
+    return value[0], gradient[0], hessian[0]
+
+
+def _j1_star_stack(P, V0):
+    """j1_star at each row of the (S, N) stack V0, as one stack:
+    (values, gradients, Hessians, errors), the error of a row being None
+    or the SingularMatrixError that j1_star raises there.  The first
+    three hold the invertible rows only."""
+    S = linalg.symmetrize(P.ab_matrix(V0))
+    w = np.abs(np.linalg.eigvalsh(S))
+    errors = [SingularMatrixError(
+        f"sum_p (v0*)_p B_p + A is singular (|eig|min = {lo:.3e})")
+        if lo <= 1e-12 * (1.0 + scale) else None
+        for lo, scale in zip(w.min(-1).tolist(), w.max(-1).tolist())]
+    if any(errors):
+        ok = [error is None for error in errors]
+        S, V0 = S[ok], V0[ok]
     x0 = np.linalg.solve(S, P.f)
-    value = float(0.5 * P.f @ x0 + 0.5 * np.sum(v0_star ** 2 / P.gamma)
-                  - np.sum(P.c * v0_star))
-    gradient = v0_star / P.gamma - P.quartic_terms(x0)
-    W = P.bx_columns(x0).T                  # rows B_j x0
-    core = W @ np.linalg.solve(S, W.T)
-    hessian = linalg.symmetrize(core) + np.diag(1.0 / P.gamma)
-    return value, gradient, hessian
+    values = (np.vecdot(0.5 * P.f, x0) + 0.5 * (V0 ** 2 / P.gamma).sum(-1)
+              - (P.c * V0).sum(-1)).tolist()
+    gradients = V0 / P.gamma - P.quartic_terms(x0)
+    W = P.bx_columns(x0).mT                 # rows B_j x0
+    core = W @ np.linalg.solve(S, W.mT)
+    hessians = linalg.symmetrize(core) + np.diag(1.0 / P.gamma)
+    return values, gradients, hessians, errors
 
 
 def correspondence_report(P, pair, bundle=None):
-    """Compare the inertia of d2J(x0) with the baseline dual Hessian.
+    """Compare the inertia of d2J(x0) with the baseline dual Hessian: a
+    one-row _correspondence_stack.
 
-    d2J(x0) is read from ``bundle`` (the pair's CurvatureBundle) when
-    one is given.  For n = N = 1 with S(vhat0) positive definite, sign
-    agreement is a theorem and a disagreement raises; in every other
-    regime the flag is recorded as data.
+    d2J(x0) and its spectrum are read from ``bundle`` (the pair's
+    CurvatureBundle) when one is given.  For n = N = 1 with S(vhat0)
+    positive definite, sign agreement is a theorem and a disagreement
+    raises; in every other regime the flag is recorded as data.
     """
-    value, _, hess = j1_star(P, pair.v0_hat)
-    d2j = primal_hessian(P, pair.x0) if bundle is None else bundle.d2j
+    report = _correspondence_stack(P, [pair], [bundle])[0]
+    if isinstance(report, DualityError):
+        raise report
+    return report
 
-    primal_inertia = linalg.inertia(d2j)
-    baseline_inertia = linalg.inertia(hess)
 
-    def _definite(inertia, size):
-        n_pos, n_neg, n_zero = inertia
-        if n_pos == size:
-            return 1
-        if n_neg == size:
-            return -1
-        return 0
+def _definite(inertia, size):
+    n_pos, n_neg, _ = inertia
+    if n_pos == size:
+        return 1
+    if n_neg == size:
+        return -1
+    return 0
 
-    p_sign = _definite(primal_inertia, P.n)
-    b_sign = _definite(baseline_inertia, P.N)
-    correspondence = (p_sign == b_sign == 1) or (p_sign == b_sign == -1)
 
-    ab_pd = pair.b_star.inside
-    if P.n == 1 and P.N == 1 and ab_pd and not correspondence:
-        raise DualityError(
-            "n = N = 1 with a positive definite multiplier matrix must "
-            f"give matching definiteness, got {primal_inertia} vs "
-            f"{baseline_inertia}")
-
-    return BaselineReport(
-        minus_j1_value=value,
-        primal_hessian_inertia=primal_inertia,
-        baseline_hessian_inertia=baseline_inertia,
-        correspondence=correspondence,
-        ab_matrix_pd=ab_pd,
-    )
+def _correspondence_stack(P, pairs, bundles):
+    """correspondence_report at each pair, with its CurvatureBundle or
+    None: one BaselineReport, or the DualityError it raises, per pair.
+    j1_star runs once on the stack; d2J(x0) is built, as one stack, only
+    at the rows without a bundle whose S(vhat0) is invertible."""
+    values, _, hessians, out = _j1_star_stack(
+        P, np.reshape([pair.v0_hat for pair in pairs], (-1, P.N)))
+    rows = [i for i, error in enumerate(out) if error is None]
+    if not rows:
+        return out
+    # the d2J(x0) spectra: the bundle's, or formed here as one stack
+    w, eps = np.empty((len(rows), P.n)), np.empty(len(rows))
+    missing = []
+    for k, i in enumerate(rows):
+        if bundles[i] is None:
+            missing.append(k)
+        else:
+            w[k], eps[k] = bundles[i].d2j_spectrum
+    if missing:
+        w[missing], eps[missing] = linalg.spectrum(primal_hessian(
+            P, np.array([pairs[rows[k]].x0 for k in missing])))
+    inertias = zip(linalg.inertia(w, eps).tolist(),
+                   linalg.inertia(*linalg.spectrum(hessians)).tolist())
+    for k, (i, (primal, baseline)) in enumerate(zip(rows, inertias)):
+        primal, baseline = tuple(primal), tuple(baseline)
+        p_sign = _definite(primal, P.n)
+        b_sign = _definite(baseline, P.N)
+        correspondence = (p_sign == b_sign == 1) or (p_sign == b_sign == -1)
+        ab_pd = pairs[i].b_star.inside
+        if P.n == 1 and P.N == 1 and ab_pd and not correspondence:
+            out[i] = DualityError(
+                "n = N = 1 with a positive definite multiplier matrix must "
+                f"give matching definiteness, got {primal} vs {baseline}")
+        else:
+            out[i] = BaselineReport(
+                minus_j1_value=values[k],
+                primal_hessian_inertia=primal,
+                baseline_hessian_inertia=baseline,
+                correspondence=correspondence,
+                ab_matrix_pd=ab_pd,
+            )
+    return out
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from . import linalg
 from .critical import CONVERGED_RESIDUAL
 from .errors import (
     DegenerateCriticalPointError,
+    DualityError,
     NotConvergedPairError,
     OutsideCstarError,
 )
@@ -62,60 +63,103 @@ class CurvatureBundle:
     dual_hessian: np.ndarray
     dual_hessian_asymmetry: float
     d2j: np.ndarray        # d2J(x0)
+    d2j_spectrum: tuple    # linalg.spectrum(d2j): (eigenvalues, eps)
     shifted: np.ndarray    # d2J(x0) + (K - A) alpha1
 
 
 def build_bundle(P, pair):
-    """Assemble every chain matrix at a converged pair.
+    """Assemble every chain matrix at a converged pair: a one-row
+    _bundle_stack.
 
     Raises NotConvergedPairError, OutsideCstarError (on the lift's C*
     decision, pair.c_star), or DegenerateCriticalPointError (E condition
     number above 1e12).
     """
-    if not pair.converged:
-        bound = CONVERGED_RESIDUAL * (1.0 + float(np.max(np.abs(pair.x0))))
-        raise NotConvergedPairError(
-            f"primal residual {pair.primal_residual:.3e} exceeds "
-            f"{CONVERGED_RESIDUAL:.0e} (1 + max|x0|) = {bound:.3e}")
+    bundle = _bundle_stack(P, [pair])[0]
+    if isinstance(bundle, DualityError):
+        raise bundle
+    return bundle
 
-    if not pair.c_star.inside:
-        raise OutsideCstarError(
-            f"M(vhat0) smallest eigenvalue {pair.c_star.margin:.3e} "
-            f"(margin {pair.c_star.eps:.3e})")
 
-    x0 = pair.x0
-    M = P.mixed_matrix(pair.v0_hat)
-    M_inv = linalg.symmetrize(linalg.cho_solve(pair.m_factor, np.eye(P.n)))
-    p1 = P.bx_columns(x0)                   # n x N
-    p2 = p1.T @ M_inv                       # N x n
+def _bundle_stack(P, pairs):
+    """build_bundle at each pair: one CurvatureBundle, or the DualityError
+    it raises, per pair.
+
+    The unconverged rows and the rows outside C* are decided from the
+    lift before any numerics, and the rows of a degenerate E after one
+    stacked eigvalsh.  Every chain matrix is formed once on the stack of
+    the rows left, and each row gets the bits it gets alone.
+    """
+    out = []
+    for pair in pairs:
+        if not pair.converged:
+            bound = CONVERGED_RESIDUAL * (1.0 + float(np.max(np.abs(pair.x0))))
+            out.append(NotConvergedPairError(
+                f"primal residual {pair.primal_residual:.3e} exceeds "
+                f"{CONVERGED_RESIDUAL:.0e} (1 + max|x0|) = {bound:.3e}"))
+        elif not pair.c_star.inside:
+            out.append(OutsideCstarError(
+                f"M(vhat0) smallest eigenvalue {pair.c_star.margin:.3e} "
+                f"(margin {pair.c_star.eps:.3e})"))
+        else:
+            out.append(None)
+    rows = [i for i, row in enumerate(out) if row is None]
+    if not rows:
+        return out
+
+    x0 = np.array([pairs[i].x0 for i in rows])
+    v0 = np.array([pairs[i].v0_hat for i in rows])
+    L = np.array([pairs[i].m_factor for i in rows])
+    eye = np.eye(P.n)
+    M_inv = linalg.symmetrize(linalg.cho_solve(L, eye[None].repeat(len(L), 0)))
+    p1 = P.bx_columns(x0)                   # k x n x N
+    p2 = p1.mT @ M_inv                      # k x N x n
     core = p2 @ p1                          # x0^T B_l M^{-1} B_eta x0
     E = linalg.symmetrize(core) + np.diag(1.0 / P.gamma)
 
-    w = np.linalg.eigvalsh(E)
-    lo, hi = float(np.min(np.abs(w))), float(np.max(np.abs(w)))
-    if lo <= 0.0 or hi / lo > E_COND_LIMIT:
-        raise DegenerateCriticalPointError(
-            f"inner curvature matrix condition number "
-            f"{hi / lo if lo > 0 else np.inf:.3e} exceeds {E_COND_LIMIT:.0e}")
+    w = np.abs(np.linalg.eigvalsh(E))
+    keep = []
+    for i, lo, hi in zip(rows, w.min(-1).tolist(), w.max(-1).tolist()):
+        keep.append(not (lo <= 0.0 or hi / lo > E_COND_LIMIT))
+        if not keep[-1]:
+            out[i] = DegenerateCriticalPointError(
+                f"inner curvature matrix condition number "
+                f"{hi / lo if lo > 0 else np.inf:.3e} exceeds "
+                f"{E_COND_LIMIT:.0e}")
+    if not any(keep):
+        return out
+    if not all(keep):
+        rows = [i for i, k in zip(rows, keep) if k]
+        x0, v0, M_inv, p2, E = (a[keep] for a in (x0, v0, M_inv, p2, E))
+        p1 = P.bx_columns(x0)   # the view layout that a row gets alone
+
+    M = P.mixed_matrix(v0)
     E_bar = linalg.symmetrize(np.linalg.inv(E))
-
     H3 = p1 @ E_bar @ p2
-    B_hat = linalg.symmetrize((p1 * P.gamma) @ p1.T)
-    D = B_hat @ M_inv + np.eye(P.n)
-    alpha = (np.eye(P.n) - H3) @ D - np.eye(P.n)
+    B_hat = linalg.symmetrize((p1 * P.gamma) @ p1.mT)
+    D = B_hat @ M_inv + eye
+    alpha = (eye - H3) @ D - eye
     alpha1 = -M_inv @ alpha @ M
-    H1 = linalg.symmetrize(linalg.cho_solve(P.kma_factor, np.eye(P.n)))
-    H2 = M_inv
-    dual_hessian = -H2 + H1 + H2 @ H3   # kept unsymmetrized on purpose
-    asym = linalg.sym_deviation(dual_hessian)
+    H1 = linalg.symmetrize(linalg.cho_solve(P.kma_factor, eye))
+    dual_hessian = -M_inv + H1 + M_inv @ H3   # kept unsymmetrized on purpose
     d2j = primal_hessian(P, x0)
-
-    return CurvatureBundle(
+    d2j_w, d2j_eps = linalg.spectrum(d2j)
+    stack = dict(
         M=M, P1=p1, P2=p2, E=E, E_bar=E_bar, H3=H3, B_hat=B_hat, D=D,
-        alpha=alpha, alpha1=alpha1, H1=H1, H2=H2,
-        dual_hessian=dual_hessian, dual_hessian_asymmetry=asym,
-        d2j=d2j, shifted=d2j + P.K_minus_A @ alpha1,
-    )
+        alpha=alpha, alpha1=alpha1, H2=M_inv, dual_hessian=dual_hessian,
+        dual_hessian_asymmetry=np.abs(dual_hessian - dual_hessian.mT).max(
+            axis=(-2, -1)).tolist(),
+        d2j=d2j, shifted=d2j + P.K_minus_A @ alpha1)
+    for k, i in enumerate(rows):
+        out[i] = CurvatureBundle(
+            H1=H1, d2j_spectrum=(d2j_w[k], d2j_eps[k]),
+            **{name: value[k] for name, value in stack.items()})
+    return out
+
+
+def _stacked(bundles, *names):
+    """Each named field of the bundles, stacked over the bundles."""
+    return [np.array([getattr(b, name) for b in bundles]) for name in names]
 
 
 def implicit_sensitivity(P, pair, bundle):
@@ -126,8 +170,14 @@ def implicit_sensitivity(P, pair, bundle):
 
 def verify_chain_identity(P, pair, bundle):
     """Relative Frobenius residual of the product identity between the
-    dual Hessian and the shifted primal Hessian."""
-    lhs = bundle.dual_hessian @ bundle.D
-    rhs = bundle.H1 @ bundle.shifted @ bundle.H2
-    return float(np.linalg.norm(lhs - rhs, "fro")
-                 / (1.0 + np.linalg.norm(rhs, "fro")))
+    dual Hessian and the shifted primal Hessian: a one-row _chain_stack."""
+    return float(_chain_stack([bundle])[0])
+
+
+def _chain_stack(bundles):
+    """verify_chain_identity at each bundle, as one stack."""
+    dual_hessian, D, H1, shifted, H2 = _stacked(
+        bundles, "dual_hessian", "D", "H1", "shifted", "H2")
+    rhs = H1 @ shifted @ H2
+    return (linalg.frobenius_norm(dual_hessian @ D - rhs)
+            / (1.0 + linalg.frobenius_norm(rhs)))

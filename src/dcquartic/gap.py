@@ -14,9 +14,11 @@ The shifted matrix d2J(x0) + (K - A) alpha1 is not symmetric in
 general; its definiteness is read in the quadratic-form sense, i.e.
 from the spectrum of the symmetric part.
 
-The extremality probes test the local conclusions by sampling a ball
-around x0 and one around vhat at each pair.  The samples of all the
-pairs of one report are evaluated as one stack.  Each dual sample is
+The case test runs on the stack of a report's pairs, and so does the
+epsilon sweep's chain check at each eps.  The extremality probes test
+the local conclusions by sampling a ball around x0 and one around vhat
+at each pair.  Each ball is drawn once per report, and the samples of
+all the pairs of one report are evaluated as one stack.  Each dual sample is
 first bounded from one evaluation at its start on the inner argmax's
 tangent, and only the samples whose bounds straddle an edge of the
 band Jt*(vhat) -+ PROBE_TOL are solved (local_extremality_probes).
@@ -30,11 +32,7 @@ import numpy as np
 from . import linalg
 from .conjugates import _j_tilde_star_bracket, j2_star, j_tilde_star
 from .critical import _count, _lift_stack, find_critical_points
-from .curvature import (
-    build_bundle,
-    implicit_sensitivity,
-    verify_chain_identity,
-)
+from .curvature import _bundle_stack, _chain_stack, _stacked
 from .errors import (
     DualityError,
     NotCase2Error,
@@ -63,35 +61,43 @@ class CaseReport:
 
 
 def classify_case(P, pair, bundle):
-    """Evaluate the three case predicates with eigenvalue margins.
+    """Evaluate the three case predicates with eigenvalue margins: a
+    one-row _classify_stack.
 
     The C* and B* memberships are the lift's (pair.c_star,
     pair.b_star).  A* membership is the B* one: A* = B* because K - A
     is positive definite (see in_A_star).  The two Hessians are the
-    bundle's.
+    bundle's, d2J(x0) with its spectrum.
     """
-    d2j, d2j_eps = linalg.spectrum(bundle.d2j)
-    sh, sh_eps = linalg.spectrum(bundle.shifted)
-    c, b = pair.c_star, pair.b_star
+    return _classify_stack(P, [pair], [bundle])[0]
 
-    if b.inside:
-        case_id = "case2"
-    elif c.inside and d2j[0] > d2j_eps and sh[0] > sh_eps:
-        case_id = "case1"
-    elif c.inside and d2j[-1] < -d2j_eps and sh[-1] < -sh_eps:
-        case_id = "case3"
-    else:
-        case_id = "unclassified"
 
-    gap = verify_zero_gap(P, pair) if c.inside else float("nan")
-    return CaseReport(
-        case_id=case_id, gap=gap,
-        primal_hessian_margin=float(d2j[0]),
-        shifted_hessian_margin=float(sh[0]),
-        c_star=c.inside, c_star_margin=c.margin,
-        b_star=b.inside, b_star_margin=b.margin,
-        a_star=b.inside, a_star_margin=b.margin,
-    )
+def _classify_stack(P, pairs, bundles):
+    """classify_case at each pair with its bundle, from one spectrum of
+    the stacked shifted Hessians."""
+    sh, sh_eps = linalg.spectrum(_stacked(bundles, "shifted")[0])
+    out = []
+    for pair, bundle, s, s_eps in zip(pairs, bundles, sh, sh_eps):
+        d2j, d2j_eps = bundle.d2j_spectrum
+        c, b = pair.c_star, pair.b_star
+        if b.inside:
+            case_id = "case2"
+        elif c.inside and d2j[0] > d2j_eps and s[0] > s_eps:
+            case_id = "case1"
+        elif c.inside and d2j[-1] < -d2j_eps and s[-1] < -s_eps:
+            case_id = "case3"
+        else:
+            case_id = "unclassified"
+        out.append(CaseReport(
+            case_id=case_id,
+            gap=verify_zero_gap(P, pair) if c.inside else float("nan"),
+            primal_hessian_margin=float(d2j[0]),
+            shifted_hessian_margin=float(s[0]),
+            c_star=c.inside, c_star_margin=c.margin,
+            b_star=b.inside, b_star_margin=b.margin,
+            a_star=b.inside, a_star_margin=b.margin,
+        ))
+    return out
 
 
 def verify_zero_gap(P, pair):
@@ -142,12 +148,15 @@ def local_extremality_probes(P, pairs, n_samples, rng_seed,
     violations; one ProbeEvidence per pair.
 
     A pair's primal radius is 0.1 (1 + |x0|) / sqrt(1 + |d2J(x0)|) and
-    its dual radius follows the same scaling with the dual Hessian; each
-    pair draws its balls from its own default_rng([rng_seed, 0]) and
-    default_rng([rng_seed, 1]), so its evidence does not depend on the
-    other pairs.  All pairs' samples are evaluated as one stack: J by
-    primal_value, and Jt* from each dual sample v's start on the inner
-    argmax's tangent, vhat0 + (v - vhat) (d vhat0 / d v*)'
+    its dual radius follows the same scaling with the dual Hessian.  The
+    primal ball is one draw from default_rng([rng_seed, 0]) and the dual
+    ball one from default_rng([rng_seed, 1]), each drawn once per report
+    and moved to every pair's center and radius (linalg.ball_samples on
+    the stacks): each pair gets the samples it would draw alone, so its
+    evidence does not depend on the other pairs.  |d2J(x0)| is read
+    from the bundle's spectrum.  All pairs' samples are evaluated as one
+    stack: J by primal_value, and Jt* from each dual sample v's start on
+    the inner argmax's tangent, vhat0 + (v - vhat) (d vhat0 / d v*)'
     (curvature.implicit_sensitivity).  There conjugates'
     _j_tilde_star_bracket bounds Jt*(v) from both sides with no Newton
     step.  A sample whose bounds clear both edges Jt*(vhat) -+ PROBE_TOL
@@ -162,29 +171,32 @@ def local_extremality_probes(P, pairs, n_samples, rng_seed,
     if not pairs:
         return []
     if bundles is None:
-        bundles = [build_bundle(P, pair) for pair in pairs]
+        bundles = _bundle_stack(P, pairs)
+        for bundle in bundles:
+            if isinstance(bundle, DualityError):
+                raise bundle
     if case_ids is None:
-        case_ids = [classify_case(P, pair, bundle).case_id
-                    for pair, bundle in zip(pairs, bundles)]
+        case_ids = [case.case_id for case in _classify_stack(P, pairs, bundles)]
 
-    refs, xs, vs, starts = [], [], [], []
-    for pair, bundle in zip(pairs, bundles):
-        r = 0.1 * (1.0 + float(np.linalg.norm(pair.x0))) \
-            / np.sqrt(1.0 + linalg.spectral_norm_sym(bundle.d2j))
-        r1 = 0.1 * (1.0 + float(np.linalg.norm(pair.v_hat))) \
-            / np.sqrt(1.0 + linalg.spectral_norm_sym(bundle.dual_hessian))
-        refs.append((float(r), float(r1), pair.J, pair.J_star))
-        xs.append(linalg.ball_samples(np.random.default_rng([rng_seed, 0]),
-                                      pair.x0, r, n_samples))
-        v = linalg.ball_samples(np.random.default_rng([rng_seed, 1]),
-                                pair.v_hat, r1, n_samples)
-        vs.append(v)
-        starts.append(pair.v0_hat + (v - pair.v_hat)
-                      @ implicit_sensitivity(P, pair, bundle).T)
+    x0, v_hat, v0_hat = (np.array([getattr(pair, name) for pair in pairs])
+                         for name in ("x0", "v_hat", "v0_hat"))
+    dual_hessian, E_bar, P2 = _stacked(bundles, "dual_hessian", "E_bar", "P2")
+    # |d2J(x0)|_2 from the bundle's spectrum; the vector norms are
+    # np.linalg.norm's, one dot per row
+    d2j_norm = np.abs([b.d2j_spectrum[0] for b in bundles]).max(-1)
+    r = 0.1 * (1.0 + np.sqrt(np.vecdot(x0, x0))) / np.sqrt(1.0 + d2j_norm)
+    r1 = 0.1 * (1.0 + np.sqrt(np.vecdot(v_hat, v_hat))) \
+        / np.sqrt(1.0 + linalg.spectral_norm_sym(dual_hessian))
+    xs = linalg.ball_samples(np.random.default_rng([rng_seed, 0]), x0, r,
+                             n_samples)
+    vs = linalg.ball_samples(np.random.default_rng([rng_seed, 1]), v_hat, r1,
+                             n_samples)
+    # implicit_sensitivity per pair: E^{-1} P2
+    starts = v0_hat[:, None, :] + (vs - v_hat[:, None, :]) @ (E_bar @ P2).mT
 
     shape = (len(pairs), n_samples)
-    jvals = primal_value(P, np.concatenate(xs)).reshape(shape)
-    vs, starts = np.concatenate(vs), np.concatenate(starts)
+    jvals = primal_value(P, xs.reshape(-1, P.n)).reshape(shape)
+    vs, starts = vs.reshape(-1, P.n), starts.reshape(-1, P.N)
     jt0 = np.repeat([pair.J_star for pair in pairs], n_samples)
     lower, upper = _j_tilde_star_bracket(P, vs, starts)
     margin = 1e-12 * (1.0 + np.abs(jt0))
@@ -196,13 +208,13 @@ def local_extremality_probes(P, pairs, n_samples, rng_seed,
                                         init=starts[undecided])
     failed = undecided[np.isnan(jtvals[undecided])]
     if failed.size:
-        v0_hats = np.array([pair.v0_hat for pair in pairs])
         jtvals[failed], _ = j_tilde_star(
-            P, vs[failed], init=v0_hats[failed // n_samples])
+            P, vs[failed], init=v0_hat[failed // n_samples])
     jtvals = jtvals.reshape(shape)
 
-    return [_probe_evidence(case_id, *ref, j, jt)
-            for case_id, ref, j, jt in zip(case_ids, refs, jvals, jtvals)]
+    return [_probe_evidence(case_id, r_k, r1_k, pair.J, pair.J_star, j, jt)
+            for case_id, r_k, r1_k, pair, j, jt
+            in zip(case_ids, r.tolist(), r1.tolist(), pairs, jvals, jtvals)]
 
 
 def _probe_evidence(case_id, r, r1, j0, jt0, jvals, jtvals):
@@ -376,31 +388,33 @@ def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
             continue
         sp = SweepPoint(eps=float(eps), ok=True, error=None,
                         h1_norm=1.0 / eps)
-        for i, pair in enumerate(_lift_stack(P_eps, X, base.iterations)):
-            record = {
-                "x0": pair.x0,
-                "gap": float("nan"),
-                "chain_residual": float("nan"),
-                "alpha1_norm": float("nan"),
-                "ka_alpha1_norm": float("nan"),
-                "in_c_star": False,
-                "base_point": i,
-            }
-            if pair.c_star.inside:
-                record["in_c_star"] = True
-                record["gap"] = verify_zero_gap(P_eps, pair)
-                try:
-                    bundle = build_bundle(P_eps, pair)
-                except DualityError:
-                    bundle = None
-                if bundle is not None:
-                    record["chain_residual"] = verify_chain_identity(
-                        P_eps, pair, bundle)
-                    record["alpha1_norm"] = float(
-                        np.linalg.norm(bundle.alpha1, "fro"))
-                    record["ka_alpha1_norm"] = float(
-                        np.linalg.norm(P_eps.K_minus_A @ bundle.alpha1, "fro"))
-            sp.pairs.append(record)
+        pairs = _lift_stack(P_eps, X, base.iterations)
+        records = [{
+            "x0": pair.x0,
+            "gap": float("nan"),
+            "chain_residual": float("nan"),
+            "alpha1_norm": float("nan"),
+            "ka_alpha1_norm": float("nan"),
+            "in_c_star": False,
+            "base_point": i,
+        } for i, pair in enumerate(pairs)]
+        inside = [i for i, pair in enumerate(pairs) if pair.c_star.inside]
+        for i in inside:
+            records[i]["in_c_star"] = True
+            records[i]["gap"] = verify_zero_gap(P_eps, pairs[i])
+        formed = [(i, b) for i, b in zip(
+            inside, _bundle_stack(P_eps, [pairs[i] for i in inside]))
+            if not isinstance(b, DualityError)]
+        if formed:
+            rows, bundles = zip(*formed)
+            alpha1, = _stacked(bundles, "alpha1")
+            for i, chain, a1, ka in zip(
+                    rows, _chain_stack(bundles).tolist(),
+                    linalg.frobenius_norm(alpha1).tolist(),
+                    linalg.frobenius_norm(P_eps.K_minus_A @ alpha1).tolist()):
+                records[i].update(chain_residual=chain, alpha1_norm=a1,
+                                  ka_alpha1_norm=ka)
+        sp.pairs.extend(records)
         points.append(sp)
 
     return SweepReport(eps_list=[float(e) for e in eps_list], points=points)

@@ -22,6 +22,8 @@ compared byte for byte.
 
 import hashlib
 import json
+import math
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -43,41 +45,71 @@ def format_float(x):
 
 
 def dumps_canonical(obj, indent=0):
-    """Deterministic JSON writer with 17-significant-digit floats."""
-    pad = "  " * indent
+    """Deterministic JSON writer with 17-significant-digit floats.
+
+    Objects and non-empty lists take one entry per line, indented by two
+    spaces a level; a list of scalars whose texts add up to under 72
+    characters stays on one line.  Non-finite floats become null:
+    reports carry NaN residuals for pairs outside C* and JSON has no NaN
+    (instance data is finite by validation).  One pass over the object,
+    dispatching on the exact type of each value.
+    """
+    return _dump(obj, "  " * indent)
+
+
+def _dump(obj, pad):
+    text = _scalar(obj)
+    if text is not None:
+        return text
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = []
-        for key, value in obj.items():
-            items.append(f"{pad}  {json.dumps(key)}: "
-                         f"{dumps_canonical(value, indent + 1)}")
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+        inner = pad + "  "
+        return "{\n" + ",\n".join(
+            f"{inner}{_key(key)}: {_dump(value, inner)}"
+            for key, value in obj.items()) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+        if not obj:
             return "[]"
-        rendered = [dumps_canonical(v, indent + 1) for v in seq]
-        if all(not isinstance(v, (dict, list, tuple)) for v in seq) \
-                and sum(len(r) for r in rendered) < 72:
-            return "[" + ", ".join(rendered) + "]"
-        items = [f"{pad}  {r}" for r in rendered]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
+        inner = pad + "  "
+        texts = [_scalar(value) for value in obj]
+        flat = None not in texts
+        if not flat:
+            texts = [_dump(value, inner) for value in obj]
+            flat = not any(isinstance(value, (dict, list, tuple))
+                           for value in obj)
+        if flat and sum(map(len, texts)) < 72:
+            return "[" + ", ".join(texts) + "]"
+        return "[\n" + ",\n".join(inner + text for text in texts) \
+            + f"\n{pad}]"
+    if isinstance(obj, np.ndarray):
+        return _dump(obj.tolist(), pad)
+    raise ParseError(f"cannot serialize object of type {type(obj)!r}")
+
+
+def _key(key):
+    return _encode_str(key) if type(key) is str else json.dumps(key)
+
+
+def _scalar(obj):
+    """The text of a JSON scalar (number, bool, null or string), or None
+    for anything else.  Exact Python types take no numpy call."""
+    kind = type(obj)
+    if kind is float:
+        return format(obj, ".17g") if math.isfinite(obj) else "null"
+    if kind is int:
+        return str(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        # reports carry NaN residuals for pairs outside C*; JSON has no
-        # NaN so these become null (instance data is finite by validation)
-        if not np.isfinite(obj):
-            return "null"
-        return format_float(obj)
+        return format_float(obj) if np.isfinite(obj) else "null"
     if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return dumps_canonical(obj.tolist(), indent)
-    raise ParseError(f"cannot serialize object of type {type(obj)!r}")
+        return _encode_str(obj)
+    return None
 
 
 def _require_numbers(key, value):

@@ -3,9 +3,9 @@
 Reported checks are eigenvalue based: positive definiteness is decided
 by the smallest eigenvalue against a scale-aware margin, and reported
 margins always come from ``spectrum``.  ``symmetrize``, ``spectrum``,
-``pd_margin``, ``spectral_norm_sym``, ``cho_factor`` and ``cho_solve``
-take a matrix or an (S, n, n) stack, and each matrix of a stack gets the
-result it would get alone.  Inside iteration loops Cholesky is the
+``pd_margin``, ``spectral_norm_sym``, ``frobenius_norm``, ``cho_factor``
+and ``cho_solve`` take a matrix or an (S, n, n) stack, and each matrix
+of a stack gets the result it would get alone.  Inside iteration loops Cholesky is the
 feasibility probe: one factorization either comes back, and is then
 used for the solves, or fails on a pivot that is not positive.  The
 Cholesky pair is written in numpy, one dot per entry, so a matrix or a
@@ -46,7 +46,7 @@ def spectrum(M):
     negative definite when w[-1] < -eps.
     """
     w = np.linalg.eigvalsh(symmetrize(M))
-    return w, EPS_PD_FACTOR * (1.0 + np.max(np.abs(w), axis=-1))
+    return w, EPS_PD_FACTOR * (1.0 + np.abs(w).max(-1))
 
 
 def pd_margin(M):
@@ -105,24 +105,38 @@ def spectral_norm_sym(M):
                              axis=-1)
 
 
-def inertia(M):
-    """(n_pos, n_neg, n_zero) eigenvalue counts of a symmetric matrix.
+def inertia(w, eps):
+    """(n_pos, n_neg, n_zero) eigenvalue counts from a spectrum (w, eps)
+    = spectrum(M), or an (S, 3) array of counts from a stacked one.
 
-    Eigenvalues within the scale-aware PD margin of the spectrum
-    (spectrum's eps) of zero count as zero.
+    Eigenvalues within the scale-aware PD margin eps of zero count as
+    zero.
     """
-    w, eps = spectrum(M)
-    n_pos = int(np.sum(w > eps))
-    n_neg = int(np.sum(w < -eps))
-    return n_pos, n_neg, int(w.size - n_pos - n_neg)
+    eps = np.asarray(eps)[..., None]
+    n_pos, n_neg = (w > eps).sum(-1), (w < -eps).sum(-1)
+    counts = np.stack([n_pos, n_neg, w.shape[-1] - n_pos - n_neg], axis=-1)
+    return tuple(counts.tolist()) if counts.ndim == 1 else counts
+
+
+def frobenius_norm(M):
+    """np.linalg.norm(M, "fro") of a matrix, or of each matrix of a
+    stack, bit for bit for C-ordered input: the square root of one dot
+    of the entries."""
+    M = np.asarray(M, dtype=float)
+    flat = M.reshape(M.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 def ball_samples(rng, center, radius, count):
-    """Uniform samples from the closed Euclidean ball around ``center``."""
+    """Uniform samples from the closed Euclidean ball around ``center``,
+    (count, n); or, for a (k, n) stack of centers and k radii, (k, count,
+    n).  The balls of a stack share one draw of directions and radial
+    fractions, so ball i is the one that center i and radius i get alone
+    from the same rng state."""
     center = np.asarray(center, dtype=float)
-    n = center.size
+    n = center.shape[-1]
     directions = rng.standard_normal((count, n))
     norms = np.linalg.norm(directions, axis=1)
     norms[norms == 0.0] = 1.0
-    radii = radius * rng.random(count) ** (1.0 / n)
-    return center[None, :] + directions * (radii / norms)[:, None]
+    radii = np.multiply.outer(radius, rng.random(count) ** (1.0 / n))
+    return center[..., None, :] + directions * (radii / norms)[..., None]

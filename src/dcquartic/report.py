@@ -7,13 +7,13 @@ timestamps, fixed key order, 17-significant-digit numbers.
 
 import numpy as np
 
-from . import __version__
-from .baseline import correspondence_report
+from . import __version__, linalg
+from .baseline import _correspondence_stack
 from .critical import _count, _lift_stack, find_critical_points
-from .curvature import build_bundle, verify_chain_identity
+from .curvature import _bundle_stack, _chain_stack, _stacked
 from .errors import DualityError
 from .gap import (
-    classify_case,
+    _classify_stack,
     global_min_certificate,
     local_extremality_probes,
 )
@@ -43,15 +43,33 @@ def _fields(obj, keys):
 
 def analyze_instance(P, n_seeds, rng_seed, n_samples):
     """find_critical_points -> lift -> bundle -> classify -> gap ->
-    certificate -> baseline per critical point, with per-stage failures
-    recorded per point; then the probes of every point with a bundle, as
-    one stack.  The points come from the (2n+1) eigenproblem at N = 1
-    and from multistart(P, n_seeds, rng_seed) otherwise.  n_seeds and
-    n_samples must be non-negative integers (ValueError otherwise)."""
+    certificate -> baseline, with per-stage failures recorded per point.
+
+    Each stage runs once per report, on the stack of its critical pairs:
+    the lift, the bundles, the cases with their gaps, the chain
+    residuals and |alpha1|, and the baseline.  Only the certificate runs
+    per pair, at the case-2 pairs.  The probes of every point with a
+    bundle then run as one stack, with one draw of each ball.  The
+    points come from the (2n+1) eigenproblem at N = 1 and from
+    multistart(P, n_seeds, rng_seed) otherwise.  n_seeds and n_samples
+    must be non-negative integers (ValueError otherwise)."""
     n_samples = _count(n_samples, "n_samples")
     ms = find_critical_points(P, n_seeds, rng_seed)
-    records, probed = [], []
     pairs = _lift_stack(P, np.reshape(ms.points, (-1, P.n)), ms.iterations)
+    bundle_rows = _bundle_stack(P, pairs)
+    bundles = [None if isinstance(row, DualityError) else row
+               for row in bundle_rows]
+    formed = [i for i, bundle in enumerate(bundles) if bundle is not None]
+    stages = {}
+    if formed:
+        held = [bundles[i] for i in formed]
+        alpha1, = _stacked(held, "alpha1")
+        stages = dict(zip(formed, zip(
+            _classify_stack(P, [pairs[i] for i in formed], held),
+            _chain_stack(held).tolist(),
+            linalg.frobenius_norm(alpha1).tolist())))
+
+    records = []
     for idx, pair in enumerate(pairs):
         record = {
             "index": idx,
@@ -74,45 +92,42 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
             "baseline": None,
             "errors": {},
         }
-        bundle = None
-        try:
-            bundle = build_bundle(P, pair)
-        except DualityError as exc:
-            record["errors"]["bundle"] = str(exc)
-        if bundle is not None:
-            case = classify_case(P, pair, bundle)
-            record["case"] = case.case_id
-            record["gap"] = case.gap
-            record["chain_residual"] = verify_chain_identity(P, pair, bundle)
-            record["dual_hessian_asymmetry"] = bundle.dual_hessian_asymmetry
-            record["alpha1_norm"] = float(np.linalg.norm(bundle.alpha1, "fro"))
-            record["membership"] = _fields(case, MEMBERSHIP_KEYS)
-            probed.append((record, pair, case.case_id, bundle))
-            if case.case_id == "case2":
-                try:
-                    cert = global_min_certificate(P, pair, case, ms.points)
-                    record["certificate"] = _fields(cert, CERTIFICATE_KEYS)
-                except DualityError as exc:
-                    record["errors"]["certificate"] = str(exc)
-        try:
-            base = correspondence_report(P, pair, bundle=bundle)
-            record["baseline"] = {
-                "minus_j1_value": base.minus_j1_value,
-                "primal_inertia": list(base.primal_hessian_inertia),
-                "baseline_inertia": list(base.baseline_hessian_inertia),
-                "correspondence": base.correspondence,
-                "ab_matrix_pd": base.ab_matrix_pd,
-            }
-        except DualityError as exc:
-            record["errors"]["baseline"] = str(exc)
         records.append(record)
-    if n_samples > 0 and probed:
-        held, pairs, case_ids, bundles = zip(*probed)
-        probes = local_extremality_probes(P, pairs, n_samples, rng_seed,
-                                          case_ids, bundles)
-        for record, probe in zip(held, probes):
-            record["probe"] = {**_fields(probe, PROBE_KEYS),
-                               "violations": probe.violations()}
+        if idx not in stages:
+            record["errors"]["bundle"] = str(bundle_rows[idx])
+            continue
+        case, record["chain_residual"], record["alpha1_norm"] = stages[idx]
+        record["case"] = case.case_id
+        record["gap"] = case.gap
+        record["dual_hessian_asymmetry"] = \
+            bundles[idx].dual_hessian_asymmetry
+        record["membership"] = _fields(case, MEMBERSHIP_KEYS)
+        if case.case_id == "case2":
+            try:
+                cert = global_min_certificate(P, pair, case, ms.points)
+                record["certificate"] = _fields(cert, CERTIFICATE_KEYS)
+            except DualityError as exc:
+                record["errors"]["certificate"] = str(exc)
+
+    for record, base in zip(records,
+                            _correspondence_stack(P, pairs, bundles)):
+        if isinstance(base, DualityError):
+            record["errors"]["baseline"] = str(base)
+            continue
+        record["baseline"] = {
+            "minus_j1_value": base.minus_j1_value,
+            "primal_inertia": list(base.primal_hessian_inertia),
+            "baseline_inertia": list(base.baseline_hessian_inertia),
+            "correspondence": base.correspondence,
+            "ab_matrix_pd": base.ab_matrix_pd,
+        }
+    if n_samples > 0 and formed:
+        probes = local_extremality_probes(
+            P, [pairs[i] for i in formed], n_samples, rng_seed,
+            [stages[i][0].case_id for i in formed], held)
+        for i, probe in zip(formed, probes):
+            records[i]["probe"] = {**_fields(probe, PROBE_KEYS),
+                                   "violations": probe.violations()}
     return records, ms
 
 

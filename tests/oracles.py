@@ -15,8 +15,13 @@ evaluator that runs the barrier continuation on every call; j2_star
 runs it only where the interior stationary point is not strictly
 inside A*.  j2_star_grid is J2* with none of the library's solvers: a
 zooming grid over the multipliers where S and M are positive definite.
+dumps_canonical_recursive is the report writer that the library's
+one-pass dumps_canonical replaced: it renders every value through a
+recursive call, with numpy's isfinite on each float and json.dumps on
+each key and string.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +42,11 @@ from dcquartic.errors import (
     NoConvergenceError,
     NotCase2Error,
     OutsideCstarError,
+    ParseError,
     ProbeFailureError,
 )
 from dcquartic.gap import CERT_GAP_TOL, CERT_SAMPLE_TOL
+from dcquartic.instancefile import format_float
 from dcquartic.linalg import TOL_FACTOR, symmetrize
 from dcquartic.problem import primal_hessian, primal_value
 
@@ -543,3 +550,40 @@ def _batch_primal(P, xs):
     w = 0.5 * np.einsum("jkl,sk,sl->sj", P.B, xs, xs) + P.c
     return (0.5 * np.einsum("sk,kl,sl->s", xs, P.A, xs)
             + 0.5 * (w ** 2) @ P.gamma + xs @ P.f)
+
+
+def dumps_canonical_recursive(obj, indent=0):
+    """Deterministic JSON writer with 17-significant-digit floats, one
+    recursive call per value."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            items.append(f"{pad}  {json.dumps(key)}: "
+                         f"{dumps_canonical_recursive(value, indent + 1)}")
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        rendered = [dumps_canonical_recursive(v, indent + 1) for v in seq]
+        if all(not isinstance(v, (dict, list, tuple)) for v in seq) \
+                and sum(len(r) for r in rendered) < 72:
+            return "[" + ", ".join(rendered) + "]"
+        items = [f"{pad}  {r}" for r in rendered]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            return "null"
+        return format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        return dumps_canonical_recursive(obj.tolist(), indent)
+    raise ParseError(f"cannot serialize object of type {type(obj)!r}")

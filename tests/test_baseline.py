@@ -156,16 +156,16 @@ class TestCorrespondence:
                          "correspondence", "ab_matrix_pd", "minus_j1_value"):
                 assert getattr(reused, name) == getattr(alone, name)
         # analyze_instance hands its bundles over: d2J(x0) is built here
-        # only at points without a bundle
-        calls = []
-        monkeypatch.setattr(baseline, "primal_hessian",
-                            lambda P, x: calls.append(1) or primal_hessian(P, x))
+        # only at points without a bundle, as one stack per report
+        rows = []
+        monkeypatch.setattr(baseline, "primal_hessian", lambda P, x: rows.append(
+            len(np.reshape(x, (-1, P.n)))) or primal_hessian(P, x))
         with_bundle = without = 0
         for P in iter_ensemble(12, 2024):
             records, _ = analyze_instance(P, 12, 7, 0)
             with_bundle += sum(r["case"] is not None for r in records)
             without += sum(r["case"] is None for r in records)
-        assert with_bundle >= 20 and len(calls) == without
+        assert with_bundle >= 20 and sum(rows) == without
 
     def test_scalar_pd_caveat_always_agrees(self):
         # every converged n = N = 1 pair with A + v0 B > 0 must agree

@@ -20,6 +20,7 @@ from dcquartic import (
 )
 from dcquartic.cli import main
 from dcquartic.instancefile import dumps_canonical, format_float
+from oracles import dumps_canonical_recursive
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
 
@@ -150,6 +151,34 @@ class TestInstanceFile:
         assert dumps_canonical({"x": float("nan")}) == '{\n  "x": null\n}'
         with pytest.raises(ParseError):
             format_float(float("nan"))
+
+    def test_canonical_writer_edge_cases_match_the_oracle(self):
+        # the one-pass writer against the recursive one it replaced
+        docs = [
+            {"f64": np.float64(0.1), "f32": np.float32(1.5),
+             "i64": np.int64(-7), "u8": np.uint8(3), "int": 12,
+             "array": np.arange(6.0).reshape(2, 3),
+             "int_array": np.arange(4), "empty_array": np.zeros(0)},
+            (1, 2.5, "three"), [(), [], {}, ""], {"nested": [[], {}]},
+            [True, 1, False, 0, None, 1.0],
+            [float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+             np.float64("-inf")],
+            {"caf\u00e9 \u2603": "\u00fcber \"quoted\" \\ \n\t\u0001"},
+            [0.1 * i for i in range(12)], [np.float64(1 / 3)] * 3,
+            [[1.0, 2.0], np.array([3.0, 4.0]), {"k": [5]}],
+            -0.0, 1e300, 5e-324, 2 ** 70, "text", None, True, 7.0,
+        ]
+        for indent in (0, 2):
+            for doc in docs:
+                assert dumps_canonical(doc, indent) \
+                    == dumps_canonical_recursive(doc, indent)
+        assert dumps_canonical([True, 1]) == "[true, 1]"
+        assert dumps_canonical([float("inf")]) == "[null]"
+        for bad in (object(), {1.5j}, [np.bool_(True)], {"x": b"bytes"}):
+            with pytest.raises(ParseError, match="cannot serialize"):
+                dumps_canonical(bad)
+            with pytest.raises(ParseError, match="cannot serialize"):
+                dumps_canonical_recursive(bad)
 
 
 class TestValidateCommand:

@@ -497,7 +497,7 @@ class TestJTildeStarStack:
             w, eps = linalg.spectrum(M)
             lo, hi = w[0], w[-1]
             assert (lo, eps) == linalg.pd_margin(M)
-            n_pos, n_neg, _ = linalg.inertia(M)
+            n_pos, n_neg, _ = linalg.inertia(w, eps)
             assert (lo > eps) == (n_pos == 3)
             assert (hi < -eps) == (n_neg == 3)
 

@@ -690,9 +690,8 @@ class TestEpsilonSweep:
                     assert rec["ka_alpha1_norm"] <= 1e-12
 
     def test_bundle_failure_keeps_the_gap(self, p_tri, monkeypatch):
-        def fail(*args):
-            raise DualityError("stub failure")
-        monkeypatch.setattr(gap, "build_bundle", fail)
+        monkeypatch.setattr(gap, "_bundle_stack", lambda P, pairs: [
+            DualityError("stub failure") for _ in pairs])
         rep = epsilon_sweep(p_tri, [0.1], 7)
         inside = [rec for rec in rep.points[0].pairs if rec["in_c_star"]]
         assert inside
@@ -750,10 +749,17 @@ class TestStageFailures:
         ("bundle", "build_bundle"),
         ("certificate", "global_min_certificate")])
     def test_recorded_and_printed(self, stage, name, monkeypatch):
-        # the sample's one point is a case-2 pair, so both stages run
+        # the sample's one point is a case-2 pair, so both stages run; the
+        # report runs build_bundle as its stack, where a failing pair is
+        # an error row, and calls the certificate by name
         def fail(*args):
             raise DualityError("stub failure")
-        monkeypatch.setattr(f"dcquartic.report.{name}", fail)
+        if name == "build_bundle":
+            monkeypatch.setattr("dcquartic.report._bundle_stack",
+                                lambda P, pairs: [DualityError("stub failure")
+                                                  for _ in pairs])
+        else:
+            monkeypatch.setattr(f"dcquartic.report.{name}", fail)
         P = load_instance(SAMPLES / "global_min.json")
         records, _ = analyze_instance(P, 8, 7, 0)
         (rec,) = records

@@ -7,7 +7,9 @@ they are.  These digests pin them: sha256 of the canonical JSON of
 ``analyze_instance(P, 12, 7, 0)`` records of acceptance-ensemble members
 0-24, concatenated in member order, and of the same records with 50
 probe samples per pair; and of ten ``epsilon_sweep`` reports, whose gaps
-read G1*.
+read G1*.  Every one of these documents must also come out of the
+library's one-pass writer byte for byte as out of the recursive writer
+it replaced (tests/oracles.py).
 
 The digests were recorded with numpy 2.4.6 and OpenBLAS 0.3.31
 (scipy-openblas, x86-64), with one BLAS thread or the default.
@@ -28,6 +30,7 @@ from dcquartic import epsilon_sweep, generate_instance, iter_ensemble, \
     load_instance
 from dcquartic.instancefile import dumps_canonical
 from dcquartic.report import analyze_instance, build_run_report
+from oracles import dumps_canonical_recursive
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
 
@@ -46,9 +49,13 @@ SWEEPS_SHA256 = \
 
 
 @functools.cache
+def _sample_report(name):
+    return build_run_report(load_instance(SAMPLES / name), 32, 7, 1000)
+
+
+@functools.cache
 def _sample_report_text(name):
-    P = load_instance(SAMPLES / name)
-    return dumps_canonical(build_run_report(P, 32, 7, 1000))
+    return dumps_canonical(_sample_report(name))
 
 
 @pytest.mark.parametrize("name", sorted(RUN_REPORT_SHA256))
@@ -63,10 +70,15 @@ def test_sample_reports_have_no_negative_zero(name):
     assert re.search(r"-0(?![.\d])", _sample_report_text(name)) is None
 
 
+@functools.cache
+def _member_records(probe_samples):
+    return [analyze_instance(P, 12, 7, probe_samples)[0]
+            for P in iter_ensemble(25, 2024)]
+
+
 def _members_digest(probe_samples):
     digest = hashlib.sha256()
-    for P in iter_ensemble(25, 2024):
-        records, _ = analyze_instance(P, 12, 7, probe_samples)
+    for records in _member_records(probe_samples):
         digest.update(dumps_canonical(records).encode())
     return digest.hexdigest()
 
@@ -79,10 +91,25 @@ def test_probed_ensemble_record_bytes():
     assert _members_digest(50) == PROBED_MEMBERS_SHA256
 
 
+@functools.cache
+def _sweeps():
+    return [dataclasses.asdict(epsilon_sweep(
+        generate_instance(2, 2, [3, 1 + i]), [0.1, 0.01, 0.001], 3,
+        n_seeds=12)) for i in range(10)]
+
+
 def test_epsilon_sweep_bytes():
     digest = hashlib.sha256()
-    for i in range(10):
-        sweep = epsilon_sweep(generate_instance(2, 2, [3, 1 + i]),
-                              [0.1, 0.01, 0.001], 3, n_seeds=12)
-        digest.update(dumps_canonical(dataclasses.asdict(sweep)).encode())
+    for sweep in _sweeps():
+        digest.update(dumps_canonical(sweep).encode())
     assert digest.hexdigest() == SWEEPS_SHA256
+
+
+def test_writer_matches_the_recursive_oracle():
+    # every golden document, written by the one-pass writer and by the
+    # recursive writer it replaced
+    docs = [_sample_report(name) for name in sorted(RUN_REPORT_SHA256)]
+    docs += _member_records(0) + _member_records(50) + _sweeps()
+    assert len(docs) == 62
+    for doc in docs:
+        assert dumps_canonical(doc) == dumps_canonical_recursive(doc)

@@ -1,0 +1,235 @@
+"""A report runs each per-pair stage once, on the stack of its pairs.
+Every stacked row must be its one-row call bit for bit: the bundle, the
+case, the chain residual, |alpha1|, the baseline (j1_star and the
+correspondence) and the probe balls.  A failing row gets the error, and
+the message, that its one-row call raises, and the other rows do not
+change."""
+
+import dataclasses
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dcquartic import (
+    curvature,
+    find_critical_pairs,
+    iter_ensemble,
+    lift_to_dual,
+    linalg,
+    load_instance,
+    validate_instance,
+)
+from dcquartic.baseline import (
+    _correspondence_stack,
+    _j1_star_stack,
+    correspondence_report,
+    j1_star,
+)
+from dcquartic.conjugates import Membership
+from dcquartic.curvature import (
+    CurvatureBundle,
+    _bundle_stack,
+    _chain_stack,
+    build_bundle,
+    verify_chain_identity,
+)
+from dcquartic.errors import (
+    DegenerateCriticalPointError,
+    DualityError,
+    NotConvergedPairError,
+    OutsideCstarError,
+    SingularMatrixError,
+)
+from dcquartic.gap import _classify_stack, classify_case
+from dcquartic.report import MEMBERSHIP_KEYS, analyze_instance
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
+
+
+def _same(a, b):
+    """Bitwise equality of two values: arrays, numbers, strings, tuples,
+    dataclasses, or DualityErrors (same class and message)."""
+    if isinstance(a, DualityError) or isinstance(b, DualityError):
+        return type(a) is type(b) and str(a) == str(b)
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a))
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) \
+            and all(_same(x, y) for x, y in zip(a, b))
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+def _alone(call, *args):
+    """A one-row call's result, or the DualityError it raises."""
+    try:
+        return call(*args)
+    except DualityError as exc:
+        return exc
+
+
+def _check_rows(P, pairs):
+    """Assert that every stacked stage at ``pairs`` gives each row its
+    one-row result; returns the bundle rows and the baseline rows."""
+    bundles = _bundle_stack(P, pairs)
+    for pair, row in zip(pairs, bundles):
+        assert _same(row, _alone(build_bundle, P, pair))
+    formed = [(pair, b) for pair, b in zip(pairs, bundles)
+              if isinstance(b, CurvatureBundle)]
+    if formed:
+        held_pairs, held = zip(*formed)
+        for case, (pair, bundle) in zip(
+                _classify_stack(P, held_pairs, held), formed):
+            assert _same(case, classify_case(P, pair, bundle))
+        assert _same(_chain_stack(held), np.array(
+            [verify_chain_identity(P, pair, b) for pair, b in formed]))
+        alpha1 = np.array([b.alpha1 for b in held])
+        assert _same(linalg.frobenius_norm(alpha1), np.array(
+            [np.linalg.norm(b.alpha1, "fro") for b in held]))
+
+    V0 = np.reshape([pair.v0_hat for pair in pairs], (-1, P.N))
+    values, gradients, hessians, errors = _j1_star_stack(P, V0)
+    ok = [k for k, error in enumerate(errors) if error is None]
+    for k, pair in enumerate(pairs):
+        alone = _alone(j1_star, P, pair.v0_hat)
+        if errors[k] is not None:
+            assert _same(errors[k], alone)
+        else:
+            row = ok.index(k)
+            assert _same((values[row], gradients[row], hessians[row]), alone)
+
+    held_or_none = [b if isinstance(b, CurvatureBundle) else None
+                    for b in bundles]
+    baselines = _correspondence_stack(P, pairs, held_or_none)
+    for pair, bundle, row in zip(pairs, held_or_none, baselines):
+        assert _same(row, _alone(correspondence_report, P, pair, bundle))
+    return bundles, baselines
+
+
+class TestStackRows:
+    def test_ensemble_pairs(self):
+        # every critical pair of members 0-24, each member's pairs as one
+        # stack; 13 of the 62 rows fail (outside C*, no bundle, but a
+        # baseline)
+        rows = failures = 0
+        for P in iter_ensemble(25, 2024):
+            pairs = find_critical_pairs(P, 12, 7)
+            bundles, baselines = _check_rows(P, pairs)
+            rows += len(pairs)
+            failures += sum(isinstance(r, DualityError)
+                            for r in bundles + baselines)
+        assert rows == 62 and failures == 13
+
+    def test_one_row_stacks(self, p_tri, sqrt2):
+        for x in ([-sqrt2], [0.0], [sqrt2], [1.0]):
+            _check_rows(p_tri, [lift_to_dual(p_tri, x)])
+
+    def test_not_converged_singular_and_mismatch_rows(self, p_tri, sqrt2):
+        # x0 = 1 is not critical; S(vhat0) = 0 at +-sqrt(2); at x0 = 0,
+        # with B* membership forced, d2J = -1 and the baseline Hessian
+        # [1] disagree where n = N = 1 makes agreement a theorem
+        zero = lift_to_dual(p_tri, [0.0])
+        forced = dataclasses.replace(zero, b_star=Membership(True, 1.0, 0.0))
+        pairs = [lift_to_dual(p_tri, [-sqrt2]), zero,
+                 lift_to_dual(p_tri, [1.0]), forced,
+                 lift_to_dual(p_tri, [sqrt2])]
+        bundles, baselines = _check_rows(p_tri, pairs)
+        assert [type(b) for b in bundles] == [
+            CurvatureBundle, CurvatureBundle, NotConvergedPairError,
+            CurvatureBundle, CurvatureBundle]
+        assert [type(b).__name__ for b in baselines] == [
+            "SingularMatrixError", "BaselineReport", "BaselineReport",
+            "DualityError", "SingularMatrixError"]
+        assert "matching definiteness" in str(baselines[3])
+        assert isinstance(baselines[0], SingularMatrixError)
+
+    def test_outside_c_star_row(self, sqrt2):
+        # c = -2 puts x0 = 0's multiplier past the C* boundary, while
+        # the minima at +-sqrt(2) stay inside
+        P = validate_instance([1.0], [[1.0]], [1.0], [-2.0], [0.0], 1.5)
+        pairs = [lift_to_dual(P, [x]) for x in (-sqrt2, 0.0, sqrt2)]
+        bundles, _ = _check_rows(P, pairs)
+        assert [type(b) for b in bundles] == [
+            CurvatureBundle, OutsideCstarError, CurvatureBundle]
+
+    def test_degenerate_rows(self, monkeypatch):
+        # E = diag(1/gamma) at x0 = 0 with gamma = (1e16, 1)
+        P = validate_instance([1.0], [[1.0], [1.0]], [1e16, 1.0],
+                              [0.0, 0.0], [0.0], 2.0)
+        pairs = [lift_to_dual(P, [x]) for x in (0.0, 0.5)]
+        bundles, _ = _check_rows(P, pairs)
+        assert [type(b) for b in bundles] == [
+            DegenerateCriticalPointError, NotConvergedPairError]
+        # a condition limit between the conditions of E at a member's
+        # pairs makes its worst-conditioned pair degenerate among formed
+        # rows
+        P = next(iter(iter_ensemble(1, 2024)))
+        pairs = find_critical_pairs(P, 12, 7)
+        conds = []
+        for row in _bundle_stack(P, pairs):
+            if isinstance(row, CurvatureBundle):
+                w = np.abs(np.linalg.eigvalsh(row.E))
+                conds.append(w.max() / w.min())
+        top, second = sorted(conds)[-2:]
+        monkeypatch.setattr(curvature, "E_COND_LIMIT", (top + second) / 2)
+        bundles, _ = _check_rows(P, pairs)
+        assert sum(isinstance(b, DegenerateCriticalPointError)
+                   for b in bundles) == 1
+        assert sum(isinstance(b, CurvatureBundle) for b in bundles) \
+            == len(conds) - 1
+
+
+@pytest.mark.parametrize("name", ["global_min.json", "trifecta.json"])
+def test_report_rows_are_the_one_row_calls(name):
+    # a 1-pair and a 3-pair report: each record holds its pair's one-row
+    # bundle, case, chain residual, |alpha1| and baseline
+    P = load_instance(SAMPLES / name)
+    records, ms = analyze_instance(P, 32, 7, 0)
+    assert len(records) == {"global_min.json": 1, "trifecta.json": 3}[name]
+    for record, x0, its in zip(records, ms.points, ms.iterations):
+        pair = lift_to_dual(P, x0, newton_iterations=its)
+        bundle = build_bundle(P, pair)
+        case = classify_case(P, pair, bundle)
+        assert record["case"] == case.case_id
+        assert _same(record["gap"], case.gap)
+        assert _same(record["chain_residual"],
+                     verify_chain_identity(P, pair, bundle))
+        assert _same(record["alpha1_norm"],
+                     float(np.linalg.norm(bundle.alpha1, "fro")))
+        assert _same(record["dual_hessian_asymmetry"],
+                     bundle.dual_hessian_asymmetry)
+        assert record["membership"] == {
+            key: getattr(case, key) for key in MEMBERSHIP_KEYS}
+        base = _alone(correspondence_report, P, pair, bundle)
+        if isinstance(base, DualityError):
+            assert record["errors"]["baseline"] == str(base)
+        else:
+            assert _same(record["baseline"]["minus_j1_value"],
+                         base.minus_j1_value)
+            assert record["baseline"]["primal_inertia"] \
+                == list(base.primal_hessian_inertia)
+            assert record["baseline"]["baseline_inertia"] \
+                == list(base.baseline_hessian_inertia)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_ball_stack_rows_are_the_one_center_balls(n):
+    rng = np.random.default_rng(5)
+    centers = rng.standard_normal((4, n))
+    radii = rng.random(4) + 0.1
+    stacked = linalg.ball_samples(np.random.default_rng([7, 1]), centers,
+                                  radii, 200)
+    assert stacked.shape == (4, 200, n)
+    for center, radius, row in zip(centers, radii, stacked):
+        alone = linalg.ball_samples(np.random.default_rng([7, 1]), center,
+                                    radius, 200)
+        assert _same(row, alone)
+        assert np.all(np.linalg.norm(alone - center, axis=1)
+                      <= radius * (1 + 1e-12))
+    one = linalg.ball_samples(np.random.default_rng([7, 1]), centers[:1],
+                              radii[:1], 200)
+    assert _same(one[0], stacked[0])
