@@ -176,7 +176,7 @@ def local_extremality_probes(P, pairs, n_samples, rng_seed,
             if isinstance(bundle, DualityError):
                 raise bundle
     if case_ids is None:
-        case_ids = [case.case_id for case in _classify_stack(P, pairs, bundles)]
+        case_ids = [c.case_id for c in _classify_stack(P, pairs, bundles)]
 
     x0, v_hat, v0_hat = (np.array([getattr(pair, name) for pair in pairs])
                          for name in ("x0", "v_hat", "v0_hat"))

@@ -58,24 +58,30 @@ def dumps_canonical(obj, indent=0):
 
 
 def _dump(obj, pad):
+    """The text of any value, its nested lines indented past pad."""
     text = _scalar(obj)
     if text is not None:
         return text
+    inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        inner = pad + "  "
-        return "{\n" + ",\n".join(
-            f"{inner}{_key(key)}: {_dump(value, inner)}"
-            for key, value in obj.items()) + f"\n{pad}}}"
+        items = []
+        for key, value in obj.items():
+            text = _scalar(value)
+            if text is None:
+                text = _dump(value, inner)
+            key = _encode_str(key) if type(key) is str else json.dumps(key)
+            items.append(f"{inner}{key}: {text}")
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        inner = pad + "  "
         texts = [_scalar(value) for value in obj]
         flat = None not in texts
         if not flat:
-            texts = [_dump(value, inner) for value in obj]
+            texts = [_dump(value, inner) if text is None else text
+                     for text, value in zip(texts, obj)]
             flat = not any(isinstance(value, (dict, list, tuple))
                            for value in obj)
         if flat and sum(map(len, texts)) < 72:
@@ -85,10 +91,6 @@ def _dump(obj, pad):
     if isinstance(obj, np.ndarray):
         return _dump(obj.tolist(), pad)
     raise ParseError(f"cannot serialize object of type {type(obj)!r}")
-
-
-def _key(key):
-    return _encode_str(key) if type(key) is str else json.dumps(key)
 
 
 def _scalar(obj):
@@ -204,13 +206,12 @@ def instance_to_doc(P):
         "schema_version": SCHEMA_VERSION,
         "n": P.n,
         "N": P.N,
-        "A": [float(v) for v in np.asarray(P.A).ravel()],
-        "B": [[float(v) for v in np.asarray(P.B[j]).ravel()]
-              for j in range(P.N)],
-        "gamma": [float(v) for v in P.gamma],
-        "c": [float(v) for v in P.c],
-        "f": [float(v) for v in P.f],
-        "K": [float(v) for v in np.asarray(P.K).ravel()],
+        "A": P.A.ravel().tolist(),
+        "B": P.B.reshape(P.N, -1).tolist(),
+        "gamma": P.gamma.tolist(),
+        "c": P.c.tolist(),
+        "f": P.f.tolist(),
+        "K": P.K.ravel().tolist(),
         "coercivity_override": bool(P.coercivity_override),
     }
 

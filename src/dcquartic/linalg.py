@@ -5,11 +5,12 @@ by the smallest eigenvalue against a scale-aware margin, and reported
 margins always come from ``spectrum``.  ``symmetrize``, ``spectrum``,
 ``pd_margin``, ``spectral_norm_sym``, ``frobenius_norm``, ``cho_factor``
 and ``cho_solve`` take a matrix or an (S, n, n) stack, and each matrix
-of a stack gets the result it would get alone.  Inside iteration loops Cholesky is the
-feasibility probe: one factorization either comes back, and is then
-used for the solves, or fails on a pivot that is not positive.  The
-Cholesky pair is written in numpy, one dot per entry, so a matrix or a
-right-hand side column is computed the same way alone or in a stack.
+of a stack gets the result it would get alone.  Inside iteration loops
+Cholesky is the feasibility probe: one factorization either comes back,
+and is then used for the solves, or fails on a pivot that is not
+positive.  The Cholesky pair is written in numpy, one dot per entry, so
+a matrix or a right-hand side column is computed the same way alone or
+in a stack.
 """
 
 import numpy as np

@@ -33,10 +33,6 @@ CERTIFICATE_KEYS = ("passed", "inf_estimate", "lagrangian_value", "drop",
                     "j2_value", "j2_gap", "j2_matches_primal")
 
 
-def _vec(x):
-    return [float(v) for v in np.asarray(x).ravel()]
-
-
 def _fields(obj, keys):
     return {key: getattr(obj, key) for key in keys}
 
@@ -73,12 +69,12 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
     for idx, pair in enumerate(pairs):
         record = {
             "index": idx,
-            "x0": _vec(pair.x0),
+            "x0": pair.x0.tolist(),
             "J": pair.J,
             "primal_residual": pair.primal_residual,
             "newton_iterations": pair.newton_iterations,
-            "v_hat": _vec(pair.v_hat),
-            "v0_hat": _vec(pair.v0_hat),
+            "v_hat": pair.v_hat.tolist(),
+            "v0_hat": pair.v0_hat.tolist(),
             "dual_residual_vstar": pair.dual_residual_vstar,
             "dual_residual_v0": pair.dual_residual_v0,
             "case": None,

@@ -158,8 +158,9 @@ class TestCorrespondence:
         # analyze_instance hands its bundles over: d2J(x0) is built here
         # only at points without a bundle, as one stack per report
         rows = []
-        monkeypatch.setattr(baseline, "primal_hessian", lambda P, x: rows.append(
-            len(np.reshape(x, (-1, P.n)))) or primal_hessian(P, x))
+        monkeypatch.setattr(baseline, "primal_hessian", lambda P, x:
+                            rows.append(len(np.reshape(x, (-1, P.n))))
+                            or primal_hessian(P, x))
         with_bundle = without = 0
         for P in iter_ensemble(12, 2024):
             records, _ = analyze_instance(P, 12, 7, 0)
