@@ -18,10 +18,10 @@ The case test runs on the stack of a report's pairs, and so does the
 epsilon sweep's chain check at each eps.  The extremality probes test
 the local conclusions by sampling a ball around x0 and one around vhat
 at each pair.  Each ball is drawn once per report, and the samples of
-all the pairs of one report are evaluated as one stack.  Each dual sample is
-first bounded from one evaluation at its start on the inner argmax's
-tangent, and only the samples whose bounds straddle an edge of the
-band Jt*(vhat) -+ PROBE_TOL are solved (local_extremality_probes).
+all the pairs of one report are evaluated as one stack.  Each dual
+sample is first bounded from one evaluation at its start on the inner
+argmax's tangent, and only the samples whose bounds straddle an edge of
+the band Jt*(vhat) -+ PROBE_TOL are solved (local_extremality_probes).
 """
 
 from dataclasses import dataclass, field
