@@ -24,7 +24,6 @@ import numpy as np
 from . import linalg
 from .critical import find_critical_pairs
 from .errors import DualityError, SingularMatrixError
-from .problem import primal_hessian
 
 
 @dataclass(frozen=True)
@@ -80,16 +79,15 @@ def _j1_star_stack(P, V0):
     return values, gradients, hessians, errors
 
 
-def correspondence_report(P, pair, bundle=None):
+def correspondence_report(P, pair):
     """Compare the inertia of d2J(x0) with the baseline dual Hessian: a
     one-row _correspondence_stack.
 
-    d2J(x0) and its spectrum are read from ``bundle`` (the pair's
-    CurvatureBundle) when one is given.  For n = N = 1 with S(vhat0)
+    d2J(x0)'s spectrum is the lift's.  For n = N = 1 with S(vhat0)
     positive definite, sign agreement is a theorem and a disagreement
     raises; in every other regime the flag is recorded as data.
     """
-    report = _correspondence_stack(P, [pair], [bundle])[0]
+    report = _correspondence_stack(P, [pair])[0]
     if isinstance(report, DualityError):
         raise report
     return report
@@ -104,27 +102,15 @@ def _definite(inertia, size):
     return 0
 
 
-def _correspondence_stack(P, pairs, bundles):
-    """correspondence_report at each pair, with its CurvatureBundle or
-    None: one BaselineReport, or the DualityError it raises, per pair.
-    j1_star runs once on the stack; d2J(x0) is built, as one stack, only
-    at the rows without a bundle whose S(vhat0) is invertible."""
+def _correspondence_stack(P, pairs):
+    """correspondence_report at each pair: one BaselineReport, or the
+    DualityError it raises, per pair.  j1_star runs once on the stack."""
     values, _, hessians, out = _j1_star_stack(
         P, np.reshape([pair.v0_hat for pair in pairs], (-1, P.N)))
     rows = [i for i, error in enumerate(out) if error is None]
     if not rows:
         return out
-    # the d2J(x0) spectra: the bundle's, or formed here as one stack
-    w, eps = np.empty((len(rows), P.n)), np.empty(len(rows))
-    missing = []
-    for k, i in enumerate(rows):
-        if bundles[i] is None:
-            missing.append(k)
-        else:
-            w[k], eps[k] = bundles[i].d2j_spectrum
-    if missing:
-        w[missing], eps[missing] = linalg.spectrum(primal_hessian(
-            P, np.array([pairs[rows[k]].x0 for k in missing])))
+    w, eps = map(np.array, zip(*(pairs[i].d2j_spectrum for i in rows)))
     inertias = zip(linalg.inertia(w, eps).tolist(),
                    linalg.inertia(*linalg.spectrum(hessians)).tolist())
     for k, (i, (primal, baseline)) in enumerate(zip(rows, inertias)):

@@ -52,8 +52,9 @@ class CriticalPair:
 
     ``c_star`` and ``b_star`` are the C* and B* memberships of vhat0
     (M(vhat0) and S(vhat0) positive definite), decided once at the lift,
-    as are ``J`` = J(x0), ``J_star`` = J*(vhat, vhat0) and ``m_factor``,
-    the lower Cholesky factor of M(vhat0).  ``J_star``, ``m_factor``,
+    as are ``J`` = J(x0), ``J_star`` = J*(vhat, vhat0), ``m_factor``,
+    the lower Cholesky factor of M(vhat0), and ``d2j`` = d2J(x0) with
+    ``d2j_spectrum`` = linalg.spectrum(d2j).  ``J_star``, ``m_factor``,
     ``dual_residual_vstar`` and ``dual_residual_v0`` are NaN when the
     lifted multiplier is outside C* (they need M(vhat0)^{-1}).
     """
@@ -70,6 +71,8 @@ class CriticalPair:
     J: float
     J_star: float
     m_factor: np.ndarray
+    d2j: np.ndarray
+    d2j_spectrum: tuple    # (eigenvalues, eps)
 
     @property
     def converged(self):
@@ -326,10 +329,10 @@ def find_critical_points(P, n_seeds, rng_seed):
 def _lift_stack(P, X, iterations):
     """Lift each row of the (S, n) stack X, with its Newton iteration
     count, to its CriticalPair: each kernel runs once on the stack (the
-    M(vhat0) factor, J* and the residuals on the rows inside C*), and
-    each row gets the bits it gets alone.  Raises DualityError at the
-    first row that fails the lift, and LinAlgError where M(vhat0) does
-    not factor at a row inside C*."""
+    M(vhat0) factor, J* and the residuals on the rows inside C*, d2J(x0)
+    and its spectrum on every row), and each row gets the bits it gets
+    alone.  Raises DualityError at the first row that fails the lift,
+    and LinAlgError where M(vhat0) does not factor at a row inside C*."""
     X = P.require_points(X)
     bx, w = P._bx_and_w(X)
     v0_hat = P.gamma * w
@@ -352,6 +355,8 @@ def _lift_stack(P, X, iterations):
     j_star[inside] = g1_star(P, v) - _g2_star_factored(P, v, v0, L)
     r_vstar[inside], r_v0[inside] = _stationarity_residuals(
         P, X[inside], v, v0, L)
+    d2j = hessian_from(P, bx, w)
+    d2j_w, d2j_eps = linalg.spectrum(d2j)
 
     # vhat = (K - A) x0 - f + grad J(x0) holds at any x0; at a converged
     # row a disagreement means lift and gradient code have diverged
@@ -365,7 +370,8 @@ def _lift_stack(P, X, iterations):
     return [CriticalPair(*row) for row in zip(
         X, v_hat, v0_hat, c_star, b_star, primal_residual.tolist(),
         r_vstar.tolist(), r_v0.tolist(), map(int, iterations),
-        primal_value(P, X).tolist(), j_star.tolist(), m_factor)]
+        primal_value(P, X).tolist(), j_star.tolist(), m_factor, d2j,
+        zip(d2j_w, d2j_eps))]
 
 
 def lift_to_dual(P, x0, newton_iterations=0):

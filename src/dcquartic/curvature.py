@@ -37,17 +37,19 @@ from . import linalg
 from .critical import CONVERGED_RESIDUAL
 from .errors import (
     DegenerateCriticalPointError,
-    DualityError,
     NotConvergedPairError,
     OutsideCstarError,
 )
-from .problem import primal_hessian
 
 E_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
 class CurvatureBundle:
+    """The chain matrices at one pair, or at each row of a stack of pairs
+    (_bundle_stack): then every field but H1, which all rows share, is
+    stacked, and dual_hessian_asymmetry is a list."""
+
     M: np.ndarray
     P1: np.ndarray
     P2: np.ndarray
@@ -62,50 +64,61 @@ class CurvatureBundle:
     H2: np.ndarray
     dual_hessian: np.ndarray
     dual_hessian_asymmetry: float
-    d2j: np.ndarray        # d2J(x0)
-    d2j_spectrum: tuple    # linalg.spectrum(d2j): (eigenvalues, eps)
     shifted: np.ndarray    # d2J(x0) + (K - A) alpha1
 
 
+def _map_rows(bundle, take):
+    """bundle with take(value) in place of each stacked field."""
+    return CurvatureBundle(**{name: value if name == "H1" else take(value)
+                              for name, value in vars(bundle).items()})
+
+
+def _one_row(bundle):
+    """A one-pair bundle viewed as a one-row stack."""
+    return _map_rows(bundle, lambda value: value[None]
+                     if isinstance(value, np.ndarray) else [value])
+
+
 def build_bundle(P, pair):
-    """Assemble every chain matrix at a converged pair: a one-row
-    _bundle_stack.
+    """Assemble every chain matrix at a converged pair: row 0 of a
+    one-row _bundle_stack.
 
     Raises NotConvergedPairError, OutsideCstarError (on the lift's C*
     decision, pair.c_star), or DegenerateCriticalPointError (E condition
     number above 1e12).
     """
-    bundle = _bundle_stack(P, [pair])[0]
-    if isinstance(bundle, DualityError):
-        raise bundle
-    return bundle
+    bundle, (error,) = _bundle_stack(P, [pair])
+    if error is not None:
+        raise error
+    return _map_rows(bundle, lambda value: value[0])
 
 
 def _bundle_stack(P, pairs):
-    """build_bundle at each pair: one CurvatureBundle, or the DualityError
-    it raises, per pair.
+    """build_bundle at each pair, as (bundle, errors): one CurvatureBundle
+    stacked over the pairs where a bundle forms (None when none does),
+    and per pair None or the DualityError that build_bundle raises there.
 
     The unconverged rows and the rows outside C* are decided from the
     lift before any numerics, and the rows of a degenerate E after one
     stacked eigvalsh.  Every chain matrix is formed once on the stack of
     the rows left, and each row gets the bits it gets alone.
     """
-    out = []
+    errors = []
     for pair in pairs:
         if not pair.converged:
             bound = CONVERGED_RESIDUAL * (1.0 + float(np.max(np.abs(pair.x0))))
-            out.append(NotConvergedPairError(
+            errors.append(NotConvergedPairError(
                 f"primal residual {pair.primal_residual:.3e} exceeds "
                 f"{CONVERGED_RESIDUAL:.0e} (1 + max|x0|) = {bound:.3e}"))
         elif not pair.c_star.inside:
-            out.append(OutsideCstarError(
+            errors.append(OutsideCstarError(
                 f"M(vhat0) smallest eigenvalue {pair.c_star.margin:.3e} "
                 f"(margin {pair.c_star.eps:.3e})"))
         else:
-            out.append(None)
-    rows = [i for i, row in enumerate(out) if row is None]
+            errors.append(None)
+    rows = [i for i, error in enumerate(errors) if error is None]
     if not rows:
-        return out
+        return None, errors
 
     x0 = np.array([pairs[i].x0 for i in rows])
     v0 = np.array([pairs[i].v0_hat for i in rows])
@@ -122,12 +135,12 @@ def _bundle_stack(P, pairs):
     for i, lo, hi in zip(rows, w.min(-1).tolist(), w.max(-1).tolist()):
         keep.append(not (lo <= 0.0 or hi / lo > E_COND_LIMIT))
         if not keep[-1]:
-            out[i] = DegenerateCriticalPointError(
+            errors[i] = DegenerateCriticalPointError(
                 f"inner curvature matrix condition number "
                 f"{hi / lo if lo > 0 else np.inf:.3e} exceeds "
                 f"{E_COND_LIMIT:.0e}")
     if not any(keep):
-        return out
+        return None, errors
     if not all(keep):
         rows = [i for i, k in zip(rows, keep) if k]
         x0, v0, M_inv, p2, E = (a[keep] for a in (x0, v0, M_inv, p2, E))
@@ -142,24 +155,13 @@ def _bundle_stack(P, pairs):
     alpha1 = -M_inv @ alpha @ M
     H1 = linalg.symmetrize(linalg.cho_solve(P.kma_factor, eye))
     dual_hessian = -M_inv + H1 + M_inv @ H3   # kept unsymmetrized on purpose
-    d2j = primal_hessian(P, x0)
-    d2j_w, d2j_eps = linalg.spectrum(d2j)
-    stack = dict(
+    d2j = np.array([pairs[i].d2j for i in rows])
+    return CurvatureBundle(
         M=M, P1=p1, P2=p2, E=E, E_bar=E_bar, H3=H3, B_hat=B_hat, D=D,
         alpha=alpha, alpha1=alpha1, H2=M_inv, dual_hessian=dual_hessian,
         dual_hessian_asymmetry=np.abs(dual_hessian - dual_hessian.mT).max(
             axis=(-2, -1)).tolist(),
-        d2j=d2j, shifted=d2j + P.K_minus_A @ alpha1)
-    for k, i in enumerate(rows):
-        out[i] = CurvatureBundle(
-            H1=H1, d2j_spectrum=(d2j_w[k], d2j_eps[k]),
-            **{name: value[k] for name, value in stack.items()})
-    return out
-
-
-def _stacked(bundles, *names):
-    """Each named field of the bundles, stacked over the bundles."""
-    return [np.array([getattr(b, name) for b in bundles]) for name in names]
+        H1=H1, shifted=d2j + P.K_minus_A @ alpha1), errors
 
 
 def implicit_sensitivity(P, pair, bundle):
@@ -171,13 +173,11 @@ def implicit_sensitivity(P, pair, bundle):
 def verify_chain_identity(P, pair, bundle):
     """Relative Frobenius residual of the product identity between the
     dual Hessian and the shifted primal Hessian: a one-row _chain_stack."""
-    return float(_chain_stack([bundle])[0])
+    return float(_chain_stack(_one_row(bundle))[0])
 
 
-def _chain_stack(bundles):
-    """verify_chain_identity at each bundle, as one stack."""
-    dual_hessian, D, H1, shifted, H2 = _stacked(
-        bundles, "dual_hessian", "D", "H1", "shifted", "H2")
-    rhs = H1 @ shifted @ H2
-    return (linalg.frobenius_norm(dual_hessian @ D - rhs)
+def _chain_stack(bundle):
+    """verify_chain_identity at each row of a stacked bundle."""
+    rhs = bundle.H1 @ bundle.shifted @ bundle.H2
+    return (linalg.frobenius_norm(bundle.dual_hessian @ bundle.D - rhs)
             / (1.0 + linalg.frobenius_norm(rhs)))

@@ -32,9 +32,8 @@ import numpy as np
 from . import linalg
 from .conjugates import _j_tilde_star_bracket, j2_star, j_tilde_star
 from .critical import _count, _lift_stack, find_critical_points
-from .curvature import _bundle_stack, _chain_stack, _stacked
+from .curvature import _bundle_stack, _chain_stack, _one_row, build_bundle
 from .errors import (
-    DualityError,
     NotCase2Error,
     OutsideCstarError,
     ValidationError,
@@ -66,19 +65,19 @@ def classify_case(P, pair, bundle):
 
     The C* and B* memberships are the lift's (pair.c_star,
     pair.b_star).  A* membership is the B* one: A* = B* because K - A
-    is positive definite (see in_A_star).  The two Hessians are the
-    bundle's, d2J(x0) with its spectrum.
+    is positive definite (see in_A_star).  d2J(x0) and its spectrum are
+    the lift's, and the shifted Hessian is the bundle's.
     """
-    return _classify_stack(P, [pair], [bundle])[0]
+    return _classify_stack(P, [pair], _one_row(bundle))[0]
 
 
-def _classify_stack(P, pairs, bundles):
-    """classify_case at each pair with its bundle, from one spectrum of
-    the stacked shifted Hessians."""
-    sh, sh_eps = linalg.spectrum(_stacked(bundles, "shifted")[0])
+def _classify_stack(P, pairs, bundle):
+    """classify_case at each pair with its row of the stacked bundle,
+    from one spectrum of the stacked shifted Hessians."""
+    sh, sh_eps = linalg.spectrum(bundle.shifted)
     out = []
-    for pair, bundle, s, s_eps in zip(pairs, bundles, sh, sh_eps):
-        d2j, d2j_eps = bundle.d2j_spectrum
+    for pair, s, s_eps in zip(pairs, sh, sh_eps):
+        d2j, d2j_eps = pair.d2j_spectrum
         c, b = pair.c_star, pair.b_star
         if b.inside:
             case_id = "case2"
@@ -135,17 +134,21 @@ class ProbeEvidence:
 
 def local_extremality_probe(P, pair, n_samples, rng_seed,
                             case_id=None, bundle=None):
-    """local_extremality_probes at one pair: its ProbeEvidence."""
-    return local_extremality_probes(
-        P, [pair], n_samples, rng_seed,
-        case_ids=None if case_id is None else [case_id],
-        bundles=None if bundle is None else [bundle])[0]
+    """local_extremality_probes at one pair: its ProbeEvidence.  The
+    bundle and the case default to build_bundle and classify_case."""
+    if bundle is None:
+        bundle = build_bundle(P, pair)
+    if case_id is None:
+        case_id = classify_case(P, pair, bundle).case_id
+    return local_extremality_probes(P, [pair], n_samples, rng_seed,
+                                    [case_id], _one_row(bundle))[0]
 
 
-def local_extremality_probes(P, pairs, n_samples, rng_seed,
-                             case_ids=None, bundles=None):
+def local_extremality_probes(P, pairs, n_samples, rng_seed, case_ids,
+                             bundle):
     """Sample balls around each pair's x0 and vhat and count extremality
-    violations; one ProbeEvidence per pair.
+    violations; one ProbeEvidence per pair, with its case from case_ids
+    and its row of the stacked bundle.
 
     A pair's primal radius is 0.1 (1 + |x0|) / sqrt(1 + |d2J(x0)|) and
     its dual radius follows the same scaling with the dual Hessian.  The
@@ -154,7 +157,7 @@ def local_extremality_probes(P, pairs, n_samples, rng_seed,
     and moved to every pair's center and radius (linalg.ball_samples on
     the stacks): each pair gets the samples it would draw alone, so its
     evidence does not depend on the other pairs.  |d2J(x0)| is read
-    from the bundle's spectrum.  All pairs' samples are evaluated as one
+    from the lift's spectrum.  All pairs' samples are evaluated as one
     stack: J by primal_value, and Jt* from each dual sample v's start on
     the inner argmax's tangent, vhat0 + (v - vhat) (d vhat0 / d v*)'
     (curvature.implicit_sensitivity).  There conjugates'
@@ -170,29 +173,21 @@ def local_extremality_probes(P, pairs, n_samples, rng_seed,
     n_samples = _count(n_samples, "n_samples")
     if not pairs:
         return []
-    if bundles is None:
-        bundles = _bundle_stack(P, pairs)
-        for bundle in bundles:
-            if isinstance(bundle, DualityError):
-                raise bundle
-    if case_ids is None:
-        case_ids = [c.case_id for c in _classify_stack(P, pairs, bundles)]
-
     x0, v_hat, v0_hat = (np.array([getattr(pair, name) for pair in pairs])
                          for name in ("x0", "v_hat", "v0_hat"))
-    dual_hessian, E_bar, P2 = _stacked(bundles, "dual_hessian", "E_bar", "P2")
-    # |d2J(x0)|_2 from the bundle's spectrum; the vector norms are
+    # |d2J(x0)|_2 from the lift's spectrum; the vector norms are
     # np.linalg.norm's, one dot per row
-    d2j_norm = np.abs([b.d2j_spectrum[0] for b in bundles]).max(-1)
+    d2j_norm = np.abs([pair.d2j_spectrum[0] for pair in pairs]).max(-1)
     r = 0.1 * (1.0 + np.sqrt(np.vecdot(x0, x0))) / np.sqrt(1.0 + d2j_norm)
     r1 = 0.1 * (1.0 + np.sqrt(np.vecdot(v_hat, v_hat))) \
-        / np.sqrt(1.0 + linalg.spectral_norm_sym(dual_hessian))
+        / np.sqrt(1.0 + linalg.spectral_norm_sym(bundle.dual_hessian))
     xs = linalg.ball_samples(np.random.default_rng([rng_seed, 0]), x0, r,
                              n_samples)
     vs = linalg.ball_samples(np.random.default_rng([rng_seed, 1]), v_hat, r1,
                              n_samples)
     # implicit_sensitivity per pair: E^{-1} P2
-    starts = v0_hat[:, None, :] + (vs - v_hat[:, None, :]) @ (E_bar @ P2).mT
+    starts = v0_hat[:, None, :] + (vs - v_hat[:, None, :]) \
+        @ (bundle.E_bar @ bundle.P2).mT
 
     shape = (len(pairs), n_samples)
     jvals = primal_value(P, xs.reshape(-1, P.n)).reshape(shape)
@@ -368,7 +363,8 @@ def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
     rng_seed) runs once and one _lift_stack lifts every point into each
     valid K, its records carrying its index as ``base_point``.  Each
     record inside C* holds the gap and, where a bundle forms, the chain
-    residual, |alpha1| and |(K - A) alpha1| = eps |alpha1|.  The
+    residual, |alpha1| and |(K - A) alpha1| = eps |alpha1|, or else the
+    message of build_bundle's error as ``bundle_error``.  The
     Woodbury identity gives (I - H3) D = I, so alpha and alpha1 carry
     rounding only and the last two norms stay at roundoff for every eps.
     """
@@ -395,6 +391,7 @@ def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
             "chain_residual": float("nan"),
             "alpha1_norm": float("nan"),
             "ka_alpha1_norm": float("nan"),
+            "bundle_error": None,
             "in_c_star": False,
             "base_point": i,
         } for i, pair in enumerate(pairs)]
@@ -402,14 +399,15 @@ def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
         for i in inside:
             records[i]["in_c_star"] = True
             records[i]["gap"] = verify_zero_gap(P_eps, pairs[i])
-        formed = [(i, b) for i, b in zip(
-            inside, _bundle_stack(P_eps, [pairs[i] for i in inside]))
-            if not isinstance(b, DualityError)]
-        if formed:
-            rows, bundles = zip(*formed)
-            alpha1, = _stacked(bundles, "alpha1")
+        bundle, errors = _bundle_stack(P_eps, [pairs[i] for i in inside])
+        for i, error in zip(inside, errors):
+            if error is not None:
+                records[i]["bundle_error"] = str(error)
+        if bundle is not None:
+            formed = [i for i, error in zip(inside, errors) if error is None]
+            alpha1 = bundle.alpha1
             for i, chain, a1, ka in zip(
-                    rows, _chain_stack(bundles).tolist(),
+                    formed, _chain_stack(bundle).tolist(),
                     linalg.frobenius_norm(alpha1).tolist(),
                     linalg.frobenius_norm(P_eps.K_minus_A @ alpha1).tolist()):
                 records[i].update(chain_residual=chain, alpha1_norm=a1,

@@ -36,15 +36,7 @@ _REQUIRED_KEYS = ("schema_version", "n", "N", "A", "B", "gamma", "c", "f", "K")
 _OPTIONAL_KEYS = ("coercivity_override",)
 
 
-def format_float(x):
-    """Decimal text with 17 significant digits; round-trips any double."""
-    x = float(x)
-    if not np.isfinite(x):
-        raise ParseError(f"non-finite number {x!r} cannot be serialized")
-    return format(x, ".17g")
-
-
-def dumps_canonical(obj, indent=0):
+def dumps_canonical(obj):
     """Deterministic JSON writer with 17-significant-digit floats.
 
     Objects and non-empty lists take one entry per line, indented by two
@@ -54,7 +46,7 @@ def dumps_canonical(obj, indent=0):
     (instance data is finite by validation).  One pass over the object,
     dispatching on the exact type of each value.
     """
-    return _dump(obj, "  " * indent)
+    return _dump(obj, "")
 
 
 def _dump(obj, pad):
@@ -108,7 +100,7 @@ def _scalar(obj):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format_float(obj) if np.isfinite(obj) else "null"
+        return format(float(obj), ".17g") if np.isfinite(obj) else "null"
     if isinstance(obj, str):
         return _encode_str(obj)
     return None

@@ -10,7 +10,7 @@ import numpy as np
 from . import __version__, linalg
 from .baseline import _correspondence_stack
 from .critical import _count, _lift_stack, find_critical_points
-from .curvature import _bundle_stack, _chain_stack, _stacked
+from .curvature import _bundle_stack, _chain_stack
 from .errors import DualityError
 from .gap import (
     _classify_stack,
@@ -52,18 +52,15 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
     n_samples = _count(n_samples, "n_samples")
     ms = find_critical_points(P, n_seeds, rng_seed)
     pairs = _lift_stack(P, np.reshape(ms.points, (-1, P.n)), ms.iterations)
-    bundle_rows = _bundle_stack(P, pairs)
-    bundles = [None if isinstance(row, DualityError) else row
-               for row in bundle_rows]
-    formed = [i for i, bundle in enumerate(bundles) if bundle is not None]
+    bundle, errors = _bundle_stack(P, pairs)
+    formed = [i for i, error in enumerate(errors) if error is None]
     stages = {}
-    if formed:
-        held = [bundles[i] for i in formed]
-        alpha1, = _stacked(held, "alpha1")
+    if bundle is not None:
         stages = dict(zip(formed, zip(
-            _classify_stack(P, [pairs[i] for i in formed], held),
-            _chain_stack(held).tolist(),
-            linalg.frobenius_norm(alpha1).tolist())))
+            _classify_stack(P, [pairs[i] for i in formed], bundle),
+            _chain_stack(bundle).tolist(),
+            linalg.frobenius_norm(bundle.alpha1).tolist(),
+            bundle.dual_hessian_asymmetry)))
 
     records = []
     for idx, pair in enumerate(pairs):
@@ -90,13 +87,12 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
         }
         records.append(record)
         if idx not in stages:
-            record["errors"]["bundle"] = str(bundle_rows[idx])
+            record["errors"]["bundle"] = str(errors[idx])
             continue
-        case, record["chain_residual"], record["alpha1_norm"] = stages[idx]
+        (case, record["chain_residual"], record["alpha1_norm"],
+         record["dual_hessian_asymmetry"]) = stages[idx]
         record["case"] = case.case_id
         record["gap"] = case.gap
-        record["dual_hessian_asymmetry"] = \
-            bundles[idx].dual_hessian_asymmetry
         record["membership"] = _fields(case, MEMBERSHIP_KEYS)
         if case.case_id == "case2":
             try:
@@ -106,7 +102,7 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
                 record["errors"]["certificate"] = str(exc)
 
     for record, base in zip(records,
-                            _correspondence_stack(P, pairs, bundles)):
+                            _correspondence_stack(P, pairs)):
         if isinstance(base, DualityError):
             record["errors"]["baseline"] = str(base)
             continue
@@ -117,10 +113,10 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
             "correspondence": base.correspondence,
             "ab_matrix_pd": base.ab_matrix_pd,
         }
-    if n_samples > 0 and formed:
+    if n_samples > 0 and bundle is not None:
         probes = local_extremality_probes(
             P, [pairs[i] for i in formed], n_samples, rng_seed,
-            [stages[i][0].case_id for i in formed], held)
+            [stages[i][0].case_id for i in formed], bundle)
         for i, probe in zip(formed, probes):
             records[i]["probe"] = {**_fields(probe, PROBE_KEYS),
                                    "violations": probe.violations()}

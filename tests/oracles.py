@@ -46,7 +46,6 @@ from dcquartic.errors import (
     ProbeFailureError,
 )
 from dcquartic.gap import CERT_GAP_TOL, CERT_SAMPLE_TOL
-from dcquartic.instancefile import format_float
 from dcquartic.linalg import TOL_FACTOR, symmetrize
 from dcquartic.problem import primal_hessian, primal_value
 
@@ -581,7 +580,7 @@ def dumps_canonical_recursive(obj, indent=0):
     if isinstance(obj, (float, np.floating)):
         if not np.isfinite(obj):
             return "null"
-        return format_float(obj)
+        return format(float(obj), ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):

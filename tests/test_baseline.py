@@ -1,21 +1,24 @@
+import sys
+
 import numpy as np
 import pytest
 
 from dcquartic import (
     DualityError,
     SingularMatrixError,
-    baseline,
-    build_bundle,
     correspondence_report,
     find_critical_pairs,
     generate_instance,
     iter_ensemble,
     j1_star,
     lift_to_dual,
+    linalg,
     primal_hessian,
     search_correspondence_counterexample,
     validate_instance,
 )
+from dcquartic import report
+from dcquartic.instancefile import dumps_canonical
 from dcquartic.report import analyze_instance
 
 
@@ -133,40 +136,45 @@ class TestCorrespondence:
         assert rep.baseline_hessian_inertia == (1, 0, 0)
 
     def test_bundle_hessian_is_reused(self, monkeypatch):
-        # with the pair's bundle, d2J(x0) is the bundle's matrix: the same
-        # report, and no Hessian is built
-        reports = []
+        # d2J(x0) and its spectrum are the lift's: the baseline reports
+        # the inertia of a freshly built d2J(x0), and no Hessian is built
+        # after the lift, by correspondence_report or in a whole report
+        lifted = []
         for P in iter_ensemble(12, 2024):
             for pair in find_critical_pairs(P, 12, 7):
                 try:
-                    bundle = build_bundle(P, pair)
-                    reports.append((correspondence_report(P, pair),
-                                    P, pair, bundle))
+                    lifted.append((correspondence_report(P, pair), P, pair))
                 except DualityError:
                     continue
-        assert len(reports) >= 20
+        assert len(lifted) >= 20
+        for alone, P, pair in lifted:
+            assert alone.primal_hessian_inertia == linalg.inertia(
+                *linalg.spectrum(primal_hessian(P, pair.x0)))
 
-        def no_hessian(P, x):
-            raise AssertionError("d2J(x0) rebuilt")
+        def no_hessian(*args):
+            raise AssertionError("d2J(x0) rebuilt after the lift")
 
-        monkeypatch.setattr(baseline, "primal_hessian", no_hessian)
-        for alone, P, pair, bundle in reports:
-            reused = correspondence_report(P, pair, bundle=bundle)
-            for name in ("primal_hessian_inertia", "baseline_hessian_inertia",
-                         "correspondence", "ab_matrix_pd", "minus_j1_value"):
-                assert getattr(reused, name) == getattr(alone, name)
-        # analyze_instance hands its bundles over: d2J(x0) is built here
-        # only at points without a bundle, as one stack per report
-        rows = []
-        monkeypatch.setattr(baseline, "primal_hessian", lambda P, x:
-                            rows.append(len(np.reshape(x, (-1, P.n))))
-                            or primal_hessian(P, x))
-        with_bundle = without = 0
+        def forbid_hessians(patch):
+            for name, module in list(sys.modules.items()):
+                for attr in ("primal_hessian", "hessian_from"):
+                    if name.startswith("dcquartic") and hasattr(module, attr):
+                        patch.setattr(module, attr, no_hessian)
+
+        with monkeypatch.context() as patch:
+            forbid_hessians(patch)
+            for alone, P, pair in lifted:
+                assert correspondence_report(P, pair) == alone
+        lift = report._lift_stack
         for P in iter_ensemble(12, 2024):
-            records, _ = analyze_instance(P, 12, 7, 0)
-            with_bundle += sum(r["case"] is not None for r in records)
-            without += sum(r["case"] is None for r in records)
-        assert with_bundle >= 20 and sum(rows) == without
+            expected = dumps_canonical(analyze_instance(P, 12, 7, 20)[0])
+            with monkeypatch.context() as patch:
+                def lift_then_forbid(*args):
+                    pairs = lift(*args)
+                    forbid_hessians(patch)
+                    return pairs
+                patch.setattr(report, "_lift_stack", lift_then_forbid)
+                assert dumps_canonical(analyze_instance(P, 12, 7, 20)[0]) \
+                    == expected
 
     def test_scalar_pd_caveat_always_agrees(self):
         # every converged n = N = 1 pair with A + v0 B > 0 must agree

@@ -19,7 +19,7 @@ from dcquartic import (
     serialize_instance,
 )
 from dcquartic.cli import main
-from dcquartic.instancefile import dumps_canonical, format_float
+from dcquartic.instancefile import dumps_canonical
 from oracles import dumps_canonical_recursive
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
@@ -142,15 +142,12 @@ class TestInstanceFile:
         assert instance_digest(P) == instance_digest(Q)
 
     def test_seventeen_digit_floats(self):
-        x = 0.1 + 0.2
-        assert float(format_float(x)) == x
-        ugly = 1.0 / 3.0
-        assert float(format_float(ugly)) == ugly
+        for x in (0.1 + 0.2, 1.0 / 3.0, np.float64(1.0 / 3.0)):
+            assert float(dumps_canonical(x)) == x
 
     def test_canonical_writer_nan_becomes_null(self):
         assert dumps_canonical({"x": float("nan")}) == '{\n  "x": null\n}'
-        with pytest.raises(ParseError):
-            format_float(float("nan"))
+        assert dumps_canonical(np.float64("nan")) == "null"
 
     def test_canonical_writer_edge_cases_match_the_oracle(self):
         # the one-pass writer against the recursive one it replaced
@@ -168,10 +165,8 @@ class TestInstanceFile:
             [[1.0, 2.0], np.array([3.0, 4.0]), {"k": [5]}],
             -0.0, 1e300, 5e-324, 2 ** 70, "text", None, True, 7.0,
         ]
-        for indent in (0, 2):
-            for doc in docs:
-                assert dumps_canonical(doc, indent) \
-                    == dumps_canonical_recursive(doc, indent)
+        for doc in docs:
+            assert dumps_canonical(doc) == dumps_canonical_recursive(doc)
         assert dumps_canonical([True, 1]) == "[true, 1]"
         assert dumps_canonical([float("inf")]) == "[null]"
         for bad in (object(), {1.5j}, [np.bool_(True)], {"x": b"bytes"}):

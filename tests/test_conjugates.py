@@ -41,7 +41,8 @@ from dcquartic.conjugates import (
     _j_tilde_star_bracket,
     default_inner_init,
 )
-from dcquartic.gap import PROBE_TOL
+from dcquartic.curvature import _bundle_stack
+from dcquartic.gap import PROBE_TOL, _classify_stack
 from oracles import (
     g1_star_grid,
     g2_star_grid,
@@ -199,9 +200,13 @@ def _dual_evidence_by_loop(evidence, jt0, values):
 
 def _probe_samples(P, pairs, n_samples, seed):
     """The dual-ball samples of local_extremality_probes(P, pairs,
-    n_samples, seed) and their tangent starts, as two stacks."""
+    n_samples, seed, ...) and their tangent starts, as two stacks."""
     vs, starts = [], []
-    evidence = local_extremality_probes(P, pairs, n_samples, seed)
+    bundle, errors = _bundle_stack(P, pairs)
+    assert errors == [None] * len(pairs)
+    case_ids = [case.case_id for case in _classify_stack(P, pairs, bundle)]
+    evidence = local_extremality_probes(P, pairs, n_samples, seed, case_ids,
+                                        bundle)
     for pair, probe in zip(pairs, evidence):
         v = linalg.ball_samples(np.random.default_rng([seed, 1]),
                                 pair.v_hat, probe.r1, n_samples)

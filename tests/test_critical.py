@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from itertools import islice
 from pathlib import Path
@@ -296,15 +297,7 @@ class TestLift:
         # at the x0 = 0 pair, K - A = 2 while M = 1, so a v* bump shows
         # up in the first stationarity residual
         pair = lift_to_dual(p_tri, [0.0])
-        bumped = pair.__class__(
-            x0=pair.x0, v_hat=pair.v_hat + 0.1, v0_hat=pair.v0_hat,
-            c_star=pair.c_star,
-            b_star=pair.b_star,
-            primal_residual=pair.primal_residual,
-            dual_residual_vstar=pair.dual_residual_vstar,
-            dual_residual_v0=pair.dual_residual_v0,
-            newton_iterations=pair.newton_iterations,
-            J=pair.J, J_star=pair.J_star, m_factor=pair.m_factor)
+        bumped = dataclasses.replace(pair, v_hat=pair.v_hat + 0.1)
         r_vstar, _ = dual_stationarity_residual(p_tri, bumped)
         assert r_vstar > 1e-3
 

@@ -35,7 +35,8 @@ from dcquartic import (
     verify_zero_gap,
 )
 from dcquartic import conjugates, gap
-from dcquartic.gap import lagrangian_bound
+from dcquartic.curvature import _bundle_stack
+from dcquartic.gap import _classify_stack, lagrangian_bound
 from dcquartic.report import (
     analyze_instance,
     build_run_report,
@@ -49,6 +50,19 @@ from oracles import (
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
+
+
+def _probe_inputs(P):
+    """The pairs of multistart(P, 12, 7)'s points where a bundle forms,
+    their cases and their stacked bundle."""
+    ms = multistart(P, 12, 7)
+    pairs = [lift_to_dual(P, x0, newton_iterations=its)
+             for x0, its in zip(ms.points, ms.iterations)]
+    bundle, errors = _bundle_stack(P, pairs)
+    pairs = [pair for pair, error in zip(pairs, errors) if error is None]
+    case_ids = [case.case_id for case in _classify_stack(P, pairs, bundle)] \
+        if pairs else []
+    return pairs, case_ids, bundle
 
 
 @pytest.fixture(scope="module")
@@ -130,52 +144,58 @@ class TestClassification:
     def test_b_star_and_hessians_decided_once(self, p_tri, p_min, sqrt2,
                                               monkeypatch):
         # S(vhat0) is decomposed once by the lift, and once more by
-        # j1_star; d2J(x0) is built once, by build_bundle
-        handed_out, s_calls, hessians = [], [], []
+        # j1_star; d2J(x0) is built, and its spectrum taken, once, by the
+        # lift, and no stage after the lift builds a Hessian
+        handed_out = {"S": [], "d2J": []}
+        decomposed, builds = [], []
         ab_matrix = ProblemInstance.ab_matrix
         symmetrize = linalg.symmetrize
         eigvalsh = np.linalg.eigvalsh
 
-        def is_s(M):
-            return any(M is m for m in handed_out)
+        def kind(M):
+            for name, matrices in handed_out.items():
+                if any(M is m for m in matrices):
+                    return name
+            return None
 
         def tracked_ab_matrix(self, v0):
-            handed_out.append(ab_matrix(self, v0))
-            return handed_out[-1]
+            handed_out["S"].append(ab_matrix(self, v0))
+            return handed_out["S"][-1]
 
         def tracked_symmetrize(M):
             out = symmetrize(M)
-            if is_s(M):
-                handed_out.append(out)
+            if kind(M) is not None:
+                handed_out[kind(M)].append(out)
             return out
 
         def counted_eigvalsh(M):
-            s_calls.append(is_s(M))
+            decomposed.append(kind(M))
             return eigvalsh(M)
 
-        def counted(hessian):
-            def primal_hessian(P, x):
-                hessians.append(x)
-                return hessian(P, x)
-            return primal_hessian
+        def tracked(hessian):
+            def built(*args):
+                builds.append(args)
+                handed_out["d2J"].append(hessian(*args))
+                return handed_out["d2J"][-1]
+            return built
 
         monkeypatch.setattr(ProblemInstance, "ab_matrix", tracked_ab_matrix)
         monkeypatch.setattr(linalg, "symmetrize", tracked_symmetrize)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-        # every module that imported primal_hessian by name
+        # every module that imported a Hessian kernel by name
         for name, module in list(sys.modules.items()):
-            if name.startswith("dcquartic") \
-                    and hasattr(module, "primal_hessian"):
-                monkeypatch.setattr(module, "primal_hessian",
-                                    counted(module.primal_hessian))
+            for attr in ("primal_hessian", "hessian_from"):
+                if name.startswith("dcquartic") and hasattr(module, attr):
+                    monkeypatch.setattr(module, attr,
+                                        tracked(getattr(module, attr)))
         for P, x, case_id in ((p_tri, [-sqrt2], "case1"),
                               (p_tri, [0.0], "case3"),
                               (p_min, [0.0], "case2")):
-            s_calls.clear()
+            decomposed.clear()
+            builds.clear()
             pair = lift_to_dual(P, x)
-            hessians.clear()
+            assert len(builds) == 1 and decomposed.count("d2J") == 1
             bundle = build_bundle(P, pair)
-            assert len(hessians) == 1
             case = classify_case(P, pair, bundle)
             assert case.case_id == case_id
             assert case.b_star == pair.b_star.inside
@@ -183,14 +203,14 @@ class TestClassification:
             verify_chain_identity(P, pair, bundle)
             local_extremality_probe(P, pair, 8, 0, case_id=case.case_id,
                                     bundle=bundle)
-            assert len(hessians) == 1
-            assert sum(s_calls) == 1
+            assert decomposed.count("S") == 1
             try:
                 report = correspondence_report(P, pair)
                 assert report.ab_matrix_pd == pair.b_star.inside
             except SingularMatrixError:
                 assert case_id == "case1"   # S(vhat0) = 0 at +-sqrt(2)
-            assert sum(s_calls) == 2
+            assert decomposed.count("S") == 2
+            assert len(builds) == 1 and decomposed.count("d2J") == 1
 
     def test_m_factored_once_per_report(self, monkeypatch):
         # one report factors each inside pair's M(vhat0) once, at the
@@ -308,26 +328,18 @@ class TestProbes:
         for P in [load_instance(SAMPLES / "trifecta.json"),
                   load_instance(SAMPLES / "global_min.json"),
                   *iter_ensemble(25, 2024)]:
-            ms = multistart(P, 12, 7)
-            pairs, case_ids, bundles = [], [], []
-            for x0, its in zip(ms.points, ms.iterations):
-                pair = lift_to_dual(P, x0, newton_iterations=its)
-                try:
-                    bundle = build_bundle(P, pair)
-                except DualityError:
-                    continue
-                pairs.append(pair)
-                bundles.append(bundle)
-                case_ids.append(classify_case(P, pair, bundle).case_id)
+            pairs, case_ids, bundle = _probe_inputs(P)
             stacked = local_extremality_probes(P, pairs, 1000, 7, case_ids,
-                                               bundles)
+                                               bundle)
             assert stacked == [
-                local_extremality_probe(P, pair, 1000, 7, case_id, bundle)
-                for pair, case_id, bundle in zip(pairs, case_ids, bundles)]
+                local_extremality_probe(P, pair, 1000, 7, case_id,
+                                        build_bundle(P, pair))
+                for pair, case_id in zip(pairs, case_ids)]
             if not checked:
-                # the bundles and cases default to build_bundle and
-                # classify_case
-                assert local_extremality_probes(P, pairs, 1000, 7) == stacked
+                # the one-pair bundle and case default to build_bundle
+                # and classify_case
+                assert stacked == [local_extremality_probe(P, pair, 1000, 7)
+                                   for pair in pairs]
             checked += len(pairs)
         assert checked >= 40
 
@@ -345,26 +357,16 @@ class TestProbes:
         for P, n_samples in [(load_instance(SAMPLES / "trifecta.json"), 1000),
                              (load_instance(SAMPLES / "global_min.json"), 1000),
                              *((P, 50) for P in iter_ensemble(25, 2024))]:
-            ms = multistart(P, 12, 7)
-            pairs, case_ids, bundles = [], [], []
-            for x0, its in zip(ms.points, ms.iterations):
-                pair = lift_to_dual(P, x0, newton_iterations=its)
-                try:
-                    bundle = build_bundle(P, pair)
-                except DualityError:
-                    continue
-                pairs.append(pair)
-                bundles.append(bundle)
-                case_ids.append(classify_case(P, pair, bundle).case_id)
+            pairs, case_ids, bundle = _probe_inputs(P)
             monkeypatch.setattr(gap, "_j_tilde_star_bracket", bracket)
             rows.clear()
             bracketed = local_extremality_probes(P, pairs, n_samples, 7,
-                                                 case_ids, bundles)
+                                                 case_ids, bundle)
             solved += sum(rows)
             monkeypatch.setattr(gap, "_j_tilde_star_bracket", lambda P, v, s:
                                 np.full((2, len(v)), np.nan))
             assert local_extremality_probes(P, pairs, n_samples, 7, case_ids,
-                                            bundles) == bracketed
+                                            bundle) == bracketed
             checked += len(pairs) * n_samples
         assert checked >= 6000 and 0 < solved < checked / 2
 
@@ -410,7 +412,8 @@ class TestProbes:
         with pytest.raises(ValueError, match="n_samples"):
             local_extremality_probe(p_tri, pair, n_samples, 7)
         with pytest.raises(ValueError, match="n_samples"):
-            local_extremality_probes(p_tri, [pair], n_samples, 7)
+            local_extremality_probes(p_tri, [pair], n_samples, 7, ["case1"],
+                                     _bundle_stack(p_tri, [pair])[0])
 
     @pytest.mark.parametrize("n_samples", [2.5, -3, True, False])
     @pytest.mark.parametrize("n_seeds", [0, 32])
@@ -690,13 +693,16 @@ class TestEpsilonSweep:
                     assert rec["ka_alpha1_norm"] <= 1e-12
 
     def test_bundle_failure_keeps_the_gap(self, p_tri, monkeypatch):
-        monkeypatch.setattr(gap, "_bundle_stack", lambda P, pairs: [
-            DualityError("stub failure") for _ in pairs])
+        rep = epsilon_sweep(p_tri, [0.1], 7)
+        assert all(rec["bundle_error"] is None for rec in rep.points[0].pairs)
+        monkeypatch.setattr(gap, "_bundle_stack", lambda P, pairs: (
+            None, [DualityError("stub failure") for _ in pairs]))
         rep = epsilon_sweep(p_tri, [0.1], 7)
         inside = [rec for rec in rep.points[0].pairs if rec["in_c_star"]]
         assert inside
         for rec in inside:
             assert abs(rec["gap"]) <= 1e-10
+            assert rec["bundle_error"] == "stub failure"
             for key in ("chain_residual", "alpha1_norm", "ka_alpha1_norm"):
                 assert np.isnan(rec[key])
 
@@ -756,8 +762,9 @@ class TestStageFailures:
             raise DualityError("stub failure")
         if name == "build_bundle":
             monkeypatch.setattr("dcquartic.report._bundle_stack",
-                                lambda P, pairs: [DualityError("stub failure")
-                                                  for _ in pairs])
+                                lambda P, pairs: (None, [
+                                    DualityError("stub failure")
+                                    for _ in pairs]))
         else:
             monkeypatch.setattr(f"dcquartic.report.{name}", fail)
         P = load_instance(SAMPLES / "global_min.json")

@@ -45,7 +45,7 @@ MEMBERS_SHA256 = \
 PROBED_MEMBERS_SHA256 = \
     "650163b1fe5b1f92fb5771c4b6957cc45c74eb109cd26cd09486db940bc86c2e"
 SWEEPS_SHA256 = \
-    "e9750b4fee70324a3ab76be93f9f4cff188cb4b64fe295049866ba48ad96e225"
+    "f1628a28be17375d6397cd80385d0f58830cced5137e25a3efcf8a5cb51ffcfb"
 
 
 @functools.cache

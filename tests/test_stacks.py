@@ -1,9 +1,9 @@
 """A report runs each per-pair stage once, on the stack of its pairs.
-Every stacked row must be its one-row call bit for bit: the bundle, the
-case, the chain residual, |alpha1|, the baseline (j1_star and the
-correspondence) and the probe balls.  A failing row gets the error, and
-the message, that its one-row call raises, and the other rows do not
-change."""
+Every stacked row must be its one-row call bit for bit: row k of the
+stacked bundle, the case, the chain residual, |alpha1|, the baseline
+(j1_star and the correspondence) and the probe balls.  A failing row
+gets the error, and the message, that its one-row call raises, and the
+other rows do not change."""
 
 import dataclasses
 from pathlib import Path
@@ -72,24 +72,36 @@ def _alone(call, *args):
         return exc
 
 
+def _row(bundle, k):
+    """Row k of a stacked bundle, field by field (H1 is every row's)."""
+    return CurvatureBundle(**{
+        f.name: getattr(bundle, f.name) if f.name == "H1"
+        else getattr(bundle, f.name)[k] for f in dataclasses.fields(bundle)})
+
+
 def _check_rows(P, pairs):
     """Assert that every stacked stage at ``pairs`` gives each row its
-    one-row result; returns the bundle rows and the baseline rows."""
-    bundles = _bundle_stack(P, pairs)
+    one-row result; returns, per pair, its row of the stacked bundle or
+    its error, and the baseline rows."""
+    bundle, errors = _bundle_stack(P, pairs)
+    formed = [k for k, error in enumerate(errors) if error is None]
+    assert (bundle is None) == (not formed)
+    bundles = list(errors)
+    for j, k in enumerate(formed):
+        bundles[k] = _row(bundle, j)
     for pair, row in zip(pairs, bundles):
         assert _same(row, _alone(build_bundle, P, pair))
-    formed = [(pair, b) for pair, b in zip(pairs, bundles)
-              if isinstance(b, CurvatureBundle)]
     if formed:
-        held_pairs, held = zip(*formed)
-        for case, (pair, bundle) in zip(
-                _classify_stack(P, held_pairs, held), formed):
-            assert _same(case, classify_case(P, pair, bundle))
-        assert _same(_chain_stack(held), np.array(
-            [verify_chain_identity(P, pair, b) for pair, b in formed]))
-        alpha1 = np.array([b.alpha1 for b in held])
-        assert _same(linalg.frobenius_norm(alpha1), np.array(
-            [np.linalg.norm(b.alpha1, "fro") for b in held]))
+        held_pairs = [pairs[k] for k in formed]
+        held = [bundles[k] for k in formed]
+        for case, pair, one in zip(
+                _classify_stack(P, held_pairs, bundle), held_pairs, held):
+            assert _same(case, classify_case(P, pair, one))
+        assert _same(_chain_stack(bundle), np.array(
+            [verify_chain_identity(P, pair, one)
+             for pair, one in zip(held_pairs, held)]))
+        assert _same(linalg.frobenius_norm(bundle.alpha1), np.array(
+            [np.linalg.norm(one.alpha1, "fro") for one in held]))
 
     V0 = np.reshape([pair.v0_hat for pair in pairs], (-1, P.N))
     values, gradients, hessians, errors = _j1_star_stack(P, V0)
@@ -102,11 +114,9 @@ def _check_rows(P, pairs):
             row = ok.index(k)
             assert _same((values[row], gradients[row], hessians[row]), alone)
 
-    held_or_none = [b if isinstance(b, CurvatureBundle) else None
-                    for b in bundles]
-    baselines = _correspondence_stack(P, pairs, held_or_none)
-    for pair, bundle, row in zip(pairs, held_or_none, baselines):
-        assert _same(row, _alone(correspondence_report, P, pair, bundle))
+    baselines = _correspondence_stack(P, pairs)
+    for pair, row in zip(pairs, baselines):
+        assert _same(row, _alone(correspondence_report, P, pair))
     return bundles, baselines
 
 
@@ -169,11 +179,8 @@ class TestStackRows:
         # rows
         P = next(iter(iter_ensemble(1, 2024)))
         pairs = find_critical_pairs(P, 12, 7)
-        conds = []
-        for row in _bundle_stack(P, pairs):
-            if isinstance(row, CurvatureBundle):
-                w = np.abs(np.linalg.eigvalsh(row.E))
-                conds.append(w.max() / w.min())
+        w = np.abs(np.linalg.eigvalsh(_bundle_stack(P, pairs)[0].E))
+        conds = (w.max(-1) / w.min(-1)).tolist()
         top, second = sorted(conds)[-2:]
         monkeypatch.setattr(curvature, "E_COND_LIMIT", (top + second) / 2)
         bundles, _ = _check_rows(P, pairs)
@@ -204,7 +211,7 @@ def test_report_rows_are_the_one_row_calls(name):
                      bundle.dual_hessian_asymmetry)
         assert record["membership"] == {
             key: getattr(case, key) for key in MEMBERSHIP_KEYS}
-        base = _alone(correspondence_report, P, pair, bundle)
+        base = _alone(correspondence_report, P, pair)
         if isinstance(base, DualityError):
             assert record["errors"]["baseline"] == str(base)
         else:
