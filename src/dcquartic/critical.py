@@ -67,7 +67,6 @@ class CriticalPair:
     primal_residual: float
     dual_residual_vstar: float
     dual_residual_v0: float
-    newton_iterations: int
     J: float
     J_star: float
     m_factor: np.ndarray
@@ -326,13 +325,13 @@ def find_critical_points(P, n_seeds, rng_seed):
     return _distinct(P, seeds)
 
 
-def _lift_stack(P, X, iterations):
-    """Lift each row of the (S, n) stack X, with its Newton iteration
-    count, to its CriticalPair: each kernel runs once on the stack (the
-    M(vhat0) factor, J* and the residuals on the rows inside C*, d2J(x0)
-    and its spectrum on every row), and each row gets the bits it gets
-    alone.  Raises DualityError at the first row that fails the lift,
-    and LinAlgError where M(vhat0) does not factor at a row inside C*."""
+def _lift_stack(P, X):
+    """Lift each row of the (S, n) stack X to its CriticalPair: each
+    kernel runs once on the stack (the M(vhat0) factor, J* and the
+    residuals on the rows inside C*, d2J(x0) and its spectrum on every
+    row), and each row gets the bits it gets alone.  Raises DualityError
+    at the first row that fails the lift, and LinAlgError where M(vhat0)
+    does not factor at a row inside C*."""
     X = P.require_points(X)
     bx, w = P._bx_and_w(X)
     v0_hat = P.gamma * w
@@ -369,14 +368,13 @@ def _lift_stack(P, X, iterations):
                            f"{drift[broken][0]:.3e} at a converged point")
     return [CriticalPair(*row) for row in zip(
         X, v_hat, v0_hat, c_star, b_star, primal_residual.tolist(),
-        r_vstar.tolist(), r_v0.tolist(), map(int, iterations),
-        primal_value(P, X).tolist(), j_star.tolist(), m_factor, d2j,
-        zip(d2j_w, d2j_eps))]
+        r_vstar.tolist(), r_v0.tolist(), primal_value(P, X).tolist(),
+        j_star.tolist(), m_factor, d2j, zip(d2j_w, d2j_eps))]
 
 
-def lift_to_dual(P, x0, newton_iterations=0):
+def lift_to_dual(P, x0):
     """Lift a primal point to its dual pair: a one-row _lift_stack."""
-    return _lift_stack(P, P.require_x(x0)[None], [newton_iterations])[0]
+    return _lift_stack(P, P.require_x(x0)[None])[0]
 
 
 def _stationarity_residuals(P, x0, v_hat, v0_hat, L):
@@ -401,5 +399,4 @@ def find_critical_pairs(P, n_seeds, rng_seed):
     per distinct point: at N = 1 from the (2n+1) eigenproblem, else from
     multistart."""
     result = find_critical_points(P, n_seeds, rng_seed)
-    return _lift_stack(P, np.reshape(result.points, (-1, P.n)),
-                       result.iterations)
+    return _lift_stack(P, np.reshape(result.points, (-1, P.n)))

@@ -165,8 +165,8 @@ def _bundle_stack(P, pairs):
 
 
 def implicit_sensitivity(P, pair, bundle):
-    """d(vhat0)/d(v*) at the pair: the implicit derivative of the inner
-    argmax, equal to E^{-1} P2."""
+    """d(vhat0)/d(v*) at the pair, or at each row of a stacked bundle:
+    the implicit derivative of the inner argmax, equal to E^{-1} P2."""
     return bundle.E_bar @ bundle.P2
 
 

@@ -32,7 +32,13 @@ import numpy as np
 from . import linalg
 from .conjugates import _j_tilde_star_bracket, j2_star, j_tilde_star
 from .critical import _count, _lift_stack, find_critical_points
-from .curvature import _bundle_stack, _chain_stack, _one_row, build_bundle
+from .curvature import (
+    _bundle_stack,
+    _chain_stack,
+    _one_row,
+    build_bundle,
+    implicit_sensitivity,
+)
 from .errors import (
     NotCase2Error,
     OutsideCstarError,
@@ -185,9 +191,8 @@ def local_extremality_probes(P, pairs, n_samples, rng_seed, case_ids,
                              n_samples)
     vs = linalg.ball_samples(np.random.default_rng([rng_seed, 1]), v_hat, r1,
                              n_samples)
-    # implicit_sensitivity per pair: E^{-1} P2
     starts = v0_hat[:, None, :] + (vs - v_hat[:, None, :]) \
-        @ (bundle.E_bar @ bundle.P2).mT
+        @ implicit_sensitivity(P, pairs, bundle).mT
 
     shape = (len(pairs), n_samples)
     jvals = primal_value(P, xs.reshape(-1, P.n)).reshape(shape)
@@ -205,31 +210,18 @@ def local_extremality_probes(P, pairs, n_samples, rng_seed, case_ids,
     if failed.size:
         jtvals[failed], _ = j_tilde_star(
             P, vs[failed], init=v0_hat[failed // n_samples])
-    jtvals = jtvals.reshape(shape)
 
-    return [_probe_evidence(case_id, r_k, r1_k, pair.J, pair.J_star, j, jt)
-            for case_id, r_k, r1_k, pair, j, jt
-            in zip(case_ids, r.tolist(), r1.tolist(), pairs, jvals, jtvals)]
-
-
-def _probe_evidence(case_id, r, r1, j0, jt0, jvals, jtvals):
-    """One pair's ProbeEvidence from its radii, J(x0), Jt*(vhat) and its
-    sampled J and Jt* values (nan where the dual solve failed)."""
-    p_min = int(np.sum(jvals < j0 - PROBE_TOL))
-    p_max = int(np.sum(jvals > j0 + PROBE_TOL))
-
-    solved = ~np.isnan(jtvals)
-    excluded = int(jtvals.size - np.sum(solved))
-    jtvals = jtvals[solved]
-    d_min = int(np.sum(jtvals < jt0 - PROBE_TOL))
-    d_max = int(np.sum(jtvals > jt0 + PROBE_TOL))
-
-    return ProbeEvidence(
-        case_id=case_id, r=r, r1=r1, n_samples=jvals.size,
-        primal_min_violations=p_min, primal_max_violations=p_max,
-        dual_min_violations=d_min, dual_max_violations=d_max,
-        dual_excluded=excluded,
-    )
+    # the five counts of every pair; a nan Jt* (an excluded sample)
+    # compares false, so it is no violation
+    j0 = np.array([pair.J for pair in pairs])[:, None]
+    jtvals, jt0 = jtvals.reshape(shape), jt0.reshape(shape)
+    counts = np.count_nonzero(
+        [jvals < j0 - PROBE_TOL, jvals > j0 + PROBE_TOL,
+         jtvals < jt0 - PROBE_TOL, jtvals > jt0 + PROBE_TOL,
+         np.isnan(jtvals)], axis=-1)
+    return [ProbeEvidence(case_id, r_k, r1_k, n_samples, *row)
+            for case_id, r_k, r1_k, row
+            in zip(case_ids, r.tolist(), r1.tolist(), counts.T.tolist())]
 
 
 @dataclass
@@ -384,7 +376,7 @@ def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
             continue
         sp = SweepPoint(eps=float(eps), ok=True, error=None,
                         h1_norm=1.0 / eps)
-        pairs = _lift_stack(P_eps, X, base.iterations)
+        pairs = _lift_stack(P_eps, X)
         records = [{
             "x0": pair.x0,
             "gap": float("nan"),

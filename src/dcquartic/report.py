@@ -51,7 +51,7 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
     must be non-negative integers (ValueError otherwise)."""
     n_samples = _count(n_samples, "n_samples")
     ms = find_critical_points(P, n_seeds, rng_seed)
-    pairs = _lift_stack(P, np.reshape(ms.points, (-1, P.n)), ms.iterations)
+    pairs = _lift_stack(P, np.reshape(ms.points, (-1, P.n)))
     bundle, errors = _bundle_stack(P, pairs)
     formed = [i for i, error in enumerate(errors) if error is None]
     stages = {}
@@ -69,7 +69,7 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
             "x0": pair.x0.tolist(),
             "J": pair.J,
             "primal_residual": pair.primal_residual,
-            "newton_iterations": pair.newton_iterations,
+            "newton_iterations": ms.iterations[idx],
             "v_hat": pair.v_hat.tolist(),
             "v0_hat": pair.v0_hat.tolist(),
             "dual_residual_vstar": pair.dual_residual_vstar,

@@ -17,7 +17,7 @@ from dcquartic import (
     search_correspondence_counterexample,
     validate_instance,
 )
-from dcquartic import report
+from dcquartic import baseline, report
 from dcquartic.instancefile import dumps_canonical
 from dcquartic.report import analyze_instance
 
@@ -199,3 +199,22 @@ class TestCorrespondence:
         hit = search_correspondence_counterexample(2, 1, 30, 60_000)
         assert hit is not None
         assert not hit.report.correspondence
+
+    def test_search_skips_failures(self, monkeypatch):
+        # an instance whose pairs fail and a pair whose report fails are
+        # skipped, and a search that finds nothing returns None
+        found, reported = [], []
+
+        def pairs(P, n_seeds, rng_seed):
+            found.append(P)
+            if len(found) == 1:
+                raise DualityError("stub failure")
+            return find_critical_pairs(P, n_seeds, rng_seed)
+
+        def fail(P, pair):
+            reported.append(pair)
+            raise DualityError("stub failure")
+        monkeypatch.setattr(baseline, "find_critical_pairs", pairs)
+        monkeypatch.setattr(baseline, "correspondence_report", fail)
+        assert search_correspondence_counterexample(2, 1, 2, 60_000) is None
+        assert len(found) == 2 and len(reported) > 0

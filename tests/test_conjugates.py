@@ -11,6 +11,7 @@ from dcquartic import (
     LeftCstarError,
     NoConvergenceError,
     OutsideCstarError,
+    SingularMatrixError,
     build_bundle,
     classify_case,
     find_critical_pairs,
@@ -117,6 +118,16 @@ class TestJTildeStar:
         val, v0 = j_tilde_star(p_min, [0.0])
         assert val == pytest.approx(0.5, abs=1e-12)
         assert v0 == pytest.approx([1.0], abs=1e-12)
+
+    def test_singular_newton_matrix_raises(self, p_tri, monkeypatch):
+        # at mu = 0 a singular inner Newton matrix raises numpy's
+        # LinAlgError; SingularMatrixError names the barrier's mu > 0
+        monkeypatch.setattr(conjugates, "_inner_matrix",
+                            lambda P, x_bar, *args:
+                            np.zeros((len(x_bar), P.N, P.N)))
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            j_tilde_star(p_tri, [1.0])
+        assert not isinstance(info.value, SingularMatrixError)
 
     def test_grid_oracle_1d(self, p_tri, sqrt2):
         val, _ = j_tilde_star(p_tri, [2 * sqrt2])
@@ -543,6 +554,20 @@ class TestJ2Star:
         with pytest.raises(AStarEmptyError):
             j2_star(P, [1.0, 1.0])
         assert barrier_calls == ["_feasible_a_star_point"]
+
+    def test_flat_margin_raises(self, barrier_calls, monkeypatch):
+        # S(v) = diag(-1, 1 + v): B vanishes on A's negative eigenvector
+        # e1, so lmin(S) = -1 for every v and its subgradient e1'B e1 is
+        # 0; phase 1 stops at its first margin, before any line search
+        P = validate_instance(np.diag([-1.0, 1.0]), np.diag([0.0, 1.0]),
+                              [1.0], [0.0], [0.3, 0.2], 2.0)
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda M: calls.append(M) or eigh(M))
+        with pytest.raises(AStarEmptyError, match="best margin -1.000e"):
+            j2_star(P, [1.0, 1.0])
+        assert barrier_calls == ["_feasible_a_star_point"]
+        assert len(calls) == 1
 
     def test_sup_dominates_members(self, p_min):
         res = j2_star(p_min, [1.0])

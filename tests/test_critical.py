@@ -307,6 +307,25 @@ class TestLift:
         pair = lift_to_dual(p_tri, [sqrt2 + 2.5e-9])
         assert 1e-9 * (1.0 + abs(pair.v_hat[0])) < pair.primal_residual <= 1e-8
 
+    def test_residual_outside_c_star_raises(self):
+        # M(vhat0) = gamma c + K = -4 at x0 = 0: the residuals need
+        # M(vhat0)^{-1}, so the lift leaves them NaN and the call raises
+        P = validate_instance([-1.0], [[1.0]], [1.0], [-5.0], [0.0], 1.0)
+        pair = lift_to_dual(P, [0.0])
+        assert not pair.c_star.inside and pair.c_star.margin == -4.0
+        assert np.isnan(pair.dual_residual_vstar)
+        with pytest.raises(OutsideCstarError):
+            dual_stationarity_residual(P, pair)
+
+    def test_failed_m_factor_raises(self, p_tri, sqrt2, monkeypatch):
+        # M(vhat0) = 2 at x0 = sqrt 2 is inside C*, so a Cholesky factor
+        # that reports a failed pivot there is an error, not a NaN row
+        monkeypatch.setattr(linalg, "cho_factor", lambda M: (
+            np.zeros_like(M), np.zeros(np.shape(M)[:-2], dtype=bool)))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="not positive definite"):
+            lift_to_dual(p_tri, [sqrt2])
+
     def test_gradient_drift_raises(self, p_tri, sqrt2, monkeypatch):
         # a gradient off by 1e-6 reads ~0 at J'(x) = 2 (x - sqrt 2) = -1e-6
         monkeypatch.setattr(critical, "primal_gradient",
@@ -317,21 +336,20 @@ class TestLift:
         # converged, so only row 1 is held to the identity
         lift_to_dual(p_tri, [1.0])
         with pytest.raises(DualityError, match="lift identity violated"):
-            _lift_stack(p_tri, [[1.0], [sqrt2 - 5e-7]], [0, 0])
+            _lift_stack(p_tri, [[1.0], [sqrt2 - 5e-7]])
 
     def test_stack_rows_are_points(self):
         rng = np.random.default_rng(5)
         outside = inside = 0
         for P in iter_ensemble(40, 2024):
-            assert _lift_stack(P, np.empty((0, P.n)), []) == []
+            assert _lift_stack(P, np.empty((0, P.n))) == []
             ms = find_critical_points(P, 12, 7)
             # the critical points and rows far from any, with their C*
             # residuals or the NaN ones outside C*
             X = np.concatenate([np.reshape(ms.points, (-1, P.n)),
                                 3.0 * rng.standard_normal((4, P.n))])
-            its = ms.iterations + [0, 1, 2, 3]
-            for row, x, it in zip(_lift_stack(P, X, its), X, its):
-                pair = lift_to_dual(P, x, newton_iterations=it)
+            for row, x in zip(_lift_stack(P, X), X):
+                pair = lift_to_dual(P, x)
                 for a, b in ((row.x0, pair.x0), (row.v_hat, pair.v_hat),
                              (row.v0_hat, pair.v0_hat)):
                     assert a.tobytes() == b.tobytes()
@@ -340,7 +358,6 @@ class TestLift:
                                  row.dual_residual_v0]).tobytes() \
                     == np.array([pair.primal_residual, pair.dual_residual_vstar,
                                  pair.dual_residual_v0]).tobytes()
-                assert row.newton_iterations == pair.newton_iterations == it
                 # J, J* and the M(vhat0) factor are the one-point
                 # kernels' bits, with NaN outside C*
                 L = np.full((P.n, P.n), np.nan)

@@ -56,8 +56,7 @@ def _probe_inputs(P):
     """The pairs of multistart(P, 12, 7)'s points where a bundle forms,
     their cases and their stacked bundle."""
     ms = multistart(P, 12, 7)
-    pairs = [lift_to_dual(P, x0, newton_iterations=its)
-             for x0, its in zip(ms.points, ms.iterations)]
+    pairs = [lift_to_dual(P, x0) for x0 in ms.points]
     bundle, errors = _bundle_stack(P, pairs)
     pairs = [pair for pair, error in zip(pairs, errors) if error is None]
     case_ids = [case.case_id for case in _classify_stack(P, pairs, bundle)] \
@@ -73,8 +72,8 @@ def case2_pairs():
     for P in [load_instance(SAMPLES / "global_min.json"),
               *iter_ensemble(25, 2024)]:
         ms = multistart(P, 12, 7)
-        for x0, its in zip(ms.points, ms.iterations):
-            pair = lift_to_dual(P, x0, newton_iterations=its)
+        for x0 in ms.points:
+            pair = lift_to_dual(P, x0)
             try:
                 case = classify_case(P, pair, build_bundle(P, pair))
             except DualityError:
@@ -392,8 +391,7 @@ class TestProbes:
         # vhat0; a sample is excluded only when both fail
         P = list(iter_ensemble(48, 2024))[47]
         ms = multistart(P, 12, 7)
-        pair = lift_to_dual(P, ms.points[0],
-                            newton_iterations=ms.iterations[0])
+        pair = lift_to_dual(P, ms.points[0])
         bundle = build_bundle(P, pair)
         evidence = local_extremality_probe(P, pair, 1000, 7, bundle=bundle)
         vs = linalg.ball_samples(np.random.default_rng([7, 1]), pair.v_hat,
@@ -665,8 +663,8 @@ def _ensemble_case2_pair(member):
     member ``member``, at multistart(P, 12, 7)."""
     P = list(iter_ensemble(member + 1, 2024))[member]
     ms = multistart(P, 12, 7)
-    for x0, its in zip(ms.points, ms.iterations):
-        pair = lift_to_dual(P, x0, newton_iterations=its)
+    for x0 in ms.points:
+        pair = lift_to_dual(P, x0)
         case = classify_case(P, pair, build_bundle(P, pair))
         if case.case_id == "case2":
             return P, pair, case, ms.points
@@ -779,3 +777,15 @@ class TestStageFailures:
             assert table[2].split()[2:5] == ["error", "-", "-"]
         else:
             assert rec["case"] == "case2"
+
+
+def test_point_table_elides_long_x0():
+    # x0 prints its first four entries, then "..." when there are more
+    P = generate_instance(5, 2, [7, 5])
+    records, _ = analyze_instance(P, 4, 7, 0)
+    rows = {line.split()[0]: line
+            for line in format_point_table(records).splitlines()[2:]}
+    assert records
+    for r in records:
+        head = ", ".join(f"{v:.6g}" for v in r["x0"][:4])
+        assert rows[str(r["index"])].endswith(f"  [{head}, ...]")

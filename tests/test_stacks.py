@@ -192,13 +192,15 @@ class TestStackRows:
 
 @pytest.mark.parametrize("name", ["global_min.json", "trifecta.json"])
 def test_report_rows_are_the_one_row_calls(name):
-    # a 1-pair and a 3-pair report: each record holds its pair's one-row
-    # bundle, case, chain residual, |alpha1| and baseline
+    # a 1-pair and a 3-pair report: each record holds its point's Newton
+    # iteration count and its pair's one-row bundle, case, chain
+    # residual, |alpha1| and baseline
     P = load_instance(SAMPLES / name)
     records, ms = analyze_instance(P, 32, 7, 0)
     assert len(records) == {"global_min.json": 1, "trifecta.json": 3}[name]
     for record, x0, its in zip(records, ms.points, ms.iterations):
-        pair = lift_to_dual(P, x0, newton_iterations=its)
+        assert record["newton_iterations"] == its
+        pair = lift_to_dual(P, x0)
         bundle = build_bundle(P, pair)
         case = classify_case(P, pair, bundle)
         assert record["case"] == case.case_id
