@@ -132,13 +132,14 @@ def _g2_star_checked(P, v_star, v0_star, L=None):
     if L is None:
         # a margin above eps is far above where a Cholesky pivot can fail
         L, _ = linalg.cho_factor(M)
-    return float(_g2_star_factored(P, v_star, v0_star, L))
+    return float(_g2_star_solved(P, v_star, v0_star,
+                                 linalg.cho_solve(L, v_star)))
 
 
-def _g2_star_factored(P, v_star, v0_star, L):
+def _g2_star_solved(P, v_star, v0_star, x):
     """The G2* formula at a dual pair, or at each row of a stack, given
-    the Cholesky factor L of M(v0*); no membership check."""
-    quad = 0.5 * np.vecdot(v_star, linalg.cho_solve(L, v_star))
+    x = M(v0*)^{-1} v*; no membership check."""
+    quad = 0.5 * np.vecdot(v_star, x)
     return (quad + 0.5 * np.sum(v0_star ** 2 / P.gamma, axis=-1)
             - np.sum(P.c * v0_star, axis=-1))
 
@@ -269,7 +270,7 @@ def _j_star_stack(P, v_stars, v0, L):
     """J* at each row, given the Cholesky factors of M(v0*); nan where
     the eigvalsh-margin C* check of j_star fails."""
     margin, eps = linalg.pd_margin(P.mixed_matrix(v0))
-    g2 = _g2_star_factored(P, v_stars, v0, L)
+    g2 = _g2_star_solved(P, v_stars, v0, linalg.cho_solve(L, v_stars))
     return np.where(margin > eps, g1_star(P, v_stars) - g2, np.nan)
 
 
@@ -294,14 +295,14 @@ def _j_tilde_star_bracket(P, v_stars, starts):
     L, ok = linalg.cho_factor(M)
     rows = np.flatnonzero(ok & (margin > eps))
     v, s, L = v_stars[rows], starts[rows], L[rows]
-    res, _ = _inner_residual(P, v, s, L, 0.0, None)
+    res, x_bar = _inner_residual(P, v, s, L, 0.0, None)
     r_sq = np.sum(P.gamma * res ** 2, axis=1)
     b_sq = np.sum(P.gamma * linalg.spectral_norm_sym(P.B) ** 2)
     rho = 2.0 * np.sqrt(r_sq * b_sq)
     inside = margin[rows] - rho > eps[rows] + linalg.EPS_PD_FACTOR * rho
-    rows, v, s, L, r_sq = (rows[inside], v[inside], s[inside], L[inside],
-                           r_sq[inside])
-    lower[rows] = g1_star(P, v) - _g2_star_factored(P, v, s, L)
+    rows, v, s, x_bar, r_sq = (rows[inside], v[inside], s[inside],
+                               x_bar[inside], r_sq[inside])
+    lower[rows] = g1_star(P, v) - _g2_star_solved(P, v, s, x_bar)
     upper[rows] = lower[rows] + 0.5 * r_sq
     return lower, upper
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .conjugates import (
     Membership,
-    _g2_star_factored,
+    _g2_star_solved,
     _memberships,
     g1_star,
     recover_primal,
@@ -351,9 +351,10 @@ def _lift_stack(P, X):
     m_factor[inside] = L
     j_star, r_vstar, r_v0 = np.full((3, len(X)), np.nan)
     v, v0 = v_hat[inside], v0_hat[inside]
-    j_star[inside] = g1_star(P, v) - _g2_star_factored(P, v, v0, L)
+    x = linalg.cho_solve(L, v)
+    j_star[inside] = g1_star(P, v) - _g2_star_solved(P, v, v0, x)
     r_vstar[inside], r_v0[inside] = _stationarity_residuals(
-        P, X[inside], v, v0, L)
+        P, X[inside], v, v0, x)
     d2j = hessian_from(P, bx, w)
     d2j_w, d2j_eps = linalg.spectrum(d2j)
 
@@ -377,13 +378,12 @@ def lift_to_dual(P, x0):
     return _lift_stack(P, P.require_x(x0)[None])[0]
 
 
-def _stationarity_residuals(P, x0, v_hat, v0_hat, L):
+def _stationarity_residuals(P, x0, v_hat, v0_hat, x):
     """The two dual stationarity residuals at a pair, or per stack row,
-    given the Cholesky factor L of M(v0_hat)."""
-    lhs = recover_primal(P, v_hat)
-    rhs = linalg.cho_solve(L, v_hat)
+    given x = M(v0_hat)^{-1} v_hat."""
     return [np.max(np.abs(r), axis=-1)
-            for r in (lhs - rhs, P.quartic_terms(x0) - v0_hat / P.gamma)]
+            for r in (recover_primal(P, v_hat) - x,
+                      P.quartic_terms(x0) - v0_hat / P.gamma)]
 
 
 def dual_stationarity_residual(P, pair):
@@ -391,7 +391,8 @@ def dual_stationarity_residual(P, pair):
     if not pair.c_star.inside:
         raise OutsideCstarError("lifted multiplier is outside C*")
     return tuple(map(float, _stationarity_residuals(
-        P, pair.x0, pair.v_hat, pair.v0_hat, pair.m_factor)))
+        P, pair.x0, pair.v_hat, pair.v0_hat,
+        linalg.cho_solve(pair.m_factor, pair.v_hat))))
 
 
 def find_critical_pairs(P, n_seeds, rng_seed):

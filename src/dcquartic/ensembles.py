@@ -11,28 +11,24 @@ DIMENSION_RANGE = (1, 6)     # iter_ensemble's n, inclusive
 MULTIPLIER_RANGE = (1, 4)    # iter_ensemble's N, inclusive
 
 
-def _unit_spectral_symmetric(rng, n):
-    S = linalg.symmetrize(rng.standard_normal((n, n)))
-    radius = linalg.spectral_norm_sym(S)
-    if radius > 0.0:
-        S = S / radius
-    return S
-
-
 def generate_instance(n, N, rng_seed, k_margin=1.0, f_scale=1.0,
                       c_range=C_RANGE):
     """Draw one validated random instance.
 
     A and each B_j come from symmetric Gaussian ensembles scaled to unit
-    spectral radius, gamma_j from GAMMA_RANGE, c_j from ``c_range``,
-    f Gaussian, and scalar K = lmax(A) + k_margin (so K I - A has
-    eigenvalue margin at least k_margin).  One draw per seed, never
-    redrawn: a symmetrized Gaussian B_j is never all zero, so the draw
-    passes validation's coercivity check.
+    spectral radius (one (N+1, n, n) draw, A first), gamma_j from
+    GAMMA_RANGE, c_j from ``c_range``, f Gaussian, and scalar
+    K = lmax(A) + k_margin (so K I - A has eigenvalue margin at least
+    k_margin).  One draw per seed, never redrawn: a symmetrized Gaussian
+    B_j is never all zero, so the draw passes validation's coercivity
+    check.
     """
     rng = np.random.default_rng(rng_seed)
-    A = _unit_spectral_symmetric(rng, n)
-    B = np.stack([_unit_spectral_symmetric(rng, n) for _ in range(N)])
+    S = linalg.symmetrize(rng.standard_normal((N + 1, n, n)))
+    radius = linalg.spectral_norm_sym(S)
+    scaled = radius > 0.0
+    S[scaled] /= radius[scaled, None, None]
+    A, B = S[0], S[1:]
     gamma = rng.uniform(*GAMMA_RANGE, size=N)
     c = rng.uniform(*c_range, size=N)
     f = f_scale * rng.standard_normal(n)

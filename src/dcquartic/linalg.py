@@ -20,18 +20,6 @@ EPS_PD_FACTOR = 1e-10
 TOL_FACTOR = 1e-12  # Newton: residual <= TOL_FACTOR (1 + max |iterate|)
 
 
-def sym_deviation(M):
-    """max |M - M^T|, the absolute asymmetry of a square matrix."""
-    M = np.asarray(M, dtype=float)
-    return float(np.max(np.abs(M - M.T))) if M.size else 0.0
-
-
-def is_symmetric(M):
-    M = np.asarray(M, dtype=float)
-    scale = float(np.max(np.abs(M))) if M.size else 0.0
-    return sym_deviation(M) <= SYM_TOL_FACTOR * (1.0 + scale)
-
-
 def symmetrize(M):
     """(M + M^T) / 2 of a matrix, or of each matrix of a stack."""
     M = np.asarray(M, dtype=float)

@@ -11,8 +11,8 @@ together with the convex split J = -G1 + G2(.,0) where
     G2(x, v) = sum_j gamma_j/2 (x^T B_j x / 2 + c_j + v_j)^2 + x^T K x / 2.
 
 K is stored as a matrix; a scalar k is lifted to k*I so that the
-K = A + eps*I sweep needs no second code path.  Instances are immutable
-after validation and safe to share across workers.
+K = A + eps*I sweep needs no second code path.  An instance holds frozen
+copies of its data and is safe to share across workers.
 """
 
 from dataclasses import dataclass, field
@@ -116,7 +116,6 @@ class ProblemInstance:
 
 
 def _as_square(M, n, name):
-    M = np.asarray(M, dtype=float)
     if M.shape == (n, n):
         return M
     if M.size == n * n:
@@ -136,9 +135,16 @@ def validate_instance(A, B, gamma, c, f, K, coercivity_override=False):
     quartic term) and coercivity_override is False; no random numbers
     are drawn.  Passing does not prove J bounded below.
     """
-    f = np.asarray(f, dtype=float).reshape(-1)
-    gamma = np.asarray(gamma, dtype=float).reshape(-1)
-    c = np.asarray(c, dtype=float).reshape(-1)
+    arrays = []
+    for name, x in (("A", A), ("B", B), ("gamma", gamma), ("c", c),
+                    ("f", f), ("K", K)):
+        try:
+            arrays.append(np.array(x, dtype=float))   # the instance's own copy
+        except (TypeError, ValueError) as exc:
+            raise DimensionMismatchError(
+                f"{name} is not a numeric array: {exc}") from exc
+    A, B, gamma, c, f, K = arrays
+    f, gamma, c = f.reshape(-1), gamma.reshape(-1), c.reshape(-1)
     n = f.size
     N = gamma.size
     if n < 1 or N < 1:
@@ -148,7 +154,6 @@ def validate_instance(A, B, gamma, c, f, K, coercivity_override=False):
             f"c must have length {N}, got {c.shape}")
 
     A = _as_square(A, n, "A")
-    B = np.asarray(B, dtype=float)
     if B.shape == (n, n) and N == 1:
         B = B.reshape(1, n, n)
     elif B.size == N * n * n:
@@ -156,26 +161,23 @@ def validate_instance(A, B, gamma, c, f, K, coercivity_override=False):
     else:
         raise DimensionMismatchError(
             f"B must hold {N} matrices of shape {n}x{n}, got shape {B.shape}")
-    if np.isscalar(K) or np.asarray(K).ndim == 0:
-        K = float(K) * np.eye(n)
-    else:
-        K = _as_square(K, n, "K")
+    K = K * np.eye(n) if K.ndim == 0 else _as_square(K, n, "K")
 
     for arr, name in ((A, "A"), (B, "B"), (gamma, "gamma"), (c, "c"),
                       (f, "f"), (K, "K")):
         if not np.all(np.isfinite(arr)):
             raise ValidationError("non-finite", f"{name} has non-finite entries")
 
-    for M, name in ((A, "A"), (K, "K")):
-        if not linalg.is_symmetric(M):
-            raise ValidationError(
-                "asymmetric-matrix",
-                f"{name} asymmetric by {linalg.sym_deviation(M):.3e}")
-    for j in range(N):
-        if not linalg.is_symmetric(B[j]):
-            raise ValidationError(
-                "asymmetric-matrix",
-                f"B[{j}] asymmetric by {linalg.sym_deviation(B[j]):.3e}")
+    # max |M - M^T| of each of A, K, B_1 ... B_N against its own scale
+    mats = np.concatenate([A[None], K[None], B])
+    deviation = np.abs(mats - mats.mT).max(axis=(1, 2))
+    scale = np.abs(mats).max(axis=(1, 2))
+    asymmetric = deviation > linalg.SYM_TOL_FACTOR * (1.0 + scale)
+    if asymmetric.any():
+        k = int(np.argmax(asymmetric))
+        name = "AK"[k] if k < 2 else f"B[{k - 2}]"
+        raise ValidationError("asymmetric-matrix",
+                              f"{name} asymmetric by {deviation[k]:.3e}")
 
     if np.any(gamma <= 0.0):
         bad = int(np.argmin(gamma))

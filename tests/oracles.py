@@ -18,7 +18,9 @@ zooming grid over the multipliers where S and M are positive definite.
 dumps_canonical_recursive is the report writer that the library's
 one-pass dumps_canonical replaced: it renders every value through a
 recursive call, with numpy's isfinite on each float and json.dumps on
-each key and string.
+each key and string.  generate_instance_per_matrix is the instance
+generator that drew, symmetrized and scaled A and each B_j one matrix at
+a time, before generate_instance did it on one stack.
 """
 
 import json
@@ -29,7 +31,7 @@ import scipy.linalg
 from scipy.optimize import brentq
 
 from dcquartic import j2_star, j_star, j_tilde_star, primal_gradient
-from dcquartic import conjugates, linalg
+from dcquartic import conjugates, ensembles, linalg, validate_instance
 from dcquartic.conjugates import INNER_EXTRA_INITS, default_inner_init
 from dcquartic.critical import (
     NEWTON_MAX_BACKTRACKS,
@@ -586,3 +588,23 @@ def dumps_canonical_recursive(obj, indent=0):
     if isinstance(obj, np.ndarray):
         return dumps_canonical_recursive(obj.tolist(), indent)
     raise ParseError(f"cannot serialize object of type {type(obj)!r}")
+
+
+def generate_instance_per_matrix(n, N, rng_seed, k_margin=1.0, f_scale=1.0,
+                                 c_range=ensembles.C_RANGE):
+    """generate_instance with one (n, n) draw per matrix: A, then each
+    B_j, each symmetrized and scaled by its own spectral radius."""
+    rng = np.random.default_rng(rng_seed)
+
+    def unit_spectral_symmetric():
+        S = linalg.symmetrize(rng.standard_normal((n, n)))
+        radius = linalg.spectral_norm_sym(S)
+        return S / radius if radius > 0.0 else S
+
+    A = unit_spectral_symmetric()
+    B = np.stack([unit_spectral_symmetric() for _ in range(N)])
+    gamma = rng.uniform(*ensembles.GAMMA_RANGE, size=N)
+    c = rng.uniform(*c_range, size=N)
+    f = f_scale * rng.standard_normal(n)
+    K = float(np.max(np.linalg.eigvalsh(A))) + k_margin
+    return validate_instance(A, B, gamma, c, f, K)

@@ -58,6 +58,12 @@ class TestValidation:
         ("f", [0.0, np.inf], "non-finite", "f has non-finite"),
         ("B", [[[1.0, 1.0], [0.0, 1.0]]], "asymmetric-matrix",
          "B\\[0\\] asymmetric"),
+        ("K", [[2.0, 1.0], [0.0, 2.0]], "asymmetric-matrix",
+         "K asymmetric by 1.000e\\+00"),
+        ("A", [[1.0, 0.0], [0.0]], "dimension-mismatch",
+         "A is not a numeric array"),
+        ("f", [0.0, "zero"], "dimension-mismatch",
+         "f is not a numeric array"),
     ])
     def test_rejects_malformed_input(self, field, value, reason, message):
         args = {"A": np.eye(2), "B": [np.eye(2)], "gamma": [1.0],
@@ -65,6 +71,17 @@ class TestValidation:
         with pytest.raises(ValidationError, match=message) as err:
             validate_instance(**args)
         assert err.value.reason == reason
+
+    def test_names_the_first_asymmetric_b(self):
+        asym = np.array([[1.0, 2.0], [0.0, 1.0]])
+        rest = ([1.0, 1.0, 1.0], [0.0] * 3, [0.0, 0.0], 3.0)
+        for B, name in (([np.eye(2), asym, np.eye(2)], "B\\[1\\]"),
+                        ([np.eye(2), asym, 2 * asym], "B\\[1\\]"),
+                        ([np.eye(2), np.eye(2), 2 * asym], "B\\[2\\]")):
+            with pytest.raises(ValidationError,
+                               match=f"^{name} asymmetric by") as err:
+                validate_instance(np.eye(2), B, *rest)
+            assert err.value.reason == "asymmetric-matrix"
 
     def test_coercivity_heuristic(self):
         # B = 0 leaves J no quartic term, so the check fails
@@ -96,6 +113,24 @@ class TestValidation:
                 arr[(0,) * arr.ndim] = 5.0
             with pytest.raises(ValueError):
                 arr += 1.0
+
+    def test_caller_arrays_stay_writable(self):
+        A = np.eye(2)
+        validate_instance(A, [np.eye(2)], [1.0], [0.0], [0.0, 0.0], 2.0)
+        A[0, 0] = 5.0
+        assert A[0, 0] == 5.0
+
+    def test_instance_owns_its_data(self):
+        base = np.zeros((2, 2, 2))
+        base[0] = 0.5 * np.eye(2)
+        base[1] = np.eye(2)
+        P = validate_instance(base[0], base[1:], [1.0], [0.0], [0.0, 0.0],
+                              2.0)
+        before = {name: getattr(P, name).copy()
+                  for name in ("A", "B", "K_minus_A", "kma_factor", "BA")}
+        base[:] = 7.0
+        for name, value in before.items():
+            assert np.array_equal(getattr(P, name), value), name
 
 
 class TestPrimalOps:

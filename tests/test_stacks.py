@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from dcquartic import (
+    ProblemInstance,
     curvature,
     find_critical_pairs,
+    generate_instance,
     iter_ensemble,
     lift_to_dual,
     linalg,
@@ -43,6 +45,7 @@ from dcquartic.errors import (
 )
 from dcquartic.gap import _classify_stack, classify_case
 from dcquartic.report import MEMBERSHIP_KEYS, analyze_instance
+from oracles import generate_instance_per_matrix
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
 
@@ -242,3 +245,25 @@ def test_ball_stack_rows_are_the_one_center_balls(n):
     one = linalg.ball_samples(np.random.default_rng([7, 1]), centers[:1],
                               radii[:1], 200)
     assert _same(one[0], stacked[0])
+
+
+def _same_instance(P, Q):
+    for field in dataclasses.fields(ProblemInstance):
+        a, b = getattr(P, field.name), getattr(Q, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), \
+                field.name
+        else:
+            assert a == b, field.name
+
+
+def test_stacked_instance_is_the_per_matrix_draw():
+    for n in range(1, 7):
+        for N in range(1, 5):
+            for seed in ([3, n, N], 11, 2024):
+                _same_instance(generate_instance(n, N, seed),
+                               generate_instance_per_matrix(n, N, seed))
+    # the CLI sweep's largest n and N, and the other keywords
+    options = dict(k_margin=0.25, f_scale=3.0, c_range=(-2.0, 0.5))
+    _same_instance(generate_instance(16, 8, 41, **options),
+                   generate_instance_per_matrix(16, 8, 41, **options))
