@@ -66,9 +66,8 @@ def _j1_star_stack(P, V0):
         f"sum_p (v0*)_p B_p + A is singular (|eig|min = {lo:.3e})")
         if lo <= 1e-12 * (1.0 + scale) else None
         for lo, scale in zip(w.min(-1).tolist(), w.max(-1).tolist())]
-    if any(errors):
-        ok = [error is None for error in errors]
-        S, V0 = S[ok], V0[ok]
+    ok = [error is None for error in errors]
+    S, V0 = S[ok], V0[ok]
     x0 = np.linalg.solve(S, P.f)
     values = (np.vecdot(0.5 * P.f, x0) + 0.5 * (V0 ** 2 / P.gamma).sum(-1)
               - (P.c * V0).sum(-1)).tolist()
@@ -108,9 +107,8 @@ def _correspondence_stack(P, pairs):
     values, _, hessians, out = _j1_star_stack(
         P, np.reshape([pair.v0_hat for pair in pairs], (-1, P.N)))
     rows = [i for i, error in enumerate(out) if error is None]
-    if not rows:
-        return out
-    w, eps = map(np.array, zip(*(pairs[i].d2j_spectrum for i in rows)))
+    w = np.reshape([pairs[i].d2j_spectrum[0] for i in rows], (-1, P.n))
+    eps = np.array([pairs[i].d2j_spectrum[1] for i in rows])
     inertias = zip(linalg.inertia(w, eps).tolist(),
                    linalg.inertia(*linalg.spectrum(hessians)).tolist())
     for k, (i, (primal, baseline)) in enumerate(zip(rows, inertias)):

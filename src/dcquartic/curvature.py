@@ -48,7 +48,7 @@ E_COND_LIMIT = 1e12
 class CurvatureBundle:
     """The chain matrices at one pair, or at each row of a stack of pairs
     (_bundle_stack): then every field but H1, which all rows share, is
-    stacked, and dual_hessian_asymmetry is a list."""
+    stacked, over zero rows when no bundle forms."""
 
     M: np.ndarray
     P1: np.ndarray
@@ -75,8 +75,7 @@ def _map_rows(bundle, take):
 
 def _one_row(bundle):
     """A one-pair bundle viewed as a one-row stack."""
-    return _map_rows(bundle, lambda value: value[None]
-                     if isinstance(value, np.ndarray) else [value])
+    return _map_rows(bundle, lambda value: value[None])
 
 
 def build_bundle(P, pair):
@@ -95,8 +94,9 @@ def build_bundle(P, pair):
 
 def _bundle_stack(P, pairs):
     """build_bundle at each pair, as (bundle, errors): one CurvatureBundle
-    stacked over the pairs where a bundle forms (None when none does),
-    and per pair None or the DualityError that build_bundle raises there.
+    stacked over the pairs where a bundle forms (zero rows when none
+    does), and per pair None or the DualityError that build_bundle
+    raises there.
 
     The unconverged rows and the rows outside C* are decided from the
     lift before any numerics, and the rows of a degenerate E after one
@@ -117,12 +117,9 @@ def _bundle_stack(P, pairs):
         else:
             errors.append(None)
     rows = [i for i, error in enumerate(errors) if error is None]
-    if not rows:
-        return None, errors
-
-    x0 = np.array([pairs[i].x0 for i in rows])
-    v0 = np.array([pairs[i].v0_hat for i in rows])
-    L = np.array([pairs[i].m_factor for i in rows])
+    x0 = np.reshape([pairs[i].x0 for i in rows], (-1, P.n))
+    v0 = np.reshape([pairs[i].v0_hat for i in rows], (-1, P.N))
+    L = np.reshape([pairs[i].m_factor for i in rows], (-1, P.n, P.n))
     eye = np.eye(P.n)
     M_inv = linalg.symmetrize(linalg.cho_solve(L, eye[None].repeat(len(L), 0)))
     p1 = P.bx_columns(x0)                   # k x n x N
@@ -139,12 +136,9 @@ def _bundle_stack(P, pairs):
                 f"inner curvature matrix condition number "
                 f"{hi / lo if lo > 0 else np.inf:.3e} exceeds "
                 f"{E_COND_LIMIT:.0e}")
-    if not any(keep):
-        return None, errors
-    if not all(keep):
-        rows = [i for i, k in zip(rows, keep) if k]
-        x0, v0, M_inv, p2, E = (a[keep] for a in (x0, v0, M_inv, p2, E))
-        p1 = P.bx_columns(x0)   # the view layout that a row gets alone
+    rows = [i for i, k in zip(rows, keep) if k]
+    x0, v0, M_inv, p2, E = (a[keep] for a in (x0, v0, M_inv, p2, E))
+    p1 = P.bx_columns(x0)   # the view layout that a row gets alone
 
     M = P.mixed_matrix(v0)
     E_bar = linalg.symmetrize(np.linalg.inv(E))
@@ -155,12 +149,12 @@ def _bundle_stack(P, pairs):
     alpha1 = -M_inv @ alpha @ M
     H1 = linalg.symmetrize(linalg.cho_solve(P.kma_factor, eye))
     dual_hessian = -M_inv + H1 + M_inv @ H3   # kept unsymmetrized on purpose
-    d2j = np.array([pairs[i].d2j for i in rows])
+    d2j = np.reshape([pairs[i].d2j for i in rows], (-1, P.n, P.n))
     return CurvatureBundle(
         M=M, P1=p1, P2=p2, E=E, E_bar=E_bar, H3=H3, B_hat=B_hat, D=D,
         alpha=alpha, alpha1=alpha1, H2=M_inv, dual_hessian=dual_hessian,
         dual_hessian_asymmetry=np.abs(dual_hessian - dual_hessian.mT).max(
-            axis=(-2, -1)).tolist(),
+            axis=(-2, -1)),
         H1=H1, shifted=d2j + P.K_minus_A @ alpha1), errors
 
 

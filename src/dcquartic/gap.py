@@ -384,26 +384,23 @@ def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
             "alpha1_norm": float("nan"),
             "ka_alpha1_norm": float("nan"),
             "bundle_error": None,
-            "in_c_star": False,
+            "in_c_star": pair.c_star.inside,
             "base_point": i,
         } for i, pair in enumerate(pairs)]
-        inside = [i for i, pair in enumerate(pairs) if pair.c_star.inside]
-        for i in inside:
-            records[i]["in_c_star"] = True
-            records[i]["gap"] = verify_zero_gap(P_eps, pairs[i])
-        bundle, errors = _bundle_stack(P_eps, [pairs[i] for i in inside])
-        for i, error in zip(inside, errors):
-            if error is not None:
-                records[i]["bundle_error"] = str(error)
-        if bundle is not None:
-            formed = [i for i, error in zip(inside, errors) if error is None]
-            alpha1 = bundle.alpha1
-            for i, chain, a1, ka in zip(
-                    formed, _chain_stack(bundle).tolist(),
-                    linalg.frobenius_norm(alpha1).tolist(),
-                    linalg.frobenius_norm(P_eps.K_minus_A @ alpha1).tolist()):
-                records[i].update(chain_residual=chain, alpha1_norm=a1,
-                                  ka_alpha1_norm=ka)
+        bundle, errors = _bundle_stack(P_eps, pairs)
+        for record, pair, error in zip(records, pairs, errors):
+            if pair.c_star.inside:
+                record["gap"] = verify_zero_gap(P_eps, pair)
+                if error is not None:
+                    record["bundle_error"] = str(error)
+        formed = [i for i, error in enumerate(errors) if error is None]
+        alpha1 = bundle.alpha1
+        for i, chain, a1, ka in zip(
+                formed, _chain_stack(bundle).tolist(),
+                linalg.frobenius_norm(alpha1).tolist(),
+                linalg.frobenius_norm(P_eps.K_minus_A @ alpha1).tolist()):
+            records[i].update(chain_residual=chain, alpha1_norm=a1,
+                              ka_alpha1_norm=ka)
         sp.pairs.extend(records)
         points.append(sp)
 

@@ -112,7 +112,7 @@ def frobenius_norm(M):
     stack, bit for bit for C-ordered input: the square root of one dot
     of the entries."""
     M = np.asarray(M, dtype=float)
-    flat = M.reshape(M.shape[:-2] + (-1,))
+    flat = M.reshape(M.shape[:-2] + (M.shape[-2] * M.shape[-1],))
     return np.sqrt(np.vecdot(flat, flat))
 
 

@@ -54,13 +54,11 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
     pairs = _lift_stack(P, np.reshape(ms.points, (-1, P.n)))
     bundle, errors = _bundle_stack(P, pairs)
     formed = [i for i, error in enumerate(errors) if error is None]
-    stages = {}
-    if bundle is not None:
-        stages = dict(zip(formed, zip(
-            _classify_stack(P, [pairs[i] for i in formed], bundle),
-            _chain_stack(bundle).tolist(),
-            linalg.frobenius_norm(bundle.alpha1).tolist(),
-            bundle.dual_hessian_asymmetry)))
+    stages = dict(zip(formed, zip(
+        _classify_stack(P, [pairs[i] for i in formed], bundle),
+        _chain_stack(bundle).tolist(),
+        linalg.frobenius_norm(bundle.alpha1).tolist(),
+        bundle.dual_hessian_asymmetry.tolist())))
 
     records = []
     for idx, pair in enumerate(pairs):
@@ -113,7 +111,7 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
             "correspondence": base.correspondence,
             "ab_matrix_pd": base.ab_matrix_pd,
         }
-    if n_samples > 0 and bundle is not None:
+    if n_samples > 0:
         probes = local_extremality_probes(
             P, [pairs[i] for i in formed], n_samples, rng_seed,
             [stages[i][0].case_id for i in formed], bundle)

@@ -59,8 +59,7 @@ def _probe_inputs(P):
     pairs = [lift_to_dual(P, x0) for x0 in ms.points]
     bundle, errors = _bundle_stack(P, pairs)
     pairs = [pair for pair, error in zip(pairs, errors) if error is None]
-    case_ids = [case.case_id for case in _classify_stack(P, pairs, bundle)] \
-        if pairs else []
+    case_ids = [case.case_id for case in _classify_stack(P, pairs, bundle)]
     return pairs, case_ids, bundle
 
 
@@ -694,7 +693,8 @@ class TestEpsilonSweep:
         rep = epsilon_sweep(p_tri, [0.1], 7)
         assert all(rec["bundle_error"] is None for rec in rep.points[0].pairs)
         monkeypatch.setattr(gap, "_bundle_stack", lambda P, pairs: (
-            None, [DualityError("stub failure") for _ in pairs]))
+            _bundle_stack(P, [])[0],
+            [DualityError("stub failure") for _ in pairs]))
         rep = epsilon_sweep(p_tri, [0.1], 7)
         inside = [rec for rec in rep.points[0].pairs if rec["in_c_star"]]
         assert inside
@@ -760,7 +760,7 @@ class TestStageFailures:
             raise DualityError("stub failure")
         if name == "build_bundle":
             monkeypatch.setattr("dcquartic.report._bundle_stack",
-                                lambda P, pairs: (None, [
+                                lambda P, pairs: (_bundle_stack(P, [])[0], [
                                     DualityError("stub failure")
                                     for _ in pairs]))
         else:

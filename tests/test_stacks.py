@@ -6,6 +6,7 @@ gets the error, and the message, that its one-row call raises, and the
 other rows do not change."""
 
 import dataclasses
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -88,23 +89,25 @@ def _check_rows(P, pairs):
     its error, and the baseline rows."""
     bundle, errors = _bundle_stack(P, pairs)
     formed = [k for k, error in enumerate(errors) if error is None]
-    assert (bundle is None) == (not formed)
+    assert all(len(getattr(bundle, f.name)) == len(formed)
+               for f in dataclasses.fields(bundle) if f.name != "H1")
     bundles = list(errors)
     for j, k in enumerate(formed):
         bundles[k] = _row(bundle, j)
     for pair, row in zip(pairs, bundles):
         assert _same(row, _alone(build_bundle, P, pair))
-    if formed:
-        held_pairs = [pairs[k] for k in formed]
-        held = [bundles[k] for k in formed]
-        for case, pair, one in zip(
-                _classify_stack(P, held_pairs, bundle), held_pairs, held):
-            assert _same(case, classify_case(P, pair, one))
-        assert _same(_chain_stack(bundle), np.array(
-            [verify_chain_identity(P, pair, one)
-             for pair, one in zip(held_pairs, held)]))
-        assert _same(linalg.frobenius_norm(bundle.alpha1), np.array(
-            [np.linalg.norm(one.alpha1, "fro") for one in held]))
+    # a stack where no bundle forms has zero rows, and so has each stage
+    held_pairs = [pairs[k] for k in formed]
+    held = [bundles[k] for k in formed]
+    cases = _classify_stack(P, held_pairs, bundle)
+    assert len(cases) == len(formed)
+    for case, pair, one in zip(cases, held_pairs, held):
+        assert _same(case, classify_case(P, pair, one))
+    assert _same(_chain_stack(bundle), np.array(
+        [verify_chain_identity(P, pair, one)
+         for pair, one in zip(held_pairs, held)]))
+    assert _same(linalg.frobenius_norm(bundle.alpha1), np.array(
+        [np.linalg.norm(one.alpha1, "fro") for one in held]))
 
     V0 = np.reshape([pair.v0_hat for pair in pairs], (-1, P.N))
     values, gradients, hessians, errors = _j1_star_stack(P, V0)
@@ -138,6 +141,7 @@ class TestStackRows:
         assert rows == 62 and failures == 13
 
     def test_one_row_stacks(self, p_tri, sqrt2):
+        # x0 = 1 is not critical: a stack with no bundle row
         for x in ([-sqrt2], [0.0], [sqrt2], [1.0]):
             _check_rows(p_tri, [lift_to_dual(p_tri, x)])
 
@@ -159,6 +163,9 @@ class TestStackRows:
             "DualityError", "SingularMatrixError"]
         assert "matching definiteness" in str(baselines[3])
         assert isinstance(baselines[0], SingularMatrixError)
+        # no row of j1_star's stack is invertible
+        _, baselines = _check_rows(p_tri, [pairs[0], pairs[4]])
+        assert [type(b) for b in baselines] == [SingularMatrixError] * 2
 
     def test_outside_c_star_row(self, sqrt2):
         # c = -2 puts x0 = 0's multiplier past the C* boundary, while
@@ -177,6 +184,7 @@ class TestStackRows:
         bundles, _ = _check_rows(P, pairs)
         assert [type(b) for b in bundles] == [
             DegenerateCriticalPointError, NotConvergedPairError]
+        assert _bundle_stack(P, pairs)[0].E.shape == (0, 2, 2)
         # a condition limit between the conditions of E at a member's
         # pairs makes its worst-conditioned pair degenerate among formed
         # rows
@@ -216,16 +224,37 @@ def test_report_rows_are_the_one_row_calls(name):
                      bundle.dual_hessian_asymmetry)
         assert record["membership"] == {
             key: getattr(case, key) for key in MEMBERSHIP_KEYS}
-        base = _alone(correspondence_report, P, pair)
-        if isinstance(base, DualityError):
-            assert record["errors"]["baseline"] == str(base)
-        else:
-            assert _same(record["baseline"]["minus_j1_value"],
-                         base.minus_j1_value)
-            assert record["baseline"]["primal_inertia"] \
-                == list(base.primal_hessian_inertia)
-            assert record["baseline"]["baseline_inertia"] \
-                == list(base.baseline_hessian_inertia)
+        _check_baseline(record, P, pair)
+
+
+def _check_baseline(record, P, pair):
+    """Assert that a report record holds the pair's one-row baseline."""
+    base = _alone(correspondence_report, P, pair)
+    if isinstance(base, DualityError):
+        assert record["errors"]["baseline"] == str(base)
+    else:
+        assert _same(record["baseline"]["minus_j1_value"],
+                     base.minus_j1_value)
+        assert record["baseline"]["primal_inertia"] \
+            == list(base.primal_hessian_inertia)
+        assert record["baseline"]["baseline_inertia"] \
+            == list(base.baseline_hessian_inertia)
+
+
+def test_reports_with_no_bundle_row():
+    # acceptance-ensemble member 14 has a point but no bundle row, and
+    # member 24 has no point: the report runs every stage on zero rows
+    members = itertools.islice(iter_ensemble(200, 2024), 14, 25, 10)
+    for P, n_points in zip(members, (1, 0)):
+        records, ms = analyze_instance(P, 12, 7, 50)
+        assert len(records) == len(ms.points) == n_points
+        for record, x0 in zip(records, ms.points):
+            pair = lift_to_dual(P, x0)
+            assert record["errors"]["bundle"] \
+                == str(_alone(build_bundle, P, pair))
+            assert record["case"] is record["chain_residual"] \
+                is record["probe"] is None
+            _check_baseline(record, P, pair)
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -245,6 +274,22 @@ def test_ball_stack_rows_are_the_one_center_balls(n):
     one = linalg.ball_samples(np.random.default_rng([7, 1]), centers[:1],
                               radii[:1], 200)
     assert _same(one[0], stacked[0])
+
+
+@pytest.mark.parametrize("call", [
+    linalg.symmetrize, linalg.spectrum, linalg.pd_margin, linalg.cho_factor,
+    lambda M: linalg.cho_solve(M, M), lambda M: linalg.cho_solve(M, M[..., 0]),
+    linalg.spectral_norm_sym, lambda M: linalg.inertia(*linalg.spectrum(M)),
+    linalg.frobenius_norm,
+    lambda M: linalg.ball_samples(np.random.default_rng(7), M[..., 0],
+                                  np.zeros(0), 5),
+], ids=["symmetrize", "spectrum", "pd_margin", "cho_factor", "cho_solve",
+        "cho_solve_vector", "spectral_norm_sym", "inertia", "frobenius_norm",
+        "ball_samples"])
+def test_linalg_helpers_take_a_zero_row_stack(call):
+    out = call(np.empty((0, 3, 3)))
+    for value in out if isinstance(out, tuple) else (out,):
+        assert value.shape[0] == 0
 
 
 def _same_instance(P, Q):

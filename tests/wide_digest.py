@@ -1,0 +1,67 @@
+"""One sha256 over a wide set of report texts, to check that a change
+leaves every report byte for byte as it was.
+
+    python tests/wide_digest.py
+
+Hashes, in this order, the dumps_canonical text of
+  - analyze_instance(P, 12, 7, 50 if k < 60 else 0)[0] for the 200
+    members k of iter_ensemble(200, 2024);
+  - build_run_report(P, 32, seed, 1000) for trifecta.json and then
+    global_min.json, each at seeds 3, 7 and 11;
+  - dataclasses.asdict(epsilon_sweep(...)) of 20 generated instances
+    at eps 0.5, 0.1, 0.01, 0.0 and 0.001.
+Prints the digest, then how many members form no bundle row and how
+many valid sweep points have no pair in C*.  Run it at two commits and
+compare the digests.  Pins one BLAS thread before numpy is imported
+and needs only numpy and the library.  Not collected by pytest: the
+file has no test_ prefix.
+"""
+
+import dataclasses
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def main():
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"   # before numpy is imported
+    sys.path.insert(0, str(ROOT / "src"))
+    from dcquartic import (
+        epsilon_sweep,
+        generate_instance,
+        iter_ensemble,
+        load_instance,
+    )
+    from dcquartic.instancefile import dumps_canonical
+    from dcquartic.report import analyze_instance, build_run_report
+
+    digest = hashlib.sha256()
+    no_row = 0
+    for k, P in enumerate(iter_ensemble(200, 2024)):
+        records = analyze_instance(P, 12, 7, 50 if k < 60 else 0)[0]
+        no_row += all(record["case"] is None for record in records)
+        digest.update(dumps_canonical(records).encode())
+    for name in ("trifecta.json", "global_min.json"):
+        P = load_instance(ROOT / "sample_instances" / name)
+        for seed in (3, 7, 11):
+            digest.update(
+                dumps_canonical(build_run_report(P, 32, seed, 1000)).encode())
+    no_inside = 0
+    for i in range(20):
+        P = generate_instance(2 + i % 3, 1 + i % 3, [5, i])
+        sweep = epsilon_sweep(P, [0.5, 0.1, 0.01, 0.0, 0.001], 3, n_seeds=12)
+        no_inside += sum(point.ok and not any(
+            record["in_c_star"] for record in point.pairs)
+            for point in sweep.points)
+        digest.update(dumps_canonical(dataclasses.asdict(sweep)).encode())
+    print(digest.hexdigest())
+    print(f"{no_row} members form no bundle row")
+    print(f"{no_inside} valid sweep points have no pair in C*")
+
+
+if __name__ == "__main__":
+    main()
