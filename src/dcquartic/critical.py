@@ -268,13 +268,13 @@ def _pencil_seeds(P):
     grad J(x) = 0 holds iff S(v) x = -f with v = gamma (x'Bx/2 + c).
     Where S(v) is invertible, these v are the real eigenvalues of the
     (2n+1) pencil M0 + v M1, M0 = [[-B, A, 0], [A, 0, -f], [0, f', 2c]],
-    M1 = [[0, B, 0], [B, 0, 0], [0, 0, -2/gamma]]; x = -S(v)^{-1} f is
-    kept where v = gamma (x'Bx/2 + c) holds.  Where S(v) is singular and
-    f is orthogonal to a null vector z (the hard case), x = x_p + alpha z
+    M1 = [[0, B, 0], [B, 0, 0], [0, 0, -2/gamma]], and every finite
+    x = -S(v)^{-1} f is a seed.  Where S(v) is singular and f is
+    orthogonal to a null vector z (the hard case), x = x_p + alpha z
     with x_p = -S(v)^+ f the least-norm solution, for each real root
-    alpha of v = gamma (x'Bx/2 + c).  The condition numbers are 1-norm
-    ones and S(v)^+ comes from eigh: an SVD would load LAPACK code that
-    nothing else here uses and add to the resident size.
+    alpha of v = gamma (x'Bx/2 + c).  _distinct's polish alone decides
+    which seeds are critical.  Condition numbers are 1-norm, and S(v)^+
+    is from eigh: an SVD would load unused LAPACK code into memory.
     """
     n, A, B, f = P.n, P.A, P.B[0], P.f
     c, gamma = float(P.c[0]), float(P.gamma[0])
@@ -292,8 +292,7 @@ def _pencil_seeds(P):
     v, _ = _real_shifted(M, M1, sigma)
     # x = -S(v)^{-1} f per row, NaN (so not kept) where S(v) is singular
     x = _newton_steps(P.ab_matrix(v[:, None]), np.tile(f, (len(v), 1)))
-    w = 0.5 * np.vecdot(x @ B, x) + c
-    seeds = [x[np.abs(v - gamma * w) <= PENCIL_TOL * (1.0 + np.abs(v))]]
+    seeds = [x[np.isfinite(x).all(axis=1)]]
     scale = PENCIL_TOL * (1.0 + np.abs(f).max())
     for v_hard, z in zip(*_real_shifted(S, B, sigma)):
         z = z / np.linalg.norm(z)

@@ -140,7 +140,7 @@ def validate_instance(A, B, gamma, c, f, K, coercivity_override=False):
                     ("f", f), ("K", K)):
         try:
             arrays.append(np.array(x, dtype=float))   # the instance's own copy
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DimensionMismatchError(
                 f"{name} is not a numeric array: {exc}") from exc
     A, B, gamma, c, f, K = arrays

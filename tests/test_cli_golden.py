@@ -9,8 +9,14 @@ sweep and of one ``--eps-list`` sweep.
 The digests were recorded with numpy 2.4.6 and OpenBLAS 0.3.31
 (scipy-openblas, x86-64), with one BLAS thread or the default.
 Another build of these libraries may round differently and fail here
-with no fault in the code.  Re-pin a digest only for a change that is
-meant to move the printed text, with the reason recorded in CHANGES.md.
+with no fault in the code.  So may another kernel of the same build:
+the digests hold for the SkylakeX kernel, which OpenBLAS picks on an
+AVX-512 CPU, and ``OPENBLAS_CORETYPE`` forces another one.  Under
+Haswell (an AVX2 CPU without AVX-512) or Sandybridge, the ``chain``
+tables of the two generated instances and one sweep (two under
+Sandybridge) fail (ROADMAP.md, State, lists the failures).  Re-pin a
+digest only for a change that is meant to move the printed text, with
+the reason recorded in CHANGES.md.
 """
 
 import hashlib

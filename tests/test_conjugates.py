@@ -269,19 +269,24 @@ class TestJTildeStarStack:
         assert excluded > 0 and rescued > 0
 
     def test_chunks_match_one_stack(self, monkeypatch):
-        # acceptance-ensemble member 11 (n = 3, N = 1): its 50-sample
-        # probe samples make 150 rows, and 4 first starts fail there (a
-        # fallback start rescues 1, 3 come back nan).  Solved 7 rows per
-        # chunk, every row keeps the one-chunk bits.
-        P = list(iter_ensemble(12, 2024))[11]
-        pairs = [pair for pair in find_critical_pairs(P, 12, 7)
-                 if pair.converged and in_C_star(P, pair.v0_hat).inside]
-        vs, starts = _probe_samples(P, pairs, 50, 7)
-        values, argmaxes = j_tilde_star(P, vs, init=starts)
-        _, _, first_status = _inner_newton_stack(P, vs, starts)
-        assert vs.shape == (150, 3)
-        assert np.sum(first_status != SOLVED) == 4
-        assert np.sum(np.isnan(values)) == 3
+        # the first acceptance-ensemble member whose 50-sample probe
+        # samples hold a failing first start and a nan row: member 11
+        # (n = 3, N = 1, 150 rows) under every OpenBLAS kernel tried,
+        # though how many starts fail there depends on the kernel.
+        # Solved 7 rows per chunk, every row keeps the one-chunk bits.
+        for P in iter_ensemble(200, 2024):
+            pairs = [pair for pair in find_critical_pairs(P, 12, 7)
+                     if pair.converged and in_C_star(P, pair.v0_hat).inside]
+            if not pairs:
+                continue
+            vs, starts = _probe_samples(P, pairs, 50, 7)
+            values, argmaxes = j_tilde_star(P, vs, init=starts)
+            _, _, first_status = _inner_newton_stack(P, vs, starts)
+            if (first_status != SOLVED).any() and np.isnan(values).any():
+                break
+        else:
+            pytest.fail("no member has a failing start and a nan row")
+        assert len(vs) > 7
         monkeypatch.setattr(conjugates, "STACK_ENTRIES", 7 * P.n * P.n)
         chunked_values, chunked_argmaxes = j_tilde_star(P, vs, init=starts)
         assert np.array_equal(chunked_values, values, equal_nan=True)

@@ -216,6 +216,22 @@ class TestPencilRoute:
             assert _near(Q @ [sign * np.sqrt(35 / 18), -1 / 3], ms.points,
                          1e-12)
 
+    @pytest.mark.parametrize("seed, kwargs", [
+        ([99, 86], dict(k_margin=0.1, c_range=(-10.0, 10.0))),
+        ([99, 1], dict(k_margin=1e-3)),
+    ], ids=["wide-c", "near-singular-k"])
+    def test_ill_conditioned_s_keeps_every_point(self, seed, kwargs):
+        # at two of the three points S(v) has an eigenvalue near 1e-4, so
+        # x = -S(v)^{-1} f misses v = gamma w(x) by 1.2e-7 (wide-c, two
+        # saddles) or 3.8e-8 (near-singular-k, both minima); one Newton
+        # step still takes each such seed to its point
+        P = generate_instance(2, 1, seed, f_scale=0.01, **kwargs)
+        ms = find_critical_points(P, 12, 7)
+        oracle = multistart(P, 400, 11).points
+        assert len(ms.points) == len(oracle) == 3 and ms.n_dropped == 0
+        assert all(_near(x, oracle, 1e-9) for x in ms.points)
+        assert all(_near(y, ms.points, 1e-9) for y in oracle)
+
     def test_singular_b(self):
         # B = Q diag(1, 0) Q': in the rotated frame y2 = 2/10 and
         # y1 = -3/10 / t for each root t = v - 1 of t^3 + 4/5 t^2 - 9/200,

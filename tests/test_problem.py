@@ -64,6 +64,10 @@ class TestValidation:
          "A is not a numeric array"),
         ("f", [0.0, "zero"], "dimension-mismatch",
          "f is not a numeric array"),
+        # a Python int outside the float range overflows in the conversion
+        ("A", [[10**400]], "dimension-mismatch", "A is not a numeric array"),
+        pytest.param("K", 10**400, "dimension-mismatch",
+                     "K is not a numeric array", id="K-10**400"),
     ])
     def test_rejects_malformed_input(self, field, value, reason, message):
         args = {"A": np.eye(2), "B": [np.eye(2)], "gamma": [1.0],

@@ -11,8 +11,10 @@ Hashes, in this order, the dumps_canonical text of
   - dataclasses.asdict(epsilon_sweep(...)) of 20 generated instances
     at eps 0.5, 0.1, 0.01, 0.0 and 0.001.
 Prints the digest, then how many members form no bundle row and how
-many valid sweep points have no pair in C*.  Run it at two commits and
-compare the digests.  Pins one BLAS thread before numpy is imported
+many valid sweep points have no pair in C*, then one sha256 for each of
+the three groups (members, sample reports, sweeps) over the same texts
+in the same order, to show which group moved.  Run it at two commits
+and compare the digests.  Pins one BLAS thread before numpy is imported
 and needs only numpy and the library.  Not collected by pytest: the
 file has no test_ prefix.
 """
@@ -40,16 +42,23 @@ def main():
     from dcquartic.report import analyze_instance, build_run_report
 
     digest = hashlib.sha256()
+    groups = {name: hashlib.sha256()
+              for name in ("members", "samples", "sweeps")}
+
+    def update(group, doc):
+        text = dumps_canonical(doc).encode()
+        digest.update(text)
+        groups[group].update(text)
+
     no_row = 0
     for k, P in enumerate(iter_ensemble(200, 2024)):
         records = analyze_instance(P, 12, 7, 50 if k < 60 else 0)[0]
         no_row += all(record["case"] is None for record in records)
-        digest.update(dumps_canonical(records).encode())
+        update("members", records)
     for name in ("trifecta.json", "global_min.json"):
         P = load_instance(ROOT / "sample_instances" / name)
         for seed in (3, 7, 11):
-            digest.update(
-                dumps_canonical(build_run_report(P, 32, seed, 1000)).encode())
+            update("samples", build_run_report(P, 32, seed, 1000))
     no_inside = 0
     for i in range(20):
         P = generate_instance(2 + i % 3, 1 + i % 3, [5, i])
@@ -57,10 +66,12 @@ def main():
         no_inside += sum(point.ok and not any(
             record["in_c_star"] for record in point.pairs)
             for point in sweep.points)
-        digest.update(dumps_canonical(dataclasses.asdict(sweep)).encode())
+        update("sweeps", dataclasses.asdict(sweep))
     print(digest.hexdigest())
     print(f"{no_row} members form no bundle row")
     print(f"{no_inside} valid sweep points have no pair in C*")
+    for name, group in groups.items():
+        print(f"{name:8} {group.hexdigest()}")
 
 
 if __name__ == "__main__":
