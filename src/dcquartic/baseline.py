@@ -24,6 +24,7 @@ import numpy as np
 from . import linalg
 from .critical import find_critical_pairs
 from .errors import DualityError, SingularMatrixError
+from .problem import _finite
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,11 @@ def j1_star(P, v0_star):
     {x0^T B_j S^{-1} B_k x0 + delta_jk / gamma_j}, symmetric by
     construction.  Requires only invertibility of S: raises
     SingularMatrixError when its smallest |eigenvalue| is at most
-    1e-12 (1 + its largest).
+    1e-12 (1 + its largest), and ValidationError("non-finite") for a
+    NaN or inf v0*.
     """
     value, gradient, hessian, singular = _j1_star_stack(
-        P, P.require_v0(v0_star)[None])
+        P, _finite(P.require_v0(v0_star), "v0_star")[None])
     if singular[0] is not None:
         raise singular[0]
     return value[0], gradient[0], hessian[0]

@@ -43,6 +43,7 @@ from .errors import (
     OutsideCstarError,
     SingularMatrixError,
 )
+from .problem import _finite
 
 INNER_MAX_ITER = 100
 INNER_MAX_BACKTRACKS = 40
@@ -78,13 +79,16 @@ def _membership(M):
 
 
 def in_C_star(P, v0_star):
-    """Is M(v0*) positive definite?"""
-    return _membership(P.mixed_matrix(P.require_v0(v0_star)))
+    """Is M(v0*) positive definite?  A NaN or inf v0* raises
+    ValidationError("non-finite"), here and in in_B_star."""
+    return _membership(P.mixed_matrix(_finite(P.require_v0(v0_star),
+                                              "v0_star")))
 
 
 def in_B_star(P, v0_star):
     """Is A + sum_j (v0*)_j B_j positive definite?"""
-    return _membership(P.ab_matrix(P.require_v0(v0_star)))
+    return _membership(P.ab_matrix(_finite(P.require_v0(v0_star),
+                                           "v0_star")))
 
 
 def in_A_star(P, v0_star):
@@ -113,9 +117,11 @@ def g1_star(P, v_star):
 def g2_star(P, v_star, v0_star):
     """Conjugate of G2 at the dual pair (v*, v0*).
 
-    Raises OutsideCstarError when M(v0*) is not positive definite.
+    Raises OutsideCstarError when M(v0*) is not positive definite, and
+    ValidationError("non-finite") for a NaN or inf v* or v0*.
     """
-    return _g2_star_checked(P, P.require_x(v_star), P.require_v0(v0_star))
+    return _g2_star_checked(P, _finite(P.require_x(v_star), "v_star"),
+                            _finite(P.require_v0(v0_star), "v0_star"))
 
 
 def _g2_star_checked(P, v_star, v0_star, L=None):
@@ -146,7 +152,8 @@ def _g2_star_solved(P, v_star, v0_star, x):
 
 def j_star(P, v_star, v0_star):
     """J*(v*, v0*) = G1*(v*) - G2*(v*, v0*) at one dual pair."""
-    return g1_star(P, P.require_x(v_star)) - g2_star(P, v_star, v0_star)
+    g2 = g2_star(P, v_star, v0_star)
+    return g1_star(P, P.require_x(v_star)) - g2
 
 
 def default_inner_init(P, v_star):
@@ -361,10 +368,13 @@ def j_tilde_star(P, v_star, init=None):
     LeftCstarError, NoConvergenceError or OutsideCstarError.  For a stack
     returns (values, argmaxes), with nan rows where the solve fails; one
     row failing leaves the others as they are.  An init of any other
-    shape raises DimensionMismatchError.
+    shape raises DimensionMismatchError, and a NaN or inf point or init
+    of one point raises ValidationError("non-finite").
     """
     v_stars = P.require_points(v_star)
     single = v_stars.ndim == 1
+    if single:
+        _finite(v_stars, "v_star")
     inits = default_inner_init(P, v_stars) if init is None \
         else np.asarray(init, dtype=float)
     if inits.ndim < 2:
@@ -376,6 +386,8 @@ def j_tilde_star(P, v_star, init=None):
             f"expected a multiplier of length {P.N} or an ({S}, {P.N}) "
             f"stack of starts, got shape {inits.shape}")
     inits = np.broadcast_to(inits, (S, P.N))
+    if single:
+        _finite(inits, "init")
     values, argmaxes = np.full(S, np.nan), np.full((S, P.N), np.nan)
     status = np.full(S, SOLVED)
     rows = max(1, STACK_ENTRIES // (P.n * P.n))
@@ -459,12 +471,14 @@ def j2_star(P, v_star, init=None):
     barrier-path limit value is returned tagged boundary_attained; so is
     the barrier end point whenever the polish converges beyond A*.
     Raises AStarEmptyError when no strictly feasible A* start is found
-    near ``init``, and SingularMatrixError when a barrier Newton matrix
-    is singular.
+    near ``init``, SingularMatrixError when a barrier Newton matrix
+    is singular, and ValidationError("non-finite") for a NaN or inf v*
+    or init.
     """
-    v_star = P.require_x(v_star)
+    v_star = _finite(P.require_x(v_star), "v_star")
     g1 = g1_star(P, v_star)
-    v0 = P.require_v0(init) if init is not None else default_inner_init(P, v_star)
+    v0 = _finite(P.require_v0(init), "init") if init is not None \
+        else default_inner_init(P, v_star)
     polished = _polish(P, v_star, v0)
     beyond = False
     if polished is None or polished[2] < BOUNDARY_MARGIN:

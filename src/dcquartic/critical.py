@@ -25,7 +25,13 @@ from .conjugates import (
     recover_primal,
 )
 from .errors import DualityError, OutsideCstarError
-from .problem import gradient_from, hessian_from, primal_gradient, primal_value
+from .problem import (
+    _finite,
+    gradient_from,
+    hessian_from,
+    primal_gradient,
+    primal_value,
+)
 
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_BACKTRACKS = 40
@@ -187,8 +193,9 @@ def _solve_stack(P, X):
 
 def solve_primal_critical(P, x_init):
     """Damped Newton on grad J from one start: row 0 of a one-row
-    _solve_stack."""
-    return _solve_stack(P, P.require_x(x_init)[None])[0]
+    _solve_stack.  Raises ValidationError("non-finite") for a NaN or
+    inf start."""
+    return _solve_stack(P, _finite(P.require_x(x_init), "x_init")[None])[0]
 
 
 @dataclass(frozen=True)
@@ -373,20 +380,33 @@ def _lift_stack(P, X):
 
 
 def lift_to_dual(P, x0):
-    """Lift a primal point to its dual pair: a one-row _lift_stack."""
-    return _lift_stack(P, P.require_x(x0)[None])[0]
+    """Lift a primal point to its dual pair: a one-row _lift_stack.
+    Raises ValidationError("non-finite") for a NaN or inf point."""
+    return _lift_stack(P, _finite(P.require_x(x0), "x0")[None])[0]
 
 
 def _stationarity_residuals(P, x0, v_hat, v0_hat, x):
     """The two dual stationarity residuals at a pair, or per stack row,
-    given x = M(v0_hat)^{-1} v_hat."""
+    given x = M(v0_hat)^{-1} v_hat: max |xbar(v_hat) - x| and
+    max |w(x0) - v0_hat / gamma|.
+
+    At a lifted pair neither is independent evidence.  The lift sets
+    v_hat = M(v0_hat) x0, so x is x0 up to rounding, and since
+    v_hat = (K - A) x0 - f + grad J(x0), the first is
+    |(K - A)^{-1} grad J(x0)|inf (trifecta at x0 = 1: 0.5 / 2 = 0.25).
+    The lift sets v0_hat = gamma w(x0), so the second is 0 up to
+    rounding (at most 4.4e-16 over the 373 C* pairs of the acceptance
+    ensemble's find_critical_pairs(P, 12, 7)).
+    """
     return [np.max(np.abs(r), axis=-1)
             for r in (recover_primal(P, v_hat) - x,
                       P.quartic_terms(x0) - v0_hat / P.gamma)]
 
 
 def dual_stationarity_residual(P, pair):
-    """Residuals of the two dual stationarity identities at a pair."""
+    """Residuals of the two dual stationarity identities at a pair: a
+    scaled primal gradient and a rounding-level 0 at a lifted pair (see
+    _stationarity_residuals)."""
     if not pair.c_star.inside:
         raise OutsideCstarError("lifted multiplier is outside C*")
     return tuple(map(float, _stationarity_residuals(

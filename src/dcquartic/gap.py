@@ -53,16 +53,11 @@ CERT_SAMPLE_TOL = 1e-9
 
 @dataclass
 class CaseReport:
+    """What classification decides.  The facts it reads stay on the
+    pair: the gap (verify_zero_gap), the C* and B* memberships
+    (pair.c_star, pair.b_star; A* = B*) and d2J(x0)'s spectrum."""
     case_id: str                       # case1 | case2 | case3 | unclassified
-    gap: float
-    primal_hessian_margin: float
     shifted_hessian_margin: float
-    c_star: bool
-    c_star_margin: float
-    b_star: bool
-    b_star_margin: float
-    a_star: bool
-    a_star_margin: float
 
 
 def classify_case(P, pair, bundle):
@@ -93,15 +88,7 @@ def _classify_stack(P, pairs, bundle):
             case_id = "case3"
         else:
             case_id = "unclassified"
-        out.append(CaseReport(
-            case_id=case_id,
-            gap=verify_zero_gap(P, pair) if c.inside else float("nan"),
-            primal_hessian_margin=float(d2j[0]),
-            shifted_hessian_margin=float(s[0]),
-            c_star=c.inside, c_star_margin=c.margin,
-            b_star=b.inside, b_star_margin=b.margin,
-            a_star=b.inside, a_star_margin=b.margin,
-        ))
+        out.append(CaseReport(case_id, float(s[0])))
     return out
 
 
@@ -255,8 +242,8 @@ def lagrangian_bound(P, x0, v0, margin):
 
         inf J >= L(x0, v) - g'S^{-1}g / 2,   g = S x0 + f = grad_x L(x0, v).
 
-    ``margin`` is the smallest eigenvalue of S (a CaseReport's
-    b_star_margin).  Returns (bound, L(x0, v), drop, rounding): drop is
+    ``margin`` is the smallest eigenvalue of S (pair.b_star.margin at a
+    lift).  Returns (bound, L(x0, v), drop, rounding): drop is
     g'S^{-1}g / 2 from one Cholesky of S, and the bound is
     L - drop - rounding.  All four are nan when S does not factor.
 
@@ -297,11 +284,12 @@ def lagrangian_bound(P, x0, v0, margin):
     return lagrangian - drop - rounding, lagrangian, drop, rounding
 
 
-def global_min_certificate(P, pair, case, critical_points):
+def global_min_certificate(P, pair, critical_points):
     """Certify the case-2 conclusion that x0 is the global minimum.
 
-    ``case`` is the pair's CaseReport from classify_case; any case other
-    than case2 raises NotCase2Error.  ``critical_points`` are the primal
+    The pair is case 2 where its lifted multiplier is in A* = B*
+    (pair.b_star.inside, classify_case's first test); any other pair
+    raises NotCase2Error.  ``critical_points`` are the primal
     critical points already found for P, such as the ``points`` of
     find_critical_points.  inf_estimate is lagrangian_bound at the computed
     (x0, vhat0).  The bound holds for any multiplier v at which
@@ -311,13 +299,14 @@ def global_min_certificate(P, pair, case, critical_points):
     every one of the critical points, and one J2*(vhat) solve, the
     independent cross-check, matches J(x0).
     """
-    if case.case_id != "case2":
-        raise NotCase2Error(f"pair classified as {case.case_id}")
+    if not pair.b_star.inside:
+        raise NotCase2Error(f"lifted multiplier is outside A* "
+                            f"(margin {pair.b_star.margin:.3e})")
 
     j0 = pair.J
     tol = CERT_GAP_TOL * (1.0 + abs(j0))
     bound, lagrangian, drop, rounding = lagrangian_bound(
-        P, pair.x0, pair.v0_hat, case.b_star_margin)
+        P, pair.x0, pair.v0_hat, pair.b_star.margin)
     bound_ok = bool(j0 - bound <= tol)
     multistart_ok = bool(np.all(j0 <= primal_value(
         P, np.reshape(critical_points, (-1, P.n))) + CERT_SAMPLE_TOL))

@@ -124,6 +124,16 @@ def _as_square(M, n, name):
         f"{name} must be {n}x{n}, got shape {M.shape}")
 
 
+def _finite(x, name):
+    """x, or ValidationError("non-finite") when an entry is NaN or inf.
+    The one-point entries check their inputs with it, where a NaN would
+    turn into a verdict or a bare LinAlgError; the stacked kernels take
+    NaN rows on purpose and do not."""
+    if not np.isfinite(x).all():
+        raise ValidationError("non-finite", f"{name} has non-finite entries")
+    return x
+
+
 def validate_instance(A, B, gamma, c, f, K, coercivity_override=False):
     """Check the standing hypotheses and build a ProblemInstance.
 
@@ -165,8 +175,7 @@ def validate_instance(A, B, gamma, c, f, K, coercivity_override=False):
 
     for arr, name in ((A, "A"), (B, "B"), (gamma, "gamma"), (c, "c"),
                       (f, "f"), (K, "K")):
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("non-finite", f"{name} has non-finite entries")
+        _finite(arr, name)
 
     # max |M - M^T| of each of A, K, B_1 ... B_N against its own scale
     mats = np.concatenate([A[None], K[None], B])

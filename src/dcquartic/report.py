@@ -16,15 +16,13 @@ from .gap import (
     _classify_stack,
     global_min_certificate,
     local_extremality_probes,
+    verify_zero_gap,
 )
 from .instancefile import instance_digest, instance_to_doc
 
 
-# the report keys copied from CaseReport, ProbeEvidence and
-# GlobalCertificate, in report order
-MEMBERSHIP_KEYS = ("c_star", "c_star_margin", "b_star", "b_star_margin",
-                   "a_star", "a_star_margin", "primal_hessian_margin",
-                   "shifted_hessian_margin")
+# the report keys copied from ProbeEvidence and GlobalCertificate, in
+# report order
 PROBE_KEYS = ("r", "r1", "n_samples", "primal_min_violations",
               "primal_max_violations", "dual_min_violations",
               "dual_max_violations", "dual_excluded")
@@ -89,12 +87,20 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
             continue
         (case, record["chain_residual"], record["alpha1_norm"],
          record["dual_hessian_asymmetry"]) = stages[idx]
+        c, b = pair.c_star, pair.b_star
         record["case"] = case.case_id
-        record["gap"] = case.gap
-        record["membership"] = _fields(case, MEMBERSHIP_KEYS)
+        record["gap"] = verify_zero_gap(P, pair) if c.inside else float("nan")
+        # A* = B* (see conjugates.in_A_star)
+        record["membership"] = {
+            "c_star": c.inside, "c_star_margin": c.margin,
+            "b_star": b.inside, "b_star_margin": b.margin,
+            "a_star": b.inside, "a_star_margin": b.margin,
+            "primal_hessian_margin": float(pair.d2j_spectrum[0][0]),
+            "shifted_hessian_margin": case.shifted_hessian_margin,
+        }
         if case.case_id == "case2":
             try:
-                cert = global_min_certificate(P, pair, case, ms.points)
+                cert = global_min_certificate(P, pair, ms.points)
                 record["certificate"] = _fields(cert, CERTIFICATE_KEYS)
             except DualityError as exc:
                 record["errors"]["certificate"] = str(exc)

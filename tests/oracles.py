@@ -21,6 +21,9 @@ recursive call, with numpy's isfinite on each float and json.dumps on
 each key and string.  generate_instance_per_matrix is the instance
 generator that drew, symmetrized and scaled A and each B_j one matrix at
 a time, before generate_instance did it on one stack.
+exact_critical_points is the critical set of J from exact arithmetic at
+n <= 2: a lex Groebner basis over the rationals and its univariate
+polynomial's roots at 40 digits.
 """
 
 import json
@@ -608,3 +611,44 @@ def generate_instance_per_matrix(n, N, rng_seed, k_margin=1.0, f_scale=1.0,
     f = f_scale * rng.standard_normal(n)
     K = float(np.max(np.linalg.eigvalsh(A))) + k_margin
     return validate_instance(A, B, gamma, c, f, K)
+
+
+def exact_critical_points(P, digits=40):
+    """The real critical points of J, sorted, as float rows of an (R, n)
+    array, from exact arithmetic: the float data as exact rationals, the
+    lex Groebner basis of grad J = 0, the roots of its univariate
+    polynomial by nroots at ``digits`` digits, back-substitution, and
+    the real roots kept.  Raises ValueError when the basis is not in
+    shape position (x_i - h_i(x_n) for i < n, then one polynomial in
+    x_n).  Takes well under a second per instance at n <= 2; the plain
+    rational basis does not finish at n = 3.
+    """
+    import sympy  # the test extra's; only this oracle needs it
+
+    xs = sympy.symbols(f"x0:{P.n}")
+    X = sympy.Matrix(xs)
+
+    def exact(a):
+        return sympy.Matrix(np.atleast_1d(a).tolist()).applyfunc(
+            lambda v: sympy.Rational(float(v)))
+
+    grad = exact(P.A) * X + exact(P.f)
+    for B, gamma, c in zip(P.B, P.gamma, P.c):
+        Bx = exact(B) * X
+        w = (X.T * Bx)[0] / 2 + sympy.Rational(float(c))
+        grad += sympy.Rational(float(gamma)) * w * Bx
+    basis = sympy.groebner(list(sympy.expand(grad)), *xs, order="lex").exprs
+    # shape position: x_i - h_i(x_n) with a constant leading coefficient
+    linear = [sympy.Poly(p, x) for p, x in zip(basis[:-1], xs)]
+    if len(basis) != P.n or any(
+            p.degree() != 1 or p.LC().free_symbols
+            or p.free_symbols - {x, xs[-1]} for p, x in zip(linear, xs)):
+        raise ValueError("the lex basis is not in shape position")
+    points = []
+    for root in sympy.Poly(basis[-1], xs[-1]).nroots(n=digits):
+        if not root.is_real:
+            continue
+        x = [(-p.TC() / p.LC()).subs(xs[-1], root).evalf(digits)
+             for p in linear]
+        points.append([float(v) for v in (*x, root)])
+    return np.array(sorted(points)).reshape(-1, P.n)

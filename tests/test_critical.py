@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import sys
 from itertools import islice
 from pathlib import Path
@@ -40,9 +41,16 @@ from dcquartic.critical import (
     _starts,
 )
 from dcquartic.problem import ProblemInstance
-from oracles import _grad_inf, gradient_roots_1d, solve_primal_critical_loop
+from oracles import (
+    _grad_inf,
+    exact_critical_points,
+    gradient_roots_1d,
+    solve_primal_critical_loop,
+)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
+# written by tests/exact_fixture.py
+EXACT_POINTS = Path(__file__).resolve().parent / "exact_points.json"
 
 
 class TestSolve:
@@ -289,6 +297,55 @@ class TestPencilRoute:
             find_critical_points(p_tri, np.int64(32), 3)
         assert [x.tobytes() for x in one.points] \
             == [x.tobytes() for x in many.points]
+
+
+def _close(x, y):
+    """x within 1e-8 (1 + |x|inf) of y."""
+    return np.max(np.abs(x - y)) <= 1e-8 * (1.0 + np.max(np.abs(x)))
+
+
+@pytest.fixture(scope="module")
+def exact_points():
+    """member -> its exact real critical points, for the 65 members with
+    n <= 2 of iter_ensemble(200, 2024)."""
+    doc = json.loads(EXACT_POINTS.read_text())
+    assert doc["ensemble"] == [200, 2024] and len(doc["members"]) == 65
+    return {m["member"]: np.reshape(m["points"], (-1, m["n"]))
+            for m in doc["members"]}
+
+
+class TestExactOracle:
+    def test_route_points_are_exact_points(self, exact_points):
+        # every point find_critical_points(P, 12, 7) returns is an exact
+        # critical point, and at N = 1 (the pencil) it returns them all;
+        # at N >= 2 (multistart) the recall is printed, not asserted
+        recall = {}
+        for k, P in enumerate(iter_ensemble(200, 2024)):
+            if P.n > 2:
+                continue
+            exact = exact_points[k]
+            points = find_critical_points(P, 12, 7).points
+            assert all(any(_close(x, y) for y in exact) for x in points), k
+            found = sum(any(_close(x, y) for x in points) for y in exact)
+            if P.N == 1:
+                assert found == len(exact) == len(points), k
+            group = recall.setdefault(min(P.N, 3), [0, 0])
+            group[0] += found
+            group[1] += len(exact)
+        print("\n[exact oracle, n <= 2] every route point is exact; recall "
+              + ", ".join(f"N {'=' if N < 3 else '>='} {N}: {found}/{total}"
+                          for N, (found, total) in sorted(recall.items())))
+
+    @pytest.mark.parametrize("member", [83, 150, 168])
+    def test_fixture_regenerates(self, exact_points, member):
+        # the members where 12 starts miss exact points; the file's
+        # floats are the oracle's bit for bit on the kernel that wrote
+        # them, and within rounding of the instance's bits elsewhere
+        P = next(islice(iter_ensemble(200, 2024), member, None))
+        points, fixture = exact_critical_points(P), exact_points[member]
+        assert points.shape == fixture.shape and len(points) >= 3
+        assert np.max(np.abs(points - fixture)) \
+            <= 1e-12 * (1.0 + np.max(np.abs(fixture)))
 
 
 class TestLift:

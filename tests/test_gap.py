@@ -87,20 +87,20 @@ class TestClassification:
         pair = lift_to_dual(p_tri, [sqrt2])
         rep = classify_case(p_tri, pair, build_bundle(p_tri, pair))
         assert rep.case_id == "case1"
-        assert rep.c_star and not rep.a_star
-        assert rep.primal_hessian_margin == pytest.approx(2.0)
+        assert pair.c_star.inside and not pair.b_star.inside
+        assert pair.d2j_spectrum[0][0] == pytest.approx(2.0)
 
     def test_min_case2(self, p_min):
         pair = lift_to_dual(p_min, [0.0])
         rep = classify_case(p_min, pair, build_bundle(p_min, pair))
         assert rep.case_id == "case2"
-        assert rep.a_star and rep.a_star_margin == pytest.approx(2.0)
+        assert pair.b_star.inside and pair.b_star.margin == pytest.approx(2.0)
 
     def test_tri_zero_case3(self, p_tri):
         pair = lift_to_dual(p_tri, [0.0])
         rep = classify_case(p_tri, pair, build_bundle(p_tri, pair))
         assert rep.case_id == "case3"
-        assert rep.primal_hessian_margin == pytest.approx(-1.0)
+        assert pair.d2j_spectrum[0][0] == pytest.approx(-1.0)
 
     def test_c_star_decided_once(self, p_tri, sqrt2, monkeypatch):
         # count the eigvalsh calls on M(vhat0) or its symmetrized copy,
@@ -134,8 +134,9 @@ class TestClassification:
         for x in ([-sqrt2], [0.0], [sqrt2]):
             calls.clear()
             pair = lift_to_dual(p_tri, x)
-            case = classify_case(p_tri, pair, build_bundle(p_tri, pair))
-            assert case.c_star and case.gap == pytest.approx(0.0, abs=1e-12)
+            classify_case(p_tri, pair, build_bundle(p_tri, pair))
+            zero = verify_zero_gap(p_tri, pair)
+            assert pair.c_star.inside and zero == pytest.approx(0.0, abs=1e-12)
             assert sum(calls) == 1
             assert len(calls) > 1   # the Hessians and S are still decided
 
@@ -196,8 +197,7 @@ class TestClassification:
             bundle = build_bundle(P, pair)
             case = classify_case(P, pair, bundle)
             assert case.case_id == case_id
-            assert case.b_star == pair.b_star.inside
-            assert case.b_star_margin == pair.b_star.margin
+            assert (case.case_id == "case2") == pair.b_star.inside
             verify_chain_identity(P, pair, bundle)
             local_extremality_probe(P, pair, 8, 0, case_id=case.case_id,
                                     bundle=bundle)
@@ -456,7 +456,7 @@ class TestGlobalCertificate:
         pair = lift_to_dual(p_min, [0.0])
         case = classify_case(p_min, pair, build_bundle(p_min, pair))
         points = multistart(p_min, 32, 7).points
-        cert = global_min_certificate(p_min, pair, case, points)
+        cert = global_min_certificate(p_min, pair, points)
         assert cert.passed
         assert cert.inf_estimate == pytest.approx(0.5, abs=1e-12)
         # independent 1-d grid oracle over [-5, 5]
@@ -487,11 +487,14 @@ class TestGlobalCertificate:
             lagrangian_bound(p_tri, pair.x0, pair.v0_hat, margin)))
 
     def test_not_case2(self, p_tri, sqrt2):
-        pair = lift_to_dual(p_tri, [sqrt2])
-        case = classify_case(p_tri, pair, build_bundle(p_tri, pair))
-        with pytest.raises(NotCase2Error):
-            global_min_certificate(p_tri, pair, case,
-                                   multistart(p_tri, 32, 7).points)
+        # the case-1 and case-3 pairs: their lifted multipliers are
+        # outside B*, and the certificate reads that off the pair
+        points = multistart(p_tri, 32, 7).points
+        for x0 in ([-sqrt2], [0.0], [sqrt2]):
+            pair = lift_to_dual(p_tri, x0)
+            assert not pair.b_star.inside
+            with pytest.raises(NotCase2Error):
+                global_min_certificate(p_tri, pair, points)
 
     def test_weak_duality_spot_value(self, p_min):
         # J2*(vhat) = 1/2 <= J(1) = 1.625
@@ -519,7 +522,7 @@ class TestGlobalCertificate:
                 if case.case_id != "case2":
                     continue
                 points = multistart(P, 32, 7).points
-                cert = global_min_certificate(P, pair, case, points)
+                cert = global_min_certificate(P, pair, points)
                 assert cert.passed, (i, pair.x0, cert)
                 sampled = sampled_global_certificate(P, pair, case, points)
                 assert sampled.passed, (i, pair.x0, sampled)
@@ -538,7 +541,7 @@ class TestGlobalCertificate:
         monkeypatch.setattr(gap, "j2_star", lambda *args, **kwargs:
                             j2_calls.append(1) or j2_star(*args, **kwargs))
         for P, pair, case, points in case2_pairs:
-            assert global_min_certificate(P, pair, case, points).passed
+            assert global_min_certificate(P, pair, points).passed
         assert len(case2_pairs) == 8
         assert len(j2_calls) == len(case2_pairs)
         assert barrier_calls == []
@@ -589,7 +592,7 @@ class TestGlobalCertificate:
         sampled = sampled_global_certificate(P, pair, case, points)
         assert sampled.convexity_excluded == 0
         assert sampled.convexity_pass_count == 100
-        assert global_min_certificate(P, pair, case, points).passed
+        assert global_min_certificate(P, pair, points).passed
         # the twelfth draw's w runs the barrier continuation; a singular
         # barrier Newton matrix E + mu T there is named
         w = _convexity_draws(pair, 12)[11][1]

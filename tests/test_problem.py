@@ -7,14 +7,24 @@ from dcquartic import (
     ValidationError,
     g1_star,
     g1_value,
+    g2_star,
     g2_value,
     generate_instance,
+    in_A_star,
+    in_B_star,
+    in_C_star,
     iter_ensemble,
+    j1_star,
+    j2_star,
+    j_star,
+    j_tilde_star,
+    lift_to_dual,
     linalg,
     primal_gradient,
     primal_hessian,
     primal_value,
     recover_primal,
+    solve_primal_critical,
     validate_instance,
 )
 from dcquartic.conjugates import default_inner_init
@@ -339,3 +349,51 @@ def test_require_points():
                default_inner_init):
         with pytest.raises(DimensionMismatchError):
             fn(P, np.zeros((3, P.n + 1)))
+
+
+# each exported one-point entry: the space of the argument that gets the
+# non-finite vector, x (length n) or v (length N), and the call
+ONE_POINT_ENTRIES = {
+    "lift_to_dual": ("x", lift_to_dual),
+    "solve_primal_critical": ("x", solve_primal_critical),
+    "j1_star": ("v", j1_star),
+    "in_C_star": ("v", in_C_star),
+    "in_B_star": ("v", in_B_star),
+    "in_A_star": ("v", in_A_star),
+    "g2_star-v_star": ("x", lambda P, x: g2_star(P, x, np.ones(P.N))),
+    "g2_star-v0_star": ("v", lambda P, v: g2_star(P, np.zeros(P.n), v)),
+    "j_star-v_star": ("x", lambda P, x: j_star(P, x, np.ones(P.N))),
+    "j_star-v0_star": ("v", lambda P, v: j_star(P, np.zeros(P.n), v)),
+    "j_tilde_star-v_star": ("x", j_tilde_star),
+    "j_tilde_star-init": ("v", lambda P, v: j_tilde_star(
+        P, np.zeros(P.n), init=v)),
+    "j2_star-v_star": ("x", j2_star),
+    "j2_star-init": ("v", lambda P, v: j2_star(P, np.zeros(P.n), init=v)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ONE_POINT_ENTRIES))
+def test_one_point_entries_reject_non_finite(entry):
+    # n = N = 1, where a NaN or inf gave a verdict or a NaN value
+    # (lift_to_dual at inf: a converged pair; j1_star at NaN: NaN
+    # values), and n = 3, N = 2, where it gave numpy's bare LinAlgError
+    space, fn = ONE_POINT_ENTRIES[entry]
+    for P in (validate_instance([1.0], [[1.0]], [1.0], [0.5], [0.3], 2.0),
+              generate_instance(3, 2, 1)):
+        for bad in (np.nan, np.inf, -np.inf):
+            u = np.zeros(P.n if space == "x" else P.N)
+            u[0] = bad
+            with pytest.raises(ValidationError) as err:
+                fn(P, u)
+            assert err.value.reason == "non-finite"
+
+
+def test_kernels_keep_non_finite_rows():
+    # the stacked kernels and the Newton solver's line search evaluate
+    # NaN trial steps on purpose: a NaN row gives NaN, not an error
+    P = generate_instance(3, 2, 1)
+    X = np.zeros((2, P.n))
+    X[1, 0] = np.nan
+    for fn in (primal_value, primal_gradient, recover_primal, g1_star):
+        out = np.asarray(fn(P, X))
+        assert np.isfinite(out[0]).all() and np.isnan(out[1]).all()

@@ -44,8 +44,8 @@ from dcquartic.errors import (
     OutsideCstarError,
     SingularMatrixError,
 )
-from dcquartic.gap import _classify_stack, classify_case
-from dcquartic.report import MEMBERSHIP_KEYS, analyze_instance
+from dcquartic.gap import _classify_stack, classify_case, verify_zero_gap
+from dcquartic.report import analyze_instance
 from oracles import generate_instance_per_matrix
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
@@ -215,15 +215,20 @@ def test_report_rows_are_the_one_row_calls(name):
         bundle = build_bundle(P, pair)
         case = classify_case(P, pair, bundle)
         assert record["case"] == case.case_id
-        assert _same(record["gap"], case.gap)
+        assert _same(record["gap"], verify_zero_gap(P, pair))
         assert _same(record["chain_residual"],
                      verify_chain_identity(P, pair, bundle))
         assert _same(record["alpha1_norm"],
                      float(np.linalg.norm(bundle.alpha1, "fro")))
         assert _same(record["dual_hessian_asymmetry"],
                      bundle.dual_hessian_asymmetry)
+        c, b = pair.c_star, pair.b_star
         assert record["membership"] == {
-            key: getattr(case, key) for key in MEMBERSHIP_KEYS}
+            "c_star": c.inside, "c_star_margin": c.margin,
+            "b_star": b.inside, "b_star_margin": b.margin,
+            "a_star": b.inside, "a_star_margin": b.margin,
+            "primal_hessian_margin": pair.d2j_spectrum[0][0],
+            "shifted_hessian_margin": case.shifted_hessian_margin}
         _check_baseline(record, P, pair)
 
 
