@@ -17,12 +17,12 @@ concave in v0* on C*, and
                                                 interior stationarity
                                                 system)
     J2*(v*) = sup_{v0* in A*} J*(v*, v0*)      (A* = B* intersect C*:
-                                                the interior stationary
-                                                point when it lies
-                                                strictly inside A*,
-                                                else log-det barrier
-                                                continuation on the
-                                                Jt* Newton solver)
+                                                Jt*(v*) where Jt*'s
+                                                argmax lies strictly
+                                                inside A*, else log-det
+                                                barrier continuation,
+                                                then Jt* from its end
+                                                point)
 
 B* is where S(v0*) = A + sum_j (v0*)_j B_j is positive definite.  Since
 M(v0*) = S(v0*) + (K - A) and validate_instance requires K - A positive
@@ -120,24 +120,18 @@ def g2_star(P, v_star, v0_star):
     Raises OutsideCstarError when M(v0*) is not positive definite, and
     ValidationError("non-finite") for a NaN or inf v* or v0*.
     """
-    return _g2_star_checked(P, _finite(P.require_x(v_star), "v_star"),
-                            _finite(P.require_v0(v0_star), "v0_star"))
-
-
-def _g2_star_checked(P, v_star, v0_star, L=None):
-    """g2_star at one dual pair; L, the Cholesky factor of M(v0*), is
-    formed here unless the caller already holds it."""
+    v_star = _finite(P.require_x(v_star), "v_star")
+    v0_star = _finite(P.require_v0(v0_star), "v0_star")
     # in_C_star's test, not its traced name: bench/spans.py times every
-    # in_C_star call, and j2_star makes this test on its answer
+    # in_C_star call
     M = P.mixed_matrix(v0_star)
     c_star = _membership(M)
     if not c_star.inside:
         raise OutsideCstarError(
             f"M(v0*) has smallest eigenvalue {c_star.margin:.3e}; the "
             "closed form for G2* is not the supremum there")
-    if L is None:
-        # a margin above eps is far above where a Cholesky pivot can fail
-        L, _ = linalg.cho_factor(M)
+    # a margin above eps is far above where a Cholesky pivot can fail
+    L, _ = linalg.cho_factor(M)
     return float(_g2_star_solved(P, v_star, v0_star,
                                  linalg.cho_solve(L, v_star)))
 
@@ -281,9 +275,22 @@ def _j_star_stack(P, v_stars, v0, L):
     return np.where(margin > eps, g1_star(P, v_stars) - g2, np.nan)
 
 
+def _in_chunks(P, solve, v_stars, starts, *outs):
+    """Fill outs, one array of per-row outputs for each output of
+    solve(P, v_stars, starts), chunk by chunk of STACK_ENTRIES // n^2
+    rows (at least one), so that a stacked solve's memory is bounded."""
+    rows = max(1, STACK_ENTRIES // (P.n * P.n))
+    for lo in range(0, len(v_stars), rows):
+        chunk = slice(lo, lo + rows)
+        for out, part in zip(outs, solve(P, v_stars[chunk], starts[chunk])):
+            out[chunk] = part
+    return outs
+
+
 def _j_tilde_star_bracket(P, v_stars, starts):
     """(lower, upper): bounds on Jt* at each row of an (S, n) stack from
-    one evaluation at the row's start s, with no Newton step.
+    one evaluation at the row's start s, with no Newton step, in the
+    chunks of rows that j_tilde_star solves.
 
     On C*, -d2J*/dv0*^2 = E >= D = diag(1/gamma) (see _inner_matrix), so
     J*(v*, y) <= J*(v*, s) + r'(y - s) - |y - s|_D^2 / 2, r the inner
@@ -296,6 +303,12 @@ def _j_tilde_star_bracket(P, v_stars, starts):
     on the other rows, among them every start that fails _j_star_stack's
     C* margin test.
     """
+    return _in_chunks(P, _j_tilde_star_bracket_chunk, v_stars, starts,
+                      *np.full((2, len(v_stars)), np.nan))
+
+
+def _j_tilde_star_bracket_chunk(P, v_stars, starts):
+    """_j_tilde_star_bracket on one chunk of rows."""
     lower, upper = np.full((2, len(v_stars)), np.nan)
     M = P.mixed_matrix(starts)
     margin, eps = linalg.pd_margin(M)
@@ -388,13 +401,9 @@ def j_tilde_star(P, v_star, init=None):
     inits = np.broadcast_to(inits, (S, P.N))
     if single:
         _finite(inits, "init")
-    values, argmaxes = np.full(S, np.nan), np.full((S, P.N), np.nan)
-    status = np.full(S, SOLVED)
-    rows = max(1, STACK_ENTRIES // (P.n * P.n))
-    for lo in range(0, S, rows):
-        chunk = slice(lo, lo + rows)
-        values[chunk], argmaxes[chunk], status[chunk] = _j_tilde_star_chunk(
-            P, v_stars[chunk], inits[chunk])
+    values, argmaxes, status = _in_chunks(
+        P, _j_tilde_star_chunk, v_stars, inits, np.full(S, np.nan),
+        np.full((S, P.N), np.nan), np.full(S, SOLVED))
     if not single:
         return values, argmaxes
     if status[0] != SOLVED:
@@ -447,56 +456,53 @@ def _feasible_a_star_point(P, v0):
         f"(best margin {value:.3e})")
 
 
-def _polish(P, v_star, v0):
-    """Newton from v0 to the interior stationary point of J*(v*, .):
-    (point, the Cholesky factor of M there, its A* margin), or None when
-    the solve does not converge."""
-    rows, L, status = _inner_newton_stack(P, v_star[None], v0[None])
-    if status[0] != SOLVED:
+def _interior_sup(P, v_star, v0):
+    """j_tilde_star on a one-row stack from v0: (value, argmax, the
+    argmax's A* margin), or None where no start solves the inner sup."""
+    values, argmaxes = j_tilde_star(P, v_star[None], init=v0[None])
+    if np.isnan(values[0]):
         return None
-    return rows[0], L[0], in_B_star(P, rows[0]).margin
+    return float(values[0]), argmaxes[0], in_B_star(P, argmaxes[0]).margin
 
 
 def j2_star(P, v_star, init=None):
     """Evaluate J2*(v*) = sup over A* of J*(v*, .).
 
-    J*(v*, .) is concave on C* and A* is a convex subset of C*, so its
-    interior stationary point is the sup wherever it lies strictly inside
-    A*; it is solved for first, from ``init`` or by default from the lift
-    of (K - A)^{-1}(v* + f).  Only where that solve fails or its point
-    is within BOUNDARY_MARGIN of A*'s boundary, or outside A*, does a
-    log-det barrier continuation run: from a strictly feasible A* point,
-    one _inner_newton_stack solve per weight in BARRIER_WEIGHTS, then
-    the same polish.  When the maximizer sits on the A* boundary the
-    barrier-path limit value is returned tagged boundary_attained; so is
-    the barrier end point whenever the polish converges beyond A*.
+    J*(v*, .) is concave on C* and A* is a convex subset of C*, so
+    J2*(v*) = Jt*(v*) wherever Jt*'s argmax lies strictly inside A*.
+    That argmax is solved for first, by j_tilde_star from ``init`` or by
+    default from the lift of (K - A)^{-1}(v* + f).  Only where that solve
+    fails or its argmax is within BOUNDARY_MARGIN of A*'s boundary, or
+    outside A*, does a log-det barrier continuation run: from a strictly
+    feasible A* point, one _inner_newton_stack solve per weight in
+    BARRIER_WEIGHTS, then j_tilde_star again from the end point.  When
+    the maximizer sits on the A* boundary the barrier-path limit value is
+    returned tagged boundary_attained; so is the barrier end point's
+    value, g1_star - g2_star there, whenever Jt*'s argmax lies beyond A*.
     Raises AStarEmptyError when no strictly feasible A* start is found
     near ``init``, SingularMatrixError when a barrier Newton matrix
     is singular, and ValidationError("non-finite") for a NaN or inf v*
     or init.
     """
     v_star = _finite(P.require_x(v_star), "v_star")
-    g1 = g1_star(P, v_star)
     v0 = _finite(P.require_v0(init), "init") if init is not None \
         else default_inner_init(P, v_star)
-    polished = _polish(P, v_star, v0)
-    beyond = False
-    if polished is None or polished[2] < BOUNDARY_MARGIN:
+    interior = _interior_sup(P, v_star, v0)
+    if interior is None or interior[2] < BOUNDARY_MARGIN:
         v0 = _feasible_a_star_point(P, v0)
         for mu in BARRIER_WEIGHTS:
             # each stage starts where the last one stopped, whatever its
-            # status; L is the Cholesky factor of M there
-            v0, L, _ = _inner_newton_stack(P, v_star[None], v0[None], mu)
-            v0, L = v0[0], L[0]
-        # polish the barrier path's end point; a margin below
-        # BOUNDARY_MARGIN puts the stationary point on the A* boundary,
-        # where its value is the exact barrier-path limit
-        polished = _polish(P, v_star, v0)
-        if polished is None or polished[2] < -BOUNDARY_MARGIN:
-            # a stationary point beyond A* puts the sup on A*'s boundary,
-            # whatever the end point's own margin
-            beyond = polished is not None
-            polished = v0, L, in_B_star(P, v0).margin
-    point, L, margin = polished
-    return J2Result(g1 - _g2_star_checked(P, v_star, point, L), point,
-                    beyond or margin < BOUNDARY_MARGIN, margin)
+            # status
+            v0 = _inner_newton_stack(P, v_star[None], v0[None], mu)[0][0]
+        # a margin below BOUNDARY_MARGIN puts the argmax on the A*
+        # boundary, where its value is the exact barrier-path limit
+        interior = _interior_sup(P, v_star, v0)
+        if interior is None or interior[2] < -BOUNDARY_MARGIN:
+            # an argmax beyond A* puts the sup on A*'s boundary, whatever
+            # the end point's own margin
+            margin = in_B_star(P, v0).margin
+            return J2Result(g1_star(P, v_star) - g2_star(P, v_star, v0), v0,
+                            interior is not None or margin < BOUNDARY_MARGIN,
+                            margin)
+    value, point, margin = interior
+    return J2Result(value, point, margin < BOUNDARY_MARGIN, margin)

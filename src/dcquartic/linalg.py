@@ -57,14 +57,18 @@ def cho_factor(M):
     M = np.asarray(M, dtype=float)
     L = np.zeros_like(M)
     ok = np.ones(M.shape[:-2], dtype=bool)
-    for k in range(M.shape[-1]):
-        row = L[..., k, :k]
-        pivot = M[..., k, k] - np.vecdot(row, row)
-        ok &= pivot > 0.0
-        L[..., k, k] = np.sqrt(np.where(ok, pivot, 1.0))
-        L[..., k + 1:, k] = (M[..., k + 1:, k]
-                             - np.vecdot(L[..., k + 1:, :k], row[..., None, :])
-                             ) / L[..., k, k, None]
+    # a dot that overflows makes its pivot -inf or nan, which fails the
+    # pivot test like any other pivot that is not positive
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(M.shape[-1]):
+            row = L[..., k, :k]
+            pivot = M[..., k, k] - np.vecdot(row, row)
+            ok &= pivot > 0.0
+            L[..., k, k] = np.sqrt(np.where(ok, pivot, 1.0))
+            L[..., k + 1:, k] = (
+                M[..., k + 1:, k]
+                - np.vecdot(L[..., k + 1:, :k], row[..., None, :])
+            ) / L[..., k, k, None]
     return L, ok
 
 

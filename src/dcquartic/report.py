@@ -5,6 +5,8 @@ is byte-for-byte reproducible for identical inputs and seeds: no
 timestamps, fixed key order, 17-significant-digit numbers.
 """
 
+import dataclasses
+
 import numpy as np
 
 from . import __version__, linalg
@@ -19,20 +21,6 @@ from .gap import (
     verify_zero_gap,
 )
 from .instancefile import instance_digest, instance_to_doc
-
-
-# the report keys copied from ProbeEvidence and GlobalCertificate, in
-# report order
-PROBE_KEYS = ("r", "r1", "n_samples", "primal_min_violations",
-              "primal_max_violations", "dual_min_violations",
-              "dual_max_violations", "dual_excluded")
-CERTIFICATE_KEYS = ("passed", "inf_estimate", "lagrangian_value", "drop",
-                    "rounding_bound", "bound_ok", "multistart_ok",
-                    "j2_value", "j2_gap", "j2_matches_primal")
-
-
-def _fields(obj, keys):
-    return {key: getattr(obj, key) for key in keys}
 
 
 def analyze_instance(P, n_seeds, rng_seed, n_samples):
@@ -101,7 +89,7 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
         if case.case_id == "case2":
             try:
                 cert = global_min_certificate(P, pair, ms.points)
-                record["certificate"] = _fields(cert, CERTIFICATE_KEYS)
+                record["certificate"] = dataclasses.asdict(cert)
             except DualityError as exc:
                 record["errors"]["certificate"] = str(exc)
 
@@ -122,8 +110,9 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
             P, [pairs[i] for i in formed], n_samples, rng_seed,
             [stages[i][0].case_id for i in formed], bundle)
         for i, probe in zip(formed, probes):
-            records[i]["probe"] = {**_fields(probe, PROBE_KEYS),
-                                   "violations": probe.violations()}
+            block = dataclasses.asdict(probe)
+            del block["case_id"]
+            records[i]["probe"] = {**block, "violations": probe.violations()}
     return records, ms
 
 

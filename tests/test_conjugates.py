@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ from dcquartic.conjugates import (
 )
 from dcquartic.curvature import _bundle_stack
 from dcquartic.gap import PROBE_TOL, _classify_stack
+from dcquartic.report import analyze_instance
 from oracles import (
     g1_star_grid,
     g2_star_grid,
@@ -292,6 +294,23 @@ class TestJTildeStarStack:
         assert np.array_equal(chunked_values, values, equal_nan=True)
         assert np.array_equal(chunked_argmaxes, argmaxes, equal_nan=True)
 
+    def test_bracket_chunks_match_one_stack(self, monkeypatch):
+        """The Jt* bracket of acceptance-ensemble member 11's 50-sample
+        probe samples (n = 3, N = 1; 150 rows, 53 of them nan), taken 7
+        rows per chunk, keeps the one-stack bits.  Bit for bit under the
+        SkylakeX OpenBLAS kernel (an AVX-512 CPU's default), and under
+        Haswell and Sandybridge; under Prescott some rows differ."""
+        P = list(iter_ensemble(12, 2024))[11]
+        pairs = [pair for pair in find_critical_pairs(P, 12, 7)
+                 if pair.converged and in_C_star(P, pair.v0_hat).inside]
+        vs, starts = _probe_samples(P, pairs, 50, 7)
+        lower, upper = _j_tilde_star_bracket(P, vs, starts)
+        assert np.isnan(lower).any() and not np.isnan(lower).all()
+        monkeypatch.setattr(conjugates, "STACK_ENTRIES", 7 * P.n * P.n)
+        chunked_lower, chunked_upper = _j_tilde_star_bracket(P, vs, starts)
+        assert np.array_equal(chunked_lower, lower, equal_nan=True)
+        assert np.array_equal(chunked_upper, upper, equal_nan=True)
+
     def test_bracket_holds_the_solve(self):
         # the 1000-sample probe samples of acceptance-ensemble members 0,
         # 7, 11 and 47, whose tangent starts include failing ones (outside
@@ -482,6 +501,16 @@ class TestJTildeStarStack:
             assert values[s] == pytest.approx(j_star(p_tri, v_stars[s], v0[s]),
                                               rel=1e-12, abs=1e-12)
 
+    def test_overflowing_pivot_fails_without_a_warning(self):
+        # the pivot's dot overflows to inf: the pivot fails its test, and
+        # no RuntimeWarning is printed, here or where an inner Newton trial
+        # step meets such a matrix in a report at n = 20
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, ok = linalg.cho_factor([[1.0, 1e200], [1e200, 1.0]])
+            assert not ok
+            analyze_instance(generate_instance(20, 1, [9, 20, 2]), 12, 7, 200)
+
     def test_stacked_cholesky_kernels(self):
         rng = np.random.default_rng(16)
         G = rng.standard_normal((6, 3, 3))
@@ -529,6 +558,13 @@ def _cholesky_succeeds(M):
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _global_min_case2_pair():
+    P = load_instance(SAMPLES / "global_min.json")
+    pair, = [p for p in find_critical_pairs(P, 32, 7)
+             if classify_case(P, p, build_bundle(P, p)).case_id == "case2"]
+    return P, pair
 
 
 class TestJ2Star:
@@ -581,16 +617,25 @@ class TestJ2Star:
     def test_factors_m_once(self, monkeypatch):
         # the value is formed on the Cholesky factor of M that the inner
         # Newton solve holds at its answer; M is not factored again
-        P = load_instance(SAMPLES / "global_min.json")
-        pair, = [p for p in find_critical_pairs(P, 32, 7)
-                 if classify_case(P, p, build_bundle(P, p)).case_id
-                 == "case2"]
+        P, pair = _global_min_case2_pair()
         calls, cho_factor = [], linalg.cho_factor
         monkeypatch.setattr(linalg, "cho_factor",
                             lambda M: calls.append(M) or cho_factor(M))
         res = j2_star(P, pair.v_hat, init=pair.v0_hat)
         assert len(calls) == 1
         assert res.value == j_star(P, pair.v_hat, res.v0_star)
+
+    def test_fallback_starts_skip_the_barrier(self, barrier_calls):
+        # global_min.json: C* = {v0 > -2}, A* = {v0 > -1}, and at its
+        # case-2 pair (v-hat = 0) Jt*'s argmax is v0 = 1.  The first
+        # Newton start, init = -3, lies outside C*; Jt*'s fallback starts
+        # reach the argmax, strictly inside A*, with no phase 1 or
+        # barrier stage
+        P, pair = _global_min_case2_pair()
+        res = j2_star(P, pair.v_hat, init=[-3.0])
+        assert barrier_calls == []
+        assert res.value == pair.J_star
+        assert not res.boundary_attained
 
 
 class TestFenchelYoung:

@@ -347,6 +347,20 @@ class TestExactOracle:
         assert np.max(np.abs(points - fixture)) \
             <= 1e-12 * (1.0 + np.max(np.abs(fixture)))
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known recall defect at n = 1, N >= 2: the 12-start multistart "
+        "misses the global minimum x = 3.0443 (J = 7.857); fixing it "
+        "moves report bytes"))
+    def test_n1_route_holds_every_cubic_root(self):
+        # at n = 1, grad J is a cubic for every N; stress draw 21 (N = 2)
+        # has three real roots, and find_critical_points returns only
+        # x = -3.038 (J = 8.424) and x = -0.0063
+        P = generate_instance(1, 2, [99, 21], 1e-3, 1.0, (-10.0, 10.0))
+        exact = exact_critical_points(P)
+        points = np.reshape(find_critical_points(P, 12, 7).points, (-1, 1))
+        assert len(exact) == 3
+        assert all(any(_close(x, y) for x in points) for y in exact)
+
 
 class TestLift:
     def test_hand_values(self, p_tri, p_min, sqrt2):
