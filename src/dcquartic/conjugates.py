@@ -157,38 +157,35 @@ def default_inner_init(P, v_star):
 
 
 def _inner_factor(P, v0, mu):
-    """(L, Sinv, ok) at each row of a stack: L the Cholesky factor of
-    M(v0), ok where it exists and, for mu > 0, where S(v0) factors too;
-    Sinv is S(v0)^{-1} on those rows for mu > 0, else an empty stack."""
+    """(L, ok) at each row of a stack: L the Cholesky factor of M(v0), ok
+    where it exists and, for mu > 0, where S(v0) factors too."""
     L, ok = linalg.cho_factor(P.mixed_matrix(v0))
-    Sinv = np.empty((len(v0), 0, 0))
     if mu:
-        S = P.ab_matrix(v0)
-        ok &= linalg.cho_factor(S)[1]
-        Sinv = np.zeros_like(S)
-        Sinv[ok] = linalg.symmetrize(np.linalg.inv(S[ok]))
-    return L, Sinv, ok
+        ok &= linalg.cho_factor(P.ab_matrix(v0))[1]
+    return L, ok
 
 
-def _inner_residual(P, v_star, v0, L, mu, Sinv):
+def _inner_residual(P, v_star, v0, L, mu):
     """Stationarity residual of the inner sup and the matching x_bar, at a
     point or each row of a stack, given the Cholesky factor L of M(v0);
-    mu > 0 adds the barrier's mu tr(S^{-1} B_j), given Sinv = S^{-1}."""
+    mu > 0 adds the barrier's mu tr(S(v0)^{-1} B_j)."""
     x_bar = linalg.cho_solve(L, v_star)
     res = P.quartic_terms(x_bar) - v0 / P.gamma
     if mu:
+        Sinv = linalg.symmetrize(np.linalg.inv(P.ab_matrix(v0)))
         res += mu * np.einsum("...kl,jlk->...j", Sinv, P.B)
     return res, x_bar
 
 
-def _inner_matrix(P, x_bar, L, mu, Sinv):
+def _inner_matrix(P, x_bar, v0, L, mu):
     """E(x_bar) = P2 P1 + diag(1/gamma), the negated v0*-Hessian of J*, at
-    a point or each row of a stack, given the Cholesky factor L of M;
-    mu > 0 adds mu T, T_ji = tr(S^{-1} B_j S^{-1} B_i), given Sinv."""
+    a point or each row of a stack, given the Cholesky factor L of M(v0);
+    mu > 0 adds mu T, T_ji = tr(S^{-1} B_j S^{-1} B_i) with S = S(v0)."""
     p1 = P.bx_columns(x_bar)
     E = np.swapaxes(linalg.cho_solve(L, p1), -1, -2) @ p1
     E = linalg.symmetrize(E) + np.diag(1.0 / P.gamma)
     if mu:
+        Sinv = linalg.symmetrize(np.linalg.inv(P.ab_matrix(v0)))
         X = np.einsum("...kl,jlm->...jkm", Sinv, P.B)
         E += mu * linalg.symmetrize(np.einsum("...jkm,...imk->...ji", X, X))
     return E
@@ -200,21 +197,23 @@ def _inner_newton_stack(P, v_stars, v0, mu=0.0):
     solves for the maximizer of J*(v*, .) + mu logdet S instead, inside
     A* (where S factors), to a residual of 1e-10 (1 + max |v0|).
 
-    Row s starts at v0[s].  The C* test (a Cholesky factor of M),
-    tolerance, iteration budget, halving backtrack and strict-decrease
-    test are decided for each row alone.  Returns (v0, L, status): where
-    status[s] is SOLVED, v0[s] is the solution and L[s] the Cholesky
-    factor of M(v0[s]).  Otherwise status[s] is LEFT_C_STAR (the start,
-    or every backtracked step, leaves C*) or NO_CONVERGENCE (the budget
-    ran out), and v0[s] is the last accepted iterate.  A singular E
-    raises for the whole stack, SingularMatrixError when mu > 0.
+    Row s starts at v0[s].  The state of a row is its iterate and the
+    Cholesky factor of M there; the residual, x_bar and, for mu > 0,
+    S^{-1} are formed from them where they are read.  The C* test (a
+    Cholesky factor of M), tolerance, iteration budget, halving
+    backtrack and strict-decrease test are decided for each row alone.
+    Returns (v0, L, status): where status[s] is SOLVED, v0[s] is the
+    solution and L[s] the Cholesky factor of M(v0[s]).  Otherwise
+    status[s] is LEFT_C_STAR (the start, or every backtracked step,
+    leaves C*) or NO_CONVERGENCE (the budget ran out), and v0[s] is the
+    last accepted iterate.  A singular E raises for the whole stack,
+    SingularMatrixError when mu > 0.
     """
     v0 = np.array(v0, dtype=float)
-    L, Sinv, feasible = _inner_factor(P, v0, mu)
+    L, feasible = _inner_factor(P, v0, mu)
     status = np.where(feasible, NO_CONVERGENCE, LEFT_C_STAR)
     live = np.flatnonzero(feasible)
-    res, x_bar = _inner_residual(
-        P, v_stars[live], v0[live], L[live], mu, Sinv[live])
+    res, x_bar = _inner_residual(P, v_stars[live], v0[live], L[live], mu)
     res_norm = np.max(np.abs(res), axis=1)
     tol = 1e-10 if mu else linalg.TOL_FACTOR
     for _ in range(INNER_MAX_ITER):
@@ -224,7 +223,7 @@ def _inner_newton_stack(P, v_stars, v0, mu=0.0):
             live[~done], res[~done], x_bar[~done], res_norm[~done]
         if live.size == 0:
             break
-        E = _inner_matrix(P, x_bar, L[live], mu, Sinv[live])
+        E = _inner_matrix(P, x_bar, v0[live], L[live], mu)
         try:
             step = np.linalg.solve(E, res[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
@@ -243,17 +242,15 @@ def _inner_newton_stack(P, v_stars, v0, mu=0.0):
             # above its tolerance) cannot decrease the residual, at this t
             # or any shorter one
             searching[rows] = (cand != v0[live[rows]]).any(axis=1)
-            cand_L, cand_Sinv, feasible = _inner_factor(P, cand, mu)
-            rows, cand, cand_L, cand_Sinv = (
-                rows[feasible], cand[feasible], cand_L[feasible],
-                cand_Sinv[feasible])
+            cand_L, feasible = _inner_factor(P, cand, mu)
+            rows, cand, cand_L = (
+                rows[feasible], cand[feasible], cand_L[feasible])
             cand_res, cand_x = _inner_residual(
-                P, v_stars[live[rows]], cand, cand_L, mu, cand_Sinv)
+                P, v_stars[live[rows]], cand, cand_L, mu)
             cand_norm = np.max(np.abs(cand_res), axis=1)
             better = cand_norm < res_norm[rows]
             rows = rows[better]
-            v0[live[rows]], L[live[rows]], Sinv[live[rows]] = \
-                cand[better], cand_L[better], cand_Sinv[better]
+            v0[live[rows]], L[live[rows]] = cand[better], cand_L[better]
             res[rows], x_bar[rows], res_norm[rows] = \
                 cand_res[better], cand_x[better], cand_norm[better]
             pending[rows] = searching[rows] = False
@@ -315,7 +312,7 @@ def _j_tilde_star_bracket_chunk(P, v_stars, starts):
     L, ok = linalg.cho_factor(M)
     rows = np.flatnonzero(ok & (margin > eps))
     v, s, L = v_stars[rows], starts[rows], L[rows]
-    res, x_bar = _inner_residual(P, v, s, L, 0.0, None)
+    res, x_bar = _inner_residual(P, v, s, L, 0.0)
     r_sq = np.sum(P.gamma * res ** 2, axis=1)
     b_sq = np.sum(P.gamma * linalg.spectral_norm_sym(P.B) ** 2)
     rho = 2.0 * np.sqrt(r_sq * b_sq)
@@ -457,9 +454,9 @@ def _feasible_a_star_point(P, v0):
 
 
 def _interior_sup(P, v_star, v0):
-    """j_tilde_star on a one-row stack from v0: (value, argmax, the
+    """_j_tilde_star_chunk on one row from v0: (value, argmax, the
     argmax's A* margin), or None where no start solves the inner sup."""
-    values, argmaxes = j_tilde_star(P, v_star[None], init=v0[None])
+    values, argmaxes, _ = _j_tilde_star_chunk(P, v_star[None], v0[None])
     if np.isnan(values[0]):
         return None
     return float(values[0]), argmaxes[0], in_B_star(P, argmaxes[0]).margin
@@ -470,19 +467,19 @@ def j2_star(P, v_star, init=None):
 
     J*(v*, .) is concave on C* and A* is a convex subset of C*, so
     J2*(v*) = Jt*(v*) wherever Jt*'s argmax lies strictly inside A*.
-    That argmax is solved for first, by j_tilde_star from ``init`` or by
-    default from the lift of (K - A)^{-1}(v* + f).  Only where that solve
-    fails or its argmax is within BOUNDARY_MARGIN of A*'s boundary, or
-    outside A*, does a log-det barrier continuation run: from a strictly
-    feasible A* point, one _inner_newton_stack solve per weight in
-    BARRIER_WEIGHTS, then j_tilde_star again from the end point.  When
-    the maximizer sits on the A* boundary the barrier-path limit value is
-    returned tagged boundary_attained; so is the barrier end point's
-    value, g1_star - g2_star there, whenever Jt*'s argmax lies beyond A*.
-    Raises AStarEmptyError when no strictly feasible A* start is found
-    near ``init``, SingularMatrixError when a barrier Newton matrix
-    is singular, and ValidationError("non-finite") for a NaN or inf v*
-    or init.
+    That argmax is solved for first, by j_tilde_star's one-chunk solve
+    from ``init`` or by default from the lift of (K - A)^{-1}(v* + f).
+    Only where that solve fails or its argmax is within BOUNDARY_MARGIN
+    of A*'s boundary, or outside A*, does a log-det barrier continuation
+    run: from a strictly feasible A* point, one _inner_newton_stack solve
+    per weight in BARRIER_WEIGHTS, then the one-chunk solve again from
+    the end point.  When the maximizer sits on the A* boundary the
+    barrier-path limit value is returned tagged boundary_attained; so is
+    the barrier end point's value, g1_star - g2_star there, whenever
+    Jt*'s argmax lies beyond A*.  Raises AStarEmptyError when no strictly
+    feasible A* start is found near ``init``, SingularMatrixError when a
+    barrier Newton matrix is singular, and ValidationError("non-finite")
+    for a NaN or inf v* or init.
     """
     v_star = _finite(P.require_x(v_star), "v_star")
     v0 = _finite(P.require_v0(init), "init") if init is not None \

@@ -363,34 +363,28 @@ def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
                                      error=f"{exc.reason}: {exc}",
                                      h1_norm=float("nan")))
             continue
-        sp = SweepPoint(eps=float(eps), ok=True, error=None,
-                        h1_norm=1.0 / eps)
         pairs = _lift_stack(P_eps, X)
-        records = [{
-            "x0": pair.x0,
-            "gap": float("nan"),
-            "chain_residual": float("nan"),
-            "alpha1_norm": float("nan"),
-            "ka_alpha1_norm": float("nan"),
-            "bundle_error": None,
-            "in_c_star": pair.c_star.inside,
-            "base_point": i,
-        } for i, pair in enumerate(pairs)]
         bundle, errors = _bundle_stack(P_eps, pairs)
-        for record, pair, error in zip(records, pairs, errors):
-            if pair.c_star.inside:
-                record["gap"] = verify_zero_gap(P_eps, pair)
-                if error is not None:
-                    record["bundle_error"] = str(error)
-        formed = [i for i, error in enumerate(errors) if error is None]
-        alpha1 = bundle.alpha1
-        for i, chain, a1, ka in zip(
-                formed, _chain_stack(bundle).tolist(),
-                linalg.frobenius_norm(alpha1).tolist(),
-                linalg.frobenius_norm(P_eps.K_minus_A @ alpha1).tolist()):
-            records[i].update(chain_residual=chain, alpha1_norm=a1,
-                              ka_alpha1_norm=ka)
-        sp.pairs.extend(records)
-        points.append(sp)
+        formed = zip(_chain_stack(bundle).tolist(),
+                     linalg.frobenius_norm(bundle.alpha1).tolist(),
+                     linalg.frobenius_norm(
+                         P_eps.K_minus_A @ bundle.alpha1).tolist())
+        nan, records = float("nan"), []
+        for i, (pair, error) in enumerate(zip(pairs, errors)):
+            inside = pair.c_star.inside
+            chain, a1, ka = next(formed) if error is None else (nan,) * 3
+            records.append({
+                "x0": pair.x0,
+                "gap": verify_zero_gap(P_eps, pair) if inside else nan,
+                "chain_residual": chain,
+                "alpha1_norm": a1,
+                "ka_alpha1_norm": ka,
+                "bundle_error": (str(error) if inside and error is not None
+                                 else None),
+                "in_c_star": inside,
+                "base_point": i,
+            })
+        points.append(SweepPoint(eps=float(eps), ok=True, error=None,
+                                 h1_norm=1.0 / eps, pairs=records))
 
     return SweepReport(eps_list=[float(e) for e in eps_list], points=points)

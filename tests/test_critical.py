@@ -361,6 +361,22 @@ class TestExactOracle:
         assert len(exact) == 3
         assert all(any(_close(x, y) for x in points) for y in exact)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known large-gamma defect: at gamma = 1e11 every pencil shift "
+        "fails PENCIL_MAX_COND, and multistart merges all 12 starts into "
+        "the two minima and misses x = 0"))
+    def test_large_gamma_route_holds_every_point(self):
+        # trifecta with gamma raised to 1e11: J = -x^2/2 + gamma x^4/8,
+        # whose critical points are exactly 0 and +-sqrt(2/gamma); at
+        # gamma = 1e10 the pencil still runs and finds all three, here
+        # _pencil_seeds returns None
+        gamma = 1e11
+        P = validate_instance([-1.0], [[1.0]], [gamma], [0.0], [0.0], 1.0)
+        root = np.sqrt(2.0 / gamma)
+        points = np.reshape(find_critical_points(P, 12, 7).points, (-1, 1))
+        assert all(any(_close(x, [y]) for x in points)
+                   for y in (-root, 0.0, root))
+
 
 class TestLift:
     def test_hand_values(self, p_tri, p_min, sqrt2):

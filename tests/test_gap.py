@@ -603,8 +603,8 @@ class TestGlobalCertificate:
         barrier_calls.clear()
         inner_matrix = conjugates._inner_matrix
 
-        def singular(P, x_bar, L, mu, Sinv):
-            E = inner_matrix(P, x_bar, L, mu, Sinv)
+        def singular(P, x_bar, v0, L, mu):
+            E = inner_matrix(P, x_bar, v0, L, mu)
             return np.zeros_like(E) if mu else E
 
         monkeypatch.setattr(conjugates, "_inner_matrix", singular)

@@ -13,14 +13,21 @@ Hashes, in this order, the dumps_canonical text of
 Prints the digest, then how many members form no bundle row and how
 many valid sweep points have no pair in C*, then one sha256 for each of
 the three groups (members, sample reports, sweeps) over the same texts
-in the same order, to show which group moved.  Run it at two commits
-and compare the digests.  Pins one BLAS thread before numpy is imported
-and needs only numpy and the library.  Not collected by pytest: the
-file has no test_ prefix.
+in the same order, to show which group moved.  A last line, "barriers",
+is hashed apart from the digest: the j2_star results (value, v0_star,
+boundary_attained and a_star_margin, or the name of the library error
+raised) at six points w = v_hat + 0.8 (1 + |v_hat|) z around each case-2
+pair of find_critical_pairs(P, 12, 7) over members 0-119, z from one
+default_rng(5) stream, each started at the pair's v0_hat: 72 of those
+246 calls run the log-det barrier, which no report reaches.  Run it
+at two commits and compare the digests.  Pins one BLAS thread before
+numpy is imported and needs only numpy and the library.  Not collected
+by pytest: the file has no test_ prefix.
 """
 
 import dataclasses
 import hashlib
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -32,10 +39,15 @@ def main():
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"   # before numpy is imported
     sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
+
     from dcquartic import (
+        DualityError,
         epsilon_sweep,
+        find_critical_pairs,
         generate_instance,
         iter_ensemble,
+        j2_star,
         load_instance,
     )
     from dcquartic.instancefile import dumps_canonical
@@ -67,11 +79,27 @@ def main():
             record["in_c_star"] for record in point.pairs)
             for point in sweep.points)
         update("sweeps", dataclasses.asdict(sweep))
+    barriers = hashlib.sha256()
+    rng = np.random.default_rng(5)
+    for P in itertools.islice(iter_ensemble(200, 2024), 120):
+        for pair in find_critical_pairs(P, 12, 7):
+            if not pair.b_star.inside:
+                continue
+            for z in rng.standard_normal((6, P.n)):
+                w = pair.v_hat + 0.8 * (1.0 + np.abs(pair.v_hat)) * z
+                try:
+                    res = j2_star(P, w, init=pair.v0_hat)
+                    doc = [res.value, res.v0_star,
+                           bool(res.boundary_attained), res.a_star_margin]
+                except DualityError as exc:
+                    doc = type(exc).__name__
+                barriers.update(dumps_canonical(doc).encode())
     print(digest.hexdigest())
     print(f"{no_row} members form no bundle row")
     print(f"{no_inside} valid sweep points have no pair in C*")
     for name, group in groups.items():
         print(f"{name:8} {group.hexdigest()}")
+    print(f"barriers {barriers.hexdigest()}")
 
 
 if __name__ == "__main__":
