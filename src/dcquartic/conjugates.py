@@ -215,9 +215,9 @@ def _inner_newton_stack(P, v_stars, v0, mu=0.0):
     live = np.flatnonzero(feasible)
     res, x_bar = _inner_residual(P, v_stars[live], v0[live], L[live], mu)
     res_norm = np.max(np.abs(res), axis=1)
-    tol = 1e-10 if mu else linalg.TOL_FACTOR
+    factor = 1e-10 if mu else linalg.TOL_FACTOR
     for _ in range(INNER_MAX_ITER):
-        done = res_norm <= tol * (1.0 + np.max(np.abs(v0[live]), axis=1))
+        done = linalg.converged(res_norm, v0[live], factor)
         status[live[done]] = SOLVED
         live, res, x_bar, res_norm = \
             live[~done], res[~done], x_bar[~done], res_norm[~done]

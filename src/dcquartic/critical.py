@@ -36,7 +36,6 @@ from .problem import (
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_BACKTRACKS = 40
 DEDUP_DISTANCE = 1e-6
-CONVERGED_RESIDUAL = 1e-9
 # the N = 1 route's shifts, tried in order; far from round numbers, so
 # that hand-made instances rarely make M0 + sigma M1 or S(sigma) singular
 PENCIL_SHIFTS = (0.5772, -1.2021, 2.6855, -3.3599)
@@ -81,9 +80,8 @@ class CriticalPair:
 
     @property
     def converged(self):
-        # the solver's test with a looser constant: every point it returns
-        return self.primal_residual <= CONVERGED_RESIDUAL * (
-            1.0 + float(np.max(np.abs(self.x0))))
+        # the solver's test; the lift recomputes its residual bit for bit
+        return bool(linalg.converged(self.primal_residual, self.x0))
 
 
 # t0 * 2^-k is exact, so row k is the float that k halvings of t0 give
@@ -162,8 +160,7 @@ def _solve_stack(P, X):
     g = gradient_from(P, bx, w)
     gn = np.maximum.reduce(np.abs(g), axis=1)
     for it in range(NEWTON_MAX_ITER + 1):
-        done = gn <= linalg.TOL_FACTOR * (
-            1.0 + np.maximum.reduce(np.abs(x), axis=1))
+        done = linalg.converged(gn, x)
         leave = done | (it == NEWTON_MAX_ITER)
         if np.logical_or.reduce(leave):
             out, stay = rows[leave], ~leave

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .critical import CONVERGED_RESIDUAL
 from .errors import (
     DegenerateCriticalPointError,
     NotConvergedPairError,
@@ -106,10 +105,10 @@ def _bundle_stack(P, pairs):
     errors = []
     for pair in pairs:
         if not pair.converged:
-            bound = CONVERGED_RESIDUAL * (1.0 + float(np.max(np.abs(pair.x0))))
+            bound = linalg.TOL_FACTOR * (1.0 + float(np.max(np.abs(pair.x0))))
             errors.append(NotConvergedPairError(
                 f"primal residual {pair.primal_residual:.3e} exceeds "
-                f"{CONVERGED_RESIDUAL:.0e} (1 + max|x0|) = {bound:.3e}"))
+                f"{linalg.TOL_FACTOR:.0e} (1 + max|x0|) = {bound:.3e}"))
         elif not pair.c_star.inside:
             errors.append(OutsideCstarError(
                 f"M(vhat0) smallest eigenvalue {pair.c_star.margin:.3e} "

@@ -17,7 +17,12 @@ import numpy as np
 
 SYM_TOL_FACTOR = 1e-12
 EPS_PD_FACTOR = 1e-10
-TOL_FACTOR = 1e-12  # Newton: residual <= TOL_FACTOR (1 + max |iterate|)
+TOL_FACTOR = 1e-12  # converged's default factor
+
+
+def converged(residual, iterate, factor=TOL_FACTOR):
+    """Newton's test, per row: residual <= factor (1 + max |iterate|)."""
+    return residual <= factor * (1.0 + np.maximum.reduce(np.abs(iterate), -1))
 
 
 def symmetrize(M):

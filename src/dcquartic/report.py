@@ -28,92 +28,88 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
     certificate -> baseline, with per-stage failures recorded per point.
 
     Each stage runs once per report, on the stack of its critical pairs:
-    the lift, the bundles, the cases with their gaps, the chain
-    residuals and |alpha1|, and the baseline.  Only the certificate runs
-    per pair, at the case-2 pairs.  The probes of every point with a
-    bundle then run as one stack, with one draw of each ball.  The
-    points come from the (2n+1) eigenproblem at N = 1 and from
-    multistart(P, n_seeds, rng_seed) otherwise.  n_seeds and n_samples
-    must be non-negative integers (ValueError otherwise)."""
+    the lift, the bundles, the cases, the chain residuals and |alpha1|,
+    the probes of every point with a bundle (one draw of each ball) and
+    the baseline.  _record then writes each record in one pass, and runs
+    the certificate at a case-2 pair.  The points come from the (2n+1)
+    eigenproblem at N = 1 and from multistart(P, n_seeds, rng_seed)
+    otherwise.  n_seeds and n_samples must be non-negative integers
+    (ValueError otherwise)."""
     n_samples = _count(n_samples, "n_samples")
     ms = find_critical_points(P, n_seeds, rng_seed)
     pairs = _lift_stack(P, np.reshape(ms.points, (-1, P.n)))
     bundle, errors = _bundle_stack(P, pairs)
-    formed = [i for i, error in enumerate(errors) if error is None]
-    stages = dict(zip(formed, zip(
-        _classify_stack(P, [pairs[i] for i in formed], bundle),
-        _chain_stack(bundle).tolist(),
-        linalg.frobenius_norm(bundle.alpha1).tolist(),
-        bundle.dual_hessian_asymmetry.tolist())))
+    formed = [pair for pair, error in zip(pairs, errors) if error is None]
+    cases = _classify_stack(P, formed, bundle)
+    probes = local_extremality_probes(
+        P, formed, n_samples, rng_seed, [case.case_id for case in cases],
+        bundle) if n_samples > 0 else [None] * len(formed)
+    stages = zip(cases, _chain_stack(bundle).tolist(),
+                 bundle.dual_hessian_asymmetry.tolist(),
+                 linalg.frobenius_norm(bundle.alpha1).tolist(), probes)
+    return [_record(P, ms, idx, pair,
+                    error if error is not None else next(stages), base)
+            for idx, (pair, error, base) in enumerate(
+                zip(pairs, errors, _correspondence_stack(P, pairs)))], ms
 
-    records = []
-    for idx, pair in enumerate(pairs):
-        record = {
-            "index": idx,
-            "x0": pair.x0.tolist(),
-            "J": pair.J,
-            "primal_residual": pair.primal_residual,
-            "newton_iterations": ms.iterations[idx],
-            "v_hat": pair.v_hat.tolist(),
-            "v0_hat": pair.v0_hat.tolist(),
-            "dual_residual_vstar": pair.dual_residual_vstar,
-            "dual_residual_v0": pair.dual_residual_v0,
-            "case": None,
-            "gap": None,
-            "chain_residual": None,
-            "dual_hessian_asymmetry": None,
-            "alpha1_norm": None,
-            "membership": None,
-            "probe": None,
-            "certificate": None,
-            "baseline": None,
-            "errors": {},
-        }
-        records.append(record)
-        if idx not in stages:
-            record["errors"]["bundle"] = str(errors[idx])
-            continue
-        (case, record["chain_residual"], record["alpha1_norm"],
-         record["dual_hessian_asymmetry"]) = stages[idx]
-        c, b = pair.c_star, pair.b_star
-        record["case"] = case.case_id
-        record["gap"] = verify_zero_gap(P, pair) if c.inside else float("nan")
+
+def _record(P, ms, idx, pair, stage, base):
+    """One point's record.  stage is the bundle's error, or (case, chain
+    residual, dual Hessian asymmetry, |alpha1|, probe) where the bundle
+    formed; base is the BaselineReport or its DualityError.  The
+    certificate runs here at a case-2 pair, so errors are keyed in stage
+    order: bundle, certificate, baseline."""
+    errors, certificate = {}, None
+    if isinstance(stage, DualityError):
+        errors["bundle"], stage = str(stage), None
+    elif stage[0].case_id == "case2":
+        try:
+            certificate = dataclasses.asdict(
+                global_min_certificate(P, pair, ms.points))
+        except DualityError as exc:
+            errors["certificate"] = str(exc)
+    if isinstance(base, DualityError):
+        errors["baseline"], base = str(base), None
+    case, chain, asymmetry, alpha1, probe = stage or (None,) * 5
+    if probe is not None:
+        probe = dataclasses.asdict(probe) | {"violations": probe.violations()}
+        del probe["case_id"]
+    c, b = pair.c_star, pair.b_star
+    return {
+        "index": idx,
+        "x0": pair.x0.tolist(),
+        "J": pair.J,
+        "primal_residual": pair.primal_residual,
+        "newton_iterations": ms.iterations[idx],
+        "v_hat": pair.v_hat.tolist(),
+        "v0_hat": pair.v0_hat.tolist(),
+        "dual_residual_vstar": pair.dual_residual_vstar,
+        "dual_residual_v0": pair.dual_residual_v0,
+        "case": None if case is None else case.case_id,
+        "gap": None if case is None else (
+            verify_zero_gap(P, pair) if c.inside else float("nan")),
+        "chain_residual": chain,
+        "dual_hessian_asymmetry": asymmetry,
+        "alpha1_norm": alpha1,
         # A* = B* (see conjugates.in_A_star)
-        record["membership"] = {
+        "membership": None if case is None else {
             "c_star": c.inside, "c_star_margin": c.margin,
             "b_star": b.inside, "b_star_margin": b.margin,
             "a_star": b.inside, "a_star_margin": b.margin,
             "primal_hessian_margin": float(pair.d2j_spectrum[0][0]),
             "shifted_hessian_margin": case.shifted_hessian_margin,
-        }
-        if case.case_id == "case2":
-            try:
-                cert = global_min_certificate(P, pair, ms.points)
-                record["certificate"] = dataclasses.asdict(cert)
-            except DualityError as exc:
-                record["errors"]["certificate"] = str(exc)
-
-    for record, base in zip(records,
-                            _correspondence_stack(P, pairs)):
-        if isinstance(base, DualityError):
-            record["errors"]["baseline"] = str(base)
-            continue
-        record["baseline"] = {
+        },
+        "probe": probe,
+        "certificate": certificate,
+        "baseline": None if base is None else {
             "minus_j1_value": base.minus_j1_value,
             "primal_inertia": list(base.primal_hessian_inertia),
             "baseline_inertia": list(base.baseline_hessian_inertia),
             "correspondence": base.correspondence,
             "ab_matrix_pd": base.ab_matrix_pd,
-        }
-    if n_samples > 0:
-        probes = local_extremality_probes(
-            P, [pairs[i] for i in formed], n_samples, rng_seed,
-            [stages[i][0].case_id for i in formed], bundle)
-        for i, probe in zip(formed, probes):
-            block = dataclasses.asdict(probe)
-            del block["case_id"]
-            records[i]["probe"] = {**block, "violations": probe.violations()}
-    return records, ms
+        },
+        "errors": errors,
+    }
 
 
 def summarize_records(records):

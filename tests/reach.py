@@ -8,8 +8,9 @@ src/dcquartic/, then prints each function-body line that no test ran,
 as path:line, its function and its source, and exits with pytest's
 status.  Besides pytest it needs the standard library only.  Tests
 that run the library in a subprocess (tests/test_bench_selftest.py
-runs bench/selftest.py) are not traced, so a line that only they reach
-is listed.  Not collected by pytest: the file has no test_ prefix.
+runs bench/selftest.py, tests/test_blas_kernels.py its own children)
+are not traced, so a line that only they reach is listed.  Not
+collected by pytest: the file has no test_ prefix.
 """
 
 import inspect
@@ -76,7 +77,7 @@ def main(args):
                   f"{text[line - 1].strip()}")
     print(f"{missed} function-body lines in {PACKAGE.relative_to(ROOT)} "
           f"not run; tests that run the library in a subprocess "
-          f"(test_bench_selftest.py) are not traced")
+          f"(test_bench_selftest.py, test_blas_kernels.py) are not traced")
     return int(status)
 
 

@@ -1,0 +1,124 @@
+"""Verdicts under each OpenBLAS kernel that numpy's wheel ships.
+
+Report bytes depend on the BLAS kernel, which OpenBLAS picks for the CPU
+at run time; the verdicts should not.  A member's verdict summary is the
+sorted (J, case, c_star, b_star, certificate passed, sorted error
+stages) of analyze_instance(P, 12, 7, 0), over the 200 members of
+iter_ensemble(200, 2024).  It is computed in four child processes at one
+BLAS thread: the default kernel, and OPENBLAS_CORETYPE set to Haswell,
+Sandybridge and Prescott (the variable acts only on the child).  Each
+forced kernel must give the default's summary (the same counts, J within
+1e-9 (1 + |J|), the other fields equal), except at members 63 and 186,
+whose point sets multistart's last-bit rounding changes at N >= 2
+(ROADMAP items 13 and 4).  A kernel whose child reports the default's
+core name (a build that ignores the variable) is skipped, so the strict
+xfail cannot pass by accident.
+
+    python tests/test_blas_kernels.py    # one child: prints its summary
+"""
+
+import ctypes
+import glob
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+KERNELS = ("Haswell", "Sandybridge", "Prescott")
+KNOWN_MEMBERS = {63, 186}
+J_TOL = 1e-9
+
+
+def _corename():
+    """The core name of numpy's bundled OpenBLAS (SkylakeX, Haswell,
+    ...), or None where numpy carries no scipy-openblas library."""
+    root = Path(np.__file__).parent
+    for path in (glob.glob(str(root.parent / "numpy.libs" / "*openblas*"))
+                 + glob.glob(str(root / ".dylibs" / "*openblas*"))):
+        get = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_",
+                      None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            return get().decode()
+    return None
+
+
+def _summary():
+    """{"corename": ..., "members": one verdict summary per member}."""
+    from dcquartic import iter_ensemble
+    from dcquartic.report import analyze_instance
+
+    members = []
+    for P in iter_ensemble(200, 2024):
+        records, _ = analyze_instance(P, 12, 7, 0)
+        rows = [[r["J"], r["case"],
+                 r["membership"] and r["membership"]["c_star"],
+                 r["membership"] and r["membership"]["b_star"],
+                 r["certificate"] and r["certificate"]["passed"],
+                 sorted(r["errors"])] for r in records]
+        members.append(sorted(rows, key=lambda row: (row[0], repr(row))))
+    return {"corename": _corename(), "members": members}
+
+
+@pytest.fixture(scope="module")
+def summaries():
+    """{kernel: summary} from four concurrent children; kernel None is
+    the default."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    env.pop("OPENBLAS_CORETYPE", None)
+    children = {kernel: subprocess.Popen(
+        [sys.executable, __file__], stdout=subprocess.PIPE, text=True,
+        env=env if kernel is None else {**env, "OPENBLAS_CORETYPE": kernel})
+        for kernel in (None,) + KERNELS}
+    out = {}
+    try:
+        for kernel, child in children.items():
+            stdout, _ = child.communicate(timeout=600)
+            assert child.returncode == 0, kernel
+            out[kernel] = json.loads(stdout)
+    finally:
+        for child in children.values():
+            child.kill()
+            child.wait()
+    return out
+
+
+def _differing(summaries, kernel):
+    """The members whose summary under kernel is not the default's;
+    skips a kernel that the build does not honour."""
+    default, forced = summaries[None], summaries[kernel]
+    if forced["corename"] in (None, default["corename"]):
+        pytest.skip(f"OpenBLAS core {forced['corename']} under {kernel}")
+    differing = set()
+    for k, (rows, forced_rows) in enumerate(zip(default["members"],
+                                                forced["members"])):
+        if len(rows) != len(forced_rows) or any(
+                abs(a[0] - b[0]) > J_TOL * (1.0 + abs(a[0])) or a[1:] != b[1:]
+                for a, b in zip(rows, forced_rows)):
+            differing.add(k)
+    return differing
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_verdicts_differ_only_at_known_members(summaries, kernel):
+    assert _differing(summaries, kernel) <= KNOWN_MEMBERS
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "multistart's last-bit rounding at N >= 2 changes the point sets of "
+    "members 63 and 186 under Sandybridge and Prescott (ROADMAP items 13 "
+    "and 4)"))
+@pytest.mark.parametrize("kernel", ["Sandybridge", "Prescott"])
+def test_verdicts_match_the_default_kernel(summaries, kernel):
+    assert _differing(summaries, kernel) == set()
+
+
+if __name__ == "__main__":
+    json.dump(_summary(), sys.stdout)

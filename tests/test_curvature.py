@@ -45,7 +45,8 @@ class TestBundleHandValues:
 
     def test_large_minima_are_converged(self):
         # at x0 = +-sqrt(2) 1e8 the solver stops at max |grad J| <= 1e-12
-        # (1 + |x0|) = 1.4e-4; an absolute bound of 1e-9 rejected both
+        # (1 + |x0|) = 1.4e-4, and build_bundle refuses a point by that
+        # same test; an absolute bound of 1e-9 rejected both minima
         P = validate_instance([-1.0], [[1e-8]], [1.0], [0.0], [0.0], 1.0)
         records, _ = analyze_instance(P, 32, 7, 0)
         minima = [r for r in records if abs(r["x0"][0]) > 1.0]
@@ -54,7 +55,7 @@ class TestBundleHandValues:
             assert r["case"] == "case1" and "bundle" not in r["errors"]
         pair = lift_to_dual(P, np.array(minima[0]["x0"]) * (1.0 + 1e-6))
         with pytest.raises(NotConvergedPairError,
-                           match=r"1e-09 \(1 \+ max\|x0\|\) = 1\.414e-01"):
+                           match=r"1e-12 \(1 \+ max\|x0\|\) = 1\.414e-04"):
             build_bundle(P, pair)
 
     def test_outside_c_star(self):
