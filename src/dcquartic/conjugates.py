@@ -45,8 +45,6 @@ from .errors import (
 )
 from .problem import _finite
 
-INNER_MAX_ITER = 100
-INNER_MAX_BACKTRACKS = 40
 INNER_EXTRA_INITS = 8  # multistart fallback budget for the inner sup
 STACK_ENTRIES = 1 << 21  # matrix entries per stacked solve; bounds memory
 
@@ -204,10 +202,11 @@ def _inner_newton_stack(P, v_stars, v0, mu=0.0):
     backtrack and strict-decrease test are decided for each row alone.
     Returns (v0, L, status): where status[s] is SOLVED, v0[s] is the
     solution and L[s] the Cholesky factor of M(v0[s]).  Otherwise
-    status[s] is LEFT_C_STAR (the start, or every backtracked step,
-    leaves C*) or NO_CONVERGENCE (the budget ran out), and v0[s] is the
-    last accepted iterate.  A singular E raises for the whole stack,
-    SingularMatrixError when mu > 0.
+    status[s] is LEFT_C_STAR (the start is outside C*, or no trial step
+    both stays in C* and lowers the residual) or NO_CONVERGENCE (the
+    budget ran out), and v0[s] is the last accepted iterate.  A singular
+    E fails its own row, LEFT_C_STAR, or raises SingularMatrixError at
+    mu > 0.
     """
     v0 = np.array(v0, dtype=float)
     L, feasible = _inner_factor(P, v0, mu)
@@ -216,7 +215,7 @@ def _inner_newton_stack(P, v_stars, v0, mu=0.0):
     res, x_bar = _inner_residual(P, v_stars[live], v0[live], L[live], mu)
     res_norm = np.max(np.abs(res), axis=1)
     factor = 1e-10 if mu else linalg.TOL_FACTOR
-    for _ in range(INNER_MAX_ITER):
+    for _ in range(linalg.NEWTON_MAX_ITER):
         done = linalg.converged(res_norm, v0[live], factor)
         status[live[done]] = SOLVED
         live, res, x_bar, res_norm = \
@@ -224,18 +223,13 @@ def _inner_newton_stack(P, v_stars, v0, mu=0.0):
         if live.size == 0:
             break
         E = _inner_matrix(P, x_bar, v0[live], L[live], mu)
-        try:
-            step = np.linalg.solve(E, res[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            if not mu:
-                raise
+        step = linalg.solve_rows(E, res)
+        if mu and np.isnan(step).any():
             raise SingularMatrixError(
-                f"barrier Newton matrix E + mu T is singular at mu = {mu:g}"
-            ) from exc
+                f"barrier Newton matrix E + mu T is singular at mu = {mu:g}")
         pending = np.ones(live.size, dtype=bool)
         searching = pending.copy()
-        t = 1.0
-        for _ in range(INNER_MAX_BACKTRACKS):
+        for t in linalg.HALVINGS:
             rows = np.flatnonzero(searching)
             cand = v0[live[rows]] + t * step[rows]
             # a row whose step rounds to its iterate (where a stage stalls
@@ -256,8 +250,7 @@ def _inner_newton_stack(P, v_stars, v0, mu=0.0):
             pending[rows] = searching[rows] = False
             if not searching.any():
                 break
-            t *= 0.5
-        # a row with no feasible descent step has left C*
+        # a row with no feasible descent step ends LEFT_C_STAR
         status[live[pending]] = LEFT_C_STAR
         live, res, x_bar, res_norm = \
             live[~pending], res[~pending], x_bar[~pending], res_norm[~pending]

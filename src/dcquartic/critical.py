@@ -33,8 +33,6 @@ from .problem import (
     primal_value,
 )
 
-NEWTON_MAX_ITER = 100
-NEWTON_MAX_BACKTRACKS = 40
 DEDUP_DISTANCE = 1e-6
 # the N = 1 route's shifts, tried in order; far from round numbers, so
 # that hand-made instances rarely make M0 + sigma M1 or S(sigma) singular
@@ -84,10 +82,6 @@ class CriticalPair:
         return bool(linalg.converged(self.primal_residual, self.x0))
 
 
-# t0 * 2^-k is exact, so row k is the float that k halvings of t0 give
-_HALVINGS = np.ldexp(1.0, -np.arange(NEWTON_MAX_BACKTRACKS))
-
-
 def _backtrack(P, x, d, t0, g_norm):
     """For each row of the (R, n) stack x: the first x + t d,
     t = t0, t0/2, ..., whose max |grad J| is below that row's g_norm
@@ -102,7 +96,7 @@ def _backtrack(P, x, d, t0, g_norm):
     one-at-a-time halving loop's.  Past the full step (about 1 in 6), the
     accepted depths spread almost evenly, so trying t0 first is slower.
     """
-    t = np.multiply.outer(t0, _HALVINGS)[..., None]
+    t = np.multiply.outer(t0, linalg.HALVINGS)[..., None]
     flat = (x[:, None, :] + t * d[:, None, :]).reshape(-1, P.n)
     bx, w = P._bx_and_w(flat)
     g = gradient_from(P, bx, w)
@@ -110,24 +104,9 @@ def _backtrack(P, x, d, t0, g_norm):
     below = gn.reshape(len(x), -1) < g_norm[:, None]
     # each row's first trial below g_norm, else its first trial, which
     # then is not below: one flat index into the R x 40 trials
-    pick = np.arange(0, gn.size, NEWTON_MAX_BACKTRACKS) + below.argmax(axis=1)
+    pick = np.arange(0, gn.size, below.shape[1]) + below.argmax(axis=1)
     gn = gn[pick]
     return gn < g_norm, flat[pick], g[pick], gn, bx[pick], w[pick]
-
-
-def _newton_steps(H, g):
-    """Solve H d = -g for each row; a row whose solve raises gets NaN.
-
-    np.linalg.solve raises for the whole stack when one matrix is
-    singular, so then each row is solved as a one-row stack.
-    """
-    try:
-        return np.linalg.solve(H, -g[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if len(H) == 1:
-            return np.full_like(g, np.nan)
-        return np.concatenate([_newton_steps(H[i:i + 1], g[i:i + 1])
-                               for i in range(len(H))])
 
 
 def _solve_stack(P, X):
@@ -159,9 +138,9 @@ def _solve_stack(P, X):
     bx, w = P._bx_and_w(x)
     g = gradient_from(P, bx, w)
     gn = np.maximum.reduce(np.abs(g), axis=1)
-    for it in range(NEWTON_MAX_ITER + 1):
+    for it in range(linalg.NEWTON_MAX_ITER + 1):
         done = linalg.converged(gn, x)
-        leave = done | (it == NEWTON_MAX_ITER)
+        leave = done | (it == linalg.NEWTON_MAX_ITER)
         if np.logical_or.reduce(leave):
             out, stay = rows[leave], ~leave
             x0[out], grad_norm[out], iterations[out] = x[leave], gn[leave], it
@@ -170,7 +149,7 @@ def _solve_stack(P, X):
         if not rows.size:
             break
         H = hessian_from(P, bx, w)
-        found, *new = _backtrack(P, x, _newton_steps(H, g), 1.0, gn)
+        found, *new = _backtrack(P, x, linalg.solve_rows(H, -g), 1.0, gn)
         if np.logical_and.reduce(found):
             x, g, gn, bx, w = new
             continue
@@ -295,7 +274,7 @@ def _pencil_seeds(P):
         return None
     v, _ = _real_shifted(M, M1, sigma)
     # x = -S(v)^{-1} f per row, NaN (so not kept) where S(v) is singular
-    x = _newton_steps(P.ab_matrix(v[:, None]), np.tile(f, (len(v), 1)))
+    x = linalg.solve_rows(P.ab_matrix(v[:, None]), -np.tile(f, (len(v), 1)))
     seeds = [x[np.isfinite(x).all(axis=1)]]
     scale = PENCIL_TOL * (1.0 + np.abs(f).max())
     for v_hard, z in zip(*_real_shifted(S, B, sigma)):

@@ -38,7 +38,8 @@ class NoConvergenceError(DualityError):
 
 
 class LeftCstarError(NoConvergenceError):
-    """The inner maximizer iteration could not stay strictly inside C*."""
+    """The inner maximizer's start is outside C*, or no trial step both
+    stays in C* and lowers the residual."""
 
 
 class AStarEmptyError(DualityError):

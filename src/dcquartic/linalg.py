@@ -18,11 +18,32 @@ import numpy as np
 SYM_TOL_FACTOR = 1e-12
 EPS_PD_FACTOR = 1e-10
 TOL_FACTOR = 1e-12  # converged's default factor
+# the budget of both damped-Newton loops and of each line search
+NEWTON_MAX_ITER = 100
+NEWTON_MAX_BACKTRACKS = 40
+# t0 * 2^-k is exact, so row k is the float that k halvings of t0 give
+HALVINGS = np.ldexp(1.0, -np.arange(NEWTON_MAX_BACKTRACKS))
 
 
 def converged(residual, iterate, factor=TOL_FACTOR):
     """Newton's test, per row: residual <= factor (1 + max |iterate|)."""
     return residual <= factor * (1.0 + np.maximum.reduce(np.abs(iterate), -1))
+
+
+def solve_rows(H, b):
+    """Solve H d = b for each row of an (R, n, n) and (R, n) stack; a row
+    whose solve raises gets NaN.
+
+    np.linalg.solve raises for the whole stack when one matrix is
+    singular, so then each row is solved as a one-row stack.
+    """
+    try:
+        return np.linalg.solve(H, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(H) == 1:
+            return np.full_like(b, np.nan)
+        return np.concatenate([solve_rows(H[i:i + 1], b[i:i + 1])
+                               for i in range(len(H))])
 
 
 def symmetrize(M):

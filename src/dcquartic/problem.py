@@ -164,9 +164,7 @@ def validate_instance(A, B, gamma, c, f, K, coercivity_override=False):
             f"c must have length {N}, got {c.shape}")
 
     A = _as_square(A, n, "A")
-    if B.shape == (n, n) and N == 1:
-        B = B.reshape(1, n, n)
-    elif B.size == N * n * n:
+    if B.size == N * n * n:
         B = B.reshape(N, n, n)
     else:
         raise DimensionMismatchError(

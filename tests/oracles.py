@@ -36,11 +36,7 @@ from scipy.optimize import brentq
 from dcquartic import j2_star, j_star, j_tilde_star, primal_gradient
 from dcquartic import conjugates, ensembles, linalg, validate_instance
 from dcquartic.conjugates import INNER_EXTRA_INITS, default_inner_init
-from dcquartic.critical import (
-    NEWTON_MAX_BACKTRACKS,
-    NEWTON_MAX_ITER,
-    SolveResult,
-)
+from dcquartic.critical import SolveResult
 from dcquartic.errors import (
     DualityError,
     LeftCstarError,
@@ -51,7 +47,12 @@ from dcquartic.errors import (
     ProbeFailureError,
 )
 from dcquartic.gap import CERT_GAP_TOL, CERT_SAMPLE_TOL
-from dcquartic.linalg import TOL_FACTOR, symmetrize
+from dcquartic.linalg import (
+    NEWTON_MAX_BACKTRACKS,
+    NEWTON_MAX_ITER,
+    TOL_FACTOR,
+    symmetrize,
+)
 from dcquartic.problem import primal_hessian, primal_value
 
 # central finite-difference step, relative to 1 + |x_i|
@@ -297,15 +298,15 @@ def inner_newton_point(P, v_star, v0):
 
     Returns the converged multiplier.  Raises LeftCstarError if the
     iterate cannot stay strictly inside C*, NoConvergenceError on
-    iteration exhaustion.  Reads the solve's budgets from conjugates when
-    it runs, so a test that changes them changes both solves.
+    iteration exhaustion.  Reads the solve's budgets from linalg when it
+    runs, so a test that changes them changes both solves.
     """
     factor = _lapack_factor(P.mixed_matrix(v0))
     if factor is None:
         raise LeftCstarError("inner start is not strictly inside C*")
     res, x_bar = _inner_residual_point(P, v_star, v0, factor)
     res_norm = float(np.max(np.abs(res)))
-    for _ in range(conjugates.INNER_MAX_ITER):
+    for _ in range(linalg.NEWTON_MAX_ITER):
         if res_norm <= TOL_FACTOR * (1.0 + float(np.max(np.abs(v0)))):
             return v0
         p1 = P.bx_columns(x_bar)
@@ -313,7 +314,7 @@ def inner_newton_point(P, v_star, v0):
         E = symmetrize(p2 @ p1) + np.diag(1.0 / P.gamma)
         step = np.linalg.solve(E, res)
         t = 1.0
-        for _ in range(conjugates.INNER_MAX_BACKTRACKS):
+        for _ in range(linalg.NEWTON_MAX_BACKTRACKS):
             cand = v0 + t * step
             cand_factor = _lapack_factor(P.mixed_matrix(cand))
             if cand_factor is not None:
@@ -330,7 +331,7 @@ def inner_newton_point(P, v_star, v0):
                 "inner Newton could not find a feasible descent step")
     raise NoConvergenceError(
         f"inner Newton residual {res_norm:.3e} after "
-        f"{conjugates.INNER_MAX_ITER} iterations")
+        f"{linalg.NEWTON_MAX_ITER} iterations")
 
 
 def j_tilde_star_loop(P, v_star, init=None):
@@ -423,7 +424,7 @@ def solve_primal_critical_loop(P, x_init):
         try:
             step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
-            # as _newton_steps: no trial along a NaN step is accepted
+            # as linalg.solve_rows: no trial along a NaN step is accepted
             step = np.full_like(g, np.nan)
         accepted = False
         t = 1.0

@@ -12,7 +12,6 @@ from dcquartic import (
     LeftCstarError,
     NoConvergenceError,
     OutsideCstarError,
-    SingularMatrixError,
     build_bundle,
     classify_case,
     find_critical_pairs,
@@ -122,14 +121,29 @@ class TestJTildeStar:
         assert v0 == pytest.approx([1.0], abs=1e-12)
 
     def test_singular_newton_matrix_raises(self, p_tri, monkeypatch):
-        # at mu = 0 a singular inner Newton matrix raises numpy's
-        # LinAlgError; SingularMatrixError names the barrier's mu > 0
-        monkeypatch.setattr(conjugates, "_inner_matrix",
-                            lambda P, x_bar, *args:
-                            np.zeros((len(x_bar), P.N, P.N)))
-        with pytest.raises(np.linalg.LinAlgError) as info:
+        # at mu = 0 a singular inner Newton matrix fails its own row: E is
+        # zeroed where x_bar = v* / (1 + v0) > 0, that is at every start
+        # in C* of the rows with v* > 0, first tries and fallbacks alike
+        v_stars = np.array([[-2.0], [1.0], [-0.5], [2.0], [-1.0]])
+        singular = v_stars[:, 0] > 0
+        expected = j_tilde_star(p_tri, v_stars)
+        assert not np.isnan(expected[0]).any()
+        inner_matrix = conjugates._inner_matrix
+
+        def zero_where_positive(P, x_bar, v0, L, mu):
+            E = inner_matrix(P, x_bar, v0, L, mu)
+            return np.where((x_bar <= 0.0).all(axis=1)[:, None, None], E, 0.0)
+
+        monkeypatch.setattr(conjugates, "_inner_matrix", zero_where_positive)
+        values, argmaxes = j_tilde_star(p_tri, v_stars)
+        assert np.isnan(values[singular]).all()
+        assert np.isnan(argmaxes[singular]).all()
+        for got, want in zip((values, argmaxes), expected):
+            assert got[~singular].tobytes() == want[~singular].tobytes()
+        with pytest.raises(LeftCstarError) as info:
             j_tilde_star(p_tri, [1.0])
-        assert not isinstance(info.value, SingularMatrixError)
+        assert isinstance(info.value, DualityError)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
 
     def test_grid_oracle_1d(self, p_tri, sqrt2):
         val, _ = j_tilde_star(p_tri, [2 * sqrt2])
@@ -459,7 +473,7 @@ class TestJTildeStarStack:
         assert raised == {LeftCstarError, OutsideCstarError}
 
         # with a 2-iteration budget most rows run out of iterations
-        monkeypatch.setattr(conjugates, "INNER_MAX_ITER", 2)
+        monkeypatch.setattr(linalg, "NEWTON_MAX_ITER", 2)
         P, v_stars, init = cases[-1]
         values, _ = j_tilde_star(P, v_stars[:20], init=init)
         for value, v in zip(values, v_stars[:20]):

@@ -13,14 +13,18 @@ Hashes, in this order, the dumps_canonical text of
 Prints the digest, then how many members form no bundle row and how
 many valid sweep points have no pair in C*, then one sha256 for each of
 the three groups (members, sample reports, sweeps) over the same texts
-in the same order, to show which group moved.  A last line, "barriers",
-is hashed apart from the digest: the j2_star results (value, v0_star,
+in the same order, to show which group moved.  A line "barriers" is
+hashed apart from the digest: the j2_star results (value, v0_star,
 boundary_attained and a_star_margin, or the name of the library error
 raised) at six points w = v_hat + 0.8 (1 + |v_hat|) z around each case-2
 pair of find_critical_pairs(P, 12, 7) over members 0-119, z from one
 default_rng(5) stream, each started at the pair's v0_hat: 72 of those
-246 calls run the log-det barrier, which no report reaches.  Run it
-at two commits and compare the digests.  Pins one BLAS thread before
+246 calls run the log-det barrier, which no report reaches.  A last
+line, "solves", is hashed apart too: for each member of
+iter_ensemble(200, 2024), each SolveResult of the lockstep Newton
+critical._solve_stack(P, critical._starts(P, 12, 7)), as its x0 bytes,
+converged byte, iteration count and grad_norm bytes.  Run it at two
+commits and compare the digests.  Pins one BLAS thread before
 numpy is imported and needs only numpy and the library.  Not collected
 by pytest: the file has no test_ prefix.
 """
@@ -43,6 +47,7 @@ def main():
 
     from dcquartic import (
         DualityError,
+        critical,
         epsilon_sweep,
         find_critical_pairs,
         generate_instance,
@@ -94,12 +99,20 @@ def main():
                 except DualityError as exc:
                     doc = type(exc).__name__
                 barriers.update(dumps_canonical(doc).encode())
+    solves = hashlib.sha256()
+    for P in iter_ensemble(200, 2024):
+        for res in critical._solve_stack(P, critical._starts(P, 12, 7)):
+            for part in (res.x0.tobytes(), bytes([res.converged]),
+                         str(res.iterations).encode(),
+                         np.float64(res.grad_norm).tobytes()):
+                solves.update(part)
     print(digest.hexdigest())
     print(f"{no_row} members form no bundle row")
     print(f"{no_inside} valid sweep points have no pair in C*")
     for name, group in groups.items():
         print(f"{name:8} {group.hexdigest()}")
     print(f"barriers {barriers.hexdigest()}")
+    print(f"solves   {solves.hexdigest()}")
 
 
 if __name__ == "__main__":
