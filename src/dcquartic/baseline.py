@@ -94,15 +94,6 @@ def correspondence_report(P, pair):
     return report
 
 
-def _definite(inertia, size):
-    n_pos, n_neg, _ = inertia
-    if n_pos == size:
-        return 1
-    if n_neg == size:
-        return -1
-    return 0
-
-
 def _correspondence_stack(P, pairs):
     """correspondence_report at each pair: one BaselineReport, or the
     DualityError it raises, per pair.  j1_star runs once on the stack."""
@@ -115,9 +106,9 @@ def _correspondence_stack(P, pairs):
                    linalg.inertia(*linalg.spectrum(hessians)).tolist())
     for k, (i, (primal, baseline)) in enumerate(zip(rows, inertias)):
         primal, baseline = tuple(primal), tuple(baseline)
-        p_sign = _definite(primal, P.n)
-        b_sign = _definite(baseline, P.N)
-        correspondence = (p_sign == b_sign == 1) or (p_sign == b_sign == -1)
+        # both positive definite (count 0) or both negative definite (1)
+        correspondence = any(primal[s] == P.n and baseline[s] == P.N
+                             for s in (0, 1))
         ab_pd = pairs[i].b_star.inside
         if P.n == 1 and P.N == 1 and ab_pd and not correspondence:
             out[i] = DualityError(

@@ -18,11 +18,9 @@ concave in v0* on C*, and
                                                 system)
     J2*(v*) = sup_{v0* in A*} J*(v*, v0*)      (A* = B* intersect C*:
                                                 Jt*(v*) where Jt*'s
-                                                argmax lies strictly
-                                                inside A*, else log-det
-                                                barrier continuation,
-                                                then Jt* from its end
-                                                point)
+                                                argmax lies in A*, else
+                                                log-det barrier
+                                                continuation)
 
 B* is where S(v0*) = A + sum_j (v0*)_j B_j is positive definite.  Since
 M(v0*) = S(v0*) + (K - A) and validate_instance requires K - A positive
@@ -458,38 +456,37 @@ def _interior_sup(P, v_star, v0):
 def j2_star(P, v_star, init=None):
     """Evaluate J2*(v*) = sup over A* of J*(v*, .).
 
-    J*(v*, .) is concave on C* and A* is a convex subset of C*, so
-    J2*(v*) = Jt*(v*) wherever Jt*'s argmax lies strictly inside A*.
-    That argmax is solved for first, by j_tilde_star's one-chunk solve
-    from ``init`` or by default from the lift of (K - A)^{-1}(v* + f).
-    Only where that solve fails or its argmax is within BOUNDARY_MARGIN
-    of A*'s boundary, or outside A*, does a log-det barrier continuation
-    run: from a strictly feasible A* point, one _inner_newton_stack solve
-    per weight in BARRIER_WEIGHTS, then the one-chunk solve again from
-    the end point.  When the maximizer sits on the A* boundary the
-    barrier-path limit value is returned tagged boundary_attained; so is
-    the barrier end point's value, g1_star - g2_star there, whenever
-    Jt*'s argmax lies beyond A*.  Raises AStarEmptyError when no strictly
-    feasible A* start is found near ``init``, SingularMatrixError when a
-    barrier Newton matrix is singular, and ValidationError("non-finite")
-    for a NaN or inf v* or init.
+    J*(v*, .) is strictly concave on C* (its negated Hessian is E >=
+    diag(1/gamma)), so Jt*'s stationary point in C* is unique: j2_star
+    solves for it once, by j_tilde_star's one-chunk solve from ``init``
+    or by default from the lift of (K - A)^{-1}(v* + f), and J2*(v*) =
+    Jt*(v*) wherever it lies in A*.  Within BOUNDARY_MARGIN of A*'s
+    boundary it is still the answer, tagged boundary_attained.  Only
+    where no start solves the inner sup, or the point lies beyond A*
+    (margin below -BOUNDARY_MARGIN), does a log-det barrier continuation
+    run: from a strictly feasible A* point, one _inner_newton_stack
+    solve per weight in BARRIER_WEIGHTS, then the one-chunk solve from
+    the end point where the first found nothing.  Beyond A* the sup is
+    on A*'s boundary, and the end point's value, g1_star - g2_star
+    there, is returned tagged boundary_attained.  Raises AStarEmptyError
+    when no strictly feasible A* start is found near ``init``,
+    SingularMatrixError when a barrier Newton matrix is singular, and
+    ValidationError("non-finite") for a NaN or inf v* or init.
     """
     v_star = _finite(P.require_x(v_star), "v_star")
     v0 = _finite(P.require_v0(init), "init") if init is not None \
         else default_inner_init(P, v_star)
     interior = _interior_sup(P, v_star, v0)
-    if interior is None or interior[2] < BOUNDARY_MARGIN:
+    if interior is None or interior[2] < -BOUNDARY_MARGIN:
         v0 = _feasible_a_star_point(P, v0)
         for mu in BARRIER_WEIGHTS:
             # each stage starts where the last one stopped, whatever its
             # status
             v0 = _inner_newton_stack(P, v_star[None], v0[None], mu)[0][0]
-        # a margin below BOUNDARY_MARGIN puts the argmax on the A*
-        # boundary, where its value is the exact barrier-path limit
-        interior = _interior_sup(P, v_star, v0)
+        # the stationary point is unique: search again only where the
+        # first solve found none
+        interior = interior or _interior_sup(P, v_star, v0)
         if interior is None or interior[2] < -BOUNDARY_MARGIN:
-            # an argmax beyond A* puts the sup on A*'s boundary, whatever
-            # the end point's own margin
             margin = in_B_star(P, v0).margin
             return J2Result(g1_star(P, v_star) - g2_star(P, v_star, v0), v0,
                             interior is not None or margin < BOUNDARY_MARGIN,

@@ -375,7 +375,7 @@ def epsilon_sweep(P_base, eps_list, rng_seed, n_seeds=16):
             chain, a1, ka = next(formed) if error is None else (nan,) * 3
             records.append({
                 "x0": pair.x0,
-                "gap": verify_zero_gap(P_eps, pair) if inside else nan,
+                "gap": pair.J - pair.J_star,
                 "chain_residual": chain,
                 "alpha1_norm": a1,
                 "ka_alpha1_norm": ka,

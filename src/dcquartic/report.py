@@ -18,7 +18,6 @@ from .gap import (
     _classify_stack,
     global_min_certificate,
     local_extremality_probes,
-    verify_zero_gap,
 )
 from .instancefile import instance_digest, instance_to_doc
 
@@ -86,8 +85,7 @@ def _record(P, ms, idx, pair, stage, base):
         "dual_residual_vstar": pair.dual_residual_vstar,
         "dual_residual_v0": pair.dual_residual_v0,
         "case": None if case is None else case.case_id,
-        "gap": None if case is None else (
-            verify_zero_gap(P, pair) if c.inside else float("nan")),
+        "gap": None if case is None else pair.J - pair.J_star,
         "chain_residual": chain,
         "dual_hessian_asymmetry": asymmetry,
         "alpha1_norm": alpha1,

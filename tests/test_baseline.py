@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -134,6 +135,21 @@ class TestCorrespondence:
         assert not rep.ab_matrix_pd
         assert rep.primal_hessian_inertia == (0, 1, 0)
         assert rep.baseline_hessian_inertia == (1, 0, 0)
+
+    @pytest.mark.parametrize("spec, expected", [
+        ([-1.0], True), ([1.0], False), ([0.0], False)])
+    def test_both_negative_definite_correspond(self, spec, expected):
+        # no ensemble record is negative definite on both sides, so this
+        # pins that branch: at vhat0 = 0, S = A = -1 and x0 = S^{-1} f =
+        # -2 give -J1*'s Hessian 4 / -1 + 1 = -3, and the primal
+        # spectrum is set by hand
+        P = validate_instance([-1.0], [[1.0]], [1.0], [0.0], [2.0], 1.0)
+        pair = dataclasses.replace(
+            lift_to_dual(P, [0.0]), v0_hat=np.array([0.0]),
+            d2j_spectrum=(np.array(spec), 1e-10))
+        rep = correspondence_report(P, pair)
+        assert rep.baseline_hessian_inertia == (0, 1, 0)
+        assert rep.correspondence == expected
 
     def test_bundle_hessian_is_reused(self, monkeypatch):
         # d2J(x0) and its spectrum are the lift's: the baseline reports

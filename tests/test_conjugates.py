@@ -592,14 +592,32 @@ class TestJ2Star:
         assert barrier_calls == []
 
     def test_boundary_attained(self, p_tri, sqrt2, barrier_calls):
-        # A* = {v0 > 1}; the stationary point v0 = 1 sits on the boundary,
-        # so phase 1 and one barrier stage per weight run
+        # A* = {v0 > 1}; the stationary point v0 = 1 lies within
+        # BOUNDARY_MARGIN of A*'s boundary, so it is J2*'s answer: no
+        # phase 1 and no barrier stage
         res = j2_star(p_tri, [2 * sqrt2])
         assert res.boundary_attained
         assert res.value == pytest.approx(-0.5, abs=1e-6)
         assert res.v0_star == pytest.approx([1.0], abs=1e-3)
+        assert barrier_calls == []
+
+    def test_stationary_point_beyond_a_star(self, p_tri, barrier_calls,
+                                            monkeypatch):
+        # A* = {v0 > 1}; at v* = 2 the lift start v0 = 0.5 and Jt*'s
+        # stationary point v0 ~ 0.6956 (margin ~ -0.304) both lie beyond
+        # A*, so phase 1 and every barrier stage run, and the one
+        # stationary point is not searched for again from the end point
+        calls, chunk = [], conjugates._j_tilde_star_chunk
+        monkeypatch.setattr(conjugates, "_j_tilde_star_chunk",
+                            lambda *args: calls.append(args) or chunk(*args))
+        res = j2_star(p_tri, [2.0])
         assert barrier_calls == ["_feasible_a_star_point",
                                  *conjugates.BARRIER_WEIGHTS]
+        assert len(calls) == 1
+        assert res.value == pytest.approx(-0.500000999997, abs=1e-12)
+        assert res.v0_star == pytest.approx([1.000002], abs=1e-9)
+        assert res.boundary_attained
+        assert res.a_star_margin == pytest.approx(2.0e-6, rel=1e-4)
 
     def test_empty_a_star_raises(self, barrier_calls):
         # S(v) = diag(v - 1, -v - 1) is never positive definite, so phase 1

@@ -11,7 +11,7 @@ must agree within 1e-8 (1 + |J|).
 import numpy as np
 import pytest
 
-from dcquartic import iter_ensemble, validate_instance
+from dcquartic import ValidationError, iter_ensemble, validate_instance
 from dcquartic.linalg import symmetrize
 from dcquartic.report import analyze_instance
 
@@ -77,9 +77,24 @@ def test_transform_keeps_verdicts(members, transform):
     assert _moved(members, transform) == []
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2: the solver's absolute test max|grad J| <= 1e-12 "
-    "(1 + max|x|) is not scale-free, so at s = 1e3 18 of the 39 members "
-    "lose points (1, 9, 11, 13, 15, 19, 20, 45, ...)"))
-def test_x_scale_1e3_keeps_verdicts(members):
-    assert _moved(members, _x_scaled(1e3)) == []
+def _not_scale_free(s, finding):
+    return pytest.param(s, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: the solver's absolute test max|grad J| <= 1e-12 "
+        f"(1 + max|x|) is not scale-free, so at s = {finding}")))
+
+
+@pytest.mark.parametrize("s", [
+    _not_scale_free(1e3, "1e3 18 of the 39 members lose points (1, 9, 11, "
+                    "13, 15, 19, 20, 45, ...)"),
+    _not_scale_free(1e6, "1e6 34 of the 39 members move (1, 9, 11, 13, 15, "
+                    "18, 19, 20, ...)"),
+    pytest.param(1e-6, marks=pytest.mark.xfail(
+        strict=True, raises=ValidationError, reason=(
+            "ROADMAP item 2: linalg.spectrum's threshold 1e-10 (1 + "
+            "max|w|) is absolute below scale 1, so at s = 1e-6 every "
+            "member's K - A fails validate_instance with "
+            "K-minus-A-not-PD (all 39 validate at s = 1e-4, none at "
+            "1e-5)")))],
+    ids=["1e3", "1e6", "1e-6"])
+def test_x_scale_keeps_verdicts(members, s):
+    assert _moved(members, _x_scaled(s)) == []
