@@ -198,13 +198,16 @@ def _inner_newton_stack(P, v_stars, v0, mu=0.0):
     S^{-1} are formed from them where they are read.  The C* test (a
     Cholesky factor of M), tolerance, iteration budget, halving
     backtrack and strict-decrease test are decided for each row alone.
-    Returns (v0, L, status): where status[s] is SOLVED, v0[s] is the
-    solution and L[s] the Cholesky factor of M(v0[s]).  Otherwise
-    status[s] is LEFT_C_STAR (the start is outside C*, or no trial step
-    both stays in C* and lowers the residual) or NO_CONVERGENCE (the
-    budget ran out), and v0[s] is the last accepted iterate.  A singular
-    E fails its own row, LEFT_C_STAR, or raises SingularMatrixError at
-    mu > 0.
+    A row takes at most NEWTON_MAX_ITER steps, and the iterate of each
+    step, the last included, is tested.  Returns (v0, values, status):
+    where status[s] is SOLVED, v0[s] is the solution and values[s] is
+    J*(v*, v0[s]), formed on the factor the row holds.  A solution that
+    fails j_star's eigvalsh-margin C* check gets nan and OUTSIDE_C_STAR.
+    Otherwise status[s] is LEFT_C_STAR (the start is outside C*, or no
+    trial step both stays in C* and lowers the residual) or
+    NO_CONVERGENCE (the budget ran out), v0[s] is the last accepted
+    iterate and values[s] is nan.  A singular E fails its own row,
+    LEFT_C_STAR, or raises SingularMatrixError at mu > 0.
     """
     v0 = np.array(v0, dtype=float)
     L, feasible = _inner_factor(P, v0, mu)
@@ -213,12 +216,12 @@ def _inner_newton_stack(P, v_stars, v0, mu=0.0):
     res, x_bar = _inner_residual(P, v_stars[live], v0[live], L[live], mu)
     res_norm = np.max(np.abs(res), axis=1)
     factor = 1e-10 if mu else linalg.TOL_FACTOR
-    for _ in range(linalg.NEWTON_MAX_ITER):
+    for it in range(linalg.NEWTON_MAX_ITER + 1):
         done = linalg.converged(res_norm, v0[live], factor)
         status[live[done]] = SOLVED
         live, res, x_bar, res_norm = \
             live[~done], res[~done], x_bar[~done], res_norm[~done]
-        if live.size == 0:
+        if live.size == 0 or it == linalg.NEWTON_MAX_ITER:
             break
         E = _inner_matrix(P, x_bar, v0[live], L[live], mu)
         step = linalg.solve_rows(E, res)
@@ -252,15 +255,14 @@ def _inner_newton_stack(P, v_stars, v0, mu=0.0):
         status[live[pending]] = LEFT_C_STAR
         live, res, x_bar, res_norm = \
             live[~pending], res[~pending], x_bar[~pending], res_norm[~pending]
-    return v0, L, status
-
-
-def _j_star_stack(P, v_stars, v0, L):
-    """J* at each row, given the Cholesky factors of M(v0*); nan where
-    the eigvalsh-margin C* check of j_star fails."""
-    margin, eps = linalg.pd_margin(P.mixed_matrix(v0))
-    g2 = _g2_star_solved(P, v_stars, v0, linalg.cho_solve(L, v_stars))
-    return np.where(margin > eps, g1_star(P, v_stars) - g2, np.nan)
+    ok = status == SOLVED
+    v, v0_ok = v_stars[ok], v0[ok]
+    margin, eps = linalg.pd_margin(P.mixed_matrix(v0_ok))
+    g2 = _g2_star_solved(P, v, v0_ok, linalg.cho_solve(L[ok], v))
+    values = np.full(len(v0), np.nan)
+    values[ok] = np.where(margin > eps, g1_star(P, v) - g2, np.nan)
+    status[ok & np.isnan(values)] = OUTSIDE_C_STAR
+    return v0, values, status
 
 
 def _in_chunks(P, solve, v_stars, starts, *outs):
@@ -288,8 +290,8 @@ def _j_tilde_star_bracket(P, v_stars, starts):
     at the spectrum's largest possible scale there), that ball lies in
     C*, the sup is its interior stationary point, and lower = J*(v*, s)
     <= Jt*(v*) <= lower + sum_j gamma_j r_j^2 / 2 = upper.  Both are nan
-    on the other rows, among them every start that fails _j_star_stack's
-    C* margin test.
+    on the other rows, among them every start that fails j_star's C*
+    margin test.
     """
     return _in_chunks(P, _j_tilde_star_bracket_chunk, v_stars, starts,
                       *np.full((2, len(v_stars)), np.nan))
@@ -318,12 +320,7 @@ def _j_tilde_star_bracket_chunk(P, v_stars, starts):
 def _j_tilde_star_chunk(P, v_stars, inits):
     """j_tilde_star on one chunk of rows, row s started at inits[s].
     Returns (values, argmaxes, status)."""
-    v0, L, status = _inner_newton_stack(P, v_stars, inits)
-    ok = status == SOLVED
-    values = np.full(len(v_stars), np.nan)
-    values[ok] = _j_star_stack(P, v_stars[ok], v0[ok], L[ok])
-    status[ok & np.isnan(values)] = OUTSIDE_C_STAR
-
+    v0, values, status = _inner_newton_stack(P, v_stars, inits)
     retry = np.flatnonzero(status != SOLVED)
     if retry.size:
         # fallback multistart around each row's start; J*(v*, .) is
@@ -334,14 +331,11 @@ def _j_tilde_star_chunk(P, v_stars, inits):
         noise = np.random.default_rng(0).standard_normal((k, P.N))
         starts = (base + (1.0 + np.abs(base)) * noise).reshape(-1, P.N)
         vs = np.repeat(v_stars[retry], k, axis=0)
-        tv0, tL, tstatus = _inner_newton_stack(P, vs, starts)
-        tok = tstatus == SOLVED
-        tval = np.full(len(vs), np.nan)
-        tval[tok] = _j_star_stack(P, vs[tok], tv0[tok], tL[tok])
-        tok, tval = tok.reshape(-1, k), tval.reshape(-1, k)
+        tv0, tval, tstatus = _inner_newton_stack(P, vs, starts)
+        tok, tval = (tstatus == SOLVED).reshape(-1, k), tval.reshape(-1, k)
         # a converged start that fails the value check fails the row with
         # OUTSIDE_C_STAR; otherwise the first best converged start wins
-        outside = (tok & np.isnan(tval)).any(axis=1)
+        outside = (tstatus == OUTSIDE_C_STAR).reshape(-1, k).any(axis=1)
         rescued = tok.any(axis=1) & ~outside
         best = np.argmax(np.where(tok, tval, -np.inf), axis=1)
         rows = retry[rescued]

@@ -319,6 +319,9 @@ def _lift_stack(P, X):
     v0_hat = P.gamma * w
     kx = (P.K @ X[..., None])[..., 0]
     v_hat = (bx[:, :-1].mT @ v0_hat[..., None])[..., 0] + kx
+    # primal_gradient, not gradient_from(P, bx, w), which gives the same
+    # bits: this is the report path's one primal_gradient call, and
+    # bench/selftest.py requires problem.gradient_calls > 0
     g = primal_gradient(P, X)
     primal_residual = np.max(np.abs(g), axis=-1)
     M = P.mixed_matrix(v0_hat)

@@ -297,18 +297,21 @@ def inner_newton_point(P, v_star, v0):
     on LAPACK's Cholesky: the reference for the stacked solve.
 
     Returns the converged multiplier.  Raises LeftCstarError if the
-    iterate cannot stay strictly inside C*, NoConvergenceError on
-    iteration exhaustion.  Reads the solve's budgets from linalg when it
-    runs, so a test that changes them changes both solves.
+    iterate cannot stay strictly inside C*, NoConvergenceError when the
+    iterate of the last budgeted step is not converged.  Reads the
+    solve's budgets from linalg when it runs, so a test that changes
+    them changes both solves.
     """
     factor = _lapack_factor(P.mixed_matrix(v0))
     if factor is None:
         raise LeftCstarError("inner start is not strictly inside C*")
     res, x_bar = _inner_residual_point(P, v_star, v0, factor)
     res_norm = float(np.max(np.abs(res)))
-    for _ in range(linalg.NEWTON_MAX_ITER):
+    for it in range(linalg.NEWTON_MAX_ITER + 1):
         if res_norm <= TOL_FACTOR * (1.0 + float(np.max(np.abs(v0)))):
             return v0
+        if it == linalg.NEWTON_MAX_ITER:
+            break
         p1 = P.bx_columns(x_bar)
         p2 = scipy.linalg.cho_solve(factor, p1, check_finite=False).T
         E = symmetrize(p2 @ p1) + np.diag(1.0 / P.gamma)

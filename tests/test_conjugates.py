@@ -33,12 +33,12 @@ from dcquartic import (
     local_extremality_probes,
     validate_instance,
 )
-from dcquartic import conjugates, linalg
+from dcquartic import conjugates, critical, linalg
 from dcquartic.conjugates import (
     _FAILURES,
+    OUTSIDE_C_STAR,
     SOLVED,
     _inner_newton_stack,
-    _j_star_stack,
     _j_tilde_star_bracket,
     default_inner_init,
 )
@@ -500,20 +500,33 @@ class TestJTildeStarStack:
             for v, value in zip(vs, values):
                 assert value == j_tilde_star(P, v)[0]
 
-    def test_value_check_per_row(self, p_tri):
-        # M(v0) = 1 + v0: at v0 = -1 + 1e-12 Cholesky succeeds but the
-        # eigvalsh margin check of j_star fails
-        v_stars = np.array([[0.5], [0.5], [1.0]])
-        v0 = np.array([[0.0], [-1.0 + 1e-12], [2.0]])
-        L, feasible = linalg.cho_factor(p_tri.K + v0[:, :, None] * p_tri.B[0])
-        assert feasible.all()
-        values = _j_star_stack(p_tri, v_stars, v0, L)
+    def test_value_check_per_row(self):
+        # _mixed_outcomes' edge instance, M(v0) = 1 - v0: row 1 converges
+        # to v0 = 1 - 1e-11, where Cholesky succeeds but the eigvalsh
+        # margin check of j_star fails
+        edge = validate_instance([0.0], [[-1.0]], [1.0], [1.0 - 1e-11],
+                                 [0.0], 1.0)
+        v_stars = np.array([[0.5], [0.0], [-1.0]])
+        starts = np.array([[0.0], [1.0 - 1e-11], [0.0]])
+        v0, values, status = _inner_newton_stack(edge, v_stars, starts)
+        assert list(status) == [SOLVED, OUTSIDE_C_STAR, SOLVED]
         with pytest.raises(OutsideCstarError):
-            j_star(p_tri, v_stars[1], v0[1])
+            j_star(edge, v_stars[1], v0[1])
         assert np.isnan(values[1])
         for s in (0, 2):
-            assert values[s] == pytest.approx(j_star(p_tri, v_stars[s], v0[s]),
+            assert values[s] == pytest.approx(j_star(edge, v_stars[s], v0[s]),
                                               rel=1e-12, abs=1e-12)
+
+    def test_last_budgeted_step_is_tested(self, p_tri, monkeypatch):
+        # both damped-Newton loops test the iterate of their last step: at
+        # v* = 0.5 from v0 = 0 the inner sup needs exactly 3 steps, and
+        # so does the primal solve from x = 0.3
+        monkeypatch.setattr(linalg, "NEWTON_MAX_ITER", 3)
+        _, values, status = _inner_newton_stack(p_tri, np.array([[0.5]]),
+                                                np.array([[0.0]]))
+        assert status[0] == SOLVED and not np.isnan(values[0])
+        result = critical._solve_stack(p_tri, np.array([[0.3]]))[0]
+        assert result.converged and result.iterations == 3
 
     def test_overflowing_pivot_fails_without_a_warning(self):
         # the pivot's dot overflows to inf: the pivot fails its test, and
@@ -668,6 +681,24 @@ class TestJ2Star:
         assert barrier_calls == []
         assert res.value == pair.J_star
         assert not res.boundary_attained
+
+    @pytest.mark.xfail(strict=True, raises=AStarEmptyError, reason=(
+        "phase 1's subgradient ascent stalls at best margin -2.096e-01 "
+        "from the default init, though A* is not empty (ROADMAP item 5)"))
+    def test_phase1_reaches_a_nonempty_a_star(self):
+        # acceptance-ensemble member 104 (n = N = 3) at a default-init
+        # census point: from v0, whose B* margin is 0.137, J2* is found
+        # on A*'s boundary, so the default init's raise is false
+        P = generate_instance(3, 3, [2024, 105])
+        v_star = [-1.5286425181416172, 8.25440185318029, -3.0752955013517327]
+        v0 = [0.27345687388780837, 0.28313075133048465, 0.14846980847218624]
+        assert in_B_star(P, v0).margin == pytest.approx(0.137, abs=1e-3)
+        res = j2_star(P, v_star, init=v0)
+        assert res.value == pytest.approx(5.708464394606382, rel=1e-12)
+        assert res.boundary_attained
+        res = j2_star(P, v_star)
+        assert res.value == pytest.approx(5.708464394606382, rel=1e-9)
+        assert res.boundary_attained
 
 
 class TestFenchelYoung:

@@ -19,8 +19,13 @@ boundary_attained and a_star_margin, or the name of the library error
 raised) at six points w = v_hat + 0.8 (1 + |v_hat|) z around each case-2
 pair of find_critical_pairs(P, 12, 7) over members 0-119, z from one
 default_rng(5) stream, each started at the pair's v0_hat: 72 of those
-246 calls run the log-det barrier, which no report reaches.  A last
-line, "solves", is hashed apart too: for each member of
+246 calls run the log-det barrier, which no report reaches.  A line
+"phase1" is hashed apart the same way: j2_star from its default init
+at three points v_hat + 0.5 (1 + max |v_hat|) z around each converged
+pair of find_critical_pairs(P, 12, 7) over members 0-39, z from one
+default_rng(6) stream.  Far from v_hat0 phase 1's A* ascent runs: 171
+of those 276 calls raise AStarEmptyError.  A last line, "solves", is
+hashed apart too: for each member of
 iter_ensemble(200, 2024), each SolveResult of the lockstep Newton
 critical._solve_stack(P, critical._starts(P, 12, 7)), as its x0 bytes,
 converged byte, iteration count and grad_norm bytes.  Run it at two
@@ -84,6 +89,14 @@ def main():
             record["in_c_star"] for record in point.pairs)
             for point in sweep.points)
         update("sweeps", dataclasses.asdict(sweep))
+    def j2_doc(P, v_star, init):
+        try:
+            res = j2_star(P, v_star, init=init)
+            return [res.value, res.v0_star, bool(res.boundary_attained),
+                    res.a_star_margin]
+        except DualityError as exc:
+            return type(exc).__name__
+
     barriers = hashlib.sha256()
     rng = np.random.default_rng(5)
     for P in itertools.islice(iter_ensemble(200, 2024), 120):
@@ -92,13 +105,17 @@ def main():
                 continue
             for z in rng.standard_normal((6, P.n)):
                 w = pair.v_hat + 0.8 * (1.0 + np.abs(pair.v_hat)) * z
-                try:
-                    res = j2_star(P, w, init=pair.v0_hat)
-                    doc = [res.value, res.v0_star,
-                           bool(res.boundary_attained), res.a_star_margin]
-                except DualityError as exc:
-                    doc = type(exc).__name__
-                barriers.update(dumps_canonical(doc).encode())
+                barriers.update(
+                    dumps_canonical(j2_doc(P, w, pair.v0_hat)).encode())
+    phase1 = hashlib.sha256()
+    rng = np.random.default_rng(6)
+    for P in itertools.islice(iter_ensemble(200, 2024), 40):
+        for pair in find_critical_pairs(P, 12, 7):
+            if not pair.converged:
+                continue
+            for z in rng.standard_normal((3, P.n)):
+                w = pair.v_hat + 0.5 * (1.0 + np.max(np.abs(pair.v_hat))) * z
+                phase1.update(dumps_canonical(j2_doc(P, w, None)).encode())
     solves = hashlib.sha256()
     for P in iter_ensemble(200, 2024):
         for res in critical._solve_stack(P, critical._starts(P, 12, 7)):
@@ -112,6 +129,7 @@ def main():
     for name, group in groups.items():
         print(f"{name:8} {group.hexdigest()}")
     print(f"barriers {barriers.hexdigest()}")
+    print(f"phase1   {phase1.hexdigest()}")
     print(f"solves   {solves.hexdigest()}")
 
 
