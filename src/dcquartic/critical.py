@@ -246,7 +246,8 @@ def _real_shifted(M, M1, sigma):
 
 def _pencil_seeds(P):
     """Starts at every critical point of an N = 1 instance, or None when
-    no shift in PENCIL_SHIFTS is well conditioned.
+    no shift in PENCIL_SHIFTS is well conditioned.  find_critical_points
+    takes this route at N = 1 and n >= 2 (n = 1 is _cubic_seeds's).
 
     grad J(x) = 0 holds iff S(v) x = -f with v = gamma (x'Bx/2 + c).
     Where S(v) is invertible, these v are the real eigenvalues of the
@@ -291,17 +292,44 @@ def _pencil_seeds(P):
     return np.concatenate(seeds) + 0.0
 
 
+def _cubic_seeds(P):
+    """Starts at every critical point of an n = 1 instance, or None
+    where grad J vanishes identically.
+
+    At n = 1 and any N, grad J(x) = alpha x^3 + beta x + f with
+    alpha = sum_j gamma_j b_j^2 / 2 and beta = a + sum_j gamma_j b_j c_j,
+    and its real roots (np.roots: the companion matrix's eigenvalues,
+    real where the imaginary part is within PENCIL_TOL (1 + |r|)) are
+    the seeds; _distinct's polish decides, as on every route.
+    """
+    b = P.B[:, 0, 0]
+    # np.sum, not a BLAS dot, so that no BLAS kernel rounds the sums
+    coefficients = [0.5 * np.sum(P.gamma * b**2), 0.0,
+                    P.A[0, 0] + np.sum(P.gamma * b * P.c), P.f[0]]
+    if not any(coefficients):
+        return None
+    r = np.roots(coefficients)
+    return r[np.abs(r.imag) <= PENCIL_TOL * (1.0 + np.abs(r))].real[:, None]
+
+
 def find_critical_points(P, n_seeds, rng_seed):
     """Distinct critical points, polished, merged and sorted by _distinct.
 
-    At N = 1 every critical point comes from one (2n+1) eigenproblem
-    (_pencil_seeds), whose seeds go to _distinct; n_seeds must still be
-    a non-negative integer, and 0 asks for no point, as in multistart.
-    At N >= 2, or at N = 1 when no shift is well conditioned (as when A
-    and B share a null vector), this is multistart(P, n_seeds, rng_seed).
+    The route is chosen by (n, N) alone:
+      - n = 1: the real roots of the cubic grad J (_cubic_seeds), for
+        every N;
+      - N = 1, n >= 2: one (2n+1) eigenproblem (_pencil_seeds);
+      - otherwise multistart(P, n_seeds, rng_seed), which is also the
+        fallback where a route returns None (grad J = 0 identically at
+        n = 1; no well-conditioned pencil shift, as when A and B share a
+        null vector).
+    A route's seeds go to _distinct.  n_seeds must be a non-negative
+    integer on every route, and 0 asks for no point, as in multistart.
     """
     count = _count(n_seeds, "n_seeds")
-    seeds = _pencil_seeds(P) if P.N == 1 and count else None
+    route = (_cubic_seeds if P.n == 1 else _pencil_seeds if P.N == 1
+             else None)
+    seeds = route(P) if route and count else None
     if seeds is None:
         return multistart(P, n_seeds, rng_seed)
     return _distinct(P, seeds)
@@ -395,7 +423,7 @@ def dual_stationarity_residual(P, pair):
 
 def find_critical_pairs(P, n_seeds, rng_seed):
     """find_critical_points followed by one stacked dual lift, one pair
-    per distinct point: at N = 1 from the (2n+1) eigenproblem, else from
-    multistart."""
+    per distinct point, from the route that find_critical_points picks
+    by (n, N)."""
     result = find_critical_points(P, n_seeds, rng_seed)
     return _lift_stack(P, np.reshape(result.points, (-1, P.n)))

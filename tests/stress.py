@@ -17,8 +17,10 @@ many instances pass it and which fail it:
   - every case-2 certificate passes.
 Then it prints the recall of the reported points against a reference
 set: the exact critical points (tests/oracles.py::exact_critical_points)
-at n <= 2, and multistart(P, 400, 11) at n >= 3, with the instances that
-miss a point and those that miss one below their lowest reported J.  A
+at n <= 2, and multistart(P, 400, 11) at n >= 3, with the recall at
+n = 1 apart (the cubic route, which should hold every exact point), the
+instances that miss a point and those that miss one below their lowest
+reported J.  A
 point counts as found within 1e-8 (1 + |x|inf).  multistart is blind
 where the critical points lie far outside |x| = 1, since its starts
 have scale 1 + |f| / (1 + lmin(K - A)): draw 175 (n = 4, N = 1,
@@ -76,6 +78,7 @@ def main():
     count = 0
     missed, missed_below, extra = [], [], []
     reference_count = found_count = 0
+    n1_count = n1_found = 0
     for label, args in draws():
         P = generate_instance(*args)
         label = f"{label} (n = {P.n}, N = {P.N}, k_margin {args[3]:g}, " \
@@ -104,6 +107,9 @@ def main():
         hits = [_found(y, points) for y in reference]
         reference_count += len(reference)
         found_count += sum(hits)
+        if P.n == 1:
+            n1_count += len(reference)
+            n1_found += sum(hits)
         if not all(hits):
             missed.append(label)
             lowest = min((r["J"] for r in records), default=np.inf)
@@ -117,7 +123,8 @@ def main():
         for label in labels:
             print(f"    {label}")
     print(f"recall: {found_count} of {reference_count} reference points "
-          f"(exact at n <= 2, multistart(P, 400, 11) at n >= 3)")
+          f"(exact at n <= 2, multistart(P, 400, 11) at n >= 3); "
+          f"at n = 1: {n1_found} of {n1_count}")
     for title, labels in (
             ("instances that miss a reference point", missed),
             ("  of them, missing one below their lowest reported J",

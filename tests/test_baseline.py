@@ -211,16 +211,13 @@ class TestCorrespondence:
                     tested += 1
         assert tested >= 10
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known large-gamma defect: the absolute Newton test leaves the "
-        "minimum x0 = -4.472136126e-6 3.8e-8 off in relative terms, so "
-        "S(v0_hat) = 7.6e-8 passes as inside B* where S is exactly 0, "
-        "and both minima's baseline blocks raise"))
     def test_large_gamma_minima_keep_matching_definiteness(self):
         # trifecta with gamma raised to 1e11: the minima +-sqrt(2/gamma)
-        # are reported as case 2, and each record's baseline block holds
-        # "... must give matching definiteness, got (1, 0, 0) vs
-        # (0, 0, 1)" in place of a correspondence report
+        # must be found to rounding, or S(v0_hat), exactly 0 there, can
+        # pass as inside B* and a record's baseline block holds "...
+        # must give matching definiteness, got (1, 0, 0) vs (0, 0, 1)"
+        # in place of a correspondence report (3.8e-8 relative off
+        # gives S = 7.6e-8)
         P = validate_instance([-1.0], [[1.0]], [1e11], [0.0], [0.0], 1.0)
         records = analyze_instance(P, 12, 7, 0)[0]
         assert not any("matching definiteness" in

@@ -12,13 +12,17 @@ forced kernel must give the default's summary (the same counts, J within
 whose point sets multistart's last-bit rounding changes at N >= 2
 (ROADMAP items 13 and 4).  A kernel whose child reports the default's
 core name (a build that ignores the variable) is skipped, so the strict
-xfail cannot pass by accident.
+xfail cannot pass by accident.  Each child also hashes the canonical
+text of build_run_report(P, 32, 7, 1000) on both sample files, and each
+forced kernel must give the default's two hashes: n = 1 takes the
+cubic route, which no kernel's rounding splits.
 
     python tests/test_blas_kernels.py    # one child: prints its summary
 """
 
 import ctypes
 import glob
+import hashlib
 import json
 import os
 import subprocess
@@ -49,9 +53,11 @@ def _corename():
 
 
 def _summary():
-    """{"corename": ..., "members": one verdict summary per member}."""
-    from dcquartic import iter_ensemble
-    from dcquartic.report import analyze_instance
+    """{"corename": ..., "members": one verdict summary per member,
+    "samples": {file name: sha256 of its run report}}."""
+    from dcquartic import iter_ensemble, load_instance
+    from dcquartic.instancefile import dumps_canonical
+    from dcquartic.report import analyze_instance, build_run_report
 
     members = []
     for P in iter_ensemble(200, 2024):
@@ -62,7 +68,11 @@ def _summary():
                  r["certificate"] and r["certificate"]["passed"],
                  sorted(r["errors"])] for r in records]
         members.append(sorted(rows, key=lambda row: (row[0], repr(row))))
-    return {"corename": _corename(), "members": members}
+    samples = {name: hashlib.sha256(dumps_canonical(build_run_report(
+        load_instance(ROOT / "sample_instances" / name), 32, 7, 1000))
+        .encode()).hexdigest()
+        for name in ("trifecta.json", "global_min.json")}
+    return {"corename": _corename(), "members": members, "samples": samples}
 
 
 @pytest.fixture(scope="module")
@@ -90,12 +100,18 @@ def summaries():
     return out
 
 
-def _differing(summaries, kernel):
-    """The members whose summary under kernel is not the default's;
-    skips a kernel that the build does not honour."""
+def _forced(summaries, kernel):
+    """(the default's summary, kernel's); skips a kernel that the build
+    does not honour."""
     default, forced = summaries[None], summaries[kernel]
     if forced["corename"] in (None, default["corename"]):
         pytest.skip(f"OpenBLAS core {forced['corename']} under {kernel}")
+    return default, forced
+
+
+def _differing(summaries, kernel):
+    """The members whose summary under kernel is not the default's."""
+    default, forced = _forced(summaries, kernel)
     differing = set()
     for k, (rows, forced_rows) in enumerate(zip(default["members"],
                                                 forced["members"])):
@@ -109,6 +125,12 @@ def _differing(summaries, kernel):
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_verdicts_differ_only_at_known_members(summaries, kernel):
     assert _differing(summaries, kernel) <= KNOWN_MEMBERS
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_sample_reports_match_the_default_kernel(summaries, kernel):
+    default, forced = _forced(summaries, kernel)
+    assert forced["samples"] == default["samples"]
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -299,6 +299,62 @@ class TestPencilRoute:
             == [x.tobytes() for x in many.points]
 
 
+class TestCubicRoute:
+    def test_n1_takes_neither_pencil_nor_multistart(self, monkeypatch):
+        # at n = 1 the route is the cubic for every N: the 31 n = 1
+        # members (N = 1 to 4) and both samples make no pencil or
+        # multistart call
+        def fail(*args):
+            raise AssertionError("n = 1 left the cubic route")
+        members = [P for P in iter_ensemble(200, 2024) if P.n == 1]
+        members += [load_instance(SAMPLES / name)
+                    for name in ("trifecta.json", "global_min.json")]
+        monkeypatch.setattr(critical, "multistart", fail)
+        monkeypatch.setattr(critical, "_pencil_seeds", fail)
+        assert len(members) == 33 and {P.N for P in members} == {1, 2, 3, 4}
+        for P in members:
+            ms = find_critical_points(P, 12, 7)
+            assert ms.points and ms.n_dropped == ms.n_merged == 0
+
+    def test_linear_gradient_has_one_root(self):
+        # every B_j = 0 (allowed by coercivity_override): grad J = 2x - 1
+        # is linear, np.roots drops the zero leading coefficients, and
+        # its one root x = 1/2 is exact
+        P = validate_instance([2.0], np.zeros((2, 1, 1)), [1.0, 3.0],
+                              [0.5, -1.0], [-1.0], 3.0,
+                              coercivity_override=True)
+        assert critical._cubic_seeds(P).tolist() == [[0.5]]
+        ms = find_critical_points(P, 12, 7)
+        assert [x.tolist() for x in ms.points] == [[0.5]]
+        assert ms.iterations == [0] and ms.n_dropped == ms.n_merged == 0
+
+    def test_zero_gradient_falls_back_to_multistart(self):
+        # A = 0, every B_j = 0 and f = 0: grad J = 0 everywhere, so the
+        # cubic has no coefficient and the search is multistart's
+        P = validate_instance([0.0], np.zeros((2, 1, 1)), [1.0, 3.0],
+                              [0.5, -1.0], [0.0], 1.0,
+                              coercivity_override=True)
+        assert critical._cubic_seeds(P) is None
+        ms, ref = find_critical_points(P, 12, 7), multistart(P, 12, 7)
+        assert len(ms.points) == 12
+        assert [x.tobytes() for x in ms.points] \
+            == [x.tobytes() for x in ref.points]
+        assert find_critical_points(P, 0, 7).points == []
+
+    def test_zero_f_gives_exactly_zero(self, p_tri, p_min, sqrt2):
+        # at f = 0 the cubic's constant term is 0, and np.roots returns
+        # that root as +0.0 exactly; at N = 2, 6.5 x^3 - 6.5 x has the
+        # roots 0 and +-1
+        P2 = validate_instance([-1.0], [[[1.0]], [[-2.0]]], [1.0, 3.0],
+                               [0.5, 1.0], [0.0], 1.0)
+        for P, roots in ((p_tri, [-sqrt2, 0.0, sqrt2]), (p_min, [0.0]),
+                         (P2, [-1.0, 0.0, 1.0])):
+            xs = sorted(x[0] for x in find_critical_points(P, 12, 7).points)
+            assert xs == pytest.approx(roots, abs=1e-15)
+            zero = xs[roots.index(0.0)]
+            assert zero == 0.0 and not np.signbit(zero)
+
+
 def _close(x, y):
     """x within 1e-8 (1 + |x|inf) of y."""
     return np.max(np.abs(x - y)) <= 1e-8 * (1.0 + np.max(np.abs(x)))
@@ -317,8 +373,9 @@ def exact_points():
 class TestExactOracle:
     def test_route_points_are_exact_points(self, exact_points):
         # every point find_critical_points(P, 12, 7) returns is an exact
-        # critical point, and at N = 1 (the pencil) it returns them all;
-        # at N >= 2 (multistart) the recall is printed, not asserted
+        # critical point, and at n = 1 (the cubic, every N) and at N = 1
+        # (the pencil) it returns them all; at n = 2 and N >= 2
+        # (multistart) the recall is printed, not asserted
         recall = {}
         for k, P in enumerate(iter_ensemble(200, 2024)):
             if P.n > 2:
@@ -327,7 +384,7 @@ class TestExactOracle:
             points = find_critical_points(P, 12, 7).points
             assert all(any(_close(x, y) for y in exact) for x in points), k
             found = sum(any(_close(x, y) for x in points) for y in exact)
-            if P.N == 1:
+            if P.n == 1 or P.N == 1:
                 assert found == len(exact) == len(points), k
             group = recall.setdefault(min(P.N, 3), [0, 0])
             group[0] += found
@@ -347,32 +404,30 @@ class TestExactOracle:
         assert np.max(np.abs(points - fixture)) \
             <= 1e-12 * (1.0 + np.max(np.abs(fixture)))
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known recall defect at n = 1, N >= 2: the 12-start multistart "
-        "misses the global minimum x = 3.0443 (J = 7.857); fixing it "
-        "moves report bytes"))
-    def test_n1_route_holds_every_cubic_root(self):
-        # at n = 1, grad J is a cubic for every N; stress draw 21 (N = 2)
-        # has three real roots, and find_critical_points returns only
-        # x = -3.038 (J = 8.424) and x = -0.0063
-        P = generate_instance(1, 2, [99, 21], 1e-3, 1.0, (-10.0, 10.0))
+    @pytest.mark.parametrize("draw, N, k_margin, f_scale", [
+        (21, 2, 1e-3, 1.0), (43, 3, 0.1, 0.01), (51, 3, 1.0, 1.0)],
+        ids=["draw21", "draw43", "draw51"])
+    def test_n1_route_holds_every_cubic_root(self, draw, N, k_margin,
+                                             f_scale):
+        # at n = 1, grad J is a cubic for every N; stress draws 21, 43
+        # and 51 (tests/stress.py) have three real roots each, and a
+        # 12-start multistart misses one of them (at draw 21 the global
+        # minimum x = 3.0443, J = 7.857)
+        P = generate_instance(1, N, [99, draw], k_margin, f_scale,
+                              (-10.0, 10.0))
         exact = exact_critical_points(P)
         points = np.reshape(find_critical_points(P, 12, 7).points, (-1, 1))
         assert len(exact) == 3
         assert all(any(_close(x, y) for x in points) for y in exact)
 
-    @pytest.mark.parametrize("gamma", [
-        1e-6, 1e-3, 1e4, 1e8, 1e10,
-        *(pytest.param(gamma, marks=pytest.mark.xfail(strict=True, reason=(
-            f"known large-gamma defect: at gamma = {gamma:g} every pencil "
-            "shift fails PENCIL_MAX_COND, and multistart merges all 12 "
-            "starts into the two minima and misses x = 0")))
-          for gamma in (1e11, 1e12, 1e14))], ids="{:g}".format)
+    @pytest.mark.parametrize("gamma", [1e-6, 1e-3, 1e4, 1e8, 1e10, 1e11,
+                                       1e12, 1e14], ids="{:g}".format)
     def test_large_gamma_route_holds_every_point(self, gamma):
         # trifecta with gamma scaled: J = -x^2/2 + gamma x^4/8, whose
-        # critical points are exactly 0 and +-sqrt(2/gamma); up to gamma
-        # = 1e10 the pencil still runs and finds all three, from 1e11 on
-        # _pencil_seeds returns None
+        # critical points are exactly 0 and +-sqrt(2/gamma), the roots
+        # of the cubic gamma x^3 / 2 - x at every gamma; from 1e11 on
+        # every pencil shift fails PENCIL_MAX_COND, and 12 multistart
+        # starts all merge into the two minima
         P = validate_instance([-1.0], [[1.0]], [gamma], [0.0], [0.0], 1.0)
         root = np.sqrt(2.0 / gamma)
         points = np.reshape(find_critical_points(P, 12, 7).points, (-1, 1))

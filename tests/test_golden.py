@@ -18,12 +18,15 @@ with no fault in the code.  So may another kernel of the same build:
 the digests hold for the SkylakeX kernel, which OpenBLAS picks on an
 AVX-512 CPU, and ``OPENBLAS_CORETYPE`` forces another one.  Under
 Haswell (an AVX2 CPU without AVX-512) or Sandybridge, the member,
-probed-member and sweep digests fail, and so does trifecta.json's.
-Of the kernels tried, only SkylakeX splits trifecta's double pencil
-root v = 1 by rounding, into two roots that give finite seeds that
-merge, so ``n_merged_starts`` reads 2 there and 0 under the others
-(ROADMAP.md, State, lists the failures).  Re-pin a digest only for a change that is
-meant to move report bytes, with the reason recorded in CHANGES.md.
+probed-member and sweep digests fail (ROADMAP.md, State, lists the
+failures).  The two sample digests hold under SkylakeX, Haswell,
+Sandybridge and Prescott alike (tests/test_blas_kernels.py checks
+this): both files are n = 1, whose critical points are the roots of
+one cubic, found by np.roots with no BLAS-dependent pencil, so no
+kernel splits trifecta's double multiplier v = 1 into seeds that
+merge, as SkylakeX did when n = 1 took the N = 1 pencil.  Re-pin a
+digest only for a change that is meant to move report bytes, with the
+reason recorded in CHANGES.md.
 """
 
 import dataclasses
@@ -44,14 +47,14 @@ SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
 
 RUN_REPORT_SHA256 = {
     "trifecta.json":
-        "abd202af60844c09c42d197d3cb9678944ce307300290721901705cfaa18efbf",
+        "f8eddc3faf68a51cd3624d302ee7fe2e83e7189f71d14b39ea51512d29730ea1",
     "global_min.json":
-        "557b4fdc1f499dae733063531f24d6aa6c47c1214648f3f5834642103c40fd81",
+        "0bc4bcd4e4957104f796e0f2a1c3a3d353dc649cf5d96b4cb27f81d16fddaeb3",
 }
 MEMBERS_SHA256 = \
-    "304693badfc63684ad8784c09d79c91c922f1cfa08de7269a493e9e2a9f79252"
+    "bdf2d4c241e4f8a3e71b83832ee9f11dbe5cd09ff25dd69f8766d1de0043abad"
 PROBED_MEMBERS_SHA256 = \
-    "650163b1fe5b1f92fb5771c4b6957cc45c74eb109cd26cd09486db940bc86c2e"
+    "fe027ea0cfd21408b288918865e584e6e6bed645517d754f80dec568a03bc3b1"
 SWEEPS_SHA256 = \
     "f1628a28be17375d6397cd80385d0f58830cced5137e25a3efcf8a5cb51ffcfb"
 
