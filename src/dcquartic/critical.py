@@ -246,8 +246,7 @@ def _real_shifted(M, M1, sigma):
 
 def _pencil_seeds(P):
     """Starts at every critical point of an N = 1 instance, or None when
-    no shift in PENCIL_SHIFTS is well conditioned.  find_critical_points
-    takes this route at N = 1 and n >= 2 (n = 1 is _cubic_seeds's).
+    no shift in PENCIL_SHIFTS is well conditioned.
 
     grad J(x) = 0 holds iff S(v) x = -f with v = gamma (x'Bx/2 + c).
     Where S(v) is invertible, these v are the real eigenvalues of the
@@ -300,7 +299,11 @@ def _cubic_seeds(P):
     alpha = sum_j gamma_j b_j^2 / 2 and beta = a + sum_j gamma_j b_j c_j,
     and its real roots (np.roots: the companion matrix's eigenvalues,
     real where the imaginary part is within PENCIL_TOL (1 + |r|)) are
-    the seeds; _distinct's polish decides, as on every route.
+    the seeds; _distinct's polish decides, as on every route.  np.roots
+    gives a double root only to about sqrt(u), or as a complex pair, so
+    the roots +-sqrt(-beta / (3 alpha)) of d2J go first where grad J
+    passes linalg.converged there, and _distinct merges np.roots' pair
+    into them.
     """
     b = P.B[:, 0, 0]
     # np.sum, not a BLAS dot, so that no BLAS kernel rounds the sums
@@ -309,7 +312,14 @@ def _cubic_seeds(P):
     if not any(coefficients):
         return None
     r = np.roots(coefficients)
-    return r[np.abs(r.imag) <= PENCIL_TOL * (1.0 + np.abs(r))].real[:, None]
+    seeds = r[np.abs(r.imag) <= PENCIL_TOL * (1.0 + np.abs(r))].real[:, None]
+    alpha, beta = coefficients[0], coefficients[2]
+    if alpha > 0.0 > beta:
+        s = np.sqrt(-beta / (3.0 * alpha)) * np.array([[-1.0], [1.0]])
+        g = gradient_from(P, *P._bx_and_w(s))
+        seeds = np.concatenate([s[linalg.converged(np.abs(g[:, 0]), s)],
+                                seeds])
+    return seeds
 
 
 def find_critical_points(P, n_seeds, rng_seed):
@@ -423,7 +433,6 @@ def dual_stationarity_residual(P, pair):
 
 def find_critical_pairs(P, n_seeds, rng_seed):
     """find_critical_points followed by one stacked dual lift, one pair
-    per distinct point, from the route that find_critical_points picks
-    by (n, N)."""
+    per distinct point from find_critical_points."""
     result = find_critical_points(P, n_seeds, rng_seed)
     return _lift_stack(P, np.reshape(result.points, (-1, P.n)))

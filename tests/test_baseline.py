@@ -224,6 +224,21 @@ class TestCorrespondence:
                        record["errors"].get("baseline", "")
                        for record in records)
 
+    @pytest.mark.parametrize("gamma", [1e10, pytest.param(
+        1e11, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP items 2 and 17: the absolute Newton test leaves "
+            "x0 = -4.472136126e-6 e1, so S(v0_hat) = diag(7.6e-8, 1) "
+            "passes as inside B*")))])
+    def test_large_gamma_n2_minima_stay_outside_b_star(self, gamma):
+        # trifecta beside a decoupled second coordinate (n = 2, N = 1):
+        # at the minima +-sqrt(2/gamma) e1, S(v0_hat) = diag(0, 1) is
+        # singular, so no record may count v0_hat inside B*
+        P = validate_instance(np.diag([-1.0, 1.0]), [np.diag([1.0, 0.0])],
+                              [gamma], [0.0], [0.0, 0.0], 2.0)
+        records = analyze_instance(P, 12, 7, 0)[0]
+        assert not any(record["membership"]["b_star"]
+                       for record in records)
+
     def test_search_finds_counterexample(self):
         hit = search_correspondence_counterexample(2, 1, 30, 60_000)
         assert hit is not None

@@ -341,6 +341,24 @@ class TestCubicRoute:
             == [x.tobytes() for x in ref.points]
         assert find_critical_points(P, 0, 7).points == []
 
+    @pytest.mark.parametrize("a, c, root", [(-1.0, -1.0, 1.0),
+                                            (-10.546875, 0.0, 1.875)])
+    def test_double_root_is_exact(self, a, c, root):
+        # grad J = (x - r)^2 (x + 2r).  np.roots gives the double root r
+        # only to about sqrt(u): at r = 1 as two reals 2e-8 apart, at
+        # r = 1.875 as a complex pair past PENCIL_TOL, which drops it.
+        # The root of d2J = 3 x^2 - 3 r^2 places it exactly, and d2J is
+        # singular there: a stationary inflection point, not a minimum
+        P = validate_instance([a], [[1.0]], [2.0], [c], [2.0 * root**3],
+                              1.0)
+        ms = find_critical_points(P, 12, 7)
+        assert [x[0] for x in ms.points][1:] == [root]
+        assert ms.points[0][0] == pytest.approx(-2.0 * root, abs=1e-14)
+        assert ms.n_dropped == 0
+        pair = find_critical_pairs(P, 12, 7)[1]
+        assert pair.d2j.tolist() == [[0.0]]
+        assert linalg.inertia(*pair.d2j_spectrum) == (0, 0, 1)
+
     def test_zero_f_gives_exactly_zero(self, p_tri, p_min, sqrt2):
         # at f = 0 the cubic's constant term is 0, and np.roots returns
         # that root as +0.0 exactly; at N = 2, 6.5 x^3 - 6.5 x has the
@@ -353,6 +371,13 @@ class TestCubicRoute:
             assert xs == pytest.approx(roots, abs=1e-15)
             zero = xs[roots.index(0.0)]
             assert zero == 0.0 and not np.signbit(zero)
+        # n = 2, N = 1 takes the pencil, whose -S(v)^{-1} f is -0 at
+        # f = 0 until _pencil_seeds adds + 0.0
+        P3 = validate_instance(np.diag([-1.0, 1.0]), [np.eye(2)], [1.0],
+                               [0.0], [0.0, 0.0], 2.0)
+        zero = [x for x in find_critical_points(P3, 12, 7).points
+                if not x.any()]
+        assert len(zero) == 1 and not np.signbit(zero[0]).any()
 
 
 def _close(x, y):
