@@ -63,7 +63,7 @@ def _j1_star_stack(P, V0):
     or the SingularMatrixError that j1_star raises there.  The first
     three hold the invertible rows only."""
     S = linalg.symmetrize(P.ab_matrix(V0))
-    w = np.abs(np.linalg.eigvalsh(S))
+    w = np.abs(linalg.spectrum(S)[0])
     errors = [SingularMatrixError(
         f"sum_p (v0*)_p B_p + A is singular (|eig|min = {lo:.3e})")
         if lo <= 1e-12 * (1.0 + scale) else None

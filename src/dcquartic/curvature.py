@@ -99,7 +99,7 @@ def _bundle_stack(P, pairs):
 
     The unconverged rows and the rows outside C* are decided from the
     lift before any numerics, and the rows of a degenerate E after one
-    stacked eigvalsh.  Every chain matrix is formed once on the stack of
+    stacked spectrum.  Every chain matrix is formed once on the stack of
     the rows left, and each row gets the bits it gets alone.
     """
     errors = []
@@ -126,7 +126,7 @@ def _bundle_stack(P, pairs):
     core = p2 @ p1                          # x0^T B_l M^{-1} B_eta x0
     E = linalg.symmetrize(core) + np.diag(1.0 / P.gamma)
 
-    w = np.abs(np.linalg.eigvalsh(E))
+    w = np.abs(linalg.spectrum(E)[0])
     keep = []
     for i, lo, hi in zip(rows, w.min(-1).tolist(), w.max(-1).tolist()):
         keep.append(not (lo <= 0.0 or hi / lo > E_COND_LIMIT))

@@ -32,7 +32,7 @@ def generate_instance(n, N, rng_seed, k_margin=1.0, f_scale=1.0,
     gamma = rng.uniform(*GAMMA_RANGE, size=N)
     c = rng.uniform(*c_range, size=N)
     f = f_scale * rng.standard_normal(n)
-    K = float(np.max(np.linalg.eigvalsh(A))) + k_margin
+    K = float(np.max(linalg.spectrum(A)[0])) + k_margin
     return validate_instance(A, B, gamma, c, f, K)
 
 

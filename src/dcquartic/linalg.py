@@ -11,6 +11,13 @@ and is then used for the solves, or fails on a pivot that is not
 positive.  The Cholesky pair is written in numpy, one dot per entry, so
 a matrix or a right-hand side column is computed the same way alone or
 in a stack.
+
+On 1 x 1 matrices ``spectrum``, ``cho_factor`` and ``cho_solve`` take a
+closed form, chosen from the input's shape, that gives the general
+path's bits for every input: LAPACK returns a 1 x 1 matrix's entry as
+its eigenvalue, and the loops' one pivot and two sweeps subtract an
+empty dot, 0.0, which changes no float.  So at order 1 no eigenvalue
+reaches LAPACK and no Cholesky loop runs.
 """
 
 import numpy as np
@@ -60,7 +67,9 @@ def spectrum(M):
     The matrix counts as positive definite when w[0] > eps and as
     negative definite when w[-1] < -eps.
     """
-    w = np.linalg.eigvalsh(symmetrize(M))
+    S = symmetrize(M)
+    # the entry itself: S[..., 0] + 0.0 would turn -0.0 into +0.0
+    w = S[..., 0].copy() if S.shape[-1] == 1 else np.linalg.eigvalsh(S)
     return w, EPS_PD_FACTOR * (1.0 + np.abs(w).max(-1))
 
 
@@ -81,6 +90,9 @@ def cho_factor(M):
     stack when one matrix fails; here that matrix fails alone.
     """
     M = np.asarray(M, dtype=float)
+    if M.shape[-1] == 1:   # the loop at n = 1, whose pivot is M - 0.0
+        ok = np.asarray(M[..., 0, 0] > 0.0)
+        return np.sqrt(np.where(ok[..., None, None], M, 1.0)), ok
     L = np.zeros_like(M)
     ok = np.ones(M.shape[:-2], dtype=bool)
     # a dot that overflows makes its pivot -inf or nan, which fails the
@@ -106,6 +118,8 @@ def cho_solve(L, b):
     if b.ndim == L.ndim:
         columns = np.swapaxes(b, -1, -2)
         return np.swapaxes(cho_solve(L[..., None, :, :], columns), -1, -2)
+    if L.shape[-1] == 1:   # both sweeps at n = 1
+        return b / L[..., 0] / L[..., 0]
     x = b.copy()
     diag = np.diagonal(L, axis1=-2, axis2=-1)
     for i in range(L.shape[-1]):
@@ -120,8 +134,7 @@ def cho_solve(L, b):
 def spectral_norm_sym(M):
     """max |eigenvalue| of a symmetric matrix, or of each matrix of a
     stack."""
-    return np.maximum.reduce(np.abs(np.linalg.eigvalsh(symmetrize(M))),
-                             axis=-1)
+    return np.maximum.reduce(np.abs(spectrum(M)[0]), axis=-1)
 
 
 def inertia(w, eps):

@@ -5,8 +5,6 @@ is byte-for-byte reproducible for identical inputs and seeds: no
 timestamps, fixed key order, 17-significant-digit numbers.
 """
 
-import dataclasses
-
 import numpy as np
 
 from . import __version__, linalg
@@ -63,15 +61,15 @@ def _record(P, ms, idx, pair, stage, base):
         errors["bundle"], stage = str(stage), None
     elif stage[0].case_id == "case2":
         try:
-            certificate = dataclasses.asdict(
-                global_min_certificate(P, pair, ms.points))
+            certificate = dict(vars(
+                global_min_certificate(P, pair, ms.points)))
         except DualityError as exc:
             errors["certificate"] = str(exc)
     if isinstance(base, DualityError):
         errors["baseline"], base = str(base), None
     case, chain, asymmetry, alpha1, probe = stage or (None,) * 5
     if probe is not None:
-        probe = dataclasses.asdict(probe) | {"violations": probe.violations()}
+        probe = vars(probe) | {"violations": probe.violations()}
         del probe["case_id"]
     c, b = pair.c_star, pair.b_star
     return {

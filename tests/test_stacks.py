@@ -292,9 +292,59 @@ def test_ball_stack_rows_are_the_one_center_balls(n):
         "cho_solve_vector", "spectral_norm_sym", "inertia", "frobenius_norm",
         "ball_samples"])
 def test_linalg_helpers_take_a_zero_row_stack(call):
-    out = call(np.empty((0, 3, 3)))
-    for value in out if isinstance(out, tuple) else (out,):
-        assert value.shape[0] == 0
+    # order 1 takes the closed forms, order 3 the general path
+    for shape in ((0, 1, 1), (0, 3, 3)):
+        out = call(np.empty(shape))
+        for value in out if isinstance(out, tuple) else (out,):
+            assert value.shape[0] == 0
+
+
+def _order_one_inputs():
+    """(M, b): the special values, each M with each b, then a random
+    stack of both with magnitudes from 1e-300 to 1e300 and either sign."""
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300,
+                        -1e-300, np.inf, -np.inf, np.nan, -1.0, 4.0])
+    M, b = (a.ravel() for a in np.meshgrid(special, special))
+    rng = np.random.default_rng(45)
+    M, b = (np.concatenate([a, rng.choice([-1.0, 1.0], 10 ** 5)
+                            * 10.0 ** rng.uniform(-300, 300, 10 ** 5)])
+            for a in (M, b))
+    return M[:, None, None], b[:, None]
+
+
+def _diag_one(M):
+    """diag(1, M) of each 1 x 1 matrix of a stack.  The general loops on
+    it compute the n = 1 loop's pivot and sweeps in its last row: every
+    product they add there has an exact zero factor and a finite one."""
+    out = np.zeros(M.shape[:-2] + (2, 2))
+    out[..., 0, 0], out[..., 1:, 1:] = 1.0, M
+    return out
+
+
+def test_order_one_closed_form_is_the_general_path():
+    M, b = _order_one_inputs()
+    with np.errstate(all="ignore"):
+        S = linalg.symmetrize(M)
+        w, eps = linalg.spectrum(M)
+        ref = np.linalg.eigvalsh(S)
+        assert _same(w, ref)
+        assert _same(eps, linalg.EPS_PD_FACTOR * (1.0 + np.abs(ref)[:, 0]))
+        assert _same(linalg.pd_margin(M), (ref[:, 0], eps))
+        assert _same(linalg.spectral_norm_sym(M), np.abs(ref)[:, 0])
+        L, ok = linalg.cho_factor(M)
+        L2, ok2 = linalg.cho_factor(_diag_one(M))
+        assert _same(L, L2[:, 1:, 1:]) and _same(ok, ok2)
+        # any factor, the Cholesky ones among them, and a vector or a
+        # matrix of right-hand sides
+        for d in (L, M):
+            assert _same(linalg.cho_solve(d, b), linalg.cho_solve(
+                _diag_one(d), np.concatenate([np.zeros_like(b), b], -1))[:, 1:])
+            B = np.stack([b, -b, 2.0 * b], -1)
+            assert _same(linalg.cho_solve(d, B),
+                         linalg.cho_solve(_diag_one(d), np.concatenate(
+                             [np.zeros_like(B), B], -2))[:, 1:])
+    one, ok_one = linalg.cho_factor(np.array([[4.0]]))
+    assert one.shape == (1, 1) and ok_one.shape == () and ok_one
 
 
 def _same_instance(P, Q):
