@@ -39,6 +39,11 @@ DEDUP_DISTANCE = 1e-6
 PENCIL_SHIFTS = (0.5772, -1.2021, 2.6855, -3.3599)
 PENCIL_MAX_COND = 1e10
 PENCIL_TOL = 1e-8
+# the n = 2 route's test of |grad_2 J| at a root of grad_1 J, relative
+# to the sum of its terms' sizes; on the n = 2, N >= 2 members of the
+# acceptance ensemble it reads at most 5e-14 at their critical points
+# and at least 7e-3 elsewhere
+RESULTANT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -235,12 +240,15 @@ def multistart(P, n_seeds, rng_seed):
     return _distinct(P, _starts(P, n_seeds, rng_seed))
 
 
-def _real_shifted(M, M1, sigma):
+def _real_shifted(M, M1, sigma, finite=0.0):
     """The real eigenvalues v of the pencil M + (v - sigma) M1, from
-    mu = eig(-M^{-1} M1) as v = sigma + 1/mu over the real mu != 0, with
-    their eigenvectors as rows."""
+    mu = eig(-M^{-1} M1) as v = sigma + 1/mu over the real mu with
+    |mu| > finite max|mu| (mu = 0 is v at infinity), with their
+    eigenvectors as rows."""
     mu, vecs = np.linalg.eig(-np.linalg.solve(M, M1))
-    real = (np.abs(mu.imag) <= PENCIL_TOL * np.abs(mu)) & (mu != 0)
+    size = np.abs(mu)
+    real = ((np.abs(mu.imag) <= PENCIL_TOL * size)
+            & (size > finite * size.max()))
     return sigma + 1.0 / mu[real].real, vecs.T[real].real
 
 
@@ -322,6 +330,81 @@ def _cubic_seeds(P):
     return seeds
 
 
+def _resultant_seeds(P):
+    """Starts at every critical point of an n = 2 instance, or None
+    where no shift in PENCIL_SHIFTS is well conditioned, as where the
+    resultant vanishes identically (a continuum of critical points).
+
+    grad_i J = sum_{k,d} G[i, k, d] x1^k x2^d is a cubic: its linear
+    terms are S = A + sum_j gamma_j c_j B_j, its constant f_i and its
+    cubic terms sum_j (gamma_j / 2)(x'B_j x) B_j x.  As cubics in x1
+    with coefficients in x2, the two have a common root exactly where
+    x2 is a root of the resultant det Syl(x2), of degree at most 9: Syl
+    is their 6 x 6 Sylvester matrix, C0 + x2 C1 + x2^2 C2 + x2^3 C3.
+    These x2 are the finite eigenvalues of the 18 x 18 pencil
+    [[0, -I, 0], [0, 0, -I], [C0, C1, C2]] + x2 diag(I, I, C3), solved
+    shift-inverted as in _pencil_seeds, less those at infinity
+    (|mu| <= PENCIL_TOL max|mu|).  At each real x2 the real roots x1 of
+    grad_1 J(., x2), from one stacked companion eigvals, are seeds
+    where |grad_2 J| is within RESULTANT_TOL of the sum of its terms'
+    sizes, so a repeated x2 keeps each of its x1, and a far x2 that
+    rounding split off an eigenvalue at infinity gives none.  The x1^3
+    coefficient, sum_j gamma_j B_j[0, 0]^2 / 2, is positive where Syl's
+    first column is not 0.  The polynomials are solved in y = x / s,
+    each scaled by a power of two, with s a power of two near the size
+    at which the cubic terms balance the others; _distinct's polish
+    decides, as on every route.
+    """
+    B, S = P.B, P.ab_matrix(P.gamma * P.c)
+    # gamma_j x'B_j x / 2 by monomial x1^2, x1 x2, x2^2, times B_j x
+    q = (0.5 * P.gamma)[:, None] * np.stack(
+        [B[:, 0, 0], 2.0 * B[:, 0, 1], B[:, 1, 1]], 1)
+    cubic = np.zeros((2, 4))    # the x1^(3-d) x2^d coefficients
+    cubic[:, :3] = np.einsum("ja,ji->ia", q, B[:, :, 0])
+    cubic[:, 1:] += np.einsum("ja,ji->ia", q, B[:, :, 1])
+    G = np.zeros((2, 4, 4))
+    G[:, 3 - np.arange(4), np.arange(4)] = cubic
+    G[:, 1, 0], G[:, 0, 1], G[:, 0, 0] = S[:, 0], S[:, 1], P.f
+    if not G[0, 3, 0]:
+        return None
+    degree = np.add.outer(np.arange(4), np.arange(4))
+    beta, a, phi = (np.abs(G[:, degree == k]).max() for k in (3, 1, 0))
+    s = np.ldexp(1.0, np.frexp(max(np.sqrt(a / beta),
+                                   np.cbrt(phi / beta)))[1])
+    G = G * s ** degree
+    G = np.ldexp(G, -np.frexp(np.abs(G).max(axis=(1, 2)))[1][:, None, None])
+    C = np.zeros((4, 6, 6))
+    for shift in range(3):
+        C[:, [shift, shift + 3], shift:shift + 4] = \
+            G[:, ::-1].transpose(2, 0, 1)
+    L0, L1 = np.zeros((18, 18)), np.eye(18)
+    L0[:12, 6:] = -np.eye(12)
+    L0[12:] = np.concatenate(C[:3], axis=1)
+    L1[12:, 12:] = C[3]
+    for sigma in PENCIL_SHIFTS:
+        M = L0 + sigma * L1
+        if np.linalg.cond(M, 1) < PENCIL_MAX_COND:
+            break
+    else:
+        return None
+    y2, _ = _real_shifted(M, L1, sigma, PENCIL_TOL)
+    y2_powers = y2[:, None] ** np.arange(4)
+    g = np.einsum("ikd,md->mik", G, y2_powers)   # grad_i J(., y2) by y1^k
+    companion = np.zeros((len(y2), 3, 3))
+    companion[:, 0] = -g[:, 0, 2::-1] / g[:, 0, 3:]
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    y1 = np.linalg.eigvals(companion)
+    real = np.abs(y1.imag) <= PENCIL_TOL * (1.0 + np.abs(y1))
+    y1_powers = y1.real[..., None] ** np.arange(4)
+    residual = np.abs(np.einsum("mk,mrk->mr", g[:, 1], y1_powers))
+    terms = np.einsum("kd,md,mrk->mr", np.abs(G[1]), np.abs(y2_powers),
+                      np.abs(y1_powers))
+    keep = real & (residual <= RESULTANT_TOL * terms)
+    y2 = np.broadcast_to(y2[:, None], y1.shape)
+    # + 0.0 turns a -0 into +0
+    return s * np.stack([y1.real[keep], y2[keep]], axis=1) + 0.0
+
+
 def find_critical_points(P, n_seeds, rng_seed):
     """Distinct critical points, polished, merged and sorted by _distinct.
 
@@ -329,16 +412,18 @@ def find_critical_points(P, n_seeds, rng_seed):
       - n = 1: the real roots of the cubic grad J (_cubic_seeds), for
         every N;
       - N = 1, n >= 2: one (2n+1) eigenproblem (_pencil_seeds);
+      - n = 2, N >= 2: one 18 x 18 resultant eigenproblem
+        (_resultant_seeds);
       - otherwise multistart(P, n_seeds, rng_seed), which is also the
         fallback where a route returns None (grad J = 0 identically at
         n = 1; no well-conditioned pencil shift, as when A and B share a
-        null vector).
+        null vector, or when the n = 2 resultant vanishes identically).
     A route's seeds go to _distinct.  n_seeds must be a non-negative
     integer on every route, and 0 asks for no point, as in multistart.
     """
     count = _count(n_seeds, "n_seeds")
     route = (_cubic_seeds if P.n == 1 else _pencil_seeds if P.N == 1
-             else None)
+             else _resultant_seeds if P.n == 2 else None)
     seeds = route(P) if route and count else None
     if seeds is None:
         return multistart(P, n_seeds, rng_seed)

@@ -28,9 +28,12 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
     the lift, the bundles, the cases, the chain residuals and |alpha1|,
     the probes of every point with a bundle (one draw of each ball) and
     the baseline.  _record then writes each record in one pass, and runs
-    the certificate at a case-2 pair.  The points come from the (2n+1)
-    eigenproblem at N = 1 and from multistart(P, n_seeds, rng_seed)
-    otherwise.  n_seeds and n_samples must be non-negative integers
+    the certificate at a case-2 pair.  The points come from
+    find_critical_points' route table: the real roots of one cubic at
+    n = 1 (every N), one (2n+1) eigenproblem at N = 1, one 18 x 18
+    resultant eigenproblem at n = 2 and N >= 2, and
+    multistart(P, n_seeds, rng_seed) otherwise or where a route falls
+    back.  n_seeds and n_samples must be non-negative integers
     (ValueError otherwise)."""
     n_samples = _count(n_samples, "n_samples")
     ms = find_critical_points(P, n_seeds, rng_seed)

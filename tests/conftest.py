@@ -1,7 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dcquartic import conjugates, validate_instance
+
+# written by tests/exact_fixture.py
+EXACT_POINTS = Path(__file__).resolve().parent / "exact_points.json"
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +27,16 @@ def p_min():
 @pytest.fixture(scope="session")
 def sqrt2():
     return float(np.sqrt(2.0))
+
+
+@pytest.fixture(scope="session")
+def exact_points():
+    """member -> its exact real critical points, for the 65 members with
+    n <= 2 of iter_ensemble(200, 2024)."""
+    doc = json.loads(EXACT_POINTS.read_text())
+    assert doc["ensemble"] == [200, 2024] and len(doc["members"]) == 65
+    return {m["member"]: np.reshape(m["points"], (-1, m["n"]))
+            for m in doc["members"]}
 
 
 @pytest.fixture

@@ -363,6 +363,36 @@ def test_criterion_11_conjugate_grid_oracles():
           f"G2* max err {worst_g2:.2e} on {checked_g2})")
 
 
+def test_criterion_12_exact_critical_points(exact_points):
+    """On the 65 members with n <= 2, find_critical_points returns the
+    exact critical set (tests/exact_fixture.py): every point within
+    1e-8 (1 + |x|inf) of an exact point, and every exact point found, at
+    every N: the cubic at n = 1, the pencil at N = 1 and the resultant at
+    n = 2, N >= 2."""
+    def near(x, y):
+        return np.max(np.abs(x - y)) <= 1e-8 * (1.0 + np.max(np.abs(x)))
+
+    recall = {}
+    for k, P in enumerate(iter_ensemble(ENSEMBLE_COUNT, ENSEMBLE_SEED)):
+        if P.n > 2:
+            continue
+        exact = exact_points[k]
+        points = dc.find_critical_points(P, MULTISTART_SEEDS, RNG_SEED).points
+        assert all(any(near(x, y) for y in exact) for x in points), k
+        found = sum(any(near(x, y) for x in points) for y in exact)
+        assert found == len(exact) == len(points), k
+        group = recall.setdefault(min(P.N, 3), [0, 0, 0])
+        group[0] += 1
+        group[1] += found
+        group[2] += len(exact)
+    assert sum(members for members, _, _ in recall.values()) == 65
+    print("\n[criterion 12] exact critical points at n <= 2: PASS (recall "
+          + ", ".join(f"N {'=' if N < 3 else '>='} {N}: {found}/{total} "
+                      f"on {members} members"
+                      for N, (members, found, total) in sorted(recall.items()))
+          + ")")
+
+
 def _c_star_point(P, v0, target=0.3, iters=100):
     """Subgradient ascent on lmin(M(v0)) until comfortably inside C*."""
     def margin(v):

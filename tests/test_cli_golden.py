@@ -54,7 +54,7 @@ SWEEP_SHA256 = {
     "--n 3 --N 2 --count 6 --rng 3":
         "2eae2a2bb35b9330021b382e9bcd051182d7371982641cdc3c443c58aff2b540",
     "--n 2 --N 2 --count 4 --rng 3 --eps-list 0.1,0.01,0.001":
-        "3c30f2a32c0154d80653c82f35e5bb76a9b0f3300deb8ba21bc3eb02b1d04080",
+        "a37ee7a0debf73c3fdcd7e63ea47b3cd6f70dd293eebe1518e4bad7dfc848357",
 }
 
 

@@ -1,6 +1,6 @@
 import dataclasses
-import json
 import sys
+import warnings
 from itertools import islice
 from pathlib import Path
 
@@ -49,8 +49,6 @@ from oracles import (
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
-# written by tests/exact_fixture.py
-EXACT_POINTS = Path(__file__).resolve().parent / "exact_points.json"
 
 
 class TestSolve:
@@ -155,19 +153,30 @@ class TestMultistart:
 
     def test_small_scale_points_stay_apart(self):
         # critical points 0 and +-sqrt(2) 1e-7, closer than DEDUP_DISTANCE;
-        # the N = 2 analogue has its four minima at (+-, +-) sqrt(2) 1e-7
+        # the N = 2 analogue has nine, each coordinate 0 or +-sqrt(2) 1e-7,
+        # and the four of least J are its minima (+-, +-) sqrt(2) 1e-7
+        r = np.sqrt(2) * 1e-7
         P = validate_instance([-1.0], [[1e7]], [1.0], [0.0], [0.0], 1.0)
         found = sorted(x[0] for x in find_critical_points(P, 32, 7).points)
-        assert found == pytest.approx([-np.sqrt(2) * 1e-7, 0.0,
-                                       np.sqrt(2) * 1e-7], rel=1e-8, abs=0)
-        B = np.zeros((2, 2, 2))
-        B[0, 0, 0] = B[1, 1, 1] = 1e7
-        P = validate_instance(-np.eye(2), B, [1.0, 1.0], [0.0, 0.0],
-                              [0.0, 0.0], 1.0)
-        minima = np.array(find_critical_points(P, 32, 7).points)
-        assert sorted(np.sign(minima).tolist()) == [[-1, -1], [-1, 1],
-                                                    [1, -1], [1, 1]]
-        assert np.abs(minima) == pytest.approx(np.sqrt(2) * 1e-7, rel=1e-5)
+        assert found == pytest.approx([-r, 0.0, r], rel=1e-8, abs=0)
+        P = _nine_point_instance()
+        points = np.array(find_critical_points(P, 32, 7).points)
+        grid = [[a, b] for a in (-r, 0.0, r) for b in (-r, 0.0, r)]
+        assert sorted(points.tolist()) == [
+            pytest.approx(x, rel=1e-8, abs=0) for x in grid]
+        assert sorted(np.sign(points[:4]).tolist()) == [
+            [-1, -1], [-1, 1], [1, -1], [1, 1]]
+        spectra = np.linalg.eigvalsh(primal_hessian(P, points))
+        assert (spectra[:4] > 0).all() and (spectra[4:, 0] < 0).all()
+
+
+def _nine_point_instance():
+    """J = -|x|^2 / 2 + (1e14 / 8)(x1^4 + x2^4): n = N = 2, decoupled,
+    with the nine critical points (a, b), a, b in {0, +-sqrt(2) 1e-7}."""
+    B = np.zeros((2, 2, 2))
+    B[0, 0, 0] = B[1, 1, 1] = 1e7
+    return validate_instance(-np.eye(2), B, [1.0, 1.0], [0.0, 0.0],
+                             [0.0, 0.0], 1.0)
 
 
 def _rotated(diagonal, angle=0.7):
@@ -380,47 +389,75 @@ class TestCubicRoute:
         assert len(zero) == 1 and not np.signbit(zero[0]).any()
 
 
+class TestResultantRoute:
+    @pytest.fixture(scope="class")
+    def members(self):
+        """The 25 members with n = 2 and N >= 2."""
+        members = [P for P in iter_ensemble(200, 2024)
+                   if P.n == 2 and P.N >= 2]
+        assert len(members) == 25 and {P.N for P in members} == {2, 3, 4}
+        return members
+
+    def test_n2_takes_neither_pencil_nor_multistart(self, members,
+                                                    monkeypatch):
+        # every seed is already at its point or one Newton step from it
+        def fail(*args):
+            raise AssertionError("n = 2, N >= 2 left the resultant route")
+        monkeypatch.setattr(critical, "multistart", fail)
+        monkeypatch.setattr(critical, "_pencil_seeds", fail)
+        for P in members:
+            ms = find_critical_points(P, 12, 7)
+            assert ms.points and ms.n_dropped == ms.n_merged == 0
+            assert max(ms.iterations) <= 1
+
+    def test_no_runtime_warning(self, members):
+        # in the nine-point instance grad_2 J does not depend on x1, so
+        # at each of its roots x2 the residual test compares 0 with 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for P in members + [_nine_point_instance()]:
+                assert len(critical._resultant_seeds(P))
+                find_critical_points(P, 12, 7)
+
+    def test_rotationally_symmetric_falls_back_to_multistart(self):
+        # A = -I and B_j = I: grad J = (3 |x|^2 / 2 - 1) x vanishes on a
+        # circle, both cubics share that factor, so the resultant is 0 in
+        # x2 and no pencil shift is well conditioned
+        P = validate_instance(-np.eye(2), [np.eye(2), np.eye(2)],
+                              [1.0, 2.0], [0.0, 0.0], [0.0, 0.0], 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert critical._resultant_seeds(P) is None
+            ms, ref = find_critical_points(P, 12, 7), multistart(P, 12, 7)
+        assert len(ms.points) > 1
+        assert [x.tobytes() for x in ms.points] \
+            == [x.tobytes() for x in ref.points]
+        assert (ms.n_dropped, ms.n_merged) == (ref.n_dropped, ref.n_merged)
+
+    def test_vanishing_x1_cube_falls_back(self):
+        # every B_j[0, 0] = 0: neither cubic in x1 has an x1^3 term, so
+        # the Sylvester matrix's first column is 0 and so is the
+        # resultant
+        B = np.zeros((2, 2, 2))
+        B[0, 0, 1] = B[0, 1, 0] = B[1, 1, 1] = 1.0
+        P = validate_instance(-np.eye(2), B, [1.0, 2.0], [0.0, 0.0],
+                              [0.3, -0.2], 1.0)
+        assert critical._resultant_seeds(P) is None
+        ms, ref = find_critical_points(P, 12, 7), multistart(P, 12, 7)
+        assert [x.tobytes() for x in ms.points] \
+            == [x.tobytes() for x in ref.points]
+
+
 def _close(x, y):
     """x within 1e-8 (1 + |x|inf) of y."""
     return np.max(np.abs(x - y)) <= 1e-8 * (1.0 + np.max(np.abs(x)))
 
 
-@pytest.fixture(scope="module")
-def exact_points():
-    """member -> its exact real critical points, for the 65 members with
-    n <= 2 of iter_ensemble(200, 2024)."""
-    doc = json.loads(EXACT_POINTS.read_text())
-    assert doc["ensemble"] == [200, 2024] and len(doc["members"]) == 65
-    return {m["member"]: np.reshape(m["points"], (-1, m["n"]))
-            for m in doc["members"]}
-
-
 class TestExactOracle:
-    def test_route_points_are_exact_points(self, exact_points):
-        # every point find_critical_points(P, 12, 7) returns is an exact
-        # critical point, and at n = 1 (the cubic, every N) and at N = 1
-        # (the pencil) it returns them all; at n = 2 and N >= 2
-        # (multistart) the recall is printed, not asserted
-        recall = {}
-        for k, P in enumerate(iter_ensemble(200, 2024)):
-            if P.n > 2:
-                continue
-            exact = exact_points[k]
-            points = find_critical_points(P, 12, 7).points
-            assert all(any(_close(x, y) for y in exact) for x in points), k
-            found = sum(any(_close(x, y) for x in points) for y in exact)
-            if P.n == 1 or P.N == 1:
-                assert found == len(exact) == len(points), k
-            group = recall.setdefault(min(P.N, 3), [0, 0])
-            group[0] += found
-            group[1] += len(exact)
-        print("\n[exact oracle, n <= 2] every route point is exact; recall "
-              + ", ".join(f"N {'=' if N < 3 else '>='} {N}: {found}/{total}"
-                          for N, (found, total) in sorted(recall.items())))
-
     @pytest.mark.parametrize("member", [83, 150, 168])
     def test_fixture_regenerates(self, exact_points, member):
-        # the members where 12 starts miss exact points; the file's
+        # the members where 12 multistart starts missed exact points
+        # before the n = 2 resultant route; the file's
         # floats are the oracle's bit for bit on the kernel that wrote
         # them, and within rounding of the instance's bits elsewhere
         P = next(islice(iter_ensemble(200, 2024), member, None))

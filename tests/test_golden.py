@@ -52,11 +52,11 @@ RUN_REPORT_SHA256 = {
         "0bc4bcd4e4957104f796e0f2a1c3a3d353dc649cf5d96b4cb27f81d16fddaeb3",
 }
 MEMBERS_SHA256 = \
-    "bdf2d4c241e4f8a3e71b83832ee9f11dbe5cd09ff25dd69f8766d1de0043abad"
+    "106f080d9e1c508df6b18a5abc259b197ff839459eb0eaa68a3b061a849ae9b5"
 PROBED_MEMBERS_SHA256 = \
-    "fe027ea0cfd21408b288918865e584e6e6bed645517d754f80dec568a03bc3b1"
+    "f34237d91854ec8cb0ff0a01d9f024bd35dc07cd7550a7cc2a0ae0f3ac166a18"
 SWEEPS_SHA256 = \
-    "f1628a28be17375d6397cd80385d0f58830cced5137e25a3efcf8a5cb51ffcfb"
+    "79746cea085afe8b51afa00c12394f6b0dd55debe7720eb18bf0cacda3d19fc4"
 
 
 @functools.cache

@@ -1,27 +1,38 @@
-"""Metamorphic checks of the N = 1 route: transforms of an instance that
+"""Metamorphic checks of the routes: transforms of an instance that
 move its critical points in a known way must keep its report's verdicts.
 
 Each transform T maps an instance to one whose critical points are the
 old ones moved (or kept) with the same J.  On each of the 39 N = 1
 members of iter_ensemble(200, 2024), analyze_instance(T(P), 12, 7, 0)
 must keep the record count and the multiset of cases, and its sorted J
-must agree within 1e-8 (1 + |J|).
+must agree within 1e-8 (1 + |J|).  On its 25 n = 2, N >= 2 members a
+rotation must rotate the resultant route's point set.
 """
 
 import numpy as np
 import pytest
 
-from dcquartic import ValidationError, iter_ensemble, validate_instance
+from dcquartic import (
+    ValidationError,
+    find_critical_points,
+    iter_ensemble,
+    validate_instance,
+)
 from dcquartic.linalg import symmetrize
 from dcquartic.report import analyze_instance
 
 J_TOL = 1e-8
 
 
+def _rotation(n):
+    R, _ = np.linalg.qr(np.random.default_rng([3, n]).standard_normal(
+        (n, n)))
+    return R
+
+
 def _rotated(P):
     # x -> R x: A, B_j, K -> R . R', f -> R f
-    R, _ = np.linalg.qr(np.random.default_rng([3, P.n]).standard_normal(
-        (P.n, P.n)))
+    R = _rotation(P.n)
     return validate_instance(symmetrize(R @ P.A @ R.T),
                              symmetrize(R @ P.B @ R.T), P.gamma, P.c,
                              R @ P.f, symmetrize(R @ P.K @ R.T))
@@ -98,3 +109,20 @@ def _not_scale_free(s, finding):
     ids=["1e3", "1e6", "1e-6"])
 def test_x_scale_keeps_verdicts(members, s):
     assert _moved(members, _x_scaled(s)) == []
+
+
+def test_rotation_rotates_the_n2_route_points():
+    # the resultant route finds every critical point at n = 2, N >= 2,
+    # so the rotated instance's points are the rotated points
+    R, members = _rotation(2), 0
+    for P in iter_ensemble(200, 2024):
+        if P.n != 2 or P.N < 2:
+            continue
+        members += 1
+        expected = np.array(find_critical_points(P, 12, 7).points) @ R.T
+        points = np.array(find_critical_points(_rotated(P), 12, 7).points)
+        assert points.shape == expected.shape
+        for a, b in ((points, expected), (expected, points)):
+            distance = np.abs(a[:, None] - b[None]).max(axis=2).min(axis=1)
+            assert (distance <= 1e-8 * (1.0 + np.abs(a).max(axis=1))).all()
+    assert members == 25
