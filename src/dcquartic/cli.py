@@ -29,8 +29,9 @@ from .report import (
 MAX_SWEEP_N = 16
 MAX_SWEEP_BIG_N = 8
 MAX_SWEEP_COUNT = 10_000
-SEEDS_HELP = ("multistart starts per instance at N >= 2; N = 1 is solved "
-              "from one eigenproblem without random starts; 0 finds no point")
+SEEDS_HELP = ("multistart starts per instance, used at n >= 3 with N >= 2 "
+              "and where a route falls back: the cubic (n = 1), the pencil "
+              "(N = 1) and the resultant (n = 2) need none; 0 finds no point")
 
 
 def _write_json(path, doc):

@@ -152,104 +152,69 @@ def default_inner_init(P, v_star):
     return P.gamma * P.quartic_terms(recover_primal(P, v_star))
 
 
-def _inner_factor(P, v0, mu):
-    """(L, ok) at each row of a stack: L the Cholesky factor of M(v0), ok
-    where it exists and, for mu > 0, where S(v0) factors too."""
-    L, ok = linalg.cho_factor(P.mixed_matrix(v0))
-    if mu:
-        ok &= linalg.cho_factor(P.ab_matrix(v0))[1]
-    return L, ok
-
-
-def _inner_residual(P, v_star, v0, L, mu):
+def _inner_residual(P, v_star, v0, L):
     """Stationarity residual of the inner sup and the matching x_bar, at a
-    point or each row of a stack, given the Cholesky factor L of M(v0);
-    mu > 0 adds the barrier's mu tr(S(v0)^{-1} B_j)."""
+    point or each row of a stack, given the Cholesky factor L of M(v0)."""
     x_bar = linalg.cho_solve(L, v_star)
-    res = P.quartic_terms(x_bar) - v0 / P.gamma
-    if mu:
-        Sinv = linalg.symmetrize(np.linalg.inv(P.ab_matrix(v0)))
-        res += mu * np.einsum("...kl,jlk->...j", Sinv, P.B)
-    return res, x_bar
+    return P.quartic_terms(x_bar) - v0 / P.gamma, x_bar
 
 
-def _inner_matrix(P, x_bar, v0, L, mu):
+def _inner_matrix(P, x_bar, L):
     """E(x_bar) = P2 P1 + diag(1/gamma), the negated v0*-Hessian of J*, at
-    a point or each row of a stack, given the Cholesky factor L of M(v0);
-    mu > 0 adds mu T, T_ji = tr(S^{-1} B_j S^{-1} B_i) with S = S(v0)."""
+    a point or each row of a stack, given the Cholesky factor L of M(v0)."""
     p1 = P.bx_columns(x_bar)
     E = np.swapaxes(linalg.cho_solve(L, p1), -1, -2) @ p1
-    E = linalg.symmetrize(E) + np.diag(1.0 / P.gamma)
-    if mu:
-        Sinv = linalg.symmetrize(np.linalg.inv(P.ab_matrix(v0)))
-        X = np.einsum("...kl,jlm->...jkm", Sinv, P.B)
-        E += mu * linalg.symmetrize(np.einsum("...jkm,...imk->...ji", X, X))
-    return E
+    return linalg.symmetrize(E) + np.diag(1.0 / P.gamma)
 
 
-def _inner_newton_stack(P, v_stars, v0, mu=0.0):
+def _inner_newton_stack(P, v_stars, v0):
     """Damped Newton on the inner stationarity system, on every row of an
-    (S, n) stack at once; a single point is a one-row stack.  mu > 0
-    solves for the maximizer of J*(v*, .) + mu logdet S instead, inside
-    A* (where S factors), to a residual of 1e-10 (1 + max |v0|).
+    (S, n) stack at once; a single point is a one-row stack.
 
-    Row s starts at v0[s].  The state of a row is its iterate and the
-    Cholesky factor of M there; the residual, x_bar and, for mu > 0,
-    S^{-1} are formed from them where they are read.  The C* test (a
-    Cholesky factor of M), tolerance, iteration budget, halving
-    backtrack and strict-decrease test are decided for each row alone.
-    A row takes at most NEWTON_MAX_ITER steps, and the iterate of each
-    step, the last included, is tested.  Returns (v0, values, status):
-    where status[s] is SOLVED, v0[s] is the solution and values[s] is
-    J*(v*, v0[s]), formed on the factor the row holds.  A solution that
-    fails j_star's eigvalsh-margin C* check gets nan and OUTSIDE_C_STAR.
+    Row s starts at v0[s] and holds its iterate and the Cholesky factor
+    of M there.  The C* test (that factor), tolerance, iteration budget,
+    halving backtrack and strict-decrease test are decided for each row
+    alone; a row takes at most NEWTON_MAX_ITER steps, and the iterate of
+    each step, the last included, is tested.  Returns (v0, values,
+    status): where status[s] is SOLVED, v0[s] is the solution and
+    values[s] is J*(v*, v0[s]), formed on the row's factor, or nan and
+    OUTSIDE_C_STAR where it fails j_star's eigvalsh-margin C* check.
     Otherwise status[s] is LEFT_C_STAR (the start is outside C*, or no
-    trial step both stays in C* and lowers the residual) or
-    NO_CONVERGENCE (the budget ran out), v0[s] is the last accepted
-    iterate and values[s] is nan.  A singular E fails its own row,
-    LEFT_C_STAR, or raises SingularMatrixError at mu > 0.
+    trial step both stays in C* and lowers the residual, as where E is
+    singular) or NO_CONVERGENCE (the budget ran out), v0[s] is the last
+    accepted iterate and values[s] is nan.
     """
     v0 = np.array(v0, dtype=float)
-    L, feasible = _inner_factor(P, v0, mu)
+    L, feasible = linalg.cho_factor(P.mixed_matrix(v0))
     status = np.where(feasible, NO_CONVERGENCE, LEFT_C_STAR)
     live = np.flatnonzero(feasible)
-    res, x_bar = _inner_residual(P, v_stars[live], v0[live], L[live], mu)
+    res, x_bar = _inner_residual(P, v_stars[live], v0[live], L[live])
     res_norm = np.max(np.abs(res), axis=1)
-    factor = 1e-10 if mu else linalg.TOL_FACTOR
     for it in range(linalg.NEWTON_MAX_ITER + 1):
-        done = linalg.converged(res_norm, v0[live], factor)
+        done = linalg.converged(res_norm, v0[live])
         status[live[done]] = SOLVED
         live, res, x_bar, res_norm = \
             live[~done], res[~done], x_bar[~done], res_norm[~done]
         if live.size == 0 or it == linalg.NEWTON_MAX_ITER:
             break
-        E = _inner_matrix(P, x_bar, v0[live], L[live], mu)
-        step = linalg.solve_rows(E, res)
-        if mu and np.isnan(step).any():
-            raise SingularMatrixError(
-                f"barrier Newton matrix E + mu T is singular at mu = {mu:g}")
+        step = linalg.solve_rows(_inner_matrix(P, x_bar, L[live]), res)
         pending = np.ones(live.size, dtype=bool)
-        searching = pending.copy()
         for t in linalg.HALVINGS:
-            rows = np.flatnonzero(searching)
+            rows = np.flatnonzero(pending)
             cand = v0[live[rows]] + t * step[rows]
-            # a row whose step rounds to its iterate (where a stage stalls
-            # above its tolerance) cannot decrease the residual, at this t
-            # or any shorter one
-            searching[rows] = (cand != v0[live[rows]]).any(axis=1)
-            cand_L, feasible = _inner_factor(P, cand, mu)
+            cand_L, feasible = linalg.cho_factor(P.mixed_matrix(cand))
             rows, cand, cand_L = (
                 rows[feasible], cand[feasible], cand_L[feasible])
             cand_res, cand_x = _inner_residual(
-                P, v_stars[live[rows]], cand, cand_L, mu)
+                P, v_stars[live[rows]], cand, cand_L)
             cand_norm = np.max(np.abs(cand_res), axis=1)
             better = cand_norm < res_norm[rows]
             rows = rows[better]
             v0[live[rows]], L[live[rows]] = cand[better], cand_L[better]
             res[rows], x_bar[rows], res_norm[rows] = \
                 cand_res[better], cand_x[better], cand_norm[better]
-            pending[rows] = searching[rows] = False
-            if not searching.any():
+            pending[rows] = False
+            if not pending.any():
                 break
         # a row with no feasible descent step ends LEFT_C_STAR
         status[live[pending]] = LEFT_C_STAR
@@ -305,7 +270,7 @@ def _j_tilde_star_bracket_chunk(P, v_stars, starts):
     L, ok = linalg.cho_factor(M)
     rows = np.flatnonzero(ok & (margin > eps))
     v, s, L = v_stars[rows], starts[rows], L[rows]
-    res, x_bar = _inner_residual(P, v, s, L, 0.0)
+    res, x_bar = _inner_residual(P, v, s, L)
     r_sq = np.sum(P.gamma * res ** 2, axis=1)
     b_sq = np.sum(P.gamma * linalg.spectral_norm_sym(P.B) ** 2)
     rho = 2.0 * np.sqrt(r_sq * b_sq)
@@ -447,6 +412,45 @@ def _interior_sup(P, v_star, v0):
     return float(values[0]), argmaxes[0], in_B_star(P, argmaxes[0]).margin
 
 
+def _barrier_stage(P, v_star, v0, mu):
+    """One barrier stage of j2_star: damped Newton on the stationarity of
+    J*(v*, .) + mu logdet S from v0 in A* to 1e-10 (1 + max |v0|), with
+    one S^{-1} per point.  Returns the last accepted iterate, whether the
+    stage converges, stalls, finds no descent step in A* or runs out of
+    budget; raises SingularMatrixError where E + mu T is singular."""
+    def evaluate(v0):   # (max |residual|, residual, x_bar, L, S^{-1})
+        MS = np.stack([P.mixed_matrix(v0), P.ab_matrix(v0)])
+        L, ok = linalg.cho_factor(MS)
+        if not ok.all():
+            return None
+        S_inv = linalg.symmetrize(np.linalg.inv(MS[1]))
+        res, x_bar = _inner_residual(P, v_star, v0, L[0])
+        res = res + mu * np.einsum("kl,jlk->j", S_inv, P.B)
+        return np.max(np.abs(res)), res, x_bar, L[0], S_inv
+
+    at = evaluate(v0)
+    for _ in range(linalg.NEWTON_MAX_ITER):
+        if at is None or linalg.converged(at[0], v0, 1e-10):
+            break
+        res_norm, res, x_bar, L, S_inv = at
+        # T_ji = tr(S^{-1} B_j S^{-1} B_i), the barrier's matrix
+        X = np.einsum("kl,jlm->jkm", S_inv, P.B)
+        E = _inner_matrix(P, x_bar, L) + mu * linalg.symmetrize(
+            np.einsum("jkm,imk->ji", X, X))
+        step = linalg.solve_rows(E[None], res[None])[0]
+        if np.isnan(step).any():
+            raise SingularMatrixError(
+                f"barrier Newton matrix E + mu T is singular at mu = {mu:g}")
+        # the halving backtrack, up to the first step that rounds to v0
+        cands, at = v0 + linalg.HALVINGS[:, None] * step, None
+        for cand in cands[(cands != v0).any(axis=1)]:
+            trial = evaluate(cand)
+            if trial is not None and trial[0] < res_norm:
+                v0, at = cand, trial
+                break
+    return v0
+
+
 def j2_star(P, v_star, init=None):
     """Evaluate J2*(v*) = sup over A* of J*(v*, .).
 
@@ -458,14 +462,15 @@ def j2_star(P, v_star, init=None):
     boundary it is still the answer, tagged boundary_attained.  Only
     where no start solves the inner sup, or the point lies beyond A*
     (margin below -BOUNDARY_MARGIN), does a log-det barrier continuation
-    run: from a strictly feasible A* point, one _inner_newton_stack
-    solve per weight in BARRIER_WEIGHTS, then the one-chunk solve from
-    the end point where the first found nothing.  Beyond A* the sup is
-    on A*'s boundary, and the end point's value, g1_star - g2_star
-    there, is returned tagged boundary_attained.  Raises AStarEmptyError
-    when no strictly feasible A* start is found near ``init``,
-    SingularMatrixError when a barrier Newton matrix is singular, and
-    ValidationError("non-finite") for a NaN or inf v* or init.
+    run: from a strictly feasible A* point, one _barrier_stage per
+    weight in BARRIER_WEIGHTS, each from where the last stopped, then
+    the one-chunk solve from the end point where the first found
+    nothing.  Beyond A* the sup is on A*'s boundary, and the end point's
+    value, g1_star - g2_star there, is returned tagged
+    boundary_attained.  Raises AStarEmptyError when no strictly feasible
+    A* start is found near ``init``, SingularMatrixError when a barrier
+    Newton matrix is singular, and ValidationError("non-finite") for a
+    NaN or inf v* or init.
     """
     v_star = _finite(P.require_x(v_star), "v_star")
     v0 = _finite(P.require_v0(init), "init") if init is not None \
@@ -474,9 +479,7 @@ def j2_star(P, v_star, init=None):
     if interior is None or interior[2] < -BOUNDARY_MARGIN:
         v0 = _feasible_a_star_point(P, v0)
         for mu in BARRIER_WEIGHTS:
-            # each stage starts where the last one stopped, whatever its
-            # status
-            v0 = _inner_newton_stack(P, v_star[None], v0[None], mu)[0][0]
+            v0 = _barrier_stage(P, v_star, v0, mu)
         # the stationary point is unique: search again only where the
         # first solve found none
         interior = interior or _interior_sup(P, v_star, v0)

@@ -54,9 +54,15 @@ def solve_rows(H, b):
 
 
 def symmetrize(M):
-    """(M + M^T) / 2 of a matrix, or of each matrix of a stack."""
+    """(M + M^T) / 2 of a matrix, or of each matrix of a stack; M / 2 +
+    M^T / 2 where M + M^T overflows, whose halves cannot be subnormal."""
     M = np.asarray(M, dtype=float)
-    return 0.5 * (M + M.mT)
+    with np.errstate(over="ignore"):
+        S = 0.5 * (M + M.mT)
+    big = np.isinf(S)   # where M itself holds an inf, both forms agree
+    if big.any():
+        S[big] = 0.5 * M[big] + 0.5 * M.mT[big]
+    return S
 
 
 def spectrum(M):

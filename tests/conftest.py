@@ -43,18 +43,17 @@ def exact_points():
 def barrier_calls(monkeypatch):
     """The J2* barrier-path stages run while the test runs, in order:
     "_feasible_a_star_point" for phase 1, then the weight mu of each
-    barrier stage (an _inner_newton_stack call with mu > 0)."""
+    _barrier_stage call."""
     calls = []
-    phase1, newton = conjugates._feasible_a_star_point, \
-        conjugates._inner_newton_stack
+    phase1, stage = conjugates._feasible_a_star_point, \
+        conjugates._barrier_stage
 
-    def spy_newton(P, v_stars, v0, mu=0.0):
-        if mu:
-            calls.append(mu)
-        return newton(P, v_stars, v0, mu)
+    def spy_stage(P, v_star, v0, mu):
+        calls.append(mu)
+        return stage(P, v_star, v0, mu)
 
     monkeypatch.setattr(
         conjugates, "_feasible_a_star_point",
         lambda *args: calls.append("_feasible_a_star_point") or phase1(*args))
-    monkeypatch.setattr(conjugates, "_inner_newton_stack", spy_newton)
+    monkeypatch.setattr(conjugates, "_barrier_stage", spy_stage)
     return calls

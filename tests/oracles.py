@@ -389,8 +389,7 @@ def j2_star_barrier_path(P, v_star, init=None):
         else default_inner_init(P, v_star)
     v0 = conjugates._feasible_a_star_point(P, v0)
     for mu in conjugates.BARRIER_WEIGHTS:
-        v0 = conjugates._inner_newton_stack(P, v_star[None], v0[None],
-                                            mu)[0][0]
+        v0 = conjugates._barrier_stage(P, v_star, v0, mu)
     rows, _, status = conjugates._inner_newton_stack(P, v_star[None],
                                                      v0[None])
     if status[0] == conjugates.SOLVED:

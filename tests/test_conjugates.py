@@ -36,6 +36,7 @@ from dcquartic import (
 from dcquartic import conjugates, critical, linalg
 from dcquartic.conjugates import (
     _FAILURES,
+    LEFT_C_STAR,
     OUTSIDE_C_STAR,
     SOLVED,
     _inner_newton_stack,
@@ -130,8 +131,8 @@ class TestJTildeStar:
         assert not np.isnan(expected[0]).any()
         inner_matrix = conjugates._inner_matrix
 
-        def zero_where_positive(P, x_bar, v0, L, mu):
-            E = inner_matrix(P, x_bar, v0, L, mu)
+        def zero_where_positive(P, x_bar, L):
+            E = inner_matrix(P, x_bar, L)
             return np.where((x_bar <= 0.0).all(axis=1)[:, None, None], E, 0.0)
 
         monkeypatch.setattr(conjugates, "_inner_matrix", zero_where_positive)
@@ -527,6 +528,32 @@ class TestJTildeStarStack:
         assert status[0] == SOLVED and not np.isnan(values[0])
         result = critical._solve_stack(p_tri, np.array([[0.3]]))[0]
         assert result.converged and result.iterations == 3
+
+    def test_step_that_rounds_to_the_iterate_leaves_c_star(self, p_tri,
+                                                           monkeypatch):
+        # E = 1e300 I where x_bar > 0, on the rows with v* > 0: their step
+        # rounds to the iterate at every halving, so they end LEFT_C_STAR
+        # at their starts, bit for bit, with nan values, and the other
+        # rows solve as they do unpatched
+        v_stars = np.array([[-2.0], [1.0], [-0.5], [2.0]])
+        starts = np.array([[0.3], [0.7], [-0.2], [1.5]])
+        stalled = v_stars[:, 0] > 0
+        expected = _inner_newton_stack(p_tri, v_stars, starts)
+        assert (expected[2] == SOLVED).all()
+        inner_matrix = conjugates._inner_matrix
+
+        def huge_where_positive(P, x_bar, L):
+            E = inner_matrix(P, x_bar, L)
+            return np.where((x_bar <= 0.0).all(axis=1)[:, None, None], E,
+                            1e300 * np.eye(P.N))
+
+        monkeypatch.setattr(conjugates, "_inner_matrix", huge_where_positive)
+        v0, values, status = _inner_newton_stack(p_tri, v_stars, starts)
+        assert (status[stalled] == LEFT_C_STAR).all()
+        assert v0[stalled].tobytes() == starts[stalled].tobytes()
+        assert np.isnan(values[stalled]).all()
+        for got, want in zip((v0, values, status), expected):
+            assert got[~stalled].tobytes() == want[~stalled].tobytes()
 
     def test_overflowing_pivot_fails_without_a_warning(self):
         # the pivot's dot overflows to inf: the pivot fails its test, and

@@ -447,6 +447,26 @@ class TestResultantRoute:
         assert [x.tobytes() for x in ms.points] \
             == [x.tobytes() for x in ref.points]
 
+    @pytest.mark.parametrize("theta", [0.0, 1e-9, pytest.param(
+        1e-12, marks=pytest.mark.xfail(strict=True, reason=(
+            "known limit of the resultant route (ROADMAP item 13): where "
+            "points share an x2 only nearly, the pencil's clustered "
+            "eigenvalues split into complex pairs past PENCIL_TOL, and "
+            "the route finds 8 of the 9 points")))], ids="{:g}".format)
+    def test_nearly_shared_x2_keeps_every_point(self, theta):
+        # J = -|x|^2 / 2 + (x1^4 + x2^4) / 8 rotated by theta: the nine
+        # points Q (a, b), a, b in {0, +-sqrt(2)}, three to each x2
+        # unrotated, and nearly so at small theta
+        (B1, Q), (B2, _) = (_rotated(d, theta) for d in ([1.0, 0.0],
+                                                          [0.0, 1.0]))
+        P = validate_instance(-np.eye(2), [B1, B2], [1.0, 1.0], [0.0, 0.0],
+                              [0.0, 0.0], 1.0)
+        r = np.sqrt(2.0)
+        exact = [Q @ [a, b] for a in (-r, 0.0, r) for b in (-r, 0.0, r)]
+        points = find_critical_points(P, 12, 7).points
+        assert len(points) == 9
+        assert all(any(_close(x, y) for x in points) for y in exact)
+
 
 def _close(x, y):
     """x within 1e-8 (1 + |x|inf) of y."""

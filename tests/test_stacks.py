@@ -347,6 +347,27 @@ def test_order_one_closed_form_is_the_general_path():
     assert one.shape == (1, 1) and ok_one.shape == () and ok_one
 
 
+def test_symmetrize_halves_an_overflowing_sum_first():
+    # a symmetric entry above half the largest double overflows M + M^T;
+    # there it is halved before the sum, and its spectrum reads it
+    assert linalg.spectrum([[1.7e308]])[0].tolist() == [1.7e308]
+    big = np.array([[0.0, 1.7e308], [1.7e308, -1.0]])
+    assert linalg.symmetrize(big).tolist() == big.tolist()
+    assert linalg.spectrum([[0.0, 1.7e308], [1.7e308, 0.0]])[0].tolist() \
+        == [-1.7e308, 1.7e308]
+    # a stack with such a matrix among ordinary ones, of magnitudes from
+    # subnormal to 1e300: the ordinary ones keep the bits of (M + M^T) / 2
+    rng = np.random.default_rng(47)
+    ordinary = rng.standard_normal((6, 3, 3)) \
+        * 10.0 ** rng.uniform(-320, 300, (6, 3, 3))
+    stack = np.concatenate([ordinary[:3], np.pad(big, (0, 1))[None],
+                            ordinary[3:]])
+    S = linalg.symmetrize(stack)
+    assert S[3].tolist() == np.pad(big, (0, 1)).tolist()
+    assert np.delete(S, 3, axis=0).tobytes() \
+        == (0.5 * (ordinary + ordinary.mT)).tobytes()
+
+
 def _same_instance(P, Q):
     for field in dataclasses.fields(ProblemInstance):
         a, b = getattr(P, field.name), getattr(Q, field.name)
