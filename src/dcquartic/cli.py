@@ -29,9 +29,11 @@ from .report import (
 MAX_SWEEP_N = 16
 MAX_SWEEP_BIG_N = 8
 MAX_SWEEP_COUNT = 10_000
-SEEDS_HELP = ("multistart starts per instance, used at n >= 3 with N >= 2 "
-              "and where a route falls back: the cubic (n = 1), the pencil "
-              "(N = 1) and the resultant (n = 2) need none; 0 finds no point")
+SEEDS_HELP = ("multistart starts per instance, used at n >= 3 with N >= 3, "
+              "at n >= 5 with N = 2 and where a route falls back: the cubic "
+              "(n = 1), the pencil (N = 1), the resultant (n = 2) and the "
+              "two-parameter route (N = 2, n = 3-4) need none; 0 finds no "
+              "point")
 
 
 def _write_json(path, doc):

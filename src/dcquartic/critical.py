@@ -44,6 +44,22 @@ PENCIL_TOL = 1e-8
 # acceptance ensemble it reads at most 5e-14 at their critical points
 # and at least 7e-3 elsewhere
 RESULTANT_TOL = 1e-4
+# the N = 2 route's test of each |grad_i J| at a seed, relative to the
+# sum of its terms' sizes; over the 16 members and 36 stress draws with
+# N = 2 and n = 3-4, each point of multistart(P, 400, 11) has a seed that
+# polishes to it reading at most 6.0e-3, and without the test, far seeds
+# near det S(v) = 0 run the polish to its budget
+TWO_PARAMETER_TOL = 0.1
+# the N = 2 route's gate on cond(Delta1 - sigma Delta0, 1): the 16
+# members read at most 2.1e6; on generate_instance(n, 2, [7, s],
+# f_scale=1e-3), n = 3-4, s < 12, the lowest reading at which the route
+# lost a multistart(P, 12, 7) point was 2.2e8, while stress draws 139
+# and 186 read 1.4e8 and 1.2e8 at their best shifts and fall back
+TWO_PARAMETER_MAX_COND = 1e8
+# the largest n on the N = 2 route: its eigenproblem has order (2n+1)^2,
+# and at n = 5-6 the route took 182 ms over the 13 members, against
+# 168 ms for multistart(P, 12, 7)
+TWO_PARAMETER_MAX_N = 4
 
 
 @dataclass(frozen=True)
@@ -252,28 +268,41 @@ def _real_shifted(M, M1, sigma, finite=0.0):
     return sigma + 1.0 / mu[real].real, vecs.T[real].real
 
 
+def _multiplier_pencils(P):
+    """W[j - 1, k], the (2n+1) matrices with W_j(v) = W[j - 1, 0] +
+    sum_k v_k W[j - 1, k] = [[-B_j, S(v), 0], [S(v), 0, -f],
+    [0, f', 2c_j - 2v_j/gamma_j]] for each multiplier j: W_j(v) is
+    singular where v_j = gamma_j w_j(x) at x = -S(v)^{-1} f."""
+    n, N = P.n, P.N
+    W = np.zeros((N, N + 1, 2 * n + 1, 2 * n + 1))
+    W[:, 0, :n, :n], W[:, 0, -1, -1] = -P.B, 2.0 * P.c
+    W[:, 0, :n, n:-1] = W[:, 0, n:-1, :n] = P.A
+    W[:, 0, n:-1, -1], W[:, 0, -1, n:-1] = -P.f, P.f
+    for k in range(1, N + 1):
+        W[:, k, :n, n:-1] = W[:, k, n:-1, :n] = P.B[k - 1]
+        W[k - 1, k, -1, -1] = -2.0 / P.gamma[k - 1]
+    return W
+
+
 def _pencil_seeds(P):
     """Starts at every critical point of an N = 1 instance, or None when
     no shift in PENCIL_SHIFTS is well conditioned.
 
     grad J(x) = 0 holds iff S(v) x = -f with v = gamma (x'Bx/2 + c).
     Where S(v) is invertible, these v are the real eigenvalues of the
-    (2n+1) pencil M0 + v M1, M0 = [[-B, A, 0], [A, 0, -f], [0, f', 2c]],
-    M1 = [[0, B, 0], [B, 0, 0], [0, 0, -2/gamma]], and every finite
-    x = -S(v)^{-1} f is a seed.  Where S(v) is singular and f is
-    orthogonal to a null vector z (the hard case), x = x_p + alpha z
-    with x_p = -S(v)^+ f the least-norm solution, for each real root
-    alpha of v = gamma (x'Bx/2 + c).  _distinct's polish alone decides
-    which seeds are critical.  Condition numbers are 1-norm, and S(v)^+
-    is from eigh: an SVD would load unused LAPACK code into memory.
+    (2n+1) pencil M0 + v M1 (_multiplier_pencils), M0 = [[-B, A, 0],
+    [A, 0, -f], [0, f', 2c]], M1 = [[0, B, 0], [B, 0, 0],
+    [0, 0, -2/gamma]], and every finite x = -S(v)^{-1} f is a seed.
+    Where S(v) is singular and f is orthogonal to a null vector z (the
+    hard case), x = x_p + alpha z with x_p = -S(v)^+ f the least-norm
+    solution, for each real root alpha of v = gamma (x'Bx/2 + c).
+    _distinct's polish alone decides which seeds are critical.
+    Condition numbers are 1-norm, and S(v)^+ is from eigh: an SVD would
+    load unused LAPACK code into memory.
     """
-    n, A, B, f = P.n, P.A, P.B[0], P.f
+    B, f = P.B[0], P.f
     c, gamma = float(P.c[0]), float(P.gamma[0])
-    M0 = np.zeros((2 * n + 1, 2 * n + 1))
-    M1 = np.zeros_like(M0)
-    M0[:n, :n], M0[:n, n:-1], M0[n:-1, :n] = -B, A, A
-    M0[n:-1, -1], M0[-1, n:-1], M0[-1, -1] = -f, f, 2.0 * c
-    M1[:n, n:-1], M1[n:-1, :n], M1[-1, -1] = B, B, -2.0 / gamma
+    (M0, M1), = _multiplier_pencils(P)
     for sigma in PENCIL_SHIFTS:
         M, S = M0 + sigma * M1, P.ab_matrix([sigma])
         if max(np.linalg.cond(M, 1), np.linalg.cond(S, 1)) < PENCIL_MAX_COND:
@@ -405,6 +434,51 @@ def _resultant_seeds(P):
     return s * np.stack([y1.real[keep], y2[keep]], axis=1) + 0.0
 
 
+def _two_parameter_seeds(P):
+    """Starts at the critical points of an N = 2 instance, or None where
+    no shift in PENCIL_SHIFTS passes TWO_PARAMETER_MAX_COND.
+
+    grad J(x) = 0 holds iff S(v) x = -f with v_j = gamma_j w_j(x), so,
+    as in _pencil_seeds, the two (2n+1) matrices W_j(v) = W_j0 +
+    v_1 W_j1 + v_2 W_j2 of _multiplier_pencils are singular together:
+    a two-parameter eigenvalue problem.  Its v_1 are the eigenvalues of
+    Delta1 z = v_1 Delta0 z, with the
+    operator determinants Delta0 = W_11 (x) W_22 - W_12 (x) W_21,
+    Delta1 = W_12 (x) W_20 - W_10 (x) W_22 and Delta2 = W_10 (x) W_21 -
+    W_11 (x) W_20 of size (2n+1)^2, solved shift-inverted with
+    _real_shifted less those at infinity (|mu| <= PENCIL_TOL max|mu|);
+    v_2 is the least-squares quotient of Delta2 z = v_2 Delta0 z.  Each
+    finite x = -S(v)^{-1} f is a seed where every |grad_i J| is within
+    TWO_PARAMETER_TOL of the sum of its terms' sizes, |A x|_i +
+    sum_j gamma_j |w_j (B_j x)_i| + |f_i|; _distinct's polish decides,
+    as on every route.
+    """
+    f = P.f
+    (W10, W11, W12), (W20, W21, W22) = _multiplier_pencils(P)
+    D0 = np.kron(W11, W22) - np.kron(W12, W21)
+    D1 = np.kron(W12, W20) - np.kron(W10, W22)
+    D2 = np.kron(W10, W21) - np.kron(W11, W20)
+    for sigma in PENCIL_SHIFTS:
+        M = D1 - sigma * D0
+        if np.linalg.cond(M, 1) < TWO_PARAMETER_MAX_COND:
+            break
+    else:
+        return None
+    v1, z = _real_shifted(M, -D0, sigma, PENCIL_TOL)
+    d0z, d2z = z @ D0.T, z @ D2.T
+    v = np.stack([v1, np.vecdot(d0z, d2z) / np.vecdot(d0z, d0z)], axis=1)
+    # x = -S(v)^{-1} f per row, NaN (so not kept) where S(v) is singular
+    x = linalg.solve_rows(P.ab_matrix(v), -np.tile(f, (len(v), 1)))
+    x = x[np.isfinite(x).all(axis=1)]
+    bx, w = P._bx_and_w(x)
+    terms = (np.abs(bx[:, -1]) + np.abs(f) + np.vecdot(
+        np.abs(bx[:, :-1]).mT, np.abs(P.gamma * w)[:, None, :]))
+    keep = (np.abs(gradient_from(P, bx, w))
+            <= TWO_PARAMETER_TOL * terms).all(axis=1)
+    # + 0.0 turns a -0 into +0
+    return x[keep] + 0.0
+
+
 def find_critical_points(P, n_seeds, rng_seed):
     """Distinct critical points, polished, merged and sorted by _distinct.
 
@@ -414,16 +488,22 @@ def find_critical_points(P, n_seeds, rng_seed):
       - N = 1, n >= 2: one (2n+1) eigenproblem (_pencil_seeds);
       - n = 2, N >= 2: one 18 x 18 resultant eigenproblem
         (_resultant_seeds);
+      - N = 2, 3 <= n <= TWO_PARAMETER_MAX_N: one (2n+1)^2
+        two-parameter eigenproblem (_two_parameter_seeds);
       - otherwise multistart(P, n_seeds, rng_seed), which is also the
         fallback where a route returns None (grad J = 0 identically at
         n = 1; no well-conditioned pencil shift, as when A and B share a
-        null vector, or when the n = 2 resultant vanishes identically).
+        null vector, when the n = 2 resultant vanishes identically, or
+        when the two-parameter problem fails TWO_PARAMETER_MAX_COND at
+        every shift, as at f = 0).
     A route's seeds go to _distinct.  n_seeds must be a non-negative
     integer on every route, and 0 asks for no point, as in multistart.
     """
     count = _count(n_seeds, "n_seeds")
     route = (_cubic_seeds if P.n == 1 else _pencil_seeds if P.N == 1
-             else _resultant_seeds if P.n == 2 else None)
+             else _resultant_seeds if P.n == 2
+             else _two_parameter_seeds
+             if P.N == 2 and P.n <= TWO_PARAMETER_MAX_N else None)
     seeds = route(P) if route and count else None
     if seeds is None:
         return multistart(P, n_seeds, rng_seed)

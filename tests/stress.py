@@ -18,9 +18,10 @@ many instances pass it and which fail it:
 Then it prints the recall of the reported points against a reference
 set: the exact critical points (tests/oracles.py::exact_critical_points)
 at n <= 2, and multistart(P, 400, 11) at n >= 3, with the recall at
-n = 1 apart (the cubic route, which should hold every exact point), the
-instances that miss a point and those that miss one below their lowest
-reported J.  A
+n = 1 apart (the cubic route, which should hold every exact point) and
+at N = 2, n = 3-4 apart (the two-parameter route, which should hold
+every point of the 400 starts), the instances that miss a point and
+those that miss one below their lowest reported J.  A
 point counts as found within 1e-8 (1 + |x|inf).  multistart is blind
 where the critical points lie far outside |x| = 1, since its starts
 have scale 1 + |f| / (1 + lmin(K - A)): draw 175 (n = 4, N = 1,
@@ -79,6 +80,7 @@ def main():
     missed, missed_below, extra = [], [], []
     reference_count = found_count = 0
     n1_count = n1_found = 0
+    two_count = two_found = 0
     for label, args in draws():
         P = generate_instance(*args)
         label = f"{label} (n = {P.n}, N = {P.N}, k_margin {args[3]:g}, " \
@@ -110,6 +112,9 @@ def main():
         if P.n == 1:
             n1_count += len(reference)
             n1_found += sum(hits)
+        if P.N == 2 and P.n in (3, 4):
+            two_count += len(reference)
+            two_found += sum(hits)
         if not all(hits):
             missed.append(label)
             lowest = min((r["J"] for r in records), default=np.inf)
@@ -124,7 +129,8 @@ def main():
             print(f"    {label}")
     print(f"recall: {found_count} of {reference_count} reference points "
           f"(exact at n <= 2, multistart(P, 400, 11) at n >= 3); "
-          f"at n = 1: {n1_found} of {n1_count}")
+          f"at n = 1: {n1_found} of {n1_count}; at N = 2, n = 3-4: "
+          f"{two_found} of {two_count}")
     for title, labels in (
             ("instances that miss a reference point", missed),
             ("  of them, missing one below their lowest reported J",

@@ -8,11 +8,12 @@ iter_ensemble(200, 2024).  It is computed in four child processes at one
 BLAS thread: the default kernel, and OPENBLAS_CORETYPE set to Haswell,
 Sandybridge and Prescott (the variable acts only on the child).  Each
 forced kernel must give the default's summary (the same counts, J within
-1e-9 (1 + |J|), the other fields equal), except at members 63 and 186,
-whose point sets multistart's last-bit rounding changes at N >= 2
-(ROADMAP items 13 and 4).  A kernel whose child reports the default's
-core name (a build that ignores the variable) is skipped, so the strict
-xfail cannot pass by accident.  Each child also hashes the canonical
+1e-9 (1 + |J|), the other fields equal), except at member 186 (n = 4,
+N = 4), whose point set multistart's last-bit rounding changes (ROADMAP
+item 4).  Member 63 (n = 4, N = 2) differed the same way until N = 2
+at n = 3-4 took the two-parameter route, and now matches.  A kernel
+whose child reports the default's core name (a build that ignores the
+variable) is skipped, so the strict xfail cannot pass by accident.  Each child also hashes the canonical
 text of build_run_report(P, 32, 7, 1000) on both sample files, and each
 forced kernel must give the default's two hashes: n = 1 takes the
 cubic route, which no kernel's rounding splits.
@@ -34,7 +35,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNELS = ("Haswell", "Sandybridge", "Prescott")
-KNOWN_MEMBERS = {63, 186}
+KNOWN_MEMBERS = {186}
 J_TOL = 1e-9
 
 
@@ -134,9 +135,8 @@ def test_sample_reports_match_the_default_kernel(summaries, kernel):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "multistart's last-bit rounding at N >= 2 changes the point sets of "
-    "members 63 and 186 under Sandybridge and Prescott (ROADMAP items 13 "
-    "and 4)"))
+    "multistart's last-bit rounding changes the point set of member 186 "
+    "(n = 4, N = 4) under Sandybridge and Prescott (ROADMAP item 4)"))
 @pytest.mark.parametrize("kernel", ["Sandybridge", "Prescott"])
 def test_verdicts_match_the_default_kernel(summaries, kernel):
     assert _differing(summaries, kernel) == set()

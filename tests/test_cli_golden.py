@@ -37,7 +37,7 @@ PAIR_TABLE_SHA256 = {
     ("chain", "global_min.json"):
         "be86b0434239dd761a5b1c8336c00e1314abaca638c023f432215d2716a6e429",
     ("chain", (4, 2, 2)):
-        "2bfd5adca24a57723a5611f21c57ee84f653811878c9d2a0bc692caec1953fc9",
+        "bb1cd871550f4cc00065a9df57216711e63bc12983dba7f853fd7572ac48dbf8",
     ("chain", (5, 3, 1)):
         "46de85302074d9604c820bd7328dcabeeffa63662560f26182aa10e0fcc247bd",
     ("baseline", "trifecta.json"):
@@ -52,7 +52,7 @@ PAIR_TABLE_SHA256 = {
 # sweep arguments: one plain sweep and one --eps-list sweep
 SWEEP_SHA256 = {
     "--n 3 --N 2 --count 6 --rng 3":
-        "2eae2a2bb35b9330021b382e9bcd051182d7371982641cdc3c443c58aff2b540",
+        "bb8de48823b4d46c9650a9d27633364763a71ff36f1d708305b54c279554d863",
     "--n 2 --N 2 --count 4 --rng 3 --eps-list 0.1,0.01,0.001":
         "a37ee7a0debf73c3fdcd7e63ea47b3cd6f70dd293eebe1518e4bad7dfc848357",
 }

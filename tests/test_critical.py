@@ -468,6 +468,93 @@ class TestResultantRoute:
         assert all(any(_close(x, y) for x in points) for y in exact)
 
 
+TWO_PARAMETER_MEMBERS = (5, 7, 38, 42, 63, 69, 72, 95, 100, 102, 112, 113,
+                         124, 151, 181, 190)
+
+
+def _holds_every_point(points, reference):
+    return all(any(_close(x, y) for x in points) for y in reference)
+
+
+def _same_bytes(result, reference):
+    return ([x.tobytes() for x in result.points]
+            == [x.tobytes() for x in reference.points]
+            and (result.n_dropped, result.n_merged)
+            == (reference.n_dropped, reference.n_merged))
+
+
+class TestTwoParameterRoute:
+    @pytest.fixture(scope="class")
+    def members(self):
+        """The 16 members with N = 2 and n = 3 or 4."""
+        members = [(k, P) for k, P in enumerate(iter_ensemble(200, 2024))
+                   if P.N == 2 and P.n in (3, 4)]
+        assert tuple(k for k, _ in members) == TWO_PARAMETER_MEMBERS
+        return [P for _, P in members]
+
+    def test_members_take_no_multistart(self, members, monkeypatch):
+        def fail(*args):
+            raise AssertionError("N = 2, n = 3-4 left the two-parameter "
+                                 "route")
+        monkeypatch.setattr(critical, "multistart", fail)
+        for P in members:
+            ms = find_critical_points(P, 12, 7)
+            assert ms.points and ms.n_dropped == 0
+
+    def test_holds_every_multistart_point(self, members):
+        # the route's points are a superset: 80 points against the 42 of
+        # multistart(P, 12, 7)
+        route_count = 0
+        for P in members:
+            points = find_critical_points(P, 12, 7).points
+            assert _holds_every_point(points, multistart(P, 12, 7).points)
+            route_count += len(points)
+        assert route_count == 80
+
+    def test_no_runtime_warning(self, members):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for P in members:
+                assert len(critical._two_parameter_seeds(P))
+                find_critical_points(P, 12, 7)
+
+    def test_zero_f_falls_back_to_multistart(self):
+        # at f = 0 both det W_j(v) = det S(v)^2 (2c_j - 2v_j / gamma_j)
+        # vanish on the whole curve det S(v) = 0, so the pencil is
+        # singular and no shift passes the gate
+        P = generate_instance(3, 2, [7, 0], f_scale=0.0)
+        assert critical._two_parameter_seeds(P) is None
+        assert _same_bytes(find_critical_points(P, 12, 7),
+                           multistart(P, 12, 7))
+
+    def test_over_the_gate_falls_back_to_multistart(self, monkeypatch):
+        # f_scale 1e-3: every shift reads cond above 8e9, so the route
+        # falls back; at the looser PENCIL_MAX_COND its first shift
+        # passes, and the route misses points that multistart finds
+        P = generate_instance(4, 2, [7, 2], f_scale=1e-3)
+        reference = multistart(P, 12, 7)
+        assert critical._two_parameter_seeds(P) is None
+        assert _same_bytes(find_critical_points(P, 12, 7), reference)
+        monkeypatch.setattr(critical, "TWO_PARAMETER_MAX_COND",
+                            critical.PENCIL_MAX_COND)
+        points = find_critical_points(P, 12, 7).points
+        assert not _holds_every_point(points, reference.points)
+
+    @pytest.mark.parametrize("draw, k_margin", [(127, 1e-3), (133, 0.1)],
+                             ids=["draw127", "draw133"])
+    def test_stress_draw_keeps_every_multistart_point(self, draw, k_margin):
+        # stress draws 127 and 133 (tests/stress.py: n = 3, N = 2,
+        # f_scale 0.01, c in +-10): the seeds of some points read a
+        # screen ratio of 1e-4 to 1e-2, far above the others, and
+        # TWO_PARAMETER_TOL must keep them
+        P = generate_instance(3, 2, [99, draw], k_margin, 0.01,
+                              (-10.0, 10.0))
+        assert critical._two_parameter_seeds(P) is not None
+        points = find_critical_points(P, 12, 7).points
+        for reference in (multistart(P, 12, 7), multistart(P, 400, 11)):
+            assert _holds_every_point(points, reference.points)
+
+
 def _close(x, y):
     """x within 1e-8 (1 + |x|inf) of y."""
     return np.max(np.abs(x - y)) <= 1e-8 * (1.0 + np.max(np.abs(x)))

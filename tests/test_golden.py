@@ -52,9 +52,9 @@ RUN_REPORT_SHA256 = {
         "0bc4bcd4e4957104f796e0f2a1c3a3d353dc649cf5d96b4cb27f81d16fddaeb3",
 }
 MEMBERS_SHA256 = \
-    "106f080d9e1c508df6b18a5abc259b197ff839459eb0eaa68a3b061a849ae9b5"
+    "ed73c63aaaedac193185b637bf800e0d1e85c7da16887af7538d574ded845282"
 PROBED_MEMBERS_SHA256 = \
-    "f34237d91854ec8cb0ff0a01d9f024bd35dc07cd7550a7cc2a0ae0f3ac166a18"
+    "8cee288d73bc5295eef97f92fc006ddfebcaea7d2d86edf93500b26a5d3c2c29"
 SWEEPS_SHA256 = \
     "79746cea085afe8b51afa00c12394f6b0dd55debe7720eb18bf0cacda3d19fc4"
 

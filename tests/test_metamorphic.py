@@ -6,7 +6,10 @@ old ones moved (or kept) with the same J.  On each of the 39 N = 1
 members of iter_ensemble(200, 2024), analyze_instance(T(P), 12, 7, 0)
 must keep the record count and the multiset of cases, and its sorted J
 must agree within 1e-8 (1 + |J|).  On its 25 n = 2, N >= 2 members a
-rotation must rotate the resultant route's point set.
+rotation must rotate the resultant route's point set, and on its 16
+N = 2 members with n = 3 or 4 a rotation must rotate the two-parameter
+route's point set and swapping the two multipliers' (B_j, c_j, gamma_j)
+must keep it.
 """
 
 import numpy as np
@@ -111,6 +114,19 @@ def test_x_scale_keeps_verdicts(members, s):
     assert _moved(members, _x_scaled(s)) == []
 
 
+def _assert_same_points(points, expected):
+    """Each row of either stack within 1e-8 (1 + |x|inf) of a row of the
+    other, and as many rows in both."""
+    assert points.shape == expected.shape
+    for a, b in ((points, expected), (expected, points)):
+        distance = np.abs(a[:, None] - b[None]).max(axis=2).min(axis=1)
+        assert (distance <= 1e-8 * (1.0 + np.abs(a).max(axis=1))).all()
+
+
+def _points(P):
+    return np.array(find_critical_points(P, 12, 7).points)
+
+
 def test_rotation_rotates_the_n2_route_points():
     # the resultant route finds every critical point at n = 2, N >= 2,
     # so the rotated instance's points are the rotated points
@@ -119,10 +135,30 @@ def test_rotation_rotates_the_n2_route_points():
         if P.n != 2 or P.N < 2:
             continue
         members += 1
-        expected = np.array(find_critical_points(P, 12, 7).points) @ R.T
-        points = np.array(find_critical_points(_rotated(P), 12, 7).points)
-        assert points.shape == expected.shape
-        for a, b in ((points, expected), (expected, points)):
-            distance = np.abs(a[:, None] - b[None]).max(axis=2).min(axis=1)
-            assert (distance <= 1e-8 * (1.0 + np.abs(a).max(axis=1))).all()
+        _assert_same_points(_points(_rotated(P)), _points(P) @ R.T)
     assert members == 25
+
+
+@pytest.fixture(scope="module")
+def two_parameter_members():
+    """The 16 members with N = 2 and n = 3 or 4."""
+    out = [P for P in iter_ensemble(200, 2024) if P.N == 2 and P.n in (3, 4)]
+    assert len(out) == 16
+    return out
+
+
+def test_rotation_rotates_the_two_parameter_route_points(
+        two_parameter_members):
+    for P in two_parameter_members:
+        _assert_same_points(_points(_rotated(P)),
+                            _points(P) @ _rotation(P.n).T)
+
+
+def test_multiplier_swap_keeps_the_two_parameter_route_points(
+        two_parameter_members):
+    # (B_1, c_1, gamma_1) <-> (B_2, c_2, gamma_2) leaves J unchanged and
+    # swaps W_1 and W_2, so Delta0, Delta1 and Delta2 change
+    for P in two_parameter_members:
+        swapped = validate_instance(P.A, P.B[::-1], P.gamma[::-1],
+                                    P.c[::-1], P.f, P.K)
+        _assert_same_points(_points(swapped), _points(P))

@@ -129,7 +129,7 @@ def _check_rows(P, pairs):
 class TestStackRows:
     def test_ensemble_pairs(self):
         # every critical pair of members 0-24, each member's pairs as one
-        # stack; 13 of the 62 rows fail (outside C*, no bundle, but a
+        # stack; 19 of the 72 rows fail (outside C*, no bundle, but a
         # baseline)
         rows = failures = 0
         for P in iter_ensemble(25, 2024):
@@ -138,7 +138,7 @@ class TestStackRows:
             rows += len(pairs)
             failures += sum(isinstance(r, DualityError)
                             for r in bundles + baselines)
-        assert rows == 62 and failures == 13
+        assert rows == 72 and failures == 19
 
     def test_one_row_stacks(self, p_tri, sqrt2):
         # x0 = 1 is not critical: a stack with no bundle row
