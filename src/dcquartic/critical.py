@@ -256,16 +256,15 @@ def multistart(P, n_seeds, rng_seed):
     return _distinct(P, _starts(P, n_seeds, rng_seed))
 
 
-def _real_shifted(M, M1, sigma, finite=0.0):
-    """The real eigenvalues v of the pencil M + (v - sigma) M1, from
-    mu = eig(-M^{-1} M1) as v = sigma + 1/mu over the real mu with
-    |mu| > finite max|mu| (mu = 0 is v at infinity), with their
-    eigenvectors as rows."""
-    mu, vecs = np.linalg.eig(-np.linalg.solve(M, M1))
+def _real_shifted(mu, sigma, finite=0.0):
+    """Given the eigenvalues mu of -M^{-1} M1: the real eigenvalues
+    v = sigma + 1/mu of the pencil M + (v - sigma) M1, and the mask of
+    their mu, the real mu with |mu| > finite max|mu| (mu = 0 is v at
+    infinity).  Callers that need no eigenvectors take mu from eigvals."""
     size = np.abs(mu)
     real = ((np.abs(mu.imag) <= PENCIL_TOL * size)
             & (size > finite * size.max()))
-    return sigma + 1.0 / mu[real].real, vecs.T[real].real
+    return sigma + 1.0 / mu[real].real, real
 
 
 def _multiplier_pencils(P):
@@ -309,12 +308,14 @@ def _pencil_seeds(P):
             break
     else:
         return None
-    v, _ = _real_shifted(M, M1, sigma)
+    v, _ = _real_shifted(np.linalg.eigvals(-np.linalg.solve(M, M1)), sigma)
     # x = -S(v)^{-1} f per row, NaN (so not kept) where S(v) is singular
     x = linalg.solve_rows(P.ab_matrix(v[:, None]), -np.tile(f, (len(v), 1)))
     seeds = [x[np.isfinite(x).all(axis=1)]]
     scale = PENCIL_TOL * (1.0 + np.abs(f).max())
-    for v_hard, z in zip(*_real_shifted(S, B, sigma)):
+    mu, vecs = np.linalg.eig(-np.linalg.solve(S, B))
+    v_hard, real = _real_shifted(mu, sigma)
+    for v_hard, z in zip(v_hard, vecs.T[real].real):
         z = z / np.linalg.norm(z)
         if abs(z @ f) > scale:
             continue
@@ -416,7 +417,8 @@ def _resultant_seeds(P):
             break
     else:
         return None
-    y2, _ = _real_shifted(M, L1, sigma, PENCIL_TOL)
+    y2, _ = _real_shifted(np.linalg.eigvals(-np.linalg.solve(M, L1)), sigma,
+                          PENCIL_TOL)
     y2_powers = y2[:, None] ** np.arange(4)
     g = np.einsum("ikd,md->mik", G, y2_powers)   # grad_i J(., y2) by y1^k
     companion = np.zeros((len(y2), 3, 3))
@@ -464,7 +466,9 @@ def _two_parameter_seeds(P):
             break
     else:
         return None
-    v1, z = _real_shifted(M, -D0, sigma, PENCIL_TOL)
+    mu, vecs = np.linalg.eig(-np.linalg.solve(M, -D0))
+    v1, real = _real_shifted(mu, sigma, PENCIL_TOL)
+    z = vecs.T[real].real
     d0z, d2z = z @ D0.T, z @ D2.T
     v = np.stack([v1, np.vecdot(d0z, d2z) / np.vecdot(d0z, d0z)], axis=1)
     # x = -S(v)^{-1} f per row, NaN (so not kept) where S(v) is singular

@@ -274,8 +274,8 @@ class TestPencilRoute:
         shifts = []
         real_shifted = critical._real_shifted
         monkeypatch.setattr(critical, "_real_shifted",
-                            lambda M, M1, sigma: shifts.append(sigma)
-                            or real_shifted(M, M1, sigma))
+                            lambda mu, sigma: shifts.append(sigma)
+                            or real_shifted(mu, sigma))
         monkeypatch.setattr(critical, "PENCIL_SHIFTS",
                             (v, *critical.PENCIL_SHIFTS))
         ms = find_critical_points(P, 12, 7)
