@@ -60,6 +60,46 @@ TWO_PARAMETER_MAX_COND = 1e8
 # and at n = 5-6 the route took 182 ms over the 13 members, against
 # 168 ms for multistart(P, 12, 7)
 TWO_PARAMETER_MAX_N = 4
+# the n = 3 route's gate on min |R_ii| / max |R_ii| of its two QRs:
+# over the 25 n = 3, N >= 3 members, the 18 stress draws with n = N = 3
+# and 200 more draws at N = 3-4, the Macaulay matrix's reads at least
+# 4.7e-4 and its null space's rows of degree <= 6 at least 1.2e-5;
+# rotationally symmetric B_j (a circle of critical points) read 1e-33
+# at the first, and B_j that share a null vector (a solution at
+# infinity) read 0 at the second
+MACAULAY_MIN_RANK = 1e-8
+
+
+def _macaulay_layout():
+    """The n = 3 route's fixed index tables over the 120 monomials x^e,
+    |e| <= 7, of x1, x2, x3, ordered by degree (so the 20 of degree <= 3
+    and the 84 of degree <= 6 come first): each monomial's degree; the
+    (27, 20) map from the ordered index triples (a, b, c) to the column
+    of x_a x_b x_c; the polynomial i and the 20 columns of x^mu x^e of
+    each of the 93 kept Macaulay rows x^mu g_i; and the (3, 84) columns
+    of x_i x^e, |e| <= 6."""
+    exponents = np.array([(a, b, d - a - b) for d in range(8)
+                          for a in range(d, -1, -1)
+                          for b in range(d - a, -1, -1)])
+    column = np.zeros((8, 8, 8), dtype=int)
+    column[tuple(exponents.T)] = np.arange(len(exponents))
+    unit = np.eye(3, dtype=int)
+    triples = unit[:, None, None] + unit[None, :, None] + unit[None, None, :]
+    cube = np.zeros((27, 20))
+    cube[np.arange(27), column[tuple(triples.reshape(27, 3).T)]] = 1.0
+    shifts = exponents[:35]
+    # the Koszul syzygies g_i g_j = g_j g_i make these rows dependent
+    dropped = [np.zeros(35, dtype=bool), shifts[:, 0] >= 3,
+               (shifts[:, 0] >= 3) | (shifts[:, 1] >= 3)]
+    poly, mu = np.nonzero(~np.array(dropped))
+    columns = column[tuple(np.moveaxis(shifts[mu, None] + exponents[:20],
+                                       -1, 0))]
+    up = column[tuple(np.moveaxis(exponents[:84] + unit[:, None], -1, 0))]
+    return exponents.sum(axis=1), cube, poly, columns, up
+
+
+_DEGREE, _CUBE, _MACAULAY_POLY, _MACAULAY_COLUMNS, _SHIFT_UP = \
+    _macaulay_layout()
 
 
 @dataclass(frozen=True)
@@ -360,6 +400,21 @@ def _cubic_seeds(P):
     return seeds
 
 
+def _balanced(G, degree):
+    """(H, s) for a cubic system grad_i J = sum G[i, ...] x^e with a
+    nonzero cubic part, each coefficient's monomial of total degree
+    ``degree``: its coefficients H[i, ...] in y = x / s, with s a power
+    of two near the size at which the cubic terms balance the others,
+    and each polynomial scaled by a power of two to max |H[i]| in
+    [1/2, 1)."""
+    beta, a, phi = (np.abs(G[:, degree == k]).max() for k in (3, 1, 0))
+    s = np.ldexp(1.0, np.frexp(max(np.sqrt(a / beta),
+                                   np.cbrt(phi / beta)))[1])
+    G = G * s ** degree
+    top = np.abs(G).max(axis=tuple(range(1, G.ndim)), keepdims=True)
+    return np.ldexp(G, -np.frexp(top)[1]), s
+
+
 def _resultant_seeds(P):
     """Starts at every critical point of an n = 2 instance, or None
     where no shift in PENCIL_SHIFTS is well conditioned, as where the
@@ -397,12 +452,7 @@ def _resultant_seeds(P):
     G[:, 1, 0], G[:, 0, 1], G[:, 0, 0] = S[:, 0], S[:, 1], P.f
     if not G[0, 3, 0]:
         return None
-    degree = np.add.outer(np.arange(4), np.arange(4))
-    beta, a, phi = (np.abs(G[:, degree == k]).max() for k in (3, 1, 0))
-    s = np.ldexp(1.0, np.frexp(max(np.sqrt(a / beta),
-                                   np.cbrt(phi / beta)))[1])
-    G = G * s ** degree
-    G = np.ldexp(G, -np.frexp(np.abs(G).max(axis=(1, 2)))[1][:, None, None])
+    G, s = _balanced(G, np.add.outer(np.arange(4), np.arange(4)))
     C = np.zeros((4, 6, 6))
     for shift in range(3):
         C[:, [shift, shift + 3], shift:shift + 4] = \
@@ -483,6 +533,56 @@ def _two_parameter_seeds(P):
     return x[keep] + 0.0
 
 
+def _macaulay_seeds(P):
+    """Starts at every critical point of an n = 3 instance, or None
+    where grad_1 J has no x1^3 term (every B_j[0, 0] = 0) or a QR below
+    falls short of full rank, as at a curve of critical points or a
+    solution at infinity.
+
+    grad J = (g_1, g_2, g_3) are three cubics (_resultant_seeds gives
+    their terms), so by Bezout they have 27 common roots in complex
+    projective space; at N >= 3 three generic quadrics x'B_j x share no
+    isotropic vector, and no root lies at infinity.  The degree-7
+    Macaulay matrix has the rows x^mu g_i, |mu| <= 4, over the 120
+    monomials of degree <= 7, less the 12 rows that the Koszul syzygies
+    g_i g_j = g_j g_i make dependent (x^mu g_2 with x1^3 | x^mu, and
+    x^mu g_3 with x1^3 or x2^3 | x^mu): 93 x 120.  One complete QR of
+    its transpose gives its 27-dimensional null space N, spanned by the
+    roots' monomial vectors.  N6 = Q6 R6 are N's rows of degree <= 6,
+    and N_i the rows of x_i times those monomials.  The route needs R
+    and R6 of full rank, min |R_ii| >= MACAULAY_MIN_RANK max |R_ii|: a
+    curve of roots makes R short, and a root at infinity, whose
+    monomial vector lives in degree 7 alone, makes R6 short.  Each
+    eigenvector z of R6^{-1} Q6' sum_i h_i N_i, for the generic linear
+    shift h_i = PENCIL_SHIFTS[i], gives a root x_i = <N6 z, N_i z> /
+    <N6 z, N6 z>, a seed where every |Im x_i| is within PENCIL_TOL
+    (1 + |x_i|).  The cubics are solved in y = x / s as in
+    _resultant_seeds; _distinct's polish decides, as on every route.
+    An SVD in place of the QR would load unused LAPACK code.
+    """
+    T = np.einsum("j,jab,jic->iabc", 0.5 * P.gamma, P.B, P.B)
+    G = T.reshape(3, 27) @ _CUBE
+    G[:, 0], G[:, 1:4] = P.f, P.ab_matrix(P.gamma * P.c)
+    if not G[0, 10]:    # column 10 is x1^3
+        return None
+    G, s = _balanced(G, _DEGREE[:20])
+    M = np.zeros((len(_MACAULAY_POLY), len(_DEGREE)))
+    M[np.arange(len(M))[:, None], _MACAULAY_COLUMNS] = G[_MACAULAY_POLY]
+    Q, R = np.linalg.qr(M.T, mode="complete")
+    N = Q[:, len(M):]
+    q, R6 = np.linalg.qr(N[:84])
+    diagonals = [np.abs(np.diagonal(X)) for X in (R, R6)]
+    if min(d.min() / d.max() for d in diagonals) < MACAULAY_MIN_RANK:
+        return None
+    shifted = np.einsum("i,irk->rk", PENCIL_SHIFTS[:3], N[_SHIFT_UP])
+    _, Z = np.linalg.eig(np.linalg.solve(R6, q.T @ shifted))
+    V = N[:84] @ Z
+    y = np.vecdot(V.T, (N[_SHIFT_UP] @ Z).mT) / np.vecdot(V.T, V.T)
+    real = (np.abs(y.imag) <= PENCIL_TOL * (1.0 + np.abs(y))).all(axis=0)
+    # + 0.0 turns a -0 into +0
+    return s * y.T[real].real + 0.0
+
+
 def find_critical_points(P, n_seeds, rng_seed):
     """Distinct critical points, polished, merged and sorted by _distinct.
 
@@ -494,12 +594,16 @@ def find_critical_points(P, n_seeds, rng_seed):
         (_resultant_seeds);
       - N = 2, 3 <= n <= TWO_PARAMETER_MAX_N: one (2n+1)^2
         two-parameter eigenproblem (_two_parameter_seeds);
+      - n = 3, N >= 3: one 93 x 120 Macaulay null space
+        (_macaulay_seeds);
       - otherwise multistart(P, n_seeds, rng_seed), which is also the
         fallback where a route returns None (grad J = 0 identically at
         n = 1; no well-conditioned pencil shift, as when A and B share a
         null vector, when the n = 2 resultant vanishes identically, or
         when the two-parameter problem fails TWO_PARAMETER_MAX_COND at
-        every shift, as at f = 0).
+        every shift, as at f = 0; a QR short of MACAULAY_MIN_RANK at
+        n = 3, as on a curve of critical points or with a solution at
+        infinity).
     A route's seeds go to _distinct.  n_seeds must be a non-negative
     integer on every route, and 0 asks for no point, as in multistart.
     """
@@ -507,7 +611,8 @@ def find_critical_points(P, n_seeds, rng_seed):
     route = (_cubic_seeds if P.n == 1 else _pencil_seeds if P.N == 1
              else _resultant_seeds if P.n == 2
              else _two_parameter_seeds
-             if P.N == 2 and P.n <= TWO_PARAMETER_MAX_N else None)
+             if P.N == 2 and P.n <= TWO_PARAMETER_MAX_N
+             else _macaulay_seeds if P.n == 3 else None)
     seeds = route(P) if route and count else None
     if seeds is None:
         return multistart(P, n_seeds, rng_seed)

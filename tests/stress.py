@@ -18,10 +18,11 @@ many instances pass it and which fail it:
 Then it prints the recall of the reported points against a reference
 set: the exact critical points (tests/oracles.py::exact_critical_points)
 at n <= 2, and multistart(P, 400, 11) at n >= 3, with the recall at
-n = 1 apart (the cubic route, which should hold every exact point) and
-at N = 2, n = 3-4 apart (the two-parameter route, which should hold
-every point of the 400 starts), the instances that miss a point and
-those that miss one below their lowest reported J.  A
+n = 1 apart (the cubic route, which should hold every exact point), at
+N = 2, n = 3-4 apart (the two-parameter route, which should hold every
+point of the 400 starts) and at n = N = 3 apart (the Macaulay route,
+which should too), the instances that miss a point and those that miss
+one below their lowest reported J.  A
 point counts as found within 1e-8 (1 + |x|inf).  multistart is blind
 where the critical points lie far outside |x| = 1, since its starts
 have scale 1 + |f| / (1 + lmin(K - A)): draw 175 (n = 4, N = 1,
@@ -81,6 +82,7 @@ def main():
     reference_count = found_count = 0
     n1_count = n1_found = 0
     two_count = two_found = 0
+    three_count = three_found = 0
     for label, args in draws():
         P = generate_instance(*args)
         label = f"{label} (n = {P.n}, N = {P.N}, k_margin {args[3]:g}, " \
@@ -115,6 +117,9 @@ def main():
         if P.N == 2 and P.n in (3, 4):
             two_count += len(reference)
             two_found += sum(hits)
+        if P.n == P.N == 3:
+            three_count += len(reference)
+            three_found += sum(hits)
         if not all(hits):
             missed.append(label)
             lowest = min((r["J"] for r in records), default=np.inf)
@@ -130,7 +135,8 @@ def main():
     print(f"recall: {found_count} of {reference_count} reference points "
           f"(exact at n <= 2, multistart(P, 400, 11) at n >= 3); "
           f"at n = 1: {n1_found} of {n1_count}; at N = 2, n = 3-4: "
-          f"{two_found} of {two_count}")
+          f"{two_found} of {two_count}; at n = N = 3: {three_found} of "
+          f"{three_count}")
     for title, labels in (
             ("instances that miss a reference point", missed),
             ("  of them, missing one below their lowest reported J",

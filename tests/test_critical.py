@@ -555,6 +555,107 @@ class TestTwoParameterRoute:
             assert _holds_every_point(points, reference.points)
 
 
+MACAULAY_MEMBERS = (8, 26, 36, 39, 44, 56, 64, 70, 73, 78, 103, 104, 105,
+                    108, 117, 123, 142, 146, 154, 155, 159, 169, 178, 195,
+                    198)
+
+
+class TestMacaulayRoute:
+    @pytest.fixture(scope="class")
+    def members(self):
+        """The 25 members with n = 3 and N >= 3, by index."""
+        members = {k: P for k, P in enumerate(iter_ensemble(200, 2024))
+                   if P.n == 3 and P.N >= 3}
+        assert tuple(members) == MACAULAY_MEMBERS
+        return members
+
+    def test_members_take_no_multistart(self, members, monkeypatch):
+        def fail(*args):
+            raise AssertionError("n = 3, N >= 3 left the Macaulay route")
+        monkeypatch.setattr(critical, "multistart", fail)
+        for P in members.values():
+            ms = find_critical_points(P, 12, 7)
+            assert ms.points and ms.n_dropped == ms.n_merged == 0
+
+    def test_holds_every_multistart_point(self, members):
+        # the route's points are a superset: 67 points against the 45 of
+        # multistart(P, 12, 7)
+        route_count = 0
+        for P in members.values():
+            points = find_critical_points(P, 12, 7).points
+            assert _holds_every_point(points, multistart(P, 12, 7).points)
+            route_count += len(points)
+        assert route_count == 67
+
+    @pytest.mark.parametrize("member", [26, 103, 155])
+    def test_member_keeps_every_400_start_point(self, members, member):
+        P = members[member]
+        assert _holds_every_point(find_critical_points(P, 12, 7).points,
+                                  multistart(P, 400, 11).points)
+
+    @pytest.mark.parametrize("draw, k_margin", [(147, 1e-3), (159, 1.0)],
+                             ids=["draw147", "draw159"])
+    def test_stress_draw_keeps_every_400_start_point(self, draw, k_margin):
+        # stress draws 147 and 159 (tests/stress.py: n = N = 3, f_scale 1,
+        # c in +-10), where 12 starts find 4 of 5 and 3 of 9 points
+        P = generate_instance(3, 3, [99, draw], k_margin, 1.0,
+                              (-10.0, 10.0))
+        assert critical._macaulay_seeds(P) is not None
+        assert _holds_every_point(find_critical_points(P, 12, 7).points,
+                                  multistart(P, 400, 11).points)
+
+    def test_rotation_rotates_the_points(self, members):
+        # x -> R x: A, B_j, K -> R . R', f -> R f
+        R, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+        for P in members.values():
+            rotated = validate_instance(
+                linalg.symmetrize(R @ P.A @ R.T),
+                linalg.symmetrize(R @ P.B @ R.T), P.gamma, P.c, R @ P.f,
+                linalg.symmetrize(R @ P.K @ R.T))
+            points = find_critical_points(rotated, 12, 7).points
+            expected = [R @ x for x in find_critical_points(P, 12, 7).points]
+            assert len(points) == len(expected)
+            assert _holds_every_point(points, expected)
+
+    def test_zero_seeds_give_no_point(self, members):
+        ms = find_critical_points(members[26], 0, 7)
+        assert (ms.points, ms.n_dropped, ms.n_merged) == ([], 0, 0)
+
+    def test_solution_at_infinity_falls_back_to_multistart(self):
+        # every B_j has the null vector e3, so the cubic terms vanish on
+        # the x3 axis: a root at infinity, whose monomial vector lives
+        # in degree 7 alone, so the null space's rows of degree <= 6 fall
+        # short of rank 27
+        rng = np.random.default_rng(3)
+        B = np.zeros((3, 3, 3))
+        B[:, :2, :2] = linalg.symmetrize(rng.standard_normal((3, 2, 2)))
+        P = validate_instance(np.diag([1.0, -0.5, 0.7]), B, [1.0, 1.5, 0.7],
+                              [0.2, -0.3, 0.5], [0.3, -0.2, 0.4], 2.0)
+        assert critical._macaulay_seeds(P) is None
+        assert _same_bytes(find_critical_points(P, 12, 7),
+                           multistart(P, 12, 7))
+
+    def test_circle_of_points_falls_back_to_multistart(self):
+        # A = -I and B_j = I: grad J = (sum_j gamma_j |x|^2 / 2 - 1) x
+        # vanishes on a sphere, so the Macaulay matrix falls short of
+        # rank 93
+        P = validate_instance(-np.eye(3), [np.eye(3)] * 3, [1.0, 2.0, 0.5],
+                              [0.0] * 3, [0.0] * 3, 1.0)
+        assert critical._macaulay_seeds(P) is None
+        assert _same_bytes(find_critical_points(P, 12, 7),
+                           multistart(P, 12, 7))
+
+    def test_vanishing_x1_cube_falls_back(self):
+        # every B_j[0, 0] = 0: grad_1 J has no x1^3 term
+        P = generate_instance(3, 3, [7, 1])
+        B = np.array(P.B)
+        B[:, 0, 0] = 0.0
+        P = validate_instance(P.A, B, P.gamma, P.c, P.f, P.K)
+        assert critical._macaulay_seeds(P) is None
+        assert _same_bytes(find_critical_points(P, 12, 7),
+                           multistart(P, 12, 7))
+
+
 def _close(x, y):
     """x within 1e-8 (1 + |x|inf) of y."""
     return np.max(np.abs(x - y)) <= 1e-8 * (1.0 + np.max(np.abs(x)))

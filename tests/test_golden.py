@@ -52,9 +52,9 @@ RUN_REPORT_SHA256 = {
         "0bc4bcd4e4957104f796e0f2a1c3a3d353dc649cf5d96b4cb27f81d16fddaeb3",
 }
 MEMBERS_SHA256 = \
-    "ed73c63aaaedac193185b637bf800e0d1e85c7da16887af7538d574ded845282"
+    "c31cdf15cd47369dfd72151f27d9bbb59af258f777a9073bfa38b4afdd413e8f"
 PROBED_MEMBERS_SHA256 = \
-    "8cee288d73bc5295eef97f92fc006ddfebcaea7d2d86edf93500b26a5d3c2c29"
+    "282bb60ff918ec1644c8b04a30918c242fd3b5e6527b0a069069353ee496e83b"
 SWEEPS_SHA256 = \
     "79746cea085afe8b51afa00c12394f6b0dd55debe7720eb18bf0cacda3d19fc4"
 
