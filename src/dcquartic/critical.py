@@ -10,6 +10,7 @@ Nothing in the lift requires the solver: lift_to_dual accepts any x0
 and reports residuals in both spaces.
 """
 
+import functools
 import numbers
 from dataclasses import dataclass
 from typing import List
@@ -70,6 +71,7 @@ TWO_PARAMETER_MAX_N = 4
 MACAULAY_MIN_RANK = 1e-8
 
 
+@functools.cache
 def _macaulay_layout():
     """The n = 3 route's fixed index tables over the 120 monomials x^e,
     |e| <= 7, of x1, x2, x3, ordered by degree (so the 20 of degree <= 3
@@ -95,11 +97,10 @@ def _macaulay_layout():
     columns = column[tuple(np.moveaxis(shifts[mu, None] + exponents[:20],
                                        -1, 0))]
     up = column[tuple(np.moveaxis(exponents[:84] + unit[:, None], -1, 0))]
-    return exponents.sum(axis=1), cube, poly, columns, up
-
-
-_DEGREE, _CUBE, _MACAULAY_POLY, _MACAULAY_COLUMNS, _SHIFT_UP = \
-    _macaulay_layout()
+    tables = exponents.sum(axis=1), cube, poly, columns, up
+    for table in tables:    # shared by every call through the cache
+        table.setflags(write=False)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -560,24 +561,25 @@ def _macaulay_seeds(P):
     _resultant_seeds; _distinct's polish decides, as on every route.
     An SVD in place of the QR would load unused LAPACK code.
     """
+    degree, cube, poly, columns, up = _macaulay_layout()
     T = np.einsum("j,jab,jic->iabc", 0.5 * P.gamma, P.B, P.B)
-    G = T.reshape(3, 27) @ _CUBE
+    G = T.reshape(3, 27) @ cube
     G[:, 0], G[:, 1:4] = P.f, P.ab_matrix(P.gamma * P.c)
     if not G[0, 10]:    # column 10 is x1^3
         return None
-    G, s = _balanced(G, _DEGREE[:20])
-    M = np.zeros((len(_MACAULAY_POLY), len(_DEGREE)))
-    M[np.arange(len(M))[:, None], _MACAULAY_COLUMNS] = G[_MACAULAY_POLY]
+    G, s = _balanced(G, degree[:20])
+    M = np.zeros((len(poly), len(degree)))
+    M[np.arange(len(M))[:, None], columns] = G[poly]
     Q, R = np.linalg.qr(M.T, mode="complete")
     N = Q[:, len(M):]
     q, R6 = np.linalg.qr(N[:84])
     diagonals = [np.abs(np.diagonal(X)) for X in (R, R6)]
     if min(d.min() / d.max() for d in diagonals) < MACAULAY_MIN_RANK:
         return None
-    shifted = np.einsum("i,irk->rk", PENCIL_SHIFTS[:3], N[_SHIFT_UP])
+    shifted = np.einsum("i,irk->rk", PENCIL_SHIFTS[:3], N[up])
     _, Z = np.linalg.eig(np.linalg.solve(R6, q.T @ shifted))
     V = N[:84] @ Z
-    y = np.vecdot(V.T, (N[_SHIFT_UP] @ Z).mT) / np.vecdot(V.T, V.T)
+    y = np.vecdot(V.T, (N[up] @ Z).mT) / np.vecdot(V.T, V.T)
     real = (np.abs(y.imag) <= PENCIL_TOL * (1.0 + np.abs(y))).all(axis=0)
     # + 0.0 turns a -0 into +0
     return s * y.T[real].real + 0.0
