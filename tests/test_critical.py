@@ -645,12 +645,18 @@ class TestMacaulayRoute:
         assert _same_bytes(find_critical_points(P, 12, 7),
                            multistart(P, 12, 7))
 
-    def test_vanishing_x1_cube_falls_back(self):
-        # every B_j[0, 0] = 0: grad_1 J has no x1^3 term
+    @pytest.mark.parametrize("zeroed", ["B00", "B"])
+    def test_vanishing_x1_cube_falls_back(self, zeroed):
+        # every B_j[0, 0] = 0: grad_1 J has no x1^3 term; with every B_j
+        # 0 (coercivity_override) grad J is linear, and nothing sets the
+        # scale of y = x / s, whose formula would divide by 0
         P = generate_instance(3, 3, [7, 1])
         B = np.array(P.B)
         B[:, 0, 0] = 0.0
-        P = validate_instance(P.A, B, P.gamma, P.c, P.f, P.K)
+        if zeroed == "B":
+            B[:] = 0.0
+        P = validate_instance(P.A, B, P.gamma, P.c, P.f, P.K,
+                              coercivity_override=True)
         assert critical._macaulay_seeds(P) is None
         assert _same_bytes(find_critical_points(P, 12, 7),
                            multistart(P, 12, 7))
