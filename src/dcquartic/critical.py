@@ -65,7 +65,7 @@ TWO_PARAMETER_MAX_N = 4
 # over the 25 n = 3, N >= 3 members, the 18 stress draws with n = N = 3
 # and 200 more draws at N = 3-4, the Macaulay matrix's reads at least
 # 4.7e-4 and its null space's rows of degree <= 6 at least 1.2e-5;
-# rotationally symmetric B_j (a circle of critical points) read 1e-33
+# rotationally symmetric B_j (a sphere of critical points) read 1e-33
 # at the first, and B_j that share a null vector (a solution at
 # infinity) read 0 at the second
 MACAULAY_MIN_RANK = 1e-8
@@ -537,7 +537,7 @@ def _two_parameter_seeds(P):
 def _macaulay_seeds(P):
     """Starts at every critical point of an n = 3 instance, or None
     where grad_1 J has no x1^3 term (every B_j[0, 0] = 0) or a QR below
-    falls short of full rank, as at a curve of critical points or a
+    falls short of full rank, as at a continuum of critical points or a
     solution at infinity.
 
     grad J = (g_1, g_2, g_3) are three cubics (_resultant_seeds gives
@@ -552,7 +552,7 @@ def _macaulay_seeds(P):
     roots' monomial vectors.  N6 = Q6 R6 are N's rows of degree <= 6,
     and N_i the rows of x_i times those monomials.  The route needs R
     and R6 of full rank, min |R_ii| >= MACAULAY_MIN_RANK max |R_ii|: a
-    curve of roots makes R short, and a root at infinity, whose
+    continuum of roots makes R short, and a root at infinity, whose
     monomial vector lives in degree 7 alone, makes R6 short.  Each
     eigenvector z of R6^{-1} Q6' sum_i h_i N_i, for the generic linear
     shift h_i = PENCIL_SHIFTS[i], gives a root x_i = <N6 z, N_i z> /
@@ -604,7 +604,7 @@ def find_critical_points(P, n_seeds, rng_seed):
         null vector, when the n = 2 resultant vanishes identically, or
         when the two-parameter problem fails TWO_PARAMETER_MAX_COND at
         every shift, as at f = 0; a QR short of MACAULAY_MIN_RANK at
-        n = 3, as on a curve of critical points or with a solution at
+        n = 3, as on a continuum of critical points or with a solution at
         infinity).
     A route's seeds go to _distinct.  n_seeds must be a non-negative
     integer on every route, and 0 asks for no point, as in multistart.

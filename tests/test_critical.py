@@ -635,7 +635,7 @@ class TestMacaulayRoute:
         assert _same_bytes(find_critical_points(P, 12, 7),
                            multistart(P, 12, 7))
 
-    def test_circle_of_points_falls_back_to_multistart(self):
+    def test_sphere_of_points_falls_back_to_multistart(self):
         # A = -I and B_j = I: grad J = (sum_j gamma_j |x|^2 / 2 - 1) x
         # vanishes on a sphere, so the Macaulay matrix falls short of
         # rank 93
