@@ -31,9 +31,9 @@ MAX_SWEEP_BIG_N = 8
 MAX_SWEEP_COUNT = 10_000
 SEEDS_HELP = ("multistart starts per instance, used at n >= 4 with N >= 3, "
               "at n >= 5 with N = 2 and where a route falls back: the cubic "
-              "(n = 1), the pencil (N = 1), the resultant (n = 2), the "
-              "two-parameter route (N = 2, n = 3-4) and the Macaulay route "
-              "(n = 3, N >= 3) need none; 0 finds no point")
+              "(n = 1), the pencil (N = 1), the Macaulay route (n = 2, and "
+              "n = 3 with N >= 3) and the two-parameter route (N = 2, "
+              "n = 3-4) need none; 0 finds no point")
 
 
 def _write_json(path, doc):

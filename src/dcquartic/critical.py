@@ -40,11 +40,6 @@ DEDUP_DISTANCE = 1e-6
 PENCIL_SHIFTS = (0.5772, -1.2021, 2.6855, -3.3599)
 PENCIL_MAX_COND = 1e10
 PENCIL_TOL = 1e-8
-# the n = 2 route's test of |grad_2 J| at a root of grad_1 J, relative
-# to the sum of its terms' sizes; on the n = 2, N >= 2 members of the
-# acceptance ensemble it reads at most 5e-14 at their critical points
-# and at least 7e-3 elsewhere
-RESULTANT_TOL = 1e-4
 # the N = 2 route's test of each |grad_i J| at a seed, relative to the
 # sum of its terms' sizes; over the 16 members and 36 stress draws with
 # N = 2 and n = 3-4, each point of multistart(P, 400, 11) has a seed that
@@ -61,10 +56,12 @@ TWO_PARAMETER_MAX_COND = 1e8
 # and at n = 5-6 the route took 182 ms over the 13 members, against
 # 168 ms for multistart(P, 12, 7)
 TWO_PARAMETER_MAX_N = 4
-# the n = 3 route's gate on min |R_ii| / max |R_ii| of its two QRs:
+# the Macaulay route's gate on min |R_ii| / max |R_ii| of its two QRs:
 # over the 25 n = 3, N >= 3 members, the 18 stress draws with n = N = 3
 # and 200 more draws at N = 3-4, the Macaulay matrix's reads at least
-# 4.7e-4 and its null space's rows of degree <= 6 at least 1.2e-5;
+# 4.7e-4 and its null space's rows of degree <= 6 at least 1.2e-5; over
+# the 25 n = 2, N >= 2 members, at least 0.19 and 1.6e-3, and over the
+# 36 stress draws with n = 2, N >= 2, at least 4.2e-2 and 9.7e-6;
 # rotationally symmetric B_j (a sphere of critical points) read 1e-33
 # at the first, and B_j that share a null vector (a solution at
 # infinity) read 0 at the second
@@ -72,32 +69,38 @@ MACAULAY_MIN_RANK = 1e-8
 
 
 @functools.cache
-def _macaulay_layout():
-    """The n = 3 route's fixed index tables over the 120 monomials x^e,
-    |e| <= 7, of x1, x2, x3, ordered by degree (so the 20 of degree <= 3
-    and the 84 of degree <= 6 come first): each monomial's degree; the
-    (27, 20) map from the ordered index triples (a, b, c) to the column
-    of x_a x_b x_c; the polynomial i and the 20 columns of x^mu x^e of
-    each of the 93 kept Macaulay rows x^mu g_i; and the (3, 84) columns
-    of x_i x^e, |e| <= 6."""
-    exponents = np.array([(a, b, d - a - b) for d in range(8)
-                          for a in range(d, -1, -1)
-                          for b in range(d - a, -1, -1)])
-    column = np.zeros((8, 8, 8), dtype=int)
+def _macaulay_layout(n):
+    """The Macaulay route's index tables at n, over the monomials x^e,
+    |e| <= 2n + 1, of x1, ..., xn (21 at n = 2, 120 at n = 3), ordered
+    by degree and, within a degree, by e descending (so the m3 of degree
+    <= 3 and the m2n of degree <= 2n come first): each monomial's
+    degree; the (n^3, m3) map from the ordered index triples (a, b, c)
+    to the column of x_a x_b x_c; the polynomial i and the m3 columns of
+    x^mu x^e of each kept Macaulay row x^mu g_i, |mu| <= 2n - 2 (12 at
+    n = 2, 93 at n = 3); and the (n, m2n) columns of x_i x^e,
+    |e| <= 2n."""
+    top = 2 * n + 1
+    exponents = np.indices((top + 1,) * n).reshape(n, -1).T[::-1]
+    exponents = exponents[np.argsort(exponents.sum(axis=1), kind="stable")]
+    degree = exponents.sum(axis=1)
+    exponents, degree = exponents[degree <= top], degree[degree <= top]
+    cubic, shift, low = np.searchsorted(degree, [3, top - 3, top - 1],
+                                        side="right")
+    column = np.zeros((top + 1,) * n, dtype=int)
     column[tuple(exponents.T)] = np.arange(len(exponents))
-    unit = np.eye(3, dtype=int)
+    unit = np.eye(n, dtype=int)
     triples = unit[:, None, None] + unit[None, :, None] + unit[None, None, :]
-    cube = np.zeros((27, 20))
-    cube[np.arange(27), column[tuple(triples.reshape(27, 3).T)]] = 1.0
-    shifts = exponents[:35]
-    # the Koszul syzygies g_i g_j = g_j g_i make these rows dependent
-    dropped = [np.zeros(35, dtype=bool), shifts[:, 0] >= 3,
-               (shifts[:, 0] >= 3) | (shifts[:, 1] >= 3)]
+    cube = np.zeros((n**3, cubic))
+    cube[np.arange(n**3), column[tuple(triples.reshape(-1, n).T)]] = 1.0
+    shifts = exponents[:shift]
+    # the Koszul syzygies g_i g_j = g_j g_i make the rows x^mu g_i with
+    # x_k^3 | x^mu for some k < i dependent
+    dropped = [(shifts[:, :i] >= 3).any(axis=1) for i in range(n)]
     poly, mu = np.nonzero(~np.array(dropped))
-    columns = column[tuple(np.moveaxis(shifts[mu, None] + exponents[:20],
+    columns = column[tuple(np.moveaxis(shifts[mu, None] + exponents[:cubic],
                                        -1, 0))]
-    up = column[tuple(np.moveaxis(exponents[:84] + unit[:, None], -1, 0))]
-    tables = exponents.sum(axis=1), cube, poly, columns, up
+    up = column[tuple(np.moveaxis(exponents[:low] + unit[:, None], -1, 0))]
+    tables = degree, cube, poly, columns, up
     for table in tables:    # shared by every call through the cache
         table.setflags(write=False)
     return tables
@@ -366,8 +369,7 @@ def _pencil_seeds(P):
                           0.5 * xp @ B @ xp + c - v_hard / gamma])
         alpha = alpha[np.abs(alpha.imag) <= PENCIL_TOL * (1.0 + np.abs(alpha))]
         seeds.append(xp + alpha.real[:, None] * z)
-    # + 0.0 turns the -0 that -S^{-1} f gives at f = 0 into +0
-    return np.concatenate(seeds) + 0.0
+    return np.concatenate(seeds)
 
 
 def _cubic_seeds(P):
@@ -416,77 +418,6 @@ def _balanced(G, degree):
     return np.ldexp(G, -np.frexp(top)[1]), s
 
 
-def _resultant_seeds(P):
-    """Starts at every critical point of an n = 2 instance, or None
-    where no shift in PENCIL_SHIFTS is well conditioned, as where the
-    resultant vanishes identically (a continuum of critical points).
-
-    grad_i J = sum_{k,d} G[i, k, d] x1^k x2^d is a cubic: its linear
-    terms are S = A + sum_j gamma_j c_j B_j, its constant f_i and its
-    cubic terms sum_j (gamma_j / 2)(x'B_j x) B_j x.  As cubics in x1
-    with coefficients in x2, the two have a common root exactly where
-    x2 is a root of the resultant det Syl(x2), of degree at most 9: Syl
-    is their 6 x 6 Sylvester matrix, C0 + x2 C1 + x2^2 C2 + x2^3 C3.
-    These x2 are the finite eigenvalues of the 18 x 18 pencil
-    [[0, -I, 0], [0, 0, -I], [C0, C1, C2]] + x2 diag(I, I, C3), solved
-    shift-inverted as in _pencil_seeds, less those at infinity
-    (|mu| <= PENCIL_TOL max|mu|).  At each real x2 the real roots x1 of
-    grad_1 J(., x2), from one stacked companion eigvals, are seeds
-    where |grad_2 J| is within RESULTANT_TOL of the sum of its terms'
-    sizes, so a repeated x2 keeps each of its x1, and a far x2 that
-    rounding split off an eigenvalue at infinity gives none.  The x1^3
-    coefficient, sum_j gamma_j B_j[0, 0]^2 / 2, is positive where Syl's
-    first column is not 0.  The polynomials are solved in y = x / s,
-    each scaled by a power of two, with s a power of two near the size
-    at which the cubic terms balance the others; _distinct's polish
-    decides, as on every route.
-    """
-    B, S = P.B, P.ab_matrix(P.gamma * P.c)
-    # gamma_j x'B_j x / 2 by monomial x1^2, x1 x2, x2^2, times B_j x
-    q = (0.5 * P.gamma)[:, None] * np.stack(
-        [B[:, 0, 0], 2.0 * B[:, 0, 1], B[:, 1, 1]], 1)
-    cubic = np.zeros((2, 4))    # the x1^(3-d) x2^d coefficients
-    cubic[:, :3] = np.einsum("ja,ji->ia", q, B[:, :, 0])
-    cubic[:, 1:] += np.einsum("ja,ji->ia", q, B[:, :, 1])
-    G = np.zeros((2, 4, 4))
-    G[:, 3 - np.arange(4), np.arange(4)] = cubic
-    G[:, 1, 0], G[:, 0, 1], G[:, 0, 0] = S[:, 0], S[:, 1], P.f
-    if not G[0, 3, 0]:
-        return None
-    G, s = _balanced(G, np.add.outer(np.arange(4), np.arange(4)))
-    C = np.zeros((4, 6, 6))
-    for shift in range(3):
-        C[:, [shift, shift + 3], shift:shift + 4] = \
-            G[:, ::-1].transpose(2, 0, 1)
-    L0, L1 = np.zeros((18, 18)), np.eye(18)
-    L0[:12, 6:] = -np.eye(12)
-    L0[12:] = np.concatenate(C[:3], axis=1)
-    L1[12:, 12:] = C[3]
-    for sigma in PENCIL_SHIFTS:
-        M = L0 + sigma * L1
-        if np.linalg.cond(M, 1) < PENCIL_MAX_COND:
-            break
-    else:
-        return None
-    y2, _ = _real_shifted(np.linalg.eigvals(-np.linalg.solve(M, L1)), sigma,
-                          PENCIL_TOL)
-    y2_powers = y2[:, None] ** np.arange(4)
-    g = np.einsum("ikd,md->mik", G, y2_powers)   # grad_i J(., y2) by y1^k
-    companion = np.zeros((len(y2), 3, 3))
-    companion[:, 0] = -g[:, 0, 2::-1] / g[:, 0, 3:]
-    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-    y1 = np.linalg.eigvals(companion)
-    real = np.abs(y1.imag) <= PENCIL_TOL * (1.0 + np.abs(y1))
-    y1_powers = y1.real[..., None] ** np.arange(4)
-    residual = np.abs(np.einsum("mk,mrk->mr", g[:, 1], y1_powers))
-    terms = np.einsum("kd,md,mrk->mr", np.abs(G[1]), np.abs(y2_powers),
-                      np.abs(y1_powers))
-    keep = real & (residual <= RESULTANT_TOL * terms)
-    y2 = np.broadcast_to(y2[:, None], y1.shape)
-    # + 0.0 turns a -0 into +0
-    return s * np.stack([y1.real[keep], y2[keep]], axis=1) + 0.0
-
-
 def _two_parameter_seeds(P):
     """Starts at the critical points of an N = 2 instance, or None where
     no shift in PENCIL_SHIFTS passes TWO_PARAMETER_MAX_COND.
@@ -530,59 +461,61 @@ def _two_parameter_seeds(P):
         np.abs(bx[:, :-1]).mT, np.abs(P.gamma * w)[:, None, :]))
     keep = (np.abs(gradient_from(P, bx, w))
             <= TWO_PARAMETER_TOL * terms).all(axis=1)
-    # + 0.0 turns a -0 into +0
-    return x[keep] + 0.0
+    return x[keep]
 
 
 def _macaulay_seeds(P):
-    """Starts at every critical point of an n = 3 instance, or None
-    where grad_1 J has no x1^3 term (every B_j[0, 0] = 0) or a QR below
-    falls short of full rank, as at a continuum of critical points or a
-    solution at infinity.
+    """Starts at every critical point of an n = 2 or n = 3 instance, or
+    None where grad_1 J has no x1^3 term (every B_j[0, 0] = 0) or a QR
+    below falls short of full rank, as at a continuum of critical points
+    or a solution at infinity.
 
-    grad J = (g_1, g_2, g_3) are three cubics (_resultant_seeds gives
-    their terms), so by Bezout they have 27 common roots in complex
-    projective space; at N >= 3 three generic quadrics x'B_j x share no
-    isotropic vector, and no root lies at infinity.  The degree-7
-    Macaulay matrix has the rows x^mu g_i, |mu| <= 4, over the 120
-    monomials of degree <= 7, less the 12 rows that the Koszul syzygies
-    g_i g_j = g_j g_i make dependent (x^mu g_2 with x1^3 | x^mu, and
-    x^mu g_3 with x1^3 or x2^3 | x^mu): 93 x 120.  One complete QR of
-    its transpose gives its 27-dimensional null space N, spanned by the
-    roots' monomial vectors.  N6 = Q6 R6 are N's rows of degree <= 6,
-    and N_i the rows of x_i times those monomials.  The route needs R
-    and R6 of full rank, min |R_ii| >= MACAULAY_MIN_RANK max |R_ii|: a
-    continuum of roots makes R short, and a root at infinity, whose
-    monomial vector lives in degree 7 alone, makes R6 short.  Each
-    eigenvector z of R6^{-1} Q6' sum_i h_i N_i, for the generic linear
-    shift h_i = PENCIL_SHIFTS[i], gives a root x_i = <N6 z, N_i z> /
-    <N6 z, N6 z>, a seed where every |Im x_i| is within PENCIL_TOL
-    (1 + |x_i|).  The cubics are solved in y = x / s as in
-    _resultant_seeds; _distinct's polish decides, as on every route.
-    An SVD in place of the QR would load unused LAPACK code.
+    grad_i J = g_i is a cubic: its linear terms are S = A + sum_j
+    gamma_j c_j B_j, its constant f_i and its cubic terms sum_j
+    (gamma_j / 2)(x'B_j x) B_j x.  By Bezout the n cubics have 3^n common
+    roots in complex projective space; at N >= n, n generic quadrics
+    x'B_j x share no isotropic vector, and no root lies at infinity.
+    The degree-(2n+1) Macaulay matrix has the rows x^mu g_i,
+    |mu| <= 2n - 2, over the monomials of degree <= 2n + 1
+    (_macaulay_layout), less the rows that the Koszul syzygies
+    g_i g_j = g_j g_i make dependent (x^mu g_i with x_k^3 | x^mu for a
+    k < i: none at n = 2, 12 at n = 3): 12 x 21 at n = 2 and 93 x 120 at
+    n = 3.  One complete QR of its transpose gives its 3^n-dimensional
+    null space N, spanned by the roots' monomial vectors.  low = q r
+    are N's rows of degree <= 2n, and N_i the rows of x_i times those
+    monomials.  The route needs R and r of full rank, min |R_ii| >=
+    MACAULAY_MIN_RANK max |R_ii|: a continuum of roots makes R short,
+    and a root at infinity, whose monomial vector lives in degree 2n + 1
+    alone, makes r short.  Each eigenvector z of r^{-1} q' sum_i h_i N_i,
+    for the generic linear shift h_i = PENCIL_SHIFTS[i], gives a root
+    x_i = <low z, N_i z> / <low z, low z>, a seed where every |Im x_i| is
+    within PENCIL_TOL (1 + |x_i|).  The polynomials are solved in
+    y = x / s (_balanced); _distinct's polish decides, as on every
+    route.  An SVD in place of the QR would load unused LAPACK code.
     """
-    degree, cube, poly, columns, up = _macaulay_layout()
+    n = P.n
+    degree, cube, poly, columns, up = _macaulay_layout(n)
     T = np.einsum("j,jab,jic->iabc", 0.5 * P.gamma, P.B, P.B)
-    G = T.reshape(3, 27) @ cube
-    G[:, 0], G[:, 1:4] = P.f, P.ab_matrix(P.gamma * P.c)
-    if not G[0, 10]:    # column 10 is x1^3
+    if not T[0, 0, 0, 0]:    # the x1^3 coefficient of g_1
         return None
-    G, s = _balanced(G, degree[:20])
+    G = T.reshape(n, -1) @ cube
+    G[:, 0], G[:, 1:n + 1] = P.f, P.ab_matrix(P.gamma * P.c)
+    G, s = _balanced(G, degree[:len(cube.T)])
     M = np.zeros((len(poly), len(degree)))
     M[np.arange(len(M))[:, None], columns] = G[poly]
     Q, R = np.linalg.qr(M.T, mode="complete")
     N = Q[:, len(M):]
-    q, R6 = np.linalg.qr(N[:84])
-    diagonals = [np.abs(np.diagonal(X)) for X in (R, R6)]
+    low = N[:up.shape[1]]
+    q, r = np.linalg.qr(low)
+    diagonals = [np.abs(np.diagonal(X)) for X in (R, r)]
     if min(d.min() / d.max() for d in diagonals) < MACAULAY_MIN_RANK:
         return None
-    shifted = np.einsum("i,irk->rk", PENCIL_SHIFTS[:3], N[up])
-    _, Z = np.linalg.eig(np.linalg.solve(R6, q.T @ shifted))
-    V = N[:84] @ Z
+    shifted = np.einsum("i,irk->rk", PENCIL_SHIFTS[:n], N[up])
+    _, Z = np.linalg.eig(np.linalg.solve(r, q.T @ shifted))
+    V = low @ Z
     y = np.vecdot(V.T, (N[up] @ Z).mT) / np.vecdot(V.T, V.T)
     real = (np.abs(y.imag) <= PENCIL_TOL * (1.0 + np.abs(y))).all(axis=0)
-    # + 0.0 turns a -0 into +0
-    return s * y.T[real].real + 0.0
+    return s * y.T[real].real
 
 
 def find_critical_points(P, n_seeds, rng_seed):
@@ -592,33 +525,30 @@ def find_critical_points(P, n_seeds, rng_seed):
       - n = 1: the real roots of the cubic grad J (_cubic_seeds), for
         every N;
       - N = 1, n >= 2: one (2n+1) eigenproblem (_pencil_seeds);
-      - n = 2, N >= 2: one 18 x 18 resultant eigenproblem
-        (_resultant_seeds);
+      - n = 2, N >= 2, and n = 3, N >= 3: one Macaulay null space,
+        12 x 21 at n = 2 and 93 x 120 at n = 3 (_macaulay_seeds);
       - N = 2, 3 <= n <= TWO_PARAMETER_MAX_N: one (2n+1)^2
         two-parameter eigenproblem (_two_parameter_seeds);
-      - n = 3, N >= 3: one 93 x 120 Macaulay null space
-        (_macaulay_seeds);
       - otherwise multistart(P, n_seeds, rng_seed), which is also the
         fallback where a route returns None (grad J = 0 identically at
         n = 1; no well-conditioned pencil shift, as when A and B share a
-        null vector, when the n = 2 resultant vanishes identically, or
-        when the two-parameter problem fails TWO_PARAMETER_MAX_COND at
-        every shift, as at f = 0; a QR short of MACAULAY_MIN_RANK at
-        n = 3, as on a continuum of critical points or with a solution at
-        infinity).
+        null vector, or when the two-parameter problem fails
+        TWO_PARAMETER_MAX_COND at every shift, as at f = 0; a QR short
+        of MACAULAY_MIN_RANK at n = 2-3, as on a continuum of critical
+        points or with a solution at infinity).
     A route's seeds go to _distinct.  n_seeds must be a non-negative
     integer on every route, and 0 asks for no point, as in multistart.
     """
     count = _count(n_seeds, "n_seeds")
     route = (_cubic_seeds if P.n == 1 else _pencil_seeds if P.N == 1
-             else _resultant_seeds if P.n == 2
+             else _macaulay_seeds if P.n == 2 or P.n == 3 and P.N >= 3
              else _two_parameter_seeds
-             if P.N == 2 and P.n <= TWO_PARAMETER_MAX_N
-             else _macaulay_seeds if P.n == 3 else None)
+             if P.N == 2 and P.n <= TWO_PARAMETER_MAX_N else None)
     seeds = route(P) if route and count else None
     if seeds is None:
         return multistart(P, n_seeds, rng_seed)
-    return _distinct(P, seeds)
+    # + 0.0 turns a -0 (as -S(v)^{-1} f gives at f = 0) into +0
+    return _distinct(P, seeds + 0.0)
 
 
 def _lift_stack(P, X):

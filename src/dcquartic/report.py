@@ -30,11 +30,11 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
     the baseline.  _record then writes each record in one pass, and runs
     the certificate at a case-2 pair.  The points come from
     find_critical_points' route table: the real roots of one cubic at
-    n = 1 (every N), one (2n+1) eigenproblem at N = 1, one 18 x 18
-    resultant eigenproblem at n = 2 and N >= 2, one (2n+1)^2
-    two-parameter eigenproblem at N = 2 and n = 3 or 4, one Macaulay
-    null space at n = 3 and N >= 3, and multistart(P, n_seeds,
-    rng_seed) otherwise or where a route falls back.  n_seeds and n_samples must be non-negative integers
+    n = 1 (every N), one (2n+1) eigenproblem at N = 1, one Macaulay
+    null space at n = 2 with N >= 2 and at n = 3 with N >= 3, one
+    (2n+1)^2 two-parameter eigenproblem at N = 2 and n = 3 or 4, and
+    multistart(P, n_seeds, rng_seed) otherwise or where a route falls
+    back.  n_seeds and n_samples must be non-negative integers
     (ValueError otherwise)."""
     n_samples = _count(n_samples, "n_samples")
     ms = find_critical_points(P, n_seeds, rng_seed)

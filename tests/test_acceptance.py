@@ -367,8 +367,8 @@ def test_criterion_12_exact_critical_points(exact_points):
     """On the 65 members with n <= 2, find_critical_points returns the
     exact critical set (tests/exact_fixture.py): every point within
     1e-8 (1 + |x|inf) of an exact point, and every exact point found, at
-    every N: the cubic at n = 1, the pencil at N = 1 and the resultant at
-    n = 2, N >= 2."""
+    every N: the cubic at n = 1, the pencil at N = 1 and the Macaulay
+    null space at n = 2, N >= 2."""
     def near(x, y):
         return np.max(np.abs(x - y)) <= 1e-8 * (1.0 + np.max(np.abs(x)))
 

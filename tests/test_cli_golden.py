@@ -54,7 +54,7 @@ SWEEP_SHA256 = {
     "--n 3 --N 2 --count 6 --rng 3":
         "bb8de48823b4d46c9650a9d27633364763a71ff36f1d708305b54c279554d863",
     "--n 2 --N 2 --count 4 --rng 3 --eps-list 0.1,0.01,0.001":
-        "a37ee7a0debf73c3fdcd7e63ea47b3cd6f70dd293eebe1518e4bad7dfc848357",
+        "d046dbd3063c9965a9047d41848a401ac5e5a791e1fa86d190e6e3591001aa1a",
 }
 
 

@@ -159,11 +159,15 @@ class TestMultistart:
         P = validate_instance([-1.0], [[1e7]], [1.0], [0.0], [0.0], 1.0)
         found = sorted(x[0] for x in find_critical_points(P, 32, 7).points)
         assert found == pytest.approx([-r, 0.0, r], rel=1e-8, abs=0)
+        # the Macaulay seeds put the zero coordinates within 5.8e-22 of
+        # 0 (4e-15 r), which the absolute Newton test accepts as they
+        # are, and their signs reorder the sort: so each grid point is
+        # matched in the inf-norm within rel = 1e-8 taken at the scale r
         P = _nine_point_instance()
         points = np.array(find_critical_points(P, 32, 7).points)
         grid = [[a, b] for a in (-r, 0.0, r) for b in (-r, 0.0, r)]
-        assert sorted(points.tolist()) == [
-            pytest.approx(x, rel=1e-8, abs=0) for x in grid]
+        assert len(points) == 9
+        assert all(_near(y, points, 1e-8 * r) for y in grid)
         assert sorted(np.sign(points[:4]).tolist()) == [
             [-1, -1], [-1, 1], [1, -1], [1, 1]]
         spectra = np.linalg.eigvalsh(primal_hessian(P, points))
@@ -381,91 +385,12 @@ class TestCubicRoute:
             zero = xs[roots.index(0.0)]
             assert zero == 0.0 and not np.signbit(zero)
         # n = 2, N = 1 takes the pencil, whose -S(v)^{-1} f is -0 at
-        # f = 0 until _pencil_seeds adds + 0.0
+        # f = 0 until find_critical_points adds + 0.0
         P3 = validate_instance(np.diag([-1.0, 1.0]), [np.eye(2)], [1.0],
                                [0.0], [0.0, 0.0], 2.0)
         zero = [x for x in find_critical_points(P3, 12, 7).points
                 if not x.any()]
         assert len(zero) == 1 and not np.signbit(zero[0]).any()
-
-
-class TestResultantRoute:
-    @pytest.fixture(scope="class")
-    def members(self):
-        """The 25 members with n = 2 and N >= 2."""
-        members = [P for P in iter_ensemble(200, 2024)
-                   if P.n == 2 and P.N >= 2]
-        assert len(members) == 25 and {P.N for P in members} == {2, 3, 4}
-        return members
-
-    def test_n2_takes_neither_pencil_nor_multistart(self, members,
-                                                    monkeypatch):
-        # every seed is already at its point or one Newton step from it
-        def fail(*args):
-            raise AssertionError("n = 2, N >= 2 left the resultant route")
-        monkeypatch.setattr(critical, "multistart", fail)
-        monkeypatch.setattr(critical, "_pencil_seeds", fail)
-        for P in members:
-            ms = find_critical_points(P, 12, 7)
-            assert ms.points and ms.n_dropped == ms.n_merged == 0
-            assert max(ms.iterations) <= 1
-
-    def test_no_runtime_warning(self, members):
-        # in the nine-point instance grad_2 J does not depend on x1, so
-        # at each of its roots x2 the residual test compares 0 with 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            for P in members + [_nine_point_instance()]:
-                assert len(critical._resultant_seeds(P))
-                find_critical_points(P, 12, 7)
-
-    def test_rotationally_symmetric_falls_back_to_multistart(self):
-        # A = -I and B_j = I: grad J = (3 |x|^2 / 2 - 1) x vanishes on a
-        # circle, both cubics share that factor, so the resultant is 0 in
-        # x2 and no pencil shift is well conditioned
-        P = validate_instance(-np.eye(2), [np.eye(2), np.eye(2)],
-                              [1.0, 2.0], [0.0, 0.0], [0.0, 0.0], 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert critical._resultant_seeds(P) is None
-            ms, ref = find_critical_points(P, 12, 7), multistart(P, 12, 7)
-        assert len(ms.points) > 1
-        assert [x.tobytes() for x in ms.points] \
-            == [x.tobytes() for x in ref.points]
-        assert (ms.n_dropped, ms.n_merged) == (ref.n_dropped, ref.n_merged)
-
-    def test_vanishing_x1_cube_falls_back(self):
-        # every B_j[0, 0] = 0: neither cubic in x1 has an x1^3 term, so
-        # the Sylvester matrix's first column is 0 and so is the
-        # resultant
-        B = np.zeros((2, 2, 2))
-        B[0, 0, 1] = B[0, 1, 0] = B[1, 1, 1] = 1.0
-        P = validate_instance(-np.eye(2), B, [1.0, 2.0], [0.0, 0.0],
-                              [0.3, -0.2], 1.0)
-        assert critical._resultant_seeds(P) is None
-        ms, ref = find_critical_points(P, 12, 7), multistart(P, 12, 7)
-        assert [x.tobytes() for x in ms.points] \
-            == [x.tobytes() for x in ref.points]
-
-    @pytest.mark.parametrize("theta", [0.0, 1e-9, pytest.param(
-        1e-12, marks=pytest.mark.xfail(strict=True, reason=(
-            "known limit of the resultant route (ROADMAP item 13): where "
-            "points share an x2 only nearly, the pencil's clustered "
-            "eigenvalues split into complex pairs past PENCIL_TOL, and "
-            "the route finds 8 of the 9 points")))], ids="{:g}".format)
-    def test_nearly_shared_x2_keeps_every_point(self, theta):
-        # J = -|x|^2 / 2 + (x1^4 + x2^4) / 8 rotated by theta: the nine
-        # points Q (a, b), a, b in {0, +-sqrt(2)}, three to each x2
-        # unrotated, and nearly so at small theta
-        (B1, Q), (B2, _) = (_rotated(d, theta) for d in ([1.0, 0.0],
-                                                          [0.0, 1.0]))
-        P = validate_instance(-np.eye(2), [B1, B2], [1.0, 1.0], [0.0, 0.0],
-                              [0.0, 0.0], 1.0)
-        r = np.sqrt(2.0)
-        exact = [Q @ [a, b] for a in (-r, 0.0, r) for b in (-r, 0.0, r)]
-        points = find_critical_points(P, 12, 7).points
-        assert len(points) == 9
-        assert all(any(_close(x, y) for x in points) for y in exact)
 
 
 TWO_PARAMETER_MEMBERS = (5, 7, 38, 42, 63, 69, 72, 95, 100, 102, 112, 113,
@@ -555,41 +480,75 @@ class TestTwoParameterRoute:
             assert _holds_every_point(points, reference.points)
 
 
-MACAULAY_MEMBERS = (8, 26, 36, 39, 44, 56, 64, 70, 73, 78, 103, 104, 105,
-                    108, 117, 123, 142, 146, 154, 155, 159, 169, 178, 195,
-                    198)
+MACAULAY_MEMBERS = {
+    2: (2, 4, 6, 25, 33, 75, 77, 83, 86, 91, 92, 93, 114, 126, 131, 140,
+        150, 160, 162, 165, 168, 170, 175, 180, 193),
+    3: (8, 26, 36, 39, 44, 56, 64, 70, 73, 78, 103, 104, 105, 108, 117, 123,
+        142, 146, 154, 155, 159, 169, 178, 195, 198)}
 
 
 class TestMacaulayRoute:
     @pytest.fixture(scope="class")
     def members(self):
-        """The 25 members with n = 3 and N >= 3, by index."""
-        members = {k: P for k, P in enumerate(iter_ensemble(200, 2024))
-                   if P.n == 3 and P.N >= 3}
-        assert tuple(members) == MACAULAY_MEMBERS
+        """The 25 members with n = 2, N >= 2 and the 25 with n = 3,
+        N >= 3, by n and index."""
+        ensemble = list(iter_ensemble(200, 2024))
+        members = {n: {k: P for k, P in enumerate(ensemble)
+                       if P.n == n and P.N >= n} for n in (2, 3)}
+        assert {n: tuple(m) for n, m in members.items()} == MACAULAY_MEMBERS
         return members
 
+    @pytest.mark.parametrize("n, size, rows, low", [(2, 21, 12, 15),
+                                                   (3, 120, 93, 84)])
+    def test_layout(self, n, size, rows, low):
+        # the monomials of degree <= 2n + 1, the kept rows x^mu g_i, and
+        # those of degree <= 2n; the null space has Bezout's 3^n
+        degree, cube, poly, columns, up = critical._macaulay_layout(n)
+        assert len(degree) == size and len(poly) == len(columns) == rows
+        assert size - rows == 3**n
+        assert np.count_nonzero(degree <= 2 * n) == up.shape[1] == low
+        assert cube.shape == (n**3, columns.shape[1]) and up.shape[0] == n
+        for table in (degree, cube, poly, columns, up):
+            assert not table.flags.writeable
+        assert critical._macaulay_layout(n) is critical._macaulay_layout(n)
+
     def test_members_take_no_multistart(self, members, monkeypatch):
+        # nor the pencil: every seed is already at its point or one
+        # Newton step from it
         def fail(*args):
-            raise AssertionError("n = 3, N >= 3 left the Macaulay route")
+            raise AssertionError("a member left the Macaulay route")
         monkeypatch.setattr(critical, "multistart", fail)
-        for P in members.values():
-            ms = find_critical_points(P, 12, 7)
-            assert ms.points and ms.n_dropped == ms.n_merged == 0
+        monkeypatch.setattr(critical, "_pencil_seeds", fail)
+        for n in (2, 3):
+            for P in members[n].values():
+                ms = find_critical_points(P, 12, 7)
+                assert ms.points and ms.n_dropped == ms.n_merged == 0
+                assert max(ms.iterations) <= 1
 
     def test_holds_every_multistart_point(self, members):
-        # the route's points are a superset: 67 points against the 45 of
-        # multistart(P, 12, 7)
-        route_count = 0
-        for P in members.values():
-            points = find_critical_points(P, 12, 7).points
-            assert _holds_every_point(points, multistart(P, 12, 7).points)
-            route_count += len(points)
-        assert route_count == 67
+        # the route's points are a superset: 51 points against the 42 of
+        # multistart(P, 12, 7) at n = 2, and 67 against 45 at n = 3
+        for n, count in ((2, 51), (3, 67)):
+            route_count = 0
+            for P in members[n].values():
+                points = find_critical_points(P, 12, 7).points
+                assert _holds_every_point(points,
+                                          multistart(P, 12, 7).points)
+                route_count += len(points)
+            assert route_count == count
+
+    def test_no_runtime_warning(self, members):
+        # in the nine-point instance each g_i depends on x_i alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for P in [*members[2].values(), *members[3].values(),
+                      _nine_point_instance()]:
+                assert len(critical._macaulay_seeds(P))
+                find_critical_points(P, 12, 7)
 
     @pytest.mark.parametrize("member", [26, 103, 155])
     def test_member_keeps_every_400_start_point(self, members, member):
-        P = members[member]
+        P = members[3][member]
         assert _holds_every_point(find_critical_points(P, 12, 7).points,
                                   multistart(P, 400, 11).points)
 
@@ -607,7 +566,7 @@ class TestMacaulayRoute:
     def test_rotation_rotates_the_points(self, members):
         # x -> R x: A, B_j, K -> R . R', f -> R f
         R, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
-        for P in members.values():
+        for P in members[3].values():
             rotated = validate_instance(
                 linalg.symmetrize(R @ P.A @ R.T),
                 linalg.symmetrize(R @ P.B @ R.T), P.gamma, P.c, R @ P.f,
@@ -617,49 +576,73 @@ class TestMacaulayRoute:
             assert len(points) == len(expected)
             assert _holds_every_point(points, expected)
 
+    @pytest.mark.parametrize("theta", [0.0, 1e-9, 1e-12], ids="{:g}".format)
+    def test_nearly_shared_x2_keeps_every_point(self, theta):
+        # J = -|x|^2 / 2 + (x1^4 + x2^4) / 8 rotated by theta: the nine
+        # points Q (a, b), a, b in {0, +-sqrt(2)}, three to each x2
+        # unrotated, and nearly so at small theta
+        (B1, Q), (B2, _) = (_rotated(d, theta) for d in ([1.0, 0.0],
+                                                          [0.0, 1.0]))
+        P = validate_instance(-np.eye(2), [B1, B2], [1.0, 1.0], [0.0, 0.0],
+                              [0.0, 0.0], 1.0)
+        r = np.sqrt(2.0)
+        exact = [Q @ [a, b] for a in (-r, 0.0, r) for b in (-r, 0.0, r)]
+        points = find_critical_points(P, 12, 7).points
+        assert len(points) == 9
+        assert all(any(_close(x, y) for x in points) for y in exact)
+
     def test_zero_seeds_give_no_point(self, members):
-        ms = find_critical_points(members[26], 0, 7)
+        ms = find_critical_points(members[3][26], 0, 7)
         assert (ms.points, ms.n_dropped, ms.n_merged) == ([], 0, 0)
 
     def test_solution_at_infinity_falls_back_to_multistart(self):
-        # every B_j has the null vector e3, so the cubic terms vanish on
-        # the x3 axis: a root at infinity, whose monomial vector lives
-        # in degree 7 alone, so the null space's rows of degree <= 6 fall
-        # short of rank 27
-        rng = np.random.default_rng(3)
-        B = np.zeros((3, 3, 3))
-        B[:, :2, :2] = linalg.symmetrize(rng.standard_normal((3, 2, 2)))
-        P = validate_instance(np.diag([1.0, -0.5, 0.7]), B, [1.0, 1.5, 0.7],
-                              [0.2, -0.3, 0.5], [0.3, -0.2, 0.4], 2.0)
-        assert critical._macaulay_seeds(P) is None
-        assert _same_bytes(find_critical_points(P, 12, 7),
-                           multistart(P, 12, 7))
+        # every B_j has the null vector e_n, so the cubic terms vanish on
+        # the x_n axis: a root at infinity, whose monomial vector lives
+        # in degree 2n + 1 alone, so the null space's rows of degree
+        # <= 2n fall short of rank 3^n
+        for n in (2, 3):
+            rng = np.random.default_rng(3)
+            B = np.zeros((n, n, n))
+            B[:, :-1, :-1] = linalg.symmetrize(
+                rng.standard_normal((n, n - 1, n - 1)))
+            P = validate_instance(np.diag([1.0, -0.5, 0.7][:n]), B,
+                                  [1.0, 1.5, 0.7][:n], [0.2, -0.3, 0.5][:n],
+                                  [0.3, -0.2, 0.4][:n], 2.0)
+            assert critical._macaulay_seeds(P) is None
+            assert _same_bytes(find_critical_points(P, 12, 7),
+                               multistart(P, 12, 7))
 
     def test_sphere_of_points_falls_back_to_multistart(self):
         # A = -I and B_j = I: grad J = (sum_j gamma_j |x|^2 / 2 - 1) x
-        # vanishes on a sphere, so the Macaulay matrix falls short of
-        # rank 93
-        P = validate_instance(-np.eye(3), [np.eye(3)] * 3, [1.0, 2.0, 0.5],
-                              [0.0] * 3, [0.0] * 3, 1.0)
-        assert critical._macaulay_seeds(P) is None
-        assert _same_bytes(find_critical_points(P, 12, 7),
-                           multistart(P, 12, 7))
+        # vanishes on a circle (n = 2) or a sphere (n = 3), so the
+        # Macaulay matrix falls short of full rank
+        for n in (2, 3):
+            P = validate_instance(-np.eye(n), [np.eye(n)] * n,
+                                  [1.0, 2.0, 0.5][:n], [0.0] * n, [0.0] * n,
+                                  1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert critical._macaulay_seeds(P) is None
+                ms = find_critical_points(P, 12, 7)
+                ref = multistart(P, 12, 7)
+            assert len(ms.points) > 1 and _same_bytes(ms, ref)
 
     @pytest.mark.parametrize("zeroed", ["B00", "B"])
     def test_vanishing_x1_cube_falls_back(self, zeroed):
         # every B_j[0, 0] = 0: grad_1 J has no x1^3 term; with every B_j
         # 0 (coercivity_override) grad J is linear, and nothing sets the
         # scale of y = x / s, whose formula would divide by 0
-        P = generate_instance(3, 3, [7, 1])
-        B = np.array(P.B)
-        B[:, 0, 0] = 0.0
-        if zeroed == "B":
-            B[:] = 0.0
-        P = validate_instance(P.A, B, P.gamma, P.c, P.f, P.K,
-                              coercivity_override=True)
-        assert critical._macaulay_seeds(P) is None
-        assert _same_bytes(find_critical_points(P, 12, 7),
-                           multistart(P, 12, 7))
+        for n in (2, 3):
+            P = generate_instance(n, n, [7, 1])
+            B = np.array(P.B)
+            B[:, 0, 0] = 0.0
+            if zeroed == "B":
+                B[:] = 0.0
+            P = validate_instance(P.A, B, P.gamma, P.c, P.f, P.K,
+                                  coercivity_override=True)
+            assert critical._macaulay_seeds(P) is None
+            assert _same_bytes(find_critical_points(P, 12, 7),
+                               multistart(P, 12, 7))
 
 
 def _close(x, y):
@@ -671,7 +654,7 @@ class TestExactOracle:
     @pytest.mark.parametrize("member", [83, 150, 168])
     def test_fixture_regenerates(self, exact_points, member):
         # the members where 12 multistart starts missed exact points
-        # before the n = 2 resultant route; the file's
+        # before the n = 2 route; the file's
         # floats are the oracle's bit for bit on the kernel that wrote
         # them, and within rounding of the instance's bits elsewhere
         P = next(islice(iter_ensemble(200, 2024), member, None))

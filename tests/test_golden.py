@@ -52,11 +52,11 @@ RUN_REPORT_SHA256 = {
         "0bc4bcd4e4957104f796e0f2a1c3a3d353dc649cf5d96b4cb27f81d16fddaeb3",
 }
 MEMBERS_SHA256 = \
-    "c31cdf15cd47369dfd72151f27d9bbb59af258f777a9073bfa38b4afdd413e8f"
+    "3700969ed6e9b5649a1e15736246fa9cf893a464861c39b70335f1f9f9f9d846"
 PROBED_MEMBERS_SHA256 = \
-    "282bb60ff918ec1644c8b04a30918c242fd3b5e6527b0a069069353ee496e83b"
+    "875d12799a4aaa15253482e88beb776eed84f922903bea737daec3eb40b21cab"
 SWEEPS_SHA256 = \
-    "79746cea085afe8b51afa00c12394f6b0dd55debe7720eb18bf0cacda3d19fc4"
+    "726cb99038ec63d6a985813f29d7ce9af71f83eb87099f5e18a04e5ca2fe738c"
 
 
 @functools.cache

@@ -6,7 +6,7 @@ old ones moved (or kept) with the same J.  On each of the 39 N = 1
 members of iter_ensemble(200, 2024), analyze_instance(T(P), 12, 7, 0)
 must keep the record count and the multiset of cases, and its sorted J
 must agree within 1e-8 (1 + |J|).  On its 25 n = 2, N >= 2 members a
-rotation must rotate the resultant route's point set, and on its 16
+rotation must rotate the Macaulay route's point set, and on its 16
 N = 2 members with n = 3 or 4 a rotation must rotate the two-parameter
 route's point set and swapping the two multipliers' (B_j, c_j, gamma_j)
 must keep it.
@@ -128,7 +128,7 @@ def _points(P):
 
 
 def test_rotation_rotates_the_n2_route_points():
-    # the resultant route finds every critical point at n = 2, N >= 2,
+    # the Macaulay route finds every critical point at n = 2, N >= 2,
     # so the rotated instance's points are the rotated points
     R, members = _rotation(2), 0
     for P in iter_ensemble(200, 2024):
