@@ -515,15 +515,15 @@ class TestMacaulayRoute:
     def test_members_take_no_multistart(self, members, monkeypatch):
         # nor the pencil: every seed is already at its point or one
         # Newton step from it
+        # (n = 2 in TestResultantRoute)
         def fail(*args):
             raise AssertionError("a member left the Macaulay route")
         monkeypatch.setattr(critical, "multistart", fail)
         monkeypatch.setattr(critical, "_pencil_seeds", fail)
-        for n in (2, 3):
-            for P in members[n].values():
-                ms = find_critical_points(P, 12, 7)
-                assert ms.points and ms.n_dropped == ms.n_merged == 0
-                assert max(ms.iterations) <= 1
+        for P in members[3].values():
+            ms = find_critical_points(P, 12, 7)
+            assert ms.points and ms.n_dropped == ms.n_merged == 0
+            assert max(ms.iterations) <= 1
 
     def test_holds_every_multistart_point(self, members):
         # the route's points are a superset: 51 points against the 42 of
@@ -614,18 +614,15 @@ class TestMacaulayRoute:
 
     def test_sphere_of_points_falls_back_to_multistart(self):
         # A = -I and B_j = I: grad J = (sum_j gamma_j |x|^2 / 2 - 1) x
-        # vanishes on a circle (n = 2) or a sphere (n = 3), so the
-        # Macaulay matrix falls short of full rank
-        for n in (2, 3):
-            P = validate_instance(-np.eye(n), [np.eye(n)] * n,
-                                  [1.0, 2.0, 0.5][:n], [0.0] * n, [0.0] * n,
-                                  1.0)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                assert critical._macaulay_seeds(P) is None
-                ms = find_critical_points(P, 12, 7)
-                ref = multistart(P, 12, 7)
-            assert len(ms.points) > 1 and _same_bytes(ms, ref)
+        # vanishes on a sphere, so the Macaulay matrix falls short of
+        # rank 93 (the circle at n = 2 is in TestResultantRoute)
+        P = validate_instance(-np.eye(3), [np.eye(3)] * 3, [1.0, 2.0, 0.5],
+                              [0.0] * 3, [0.0] * 3, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert critical._macaulay_seeds(P) is None
+            ms, ref = find_critical_points(P, 12, 7), multistart(P, 12, 7)
+        assert len(ms.points) > 1 and _same_bytes(ms, ref)
 
     @pytest.mark.parametrize("zeroed", ["B00", "B"])
     def test_vanishing_x1_cube_falls_back(self, zeroed):
@@ -643,6 +640,54 @@ class TestMacaulayRoute:
             assert critical._macaulay_seeds(P) is None
             assert _same_bytes(find_critical_points(P, 12, 7),
                                multistart(P, 12, 7))
+
+
+class TestResultantRoute:
+    """The n = 2, N >= 2 cases first written for a route that solved
+    them from a Sylvester resultant in x2; the Macaulay route, which
+    replaced it, must keep every one."""
+
+    @pytest.fixture(scope="class")
+    def members(self):
+        """The 25 members with n = 2 and N >= 2."""
+        members = [P for P in iter_ensemble(200, 2024)
+                   if P.n == 2 and P.N >= 2]
+        assert len(members) == len(MACAULAY_MEMBERS[2])
+        return members
+
+    def test_n2_takes_neither_pencil_nor_multistart(self, members,
+                                                    monkeypatch):
+        # every seed is already at its point or one Newton step from it
+        def fail(*args):
+            raise AssertionError("n = 2, N >= 2 left the Macaulay route")
+        monkeypatch.setattr(critical, "multistart", fail)
+        monkeypatch.setattr(critical, "_pencil_seeds", fail)
+        for P in members:
+            ms = find_critical_points(P, 12, 7)
+            assert ms.points and ms.n_dropped == ms.n_merged == 0
+            assert max(ms.iterations) <= 1
+
+    def test_rotationally_symmetric_falls_back_to_multistart(self):
+        # A = -I and B_j = I: grad J = (3 |x|^2 / 2 - 1) x vanishes on a
+        # circle, so the Macaulay matrix falls short of rank 12
+        P = validate_instance(-np.eye(2), [np.eye(2), np.eye(2)],
+                              [1.0, 2.0], [0.0, 0.0], [0.0, 0.0], 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert critical._macaulay_seeds(P) is None
+            ms, ref = find_critical_points(P, 12, 7), multistart(P, 12, 7)
+        assert len(ms.points) > 1 and _same_bytes(ms, ref)
+
+    def test_vanishing_x1_cube_falls_back(self):
+        # every B_j[0, 0] = 0: neither cubic in x1 has an x1^3 term, so
+        # the x1 axis holds a root at infinity
+        B = np.zeros((2, 2, 2))
+        B[0, 0, 1] = B[0, 1, 0] = B[1, 1, 1] = 1.0
+        P = validate_instance(-np.eye(2), B, [1.0, 2.0], [0.0, 0.0],
+                              [0.3, -0.2], 1.0)
+        assert critical._macaulay_seeds(P) is None
+        assert _same_bytes(find_critical_points(P, 12, 7),
+                           multistart(P, 12, 7))
 
 
 def _close(x, y):
