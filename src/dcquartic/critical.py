@@ -56,51 +56,54 @@ TWO_PARAMETER_MAX_COND = 1e8
 # and at n = 5-6 the route took 182 ms over the 13 members, against
 # 168 ms for multistart(P, 12, 7)
 TWO_PARAMETER_MAX_N = 4
-# the Macaulay route's gate on min |R_ii| / max |R_ii| of its two QRs:
-# over the 25 n = 3, N >= 3 members, the 18 stress draws with n = N = 3
-# and 200 more draws at N = 3-4, the Macaulay matrix's reads at least
-# 4.7e-4 and its null space's rows of degree <= 6 at least 1.2e-5; over
-# the 25 n = 2, N >= 2 members, at least 0.19 and 1.6e-3, and over the
-# 36 stress draws with n = 2, N >= 2, at least 4.2e-2 and 9.7e-6;
-# rotationally symmetric B_j (a sphere of critical points) read 1e-33
-# at the first, and B_j that share a null vector (a solution at
-# infinity) read 0 at the second
-MACAULAY_MIN_RANK = 1e-8
+# the Macaulay route's gate on max |X| of its normal form X in y = x / s:
+# its n = 2 and n = 3 members read at most 5.5e4 and 1.2e6, and the 54
+# stress draws with n = 2, N >= 2 or n = N = 3 at most 4.2e6 (a margin of
+# 2.4e5); B_j = blockdiag(b_j, 1e-2), a root near infinity, reads
+# 8.4e10-6.2e11 on three draws (a margin of 1.6) and keeps every point,
+# and blockdiag(b_j, 1e-6) reads 8.4e34 and would keep 1-2 of 3 points
+MACAULAY_MAX_NORMAL_FORM = 1e12
 
 
 @functools.cache
 def _macaulay_layout(n):
     """The Macaulay route's index tables at n, over the monomials x^e,
-    |e| <= 2n + 1, of x1, ..., xn (21 at n = 2, 120 at n = 3), ordered
-    by degree and, within a degree, by e descending (so the m3 of degree
-    <= 3 and the m2n of degree <= 2n come first): each monomial's
-    degree; the (n^3, m3) map from the ordered index triples (a, b, c)
-    to the column of x_a x_b x_c; the polynomial i and the m3 columns of
-    x^mu x^e of each kept Macaulay row x^mu g_i, |mu| <= 2n - 2 (12 at
-    n = 2, 93 at n = 3); and the (n, m2n) columns of x_i x^e,
-    |e| <= 2n."""
+    |e| <= 2n + 1, of x1, ..., xn (21 at n = 2, 120 at n = 3): the 3^n of
+    the basis max e_i <= 2 first, then the rest, each by degree and then
+    by e descending.  Each monomial's degree; the (n^3, m3) map from the
+    index triples (a, b, c) to the coefficient of x_a x_b x_c among the
+    m3 monomials of degree <= 3; the polynomial i and the m3 columns of
+    x^mu x^e of each kept row x^mu g_i, by |mu| (12 at n = 2, 93 at
+    n = 3); the offsets that split those rows by |mu| = d - 3 and the
+    other monomials by degree d into square blocks; and the (n, 3^n)
+    columns of x_i times each basis monomial."""
     top = 2 * n + 1
     exponents = np.indices((top + 1,) * n).reshape(n, -1).T[::-1]
     exponents = exponents[np.argsort(exponents.sum(axis=1), kind="stable")]
     degree = exponents.sum(axis=1)
     exponents, degree = exponents[degree <= top], degree[degree <= top]
-    cubic, shift, low = np.searchsorted(degree, [3, top - 3, top - 1],
-                                        side="right")
+    shifts = exponents[degree <= top - 3]
+    exponents = exponents[np.argsort(exponents.max(axis=1) > 2,
+                                     kind="stable")]
+    degree = exponents.sum(axis=1)
     column = np.zeros((top + 1,) * n, dtype=int)
     column[tuple(exponents.T)] = np.arange(len(exponents))
+    coefficient = np.cumsum(degree <= 3) - 1
     unit = np.eye(n, dtype=int)
     triples = unit[:, None, None] + unit[None, :, None] + unit[None, None, :]
-    cube = np.zeros((n**3, cubic))
-    cube[np.arange(n**3), column[tuple(triples.reshape(-1, n).T)]] = 1.0
-    shifts = exponents[:shift]
+    cube = np.zeros((n**3, coefficient[-1] + 1))
+    cube[np.arange(n**3),
+         coefficient[column[tuple(triples.reshape(-1, n).T)]]] = 1.0
     # the Koszul syzygies g_i g_j = g_j g_i make the rows x^mu g_i with
     # x_k^3 | x^mu for some k < i dependent
     dropped = [(shifts[:, :i] >= 3).any(axis=1) for i in range(n)]
-    poly, mu = np.nonzero(~np.array(dropped))
-    columns = column[tuple(np.moveaxis(shifts[mu, None] + exponents[:cubic],
-                                       -1, 0))]
-    up = column[tuple(np.moveaxis(exponents[:low] + unit[:, None], -1, 0))]
-    tables = degree, cube, poly, columns, up
+    mu, poly = np.nonzero(~np.array(dropped).T)
+    columns = column[tuple(np.moveaxis(shifts[mu, None]
+                                       + exponents[degree <= 3], -1, 0))]
+    blocks = np.searchsorted(degree[3**n:], np.arange(2, top + 1),
+                             side="right")
+    up = column[tuple(np.moveaxis(exponents[:3**n] + unit[:, None], -1, 0))]
+    tables = degree, cube, poly, columns, blocks, up
     for table in tables:    # shared by every call through the cache
         table.setflags(write=False)
     return tables
@@ -466,54 +469,57 @@ def _two_parameter_seeds(P):
 
 def _macaulay_seeds(P):
     """Starts at every critical point of an n = 2 or n = 3 instance, or
-    None where grad_1 J has no x1^3 term (every B_j[0, 0] = 0) or a QR
-    below falls short of full rank, as at a continuum of critical points
-    or a solution at infinity.
+    None where grad_1 J has no x1^3 term (every B_j[0, 0] = 0) or the
+    normal form below is singular or exceeds MACAULAY_MAX_NORMAL_FORM,
+    as at a continuum of critical points or a solution at infinity.
 
     grad_i J = g_i is a cubic: its linear terms are S = A + sum_j
-    gamma_j c_j B_j, its constant f_i and its cubic terms sum_j
-    (gamma_j / 2)(x'B_j x) B_j x.  By Bezout the n cubics have 3^n common
-    roots in complex projective space; at N >= n, n generic quadrics
-    x'B_j x share no isotropic vector, and no root lies at infinity.
-    The degree-(2n+1) Macaulay matrix has the rows x^mu g_i,
+    gamma_j c_j B_j, its constant f_i and its cubic terms
+    sum_j (gamma_j / 2)(x'B_j x) B_j x.  By Bezout the n cubics have 3^n
+    common roots in complex projective space; at N >= n, n generic
+    quadrics x'B_j x share no isotropic vector, and no root lies at
+    infinity.  The degree-(2n+1) Macaulay matrix M has the rows x^mu g_i,
     |mu| <= 2n - 2, over the monomials of degree <= 2n + 1
     (_macaulay_layout), less the rows that the Koszul syzygies
     g_i g_j = g_j g_i make dependent (x^mu g_i with x_k^3 | x^mu for a
     k < i: none at n = 2, 12 at n = 3): 12 x 21 at n = 2 and 93 x 120 at
-    n = 3.  One complete QR of its transpose gives its 3^n-dimensional
-    null space N, spanned by the roots' monomial vectors.  low = q r
-    are N's rows of degree <= 2n, and N_i the rows of x_i times those
-    monomials.  The route needs R and r of full rank, min |R_ii| >=
-    MACAULAY_MIN_RANK max |R_ii|: a continuum of roots makes R short,
-    and a root at infinity, whose monomial vector lives in degree 2n + 1
-    alone, makes r short.  Each eigenvector z of r^{-1} q' sum_i h_i N_i,
-    for the generic linear shift h_i = PENCIL_SHIFTS[i], gives a root
-    x_i = <low z, N_i z> / <low z, low z>, a seed where every |Im x_i| is
-    within PENCIL_TOL (1 + |x_i|).  The polynomials are solved in
-    y = x / s (_balanced); _distinct's polish decides, as on every
-    route.  An SVD in place of the QR would load unused LAPACK code.
+    n = 3.  With its columns split as M = [M_B, M_rest] at the basis
+    B = {x^e : max e_i <= 2}, its null space, spanned by the roots'
+    monomial vectors, is N = [I; X], X = -M_rest^{-1} M_B: each
+    monomial's normal form on B (Telen, Mourrain & Van Barel, SIAM J.
+    Matrix Anal. Appl. 39, 2018).  With the rows by |mu|, M_rest is block
+    lower triangular by degree and is solved one degree at a time; its
+    square diagonal blocks hold the cubic terms alone, which a continuum
+    of roots or a root at infinity makes singular.  Each eigenvector z of
+    the 3^n x 3^n sum_i h_i N[x_i B], for the generic linear shift
+    h_i = PENCIL_SHIFTS[i], gives a root x_i = <z, N[x_i B] z> / <z, z>,
+    a seed where every |Im x_i| is within PENCIL_TOL (1 + |x_i|).  The
+    polynomials are solved in y = x / s (_balanced); _distinct's polish
+    decides, as on every route.
     """
     n = P.n
-    degree, cube, poly, columns, up = _macaulay_layout(n)
+    degree, cube, poly, columns, blocks, up = _macaulay_layout(n)
     T = np.einsum("j,jab,jic->iabc", 0.5 * P.gamma, P.B, P.B)
     if not T[0, 0, 0, 0]:    # the x1^3 coefficient of g_1
         return None
     G = T.reshape(n, -1) @ cube
     G[:, 0], G[:, 1:n + 1] = P.f, P.ab_matrix(P.gamma * P.c)
-    G, s = _balanced(G, degree[:len(cube.T)])
+    G, s = _balanced(G, degree[degree <= 3])
     M = np.zeros((len(poly), len(degree)))
     M[np.arange(len(M))[:, None], columns] = G[poly]
-    Q, R = np.linalg.qr(M.T, mode="complete")
-    N = Q[:, len(M):]
-    low = N[:up.shape[1]]
-    q, r = np.linalg.qr(low)
-    diagonals = [np.abs(np.diagonal(X)) for X in (R, r)]
-    if min(d.min() / d.max() for d in diagonals) < MACAULAY_MIN_RANK:
+    b = len(up.T)
+    X = -M[:, :b]
+    for lo, hi in zip(blocks, blocks[1:]):
+        try:
+            X[lo:hi] = np.linalg.solve(M[lo:hi, b + lo:b + hi],
+                                       X[lo:hi] - M[lo:hi, b:b + lo] @ X[:lo])
+        except np.linalg.LinAlgError:
+            return None
+    if not np.abs(X).max() <= MACAULAY_MAX_NORMAL_FORM:    # or NaN
         return None
-    shifted = np.einsum("i,irk->rk", PENCIL_SHIFTS[:n], N[up])
-    _, Z = np.linalg.eig(np.linalg.solve(r, q.T @ shifted))
-    V = low @ Z
-    y = np.vecdot(V.T, (N[up] @ Z).mT) / np.vecdot(V.T, V.T)
+    shifted = np.concatenate([np.eye(b), X])[up]
+    _, Z = np.linalg.eig(np.einsum("i,irk->rk", PENCIL_SHIFTS[:n], shifted))
+    y = np.vecdot(Z.T, (shifted @ Z).mT) / np.vecdot(Z.T, Z.T)
     real = (np.abs(y.imag) <= PENCIL_TOL * (1.0 + np.abs(y))).all(axis=0)
     return s * y.T[real].real
 
@@ -525,17 +531,20 @@ def find_critical_points(P, n_seeds, rng_seed):
       - n = 1: the real roots of the cubic grad J (_cubic_seeds), for
         every N;
       - N = 1, n >= 2: one (2n+1) eigenproblem (_pencil_seeds);
-      - n = 2, N >= 2, and n = 3, N >= 3: one Macaulay null space,
-        12 x 21 at n = 2 and 93 x 120 at n = 3 (_macaulay_seeds);
+      - n = 2, N >= 2, and n = 3, N >= 3: the normal form of one
+        Macaulay matrix on the 3^n monomials max e_i <= 2, 12 x 21 at
+        n = 2 and 93 x 120 at n = 3, solved degree by degree
+        (_macaulay_seeds);
       - N = 2, 3 <= n <= TWO_PARAMETER_MAX_N: one (2n+1)^2
         two-parameter eigenproblem (_two_parameter_seeds);
       - otherwise multistart(P, n_seeds, rng_seed), which is also the
         fallback where a route returns None (grad J = 0 identically at
         n = 1; no well-conditioned pencil shift, as when A and B share a
         null vector, or when the two-parameter problem fails
-        TWO_PARAMETER_MAX_COND at every shift, as at f = 0; a QR short
-        of MACAULAY_MIN_RANK at n = 2-3, as on a continuum of critical
-        points or with a solution at infinity).
+        TWO_PARAMETER_MAX_COND at every shift, as at f = 0; a normal
+        form that is singular or exceeds MACAULAY_MAX_NORMAL_FORM at
+        n = 2-3, as on a continuum of critical points or with a solution
+        at infinity).
     A route's seeds go to _distinct.  n_seeds must be a non-negative
     integer on every route, and 0 asks for no point, as in multistart.
     """

@@ -31,7 +31,8 @@ def analyze_instance(P, n_seeds, rng_seed, n_samples):
     the certificate at a case-2 pair.  The points come from
     find_critical_points' route table: the real roots of one cubic at
     n = 1 (every N), one (2n+1) eigenproblem at N = 1, one Macaulay
-    null space at n = 2 with N >= 2 and at n = 3 with N >= 3, one
+    normal form, solved degree by degree, at n = 2 with N >= 2 and at
+    n = 3 with N >= 3, one
     (2n+1)^2 two-parameter eigenproblem at N = 2 and n = 3 or 4, and
     multistart(P, n_seeds, rng_seed) otherwise or where a route falls
     back.  n_seeds and n_samples must be non-negative integers

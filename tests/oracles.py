@@ -23,7 +23,9 @@ generator that drew, symmetrized and scaled A and each B_j one matrix at
 a time, before generate_instance did it on one stack.
 exact_critical_points is the critical set of J from exact arithmetic at
 n <= 2: a lex Groebner basis over the rationals and its univariate
-polynomial's roots at 40 digits.
+polynomial's roots at 40 digits.  macaulay_seeds_qr is the Macaulay
+route's seeds from the dense null space (two QRs) that the normal form
+of critical._macaulay_seeds replaced.
 """
 
 import json
@@ -34,7 +36,8 @@ import scipy.linalg
 from scipy.optimize import brentq
 
 from dcquartic import j2_star, j_star, j_tilde_star, primal_gradient
-from dcquartic import conjugates, ensembles, linalg, validate_instance
+from dcquartic import conjugates, critical, ensembles, linalg
+from dcquartic import validate_instance
 from dcquartic.conjugates import INNER_EXTRA_INITS, default_inner_init
 from dcquartic.critical import SolveResult
 from dcquartic.errors import (
@@ -655,3 +658,66 @@ def exact_critical_points(P, digits=40):
              for p in linear]
         points.append([float(v) for v in (*x, root)])
     return np.array(sorted(points)).reshape(-1, P.n)
+
+
+# the dense route's gate on min |R_ii| / max |R_ii| of its two QRs: a
+# continuum of roots makes the Macaulay matrix's R short, and a root at
+# infinity the null space's rows of degree <= 2n
+QR_MIN_RANK = 1e-8
+
+
+def macaulay_seeds_qr(P):
+    """critical._macaulay_seeds' seeds from the dense null space that
+    its normal form replaced, or None where that route refused: no
+    x1^3 term in grad_1 J, or a QR below QR_MIN_RANK.
+
+    The Macaulay matrix (the kept rows x^mu g_i over the monomials of
+    degree <= 2n + 1, ordered by degree and, within a degree, by e
+    descending) has a 3^n-dimensional null space N, the trailing columns
+    of the complete QR of its transpose.  low = q r are N's rows of
+    degree <= 2n and N_i the rows of x_i times those monomials; each
+    eigenvector z of r^{-1} q' sum_i h_i N_i gives the root
+    x_i = <low z, N_i z> / <low z, low z>, with the library's shift
+    h = PENCIL_SHIFTS, realness test and _balanced scaling.
+    """
+    n, top = P.n, 2 * P.n + 1
+    exponents = np.indices((top + 1,) * n).reshape(n, -1).T[::-1]
+    exponents = exponents[np.argsort(exponents.sum(axis=1), kind="stable")]
+    degree = exponents.sum(axis=1)
+    exponents, degree = exponents[degree <= top], degree[degree <= top]
+    cubic, shift, low = np.searchsorted(degree, [3, top - 3, top - 1],
+                                        side="right")
+    column = np.zeros((top + 1,) * n, dtype=int)
+    column[tuple(exponents.T)] = np.arange(len(exponents))
+    unit = np.eye(n, dtype=int)
+    triples = unit[:, None, None] + unit[None, :, None] + unit[None, None, :]
+    cube = np.zeros((n**3, cubic))
+    cube[np.arange(n**3), column[tuple(triples.reshape(-1, n).T)]] = 1.0
+    shifts = exponents[:shift]
+    dropped = [(shifts[:, :i] >= 3).any(axis=1) for i in range(n)]
+    poly, mu = np.nonzero(~np.array(dropped))
+    columns = column[tuple(np.moveaxis(shifts[mu, None] + exponents[:cubic],
+                                       -1, 0))]
+    up = column[tuple(np.moveaxis(exponents[:low] + unit[:, None], -1, 0))]
+
+    T = np.einsum("j,jab,jic->iabc", 0.5 * P.gamma, P.B, P.B)
+    if not T[0, 0, 0, 0]:
+        return None
+    G = T.reshape(n, -1) @ cube
+    G[:, 0], G[:, 1:n + 1] = P.f, P.ab_matrix(P.gamma * P.c)
+    G, s = critical._balanced(G, degree[:cubic])
+    M = np.zeros((len(poly), len(degree)))
+    M[np.arange(len(M))[:, None], columns] = G[poly]
+    Q, R = np.linalg.qr(M.T, mode="complete")
+    N = Q[:, len(M):]
+    q, r = np.linalg.qr(N[:low])
+    diagonals = [np.abs(np.diagonal(X)) for X in (R, r)]
+    if min(d.min() / d.max() for d in diagonals) < QR_MIN_RANK:
+        return None
+    shifted = np.einsum("i,irk->rk", critical.PENCIL_SHIFTS[:n], N[up])
+    _, Z = np.linalg.eig(np.linalg.solve(r, q.T @ shifted))
+    V = N[:low] @ Z
+    y = np.vecdot(V.T, (N[up] @ Z).mT) / np.vecdot(V.T, V.T)
+    real = (np.abs(y.imag) <= critical.PENCIL_TOL
+            * (1.0 + np.abs(y))).all(axis=0)
+    return s * y.T[real].real

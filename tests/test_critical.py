@@ -1,7 +1,7 @@
 import dataclasses
 import sys
 import warnings
-from itertools import islice
+from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ from dcquartic import (
 from dcquartic.critical import (
     DEDUP_DISTANCE,
     _backtrack,
+    _distinct,
     _lift_stack,
     _solve_stack,
     _starts,
@@ -45,6 +46,7 @@ from oracles import (
     _grad_inf,
     exact_critical_points,
     gradient_roots_1d,
+    macaulay_seeds_qr,
     solve_primal_critical_loop,
 )
 
@@ -159,8 +161,8 @@ class TestMultistart:
         P = validate_instance([-1.0], [[1e7]], [1.0], [0.0], [0.0], 1.0)
         found = sorted(x[0] for x in find_critical_points(P, 32, 7).points)
         assert found == pytest.approx([-r, 0.0, r], rel=1e-8, abs=0)
-        # the Macaulay seeds put the zero coordinates within 5.8e-22 of
-        # 0 (4e-15 r), which the absolute Newton test accepts as they
+        # the Macaulay seeds put the zero coordinates within 6.2e-23 of
+        # 0 (4e-16 r), which the absolute Newton test accepts as they
         # are, and their signs reorder the sort: so each grid point is
         # matched in the inf-norm within rel = 1e-8 taken at the scale r
         P = _nine_point_instance()
@@ -408,6 +410,21 @@ def _same_bytes(result, reference):
             == (reference.n_dropped, reference.n_merged))
 
 
+def _corner_instance(n, draw, corner):
+    """B_j = blockdiag(b_j, corner), b_j a random symmetric (n - 1)
+    block from default_rng(draw), with A = diag(1, -0.5, 0.7): at
+    corner = 0 every B_j has the null vector e_n, so the cubic terms
+    vanish on the x_n axis, a root at infinity, and a small corner puts
+    a root near it."""
+    rng = np.random.default_rng(draw)
+    B = np.zeros((n, n, n))
+    B[:, :-1, :-1] = linalg.symmetrize(rng.standard_normal((n, n - 1, n - 1)))
+    B[:, -1, -1] = corner
+    return validate_instance(np.diag([1.0, -0.5, 0.7][:n]), B,
+                             [1.0, 1.5, 0.7][:n], [0.2, -0.3, 0.5][:n],
+                             [0.3, -0.2, 0.4][:n], 2.0)
+
+
 class TestTwoParameterRoute:
     @pytest.fixture(scope="class")
     def members(self):
@@ -502,13 +519,26 @@ class TestMacaulayRoute:
                                                    (3, 120, 93, 84)])
     def test_layout(self, n, size, rows, low):
         # the monomials of degree <= 2n + 1, the kept rows x^mu g_i, and
-        # those of degree <= 2n; the null space has Bezout's 3^n
-        degree, cube, poly, columns, up = critical._macaulay_layout(n)
+        # those of degree <= 2n; the basis max e_i <= 2 has Bezout's 3^n
+        # monomials, all of degree <= 2n, and the rows of |mu| = d - 3
+        # meet the other monomials of degree d in square blocks
+        degree, cube, poly, columns, blocks, up = \
+            critical._macaulay_layout(n)
         assert len(degree) == size and len(poly) == len(columns) == rows
-        assert size - rows == 3**n
-        assert np.count_nonzero(degree <= 2 * n) == up.shape[1] == low
-        assert cube.shape == (n**3, columns.shape[1]) and up.shape[0] == n
-        for table in (degree, cube, poly, columns, up):
+        assert up.shape == (n, 3**n) and size - rows == 3**n
+        assert np.count_nonzero(degree <= 2 * n) == low
+        assert degree[:3**n].max() == 2 * n
+        sizes = {2: [2, 4, 6], 3: [3, 9, 18, 27, 36]}[n]
+        assert np.diff(blocks).tolist() == sizes and blocks[0] == 0
+        for d, lo, hi in zip(range(3, 2 * n + 2), blocks, blocks[1:]):
+            # columns[:, 0] holds each row's x^mu times the constant
+            assert (degree[columns[lo:hi, 0]] == d - 3).all()
+            assert (degree[3**n + lo:3**n + hi] == d).all()
+        # x_i times each basis monomial: one degree up, at most 2n + 1
+        assert (degree[up] == degree[:3**n] + 1).all()
+        assert degree[up].max() == 2 * n + 1
+        assert cube.shape == (n**3, columns.shape[1])
+        for table in (degree, cube, poly, columns, blocks, up):
             assert not table.flags.writeable
         assert critical._macaulay_layout(n) is critical._macaulay_layout(n)
 
@@ -591,31 +621,67 @@ class TestMacaulayRoute:
         assert len(points) == 9
         assert all(any(_close(x, y) for x in points) for y in exact)
 
+    def test_matches_the_dense_null_space(self, members):
+        # the normal form's seeds against the dense QR null space's
+        # (tests/oracles.py) after _distinct: the 50 members and the
+        # stress draws (tests/stress.py) 72-107 (n = 2, N = 2-3) and
+        # 144-161 (n = N = 3)
+        grid = list(product((1e-3, 0.1, 1.0), (0.01, 1.0, 30.0),
+                            ((-1.0, 1.0), (-10.0, 10.0))))
+        draws = [generate_instance(n, N, [99, first + i], *args)
+                 for n, N, first in ((2, 2, 72), (2, 3, 90), (3, 3, 144))
+                 for i, args in enumerate(grid)]
+        count = 0
+        for k, P in enumerate([*members[2].values(), *members[3].values(),
+                               *draws]):
+            ours, dense = (_distinct(P, seeds(P) + 0.0) for seeds in (
+                critical._macaulay_seeds, macaulay_seeds_qr))
+            assert len(ours.points) == len(dense.points)
+            assert (ours.n_dropped, ours.n_merged) \
+                == (dense.n_dropped, dense.n_merged)
+            assert _holds_every_point(ours.points, dense.points)
+            assert _holds_every_point(dense.points, ours.points)
+            count += len(ours.points) if k < 50 else 0
+        assert count == 118
+
+    @pytest.mark.parametrize("draw", range(3))
+    def test_root_near_infinity_takes_the_route(self, draw):
+        # a corner of 1e-2 puts a root near infinity: the normal form
+        # reads 8.4e10-6.2e11 on these draws, within
+        # MACAULAY_MAX_NORMAL_FORM, where the dense route's R_ii ratio
+        # refused draws 1 and 2
+        P = _corner_instance(3, draw, 1e-2)
+        assert critical._macaulay_seeds(P) is not None
+        assert _holds_every_point(find_critical_points(P, 12, 7).points,
+                                  multistart(P, 400, 11).points)
+
+    def test_root_nearer_infinity_falls_back(self):
+        # at a corner of 1e-6 the normal form reads 8.4e34, and, ungated,
+        # keeps only 1-2 of the 3 points of multistart(P, 400, 11)
+        for draw in range(3):
+            assert critical._macaulay_seeds(_corner_instance(3, draw, 1e-6)) \
+                is None
+
     def test_zero_seeds_give_no_point(self, members):
         ms = find_critical_points(members[3][26], 0, 7)
         assert (ms.points, ms.n_dropped, ms.n_merged) == ([], 0, 0)
 
     def test_solution_at_infinity_falls_back_to_multistart(self):
         # every B_j has the null vector e_n, so the cubic terms vanish on
-        # the x_n axis: a root at infinity, whose monomial vector lives
-        # in degree 2n + 1 alone, so the null space's rows of degree
-        # <= 2n fall short of rank 3^n
+        # the x_n axis: a root at infinity, where the x_n^3 column of
+        # the degree-3 block of the normal form's solve is 0, and
+        # np.linalg.solve finds the block singular
         for n in (2, 3):
-            rng = np.random.default_rng(3)
-            B = np.zeros((n, n, n))
-            B[:, :-1, :-1] = linalg.symmetrize(
-                rng.standard_normal((n, n - 1, n - 1)))
-            P = validate_instance(np.diag([1.0, -0.5, 0.7][:n]), B,
-                                  [1.0, 1.5, 0.7][:n], [0.2, -0.3, 0.5][:n],
-                                  [0.3, -0.2, 0.4][:n], 2.0)
+            P = _corner_instance(n, 3, 0.0)
             assert critical._macaulay_seeds(P) is None
             assert _same_bytes(find_critical_points(P, 12, 7),
                                multistart(P, 12, 7))
 
     def test_sphere_of_points_falls_back_to_multistart(self):
         # A = -I and B_j = I: grad J = (sum_j gamma_j |x|^2 / 2 - 1) x
-        # vanishes on a sphere, so the Macaulay matrix falls short of
-        # rank 93 (the circle at n = 2 is in TestResultantRoute)
+        # vanishes on a sphere, and the cubic terms |x|^2 x_i make the
+        # degree-4 block of the normal form's solve singular (the circle
+        # at n = 2 is in TestResultantRoute)
         P = validate_instance(-np.eye(3), [np.eye(3)] * 3, [1.0, 2.0, 0.5],
                               [0.0] * 3, [0.0] * 3, 1.0)
         with warnings.catch_warnings():
@@ -669,7 +735,8 @@ class TestResultantRoute:
 
     def test_rotationally_symmetric_falls_back_to_multistart(self):
         # A = -I and B_j = I: grad J = (3 |x|^2 / 2 - 1) x vanishes on a
-        # circle, so the Macaulay matrix falls short of rank 12
+        # circle, and the cubic terms |x|^2 x_i make the degree-4 block
+        # of the normal form's solve singular
         P = validate_instance(-np.eye(2), [np.eye(2), np.eye(2)],
                               [1.0, 2.0], [0.0, 0.0], [0.0, 0.0], 1.0)
         with warnings.catch_warnings():

@@ -17,9 +17,11 @@ Another build of these libraries may round differently and fail here
 with no fault in the code.  So may another kernel of the same build:
 the digests hold for the SkylakeX kernel, which OpenBLAS picks on an
 AVX-512 CPU, and ``OPENBLAS_CORETYPE`` forces another one.  Under
-Haswell (an AVX2 CPU without AVX-512) or Sandybridge, the member,
-probed-member and sweep digests fail (ROADMAP.md, State, lists the
-failures).  The two sample digests hold under SkylakeX, Haswell,
+each of Haswell (an AVX2 CPU without AVX-512), Sandybridge and
+Prescott, the same three fail: test_ensemble_record_bytes,
+test_probed_ensemble_record_bytes and test_epsilon_sweep_bytes (checked
+in child processes with the variable set).  The two sample digests
+(test_sample_run_report_bytes) hold under SkylakeX, Haswell,
 Sandybridge and Prescott alike (tests/test_blas_kernels.py checks
 this): both files are n = 1, whose critical points are the roots of
 one cubic, found by np.roots with no BLAS-dependent pencil, so no
@@ -52,11 +54,11 @@ RUN_REPORT_SHA256 = {
         "0bc4bcd4e4957104f796e0f2a1c3a3d353dc649cf5d96b4cb27f81d16fddaeb3",
 }
 MEMBERS_SHA256 = \
-    "3700969ed6e9b5649a1e15736246fa9cf893a464861c39b70335f1f9f9f9d846"
+    "09d5c26468e4a5b5f24300bdf730993a5331b093069b005b7b161e4a6effc66d"
 PROBED_MEMBERS_SHA256 = \
-    "875d12799a4aaa15253482e88beb776eed84f922903bea737daec3eb40b21cab"
+    "5cce3ffe45451d8e1da16b3051bb0621e7c43b90247e3b784847450590428869"
 SWEEPS_SHA256 = \
-    "726cb99038ec63d6a985813f29d7ce9af71f83eb87099f5e18a04e5ca2fe738c"
+    "3c7f86b0c8f1b0516a9362e21c8e6a3dfc017161d9e399c8e81d96e4c7319d69"
 
 
 @functools.cache
